@@ -395,7 +395,6 @@ mod tests {
     fn infer_opts() -> CompileOptions {
         CompileOptions {
             infer_localaccess: true,
-            optimize_kernels: false,
             ..CompileOptions::proposal()
         }
     }

@@ -70,13 +70,6 @@ pub struct CompileOptions {
     /// [`infer`]). Off by default so unannotated sources keep the
     /// paper's replica semantics unless explicitly opted in.
     pub infer_localaccess: bool,
-    /// Execute kernels through the SSA-optimizing register VM
-    /// (`acc_kernel_ir::regvm`) instead of the fused bytecode
-    /// interpreter. `OpCounters` are priced from the pre-optimization IR,
-    /// so simulated times are identical either way; only host wall time
-    /// changes. Off by default; kernels the optimizer cannot statically
-    /// type fall back to bytecode.
-    pub optimize_kernels: bool,
     /// Consume *inferred* `reductiontoarray` annotations: rewrite
     /// unannotated read-modify-write scatters into the exact atomic-RMW
     /// form the annotated source lowers to (the [`depend`] matcher,
@@ -93,7 +86,6 @@ impl CompileOptions {
             layout_transform: true,
             instrument: true,
             infer_localaccess: false,
-            optimize_kernels: false,
             infer_reductions: false,
         }
     }
@@ -106,7 +98,6 @@ impl CompileOptions {
             layout_transform: false,
             instrument: false,
             infer_localaccess: false,
-            optimize_kernels: false,
             infer_reductions: false,
         }
     }
@@ -118,7 +109,6 @@ impl CompileOptions {
             layout_transform: true,
             instrument: false,
             infer_localaccess: false,
-            optimize_kernels: false,
             infer_reductions: false,
         }
     }

@@ -568,7 +568,6 @@ mod tests {
              }";
         let opts = CompileOptions {
             infer_localaccess: true,
-            optimize_kernels: false,
             ..CompileOptions::proposal()
         };
         let d = lint_source_with(src, &opts).unwrap();
@@ -763,7 +762,6 @@ mod tests {
         assert!(codes(&lint(src)).is_empty());
         let opts = CompileOptions {
             infer_localaccess: true,
-            optimize_kernels: false,
             ..CompileOptions::proposal()
         };
         let d = lint_source_with(src, &opts).unwrap();
@@ -788,7 +786,6 @@ mod tests {
              }";
         let opts = CompileOptions {
             infer_localaccess: true,
-            optimize_kernels: false,
             ..CompileOptions::proposal()
         };
         let d = lint_source_with(src, &opts).unwrap();

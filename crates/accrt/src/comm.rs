@@ -11,33 +11,39 @@
 //!    the GPU owning the destination element and replayed there
 //!    (§IV-D2); halo copies are invalidated so the loader refreshes them;
 //! 3. **reduction-private arrays** — the per-GPU private copies are
-//!    combined pairwise in a binary tree (the inter-GPU level of the
-//!    §IV-B4 hierarchical reduction); GPU 0 ends up with the result.
+//!    combined pairwise in a stride-doubling tree per topology level
+//!    (island, node, machine — the inter-GPU level of the §IV-B4
+//!    hierarchical reduction); GPU 0 ends up with the result.
+//!
+//! There is one communication path for every topology. Peers are always
+//! visited in [`Topology::peer_order`](acc_gpusim::Topology::peer_order)
+//! and merges always walk the level-structured tree; the paper's flat
+//! platforms are the one-island instance, where the peer order is plain
+//! ascending index and the tree has a single group. Every transfer —
+//! these three and the loader's — is priced by `Run::price_transfer`,
+//! and every GPU→GPU byte lands through `Run::move_p2p`.
 //!
 //! Each reconciliation has two independent halves:
 //!
 //! * the **functional half** mutates simulated device buffers. With
 //!   [`ExecConfig::parallel_comm`](crate::ExecConfig) set (the default)
-//!   it runs on one host thread per destination GPU — destinations touch
-//!   disjoint buffers, so this is safe — and moves data as typed byte
-//!   windows (`copy_from_slice` / [`acc_kernel_ir::rmw_apply_slice`])
-//!   rather than
-//!   element-at-a-time `get`/`set`. The serial per-element path is kept
-//!   as the reference implementation and equivalence tests hold the two
+//!   replica sync and miss replay run on one host thread per destination
+//!   GPU — destinations touch disjoint buffers, so this is safe — and
+//!   data moves as typed byte windows (`copy_from_slice` /
+//!   [`acc_kernel_ir::rmw_apply_slice`]) rather than element-at-a-time
+//!   `get`/`set`. The serial per-element path is the specification of
+//!   BSP conflict resolution; equivalence tests hold the two
 //!   bit-identical;
-//! * the **pricing half** walks the per-link PCIe bus timelines and
-//!   emits [`TransferSpan`]/[`CommRound`]/…​ events. Bus timelines are
-//!   order-dependent, so this half always runs serially, in a fixed
-//!   order, on the coordinating thread — which is why *simulated* times
-//!   never depend on the host-parallelism switch.
+//! * the **pricing half** walks the per-segment interconnect timelines
+//!   and emits [`TransferSpan`](acc_obs::TransferSpan)/[`CommRound`]/…​
+//!   events. The timelines are order-dependent, so this half always runs
+//!   serially, in a fixed order, on the coordinating thread — which is
+//!   why *simulated* times never depend on the host-parallelism switch.
 
 use acc_compiler::{CompiledKernel, Placement};
 use acc_gpusim::{BufferHandle, Endpoint, Gpu};
-use acc_kernel_ir::interp::{rmw_apply, rmw_apply_slice};
-use acc_kernel_ir::{MissRecord, RmwOp, Value};
-use acc_obs::{
-    CollectiveRound, CommElided, CommRound, MissReplay, ReductionMerge, TransferKind, TransferSpan,
-};
+use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
+use acc_obs::{CollectiveRound, CommElided, CommRound, MissReplay, ReductionMerge};
 
 use crate::exec::{ArrLaunch, Run};
 use crate::{RunError, SanitizeLevel};
@@ -52,16 +58,16 @@ use crate::{RunError, SanitizeLevel};
 /// near the GPU count.
 ///
 /// The pool outlives a single run: [`run_program`](crate::run_program)
-/// creates a fresh one per call (the historical behaviour), while a
-/// long-lived [`Engine`](crate::Engine) checks pools out per job and
+/// creates a fresh one per call, while a long-lived
+/// [`Engine`](crate::Engine) checks pools out per job and
 /// back in afterwards, so a busy server stops allocating once warm.
 /// Three buffer classes are kept apart so their reuse patterns (and
 /// counters) don't interfere:
 ///
 /// * `bufs` — replica-sync staging ([`Run::apply_replica_runs_parallel`]),
 ///   counted in `allocs` / `Profiler::staging_allocs`;
-/// * `scratch` — loader window-grow / peer-copy staging, counted in
-///   `scratch_allocs` / `Profiler::scratch_allocs`;
+/// * `scratch` — loader window-grow and [`Run::move_p2p`] staging,
+///   counted in `scratch_allocs` / `Profiler::scratch_allocs`;
 /// * `miss_bufs` — per-GPU write-miss record buffers, reclaimed after
 ///   every communication phase (BFS-style apps fill these every launch).
 #[derive(Debug, Default)]
@@ -196,6 +202,13 @@ impl<'o> OwnerRouter<'o> {
     }
 }
 
+/// Bytes dirty chunk `c` ships: the mechanism moves whole chunks plus
+/// their first-level bits; receivers apply per element.
+fn chunk_payload(dm: &DirtyMap, c: usize) -> u64 {
+    let (clo, chi) = dm.chunk_range(c);
+    ((chi - clo) * dm.elem_bytes()) as u64 + ((chi - clo) as u64).div_ceil(8)
+}
+
 impl<'a> Run<'a> {
     /// Run the communication phase; transfers are scheduled from `t2`.
     /// Returns the phase end time.
@@ -318,33 +331,18 @@ impl<'a> Run<'a> {
     /// accumulated dirty-chunk payloads of every dirty GPU to every other
     /// replica holder (the `CommElided` event's saving estimate).
     fn pending_sync_bytes(&self, arr: usize) -> u64 {
-        let ngpus = self.cfg.ngpus;
-        let elem = self.arrays[arr].elem();
-        let holders = (0..ngpus)
-            .filter(|&h| self.arrays[arr].gpu[h].handle.is_some())
-            .count() as u64;
-        let mut total = 0u64;
-        for g in 0..ngpus {
-            let Some(dm) = self.arrays[arr].gpu[g].dirty.as_ref() else {
-                continue;
-            };
-            if dm.is_clean() {
-                continue;
-            }
-            let mut bytes = 0u64;
-            for c in dm.dirty_chunks() {
-                let (clo, chi) = dm.chunk_range(c);
-                bytes += ((chi - clo) * elem) as u64 + ((chi - clo) as u64).div_ceil(8);
-            }
-            total += bytes * holders.saturating_sub(1);
-        }
-        total
+        let gpus = &self.arrays[arr].gpu[..self.cfg.ngpus];
+        let holders = gpus.iter().filter(|ga| ga.handle.is_some()).count() as u64;
+        gpus.iter()
+            .filter_map(|ga| ga.dirty.as_ref())
+            .map(|dm| dm.dirty_chunks().map(|c| chunk_payload(dm, c)).sum::<u64>())
+            .sum::<u64>()
+            * holders.saturating_sub(1)
     }
 
     /// §IV-D1: replica reconciliation via two-level dirty bits.
     fn sync_replicas(&mut self, arr: usize, t2: f64) -> Result<f64, RunError> {
         let ngpus = self.cfg.ngpus;
-        let elem = self.arrays[arr].elem();
         let mut end = t2;
 
         // A GPU idle for this launch (empty partition) that never held a
@@ -357,30 +355,15 @@ impl<'a> Run<'a> {
             .collect();
 
         // Collect each GPU's dirty runs and per-chunk payloads first
-        // (immutable pass).
-        let mut per_gpu_runs: Vec<Vec<(usize, usize)>> = Vec::with_capacity(ngpus);
-        let mut per_gpu_chunk_sizes: Vec<Vec<u64>> = Vec::with_capacity(ngpus);
+        // (immutable pass). A dirty chunk holds at least one run, so a
+        // GPU has runs exactly when it has chunks to ship.
+        let mut per_gpu_runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ngpus];
+        let mut per_gpu_chunk_sizes: Vec<Vec<u64>> = vec![Vec::new(); ngpus];
         for g in 0..ngpus {
-            let ga = &self.arrays[arr].gpu[g];
-            match ga.dirty.as_ref() {
-                Some(dm) if !dm.is_clean() => {
-                    let mut runs = Vec::new();
-                    let mut sizes = Vec::new();
-                    for c in dm.dirty_chunks() {
-                        let (clo, chi) = dm.chunk_range(c);
-                        // The mechanism ships whole chunks plus their
-                        // first-level bits; receivers apply per-element.
-                        sizes.push(
-                            ((chi - clo) * elem) as u64 + ((chi - clo) as u64).div_ceil(8),
-                        );
-                        runs.extend(dm.dirty_runs_in_chunk(c));
-                    }
-                    per_gpu_runs.push(runs);
-                    per_gpu_chunk_sizes.push(sizes);
-                }
-                _ => {
-                    per_gpu_runs.push(Vec::new());
-                    per_gpu_chunk_sizes.push(Vec::new());
+            if let Some(dm) = self.arrays[arr].gpu[g].dirty.as_ref() {
+                for c in dm.dirty_chunks() {
+                    per_gpu_chunk_sizes[g].push(chunk_payload(dm, c));
+                    per_gpu_runs[g].extend(dm.dirty_runs_in_chunk(c));
                 }
             }
         }
@@ -391,21 +374,14 @@ impl<'a> Run<'a> {
         // as under the serial pairwise schedule.
         if per_gpu_runs.iter().any(|r| !r.is_empty()) {
             if self.cfg.parallel_comm {
-                self.apply_replica_runs_parallel(arr, elem, &per_gpu_runs)?;
+                self.apply_replica_runs_parallel(arr, &per_gpu_runs)?;
             } else {
                 // Reference path: pairwise current-value copies in
                 // (src, dst) order.
-                #[allow(clippy::needless_range_loop)] // g names a GPU, not a slice position
-                for g in 0..ngpus {
-                    if per_gpu_runs[g].is_empty() {
-                        continue;
-                    }
-                    for h in 0..ngpus {
-                        if h == g || !has_replica[h] {
-                            continue;
-                        }
-                        for &(lo, hi) in &per_gpu_runs[g] {
-                            self.copy_elements_between_gpus(arr, g, h, lo as i64, hi as i64)?;
+                for (g, runs) in per_gpu_runs.iter().enumerate() {
+                    for h in (0..ngpus).filter(|&h| h != g && has_replica[h]) {
+                        for &(lo, hi) in runs {
+                            self.move_p2p(arr, g, h, (lo as i64, hi as i64), None)?;
                         }
                     }
                 }
@@ -415,64 +391,41 @@ impl<'a> Run<'a> {
         // Pricing half: each dirty chunk is its own asynchronous
         // transfer (per-chunk latency is the cost of choosing small
         // chunks — the other side of the §IV-D1 trade-off). Serial, in
-        // fixed order: the per-link bus timelines are order-dependent.
-        // On flat topologies that order is the seed's ascending (src,
-        // dst); on hierarchical ones each source ships to its near
-        // destinations first, so intra-island rounds clear their
-        // dedicated links before root- and fabric-bound rounds queue.
-        for g in 0..ngpus {
-            if per_gpu_runs[g].is_empty() {
+        // fixed order: the interconnect timelines are order-dependent.
+        // Each source ships to its nearest destinations first, so
+        // intra-island rounds clear their dedicated links before root-
+        // and fabric-bound rounds queue.
+        for (g, chunk_sizes) in per_gpu_chunk_sizes.iter().enumerate() {
+            if chunk_sizes.is_empty() {
                 continue;
             }
-            let mut dests: Vec<usize> =
-                (0..ngpus).filter(|&h| h != g && has_replica[h]).collect();
-            if self.machine.bus.is_hierarchical() {
-                let bus = &self.machine.bus;
-                dests.sort_by_key(|&h| (bus.distance(g, h), h));
-            }
-            for h in dests {
-                if per_gpu_chunk_sizes[g].is_empty() {
-                    // A dirty source always has at least one chunk; never
-                    // emit an empty round even if that invariant breaks.
+            for h in self.machine.bus.peer_order(g, ngpus) {
+                if !has_replica[h] {
                     continue;
                 }
                 let mut pair_start = f64::INFINITY;
                 let mut pair_end = t2;
                 let mut pair_bytes = 0u64;
-                for &bytes in &per_gpu_chunk_sizes[g] {
-                    let (s, e) =
-                        self.machine
-                            .bus
-                            .transfer(Endpoint::Gpu(g), Endpoint::Gpu(h), bytes, t2);
-                    self.rec.transfer(TransferSpan {
-                        kind: TransferKind::P2P,
-                        array: self.prog.array_params[arr].0.clone(),
+                for &bytes in chunk_sizes {
+                    let (s, e) = self.price_transfer(
+                        arr,
+                        Endpoint::Gpu(g),
+                        Endpoint::Gpu(h),
                         bytes,
-                        src: Some(g),
-                        dst: Some(h),
-                        why: "sync",
-                        start: s,
-                        end: e,
-                    });
+                        t2,
+                        "sync",
+                    );
                     pair_start = pair_start.min(s);
                     pair_end = pair_end.max(e);
                     pair_bytes += bytes;
                 }
                 end = end.max(pair_end);
-                // `pair_start` is the true start of the round's first
-                // transfer; it used to be clamped with `min(pair_end)`,
-                // which would silently mask an uninitialised INFINITY as
-                // a plausible-looking timestamp.
-                debug_assert!(
-                    pair_start.is_finite(),
-                    "comm round {g}->{h} priced no transfers"
-                );
                 self.rec.comm_round(CommRound {
                     launch: self.cur_launch,
                     array: self.prog.array_params[arr].0.clone(),
                     src: g,
                     dst: h,
-                    chunks: per_gpu_chunk_sizes[g].len() as u64,
+                    chunks: chunk_sizes.len() as u64,
                     bytes: pair_bytes,
                     start: pair_start,
                     end: pair_end,
@@ -487,6 +440,13 @@ impl<'a> Run<'a> {
             }
         }
         Ok(end)
+    }
+
+    /// Per GPU, the `(window start, buffer)` of `arr` — what a destination
+    /// worker thread needs to address its own replica.
+    fn window_views(&self, arr: usize) -> Vec<(i64, Option<BufferHandle>)> {
+        let gpus = &self.arrays[arr].gpu[..self.cfg.ngpus];
+        gpus.iter().map(|ga| (ga.window.0, ga.handle)).collect()
     }
 
     /// The host-parallel functional half of [`Run::sync_replicas`]:
@@ -504,10 +464,10 @@ impl<'a> Run<'a> {
     fn apply_replica_runs_parallel(
         &mut self,
         arr: usize,
-        elem: usize,
         runs: &[Vec<(usize, usize)>],
     ) -> Result<(), RunError> {
         let ngpus = self.cfg.ngpus;
+        let elem = self.arrays[arr].elem();
         // Staging buffers come from the pool the caller lent the run
         // (engine-lifetime under `Engine`): iterative programs reconcile
         // the same arrays every superstep, and reusing capacity keeps
@@ -533,12 +493,7 @@ impl<'a> Run<'a> {
             staged[g] = buf;
         }
 
-        let views: Vec<(i64, Option<BufferHandle>)> = (0..ngpus)
-            .map(|h| {
-                let ga = &self.arrays[arr].gpu[h];
-                (ga.window.0, ga.handle)
-            })
-            .collect();
+        let views = self.window_views(arr);
         let staged_ref = &staged;
         let gpus = &mut self.machine.gpus[..ngpus];
         let results: Vec<Result<(), RunError>> = std::thread::scope(|s| {
@@ -646,20 +601,14 @@ impl<'a> Run<'a> {
                     continue;
                 }
                 let bytes = (recs.len() * (8 + elem)) as u64;
-                let (s, e) =
-                    self.machine
-                        .bus
-                        .transfer(Endpoint::Gpu(g), Endpoint::Gpu(owner), bytes, t2);
-                self.rec.transfer(TransferSpan {
-                    kind: TransferKind::P2P,
-                    array: ck.configs[kbuf].name.clone(),
+                let (s, e) = self.price_transfer(
+                    bi.arr,
+                    Endpoint::Gpu(g),
+                    Endpoint::Gpu(owner),
                     bytes,
-                    src: Some(g),
-                    dst: Some(owner),
-                    why: "miss",
-                    start: s,
-                    end: e,
-                });
+                    t2,
+                    "miss",
+                );
                 // Completing the writes is a small kernel on the owner.
                 let apply = self.machine.gpus[owner]
                     .spec
@@ -691,12 +640,7 @@ impl<'a> Run<'a> {
         by_owner: &[Vec<&MissRecord>],
     ) -> Result<(), RunError> {
         let ngpus = self.cfg.ngpus;
-        let views: Vec<(i64, Option<BufferHandle>)> = (0..ngpus)
-            .map(|h| {
-                let ga = &self.arrays[bi.arr].gpu[h];
-                (ga.window.0, ga.handle)
-            })
-            .collect();
+        let views = self.window_views(bi.arr);
 
         let replay_one = |gpu: &mut Gpu,
                           wlo: i64,
@@ -756,8 +700,9 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// Inter-GPU level of the hierarchical reduction: binary-tree merge of
-    /// the private copies into GPU 0.
+    /// Inter-GPU level of the hierarchical reduction: tree merge of the
+    /// private copies into GPU 0. The combine order follows the topology,
+    /// which is observable only as floating-point rounding.
     fn merge_reduction_copies(
         &mut self,
         bi: &ArrLaunch,
@@ -779,11 +724,31 @@ impl<'a> Run<'a> {
         if k == 0 {
             return Ok(t2);
         }
-        let end = if self.machine.bus.is_hierarchical() {
-            self.merge_reduction_hierarchical(bi, op, t2, k)?
-        } else {
-            self.merge_reduction_flat(bi, op, t2, k)?
-        };
+        // Leaders surviving one level fold onto the leader (lowest GPU)
+        // of the next-coarser group: islands, then nodes, then the whole
+        // machine — so only one transfer per island crosses the root
+        // complex and only one per node crosses the fabric. Groups at
+        // the same level occupy disjoint GPUs and price concurrently
+        // from the level barrier. On a one-island topology the first
+        // level is the single group `0..k` and the other two are no-ops.
+        let bus = &self.machine.bus;
+        let levels = [
+            ("intra-island", bus.gpus_per_island),
+            ("inter-island", bus.gpus_per_node),
+            ("inter-node", usize::MAX),
+        ];
+        let mut leaders: Vec<usize> = (0..k).collect();
+        let mut end = t2;
+        for (level, width) in levels {
+            let level_start = end;
+            let mut next = Vec::new();
+            for group in leaders.chunk_by(|a, b| a / width == b / width) {
+                next.push(group[0]);
+                let e = self.merge_group(bi, op, group, level, level_start)?;
+                end = end.max(e);
+            }
+            leaders = next;
+        }
         // GPU 0 now holds the merged result; other copies are garbage.
         let whole = crate::ranges::RangeSet::of(0, n as i64);
         for g in 0..ngpus {
@@ -798,150 +763,12 @@ impl<'a> Run<'a> {
         Ok(end)
     }
 
-    /// The seed's single-level stride-doubling tree over the active
-    /// prefix — the schedule every flat (one-island) topology keeps.
-    fn merge_reduction_flat(
-        &mut self,
-        bi: &ArrLaunch,
-        op: RmwOp,
-        t2: f64,
-        k: usize,
-    ) -> Result<f64, RunError> {
-        let n = self.arrays[bi.arr].len;
-        let elem = self.arrays[bi.arr].elem();
-        let mut round_start = t2;
-        let mut stride = 1usize;
-        while stride < k {
-            // Functional half: this round's (dst, src) = (g, g+stride)
-            // pairs touch disjoint GPUs, so they can merge concurrently,
-            // each as one typed slice pass over the private copies.
-            if self.cfg.parallel_comm {
-                self.merge_round_parallel(bi, op, stride, k)?;
-            } else {
-                // Reference path: staged per-element merge.
-                let mut g = 0;
-                while g + stride < k {
-                    let src = g + stride;
-                    let staged: Vec<Value> = {
-                        let ga = &self.arrays[bi.arr].gpu[src];
-                        let sb = self.machine.gpus[src].memory.get(ga.handle.expect("src"))?;
-                        sb.iter().collect()
-                    };
-                    let ga = &self.arrays[bi.arr].gpu[g];
-                    let db = self.machine.gpus[g]
-                        .memory
-                        .get_mut(ga.handle.expect("dst"))?;
-                    for (i, v) in staged.iter().enumerate() {
-                        let merged = rmw_apply(op, db.get(i), *v)?;
-                        db.set(i, merged);
-                    }
-                    g += stride * 2;
-                }
-            }
-
-            // Pricing half, serial in pair order.
-            let mut round_end = round_start;
-            let mut g = 0;
-            while g + stride < k {
-                let src = g + stride;
-                let bytes = (n * elem) as u64;
-                let (s, e) =
-                    self.machine
-                        .bus
-                        .transfer(Endpoint::Gpu(src), Endpoint::Gpu(g), bytes, round_start);
-                self.rec.transfer(TransferSpan {
-                    kind: TransferKind::P2P,
-                    array: self.prog.array_params[bi.arr].0.clone(),
-                    bytes,
-                    src: Some(src),
-                    dst: Some(g),
-                    why: "reduce",
-                    start: s,
-                    end: e,
-                });
-                let combine = self.machine.gpus[g].spec.local_copy_time(bytes);
-                self.rec.reduction_merge(ReductionMerge {
-                    launch: self.cur_launch,
-                    array: self.prog.array_params[bi.arr].0.clone(),
-                    src,
-                    dst: g,
-                    bytes,
-                    start: s,
-                    end: e + combine,
-                });
-                round_end = round_end.max(e + combine);
-                g += stride * 2;
-            }
-            round_start = round_end;
-            stride *= 2;
-        }
-        Ok(round_start)
-    }
-
-    /// Topology-aware reduction merge: a stride-doubling tree within
-    /// each island onto the island leader (its lowest GPU), then across
-    /// each node's island leaders onto the node leader, then across node
-    /// leaders onto GPU 0 — so only one transfer per island crosses the
-    /// root complex and only one per node crosses the fabric, instead of
-    /// the flat tree's root-saturating first round. Groups at the same
-    /// level occupy disjoint GPUs and price concurrently from the level
-    /// barrier. Combine order differs from the flat tree, which is
-    /// observable only as floating-point rounding; the schedule is gated
-    /// on [`Topology::is_hierarchical`], so flat presets stay
-    /// bit-identical to the seed.
-    ///
-    /// [`Topology::is_hierarchical`]: acc_gpusim::Topology::is_hierarchical
-    fn merge_reduction_hierarchical(
-        &mut self,
-        bi: &ArrLaunch,
-        op: RmwOp,
-        t2: f64,
-        k: usize,
-    ) -> Result<f64, RunError> {
-        let gpi = self.machine.bus.gpus_per_island;
-        let gpn = self.machine.bus.gpus_per_node;
-        // Level 1: each island's active members fold onto its leader.
-        let mut island_leaders: Vec<usize> = Vec::new();
-        let mut level_end = t2;
-        let mut start = 0usize;
-        while start < k {
-            let members: Vec<usize> = (start..k.min(start.saturating_add(gpi))).collect();
-            island_leaders.push(members[0]);
-            if members.len() > 1 {
-                let e = self.merge_group(bi, op, &members, "intra-island", t2)?;
-                level_end = level_end.max(e);
-            }
-            start = start.saturating_add(gpi);
-        }
-        // Level 2: each node's island leaders fold onto the node leader.
-        let t = level_end;
-        let mut node_leaders: Vec<usize> = Vec::new();
-        let mut level_end = t;
-        let mut i = 0usize;
-        while i < island_leaders.len() {
-            let node = island_leaders[i] / gpn;
-            let mut group = Vec::new();
-            while i < island_leaders.len() && island_leaders[i] / gpn == node {
-                group.push(island_leaders[i]);
-                i += 1;
-            }
-            node_leaders.push(group[0]);
-            if group.len() > 1 {
-                let e = self.merge_group(bi, op, &group, "inter-island", t)?;
-                level_end = level_end.max(e);
-            }
-        }
-        // Level 3: node leaders fold onto GPU 0 over the fabric.
-        if node_leaders.len() > 1 {
-            level_end = self.merge_group(bi, op, &node_leaders, "inter-node", level_end)?;
-        }
-        Ok(level_end)
-    }
-
     /// Stride-doubling tree merge of the private copies on `gpus` (all
-    /// active) onto `gpus[0]`, priced from `t`. Each pairwise merge is a
-    /// typed-slice [`rmw_apply_slice`] pass plus one bus transfer, and
-    /// emits a [`CollectiveRound`] tagged with the topology `level`.
+    /// active) onto `gpus[0]`, priced from `t`. Each pairwise merge is
+    /// one [`Run::move_p2p`] fold plus one priced transfer. On a
+    /// one-island topology it is reported as the paper's
+    /// [`ReductionMerge`]; otherwise as a [`CollectiveRound`] tagged with
+    /// the topology `level`.
     fn merge_group(
         &mut self,
         bi: &ArrLaunch,
@@ -951,153 +778,53 @@ impl<'a> Run<'a> {
         t: f64,
     ) -> Result<f64, RunError> {
         let n = self.arrays[bi.arr].len;
-        let elem = self.arrays[bi.arr].elem();
-        let bytes = (n * elem) as u64;
-        let name = self.prog.array_params[bi.arr].0.clone();
+        let bytes = (n * self.arrays[bi.arr].elem()) as u64;
+        let leveled = self.machine.bus.is_hierarchical();
         let mut round_start = t;
         let mut stride = 1usize;
         while stride < gpus.len() {
             let mut round_end = round_start;
-            let mut i = 0usize;
-            while i + stride < gpus.len() {
-                let (dst, src) = (gpus[i], gpus[i + stride]);
-                // Functional half: same typed-slice pass under either
-                // `parallel_comm` setting — the hierarchical schedule is
-                // new, so it has no serial reference order to reproduce.
-                let staged: Vec<u8> = {
-                    let ga = &self.arrays[bi.arr].gpu[src];
-                    let sb = self.machine.gpus[src].memory.get(ga.handle.expect("src"))?;
-                    let mut buf = self.staging.take_scratch(sb.bytes().len());
-                    buf.extend_from_slice(sb.bytes());
-                    buf
-                };
-                {
-                    let ga = &self.arrays[bi.arr].gpu[dst];
-                    let db = self.machine.gpus[dst]
-                        .memory
-                        .get_mut(ga.handle.expect("dst"))?;
-                    let ty = db.ty();
-                    rmw_apply_slice(op, ty, db.bytes_mut(), &staged);
-                }
-                self.staging.put_back_scratch(staged);
-                // Pricing half.
-                let (s, e) = self.machine.bus.transfer(
+            for pair in gpus.chunks(stride * 2).filter(|c| c.len() > stride) {
+                let (dst, src) = (pair[0], pair[stride]);
+                self.move_p2p(bi.arr, src, dst, (0, n as i64), Some(op))?;
+                let (start, e) = self.price_transfer(
+                    bi.arr,
                     Endpoint::Gpu(src),
                     Endpoint::Gpu(dst),
                     bytes,
                     round_start,
+                    "reduce",
                 );
-                self.rec.transfer(TransferSpan {
-                    kind: TransferKind::P2P,
-                    array: name.clone(),
-                    bytes,
-                    src: Some(src),
-                    dst: Some(dst),
-                    why: "reduce",
-                    start: s,
-                    end: e,
-                });
-                let combine = self.machine.gpus[dst].spec.local_copy_time(bytes);
-                self.rec.collective_round(CollectiveRound {
-                    launch: self.cur_launch,
-                    array: name.clone(),
-                    level,
-                    src,
-                    dst,
-                    bytes,
-                    start: s,
-                    end: e + combine,
-                });
-                round_end = round_end.max(e + combine);
-                i += stride * 2;
+                let end = e + self.machine.gpus[dst].spec.local_copy_time(bytes);
+                let (launch, array) = (self.cur_launch, self.prog.array_params[bi.arr].0.clone());
+                if leveled {
+                    self.rec.collective_round(CollectiveRound {
+                        launch,
+                        array,
+                        level,
+                        src,
+                        dst,
+                        bytes,
+                        start,
+                        end,
+                    });
+                } else {
+                    self.rec.reduction_merge(ReductionMerge {
+                        launch,
+                        array,
+                        src,
+                        dst,
+                        bytes,
+                        start,
+                        end,
+                    });
+                }
+                round_end = round_end.max(end);
             }
             round_start = round_end;
             stride *= 2;
         }
         Ok(round_start)
-    }
-
-    /// One binary-tree round of reduction merges, host-parallel: split
-    /// the GPU slice into `2*stride`-wide chunks; each chunk's leading
-    /// pair merges on its own thread through disjoint `&mut` borrows,
-    /// with `rmw_apply_slice` doing the element math in one typed pass.
-    fn merge_round_parallel(
-        &mut self,
-        bi: &ArrLaunch,
-        op: RmwOp,
-        stride: usize,
-        k: usize,
-    ) -> Result<(), RunError> {
-        let handles: Vec<Option<BufferHandle>> = (0..k)
-            .map(|g| self.arrays[bi.arr].gpu[g].handle)
-            .collect();
-        let handles = &handles;
-        let gpus = &mut self.machine.gpus[..k];
-        let results: Vec<Result<(), RunError>> = std::thread::scope(|s| {
-            let workers: Vec<_> = gpus
-                .chunks_mut(stride * 2)
-                .enumerate()
-                .map(|(chunk_idx, chunk)| {
-                    if chunk.len() <= stride {
-                        return None; // no partner in this round
-                    }
-                    let g = chunk_idx * stride * 2;
-                    let (dhandle, shandle) = (handles[g], handles[g + stride]);
-                    Some(s.spawn(move || -> Result<(), RunError> {
-                        let (dst_half, src_half) = chunk.split_at_mut(stride);
-                        let sb = src_half[0].memory.get(shandle.expect("src"))?;
-                        let db = dst_half[0].memory.get_mut(dhandle.expect("dst"))?;
-                        let ty = db.ty();
-                        debug_assert_eq!(ty, sb.ty(), "private copies disagree on type");
-                        rmw_apply_slice(op, ty, db.bytes_mut(), sb.bytes());
-                        Ok(())
-                    }))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| match w {
-                    Some(w) => w.join().expect("reduction-merge worker panicked"),
-                    None => Ok(()),
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Copy elements `[lo, hi)` (global) of an array from GPU `src`'s
-    /// buffer into GPU `dst`'s buffer — the functional half of a replica
-    /// update on the serial reference path (bytes are priced separately
-    /// at chunk granularity).
-    fn copy_elements_between_gpus(
-        &mut self,
-        arr: usize,
-        src: usize,
-        dst: usize,
-        lo: i64,
-        hi: i64,
-    ) -> Result<(), RunError> {
-        let elem = self.arrays[arr].elem();
-        let staged: Vec<u8> = {
-            let ga = &self.arrays[arr].gpu[src];
-            let sb = self.machine.gpus[src].memory.get(ga.handle.expect("src"))?;
-            let off = (lo - ga.window.0) as usize * elem;
-            let bytes = &sb.bytes()[off..off + (hi - lo) as usize * elem];
-            let mut buf = self.staging.take_scratch(bytes.len());
-            buf.extend_from_slice(bytes);
-            buf
-        };
-        let ga = &self.arrays[arr].gpu[dst];
-        let db = self.machine.gpus[dst]
-            .memory
-            .get_mut(ga.handle.expect("dst"))?;
-        let off = (lo - ga.window.0) as usize * elem;
-        db.bytes_mut()[off..off + staged.len()].copy_from_slice(&staged);
-        self.staging.put_back_scratch(staged);
-        Ok(())
     }
 }
 

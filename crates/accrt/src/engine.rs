@@ -125,7 +125,7 @@ struct CacheEntry {
 #[derive(Default)]
 struct EngineInner {
     /// Request cache: `(source, function, options)` hash → kernel. The
-    /// options are part of the key, so e.g. an `optimize_kernels`
+    /// options are part of the key, so e.g. an `infer_localaccess`
     /// recompile of the same source gets its own entry.
     by_request: HashMap<u64, CacheEntry>,
     /// IR cache: compiled-IR hash → kernel (dedups textually different
@@ -309,33 +309,8 @@ impl Engine {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let ir_hash = ir_hash_of(&prog);
         let mut inner = self.inner.lock().expect("engine lock poisoned");
-        let tick = inner.next_tick();
-        // A racing thread may have finished the same compile first; the
-        // IR map keeps exactly one kernel per distinct program either
-        // way.
-        let ck = match inner.by_ir.get_mut(&ir_hash) {
-            Some(existing) => {
-                existing.last_used = tick;
-                self.ir_dedups.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(&existing.kernel)
-            }
-            None => {
-                let ck = Arc::new(CompiledKernel {
-                    mapper: TaskMapper::shared(prog.kernels.len()),
-                    ir_hash,
-                    prog,
-                });
-                insert_bounded(
-                    &mut inner.by_ir,
-                    ir_hash,
-                    Arc::clone(&ck),
-                    tick,
-                    self.cache_capacity,
-                    &self.evictions,
-                );
-                ck
-            }
-        };
+        let ck = self.intern(&mut inner, ir_hash, prog);
+        let tick = inner.tick;
         insert_bounded(
             &mut inner.by_request,
             key,
@@ -353,30 +328,40 @@ impl Engine {
     pub fn insert(&self, prog: CompiledProgram) -> Arc<CompiledKernel> {
         let ir_hash = ir_hash_of(&prog);
         let mut inner = self.inner.lock().expect("engine lock poisoned");
+        self.intern(&mut inner, ir_hash, prog)
+    }
+
+    /// The cached kernel for `prog`'s IR (`ir_hash`, computed by the
+    /// caller outside the lock), adopting `prog` as that kernel when the
+    /// IR map has none. A racing thread may have finished the same
+    /// compile first; the map keeps exactly one kernel per distinct
+    /// program either way.
+    fn intern(
+        &self,
+        inner: &mut EngineInner,
+        ir_hash: u64,
+        prog: CompiledProgram,
+    ) -> Arc<CompiledKernel> {
         let tick = inner.next_tick();
-        match inner.by_ir.get_mut(&ir_hash) {
-            Some(existing) => {
-                existing.last_used = tick;
-                self.ir_dedups.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(&existing.kernel)
-            }
-            None => {
-                let ck = Arc::new(CompiledKernel {
-                    mapper: TaskMapper::shared(prog.kernels.len()),
-                    ir_hash,
-                    prog,
-                });
-                insert_bounded(
-                    &mut inner.by_ir,
-                    ir_hash,
-                    Arc::clone(&ck),
-                    tick,
-                    self.cache_capacity,
-                    &self.evictions,
-                );
-                ck
-            }
+        if let Some(existing) = inner.by_ir.get_mut(&ir_hash) {
+            existing.last_used = tick;
+            self.ir_dedups.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(&existing.kernel);
         }
+        let ck = Arc::new(CompiledKernel {
+            mapper: TaskMapper::shared(prog.kernels.len()),
+            ir_hash,
+            prog,
+        });
+        insert_bounded(
+            &mut inner.by_ir,
+            ir_hash,
+            Arc::clone(&ck),
+            tick,
+            self.cache_capacity,
+            &self.evictions,
+        );
+        ck
     }
 
     /// Run one job on a fresh machine with the engine's default
@@ -543,11 +528,11 @@ void scale(int n, double *a) {
     }
 
     #[test]
-    fn optimizer_options_split_the_request_cache() {
+    fn compile_options_split_the_request_cache() {
         let eng = Engine::new(MachineKind::Desktop, ExecConfig::gpus(1));
         let plain = CompileOptions::proposal();
         let opt = CompileOptions {
-            optimize_kernels: true,
+            infer_localaccess: true,
             ..CompileOptions::proposal()
         };
         let a = eng.compile(SRC, "scale", &plain).unwrap();
@@ -556,7 +541,7 @@ void scale(int n, double *a) {
         // programs (the option is carried on the compiled program, so
         // the IRs differ too).
         assert!(!Arc::ptr_eq(&a, &b));
-        assert!(!a.options.optimize_kernels && b.options.optimize_kernels);
+        assert!(!a.options.infer_localaccess && b.options.infer_localaccess);
         assert_eq!(eng.stats().compiles, 2);
         assert_eq!(eng.stats().ir_dedups, 0);
     }

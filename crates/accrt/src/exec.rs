@@ -439,20 +439,12 @@ impl<'a> Run<'a> {
 
     // ---------------- kernel launch ----------------
 
-    /// Whether launches run on the SSA-optimized register VM: opted in
-    /// either per run (`ExecConfig::kernel_vm`) or per program
-    /// (`CompileOptions::optimize_kernels`). Results and simulated times
-    /// are identical either way.
-    fn use_register_vm(&self) -> bool {
-        self.cfg.kernel_vm == KernelVm::Register || self.prog.options.optimize_kernels
-    }
-
     /// Register-VM code for kernel `kidx`, compiled on first use and
-    /// cached for the rest of the run. Returns `None` when the register
-    /// VM is not opted in or the optimizer declined the kernel — both
-    /// mean "take the bytecode path".
+    /// cached for the rest of the run. Returns `None` when the run did
+    /// not select [`KernelVm::Register`] or the optimizer declined the
+    /// kernel — both mean "take the bytecode path".
     fn reg_code(&mut self, kidx: usize) -> Option<std::sync::Arc<RegCompiled>> {
-        if !self.use_register_vm() {
+        if self.cfg.kernel_vm != KernelVm::Register {
             return None;
         }
         self.reg_cache[kidx]
@@ -534,13 +526,13 @@ impl<'a> Run<'a> {
         // Memory pricing: per-buffer efficiency from the translator's
         // classification against the CPU cache.
         let cpu = &self.machine.cpu;
-        let mut terms = Vec::new();
-        for (kbuf, cfg) in ck.configs.iter().enumerate() {
-            let resident = self.host_arrays[cfg.array].size_bytes() as u64;
-            let (lb, sb) = per_buf_bytes[kbuf];
-            terms.push((lb, cpu_read_eff(cpu, cfg, resident)));
-            terms.push((sb, cpu_write_eff(cpu, cfg, resident)));
-        }
+        let terms = mem_terms(
+            ck,
+            &per_buf_bytes,
+            false,
+            |_, cfg| self.host_arrays[cfg.array].size_bytes() as u64,
+            |resident| cpu.gather_efficiency(resident),
+        );
         let t = cpu.parallel_region_time_split(&counters, &terms);
         self.rec
             .phase(Some(self.cur_launch), PhaseKind::Kernel, self.now, self.now + t);
@@ -686,17 +678,7 @@ impl<'a> Run<'a> {
                 };
                 if let Ok(out) = &res {
                     if out.ran {
-                        let spec = &self.machine.gpus[g].spec;
-                        let mut terms = Vec::new();
-                        for (kbuf, cfg) in ck.configs.iter().enumerate() {
-                            let w = binfo[kbuf].window[g];
-                            let resident =
-                                ((w.1 - w.0).max(0) as u64) * self.arrays[cfg.array].elem() as u64;
-                            let (lb, sb) = out.per_buf_bytes[kbuf];
-                            terms.push((lb, gpu_read_eff(spec, cfg, resident)));
-                            terms.push((sb, gpu_write_eff(spec, cfg, resident)));
-                        }
-                        let tg = spec.kernel_time_split(&out.counters, &terms);
+                        let tg = self.gpu_kernel_time(ck, &binfo, g, out);
                         self.rec.wavefront_round(WavefrontRound {
                             launch: self.cur_launch,
                             kernel: ck.kernel.name.clone(),
@@ -806,19 +788,7 @@ impl<'a> Run<'a> {
                 // The wavefront loop already priced this GPU's turn (it
                 // needed the duration to schedule the successor's feed).
                 Some(tgs) => tgs[g],
-                None => {
-                    let spec = &self.machine.gpus[g].spec;
-                    let mut terms = Vec::new();
-                    for (kbuf, cfg) in ck.configs.iter().enumerate() {
-                        let w = binfo[kbuf].window[g];
-                        let resident =
-                            ((w.1 - w.0).max(0) as u64) * self.arrays[cfg.array].elem() as u64;
-                        let (lb, sb) = out.per_buf_bytes[kbuf];
-                        terms.push((lb, gpu_read_eff(spec, cfg, resident)));
-                        terms.push((sb, gpu_write_eff(spec, cfg, resident)));
-                    }
-                    spec.kernel_time_split(&out.counters, &terms)
-                }
+                None => self.gpu_kernel_time(ck, &binfo, g, out),
             };
             // Kernel-phase duration runs to the last finisher; under the
             // wavefront the staggered starts make that the final GPU.
@@ -910,6 +880,30 @@ impl<'a> Run<'a> {
             self.free_array_devices(arr)?;
         }
         Ok(())
+    }
+
+    /// Simulated duration of GPU `g`'s share of a launch: its work
+    /// counters through the device model, memory traffic priced per
+    /// buffer against the window resident on that GPU.
+    fn gpu_kernel_time(
+        &self,
+        ck: &CompiledKernel,
+        binfo: &[ArrLaunch],
+        g: usize,
+        out: &JobOut,
+    ) -> f64 {
+        let spec = &self.machine.gpus[g].spec;
+        let terms = mem_terms(
+            ck,
+            &out.per_buf_bytes,
+            true,
+            |kbuf, cfg| {
+                let w = binfo[kbuf].window[g];
+                ((w.1 - w.0).max(0) as u64) * self.arrays[cfg.array].elem() as u64
+            },
+            |resident| spec.gather_efficiency(resident),
+        );
+        spec.kernel_time_split(&out.counters, &terms)
     }
 
     fn gather_params(&mut self, ck: &CompiledKernel) -> Result<Vec<Value>, RunError> {
@@ -1022,7 +1016,12 @@ impl<'a> Run<'a> {
                     }
                     (required, own, window)
                 }
-                (Placement::Distributed, None) => unreachable!("distribution requires localaccess"),
+                (Placement::Distributed, None) => {
+                    return Err(RunError::BadLocalAccess(format!(
+                        "`{}`: distributed placement without a localaccess window",
+                        cfg.name
+                    )))
+                }
                 _ => {
                     // Replicated / reduction-private: active GPUs hold
                     // the whole array. GPUs with an empty partition get
@@ -1187,44 +1186,38 @@ fn run_gpu_job(
     Ok(out)
 }
 
-/// Effective-bandwidth fraction for a GPU read of one array.
-fn gpu_read_eff(spec: &acc_gpusim::GpuSpec, cfg: &ArrayConfig, resident: u64) -> f64 {
-    if cfg.layout_transformed {
-        return 1.0;
-    }
-    match cfg.read_pattern {
+/// `(bytes, efficiency)` memory-pricing terms for one device's share of
+/// a launch: per kernel buffer a read and a write term, the efficiency
+/// taken from the translator's access classification. `resident` is the
+/// buffer's footprint on the device and `gather` prices an irregular
+/// access to it against the device's cache. On a GPU a stride costs
+/// coalescing (and the §IV-B4 layout transform restores it for reads);
+/// CPU caches absorb most of it.
+fn mem_terms(
+    ck: &CompiledKernel,
+    per_buf_bytes: &[(u64, u64)],
+    gpu: bool,
+    resident: impl Fn(usize, &ArrayConfig) -> u64,
+    gather: impl Fn(u64) -> f64,
+) -> Vec<(u64, f64)> {
+    let eff = |pattern: AccessPattern, resident: u64| match pattern {
         AccessPattern::Broadcast | AccessPattern::Coalesced => 1.0,
+        AccessPattern::Irregular => gather(resident),
+        _ if !gpu => 0.8,
         AccessPattern::Strided(s) => 1.0 / (s.min(32) as f64),
         AccessPattern::StridedDyn => 1.0 / 8.0,
-        AccessPattern::Irregular => spec.gather_efficiency(resident),
+    };
+    let mut terms = Vec::with_capacity(2 * ck.configs.len());
+    for (kbuf, cfg) in ck.configs.iter().enumerate() {
+        let resident = resident(kbuf, cfg);
+        let (lb, sb) = per_buf_bytes[kbuf];
+        let read = if gpu && cfg.layout_transformed {
+            1.0
+        } else {
+            eff(cfg.read_pattern, resident)
+        };
+        terms.push((lb, read));
+        terms.push((sb, eff(cfg.write_pattern, resident)));
     }
-}
-
-/// Effective-bandwidth fraction for a GPU write of one array.
-fn gpu_write_eff(spec: &acc_gpusim::GpuSpec, cfg: &ArrayConfig, resident: u64) -> f64 {
-    match cfg.write_pattern {
-        AccessPattern::Broadcast | AccessPattern::Coalesced => 1.0,
-        AccessPattern::Strided(s) => 1.0 / (s.min(32) as f64),
-        AccessPattern::StridedDyn => 1.0 / 8.0,
-        AccessPattern::Irregular => spec.gather_efficiency(resident),
-    }
-}
-
-/// CPU-side read efficiency (strides matter less; gathers priced against
-/// the LLC).
-fn cpu_read_eff(cpu: &acc_gpusim::CpuSpec, cfg: &ArrayConfig, resident: u64) -> f64 {
-    match cfg.read_pattern {
-        AccessPattern::Broadcast | AccessPattern::Coalesced => 1.0,
-        AccessPattern::Strided(_) | AccessPattern::StridedDyn => 0.8,
-        AccessPattern::Irregular => cpu.gather_efficiency(resident),
-    }
-}
-
-/// CPU-side write efficiency.
-fn cpu_write_eff(cpu: &acc_gpusim::CpuSpec, cfg: &ArrayConfig, resident: u64) -> f64 {
-    match cfg.write_pattern {
-        AccessPattern::Broadcast | AccessPattern::Coalesced => 1.0,
-        AccessPattern::Strided(_) | AccessPattern::StridedDyn => 0.8,
-        AccessPattern::Irregular => cpu.gather_efficiency(resident),
-    }
+    terms
 }

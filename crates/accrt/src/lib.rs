@@ -20,8 +20,8 @@
 //! thread per simulated GPU), then communication and a global barrier.
 //!
 //! Time is simulated: kernel durations come from the interpreter's work
-//! counters through the device models, transfer durations from the PCIe
-//! bus model; the [`Profiler`] splits the total into the KERNELS /
+//! counters through the device models, transfer durations from the
+//! interconnect model; the [`Profiler`] splits the total into the KERNELS /
 //! CPU-GPU / GPU-GPU categories of the paper's Fig. 8.
 
 pub mod comm;
@@ -46,7 +46,7 @@ pub use ranges::RangeSet;
 /// `use acc_runtime::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        run_program, CompiledKernel, Engine, EngineStats, Exec, ExecConfig, ExecMode, RunError,
+        run_program, CompiledKernel, Engine, EngineStats, ExecConfig, ExecMode, RunError,
         RunReport, SanitizeLevel, Schedule, Trace, TraceLevel,
     };
 }
@@ -187,9 +187,7 @@ pub struct ExecConfig {
     /// Which kernel interpreter executes launch bodies. Simulated times,
     /// counters, and array contents are bit-identical across engines (the
     /// register VM prices blocks from the pre-optimization IR); this only
-    /// trades host wall time. The per-program compiler option
-    /// `optimize_kernels` also opts launches of that program into the
-    /// register VM regardless of this knob.
+    /// trades host wall time.
     pub kernel_vm: KernelVm,
     /// Double-buffered halo overlap: loader-phase peer halo fills of
     /// arrays the compiler's [`acc_compiler::OverlapPlan`] proved safe
@@ -544,10 +542,10 @@ impl RunReport {
 /// `arrays` the host arrays (program array-parameter order; returned,
 /// possibly modified, in the report). The machine is reset first.
 ///
-/// This is the historical one-shot entry point: every call gets a fresh
-/// scratch pool and a fresh mapper history, so repeated calls are
-/// independent and bit-identical. A long-running service should hold an
-/// [`Engine`] instead, which shares the compilation cache, the scratch
+/// This is the one-shot form of the core under [`Engine::launch`]: every
+/// call gets a fresh scratch pool and a fresh mapper history, so repeated
+/// calls are independent and bit-identical. A long-running service should
+/// hold an [`Engine`] instead, which shares the compilation cache, the scratch
 /// pools and (under [`Schedule::CostModel`]) the mapper history across
 /// jobs — see [`Engine::launch`].
 pub fn run_program(
@@ -643,33 +641,4 @@ pub(crate) fn run_with(
     machine.bus.set_journal(cfg.tracing.keeps_spans());
     let run = exec::Run::new(machine, cfg, prog, scalars, arrays, mapper, pool);
     run.run()
-}
-
-/// Thin compatibility wrapper preserving the consuming one-shot shape
-/// (`Exec::new(...).run(...)`) on top of [`run_program`].
-///
-/// Kept so code written against the pre-[`Engine`] API keeps compiling
-/// and stays bit-identical; new code should hold an [`Engine`] (for
-/// compile-once/run-many and pooling) or call [`run_program`] directly.
-pub struct Exec<'m> {
-    machine: &'m mut Machine,
-    cfg: ExecConfig,
-}
-
-impl<'m> Exec<'m> {
-    /// Bind a machine and a runtime configuration.
-    pub fn new(machine: &'m mut Machine, cfg: ExecConfig) -> Exec<'m> {
-        Exec { machine, cfg }
-    }
-
-    /// Run one program, consuming the executor. Exactly equivalent to
-    /// [`run_program`] with the same arguments.
-    pub fn run(
-        self,
-        prog: &CompiledProgram,
-        scalars: Vec<Value>,
-        arrays: Vec<Buffer>,
-    ) -> Result<RunReport, RunError> {
-        run_program(self.machine, &self.cfg, prog, scalars, arrays)
-    }
 }

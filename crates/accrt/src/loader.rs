@@ -19,8 +19,8 @@
 use acc_compiler::{CompiledKernel, Placement};
 use acc_gpusim::memory::AllocClass;
 use acc_gpusim::Endpoint;
-use acc_kernel_ir::interp::rmw_identity;
-use acc_kernel_ir::{DirtyMap, Ty};
+use acc_kernel_ir::interp::{rmw_apply, rmw_apply_slice, rmw_identity};
+use acc_kernel_ir::{DirtyMap, RmwOp, Ty, Value};
 use acc_obs::{LoaderDecision, OverlapWindow, TransferKind, TransferSpan};
 
 use crate::exec::{ArrLaunch, Run};
@@ -330,10 +330,9 @@ impl<'a> Run<'a> {
         }
         // Data is about to move: a pending (elided) replica sync must
         // land before any peer or host copy of this array is treated as
-        // a fill source. The missing set is recomputed afterwards — the
-        // sync itself does not change any GPU's valid set, but keeping
-        // the ordering explicit costs nothing. The clean-reuse fast path
-        // above never observes another GPU's data, so it stays elided.
+        // a fill source. The sync changes no GPU's valid set, so
+        // `missing` stays what was computed above. The clean-reuse fast
+        // path never observes another GPU's data, so it stays elided.
         let t0 = self.ensure_synced(arr, t0)?;
         end = end.max(t0);
         let mut bytes_moved = 0u64;
@@ -341,21 +340,13 @@ impl<'a> Run<'a> {
         // memory (paper §IV-C). Once device writes have made it stale,
         // peer GPUs holding current device data become the sources.
         if self.arrays[arr].host_stale {
-            let ngpus = self.cfg.ngpus;
-            // Nearest-neighbour halo routing: on a hierarchical
-            // topology, prefer peers reached over intra-island links
-            // before peers behind the root complex or the inter-node
-            // fabric (ties broken by index, so the order is total).
-            // Valid ranges shared by several peers hold identical bytes
-            // — reconciliation preceded this fill — so source choice
-            // only moves the transfer onto cheaper segments. Flat
-            // presets keep the seed's ascending-index order.
-            let mut order: Vec<usize> = (0..ngpus).filter(|&h| h != g).collect();
-            if self.machine.bus.is_hierarchical() {
-                let bus = &self.machine.bus;
-                order.sort_by_key(|&h| (bus.distance(g, h), h));
-            }
-            for h in order {
+            // Nearest-neighbour halo routing: peers reached over
+            // intra-island links before peers behind the root complex or
+            // the inter-node fabric. Valid ranges shared by several peers
+            // hold identical bytes — reconciliation preceded this fill —
+            // so source choice only moves the transfer onto cheaper
+            // segments.
+            for h in self.machine.bus.peer_order(g, self.cfg.ngpus) {
                 if missing.is_empty() {
                     break;
                 }
@@ -447,8 +438,95 @@ impl<'a> Run<'a> {
 
     // ---------------- transfers ----------------
 
-    /// Host → device `[lo, hi)` (global elements). Functional copy plus
-    /// bus-scheduled timing; emits a [`TransferSpan`].
+    /// Price one transfer on the interconnect from `ready` and record its
+    /// [`TransferSpan`]; returns `(start, end)`. Every byte the runtime
+    /// moves — loads, flushes, halo fills, wavefront feeds, replica
+    /// syncs, miss replays, reduction merges — is priced here and nowhere
+    /// else, so the recorder's spans and the topology's timelines cannot
+    /// disagree.
+    pub(crate) fn price_transfer(
+        &mut self,
+        arr: usize,
+        src: Endpoint,
+        dst: Endpoint,
+        bytes: u64,
+        ready: f64,
+        why: &'static str,
+    ) -> (f64, f64) {
+        let (start, end) = self.machine.bus.transfer(src, dst, bytes, ready);
+        let gpu = |e| match e {
+            Endpoint::Gpu(g) => Some(g),
+            Endpoint::Host => None,
+        };
+        self.rec.transfer(TransferSpan {
+            kind: match (src, dst) {
+                (Endpoint::Host, _) => TransferKind::H2D,
+                (_, Endpoint::Host) => TransferKind::D2H,
+                _ => TransferKind::P2P,
+            },
+            array: self.prog.array_params[arr].0.clone(),
+            bytes,
+            src: gpu(src),
+            dst: gpu(dst),
+            why,
+            start,
+            end,
+        });
+        (start, end)
+    }
+
+    /// The functional half of every GPU→GPU movement: stage elements
+    /// `[lo, hi)` (global) of `arr` from `src`'s window through pooled
+    /// scratch, then land them on the same elements of `dst`'s window —
+    /// overwriting them, or folding them in with `combine` (reduction
+    /// merge). Under `parallel_comm(false)` the fold is the per-element
+    /// [`rmw_apply`] reference the typed-slice pass is held equal to.
+    pub(crate) fn move_p2p(
+        &mut self,
+        arr: usize,
+        src: usize,
+        dst: usize,
+        (lo, hi): (i64, i64),
+        combine: Option<RmwOp>,
+    ) -> Result<(), RunError> {
+        let elem = self.arrays[arr].elem();
+        let staged: Vec<u8> = {
+            let ga = &self.arrays[arr].gpu[src];
+            let sb = self.machine.gpus[src].memory.get(ga.handle.expect("src window"))?;
+            let off = (lo - ga.window.0) as usize * elem;
+            let bytes = &sb.bytes()[off..off + (hi - lo) as usize * elem];
+            let mut buf = self.staging.take_scratch(bytes.len());
+            buf.extend_from_slice(bytes);
+            buf
+        };
+        let ga = &self.arrays[arr].gpu[dst];
+        let db = self.machine.gpus[dst]
+            .memory
+            .get_mut(ga.handle.expect("dst window"))?;
+        let first = (lo - ga.window.0) as usize;
+        let ty = db.ty();
+        let window = first * elem..first * elem + staged.len();
+        let landed: Result<(), RunError> = match combine {
+            None => {
+                db.bytes_mut()[window].copy_from_slice(&staged);
+                Ok(())
+            }
+            Some(op) if self.cfg.parallel_comm => {
+                rmw_apply_slice(op, ty, &mut db.bytes_mut()[window], &staged);
+                Ok(())
+            }
+            Some(op) => staged.chunks_exact(elem).enumerate().try_for_each(|(i, v)| {
+                let merged = rmw_apply(op, db.get(first + i), Value::read_le(ty, v))?;
+                db.set(first + i, merged);
+                Ok(())
+            }),
+        };
+        self.staging.put_back_scratch(staged);
+        landed
+    }
+
+    /// Host → device `[lo, hi)` (global elements): functional copy plus
+    /// the priced transfer.
     pub(crate) fn xfer_h2d(
         &mut self,
         arr: usize,
@@ -461,28 +539,17 @@ impl<'a> Run<'a> {
         if lo >= hi {
             return Ok(ready);
         }
-        let st = &self.arrays[arr];
-        let elem = st.elem();
-        let wlo = st.gpu[g].window.0;
-        let handle = st.gpu[g].handle.expect("window ensured");
-        let host = &self.host_arrays[arr];
-        let dev = self.machine.gpus[g].memory.get_mut(handle)?;
-        dev.copy_range_from((lo - wlo) as usize, host, lo as usize, (hi - lo) as usize);
-        let bytes = ((hi - lo) as usize * elem) as u64;
-        let (start, end) = self
-            .machine
-            .bus
-            .transfer(Endpoint::Host, Endpoint::Gpu(g), bytes, ready);
-        self.rec.transfer(TransferSpan {
-            kind: TransferKind::H2D,
-            array: self.prog.array_params[arr].0.clone(),
-            bytes,
-            src: None,
-            dst: Some(g),
-            why,
-            start,
-            end,
-        });
+        let ga = &self.arrays[arr].gpu[g];
+        let dev = self.machine.gpus[g]
+            .memory
+            .get_mut(ga.handle.expect("window ensured"))?;
+        let bytes = dev.copy_range_from(
+            (lo - ga.window.0) as usize,
+            &self.host_arrays[arr],
+            lo as usize,
+            (hi - lo) as usize,
+        ) as u64;
+        let (_, end) = self.price_transfer(arr, Endpoint::Host, Endpoint::Gpu(g), bytes, ready, why);
         self.arrays[arr].gpu[g].valid.insert(lo, hi);
         Ok(end)
     }
@@ -500,33 +567,22 @@ impl<'a> Run<'a> {
         if lo >= hi {
             return Ok(ready);
         }
-        let st = &self.arrays[arr];
-        let elem = st.elem();
-        let wlo = st.gpu[g].window.0;
-        let handle = st.gpu[g].handle.expect("window materialised");
-        let dev = self.machine.gpus[g].memory.get(handle)?;
-        let host = &mut self.host_arrays[arr];
-        host.copy_range_from(lo as usize, dev, (lo - wlo) as usize, (hi - lo) as usize);
-        let bytes = ((hi - lo) as usize * elem) as u64;
-        let (start, end) = self
-            .machine
-            .bus
-            .transfer(Endpoint::Gpu(g), Endpoint::Host, bytes, ready);
-        self.rec.transfer(TransferSpan {
-            kind: TransferKind::D2H,
-            array: self.prog.array_params[arr].0.clone(),
-            bytes,
-            src: Some(g),
-            dst: None,
-            why,
-            start,
-            end,
-        });
+        let ga = &self.arrays[arr].gpu[g];
+        let dev = self.machine.gpus[g]
+            .memory
+            .get(ga.handle.expect("window materialised"))?;
+        let bytes = self.host_arrays[arr].copy_range_from(
+            lo as usize,
+            dev,
+            (lo - ga.window.0) as usize,
+            (hi - lo) as usize,
+        ) as u64;
+        let (_, end) = self.price_transfer(arr, Endpoint::Gpu(g), Endpoint::Host, bytes, ready, why);
         Ok(end)
     }
 
-    /// Device → device `[lo, hi)` (through a staging copy; the simulated
-    /// bus still prices it as one peer transfer).
+    /// Device → device `[lo, hi)` (staged functionally; the simulated
+    /// interconnect still prices it as one peer transfer).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn xfer_p2p(
         &mut self,
@@ -541,42 +597,10 @@ impl<'a> Run<'a> {
         if lo >= hi {
             return Ok(ready);
         }
-        let elem = self.arrays[arr].elem();
-        let staged: Vec<u8> = {
-            let ga = &self.arrays[arr].gpu[src];
-            let sb = self.machine.gpus[src].memory.get(ga.handle.expect("src window"))?;
-            let off = (lo - ga.window.0) as usize * elem;
-            let bytes = &sb.bytes()[off..off + (hi - lo) as usize * elem];
-            let mut buf = self.staging.take_scratch(bytes.len());
-            buf.extend_from_slice(bytes);
-            buf
-        };
-        let nbytes = staged.len() as u64;
-        {
-            let ga = &self.arrays[arr].gpu[dst];
-            let db = self.machine.gpus[dst]
-                .memory
-                .get_mut(ga.handle.expect("dst window"))?;
-            let off = (lo - ga.window.0) as usize * elem;
-            db.bytes_mut()[off..off + staged.len()].copy_from_slice(&staged);
-        }
-        self.staging.put_back_scratch(staged);
-        let (start, end) = self.machine.bus.transfer(
-            Endpoint::Gpu(src),
-            Endpoint::Gpu(dst),
-            nbytes,
-            ready,
-        );
-        self.rec.transfer(TransferSpan {
-            kind: TransferKind::P2P,
-            array: self.prog.array_params[arr].0.clone(),
-            bytes: nbytes,
-            src: Some(src),
-            dst: Some(dst),
-            why,
-            start,
-            end,
-        });
+        self.move_p2p(arr, src, dst, (lo, hi), None)?;
+        let bytes = ((hi - lo) as usize * self.arrays[arr].elem()) as u64;
+        let (_, end) =
+            self.price_transfer(arr, Endpoint::Gpu(src), Endpoint::Gpu(dst), bytes, ready, why);
         self.arrays[arr].gpu[dst].valid.insert(lo, hi);
         Ok(end)
     }

@@ -21,8 +21,20 @@ fn run_with(
     scalars: Vec<Value>,
     arrays: Vec<Buffer>,
 ) -> RunReport {
+    // 3 GPUs
+    run_on(Machine::supercomputer_node(), src, func, ngpus, parallel, scalars, arrays)
+}
+
+fn run_on(
+    mut m: Machine,
+    src: &str,
+    func: &str,
+    ngpus: usize,
+    parallel: bool,
+    scalars: Vec<Value>,
+    arrays: Vec<Buffer>,
+) -> RunReport {
     let prog = compile_source(src, func, &CompileOptions::proposal()).unwrap();
-    let mut m = Machine::supercomputer_node(); // 3 GPUs
     run_program(
         &mut m,
         &ExecConfig::gpus(ngpus)
@@ -231,6 +243,117 @@ for (int i = 0; i < n; i++) dst[2*i] = a[i];\n\
     }
 }
 
+/// Every GPU loads the whole of `a` but writes only its own rows, so the
+/// second launch refills each GPU from every peer.
+const REFILL: &str = "void refill(int n, double *a, double *b) {\n\
+#pragma acc data copy(a[0:n]) copyout(b[0:n])\n\
+{\n\
+#pragma acc localaccess(a) stride(1) left(n) right(n)\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) a[i] = a[i] + 1.0;\n\
+#pragma acc localaccess(a) stride(1) left(n) right(n)\n\
+#pragma acc localaccess(b) stride(1)\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) b[i] = a[n - 1 - i];\n\
+}\n\
+}";
+
+/// `(src, dst)` of every transfer tagged `why`, in emission order.
+fn transfer_pairs(r: &RunReport, why: &str) -> Vec<(usize, usize)> {
+    r.trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Transfer(t) if t.why == why => Some((t.src.unwrap(), t.dst.unwrap())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The one-island contract. There is one communication path for every
+/// topology, so nothing in the code says "flat" any more — but on a
+/// one-island machine it must still produce the seed's schedule: the
+/// stride-doubling reduction pairs reported as `ReductionMerge`, and
+/// peers visited in ascending index.
+#[test]
+fn one_island_topology_keeps_the_flat_schedule() {
+    let node8 = || Machine::supercomputer_node_with_gpus(8);
+    let n = 4096i32;
+    for parallel in [true, false] {
+        // Reduction tree: (1→0),(3→2),(5→4),(7→6), then (2→0),(6→4), then (4→0).
+        let keys: Vec<i32> = (0..n).map(|i| i % 7).collect();
+        let w = vec![1.0f64; n as usize];
+        let r = run_on(
+            node8(),
+            HIST_ADD,
+            "hist",
+            8,
+            parallel,
+            vec![Value::I32(n), Value::I32(7)],
+            vec![
+                Buffer::from_i32(&keys),
+                Buffer::from_f64(&w),
+                Buffer::zeroed(Ty::F64, 7),
+            ],
+        );
+        assert_eq!(
+            transfer_pairs(&r, "reduce"),
+            [(1, 0), (3, 2), (5, 4), (7, 6), (2, 0), (6, 4), (4, 0)],
+            "parallel={parallel}"
+        );
+        let merges = |f: fn(&Event) -> bool| r.trace.events().iter().filter(|e| f(e)).count();
+        assert_eq!(merges(|e| matches!(e, Event::Reduction(_))), 7);
+        assert_eq!(merges(|e| matches!(e, Event::Collective(_))), 0);
+
+        // Replica sync: every source ships to its destinations in
+        // ascending index, sources in ascending index.
+        let idx: Vec<i32> = (0..n)
+            .map(|i| ((i as u64).wrapping_mul(2654435761) % n as u64) as i32)
+            .collect();
+        let r = run_on(
+            node8(),
+            SCATTER,
+            "scat",
+            8,
+            parallel,
+            vec![Value::I32(n), Value::I32(1)],
+            vec![Buffer::from_i32(&idx), Buffer::zeroed(Ty::I32, n as usize)],
+        );
+        let mut rounds = transfer_pairs(&r, "sync");
+        rounds.dedup();
+        let all_pairs: Vec<(usize, usize)> = (0..8)
+            .flat_map(|g| (0..8).filter(move |&h| h != g).map(move |h| (g, h)))
+            .collect();
+        assert_eq!(rounds, all_pairs, "parallel={parallel}");
+
+        // Halo fill: peers are tried in ascending index. GPU 0 is
+        // refilled first and pulls one partition from each peer; it then
+        // holds everything, so every later GPU finds it first.
+        let r = run_on(
+            node8(),
+            REFILL,
+            "refill",
+            8,
+            parallel,
+            vec![Value::I32(n)],
+            vec![
+                Buffer::from_f64(&w),
+                Buffer::zeroed(Ty::F64, n as usize),
+            ],
+        );
+        let fills = transfer_pairs(&r, "fill");
+        let sources = |g| -> Vec<usize> {
+            let mut s: Vec<usize> = fills.iter().filter(|p| p.1 == g).map(|p| p.0).collect();
+            s.dedup();
+            s
+        };
+        assert_eq!(sources(0), [1, 2, 3, 4, 5, 6, 7], "parallel={parallel}");
+        for g in 1..8 {
+            assert_eq!(sources(g), [0], "fill sources of GPU {g}, parallel={parallel}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Randomized equivalence: parallel/slice comm == serial reference.
 // ---------------------------------------------------------------------
@@ -281,13 +404,15 @@ proptest! {
     }
 
     /// Reduction merge on random keys/weights, for an integer-insensitive
-    /// (+) and an order-sensitive comparison (min) operator.
+    /// (+) and an order-sensitive comparison (min) operator — on the
+    /// one-island node and across two islands of the cluster.
     #[test]
     fn reduction_merge_paths_agree(
         n in 16i32..2000,
         k in 1i32..32,
         seed in 0u64..u64::MAX,
         ngpus in 2usize..=3,
+        cluster_gpus in 9usize..=16,
     ) {
         let keys: Vec<i32> = (0..n)
             .map(|i| ((i as u64).wrapping_mul(seed | 3) % k as u64) as i32)
@@ -304,8 +429,22 @@ proptest! {
                 Buffer::from_f64(&base),
             ];
             let par = run_with(src, func, ngpus, true, scalars.clone(), arrays());
-            let ser = run_with(src, func, ngpus, false, scalars, arrays());
+            let ser = run_with(src, func, ngpus, false, scalars.clone(), arrays());
             assert_reports_identical(&par, &ser, func);
+            // Two islands of one node: the level-structured tree against
+            // its per-element reference.
+            let cluster = |parallel| {
+                run_on(Machine::cluster(16), src, func, cluster_gpus, parallel, scalars.clone(), arrays())
+            };
+            let (par, ser) = (cluster(true), cluster(false));
+            assert_reports_identical(&par, &ser, &format!("{func} on cluster x{cluster_gpus}"));
+            let collectives = par
+                .trace
+                .events()
+                .iter()
+                .filter(|e| matches!(e, Event::Collective(_)))
+                .count();
+            prop_assert_eq!(collectives, cluster_gpus.min(n as usize) - 1);
         }
     }
 }

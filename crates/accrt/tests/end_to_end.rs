@@ -6,7 +6,7 @@
 use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Value};
-use acc_runtime::{run_program, ExecConfig, KernelVm, RunError, SanitizeLevel};
+use acc_runtime::{run_program, Engine, ExecConfig, KernelVm, RunError, SanitizeLevel};
 
 fn machine() -> Machine {
     Machine::supercomputer_node() // 3 GPUs
@@ -104,7 +104,6 @@ fn distributed_arrays_move_less_data_than_replicated() {
         instrument: true,
         infer_localaccess: false,
         infer_reductions: false,
-        optimize_kernels: false,
     };
     let prog = compile_source(SAXPY, "saxpy", &no_ext).unwrap();
     let mut m = machine();
@@ -545,6 +544,38 @@ fn bad_inputs_rejected() {
     assert!(matches!(err, RunError::BadInputs(_)));
 }
 
+/// Every field of a `CompiledProgram` is `pub`, so a caller can hand
+/// `run_program` / `Engine::insert` a program the compiler would never
+/// emit. Distribution without a `localaccess` window must surface as the
+/// stable ACC-R004, not a panic.
+#[test]
+fn distributed_placement_without_localaccess_is_a_typed_error() {
+    let mut prog = compile_source(SAXPY, "saxpy", &CompileOptions::proposal()).unwrap();
+    let cfg = prog.kernels[0]
+        .configs
+        .iter_mut()
+        .find(|c| c.placement == acc_compiler::Placement::Distributed)
+        .expect("saxpy distributes its localaccess arrays");
+    cfg.localaccess = None;
+    let inputs = || {
+        (
+            vec![Value::I32(8), Value::F32(1.0)],
+            vec![Buffer::from_f32(&[1.0; 8]), Buffer::from_f32(&[2.0; 8])],
+        )
+    };
+    let (scalars, arrays) = inputs();
+    let err = run_program(&mut machine(), &ExecConfig::gpus(2), &prog, scalars, arrays)
+        .unwrap_err();
+    assert!(matches!(err, RunError::BadLocalAccess(_)), "got {err}");
+    assert_eq!(err.code(), "ACC-R004");
+    // Same program adopted through the engine.
+    let engine = Engine::new(acc_gpusim::MachineKind::SupercomputerNode, ExecConfig::gpus(2));
+    let kernel = engine.insert(prog);
+    let (scalars, arrays) = inputs();
+    let err = engine.launch(&kernel, scalars, arrays).unwrap_err();
+    assert_eq!(err.code(), "ACC-R004");
+}
+
 /// A machine whose GPUs have tiny memories, to exercise capacity limits
 /// without allocating gigabytes for real.
 fn tiny_machine() -> Machine {
@@ -635,22 +666,17 @@ fn register_vm_is_observationally_identical_end_to_end() {
     // pre-optimization IR, so a whole program run must produce the same
     // arrays, scalar frame, work counters, traffic statistics, and
     // *simulated time* as the bytecode engine — on every GPU count, with
-    // the sanitizer fully on.
+    // the sanitizer fully on. Two programs: a scalar reduction, and an
+    // iterative one that relaunches its kernel (the per-run register-code
+    // cache is hit from the second launch on).
     let n = 5_000i32;
     let x: Vec<f64> = (0..n).map(|i| (i % 23) as f64 * 0.5).collect();
     let y: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64).collect();
     let out = vec![0.0f64; 1];
-    let prog = compile_source(SCALAR_RED, "dot", &CompileOptions::proposal()).unwrap();
-    for ngpus in 1..=3 {
-        let run = |vm: KernelVm| {
-            let mut m = machine();
-            let cfg = ExecConfig::gpus(ngpus)
-                .sanitize(SanitizeLevel::Full)
-                .kernel_vm(vm);
-            run_program(
-                &mut m,
-                &cfg,
-                &prog,
+    type Inputs = (Vec<Value>, Vec<Buffer>);
+    let cases: [(&str, &str, &dyn Fn() -> Inputs); 2] = [
+        (SCALAR_RED, "dot", &|| {
+            (
                 vec![Value::I32(n), Value::F64(0.25)],
                 vec![
                     Buffer::from_f64(&x),
@@ -658,61 +684,40 @@ fn register_vm_is_observationally_identical_end_to_end() {
                     Buffer::from_f64(&out),
                 ],
             )
-            .unwrap()
-        };
-        let byte = run(KernelVm::Bytecode);
-        let reg = run(KernelVm::Register);
-        for (a, b) in byte.arrays.iter().zip(reg.arrays.iter()) {
-            assert_eq!(a.bytes(), b.bytes(), "array mismatch (ngpus={ngpus})");
+        }),
+        (ITERATIVE, "iterate", &|| {
+            (vec![Value::I32(n), Value::I32(4)], vec![Buffer::from_f64(&x)])
+        }),
+    ];
+    for (src, func, inputs) in cases {
+        let prog = compile_source(src, func, &CompileOptions::proposal()).unwrap();
+        for ngpus in 1..=3 {
+            let run = |vm: KernelVm| {
+                let mut m = machine();
+                let cfg = ExecConfig::gpus(ngpus)
+                    .sanitize(SanitizeLevel::Full)
+                    .kernel_vm(vm);
+                let (scalars, arrays) = inputs();
+                run_program(&mut m, &cfg, &prog, scalars, arrays).unwrap()
+            };
+            let byte = run(KernelVm::Bytecode);
+            let reg = run(KernelVm::Register);
+            for (a, b) in byte.arrays.iter().zip(reg.arrays.iter()) {
+                assert_eq!(a.bytes(), b.bytes(), "{func}: array mismatch (ngpus={ngpus})");
+            }
+            assert_eq!(byte.locals, reg.locals, "{func}: ngpus={ngpus}");
+            assert_eq!(
+                byte.profile.kernel_counters, reg.profile.kernel_counters,
+                "{func}: counter drift (ngpus={ngpus})"
+            );
+            assert_eq!(byte.profile.h2d_bytes, reg.profile.h2d_bytes);
+            assert_eq!(byte.profile.p2p_bytes, reg.profile.p2p_bytes);
+            assert_eq!(byte.profile.miss_records, reg.profile.miss_records);
+            assert_eq!(
+                byte.total_time(),
+                reg.total_time(),
+                "{func}: simulated time drift (ngpus={ngpus})"
+            );
         }
-        assert_eq!(byte.locals, reg.locals, "ngpus={ngpus}");
-        assert_eq!(
-            byte.profile.kernel_counters, reg.profile.kernel_counters,
-            "counter drift (ngpus={ngpus})"
-        );
-        assert_eq!(byte.profile.h2d_bytes, reg.profile.h2d_bytes);
-        assert_eq!(byte.profile.p2p_bytes, reg.profile.p2p_bytes);
-        assert_eq!(byte.profile.miss_records, reg.profile.miss_records);
-        assert_eq!(
-            byte.total_time(),
-            reg.total_time(),
-            "simulated time drift (ngpus={ngpus})"
-        );
     }
-}
-
-#[test]
-fn optimize_kernels_option_opts_program_into_register_vm() {
-    // The per-program compiler switch routes launches through the
-    // register VM without touching `ExecConfig`; results stay identical
-    // to the default-compiled program, and the option splits the
-    // engine-cache key (same source, different options → distinct entry).
-    let n = 3_000i32;
-    let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
-    let opts = CompileOptions {
-        optimize_kernels: true,
-        ..CompileOptions::proposal()
-    };
-    let opt_prog = compile_source(ITERATIVE, "iterate", &opts).unwrap();
-    let ref_prog = compile_source(ITERATIVE, "iterate", &CompileOptions::proposal()).unwrap();
-    assert!(opt_prog.options.optimize_kernels);
-    let run = |prog: &acc_compiler::CompiledProgram| {
-        let mut m = machine();
-        run_program(
-            &mut m,
-            &ExecConfig::gpus(2),
-            prog,
-            vec![Value::I32(n), Value::I32(4)],
-            vec![Buffer::from_f64(&x)],
-        )
-        .unwrap()
-    };
-    let opt = run(&opt_prog);
-    let reference = run(&ref_prog);
-    assert_eq!(opt.arrays[0].bytes(), reference.arrays[0].bytes());
-    assert_eq!(
-        opt.profile.kernel_counters,
-        reference.profile.kernel_counters
-    );
-    assert_eq!(opt.total_time(), reference.total_time());
 }

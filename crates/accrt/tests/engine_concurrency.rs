@@ -4,8 +4,8 @@
 //! sharing may be observable in results: every concurrent launch must
 //! be bit-identical — arrays, host scalars, simulated time breakdown,
 //! memory peaks, and the structured event stream — to the same job run
-//! serially through the legacy [`Exec`]/[`run_program`] path on a
-//! private machine.
+//! serially through the one-shot [`run_program`] path on a private
+//! machine.
 
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::{Machine, MachineKind};
 use acc_kernel_ir::{Buffer, Ty, Value};
 use acc_obs::TraceLevel;
-use acc_runtime::{run_program, Engine, Exec, ExecConfig, RunReport, Schedule};
+use acc_runtime::{run_program, Engine, ExecConfig, RunReport, Schedule};
 use proptest::prelude::*;
 
 /// Replicated scatter with a distributed index: misses, replica sync,
@@ -172,20 +172,6 @@ fn concurrent_engine_launches_match_the_serial_exec_path() {
         "every compile call is either a compile or a hit"
     );
     assert!(stats.pool_reuses > 0, "warm launches should reuse pools");
-}
-
-#[test]
-fn exec_wrapper_is_bit_identical_to_run_program() {
-    let prog = compile_source(SCATTER, "scat", &CompileOptions::proposal()).unwrap();
-    let (scalars, arrays) = scatter_inputs(2048, 3, 9);
-    let mut m1 = Machine::supercomputer_node();
-    let direct = run_program(&mut m1, &spans_cfg(3), &prog, scalars, arrays).unwrap();
-    let (scalars, arrays) = scatter_inputs(2048, 3, 9);
-    let mut m2 = Machine::supercomputer_node();
-    let wrapped = Exec::new(&mut m2, spans_cfg(3))
-        .run(&prog, scalars, arrays)
-        .unwrap();
-    assert_reports_identical(&wrapped, &direct, "Exec wrapper");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! survives a round trip through the in-repo parser.
 
 use acc_compiler::{compile_source, CompileOptions};
-use acc_gpusim::{bus::Endpoint, Machine};
+use acc_gpusim::{Endpoint, Machine};
 use acc_kernel_ir::{Buffer, Value};
 use acc_obs::{json, Event, PhaseKind, TraceLevel, TransferKind};
 use acc_runtime::prelude::*;

@@ -178,7 +178,6 @@ fn lint_one(label: &str, src: &str, opts: &CompileOptions) -> Option<(usize, usi
 fn check_divergence(label: &str, src: &str) -> usize {
     let opts = CompileOptions {
         infer_localaccess: true,
-        optimize_kernels: false,
         ..CompileOptions::proposal()
     };
     let Ok(typed) = acc_minic::frontend(src) else {
@@ -255,7 +254,6 @@ fn check_reduction_divergence(
         .join("\n");
     let opts = CompileOptions {
         infer_reductions: true,
-        optimize_kernels: false,
         ..CompileOptions::proposal()
     };
     let Ok(inferred) = acc_compiler::compile_source(&stripped, function, &opts) else {
@@ -286,7 +284,6 @@ fn run_static(args: &Args) -> ! {
     let opts = CompileOptions {
         infer_localaccess: args.infer,
         infer_reductions: args.infer,
-        optimize_kernels: false,
         ..CompileOptions::proposal()
     };
     let mut warnings = 0usize;

@@ -264,6 +264,8 @@ pub fn explain(code: &str) -> Option<&'static str> {
              invalid value (stride < 1, negative halo) for this launch's\n\
              scalar arguments. The static check (ACC-E001/E002) can only\n\
              validate constants; runtime-valued parameters are validated here.\n\
+             Also raised for a hand-built `CompiledProgram` whose array is\n\
+             `Placement::Distributed` but carries no `localaccess` window.\n\
              \n\
              Fix: guard the launch against degenerate sizes, or fix the\n\
              expression."

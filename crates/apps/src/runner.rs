@@ -164,6 +164,73 @@ pub enum Scale {
     Paper,
 }
 
+/// The workload each application runs at a scale — the one table the
+/// runner, the figure harness and the benches all read. The extension
+/// apps have no published input, so their `Paper` point is `Scaled`.
+impl Scale {
+    /// MD: the Scaled point keeps the neighbour structure and shrinks
+    /// the lattice.
+    pub fn md(self) -> md::MdConfig {
+        match self {
+            Scale::Small => md::MdConfig::small(),
+            Scale::Scaled => md::MdConfig {
+                nx: 24,
+                ny: 24,
+                nz: 16,
+                ..md::MdConfig::paper()
+            },
+            Scale::Paper => md::MdConfig::paper(),
+        }
+    }
+
+    pub fn kmeans(self) -> kmeans::KmeansConfig {
+        match self {
+            Scale::Small => kmeans::KmeansConfig::small(),
+            Scale::Scaled => kmeans::KmeansConfig {
+                npoints: 24_700,
+                ..kmeans::KmeansConfig::paper()
+            },
+            Scale::Paper => kmeans::KmeansConfig::paper(),
+        }
+    }
+
+    pub fn bfs(self) -> bfs::BfsConfig {
+        match self {
+            Scale::Small => bfs::BfsConfig::small(),
+            Scale::Scaled => bfs::BfsConfig::scaled(),
+            Scale::Paper => bfs::BfsConfig::paper(),
+        }
+    }
+
+    pub fn spmv(self) -> spmv::SpmvConfig {
+        match self {
+            Scale::Small => spmv::SpmvConfig::small(),
+            Scale::Scaled | Scale::Paper => spmv::SpmvConfig::scaled(),
+        }
+    }
+
+    pub fn heat2d(self) -> heat2d::Heat2dConfig {
+        match self {
+            Scale::Small => heat2d::Heat2dConfig::small(),
+            Scale::Scaled | Scale::Paper => heat2d::Heat2dConfig::scaled(),
+        }
+    }
+
+    pub fn pagerank(self) -> pagerank::PagerankConfig {
+        match self {
+            Scale::Small => pagerank::PagerankConfig::small(),
+            Scale::Scaled | Scale::Paper => pagerank::PagerankConfig::scaled(),
+        }
+    }
+
+    pub fn heat2d_halo2(self) -> heat2d_halo2::Halo2Config {
+        match self {
+            Scale::Small => heat2d_halo2::Halo2Config::small(),
+            Scale::Scaled | Scale::Paper => heat2d_halo2::Halo2Config::scaled(),
+        }
+    }
+}
+
 /// Outcome of one application run.
 #[derive(Debug)]
 pub struct AppResult {
@@ -326,17 +393,7 @@ pub fn run_compiled(
     };
     let (report, correct, max_err) = match app {
         App::Md => {
-            let wcfg = match scale {
-                Scale::Small => md::MdConfig::small(),
-                Scale::Scaled => md::MdConfig {
-                    nx: 24,
-                    ny: 24,
-                    nz: 16,
-                    ..md::MdConfig::paper()
-                },
-                Scale::Paper => md::MdConfig::paper(),
-            };
-            let input = md::generate(&wcfg, seed);
+            let input = md::generate(&scale.md(), seed);
             let (scalars, arrays) = md::inputs(&input);
             let report =
                 run(machine, scalars, arrays)?;
@@ -347,15 +404,7 @@ pub fn run_compiled(
             (report, ok, err)
         }
         App::Kmeans => {
-            let wcfg = match scale {
-                Scale::Small => kmeans::KmeansConfig::small(),
-                Scale::Scaled => kmeans::KmeansConfig {
-                    npoints: 24_700,
-                    ..kmeans::KmeansConfig::paper()
-                },
-                Scale::Paper => kmeans::KmeansConfig::paper(),
-            };
-            let input = kmeans::generate(&wcfg, seed);
+            let input = kmeans::generate(&scale.kmeans(), seed);
             let (scalars, arrays) = kmeans::inputs(&input);
             let report =
                 run(machine, scalars, arrays)?;
@@ -379,12 +428,7 @@ pub fn run_compiled(
             (report, ok, clu_err)
         }
         App::Bfs => {
-            let wcfg = match scale {
-                Scale::Small => bfs::BfsConfig::small(),
-                Scale::Scaled => bfs::BfsConfig::scaled(),
-                Scale::Paper => bfs::BfsConfig::paper(),
-            };
-            let input = bfs::generate(&wcfg, seed);
+            let input = bfs::generate(&scale.bfs(), seed);
             let (scalars, arrays) = bfs::inputs(&input);
             let report =
                 run(machine, scalars, arrays)?;
@@ -394,11 +438,7 @@ pub fn run_compiled(
             (report, ok, if ok { 0.0 } else { 1.0 })
         }
         App::Spmv => {
-            let wcfg = match scale {
-                Scale::Small => spmv::SpmvConfig::small(),
-                Scale::Scaled | Scale::Paper => spmv::SpmvConfig::scaled(),
-            };
-            let input = spmv::generate(&wcfg, seed);
+            let input = spmv::generate(&scale.spmv(), seed);
             let (scalars, arrays) = spmv::inputs(&input);
             let report =
                 run(machine, scalars, arrays)?;
@@ -415,11 +455,7 @@ pub fn run_compiled(
             (report, ok, err)
         }
         App::Heat2d => {
-            let wcfg = match scale {
-                Scale::Small => heat2d::Heat2dConfig::small(),
-                Scale::Scaled | Scale::Paper => heat2d::Heat2dConfig::scaled(),
-            };
-            let input = heat2d::generate(&wcfg, seed);
+            let input = heat2d::generate(&scale.heat2d(), seed);
             let (scalars, arrays) = heat2d::inputs(&input);
             let report =
                 run(machine, scalars, arrays)?;
@@ -432,11 +468,7 @@ pub fn run_compiled(
             (report, ok, err)
         }
         App::Pagerank => {
-            let wcfg = match scale {
-                Scale::Small => pagerank::PagerankConfig::small(),
-                Scale::Scaled | Scale::Paper => pagerank::PagerankConfig::scaled(),
-            };
-            let input = pagerank::generate(&wcfg, seed);
+            let input = pagerank::generate(&scale.pagerank(), seed);
             let (scalars, arrays) = pagerank::inputs(&input);
             let report =
                 run(machine, scalars, arrays)?;
@@ -451,11 +483,7 @@ pub fn run_compiled(
             (report, ok, err)
         }
         App::Heat2dHalo2 => {
-            let wcfg = match scale {
-                Scale::Small => heat2d_halo2::Halo2Config::small(),
-                Scale::Scaled | Scale::Paper => heat2d_halo2::Halo2Config::scaled(),
-            };
-            let input = heat2d_halo2::generate(&wcfg, seed);
+            let input = heat2d_halo2::generate(&scale.heat2d_halo2(), seed);
             let (scalars, arrays) = heat2d_halo2::inputs(&input);
             // The carried dependence is only halo-local: an equal-partition
             // launch on 2+ GPUs would read stale left halos, so the harness

@@ -150,11 +150,11 @@ fn bench_rangeset(c: &mut Criterion) {
 }
 
 fn bench_bus(c: &mut Criterion) {
-    use acc_gpusim::{Endpoint, PcieBus};
+    use acc_gpusim::{Endpoint, Topology};
     let mut g = c.benchmark_group("bus/schedule");
     g.bench_function("1000_transfers", |b| {
         b.iter(|| {
-            let mut bus = PcieBus::desktop();
+            let mut bus = Topology::desktop();
             let mut t = 0.0;
             for i in 0..1000u64 {
                 let (_, e) = bus.transfer(

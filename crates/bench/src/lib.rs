@@ -132,7 +132,7 @@ pub fn table2(scale: Scale) -> Vec<AppRow> {
 fn input_label(app: App, scale: Scale) -> String {
     match app {
         App::Md => {
-            let c = md_config(scale);
+            let c = scale.md();
             format!("{} Atom", c.natoms())
         }
         App::Kmeans => match scale {
@@ -140,100 +140,25 @@ fn input_label(app: App, scale: Scale) -> String {
             _ => "kddcup-shaped (scaled)".into(),
         },
         App::Bfs => {
-            let c = bfs_config(scale);
+            let c = scale.bfs();
             format!("{} node / {} edge", c.nnodes(), c.nedges())
         }
         App::Spmv => {
-            let c = spmv_config(scale);
+            let c = scale.spmv();
             format!("{} row / ~{} nnz/row", c.nrows, c.nnz_per_row)
         }
         App::Heat2d => {
-            let c = heat2d_config(scale);
+            let c = scale.heat2d();
             format!("{}x{} plate / {} iter", c.rows, c.cols, c.iters)
         }
         App::Pagerank => {
-            let c = pagerank_config(scale);
+            let c = scale.pagerank();
             format!("{} page / {} iter", c.n, c.iters)
         }
         App::Heat2dHalo2 => {
-            let c = heat2d_halo2_config(scale);
+            let c = scale.heat2d_halo2();
             format!("{}x{} plate / {} iter", c.rows, c.cols, c.iters)
         }
-    }
-}
-
-/// MD workload config for a scale (the Scaled point keeps the neighbor
-/// structure and shrinks the lattice).
-pub fn md_config(scale: Scale) -> acc_apps::md::MdConfig {
-    match scale {
-        Scale::Small => acc_apps::md::MdConfig::small(),
-        Scale::Scaled => acc_apps::md::MdConfig {
-            nx: 24,
-            ny: 24,
-            nz: 16,
-            ..acc_apps::md::MdConfig::paper()
-        },
-        Scale::Paper => acc_apps::md::MdConfig::paper(),
-    }
-}
-
-/// KMEANS workload config for a scale.
-pub fn kmeans_config(scale: Scale) -> acc_apps::kmeans::KmeansConfig {
-    match scale {
-        Scale::Small => acc_apps::kmeans::KmeansConfig::small(),
-        Scale::Scaled => acc_apps::kmeans::KmeansConfig {
-            npoints: 24_700,
-            ..acc_apps::kmeans::KmeansConfig::paper()
-        },
-        Scale::Paper => acc_apps::kmeans::KmeansConfig::paper(),
-    }
-}
-
-/// BFS workload config for a scale.
-pub fn bfs_config(scale: Scale) -> acc_apps::bfs::BfsConfig {
-    match scale {
-        Scale::Small => acc_apps::bfs::BfsConfig::small(),
-        Scale::Scaled => acc_apps::bfs::BfsConfig::scaled(),
-        Scale::Paper => acc_apps::bfs::BfsConfig::paper(),
-    }
-}
-
-/// SPMV workload config for a scale (no published paper size: Paper maps
-/// to Scaled).
-pub fn spmv_config(scale: Scale) -> acc_apps::spmv::SpmvConfig {
-    match scale {
-        Scale::Small => acc_apps::spmv::SpmvConfig::small(),
-        Scale::Scaled | Scale::Paper => acc_apps::spmv::SpmvConfig::scaled(),
-    }
-}
-
-/// HEAT2D workload config for a scale (no published paper size: Paper
-/// maps to Scaled).
-pub fn heat2d_config(scale: Scale) -> acc_apps::heat2d::Heat2dConfig {
-    match scale {
-        Scale::Small => acc_apps::heat2d::Heat2dConfig::small(),
-        Scale::Scaled | Scale::Paper => acc_apps::heat2d::Heat2dConfig::scaled(),
-    }
-}
-
-/// PAGERANK workload config for a scale (no published paper size: Paper
-/// maps to Scaled).
-pub fn pagerank_config(scale: Scale) -> acc_apps::pagerank::PagerankConfig {
-    match scale {
-        Scale::Small => acc_apps::pagerank::PagerankConfig::small(),
-        Scale::Scaled | Scale::Paper => acc_apps::pagerank::PagerankConfig::scaled(),
-    }
-}
-
-/// HEAT2D-HALO2 workload config for a scale (a post-paper app, so Paper
-/// maps to Scaled). Its bench rows are the *wavefront* points: the
-/// runner auto-selects `Schedule::Wavefront` for the deep in-place
-/// stencil, so `bench-diff` pins the pipelined schedule's simulated
-/// times alongside every other app's.
-pub fn heat2d_halo2_config(scale: Scale) -> acc_apps::heat2d_halo2::Halo2Config {
-    match scale {
-        Scale::Small => acc_apps::heat2d_halo2::Halo2Config::small(),
-        Scale::Scaled | Scale::Paper => acc_apps::heat2d_halo2::Halo2Config::scaled(),
     }
 }
 
@@ -443,7 +368,7 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
 
     // Scattered: BFS on the node with all three GPUs.
     let prog = acc_apps::runner::compile_app(App::Bfs, Version::Proposal(3)).unwrap();
-    let input = acc_apps::bfs::generate(&bfs_config(scale), seed);
+    let input = acc_apps::bfs::generate(&scale.bfs(), seed);
     for &kb in &sizes {
         let mut m = Machine::supercomputer_node();
         let ec = ExecConfig::gpus(3).chunk_bytes(kb * 1024);
@@ -561,7 +486,6 @@ pub fn ablation_placement(scale: Scale, seed: u64) -> Vec<PlacementPoint> {
                 layout_transform: dist,
                 instrument: true,
                 infer_localaccess: false,
-                optimize_kernels: false,
                 infer_reductions: false,
             };
             let prog = acc_compiler::compile_source(app.source(), app.function(), &opts).unwrap();
@@ -869,21 +793,21 @@ pub fn app_inputs(
     seed: u64,
 ) -> (Vec<acc_kernel_ir::Value>, Vec<acc_kernel_ir::Buffer>) {
     match app {
-        App::Md => acc_apps::md::inputs(&acc_apps::md::generate(&md_config(scale), seed)),
+        App::Md => acc_apps::md::inputs(&acc_apps::md::generate(&scale.md(), seed)),
         App::Kmeans => {
-            acc_apps::kmeans::inputs(&acc_apps::kmeans::generate(&kmeans_config(scale), seed))
+            acc_apps::kmeans::inputs(&acc_apps::kmeans::generate(&scale.kmeans(), seed))
         }
-        App::Bfs => acc_apps::bfs::inputs(&acc_apps::bfs::generate(&bfs_config(scale), seed)),
-        App::Spmv => acc_apps::spmv::inputs(&acc_apps::spmv::generate(&spmv_config(scale), seed)),
+        App::Bfs => acc_apps::bfs::inputs(&acc_apps::bfs::generate(&scale.bfs(), seed)),
+        App::Spmv => acc_apps::spmv::inputs(&acc_apps::spmv::generate(&scale.spmv(), seed)),
         App::Heat2d => {
-            acc_apps::heat2d::inputs(&acc_apps::heat2d::generate(&heat2d_config(scale), seed))
+            acc_apps::heat2d::inputs(&acc_apps::heat2d::generate(&scale.heat2d(), seed))
         }
         App::Pagerank => acc_apps::pagerank::inputs(&acc_apps::pagerank::generate(
-            &pagerank_config(scale),
+            &scale.pagerank(),
             seed,
         )),
         App::Heat2dHalo2 => acc_apps::heat2d_halo2::inputs(&acc_apps::heat2d_halo2::generate(
-            &heat2d_halo2_config(scale),
+            &scale.heat2d_halo2(),
             seed,
         )),
     }
@@ -937,7 +861,6 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
     let ngpus = 3;
     let infer_opts = CompileOptions {
         infer_localaccess: true,
-        optimize_kernels: false,
         ..CompileOptions::proposal()
     };
     let mut out = Vec::new();
@@ -1028,7 +951,7 @@ pub struct ScalingPoint {
 pub fn scaling_heat2d_config(scale: Scale) -> acc_apps::heat2d::Heat2dConfig {
     match scale {
         Scale::Small => acc_apps::heat2d::Heat2dConfig { rows: 256, cols: 64, iters: 3 },
-        _ => heat2d_config(scale),
+        _ => scale.heat2d(),
     }
 }
 
@@ -1041,7 +964,7 @@ pub fn scaling_pagerank_config(scale: Scale) -> acc_apps::pagerank::PagerankConf
             max_degree: 40,
             iters: 5,
         },
-        _ => pagerank_config(scale),
+        _ => scale.pagerank(),
     }
 }
 

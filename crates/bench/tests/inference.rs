@@ -19,7 +19,6 @@ use proptest::prelude::*;
 fn infer_opts() -> CompileOptions {
     CompileOptions {
         infer_localaccess: true,
-        optimize_kernels: false,
         ..CompileOptions::proposal()
     }
 }

@@ -11,7 +11,7 @@
 //! * [`DeviceMemory`] — a bounded, handle-based device memory with an
 //!   allocator, so out-of-memory behaviour and per-GPU footprints
 //!   (Fig. 9) are observable;
-//! * [`Topology`] (alias [`PcieBus`]) — a hierarchical interconnect
+//! * [`Topology`] — a hierarchical interconnect
 //!   model (intra-island NVLink-class links, per-node PCIe root
 //!   complexes, an inter-node fabric) with latency, bandwidth and FCFS
 //!   contention on shared segments, pricing CPU↔GPU and GPU↔GPU
@@ -24,15 +24,13 @@
 //! is what lets the benchmark harness reproduce the shape of the paper's
 //! figures without the authors' testbed.
 
-pub mod bus;
 pub mod machine;
 pub mod memory;
 pub mod spec;
 pub mod topology;
 
-pub use bus::{Endpoint, PcieBus};
 pub use machine::{Gpu, Machine, MachineKind};
-pub use topology::{Segment, SegmentUse, Topology, TransferRec};
+pub use topology::{Endpoint, Segment, SegmentUse, Topology, TransferRec};
 pub use memory::{AllocClass, BufferHandle, DeviceMemory, MemError};
 pub use spec::{CpuSpec, GpuSpec};
 

@@ -1,7 +1,7 @@
 //! Machine presets reproducing the paper's Table I platforms.
 
 use crate::memory::DeviceMemory;
-use crate::{CpuSpec, GpuSpec, PcieBus};
+use crate::{CpuSpec, GpuSpec, Topology};
 
 /// Which Table I platform a [`Machine`] models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub struct Machine {
     pub kind: MachineKind,
     pub cpu: CpuSpec,
     pub gpus: Vec<Gpu>,
-    pub bus: PcieBus,
+    pub bus: Topology,
 }
 
 impl Machine {
@@ -77,7 +77,7 @@ impl Machine {
                             spec: spec.clone(),
                         })
                         .collect(),
-                    bus: PcieBus::desktop(),
+                    bus: Topology::desktop(),
                 }
             }
             MachineKind::SupercomputerNode => {
@@ -92,7 +92,7 @@ impl Machine {
                             spec: spec.clone(),
                         })
                         .collect(),
-                    bus: PcieBus::supercomputer_node(),
+                    bus: Topology::supercomputer_node(),
                 }
             }
         }
@@ -115,12 +115,12 @@ impl Machine {
                     spec: spec.clone(),
                 })
                 .collect(),
-            bus: PcieBus::supercomputer_node(),
+            bus: Topology::supercomputer_node(),
         }
     }
 
     /// Build a hierarchical cluster of `n` Tesla M2050s on the
-    /// [`PcieBus::cluster`](crate::Topology::cluster) topology: 8-GPU
+    /// [`Topology::cluster`] topology: 8-GPU
     /// NVLink islands, two islands per node behind the TSUBAME-class
     /// PCIe root complex, nodes joined by an inter-node fabric. The
     /// `kind` stays [`MachineKind::SupercomputerNode`] — this is the
@@ -138,7 +138,7 @@ impl Machine {
                     spec: spec.clone(),
                 })
                 .collect(),
-            bus: PcieBus::cluster(),
+            bus: Topology::cluster(),
         }
     }
 

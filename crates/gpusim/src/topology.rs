@@ -98,10 +98,8 @@ pub struct TransferRec {
     pub legs: Vec<SegmentUse>,
 }
 
-/// Interconnect configuration and per-segment timelines.
-///
-/// The original flat PCIe bus is the one-island special case; the alias
-/// `PcieBus = Topology` is kept so existing call sites read naturally.
+/// Interconnect configuration and per-segment timelines. The paper's
+/// flat PCIe bus is the one-island special case.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Host↔GPU effective bandwidth per link, bytes/s.
@@ -222,8 +220,9 @@ impl Topology {
         Topology::hierarchical(5.0, 2.6, 8.0, 12.0, 50.0, 1.0, 10.0, 40.0, 25.0, 8, 16)
     }
 
-    /// True when more than one island or node exists, i.e. when
-    /// topology-aware communication schedules can beat flat ones.
+    /// True when more than one island or node can exist. The runtime's
+    /// schedules never ask — they are the same code on every topology —
+    /// only which event kind reports a reduction-merge hop does.
     pub fn is_hierarchical(&self) -> bool {
         self.gpus_per_island != usize::MAX || self.gpus_per_node != usize::MAX
     }
@@ -249,6 +248,18 @@ impl Topology {
         } else {
             0
         }
+    }
+
+    /// The peers of GPU `g` among GPUs `0..n`, nearest first: ordered by
+    /// `(distance, index)`. The one order the runtime visits replica-sync
+    /// destinations and halo-fill sources in, so intra-island traffic
+    /// clears its dedicated links before root- and fabric-bound traffic
+    /// queues. On a one-island topology every distance is 0 and the
+    /// order is plain ascending index.
+    pub fn peer_order(&self, g: usize, n: usize) -> Vec<usize> {
+        let mut peers: Vec<usize> = (0..n).filter(|&h| h != g).collect();
+        peers.sort_by_key(|&h| (self.distance(g, h), h));
+        peers
     }
 
     /// Turn the transfer journal on or off. When on, every scheduled

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use acc_gpusim::{Endpoint, PcieBus, Segment};
+use acc_gpusim::{Endpoint, Segment, Topology};
 use proptest::prelude::*;
 
 fn arb_endpoint() -> impl Strategy<Value = Endpoint> {
@@ -25,11 +25,11 @@ fn arb_wide_endpoint() -> impl Strategy<Value = Endpoint> {
 
 /// Every topology shape the model supports: the two flat paper
 /// presets and the hierarchical cluster.
-fn all_topologies() -> Vec<PcieBus> {
+fn all_topologies() -> Vec<Topology> {
     vec![
-        PcieBus::desktop(),
-        PcieBus::supercomputer_node(),
-        PcieBus::cluster(),
+        Topology::desktop(),
+        Topology::supercomputer_node(),
+        Topology::cluster(),
     ]
 }
 
@@ -45,7 +45,7 @@ fn valid(src: Endpoint, dst: Endpoint) -> bool {
 
 /// Replay a sequence on a bus, returning the `(start, end)` of each
 /// transfer in order.
-fn replay(bus: &mut PcieBus, xfers: &[Xfer]) -> Vec<(f64, f64)> {
+fn replay(bus: &mut Topology, xfers: &[Xfer]) -> Vec<(f64, f64)> {
     xfers
         .iter()
         .filter(|(s, d, _, _)| valid(*s, *d))
@@ -63,7 +63,7 @@ proptest! {
             0..50,
         )
     ) {
-        let mut bus = PcieBus::desktop();
+        let mut bus = Topology::desktop();
         let mut total_h2d = 0u64;
         let mut total_d2h = 0u64;
         let mut total_p2p = 0u64;
@@ -104,7 +104,7 @@ proptest! {
         sizes in prop::collection::vec(1u64..5_000_000, 1..20)
     ) {
         // Repeated transfers on one GPU link must strictly serialize.
-        let mut bus = PcieBus::desktop();
+        let mut bus = Topology::desktop();
         let mut prev_end = 0.0f64;
         for bytes in sizes {
             let (start, end) = bus.transfer(Endpoint::Host, Endpoint::Gpu(0), bytes, 0.0);
@@ -115,7 +115,7 @@ proptest! {
 
     #[test]
     fn disjoint_p2p_pairs_do_overlap(bytes in 1_000_000u64..50_000_000) {
-        let mut bus = PcieBus::supercomputer_node();
+        let mut bus = Topology::supercomputer_node();
         let (_, e1) = bus.transfer(Endpoint::Gpu(0), Endpoint::Gpu(1), bytes, 0.0);
         let (s2, _) = bus.transfer(Endpoint::Gpu(2), Endpoint::Gpu(0), bytes, 0.0);
         // The second shares GPU 0's link, so it cannot start before the
@@ -229,5 +229,29 @@ proptest! {
                 base[idx].1, shifted[idx].1
             );
         }
+    }
+
+    /// The one order the runtime visits peers in is a permutation of
+    /// the other GPUs: plain ascending index on the one-island presets,
+    /// and on the cluster grouped same-island, then same-node, then
+    /// across the fabric, ascending inside each group.
+    #[test]
+    fn peer_order_is_ascending_or_grouped_by_level(g in 0usize..64, n in 1usize..=64) {
+        let g = g % n;
+        let others: Vec<usize> = (0..n).filter(|&h| h != g).collect();
+        for bus in [Topology::desktop(), Topology::supercomputer_node()] {
+            prop_assert_eq!(bus.peer_order(g, n), others.clone());
+        }
+        let c = Topology::cluster();
+        let order = c.peer_order(g, n);
+        let level = |h: usize| {
+            u32::from(c.island(h) != c.island(g)) + u32::from(c.node(h) != c.node(g))
+        };
+        for w in order.windows(2) {
+            prop_assert!((level(w[0]), w[0]) < (level(w[1]), w[1]), "{order:?}");
+        }
+        let mut sorted = order;
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, others);
     }
 }
