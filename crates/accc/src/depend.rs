@@ -48,7 +48,7 @@ use std::collections::BTreeSet;
 use acc_kernel_ir::{self as ir, BinOp, Builtin, Expr, Stmt};
 use acc_minic::hir;
 
-use crate::range::{self, IndexForm, MonoSig, StrideRef, SymBound};
+use crate::range::{BufSites, IndexForm, MonoSig, StrideRef, SymBound};
 
 /// Per kernel × array dependence verdict, ordered from strongest
 /// guarantee to definite hazard.
@@ -73,7 +73,7 @@ pub enum DependVerdict {
     /// is known: every conflicting (writer, reader) iteration pair is
     /// separated by a distance inside `distance` (in stride windows).
     /// Bounded distances that fit the declared halo downgrade `ACC-W006`
-    /// to `ACC-I003` and license `Schedule::Wavefront`.
+    /// to `ACC-I003` and license the runtime's wavefront.
     CarriedLocal { distance: Distance },
     /// A definite cross-iteration flow dependence the analysis cannot
     /// bound or orient: some iteration reads an element another
@@ -262,19 +262,21 @@ enum PairRes {
     Unknown,
 }
 
-/// Analyze every access to `buf` in `body` and fold the sites into a
-/// [`DependVerdict`]. `stride` is the array's own declared (or resolved)
-/// distribution stride; unannotated arrays use the trivial `Const(1)`
-/// domain. `ptr_ok` must return whether a candidate monotone bound array
-/// (a kernel buffer id) is never written anywhere in the enclosing
-/// function — the host-side construction fact the monotone lattice
-/// builds on.
+/// Fold the access sites of `buf` into a [`DependVerdict`]. `sites` are
+/// the buffer's accesses decomposed under `dom` — the array's own
+/// declared (or resolved) distribution stride, or the trivial `Const(1)`
+/// domain for unannotated arrays. `assigned` are the locals the kernel
+/// assigns. `ptr_unwritten[p]` says whether kernel buffer `p`, a
+/// candidate monotone bound array, is never written anywhere in the
+/// enclosing function — the host-side construction fact the monotone
+/// lattice builds on.
 pub fn analyze_buf(
     body: &[Stmt],
-    n_locals: usize,
     buf: ir::BufId,
-    stride: Option<StrideRef>,
-    ptr_ok: &dyn Fn(ir::BufId) -> bool,
+    dom: StrideRef,
+    sites: &BufSites,
+    assigned: &BTreeSet<ir::LocalId>,
+    ptr_unwritten: &[bool],
 ) -> BufDepend {
     let unknown = BufDepend {
         verdict: DependVerdict::Unknown,
@@ -284,19 +286,14 @@ pub fn analyze_buf(
     // -- 1. Atomic-RMW-only buffers are reduction-shaped. --------------
     let mut atomic_ops: Vec<ir::RmwOp> = Vec::new();
     let mut store_values: Vec<&Expr> = Vec::new();
-    let mut n_loads = 0usize;
     scan(body, &mut |s| match s {
         Stmt::AtomicRmw { buf: b, op, .. } if *b == buf => atomic_ops.push(*op),
         Stmt::Store { buf: b, value, .. } if *b == buf => store_values.push(value),
         _ => {}
     });
-    for_each_expr(body, &mut |e| {
-        if matches!(e, Expr::Load { buf: b, .. } if *b == buf) {
-            n_loads += 1;
-        }
-    });
     if let Some(&op) = atomic_ops.first() {
-        if atomic_ops.iter().all(|&o| o == op) && store_values.is_empty() && n_loads == 0 {
+        if atomic_ops.iter().all(|&o| o == op) && store_values.is_empty() && sites.loads.is_empty()
+        {
             return BufDepend {
                 verdict: DependVerdict::Reduction(op),
                 monotone: None,
@@ -307,20 +304,17 @@ pub fn analyze_buf(
     }
 
     // -- 2. Summarize every site. ---------------------------------------
-    let dom = stride.unwrap_or(StrideRef::Const(1));
-    let sites = range::collect(body, n_locals, buf, dom);
     if sites.stores.len() != store_values.len() || sites.store_mono.len() != sites.stores.len() {
         return unknown; // traversal mismatch — refuse to reason
     }
-    let assigned = range::assigned_locals(body);
     let uniform: Vec<bool> = store_values
         .iter()
-        .map(|v| value_uniform(v, &assigned))
+        .map(|v| value_uniform(v, assigned))
         .collect();
 
     let fold = |form: &Option<IndexForm>, claim: &Option<MonoSig>| -> Site {
         if let Some(sig) = claim {
-            if ptr_ok(sig.ptr) {
+            if ptr_unwritten.get(sig.ptr.0 as usize) == Some(&true) {
                 return Site::Claim(*sig);
             }
         }
@@ -835,37 +829,35 @@ fn rewrite_rmw(stmts: &mut [Stmt], buf: ir::BufId, op: ir::RmwOp) {
 
 // ---------- host-side construction facts ----------
 
-/// Is the program array `arr` written anywhere in `f` — host statements
+/// Per program array: is it written anywhere in `f` — host statements
 /// or any kernel body? The monotone lattice may only trust a bound
 /// array (`row_ptr`) that the function never mutates; its runtime
 /// monotonicity is then a property of the caller-supplied input,
 /// validated at launch (`ACC-R011`).
-pub fn array_written_in_function(f: &hir::TypedFunction, arr: usize) -> bool {
-    fn stmts_write(stmts: &[ir::Stmt], arr: usize) -> bool {
-        let mut hit = false;
-        for s in stmts {
-            s.visit(&mut |s| match s {
-                Stmt::Store { buf, .. } | Stmt::AtomicRmw { buf, .. }
-                    if buf.0 as usize == arr =>
-                {
-                    hit = true;
+pub fn arrays_written_in_function(f: &hir::TypedFunction) -> Vec<bool> {
+    fn walk(body: &[hir::HostStmt], mark: &mut impl FnMut(&Stmt)) {
+        for s in body {
+            match s {
+                hir::HostStmt::Plain(p) => p.visit(mark),
+                hir::HostStmt::ParallelLoop(n) => n.body.iter().for_each(|s| s.visit(mark)),
+                hir::HostStmt::If { then_, else_, .. } => {
+                    walk(then_, mark);
+                    walk(else_, mark);
                 }
-                _ => {}
-            });
+                hir::HostStmt::While { body, .. } | hir::HostStmt::DataRegion { body, .. } => {
+                    walk(body, mark)
+                }
+                hir::HostStmt::Update { .. } | hir::HostStmt::Return => {}
+            }
         }
-        hit
     }
-    fn walk(body: &[hir::HostStmt], arr: usize) -> bool {
-        body.iter().any(|s| match s {
-            hir::HostStmt::Plain(p) => stmts_write(std::slice::from_ref(p), arr),
-            hir::HostStmt::ParallelLoop(n) => stmts_write(&n.body, arr),
-            hir::HostStmt::If { then_, else_, .. } => walk(then_, arr) || walk(else_, arr),
-            hir::HostStmt::While { body, .. } => walk(body, arr),
-            hir::HostStmt::DataRegion { body, .. } => walk(body, arr),
-            _ => false,
-        })
-    }
-    walk(&f.body, arr)
+    let mut written = vec![false; f.array_params.len()];
+    walk(&f.body, &mut |s| {
+        if let Stmt::Store { buf, .. } | Stmt::AtomicRmw { buf, .. } = s {
+            written[buf.0 as usize] = true;
+        }
+    });
+    written
 }
 
 // ---------- traversal helpers ----------

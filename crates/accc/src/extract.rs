@@ -15,21 +15,49 @@
 //! * a coalescing estimate is computed, with the 2-D layout transform
 //!   applied where legal (read-only, all-affine, `localaccess` arrays).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use acc_kernel_ir as ir;
 use acc_minic::hir::{ParallelLoopNode, TypedFunction};
 
 use crate::analysis::{self, depth_weight, pattern_efficiency, AccessMode};
 use crate::config::{ArrayConfig, ArrayLint, ElisionProof, LocalAccessParams, Placement};
-use crate::{depend, infer, lint, range, CompileOptions, CompiledKernel, ParamSrc};
+use crate::{depend, infer, lint, range, CompileError, CompileOptions, CompiledKernel, ParamSrc};
+
+/// The decomposed access sites of one kernel buffer, collected at most
+/// once per stride domain and read by every analysis of that buffer:
+/// inference, the elision prover, the window check and the dependence
+/// verdict.
+struct SiteCache<'a> {
+    body: &'a [ir::Stmt],
+    n_locals: usize,
+    buf: ir::BufId,
+    by_stride: Vec<(range::StrideRef, range::BufSites)>,
+}
+
+impl SiteCache<'_> {
+    fn get(&mut self, sr: range::StrideRef) -> &range::BufSites {
+        let at = match self.by_stride.iter().position(|(s, _)| *s == sr) {
+            Some(at) => at,
+            None => {
+                let sites = range::collect(self.body, self.n_locals, self.buf, sr);
+                self.by_stride.push((sr, sites));
+                self.by_stride.len() - 1
+            }
+        };
+        &self.by_stride[at].1
+    }
+}
 
 /// Extract and instrument the kernel for one parallel loop.
+/// `written[a]` says whether the enclosing function writes program array
+/// `a` anywhere ([`depend::arrays_written_in_function`]).
 pub fn extract_kernel(
     node: &ParallelLoopNode,
     f: &TypedFunction,
     options: &CompileOptions,
-) -> CompiledKernel {
+    written: &[bool],
+) -> Result<CompiledKernel, CompileError> {
     // ---- discover used locals and buffers ----
     let mut used_locals: BTreeMap<u32, bool> = BTreeMap::new(); // id -> is_read
     let mut used_bufs: BTreeMap<u32, ()> = BTreeMap::new();
@@ -56,12 +84,16 @@ pub fn extract_kernel(
         if !is_read {
             continue;
         }
-        let (name, ty) = f.locals[fid as usize].clone();
+        let (name, ty) = &f.locals[fid as usize];
         let pid = ir::ParamId(params.len() as u32);
-        params.push(ir::ScalarParam {
-            name: format!("{name}$cap"),
-            ty,
-        });
+        // Sibling scopes may declare the same name twice; only the later
+        // of two colliding captures is renamed, so kernels without a
+        // collision keep their parameter names (and IR hashes).
+        let mut cap = format!("{name}$cap");
+        if params.iter().any(|p: &ir::ScalarParam| p.name == cap) {
+            cap = format!("{name}$cap{fid}");
+        }
+        params.push(ir::ScalarParam { name: cap, ty: *ty });
         param_src.push(ParamSrc::HostLocal(ir::LocalId(fid)));
         prologue.push(ir::Stmt::Assign {
             local: ir::LocalId(local_map[&fid]),
@@ -95,11 +127,16 @@ pub fn extract_kernel(
 
     // ---- access analysis (on the remapped body) ----
     let usage = analysis::analyze_body(&body, buf_map.len());
+    let assigned = range::assigned_locals(&body);
+    // A monotone bound array is only trusted when the function never
+    // writes it.
+    let ptr_unwritten: Vec<bool> = buf_map.iter().map(|&arr| !written[arr]).collect();
 
     // ---- placement decisions & array configs ----
     let honor = options.honor_extensions;
     let mut configs = Vec::new();
     for (kbuf, &arr) in buf_map.iter().enumerate() {
+        let kb = ir::BufId(kbuf as u32);
         let u = &usage[kbuf];
         let mode = u.mode().unwrap_or(AccessMode::Read);
         let la = if honor {
@@ -114,122 +151,90 @@ pub fn extract_kernel(
         } else {
             None
         };
-        let is_reduction = honor
-            && (node
-                .array_reductions
-                .iter()
-                .any(|r| r.buf.0 as usize == arr)
-                || inferred_reds[kbuf].is_some());
+        let reduction_op = node
+            .array_reductions
+            .iter()
+            .find(|r| r.buf.0 as usize == arr)
+            .map(|r| r.op)
+            .or(inferred_reds[kbuf])
+            .filter(|_| honor);
+        let mut sites = SiteCache {
+            body: &body,
+            n_locals: local_map.len(),
+            buf: kb,
+            by_stride: Vec::new(),
+        };
         // Whole-program dataflow, static half: always derive what the
         // analysis *would* annotate (feeds ACC-I001 and the `--infer`
         // golden checks), and the partition-key strides the comm-elision
         // analysis may rely on. Consume the inferred annotation only
         // when asked and the source has none.
-        let inferred = if honor && !is_reduction {
-            infer::infer_for_buf(&body, local_map.len(), ir::BufId(kbuf as u32), &local_map)
-        } else {
-            None
-        };
-        let own_strides = if honor && !is_reduction {
-            infer::own_partition_strides(
-                &body,
-                local_map.len(),
-                ir::BufId(kbuf as u32),
-                &local_map,
-            )
-        } else {
-            Vec::new()
-        };
+        if honor && reduction_op.is_none() && !u.atomics {
+            for sr in infer::candidate_strides(&body, kb, &assigned) {
+                sites.get(sr);
+            }
+        }
+        let inferred = infer::infer_window(&sites.by_stride, &local_map);
+        let own_strides = infer::own_partition_strides(&sites.by_stride, &local_map);
         let inferred_used = options.infer_localaccess && la.is_none() && inferred.is_some();
         let la = if inferred_used { inferred.clone() } else { la };
-        let placement = if is_reduction {
-            let op = node
-                .array_reductions
-                .iter()
-                .find(|r| r.buf.0 as usize == arr)
-                .map(|r| r.op)
-                .or(inferred_reds[kbuf])
-                .unwrap();
-            Placement::ReductionPrivate(op)
-        } else if la.is_some() {
-            Placement::Distributed
-        } else {
-            Placement::Replicated
+        let placement = match reduction_op {
+            Some(op) => Placement::ReductionPrivate(op),
+            None if la.is_some() => Placement::Distributed,
+            None => Placement::Replicated,
         };
 
         // Miss-check elision (§IV-D2): first the strict constant-stride
         // prover, then the broadened interval/symbolic prover, which also
         // handles runtime strides and nested-loop offsets. The same
         // decomposition feeds the `localaccess` window check (ACC-W003).
-        let stride_sym = la
-            .as_ref()
-            .and_then(|p| stride_ref(&p.stride, &local_map, &body));
-        let sites = stride_sym
-            .map(|sr| range::collect(&body, local_map.len(), ir::BufId(kbuf as u32), sr));
-        let (miss_check_elided, elision) = match (&placement, &la) {
-            (Placement::Distributed, Some(p)) => {
-                if !u.writes {
-                    (false, ElisionProof::NoStores)
-                } else if matches!(const_i32(&p.stride),
-                    Some(s) if s > 0 && u.stores_within_own_stride(s as i64))
-                {
-                    (true, ElisionProof::ConstStride)
-                } else if matches!((stride_sym, &sites),
-                    (Some(sr), Some(sites)) if range::stores_proved_local(sites, sr))
-                {
-                    (true, ElisionProof::Interval)
-                } else {
-                    (false, ElisionProof::Unproven)
-                }
-            }
-            _ => (!u.writes, ElisionProof::NotApplicable), // nothing to check
-        };
-
-        // Declared-window audit of the loads (ACC-W003) and the
-        // store-hazard scan (ACC-W001 / ACC-W002).
-        let window = match (&la, stride_sym, &sites) {
-            (Some(p), Some(sr), Some(sites)) => range::check_load_windows(
-                sites,
-                sr,
-                range::window_bound(&p.left, &p.stride),
-                range::window_bound(&p.right, &p.stride),
-            ),
-            _ => range::WindowCheck::default(),
-        };
+        let declared = la.as_ref().and_then(|p| {
+            let sr = stride_ref(&p.stride, &local_map, &assigned)?;
+            Some((p, sr))
+        });
+        let mut miss_check_elided = !u.writes; // nothing to check
+        let mut elision = ElisionProof::NotApplicable;
+        let mut window = range::WindowCheck::default();
+        let mut halo_windows = (0, 0);
+        if let (Placement::Distributed, Some(p)) = (&placement, &la) {
+            (miss_check_elided, elision) = if !u.writes {
+                (false, ElisionProof::NoStores)
+            } else if matches!(const_i32(&p.stride),
+                Some(s) if s > 0 && u.stores_within_own_stride(s as i64))
+            {
+                (true, ElisionProof::ConstStride)
+            } else if declared.is_some_and(|(_, sr)| range::stores_proved_local(sites.get(sr), sr))
+            {
+                (true, ElisionProof::Interval)
+            } else {
+                (false, ElisionProof::Unproven)
+            };
+        }
+        if let Some((p, sr)) = declared {
+            let left = range::window_bound(&p.left, &p.stride);
+            let right = range::window_bound(&p.right, &p.stride);
+            // Declared-window audit of the loads (ACC-W003).
+            window = range::check_load_windows(sites.get(sr), sr, left, right);
+            // The declared halo measured in stride windows: the currency
+            // the carried-distance verdict is compared against (ACC-I003
+            // vs ACC-W006, wavefront eligibility, the Full-sanitize claim).
+            halo_windows = (range::halo_windows(left, sr), range::halo_windows(right, sr));
+        }
         // Cross-GPU dependence verdict (ACC-W005/W006, and the monotone
-        // indirect-window proof). A monotone bound array is only trusted
-        // when the function never writes it.
-        let dep = depend::analyze_buf(
-            &body,
-            local_map.len(),
-            ir::BufId(kbuf as u32),
-            stride_sym,
-            &|p: ir::BufId| {
-                buf_map
-                    .get(p.0 as usize)
-                    .is_some_and(|&orig| !depend::array_written_in_function(f, orig))
-            },
-        );
+        // indirect-window proof), in the array's own stride domain.
+        let dom = declared.map_or(range::StrideRef::Const(1), |(_, sr)| sr);
+        let dep = depend::analyze_buf(&body, kb, dom, sites.get(dom), &assigned, &ptr_unwritten);
         let monotone_proof =
             dep.verdict == depend::DependVerdict::Disjoint(depend::DisjointProof::MonotoneWindow);
+        // The store-hazard scan (ACC-W001 / ACC-W002).
         let (overlap_stores, unannotated_rmw) =
             if matches!(placement, Placement::ReductionPrivate(_)) || monotone_proof {
                 // Reduction placement and a monotone disjointness proof
                 // both subsume the heuristic overlap counts.
                 (0, 0)
             } else {
-                lint::store_hazards(&body, ir::BufId(kbuf as u32))
+                lint::store_hazards(&body, kb, &assigned)
             };
-        // The declared halo measured in stride windows: the currency the
-        // carried-distance verdict is compared against (ACC-I003 vs
-        // ACC-W006, wavefront eligibility, the Full-sanitize claim).
-        let halo_windows = match (&la, stride_sym) {
-            (Some(p), Some(sr)) => (
-                range::halo_windows(range::window_bound(&p.left, &p.stride), sr),
-                range::halo_windows(range::window_bound(&p.right, &p.stride), sr),
-            ),
-            _ => (0, 0),
-        };
         let alint = ArrayLint {
             elision,
             window_checked: window.checked,
@@ -378,11 +383,13 @@ pub fn extract_kernel(
         reductions,
         body: full_body,
     };
-    kernel
-        .validate()
-        .unwrap_or_else(|e| panic!("translator produced invalid kernel {}: {e}", node.name));
+    kernel.validate().map_err(|e| CompileError::InvalidKernel {
+        kernel: node.name.clone(),
+        span: node.span,
+        reason: e.to_string(),
+    })?;
 
-    CompiledKernel {
+    Ok(CompiledKernel {
         kernel,
         mem_efficiency,
         configs,
@@ -392,7 +399,7 @@ pub fn extract_kernel(
         hi: node.hi.clone(),
         red_targets,
         span: node.span,
-    }
+    })
 }
 
 fn const_i32(e: &ir::Expr) -> Option<i32> {
@@ -409,7 +416,7 @@ fn const_i32(e: &ir::Expr) -> Option<i32> {
 fn stride_ref(
     stride: &ir::Expr,
     local_map: &BTreeMap<u32, u32>,
-    body: &[ir::Stmt],
+    assigned: &BTreeSet<ir::LocalId>,
 ) -> Option<range::StrideRef> {
     if let Some(s) = const_i32(stride) {
         return (s > 0).then_some(range::StrideRef::Const(s as i64));
@@ -420,7 +427,7 @@ fn stride_ref(
     }
     if let ir::Expr::Local(fid) = e {
         let kid = ir::LocalId(*local_map.get(&fid.0)?);
-        if !range::assigned_locals(body).contains(&kid) {
+        if !assigned.contains(&kid) {
             return Some(range::StrideRef::Sym(kid));
         }
     }

@@ -13,7 +13,7 @@ use acc_minic::directive::DataClauseKind;
 use acc_minic::hir::{HostStmt, TypedDataClause, TypedFunction, TypedSection};
 
 use crate::extract::extract_kernel;
-use crate::{CompileOptions, CompiledKernel};
+use crate::{depend, CompileError, CompileOptions, CompiledKernel};
 
 /// A resolved array (sub)section in a host op. Ranges are host-evaluated
 /// `(start, len)` expressions; `None` = whole array.
@@ -81,85 +81,98 @@ fn lower_clauses(clauses: &[TypedDataClause]) -> Vec<CompiledClause> {
         .collect()
 }
 
-/// Lower a host statement block, extracting kernels as they are found.
+/// Lower a function's host body, extracting kernels as they are found
+/// (`HostOp::Launch` indexes the returned kernel list).
 pub fn lower_host(
-    body: &[HostStmt],
     f: &TypedFunction,
     options: &CompileOptions,
-    kernels: &mut Vec<CompiledKernel>,
-) -> Vec<HostOp> {
-    let mut region_counter = kernels.len() * 1000; // distinct per call tree
-    lower_block(body, f, options, kernels, &mut region_counter)
+) -> Result<(Vec<HostOp>, Vec<CompiledKernel>), CompileError> {
+    let mut l = Lowering {
+        f,
+        options,
+        written: depend::arrays_written_in_function(f),
+        kernels: Vec::new(),
+        region_counter: 0,
+    };
+    let host = l.lower_block(&f.body)?;
+    Ok((host, l.kernels))
 }
 
-fn lower_block(
-    body: &[HostStmt],
-    f: &TypedFunction,
-    options: &CompileOptions,
-    kernels: &mut Vec<CompiledKernel>,
-    region_counter: &mut usize,
-) -> Vec<HostOp> {
-    let mut out = Vec::new();
-    for s in body {
-        match s {
-            HostStmt::Plain(st) => out.push(HostOp::Plain(st.clone())),
-            HostStmt::If {
-                cond,
-                then_,
-                else_,
-            } => {
-                let then_ = lower_block(then_, f, options, kernels, region_counter);
-                let else_ = lower_block(else_, f, options, kernels, region_counter);
-                out.push(HostOp::If {
-                    cond: cond.clone(),
+struct Lowering<'a> {
+    f: &'a TypedFunction,
+    options: &'a CompileOptions,
+    /// Per program array: does the function write it anywhere?
+    written: Vec<bool>,
+    kernels: Vec<CompiledKernel>,
+    region_counter: usize,
+}
+
+impl Lowering<'_> {
+    fn lower_block(&mut self, body: &[HostStmt]) -> Result<Vec<HostOp>, CompileError> {
+        let mut out = Vec::new();
+        for s in body {
+            match s {
+                HostStmt::Plain(st) => out.push(HostOp::Plain(st.clone())),
+                HostStmt::If {
+                    cond,
                     then_,
                     else_,
-                });
-            }
-            HostStmt::While { cond, body } => {
-                let body = lower_block(body, f, options, kernels, region_counter);
-                out.push(HostOp::While {
-                    cond: cond.clone(),
-                    body,
-                });
-            }
-            HostStmt::DataRegion { clauses, body } => {
-                let region = *region_counter;
-                *region_counter += 1;
-                out.push(HostOp::DataEnter {
-                    region,
-                    clauses: lower_clauses(clauses),
-                });
-                out.extend(lower_block(body, f, options, kernels, region_counter));
-                out.push(HostOp::DataExit { region });
-            }
-            HostStmt::ParallelLoop(node) => {
-                let ck = extract_kernel(node, f, options);
-                let idx = kernels.len();
-                kernels.push(ck);
-                // Data clauses on the combined directive form an implicit
-                // region around the single launch.
-                if node.data_clauses.is_empty() {
-                    out.push(HostOp::Launch { kernel: idx });
-                } else {
-                    let region = *region_counter;
-                    *region_counter += 1;
-                    out.push(HostOp::DataEnter {
-                        region,
-                        clauses: lower_clauses(&node.data_clauses),
+                } => {
+                    let then_ = self.lower_block(then_)?;
+                    let else_ = self.lower_block(else_)?;
+                    out.push(HostOp::If {
+                        cond: cond.clone(),
+                        then_,
+                        else_,
                     });
-                    out.push(HostOp::Launch { kernel: idx });
+                }
+                HostStmt::While { cond, body } => {
+                    let body = self.lower_block(body)?;
+                    out.push(HostOp::While {
+                        cond: cond.clone(),
+                        body,
+                    });
+                }
+                HostStmt::DataRegion { clauses, body } => {
+                    let region = self.open_region(clauses, &mut out);
+                    out.extend(self.lower_block(body)?);
                     out.push(HostOp::DataExit { region });
                 }
+                HostStmt::ParallelLoop(node) => {
+                    let ck = extract_kernel(node, self.f, self.options, &self.written)?;
+                    let launch = HostOp::Launch {
+                        kernel: self.kernels.len(),
+                    };
+                    self.kernels.push(ck);
+                    // Data clauses on the combined directive form an implicit
+                    // region around the single launch.
+                    if node.data_clauses.is_empty() {
+                        out.push(launch);
+                    } else {
+                        let region = self.open_region(&node.data_clauses, &mut out);
+                        out.push(launch);
+                        out.push(HostOp::DataExit { region });
+                    }
+                }
+                HostStmt::Update { host, device } => out.push(HostOp::Update {
+                    to_host: lower_sections(host),
+                    to_device: lower_sections(device),
+                }),
+                HostStmt::Return => out.push(HostOp::Return),
             }
-            HostStmt::Update { host, device } => out.push(HostOp::Update {
-                to_host: lower_sections(host),
-                to_device: lower_sections(device),
-            }),
-            HostStmt::Return => out.push(HostOp::Return),
         }
+        Ok(out)
     }
-    out
+
+    fn open_region(&mut self, clauses: &[TypedDataClause], out: &mut Vec<HostOp>) -> usize {
+        let region = self.region_counter;
+        self.region_counter += 1;
+        out.push(HostOp::DataEnter {
+            region,
+            clauses: lower_clauses(clauses),
+        });
+        region
+    }
 }
 
 #[cfg(test)]

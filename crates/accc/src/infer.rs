@@ -10,9 +10,12 @@
 //!    `Const(c)`; a `local * (linear-in-tid)` term whose local is never
 //!    assigned in the body suggests the symbolic stride `Sym(local)`
 //!    (e.g. `features[i*nfeatures + j]` suggests `nfeatures`).
-//! 2. Each candidate is **validated** with the interval prover of
-//!    [`crate::range`]: *every* load and store site must decompose with
-//!    the candidate as its effective thread coefficient, and stores (if
+//! 2. Each candidate is **validated** against the buffer's access sites
+//!    decomposed under it by the interval prover of [`crate::range`]
+//!    (`extract` collects each `(buffer, stride)` once and hands this
+//!    module the [`BufSites`]; nothing here walks the kernel body
+//!    again): *every* load and store site must decompose with the
+//!    candidate as its effective thread coefficient, and stores (if
 //!    any) must be provably inside the iteration's own partition —
 //!    distribution is only proposed when the write-miss path would stay
 //!    silent.
@@ -27,13 +30,13 @@
 //! inference can be compared against (and substituted for) source
 //! annotations structurally.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use acc_kernel_ir as ir;
 
 use crate::affine::linear_in_tid;
 use crate::config::LocalAccessParams;
-use crate::range::{self, StrideRef, SymBound};
+use crate::range::{self, BufSites, StrideRef, SymBound};
 
 /// A halo bound rounded into the annotation vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,47 +47,34 @@ enum Halo {
     Stride,
 }
 
-/// Infer a sound `localaccess` annotation for kernel buffer `buf` of a
-/// remapped (pre-instrumentation) kernel body, or `None` when no
-/// candidate stride admits one. `local_map` is the host-local → kernel-
-/// local remap used to express the result in the host frame.
-pub(crate) fn infer_for_buf(
-    body: &[ir::Stmt],
-    n_locals: usize,
-    buf: ir::BufId,
+/// Infer a sound `localaccess` annotation for one kernel buffer from its
+/// access sites collected under each candidate stride (in candidate
+/// order), or `None` when no candidate admits one. `local_map` is the
+/// host-local → kernel-local remap used to express the result in the
+/// host frame.
+pub(crate) fn infer_window(
+    candidates: &[(StrideRef, BufSites)],
     local_map: &BTreeMap<u32, u32>,
 ) -> Option<LocalAccessParams> {
-    if has_atomic(body, buf) {
-        return None;
-    }
-    for sr in candidate_strides(body, buf) {
-        if let Some((left, right)) = try_window(body, n_locals, buf, sr) {
-            if let Some(p) = to_params(sr, left, right, local_map) {
-                return Some(p);
-            }
-        }
-    }
-    None
+    candidates.iter().find_map(|(sr, sites)| {
+        let (left, right) = try_window(sites, *sr)?;
+        to_params(*sr, left, right, local_map)
+    })
 }
 
-/// Every candidate stride under which *all* accesses to `buf` provably
-/// stay inside the iteration's own partition `[S*i, S*(i+1) - 1]` (no
-/// halo), expressed in the host frame. These are the strides the
+/// Every candidate stride under which *all* accesses to the buffer
+/// provably stay inside the iteration's own partition `[S*i, S*(i+1) - 1]`
+/// (no halo), expressed in the host frame. These are the strides the
 /// inter-launch comm-elision analysis may treat as partition keys: a GPU
 /// running iteration range `[lo, hi)` touches exactly `[S*lo, S*hi)`.
 pub(crate) fn own_partition_strides(
-    body: &[ir::Stmt],
-    n_locals: usize,
-    buf: ir::BufId,
+    candidates: &[(StrideRef, BufSites)],
     local_map: &BTreeMap<u32, u32>,
 ) -> Vec<ir::Expr> {
-    if has_atomic(body, buf) {
-        return Vec::new();
-    }
     let mut out = Vec::new();
-    for sr in candidate_strides(body, buf) {
-        if own_partition_ok(body, n_locals, buf, sr) {
-            if let Some(e) = stride_expr(sr, local_map) {
+    for (sr, sites) in candidates {
+        if range::accesses_proved_local(sites, *sr) {
+            if let Some(e) = stride_expr(*sr, local_map) {
                 if !out.contains(&e) {
                     out.push(e);
                 }
@@ -168,8 +158,11 @@ fn render_expr(e: &ir::Expr, locals: &[(String, ir::Ty)]) -> String {
 
 /// Harvest candidate strides from the index expressions of every access
 /// to `buf`, in deterministic traversal order.
-fn candidate_strides(body: &[ir::Stmt], buf: ir::BufId) -> Vec<StrideRef> {
-    let assigned = range::assigned_locals(body);
+pub(crate) fn candidate_strides(
+    body: &[ir::Stmt],
+    buf: ir::BufId,
+    assigned: &BTreeSet<ir::LocalId>,
+) -> Vec<StrideRef> {
     let mut out: Vec<StrideRef> = Vec::new();
     let mut push = |sr: StrideRef| {
         if !out.contains(&sr) {
@@ -241,28 +234,11 @@ fn has_tid(e: &ir::Expr) -> bool {
     found
 }
 
-fn has_atomic(body: &[ir::Stmt], buf: ir::BufId) -> bool {
-    let mut found = false;
-    for s in body {
-        s.visit(&mut |s| {
-            if matches!(s, ir::Stmt::AtomicRmw { buf: b, .. } if *b == buf) {
-                found = true;
-            }
-        });
-    }
-    found
-}
-
 // ---------- validation & window derivation ----------
 
-/// Validate candidate `sr` for `buf` and derive the rounded halos.
-fn try_window(
-    body: &[ir::Stmt],
-    n_locals: usize,
-    buf: ir::BufId,
-    sr: StrideRef,
-) -> Option<(Halo, Halo)> {
-    let sites = range::collect(body, n_locals, buf, sr);
+/// Validate candidate `sr` against the sites collected under it and
+/// derive the rounded halos.
+fn try_window(sites: &BufSites, sr: StrideRef) -> Option<(Halo, Halo)> {
     if sites.loads.is_empty() && sites.stores.is_empty() {
         return None;
     }
@@ -276,7 +252,7 @@ fn try_window(
     }
     // Stores must stay inside the iteration's own partition: inference
     // only proposes distribution when the write-miss path stays silent.
-    if !sites.stores.is_empty() && !range::stores_proved_local(&sites, sr) {
+    if !sites.stores.is_empty() && !range::stores_proved_local(sites, sr) {
         return None;
     }
     let mut left = SymBound::konst(0);
@@ -286,23 +262,6 @@ fn try_window(
         right = sym_max(right, f.offset.hi + SymBound { a: -1, k: 1 }, sr)?;
     }
     Some((round_halo(left, sr)?, round_halo(right, sr)?))
-}
-
-/// True when every access to `buf` provably stays in `[S*i, S*(i+1)-1]`.
-fn own_partition_ok(body: &[ir::Stmt], n_locals: usize, buf: ir::BufId, sr: StrideRef) -> bool {
-    let sites = range::collect(body, n_locals, buf, sr);
-    if sites.loads.is_empty() && sites.stores.is_empty() {
-        return false;
-    }
-    let within = |f: &Option<range::IndexForm>| match f {
-        Some(f) => {
-            f.coeff_is_stride(sr)
-                && SymBound::konst(0).le(f.offset.lo, sr)
-                && f.offset.hi.le(SymBound { a: 1, k: -1 }, sr)
-        }
-        None => false,
-    };
-    sites.loads.iter().all(within) && sites.stores.iter().all(within)
 }
 
 /// Least upper bound of two symbolic bounds, `None` when incomparable.

@@ -43,7 +43,7 @@ pub use dataflow::{wavefront_eligible, CommPlan, ElideFact, OverlapFact, Overlap
 pub use depend::{BufDepend, DependVerdict, Direction, DisjointProof, Distance};
 pub use hostgen::HostOp;
 pub use infer::{render_annotation, render_reduction};
-pub use lint::{lint_function, lint_source, lint_source_with};
+pub use lint::{lint_function, lint_program, lint_source, lint_source_with};
 
 /// Compiler options selecting which paper features are active. The
 /// evaluation's program versions map to:
@@ -120,12 +120,33 @@ impl CompileOptions {
 pub enum CompileError {
     /// The requested entry function does not exist.
     NoSuchFunction(String),
+    /// A parallel loop translated to a kernel the IR validator rejects.
+    InvalidKernel {
+        kernel: String,
+        /// Source span of the parallel loop.
+        span: acc_minic::diag::Span,
+        reason: String,
+    },
+}
+
+impl CompileError {
+    /// The error as a frontend-style diagnostic (the linter's error path).
+    pub(crate) fn diagnostic(&self) -> acc_minic::diag::Diagnostic {
+        let span = match self {
+            CompileError::NoSuchFunction(_) => Default::default(),
+            CompileError::InvalidKernel { span, .. } => *span,
+        };
+        acc_minic::diag::Diagnostic::error(span, self.to_string())
+    }
 }
 
 impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CompileError::NoSuchFunction(n) => write!(f, "no function named `{n}`"),
+            CompileError::InvalidKernel { kernel, reason, .. } => {
+                write!(f, "translator produced invalid kernel {kernel}: {reason}")
+            }
         }
     }
 }
@@ -232,9 +253,16 @@ pub fn compile(
     let f = program
         .function(function)
         .ok_or_else(|| CompileError::NoSuchFunction(function.to_string()))?;
+    compile_function(f, options)
+}
 
-    let mut kernels = Vec::new();
-    let host = hostgen::lower_host(&f.body, f, options, &mut kernels);
+/// Translate one type-checked function: the single place kernels are
+/// extracted, shared by [`compile`] and the linter.
+pub(crate) fn compile_function(
+    f: &hir::TypedFunction,
+    options: &CompileOptions,
+) -> Result<CompiledProgram, CompileError> {
+    let (host, kernels) = hostgen::lower_host(f, options)?;
     let comm_plan = dataflow::comm_plan(&kernels, &host);
     let overlap_plan = dataflow::overlap_plan(&kernels);
 

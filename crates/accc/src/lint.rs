@@ -1,8 +1,13 @@
 //! `acc-lint`: the static multi-GPU consistency linter.
 //!
-//! Materializes the per-array verdicts the translator records in
-//! [`crate::config::ArrayLint`] — plus a host-side staleness walk — into
-//! structured [`Diagnostic`]s with stable codes:
+//! The linter is a *reader* of [`CompiledProgram`]: it runs no analysis
+//! of its own. [`lint_program`] formats the per-array verdicts the
+//! translator recorded in [`crate::config::ArrayLint`] and walks the
+//! compiled host program ([`HostOp`]) for staleness, producing
+//! structured [`Diagnostic`]s with stable codes; [`lint_function`] and
+//! [`lint_source`] compile first and then read.
+//!
+//! The codes:
 //!
 //! * **ACC-W001 overlapping-stores** — a kernel stores thread-dependent
 //!   values at overlapping (broadcast or irregular) indices; with the
@@ -52,20 +57,24 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use acc_kernel_ir as ir;
-use acc_minic::diag::{Diagnostic, Span};
+use acc_minic::diag::Diagnostic;
 use acc_minic::directive::DataClauseKind;
-use acc_minic::hir::{self, HostStmt, TypedDataClause};
+use acc_minic::hir;
 
 use crate::affine::{classify, AccessPattern};
-use crate::{extract, range, CompileOptions};
+use crate::hostgen::CompiledClause;
+use crate::{CompileOptions, CompiledProgram, DependVerdict, HostOp, Placement};
 
 /// Count the store-hazard sites for one buffer of a (remapped) kernel
 /// body: `(overlapping-stores, unannotated-rmw)`. A store is hazardous
 /// when its index is not thread-disjoint (broadcast or irregular) and its
 /// value is thread-dependent; a self-load of the same buffer at the same
 /// index makes it an unannotated RMW instead (ACC-W002 subsumes W001).
-pub(crate) fn store_hazards(body: &[ir::Stmt], buf: ir::BufId) -> (usize, usize) {
-    let assigned = range::assigned_locals(body);
+pub(crate) fn store_hazards(
+    body: &[ir::Stmt],
+    buf: ir::BufId,
+    assigned: &BTreeSet<ir::LocalId>,
+) -> (usize, usize) {
     let mut overlap = 0;
     let mut rmw = 0;
     for s in body {
@@ -109,20 +118,29 @@ pub(crate) fn store_hazards(body: &[ir::Stmt], buf: ir::BufId) -> (usize, usize)
     (overlap, rmw)
 }
 
-/// Lint one function: extract every kernel (with the given options),
-/// materialize the per-array verdicts, and run the host staleness walk.
-pub fn lint_function(f: &hir::TypedFunction, options: &CompileOptions) -> Vec<Diagnostic> {
+/// Materialize the diagnostics of a compiled function: the per-array
+/// verdicts its kernels recorded, in launch order, plus the host
+/// staleness walk over its host program.
+pub fn lint_program(prog: &CompiledProgram) -> Vec<Diagnostic> {
     let mut l = HostLint {
-        f,
-        options,
-        present: Vec::new(),
+        prog,
+        regions: Vec::new(),
         stale: BTreeMap::new(),
         emitted: BTreeSet::new(),
-        kernel_seen: BTreeSet::new(),
+        kernel_seen: vec![false; prog.kernels.len()],
         diags: Vec::new(),
     };
-    l.walk_block(&f.body);
+    l.walk_block(&prog.host);
     l.diags
+}
+
+/// Lint one function: compile it (with the given options) and read the
+/// result. A translator failure becomes the single error diagnostic.
+pub fn lint_function(f: &hir::TypedFunction, options: &CompileOptions) -> Vec<Diagnostic> {
+    match crate::compile_function(f, options) {
+        Ok(prog) => lint_program(&prog),
+        Err(e) => vec![e.diagnostic()],
+    }
 }
 
 /// Lint every function of a source file with the full proposal options.
@@ -139,46 +157,46 @@ pub fn lint_source_with(
     options: &CompileOptions,
 ) -> Result<Vec<Diagnostic>, Vec<Diagnostic>> {
     let typed = acc_minic::frontend(src)?;
-    Ok(typed
-        .functions
-        .iter()
-        .flat_map(|f| lint_function(f, options))
-        .collect())
+    let mut diags = Vec::new();
+    for f in &typed.functions {
+        let prog = crate::compile_function(f, options).map_err(|e| vec![e.diagnostic()])?;
+        diags.extend(lint_program(&prog));
+    }
+    Ok(diags)
 }
 
 struct HostLint<'a> {
-    f: &'a hir::TypedFunction,
-    options: &'a CompileOptions,
-    /// Arrays made device-present by enclosing data regions (a nested
-    /// `copy` clause on a present array is a no-op, so it does not flush
-    /// at the inner exit).
-    present: Vec<BTreeSet<usize>>,
-    /// Device-written arrays whose host copy is stale, with the writing
-    /// kernel's span and name.
-    stale: BTreeMap<usize, (Span, String)>,
-    /// `(array, span.start, span.end)` of already-emitted W004s (the
-    /// while-body double walk would otherwise duplicate them).
-    emitted: BTreeSet<(usize, usize, usize)>,
-    /// Kernel spans whose per-array verdict diagnostics were already
-    /// emitted — the double walk of host loop bodies (see
-    /// [`HostLint::walk_stmt`]) revisits each launch site, but the
-    /// dependence verdicts are per-kernel statics and must not repeat.
-    kernel_seen: BTreeSet<(usize, usize)>,
+    prog: &'a CompiledProgram,
+    /// Clauses of the open data regions, innermost last. Their arrays are
+    /// device-present (a nested `copy` clause on a present array is a
+    /// no-op, so it does not flush at the inner exit).
+    regions: Vec<&'a [CompiledClause]>,
+    /// Device-written arrays whose host copy is stale, with the index of
+    /// the writing kernel.
+    stale: BTreeMap<usize, usize>,
+    /// `(array, kernel)` of already-emitted W004s (the while-body double
+    /// walk would otherwise duplicate them).
+    emitted: BTreeSet<(usize, usize)>,
+    /// Kernels whose per-array verdict diagnostics were already emitted —
+    /// the double walk of host loop bodies (see [`HostLint::walk_op`])
+    /// revisits each launch site, but the dependence verdicts are
+    /// per-kernel statics and must not repeat.
+    kernel_seen: Vec<bool>,
     diags: Vec<Diagnostic>,
 }
 
-impl HostLint<'_> {
-    fn walk_block(&mut self, stmts: &[HostStmt]) {
-        for s in stmts {
-            self.walk_stmt(s);
+impl<'a> HostLint<'a> {
+    fn walk_block(&mut self, ops: &'a [HostOp]) {
+        for op in ops {
+            self.walk_op(op);
         }
     }
 
-    fn walk_stmt(&mut self, s: &HostStmt) {
-        match s {
-            HostStmt::Plain(stmt) => self.check_host_reads_stmt(stmt),
-            HostStmt::If { cond, then_, else_ } => {
-                self.check_host_reads_expr(cond);
+    fn walk_op(&mut self, op: &'a HostOp) {
+        match op {
+            HostOp::Plain(stmt) => stmt.visit_exprs(&mut |e| self.check_host_read(e)),
+            HostOp::If { cond, then_, else_ } => {
+                cond.visit(&mut |e| self.check_host_read(e));
                 let entry = self.stale.clone();
                 self.walk_block(then_);
                 let after_then = std::mem::replace(&mut self.stale, entry);
@@ -186,109 +204,115 @@ impl HostLint<'_> {
                 // Either branch may have run: union of staleness.
                 self.stale.extend(after_then);
             }
-            HostStmt::While { cond, body } => {
-                self.check_host_reads_expr(cond);
+            HostOp::While { cond, body } => {
+                cond.visit(&mut |e| self.check_host_read(e));
                 // Walk twice so a kernel write late in the body is seen
                 // by host reads early in the next iteration; `emitted`
                 // dedups the repeated sites.
                 let entry = self.stale.clone();
                 self.walk_block(body);
-                self.check_host_reads_expr(cond);
+                cond.visit(&mut |e| self.check_host_read(e));
                 self.walk_block(body);
                 // The loop may have run zero times.
                 self.stale.extend(entry);
             }
-            HostStmt::DataRegion { clauses, body } => {
-                self.present.push(clause_arrays(clauses));
-                self.walk_block(body);
-                self.present.pop();
-                self.flush_on_exit(clauses);
-            }
-            HostStmt::ParallelLoop(node) => self.visit_kernel(node),
-            HostStmt::Update { host, .. } => {
-                for sec in host {
-                    self.stale.remove(&(sec.buf.0 as usize));
+            HostOp::DataEnter { clauses, .. } => self.regions.push(clauses),
+            // Regions nest, so the exit always closes the innermost one:
+            // its copy/copyout sections flush unless an enclosing region
+            // keeps the array present.
+            HostOp::DataExit { .. } => {
+                let clauses = self.regions.pop().unwrap_or_default();
+                for c in clauses {
+                    if matches!(c.kind, DataClauseKind::Copy | DataClauseKind::CopyOut) {
+                        for sec in &c.sections {
+                            if !self.present(sec.array) {
+                                self.stale.remove(&sec.array);
+                            }
+                        }
+                    }
                 }
             }
-            HostStmt::Return => {}
+            HostOp::Launch { kernel } => self.visit_kernel(*kernel),
+            HostOp::Update { to_host, .. } => {
+                for sec in to_host {
+                    self.stale.remove(&sec.array);
+                }
+            }
+            HostOp::Return => {}
         }
     }
 
-    fn visit_kernel(&mut self, node: &hir::ParallelLoopNode) {
-        let ck = extract::extract_kernel(node, self.f, self.options);
-        let fresh = self.kernel_seen.insert((node.span.start, node.span.end));
+    fn present(&self, array: usize) -> bool {
+        self.regions
+            .iter()
+            .flat_map(|clauses| clauses.iter())
+            .any(|c| c.sections.iter().any(|s| s.array == array))
+    }
+
+    fn visit_kernel(&mut self, kidx: usize) {
+        let prog = self.prog;
+        let ck = &prog.kernels[kidx];
+        let fresh = !std::mem::replace(&mut self.kernel_seen[kidx], true);
+        let span = ck.span;
+        let kname = &ck.kernel.name;
         for cfg in &ck.configs {
-            let kname = &ck.kernel.name;
-            let aname = &cfg.name;
+            if cfg.mode.writes() {
+                self.stale.insert(cfg.array, kidx);
+            }
             if !fresh {
                 // Revisit from an enclosing host loop's second walk:
                 // only the staleness tracking repeats.
-                if cfg.mode.writes() {
-                    self.stale
-                        .insert(cfg.array, (node.span, ck.kernel.name.clone()));
-                }
                 continue;
             }
+            let aname = &prog.array_params[cfg.array].0;
+            let pragma = |la: &crate::LocalAccessParams| {
+                crate::infer::render_annotation(aname, la, &prog.locals)
+            };
+            let mut emit = |code: &'static str, message: String| {
+                self.diags
+                    .push(Diagnostic::warning(span, message).with_code(code));
+            };
             // Definite dependence verdicts first: a proven race subsumes
             // the heuristic overlap counts (W001/W002) for this array.
-            let mut race_reported = false;
-            if cfg.lint.verdict == crate::depend::DependVerdict::Race
-                && cfg.placement == crate::config::Placement::Distributed
-            {
-                race_reported = true;
-                self.diags.push(
-                    Diagnostic::warning(
-                        node.span,
-                        format!(
-                            "kernel `{kname}`: cross-GPU race on distributed \
-                             `{aname}` — distinct iterations provably write \
-                             diverging values to the same element, so the \
-                             result depends on the partition boundary"
-                        ),
-                    )
-                    .with_code("ACC-W005"),
+            let race_reported =
+                cfg.lint.verdict == DependVerdict::Race && cfg.placement == Placement::Distributed;
+            if race_reported {
+                emit(
+                    "ACC-W005",
+                    format!(
+                        "kernel `{kname}`: cross-GPU race on distributed \
+                         `{aname}` — distinct iterations provably write \
+                         diverging values to the same element, so the \
+                         result depends on the partition boundary"
+                    ),
                 );
             }
             match cfg.lint.verdict {
-                crate::depend::DependVerdict::LoopCarried => {
-                    self.diags.push(
-                        Diagnostic::warning(
-                            node.span,
-                            format!(
-                                "kernel `{kname}`: loop-carried dependence on \
-                                 `{aname}` — some iteration reads an element \
-                                 another iteration writes; distributed (or even \
-                                 reordered) execution changes which value is seen"
-                            ),
-                        )
-                        .with_code("ACC-W006"),
+                DependVerdict::LoopCarried => emit(
+                    "ACC-W006",
+                    format!(
+                        "kernel `{kname}`: loop-carried dependence on \
+                         `{aname}` — some iteration reads an element \
+                         another iteration writes; distributed (or even \
+                         reordered) execution changes which value is seen"
+                    ),
+                ),
+                DependVerdict::CarriedLocal { distance } if cfg.lint.carried_fits_halo() => {
+                    let pragma = cfg.localaccess.as_ref().map(pragma).unwrap_or_default();
+                    emit(
+                        "ACC-I003",
+                        format!(
+                            "kernel `{kname}`: loop-carried dependence on \
+                             `{aname}` proved local — carried distance \
+                             {distance} window(s) fits the declared halo \
+                             ({} left, {} right); `{pragma}` licenses a \
+                             wavefront schedule with halo-overlapped \
+                             transfers",
+                            cfg.lint.halo_windows.0, cfg.lint.halo_windows.1
+                        ),
                     );
                 }
-                crate::depend::DependVerdict::CarriedLocal { distance }
-                    if cfg.lint.carried_fits_halo() =>
-                {
-                    let pragma = cfg
-                        .localaccess
-                        .as_ref()
-                        .map(|la| crate::infer::render_annotation(aname, la, &self.f.locals))
-                        .unwrap_or_default();
-                    self.diags.push(
-                        Diagnostic::warning(
-                            node.span,
-                            format!(
-                                "kernel `{kname}`: loop-carried dependence on \
-                                 `{aname}` proved local — carried distance \
-                                 {distance} window(s) fits the declared halo \
-                                 ({} left, {} right); `{pragma}` licenses a \
-                                 wavefront schedule with halo-overlapped \
-                                 transfers",
-                                cfg.lint.halo_windows.0, cfg.lint.halo_windows.1
-                            ),
-                        )
-                        .with_code("ACC-I003"),
-                    );
-                }
-                crate::depend::DependVerdict::CarriedLocal { distance } => {
+                DependVerdict::CarriedLocal { distance } => {
                     let shortfall = match distance.halo_need() {
                         Some((need_l, need_r)) => format!(
                             "the declared halo spans only ({} left, {} right) of \
@@ -301,169 +325,105 @@ impl HostLint<'_> {
                                  can prove it local"
                             .to_string(),
                     };
-                    self.diags.push(
-                        Diagnostic::warning(
-                            node.span,
-                            format!(
-                                "kernel `{kname}`: loop-carried dependence on \
-                                 `{aname}` with carried distance {distance} \
-                                 window(s), but {shortfall}"
-                            ),
-                        )
-                        .with_code("ACC-W006"),
+                    emit(
+                        "ACC-W006",
+                        format!(
+                            "kernel `{kname}`: loop-carried dependence on \
+                             `{aname}` with carried distance {distance} \
+                             window(s), but {shortfall}"
+                        ),
                     );
                 }
                 _ => {}
             }
             if cfg.lint.unannotated_rmw > 0 && !race_reported {
-                self.diags.push(
-                    Diagnostic::warning(
-                        node.span,
-                        format!(
-                            "kernel `{kname}`: read-modify-write of `{aname}` at \
-                             overlapping indices without `reductiontoarray`; \
-                             per-GPU partial updates would be lost \
-                             ({} site(s))",
-                            cfg.lint.unannotated_rmw
-                        ),
-                    )
-                    .with_code("ACC-W002"),
+                emit(
+                    "ACC-W002",
+                    format!(
+                        "kernel `{kname}`: read-modify-write of `{aname}` at \
+                         overlapping indices without `reductiontoarray`; \
+                         per-GPU partial updates would be lost \
+                         ({} site(s))",
+                        cfg.lint.unannotated_rmw
+                    ),
                 );
             }
             if cfg.lint.overlap_stores > 0 && !race_reported {
-                self.diags.push(
-                    Diagnostic::warning(
-                        node.span,
-                        format!(
-                            "kernel `{kname}`: stores thread-dependent values to \
-                             `{aname}` at overlapping indices; replica \
-                             reconciliation order decides which value survives \
-                             ({} site(s))",
-                            cfg.lint.overlap_stores
-                        ),
-                    )
-                    .with_code("ACC-W001"),
+                emit(
+                    "ACC-W001",
+                    format!(
+                        "kernel `{kname}`: stores thread-dependent values to \
+                         `{aname}` at overlapping indices; replica \
+                         reconciliation order decides which value survives \
+                         ({} site(s))",
+                        cfg.lint.overlap_stores
+                    ),
                 );
             }
             if cfg.lint.window_violations > 0 {
-                self.diags.push(
-                    Diagnostic::warning(
-                        node.span,
-                        format!(
-                            "kernel `{kname}`: loads of `{aname}` provably escape \
-                             the declared localaccess window for every stride \
-                             ({} of {} comparable site(s)); the data loader \
-                             will under-allocate",
-                            cfg.lint.window_violations, cfg.lint.window_checked
-                        ),
-                    )
-                    .with_code("ACC-W003"),
+                emit(
+                    "ACC-W003",
+                    format!(
+                        "kernel `{kname}`: loads of `{aname}` provably escape \
+                         the declared localaccess window for every stride \
+                         ({} of {} comparable site(s)); the data loader \
+                         will under-allocate",
+                        cfg.lint.window_violations, cfg.lint.window_checked
+                    ),
                 );
             }
-            if self.options.infer_localaccess && cfg.inferred_used {
-                let la = cfg.localaccess.as_ref().unwrap();
-                let pragma = crate::infer::render_annotation(aname, la, &self.f.locals);
-                self.diags.push(
-                    Diagnostic::warning(
-                        node.span,
+            if prog.options.infer_localaccess && cfg.inferred_used {
+                if let Some(la) = &cfg.localaccess {
+                    let pragma = pragma(la);
+                    emit(
+                        "ACC-I001",
                         format!(
                             "kernel `{kname}`: every access of `{aname}` fits a \
                              provable localaccess window; add `{pragma}` to \
                              distribute the array instead of replicating it"
                         ),
-                    )
-                    .with_code("ACC-I001"),
+                    );
+                }
+            }
+            if let Some(op) = cfg.inferred_reduction.filter(|_| prog.options.infer_reductions) {
+                let pragma = crate::infer::render_reduction(aname, op);
+                emit(
+                    "ACC-I002",
+                    format!(
+                        "kernel `{kname}`: every write of `{aname}` is a \
+                         uniform read-modify-write; add `{pragma}` inside \
+                         the loop to merge per-GPU partials instead of \
+                         racing on replicas"
+                    ),
                 );
             }
-            if self.options.infer_reductions {
-                if let Some(op) = cfg.inferred_reduction {
-                    let pragma = crate::infer::render_reduction(aname, op);
-                    self.diags.push(
-                        Diagnostic::warning(
-                            node.span,
-                            format!(
-                                "kernel `{kname}`: every write of `{aname}` is a \
-                                 uniform read-modify-write; add `{pragma}` inside \
-                                 the loop to merge per-GPU partials instead of \
-                                 racing on replicas"
-                            ),
-                        )
-                        .with_code("ACC-I002"),
-                    );
-                }
-            }
-            if cfg.mode.writes() {
-                self.stale
-                    .insert(cfg.array, (node.span, ck.kernel.name.clone()));
-            }
-        }
-        // A combined directive's data clauses form an implicit region
-        // around the single launch: copy/copyout flush at its exit.
-        self.flush_on_exit(&node.data_clauses);
-    }
-
-    fn flush_on_exit(&mut self, clauses: &[TypedDataClause]) {
-        let outer: BTreeSet<usize> = self.present.iter().flatten().copied().collect();
-        for c in clauses {
-            if matches!(c.kind, DataClauseKind::Copy | DataClauseKind::CopyOut) {
-                for sec in &c.sections {
-                    let arr = sec.buf.0 as usize;
-                    if !outer.contains(&arr) {
-                        self.stale.remove(&arr);
-                    }
-                }
-            }
         }
     }
 
-    fn check_host_reads_stmt(&mut self, stmt: &ir::Stmt) {
-        let mut reads = Vec::new();
-        stmt.visit_exprs(&mut |e| collect_reads(e, &mut reads));
-        self.report_stale_reads(&reads);
-    }
-
-    fn check_host_reads_expr(&mut self, e: &ir::Expr) {
-        let mut reads = Vec::new();
-        collect_reads(e, &mut reads);
-        self.report_stale_reads(&reads);
-    }
-
-    fn report_stale_reads(&mut self, reads: &[usize]) {
-        for &arr in reads {
-            if let Some((span, kname)) = self.stale.get(&arr).cloned() {
-                if self.emitted.insert((arr, span.start, span.end)) {
-                    let aname = &self.f.array_params[arr].0;
-                    self.diags.push(
-                        Diagnostic::warning(
-                            span,
-                            format!(
-                                "host code reads `{aname}` after kernel `{kname}` \
-                                 wrote it on the device, with no intervening \
-                                 `update host` or flushing region exit; the host \
-                                 sees pre-kernel data"
-                            ),
-                        )
-                        .with_code("ACC-W004"),
-                    );
-                }
-            }
+    /// Report `e`, if it is a host load of an array whose host copy is
+    /// stale (ACC-W004, once per array × writing kernel).
+    fn check_host_read(&mut self, e: &ir::Expr) {
+        let ir::Expr::Load { buf, .. } = e else { return };
+        let arr = buf.0 as usize;
+        let Some(&kidx) = self.stale.get(&arr) else { return };
+        if self.emitted.insert((arr, kidx)) {
+            let ck = &self.prog.kernels[kidx];
+            let aname = &self.prog.array_params[arr].0;
+            let kname = &ck.kernel.name;
+            self.diags.push(
+                Diagnostic::warning(
+                    ck.span,
+                    format!(
+                        "host code reads `{aname}` after kernel `{kname}` \
+                         wrote it on the device, with no intervening \
+                         `update host` or flushing region exit; the host \
+                         sees pre-kernel data"
+                    ),
+                )
+                .with_code("ACC-W004"),
+            );
         }
     }
-}
-
-fn collect_reads(e: &ir::Expr, out: &mut Vec<usize>) {
-    e.visit(&mut |e| {
-        if let ir::Expr::Load { buf, .. } = e {
-            out.push(buf.0 as usize);
-        }
-    });
-}
-
-fn clause_arrays(clauses: &[TypedDataClause]) -> BTreeSet<usize> {
-    clauses
-        .iter()
-        .flat_map(|c| c.sections.iter().map(|s| s.buf.0 as usize))
-        .collect()
 }
 
 #[cfg(test)]

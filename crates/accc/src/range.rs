@@ -261,19 +261,31 @@ pub fn collect(body: &[Stmt], n_locals: usize, buf: ir::BufId, stride: StrideRef
     w.out
 }
 
+/// The site decomposed and provably inside `[S*tid, S*(tid+1) - 1]`.
+fn within_own_partition(f: &Option<IndexForm>, stride: StrideRef) -> bool {
+    f.is_some_and(|f| {
+        f.coeff_is_stride(stride)
+            && SymBound::konst(0).le(f.offset.lo, stride)
+            && f.offset.hi.le(SymBound { a: 1, k: -1 }, stride)
+    })
+}
+
 /// Every store decomposed and provably inside `[S*tid, S*(tid+1) - 1]`.
 /// Mirrors `BufUsage::stores_within_own_stride`: vacuously false when the
 /// buffer has no stores.
 pub fn stores_proved_local(sites: &BufSites, stride: StrideRef) -> bool {
-    !sites.stores.is_empty()
-        && sites.stores.iter().all(|f| match f {
-            Some(f) => {
-                f.coeff_is_stride(stride)
-                    && SymBound::konst(0).le(f.offset.lo, stride)
-                    && f.offset.hi.le(SymBound { a: 1, k: -1 }, stride)
-            }
-            None => false,
-        })
+    !sites.stores.is_empty() && sites.stores.iter().all(|f| within_own_partition(f, stride))
+}
+
+/// Every access — loads and stores — provably inside the iteration's own
+/// partition (false when the buffer is not accessed at all).
+pub(crate) fn accesses_proved_local(sites: &BufSites, stride: StrideRef) -> bool {
+    !(sites.loads.is_empty() && sites.stores.is_empty())
+        && sites
+            .loads
+            .iter()
+            .chain(&sites.stores)
+            .all(|f| within_own_partition(f, stride))
 }
 
 /// Result of checking decomposed loads against a declared window.

@@ -621,16 +621,16 @@ impl<'a> Run<'a> {
 
         let kernel = &ck.kernel;
         let reg = self.reg_code(kidx);
-        // Wavefront schedule: when the compiler proved every carried
-        // dependence of this launch *local* (distance inside the declared
-        // halo), the GPUs run sequentially in partition order, each fed
-        // its left halo with the rows its predecessors just wrote, so
-        // dependent outer iterations pipeline across the GPUs with the
-        // exact semantics of the sequential loop. Pricing is an honest
-        // pipeline: GPU g starts once GPU g-1 finished *and* g's halo
-        // feed landed. Launches the proof does not license fall back to
-        // the parallel equal division.
-        let wavefront = self.cfg.schedule == Schedule::Wavefront
+        // Wavefront: when the compiler proved every carried dependence
+        // of this launch *local* (distance inside the declared halo), the
+        // equal division runs the GPUs sequentially in partition order,
+        // each fed its left halo with the rows its predecessors just
+        // wrote, so dependent outer iterations pipeline across the GPUs
+        // with the exact semantics of the sequential loop. Pricing is an
+        // honest pipeline: GPU g starts once GPU g-1 finished *and* g's
+        // halo feed landed. Launches the proof does not license run the
+        // division in parallel.
+        let wavefront = self.cfg.schedule == Schedule::Equal
             && ngpus > 1
             && acc_compiler::wavefront_eligible(ck);
         let mut outs: Vec<Result<JobOut, ir::ExecError>> = Vec::with_capacity(ngpus);

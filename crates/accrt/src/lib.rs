@@ -103,7 +103,13 @@ impl SanitizeLevel {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Schedule {
     /// The paper's equal static division (§IV-B2). The default; runs are
-    /// bit-identical to a runtime without the mapper.
+    /// bit-identical to a runtime without the mapper. Launches whose
+    /// every loop-carried dependence the compiler proved *local*
+    /// (`acc_compiler::wavefront_eligible`: `CarriedLocal` with a distance
+    /// inside the declared halo) run the division as a pipelined
+    /// wavefront — the GPUs go in partition order, each fed its left halo
+    /// with the rows its predecessors just wrote — so their results stay
+    /// bit-identical to the sequential loop. See `docs/analysis.md`.
     #[default]
     Equal,
     /// Counter-feedback proportional splitting: each kernel's previous
@@ -113,14 +119,6 @@ pub enum Schedule {
     /// The first launch of a kernel falls back to the equal division.
     /// See `docs/scheduling.md`.
     CostModel,
-    /// Pipelined wavefront over the equal static division: for launches
-    /// whose every loop-carried dependence the compiler proved *local*
-    /// (`CarriedLocal` with a distance inside the declared halo), the
-    /// GPUs run in partition order, each fed its left halo with the rows
-    /// its predecessors just wrote. Functional results stay bit-identical
-    /// to the sequential loop; launches the proof does not license fall
-    /// back to the parallel equal division. See `docs/analysis.md`.
-    Wavefront,
 }
 
 /// Runtime configuration.

@@ -6,7 +6,7 @@
 //! [`acc_compiler::force_carried_local`] — is refused with the stable
 //! `ACC-R012` code *before* any corrupted array state escapes the
 //! devices. The positive half (honest claims run clean and the
-//! wavefront schedule is bit-identical to the sequential loop) rides
+//! wavefront the proof licenses is bit-identical to the sequential loop) rides
 //! along, plus a property test that affine pairs with a constant
 //! distance get exactly `Distance::Exact(d)`.
 
@@ -15,7 +15,7 @@ use acc_compiler::{
 };
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, SanitizeKind, Value};
-use acc_runtime::{run_program, ExecConfig, RunError, RunReport, SanitizeLevel, Schedule};
+use acc_runtime::{run_program, ExecConfig, RunError, RunReport, SanitizeLevel};
 use proptest::prelude::*;
 
 const N: i32 = 96;
@@ -80,9 +80,7 @@ fn honest_distance_claim_runs_clean_and_wavefront_is_exact() {
     let mut expect = y.clone();
     oracle(&mut expect);
     for ngpus in 1..=3 {
-        let cfg = ExecConfig::gpus(ngpus)
-            .schedule(Schedule::Wavefront)
-            .sanitize(SanitizeLevel::Full);
+        let cfg = ExecConfig::gpus(ngpus).sanitize(SanitizeLevel::Full);
         let r = run(&prog, &cfg, &y).unwrap();
         assert_eq!(r.trace.counters().sanitize_violations, 0, "ngpus={ngpus}");
         // Bit-identical to the sequential recurrence on any GPU count.
@@ -105,9 +103,7 @@ fn mislabeled_distance_is_refused_with_acc_r012() {
     );
     let y = input();
     for ngpus in 2..=3 {
-        let cfg = ExecConfig::gpus(ngpus)
-            .schedule(Schedule::Wavefront)
-            .sanitize(SanitizeLevel::Full);
+        let cfg = ExecConfig::gpus(ngpus).sanitize(SanitizeLevel::Full);
         let err = run(&forged, &cfg, &y).unwrap_err();
         assert_eq!(err.code(), "ACC-R012", "ngpus={ngpus}");
         match err {
@@ -130,7 +126,7 @@ fn mislabeled_distance_is_refused_with_acc_r012() {
     // The unsanitized run trusts the (wrong) claim, like every audit —
     // the refusal above is what stands between the mislabel and silently
     // corrupted results.
-    run(&forged, &ExecConfig::gpus(2).schedule(Schedule::Wavefront), &y).unwrap();
+    run(&forged, &ExecConfig::gpus(2), &y).unwrap();
 }
 
 proptest! {

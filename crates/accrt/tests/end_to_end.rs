@@ -721,3 +721,50 @@ fn register_vm_is_observationally_identical_end_to_end() {
         }
     }
 }
+
+/// The translator's hostile corpus (`accc/tests/corpus`): loops that
+/// declare one name in two sibling scopes capture both locals, and the
+/// kernels compute the right thing on every GPU count.
+#[test]
+fn sibling_scope_redeclarations_run_correctly_on_1_2_3_gpus() {
+    let (n, m) = (60usize, 5usize);
+    let xm: Vec<f64> = (0..n * m).map(|i| (i % 11) as f64 * 0.25).collect();
+    let xf: Vec<f32> = (0..n).map(|i| (i % 4) as f32 * 0.25).collect();
+    let xd: Vec<f64> = (0..n).map(|i| (i % 9) as f64 - 4.0).collect();
+    let expect_for: Vec<f64> = (0..n)
+        .map(|i| 3.0 * xm[i * m..(i + 1) * m].iter().sum::<f64>())
+        .collect();
+    let expect_if: Vec<f32> = xf
+        .iter()
+        .map(|&v| if v > 0.5 { v * 2.0 + 1.0 } else { v * 0.5 - 1.0 })
+        .collect();
+    let expect_blocks: Vec<f64> = (0..n)
+        .map(|i| (i + 1) as f64 + xd[i] * xd[i] + (3 * i) as f64)
+        .collect();
+    for ngpus in 1..=3 {
+        let r = run_gpu(
+            include_str!("../../accc/tests/corpus/sibling_for.c"),
+            "sibling_for",
+            ngpus,
+            vec![Value::I32(n as i32), Value::I32(m as i32)],
+            vec![Buffer::from_f64(&xm), Buffer::from_f64(&vec![0.0; n])],
+        );
+        assert_eq!(r.arrays[1].to_f64_vec(), expect_for, "ngpus={ngpus}");
+        let r = run_gpu(
+            include_str!("../../accc/tests/corpus/sibling_if.c"),
+            "sibling_if",
+            ngpus,
+            vec![Value::I32(n as i32)],
+            vec![Buffer::from_f32(&xf), Buffer::from_f32(&vec![0.0; n])],
+        );
+        assert_eq!(r.arrays[1].to_f32_vec(), expect_if, "ngpus={ngpus}");
+        let r = run_gpu(
+            include_str!("../../accc/tests/corpus/sibling_blocks.c"),
+            "sibling_blocks",
+            ngpus,
+            vec![Value::I32(n as i32)],
+            vec![Buffer::from_f64(&xd), Buffer::from_f64(&vec![0.0; n])],
+        );
+        assert_eq!(r.arrays[1].to_f64_vec(), expect_blocks, "ngpus={ngpus}");
+    }
+}

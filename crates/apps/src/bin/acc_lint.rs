@@ -25,7 +25,7 @@
 //! declared `localaccess` window into a hard error.
 
 use acc_apps::{run_app_with_config, App, Scale, Version};
-use acc_compiler::{lint_source_with, CompileOptions};
+use acc_compiler::{lint_program, CompileOptions, CompiledProgram};
 use acc_gpusim::Machine;
 use acc_runtime::SanitizeLevel;
 
@@ -139,81 +139,70 @@ fn embedded_sources(rs: &str) -> Vec<String> {
     out
 }
 
-/// Lint one OpenACC source; returns `(warnings, infos)`, or `None` if it
-/// failed to compile (diagnostics printed either way). Informational
-/// `ACC-I*` diagnostics (inference suggestions, the ACC-I003 halo-local
-/// dependence downgrade) are counted separately so `--deny-warnings`
-/// does not deny them.
-fn lint_one(label: &str, src: &str, opts: &CompileOptions) -> Option<(usize, usize)> {
-    match lint_source_with(src, opts) {
-        Ok(diags) => {
-            for d in &diags {
-                println!("{label}: {}", d.render(src));
-            }
-            let infos = diags
-                .iter()
-                .filter(|d| d.code.is_some_and(|c| c.starts_with("ACC-I")))
-                .count();
-            Some((diags.len() - infos, infos))
-        }
+/// Run the frontend once and translate every function of one OpenACC
+/// source once; `None` (diagnostics printed) if it failed to compile.
+/// The compiled programs feed both the diagnostics and
+/// `--deny-divergence`.
+fn compile_functions(label: &str, src: &str, opts: &CompileOptions) -> Option<Vec<CompiledProgram>> {
+    let typed = match acc_minic::frontend(src) {
+        Ok(typed) => typed,
         Err(diags) => {
             for d in &diags {
                 eprintln!("{label}: {}", d.render_verbose(src));
             }
-            None
+            return None;
+        }
+    };
+    let mut progs = Vec::new();
+    for f in &typed.functions {
+        match acc_compiler::compile(&typed, &f.name, opts) {
+            Ok(p) => progs.push(p),
+            Err(e) => {
+                eprintln!("{label}: error: {e}");
+                return None;
+            }
         }
     }
+    Some(progs)
 }
 
-/// `--deny-divergence`: compile every function of the source with
-/// inference enabled and cross-check each hand-written annotation
-/// against what the analysis derives — `localaccess` windows against the
-/// whole-program dataflow, and `reductiontoarray` operators against the
-/// dependence analysis (the source is re-compiled with the reduction
-/// pragmas stripped, so inference sees the bare RMW pattern). A hand
-/// annotation the inference cannot reproduce exactly (differs, or
-/// derives nothing) is a divergence — either the annotation is wrong or
-/// the analysis lost precision; both deserve a failing CI signal.
-/// Returns the number of divergent kernel×array sites.
-fn check_divergence(label: &str, src: &str) -> usize {
-    let opts = CompileOptions {
-        infer_localaccess: true,
-        ..CompileOptions::proposal()
-    };
-    let Ok(typed) = acc_minic::frontend(src) else {
-        return 0; // compile failures are reported by the lint pass
-    };
-    let mut n = 0;
-    for f in &typed.functions {
-        let Ok(p) = acc_compiler::compile(&typed, &f.name, &opts) else {
-            continue;
-        };
-        n += check_reduction_divergence(label, src, &f.name, &p);
-        for k in &p.kernels {
-            for cfg in &k.configs {
-                // `inferred_used` means there was no hand annotation.
-                let Some(hand) = (!cfg.inferred_used).then_some(cfg.localaccess.as_ref()).flatten()
-                else {
-                    continue;
-                };
-                match &cfg.inferred {
-                    Some(inf) if inf == hand => {}
-                    Some(inf) => {
-                        println!(
-                            "{label}: divergence: kernel `{}` array `{}`: \
-                             hand-written {:?} but inference derives {:?}",
-                            k.kernel.name, cfg.name, hand, inf
-                        );
-                        n += 1;
-                    }
-                    None => {
-                        println!(
-                            "{label}: divergence: kernel `{}` array `{}`: \
-                             hand-written {:?} but inference derives nothing",
-                            k.kernel.name, cfg.name, hand
-                        );
-                        n += 1;
-                    }
+/// `--deny-divergence`: cross-check each hand-written annotation of a
+/// compiled function against what the analysis derives — `localaccess`
+/// windows against the whole-program dataflow (the translator records
+/// the inferred window whether or not it is consumed), and
+/// `reductiontoarray` operators against the dependence analysis (the
+/// source is re-compiled with the reduction pragmas stripped, so
+/// inference sees the bare RMW pattern). A hand annotation the inference
+/// cannot reproduce exactly (differs, or derives nothing) is a
+/// divergence — either the annotation is wrong or the analysis lost
+/// precision; both deserve a failing CI signal. Returns the number of
+/// divergent kernel×array sites.
+fn check_divergence(label: &str, src: &str, p: &CompiledProgram) -> usize {
+    let mut n = check_reduction_divergence(label, src, p);
+    for k in &p.kernels {
+        for cfg in &k.configs {
+            // `inferred_used` means there was no hand annotation.
+            let Some(hand) = (!cfg.inferred_used).then_some(cfg.localaccess.as_ref()).flatten()
+            else {
+                continue;
+            };
+            match &cfg.inferred {
+                Some(inf) if inf == hand => {}
+                Some(inf) => {
+                    println!(
+                        "{label}: divergence: kernel `{}` array `{}`: \
+                         hand-written {:?} but inference derives {:?}",
+                        k.kernel.name, cfg.name, hand, inf
+                    );
+                    n += 1;
+                }
+                None => {
+                    println!(
+                        "{label}: divergence: kernel `{}` array `{}`: \
+                         hand-written {:?} but inference derives nothing",
+                        k.kernel.name, cfg.name, hand
+                    );
+                    n += 1;
                 }
             }
         }
@@ -226,20 +215,20 @@ fn check_divergence(label: &str, src: &str) -> usize {
 /// `CompileOptions::infer_reductions`, and demand that the dependence
 /// analysis re-derives exactly the operator each hand annotation
 /// declared, for each annotated kernel×array.
-fn check_reduction_divergence(
-    label: &str,
-    src: &str,
-    function: &str,
-    annotated: &acc_compiler::CompiledProgram,
-) -> usize {
+fn check_reduction_divergence(label: &str, src: &str, annotated: &CompiledProgram) -> usize {
     use acc_compiler::Placement;
+    let function = &annotated.name;
+    // Under `--infer` the program also carries reductions the analysis
+    // applied itself; those are not hand annotations.
     let hand: Vec<(usize, usize, acc_kernel_ir::RmwOp)> = annotated
         .kernels
         .iter()
         .enumerate()
         .flat_map(|(ki, k)| {
             k.configs.iter().filter_map(move |c| match c.placement {
-                Placement::ReductionPrivate(op) => Some((ki, c.array, op)),
+                Placement::ReductionPrivate(op) if c.inferred_reduction.is_none() => {
+                    Some((ki, c.array, op))
+                }
                 _ => None,
             })
         })
@@ -293,15 +282,25 @@ fn run_static(args: &Args) -> ! {
     let mut targets = 0usize;
     let mut lint = |label: &str, src: &str| {
         targets += 1;
-        match lint_one(label, src, &opts) {
-            Some((w, i)) => {
-                warnings += w;
-                infos += i;
+        let Some(progs) = compile_functions(label, src, &opts) else {
+            broken += 1;
+            return;
+        };
+        // Informational `ACC-I*` diagnostics (inference suggestions, the
+        // ACC-I003 halo-local dependence downgrade) are counted
+        // separately so `--deny-warnings` does not deny them.
+        for d in progs.iter().flat_map(lint_program) {
+            println!("{label}: {}", d.render(src));
+            if d.code.is_some_and(|c| c.starts_with("ACC-I")) {
+                infos += 1;
+            } else {
+                warnings += 1;
             }
-            None => broken += 1,
         }
         if args.deny_divergence {
-            divergences += check_divergence(label, src);
+            for p in &progs {
+                divergences += check_divergence(label, src, p);
+            }
         }
     };
     if args.files.is_empty() {

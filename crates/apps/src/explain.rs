@@ -209,9 +209,9 @@ pub fn explain(code: &str) -> Option<&'static str> {
              dependence on this array to a constant interval of stride\n\
              windows, and the declared `localaccess` halo covers the whole\n\
              interval: every cross-iteration value a GPU needs already lands\n\
-             in its halo exchange. The dependence is real — a plain\n\
-             equal-partition launch still reads stale halos — but it is no\n\
-             longer grounds to refuse distribution: Schedule::Wavefront runs\n\
+             in its halo exchange. The dependence is real — a fully\n\
+             parallel launch would read stale halos — but it is no longer\n\
+             grounds to refuse distribution: the runtime's wavefront runs\n\
              the GPUs in partition order, feeding each one the freshly\n\
              written left-halo rows of its predecessors, and reproduces the\n\
              sequential loop bit-for-bit on any GPU count. The diagnostic\n\

@@ -17,15 +17,13 @@
 //! and because the declared halo `left(2*cols) right(cols)` covers the
 //! whole interval, the lint *downgrades* the pessimistic `ACC-W006` to the
 //! informational `ACC-I003`: the carried dependence is provably local to
-//! the halo, so the launch is legal under [`acc_runtime::Schedule::Wavefront`]
-//! — GPUs run in partition order, each fed the freshly written left-halo
-//! rows of its predecessors — and the distributed result is bit-identical
-//! to the sequential sweep on any GPU count (which the tests verify).
-//!
-//! A plain [`acc_runtime::Schedule::Equal`] launch on 2+ GPUs computes
-//! something else (stale left halos — a Jacobi/Gauss-Seidel hybrid); the
-//! negative-control test pins that divergence down, demonstrating *why*
-//! the wavefront license matters.
+//! the halo, so the runtime pipelines the default equal division as a
+//! wavefront — GPUs run in partition order, each fed the freshly written
+//! left-halo rows of its predecessors — and the distributed result is
+//! bit-identical to the sequential sweep on any GPU count (which the
+//! tests verify). Without the feed, GPU 1 would read stale left halos (a
+//! Jacobi/Gauss-Seidel hybrid); the boundary-heat test pins down that
+//! the default config never does.
 
 use acc_kernel_ir::{Buffer, Value};
 use rand::rngs::StdRng;
@@ -167,7 +165,7 @@ mod tests {
         compile_source, lint_source, CompileOptions, DependVerdict, Distance, Placement,
     };
     use acc_gpusim::Machine;
-    use acc_runtime::{run_program, ExecConfig, SanitizeLevel, Schedule};
+    use acc_runtime::{run_program, ExecConfig, SanitizeLevel};
 
     fn compiled() -> acc_compiler::CompiledProgram {
         compile_source(SOURCE, FUNCTION, &CompileOptions::proposal()).unwrap()
@@ -212,7 +210,7 @@ mod tests {
         for ngpus in 1..=3 {
             let mut m = Machine::supercomputer_node();
             let (scalars, arrays) = inputs(&input);
-            let ecfg = ExecConfig::gpus(ngpus).schedule(Schedule::Wavefront);
+            let ecfg = ExecConfig::gpus(ngpus);
             let r = run_program(&mut m, &ecfg, &prog, scalars, arrays).unwrap();
             // Bit-identical, not approximately equal: the wavefront feeds
             // each GPU the freshly written left-halo rows in partition
@@ -229,10 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn equal_schedule_diverges_without_the_wavefront_feed() {
-        // Negative control: put heat on the last row of GPU 0's block so
-        // GPU 1's first row provably reads a stale left halo under a
-        // plain equal-partition launch.
+    fn default_config_reproduces_the_sequential_sweep_across_a_hot_boundary() {
+        // Put heat on the last row of GPU 0's block at 2 GPUs, so GPU 1's
+        // first row reads a left halo GPU 0 rewrites in the same sweep: a
+        // launch without the wavefront feed would see the stale row.
         let cfg = Halo2Config::small();
         let mut input = generate(&cfg, 0);
         input.plate = vec![0.0; cfg.cells()];
@@ -240,18 +238,12 @@ mod tests {
         input.plate[(boundary - 1) * cfg.cols] = 500.0;
         let expect = reference(&input);
         let prog = compiled();
-
-        let run = |schedule| {
+        for ngpus in 1..=3 {
             let mut m = Machine::supercomputer_node();
             let (scalars, arrays) = inputs(&input);
-            let ecfg = ExecConfig::gpus(2).schedule(schedule);
-            run_program(&mut m, &ecfg, &prog, scalars, arrays)
-                .unwrap()
-                .arrays[PLATE_ARRAY]
-                .to_f64_vec()
-        };
-        assert_eq!(run(Schedule::Wavefront), expect);
-        assert_ne!(run(Schedule::Equal), expect);
+            let r = run_program(&mut m, &ExecConfig::gpus(ngpus), &prog, scalars, arrays).unwrap();
+            assert_eq!(r.arrays[PLATE_ARRAY].to_f64_vec(), expect, "ngpus={ngpus}");
+        }
     }
 
     #[test]
@@ -266,9 +258,7 @@ mod tests {
         for ngpus in 1..=3 {
             let mut m = Machine::supercomputer_node();
             let (scalars, arrays) = inputs(&input);
-            let ecfg = ExecConfig::gpus(ngpus)
-                .schedule(Schedule::Wavefront)
-                .sanitize(SanitizeLevel::Full);
+            let ecfg = ExecConfig::gpus(ngpus).sanitize(SanitizeLevel::Full);
             let r = run_program(&mut m, &ecfg, &prog, scalars, arrays).unwrap();
             assert_eq!(r.trace.counters().sanitize_violations, 0, "ngpus={ngpus}");
             assert_eq!(r.arrays[PLATE_ARRAY].to_f64_vec(), expect, "ngpus={ngpus}");
@@ -282,7 +272,7 @@ mod tests {
         let prog = compiled();
         let mut m = Machine::supercomputer_node();
         let (scalars, arrays) = inputs(&input);
-        let ecfg = ExecConfig::gpus(3).schedule(Schedule::Wavefront);
+        let ecfg = ExecConfig::gpus(3);
         let r = run_program(&mut m, &ecfg, &prog, scalars, arrays).unwrap();
         // Two left-halo rows re-fed per downstream GPU per sweep.
         assert!(r.profile.p2p_bytes > 0);

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 use acc_compiler::{CompileOptions, CompiledProgram};
 use acc_gpusim::{Machine, MachineKind};
 use acc_runtime::{
-    CompiledKernel, Engine, ExecConfig, GpuMemReport, RunError, RunReport, Schedule,
+    CompiledKernel, Engine, ExecConfig, GpuMemReport, RunError, RunReport,
     TimeBreakdown, Trace,
 };
 
@@ -485,16 +485,9 @@ pub fn run_compiled(
         App::Heat2dHalo2 => {
             let input = heat2d_halo2::generate(&scale.heat2d_halo2(), seed);
             let (scalars, arrays) = heat2d_halo2::inputs(&input);
-            // The carried dependence is only halo-local: an equal-partition
-            // launch on 2+ GPUs would read stale left halos, so the harness
-            // auto-selects the wavefront schedule the ACC-I003 verdict
-            // licenses (an explicit non-default schedule is respected).
-            let ecfg = if cfg.schedule == Schedule::Equal {
-                cfg.clone().schedule(Schedule::Wavefront)
-            } else {
-                cfg.clone()
-            };
-            let report = engine.launch_on(prog, machine, &ecfg, scalars, arrays)?;
+            // The carried dependence is halo-local (ACC-I003), so the
+            // runtime pipelines the equal division as a wavefront.
+            let report = run(machine, scalars, arrays)?;
             let expect = heat2d_halo2::reference(&input);
             let err = heat2d_halo2::max_error(
                 &report.arrays[heat2d_halo2::PLATE_ARRAY].to_f64_vec(),

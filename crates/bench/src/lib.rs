@@ -630,9 +630,9 @@ pub struct RuntimePoint {
 
 /// Measure end-to-end wall-clock for every app × GPU count on the
 /// supercomputer node. Each configuration runs `reps` times. The
-/// `heat2d-halo2` points double as the wavefront rows: the runner
-/// executes that app under `Schedule::Wavefront`, so its multi-GPU
-/// `sim_s`/`comm_sim_s` values pin the pipelined schedule's pricing.
+/// `heat2d-halo2` points double as the wavefront rows: its carried
+/// dependence is proved halo-local, so the runtime pipelines it, and its
+/// multi-GPU `sim_s`/`comm_sim_s` values pin the wavefront's pricing.
 pub fn bench_runtime(scale: Scale, seed: u64, reps: usize, progress: bool) -> Vec<RuntimePoint> {
     let reps = reps.max(1);
     let mut out = Vec::new();
