@@ -27,13 +27,14 @@
 //!
 //! * the **functional half** mutates simulated device buffers. With
 //!   [`ExecConfig::parallel_comm`](crate::ExecConfig) set (the default)
-//!   replica sync and miss replay run on one host thread per destination
-//!   GPU — destinations touch disjoint buffers, so this is safe — and
-//!   data moves as typed byte windows (`copy_from_slice` /
-//!   [`acc_kernel_ir::rmw_apply_slice`]) rather than element-at-a-time
-//!   `get`/`set`. The serial per-element path is the specification of
-//!   BSP conflict resolution; equivalence tests hold the two
-//!   bit-identical;
+//!   replica sync and miss replay share the destination GPUs out over
+//!   the host's cores through the same bounded fan-out as the kernel
+//!   wave (`wave::for_each_gpu`) — destinations touch disjoint buffers,
+//!   so this is safe — and data moves as typed byte windows
+//!   (`copy_from_slice` / [`acc_kernel_ir::rmw_apply_slice`]) rather
+//!   than element-at-a-time `get`/`set`. The serial per-element path is
+//!   the specification of BSP conflict resolution; equivalence tests
+//!   hold the two bit-identical;
 //! * the **pricing half** walks the per-segment interconnect timelines
 //!   and emits [`TransferSpan`](acc_obs::TransferSpan)/[`CommRound`]/…​
 //!   events. The timelines are order-dependent, so this half always runs
@@ -443,7 +444,7 @@ impl<'a> Run<'a> {
     }
 
     /// Per GPU, the `(window start, buffer)` of `arr` — what a destination
-    /// worker thread needs to address its own replica.
+    /// needs to address its own replica.
     fn window_views(&self, arr: usize) -> Vec<(i64, Option<BufferHandle>)> {
         let gpus = &self.arrays[arr].gpu[..self.cfg.ngpus];
         gpus.iter().map(|ga| (ga.window.0, ga.handle)).collect()
@@ -451,8 +452,8 @@ impl<'a> Run<'a> {
 
     /// The host-parallel functional half of [`Run::sync_replicas`]:
     /// stage every dirty source's run bytes (pre-sync values), then let
-    /// one thread per destination apply all sources' runs to its own
-    /// replica, in *descending* source order.
+    /// every destination apply all sources' runs to its own replica, in
+    /// *descending* source order.
     ///
     /// Element-wise this reproduces the serial pairwise schedule: there
     /// the lowest-indexed dirty GPU's value reaches every replica —
@@ -493,52 +494,27 @@ impl<'a> Run<'a> {
             staged[g] = buf;
         }
 
-        let views = self.window_views(arr);
-        let staged_ref = &staged;
+        // Idle GPUs without a replica receive nothing.
+        let dsts = self.window_views(arr).into_iter();
+        let dsts = dsts.map(|(wlo, h)| Some((wlo, h?))).collect();
         let gpus = &mut self.machine.gpus[..ngpus];
-        let results: Vec<Result<(), RunError>> = std::thread::scope(|s| {
-            let workers: Vec<_> = gpus
-                .iter_mut()
-                .enumerate()
-                .map(|(h, gpu)| {
-                    let (wlo, handle) = views[h];
-                    // Idle GPUs without a replica spawn no worker.
-                    handle.map(|handle| {
-                        s.spawn(move || -> Result<(), RunError> {
-                            let db = gpu.memory.get_mut(handle)?;
-                            let dbytes = db.bytes_mut();
-                            for g in (0..staged_ref.len()).rev() {
-                                if runs[g].is_empty() {
-                                    continue;
-                                }
-                                let mut cursor = 0usize;
-                                for &(lo, hi) in &runs[g] {
-                                    let nb = (hi - lo) * elem;
-                                    let off = (lo as i64 - wlo) as usize * elem;
-                                    dbytes[off..off + nb]
-                                        .copy_from_slice(&staged_ref[g][cursor..cursor + nb]);
-                                    cursor += nb;
-                                }
-                            }
-                            Ok(())
-                        })
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| match w {
-                    Some(w) => w.join().expect("replica-sync worker panicked"),
-                    None => Ok(()),
-                })
-                .collect()
-        });
+        let apply = |gpu: &mut Gpu, (wlo, handle): (i64, BufferHandle)| {
+            let dbytes = gpu.memory.get_mut(handle)?.bytes_mut();
+            for g in (0..ngpus).rev() {
+                let mut cursor = 0usize;
+                for &(lo, hi) in &runs[g] {
+                    let nb = (hi - lo) * elem;
+                    let off = (lo as i64 - wlo) as usize * elem;
+                    dbytes[off..off + nb].copy_from_slice(&staged[g][cursor..cursor + nb]);
+                    cursor += nb;
+                }
+            }
+            Ok(())
+        };
+        let results = crate::wave::for_each_gpu(self.workers, gpus, dsts, apply);
         pool.put_back(staged);
         *self.staging = pool;
-        for r in results {
-            r?;
-        }
-        Ok(())
+        results.into_iter().flatten().collect()
     }
 
     /// §IV-D2: route buffered write-miss records to their owners and
@@ -630,23 +606,20 @@ impl<'a> Run<'a> {
     }
 
     /// Apply per-owner miss batches to their owning GPUs — in parallel
-    /// (owners are distinct GPUs, so their buffers are disjoint) or
-    /// serially on the reference path. Within an owner, records apply in
-    /// arrival order either way.
+    /// (owners are distinct GPUs, so their buffers are disjoint) or, on
+    /// the reference path, as the same wave with one worker: a serial
+    /// ascending loop. Within an owner, records apply in arrival order
+    /// either way, and the first failing owner in ascending order is the
+    /// one reported.
     fn apply_miss_batches(
         &mut self,
         array_name: &str,
         bi: &ArrLaunch,
         by_owner: &[Vec<&MissRecord>],
     ) -> Result<(), RunError> {
-        let ngpus = self.cfg.ngpus;
         let views = self.window_views(bi.arr);
-
-        let replay_one = |gpu: &mut Gpu,
-                          wlo: i64,
-                          handle: Option<BufferHandle>,
-                          recs: &[&MissRecord]|
-         -> Result<(), RunError> {
+        type Batch<'r> = ((i64, Option<BufferHandle>), &'r Vec<&'r MissRecord>);
+        let replay = |gpu: &mut Gpu, ((wlo, handle), recs): Batch<'_>| {
             let buf = gpu.memory.get_mut(handle.expect("owner window"))?;
             for r in recs {
                 let local = r.idx - wlo;
@@ -661,43 +634,14 @@ impl<'a> Run<'a> {
             }
             Ok(())
         };
-
-        if self.cfg.parallel_comm {
-            let gpus = &mut self.machine.gpus[..ngpus];
-            let results: Vec<Result<(), RunError>> = std::thread::scope(|s| {
-                let workers: Vec<_> = gpus
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(owner, gpu)| {
-                        let (wlo, handle) = views[owner];
-                        let recs = &by_owner[owner];
-                        (!recs.is_empty())
-                            .then(|| s.spawn(move || replay_one(gpu, wlo, handle, recs)))
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| match w {
-                        Some(w) => w.join().expect("miss-replay worker panicked"),
-                        None => Ok(()),
-                    })
-                    .collect()
-            });
-            // First failing owner in ascending order, as the serial
-            // schedule would report.
-            for r in results {
-                r?;
-            }
-        } else {
-            for (owner, recs) in by_owner.iter().enumerate() {
-                if recs.is_empty() {
-                    continue;
-                }
-                let (wlo, handle) = views[owner];
-                replay_one(&mut self.machine.gpus[owner], wlo, handle, recs)?;
-            }
-        }
-        Ok(())
+        let workers = if self.cfg.parallel_comm { self.workers } else { 1 };
+        let gpus = &mut self.machine.gpus[..self.cfg.ngpus];
+        let batches = views.into_iter().zip(by_owner);
+        let batches = batches.map(|b| (!b.1.is_empty()).then_some(b)).collect();
+        crate::wave::for_each_gpu(workers, gpus, batches, replay)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Inter-GPU level of the hierarchical reduction: tree merge of the

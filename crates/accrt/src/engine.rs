@@ -11,6 +11,10 @@
 //!   program still share one [`CompiledKernel`] (and its mapper
 //!   history). Repeat requests return the same `Arc` without invoking
 //!   the compiler;
+//! * **compiled kernel bodies** — each cached program carries the
+//!   executable forms of its kernels (bytecode, and register-VM code
+//!   when a job asks for it), compiled by the first launch that needs
+//!   them and shared by every GPU of every later launch and job;
 //! * **shared mapper history** — each cached program carries one
 //!   `TaskMapper` behind a lock. Under
 //!   [`Schedule::CostModel`](crate::Schedule) the per-GPU costs one
@@ -39,7 +43,7 @@ use acc_compiler::{compile_source, CompileOptions, CompiledProgram};
 use acc_gpusim::{Machine, MachineKind};
 
 use crate::comm::StagingPool;
-use crate::mapper::{SharedMapper, TaskMapper};
+use crate::program::ProgramState;
 use crate::{run_with, ExecConfig, RunError, RunReport};
 
 /// 64-bit FNV-1a — the repo's no-dependency stable hash.
@@ -58,8 +62,8 @@ fn fnv1a64(parts: &[&[u8]]) -> u64 {
 }
 
 /// A cached compiled program plus the cross-request state that rides
-/// with it: its IR hash (the cache identity) and its shared mapper
-/// history.
+/// with it: its IR hash (the cache identity), its shared mapper history
+/// and the executable forms of its kernels.
 ///
 /// Dereferences to [`CompiledProgram`], so anything that inspects a
 /// program (`localaccess_ratio()`, `kernels`, …) works on a
@@ -68,7 +72,7 @@ fn fnv1a64(parts: &[&[u8]]) -> u64 {
 pub struct CompiledKernel {
     prog: CompiledProgram,
     ir_hash: u64,
-    mapper: SharedMapper,
+    shared: ProgramState,
 }
 
 impl CompiledKernel {
@@ -76,11 +80,14 @@ impl CompiledKernel {
     /// for tests and for adopting programs compiled elsewhere).
     pub fn from_program(prog: CompiledProgram) -> CompiledKernel {
         let ir_hash = ir_hash_of(&prog);
-        let mapper = TaskMapper::shared(prog.kernels.len());
+        CompiledKernel::with_hash(prog, ir_hash)
+    }
+
+    fn with_hash(prog: CompiledProgram, ir_hash: u64) -> CompiledKernel {
         CompiledKernel {
-            prog,
+            shared: ProgramState::new(prog.kernels.len()),
             ir_hash,
-            mapper,
+            prog,
         }
     }
 
@@ -94,10 +101,6 @@ impl CompiledKernel {
     /// The compiled program.
     pub fn program(&self) -> &CompiledProgram {
         &self.prog
-    }
-
-    pub(crate) fn mapper(&self) -> SharedMapper {
-        Arc::clone(&self.mapper)
     }
 }
 
@@ -348,11 +351,7 @@ impl Engine {
             self.ir_dedups.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(&existing.kernel);
         }
-        let ck = Arc::new(CompiledKernel {
-            mapper: TaskMapper::shared(prog.kernels.len()),
-            ir_hash,
-            prog,
-        });
+        let ck = Arc::new(CompiledKernel::with_hash(prog, ir_hash));
         insert_bounded(
             &mut inner.by_ir,
             ir_hash,
@@ -415,7 +414,7 @@ impl Engine {
             &kernel.prog,
             scalars,
             arrays,
-            kernel.mapper(),
+            &kernel.shared,
             &mut pool,
         );
         self.inner
@@ -488,6 +487,36 @@ void scale(int n, double *a) {
         let b = eng.compile(&src2, "scale", &opts).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same IR must share one kernel");
         assert_eq!(eng.stats().ir_dedups, 1);
+    }
+
+    #[test]
+    fn launches_reuse_the_compiled_bodies_cached_with_the_program() -> Result<(), RunError> {
+        use acc_kernel_ir::{Buffer, Value};
+        let input = || (vec![Value::I32(4)], vec![Buffer::from_f64(&[1.0, 2.0, 3.0, 4.0])]);
+        let body_of = |ck: &CompiledKernel| ck.shared.body(0).map(std::ptr::from_ref);
+        let eng = Engine::new(MachineKind::Desktop, ExecConfig::gpus(2));
+        let ck = eng.compile(SRC, "scale", &CompileOptions::proposal())?;
+        assert!(body_of(&ck).is_none(), "compiled by the first launch, not before");
+        let (scalars, arrays) = input();
+        let first = eng.launch(&ck, scalars, arrays)?;
+        let body = body_of(&ck);
+        assert!(body.is_some(), "the first launch fills the program's cache");
+        let (scalars, arrays) = input();
+        let second = eng.launch(&ck, scalars, arrays)?;
+        // A later request gets the same kernel, hence the same body.
+        let again = eng.compile(SRC, "scale", &CompileOptions::proposal())?;
+        assert_eq!(body_of(&again), body);
+        assert_eq!(first.arrays[0].to_f64_vec(), [2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(first.arrays[0].bytes(), second.arrays[0].bytes());
+
+        // Without an engine every call compiles its own forms and agrees.
+        let (scalars, arrays) = input();
+        let mut machine = Machine::with_kind(MachineKind::Desktop);
+        let cfg = ExecConfig::gpus(2);
+        let one_shot = crate::run_program(&mut machine, &cfg, ck.program(), scalars, arrays)?;
+        assert_eq!(one_shot.arrays[0].bytes(), first.arrays[0].bytes());
+        assert_eq!(one_shot.profile.time, first.profile.time);
+        Ok(())
     }
 
     /// `scale` source specialised per `i` so each request compiles to a

@@ -12,18 +12,17 @@ use acc_obs::{
     InferredAnnotation, LaunchSpan, MapperDecision, PhaseKind, Recorder, SanitizeEvent,
     WavefrontRound,
 };
-use ir::interp::{eval_host_expr, rmw_apply, run_host_block, run_kernel_range};
-use ir::regvm::{launch_types_match, run_compiled, RegCompiled};
+use ir::interp::{eval_host_expr, rmw_apply, run_host_block};
 use ir::{
-    BufSanitize, Buffer, BufSlot, DirtyMap, ExecCtx, Kernel, MissRecord, OpCounters,
-    SanitizeKind, SanitizeRecord, Value,
+    BufSanitize, Buffer, BufSlot, DirtyMap, ExecCtx, MissRecord, OpCounters, SanitizeKind,
+    SanitizeRecord, Value,
 };
 
-use crate::mapper::SharedMapper;
+use crate::program::{KernelCode, ProgramState};
 use crate::profiler::Profiler;
 use crate::state::{split_tasks, ArrayState};
 use crate::{
-    ExecConfig, ExecMode, GpuMemReport, KernelVm, RunError, RunReport, SanitizeLevel, Schedule,
+    ExecConfig, ExecMode, GpuMemReport, RunError, RunReport, SanitizeLevel, Schedule,
 };
 
 /// Host-level control flow signal.
@@ -79,7 +78,7 @@ struct JobOut {
 }
 
 
-/// One GPU's kernel job: everything the worker thread needs, with the
+/// One GPU's kernel job: everything the wave needs to run it, with the
 /// dirty maps temporarily moved out of the engine state.
 struct Job {
     tasks: (i64, i64),
@@ -101,7 +100,7 @@ struct JobBind {
 
 /// One program execution in flight. Short-lived: borrows the machine,
 /// the config and (since the [`Engine`](crate::Engine) redesign) the
-/// scratch pool and the per-program mapper history from its caller —
+/// scratch pool and the per-program [`ProgramState`] from its caller —
 /// [`run_program`](crate::run_program) lends fresh ones per call, a
 /// long-lived `Engine` lends pooled/shared ones across jobs.
 pub(crate) struct Run<'a> {
@@ -120,10 +119,8 @@ pub(crate) struct Run<'a> {
     /// Id of the launch currently executing (valid inside `launch`).
     pub cur_launch: u64,
     pub now: f64,
-    /// Per-kernel split history for [`Schedule::CostModel`]; unused (and
-    /// never consulted) under [`Schedule::Equal`]. Shared behind a lock
-    /// so an `Engine` can carry one history across requests.
-    mapper: SharedMapper,
+    /// The program's mapper history and executable kernel forms.
+    shared: &'a ProgramState,
     /// Reusable staging/scratch/miss buffers, lent by the caller (the
     /// replica-staging allocation count surfaces as
     /// `Profiler::staging_allocs`).
@@ -135,12 +132,10 @@ pub(crate) struct Run<'a> {
     /// Host wall-clock seconds spent inside communication phases
     /// (including deferred elided syncs).
     pub(crate) comm_wall_s: f64,
-    /// Per-kernel register-VM code, compiled lazily on the first launch
-    /// that wants it and reused for the rest of the run (BFS-style apps
-    /// relaunch the same kernel every iteration). Outer `None` = not yet
-    /// attempted; `Some(None)` = the optimizer declined this kernel, use
-    /// the bytecode path. `Arc` because GPU worker threads share it.
-    reg_cache: Vec<Option<Option<std::sync::Arc<RegCompiled>>>>,
+    /// Host threads a per-GPU wave may occupy
+    /// ([`wave::host_workers`](crate::wave::host_workers)). Simulated
+    /// results do not depend on it; only in-crate tests set it.
+    pub(crate) workers: usize,
 }
 
 impl<'a> Run<'a> {
@@ -150,7 +145,7 @@ impl<'a> Run<'a> {
         prog: &'a CompiledProgram,
         scalars: Vec<Value>,
         host_arrays: Vec<Buffer>,
-        mapper: SharedMapper,
+        shared: &'a ProgramState,
         staging: &'a mut crate::comm::StagingPool,
     ) -> Run<'a> {
         let ngpus = if cfg.mode == ExecMode::Gpu {
@@ -179,12 +174,12 @@ impl<'a> Run<'a> {
             host_counters: OpCounters::default(),
             cur_launch: 0,
             now: 0.0,
-            mapper,
+            shared,
             staging,
             base_staging_allocs,
             base_scratch_allocs,
             comm_wall_s: 0.0,
-            reg_cache: vec![None; prog.kernels.len()],
+            workers: crate::wave::host_workers(),
         }
     }
 
@@ -439,19 +434,11 @@ impl<'a> Run<'a> {
 
     // ---------------- kernel launch ----------------
 
-    /// Register-VM code for kernel `kidx`, compiled on first use and
-    /// cached for the rest of the run. Returns `None` when the run did
-    /// not select [`KernelVm::Register`] or the optimizer declined the
-    /// kernel — both mean "take the bytecode path".
-    fn reg_code(&mut self, kidx: usize) -> Option<std::sync::Arc<RegCompiled>> {
-        if self.cfg.kernel_vm != KernelVm::Register {
-            return None;
-        }
-        self.reg_cache[kidx]
-            .get_or_insert_with(|| {
-                ir::regvm::compile(&self.prog.kernels[kidx].kernel).map(std::sync::Arc::new)
-            })
-            .clone()
+    /// Kernel `kidx` in the form this run executes. The borrow is of the
+    /// lent cache, not of `self`.
+    fn kernel_code(&self, kidx: usize) -> KernelCode<'a> {
+        self.shared
+            .code(kidx, &self.prog.kernels[kidx].kernel, self.cfg.kernel_vm)
     }
 
     fn launch(&mut self, kidx: usize) -> Result<(), RunError> {
@@ -470,7 +457,7 @@ impl<'a> Run<'a> {
         let lo = self.eval_host_i64(&ck.lo)?;
         let hi = self.eval_host_i64(&ck.hi)?;
         let params = self.gather_params(ck)?;
-        let reg = self.reg_code(kidx);
+        let code = self.kernel_code(kidx);
 
         let mut bufs: Vec<&mut Buffer> = Vec::with_capacity(ck.buf_map.len());
         {
@@ -512,12 +499,7 @@ impl<'a> Run<'a> {
             sanitize_log: Vec::new(),
             sanitize_hits: 0,
         };
-        match &reg {
-            Some(rc) if launch_types_match(&ck.kernel, &ctx) => {
-                run_compiled(rc, &mut ctx, lo, hi)?
-            }
-            _ => run_kernel_range(&ck.kernel, &mut ctx, lo, hi)?,
-        }
+        code.run(&mut ctx, lo, hi)?;
         let counters = ctx.counters;
         let per_buf_bytes = std::mem::take(&mut ctx.per_buf_bytes);
         let partials = std::mem::take(&mut ctx.reduction_partials);
@@ -555,6 +537,7 @@ impl<'a> Run<'a> {
         let use_mapper = self.cfg.schedule == Schedule::CostModel;
         let (tasks, predicted_s, from_history) = if use_mapper {
             let plan = self
+                .shared
                 .mapper
                 .lock()
                 .expect("mapper lock poisoned")
@@ -619,8 +602,7 @@ impl<'a> Run<'a> {
             }));
         }
 
-        let kernel = &ck.kernel;
-        let reg = self.reg_code(kidx);
+        let code = self.kernel_code(kidx);
         // Wavefront: when the compiler proved every carried dependence
         // of this launch *local* (distance inside the declared halo), the
         // equal division runs the GPUs sequentially in partition order,
@@ -633,7 +615,9 @@ impl<'a> Run<'a> {
         let wavefront = self.cfg.schedule == Schedule::Equal
             && ngpus > 1
             && acc_compiler::wavefront_eligible(ck);
-        let mut outs: Vec<Result<JobOut, ir::ExecError>> = Vec::with_capacity(ngpus);
+        // A GPU with an empty partition runs nothing and reports zeros.
+        let idle = || Ok(JobOut::default());
+        let mut outs: Vec<Result<JobOut, ir::ExecError>> = Vec::new();
         // Per-GPU kernel start times (the barrier `t1` on the parallel
         // path; staggered under the wavefront) and wavefront-priced
         // durations.
@@ -670,12 +654,9 @@ impl<'a> Run<'a> {
                         }
                     }
                 }
-                let res = match job {
-                    None => Ok(JobOut::default()),
-                    Some(job) => {
-                        run_gpu_job(&mut self.machine.gpus[g], kernel, job, reg.as_deref())
-                    }
-                };
+                let res = job.map_or_else(idle, |job| {
+                    run_gpu_job(&mut self.machine.gpus[g], code, job)
+                });
                 if let Ok(out) = &res {
                     if out.ran {
                         let tg = self.gpu_kernel_time(ck, &binfo, g, out);
@@ -698,19 +679,11 @@ impl<'a> Run<'a> {
             wf_tg = Some(tgs);
         } else {
             let gpus = &mut self.machine.gpus[..ngpus];
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(ngpus);
-                for (gpu, job) in gpus.iter_mut().zip(jobs) {
-                    let reg = reg.clone();
-                    handles.push(s.spawn(move || match job {
-                        None => Ok(JobOut::default()),
-                        Some(job) => run_gpu_job(gpu, kernel, job, reg.as_deref()),
-                    }));
-                }
-                for h in handles {
-                    outs.push(h.join().expect("gpu worker panicked"));
-                }
-            });
+            let run = |gpu: &mut Gpu, job| run_gpu_job(gpu, code, job);
+            outs = crate::wave::for_each_gpu(self.workers, gpus, jobs, run)
+                .into_iter()
+                .map(|out| out.unwrap_or_else(idle))
+                .collect();
         }
 
         // Return dirty maps to the state, collect results.
@@ -822,7 +795,8 @@ impl<'a> Run<'a> {
                 at: t1,
             });
             let overhead = self.machine.gpus[0].spec.launch_overhead_s;
-            self.mapper
+            self.shared
+                .mapper
                 .lock()
                 .expect("mapper lock poisoned")
                 .record(kidx, &tasks, &measured_s, overhead);
@@ -1125,14 +1099,10 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Execute one GPU's portion of a kernel. Runs on a worker thread with
-/// exclusive access to that GPU.
-fn run_gpu_job(
-    gpu: &mut Gpu,
-    kernel: &Kernel,
-    mut job: Job,
-    reg: Option<&RegCompiled>,
-) -> Result<JobOut, ir::ExecError> {
+/// Execute one GPU's portion of a kernel, with exclusive access to that
+/// GPU (any thread of the wave may run it).
+fn run_gpu_job(gpu: &mut Gpu, code: KernelCode<'_>, mut job: Job) -> Result<JobOut, ir::ExecError> {
+    let kernel = code.kernel;
     let handles: Vec<_> = job.binds.iter().map(|b| b.handle).collect();
     let bufs = gpu
         .memory
@@ -1164,12 +1134,7 @@ fn run_gpu_job(
         sanitize_log: Vec::new(),
         sanitize_hits: 0,
     };
-    match reg {
-        Some(rc) if launch_types_match(kernel, &ctx) => {
-            run_compiled(rc, &mut ctx, job.tasks.0, job.tasks.1)?
-        }
-        _ => run_kernel_range(kernel, &mut ctx, job.tasks.0, job.tasks.1)?,
-    }
+    code.run(&mut ctx, job.tasks.0, job.tasks.1)?;
     let out = JobOut {
         counters: ctx.counters,
         per_buf_bytes: std::mem::take(&mut ctx.per_buf_bytes),

@@ -16,8 +16,9 @@
 //!   hierarchical reduction for `reductiontoarray` destinations.
 //!
 //! Execution follows the BSP model of §III-A: the iteration space is
-//! equally divided, every GPU runs its sub-range concurrently (one OS
-//! thread per simulated GPU), then communication and a global barrier.
+//! equally divided, every GPU runs its sub-range concurrently (the
+//! simulated GPUs shared out over as many host threads as the host has
+//! cores), then communication and a global barrier.
 //!
 //! Time is simulated: kernel durations come from the interpreter's work
 //! counters through the device models, transfer durations from the
@@ -30,8 +31,10 @@ pub mod exec;
 pub mod loader;
 pub mod mapper;
 pub mod profiler;
+mod program;
 pub mod ranges;
 pub mod state;
+mod wave;
 
 use acc_compiler::CompiledProgram;
 use acc_gpusim::{Machine, MemError};
@@ -541,11 +544,12 @@ impl RunReport {
 /// possibly modified, in the report). The machine is reset first.
 ///
 /// This is the one-shot form of the core under [`Engine::launch`]: every
-/// call gets a fresh scratch pool and a fresh mapper history, so repeated
-/// calls are independent and bit-identical. A long-running service should
-/// hold an [`Engine`] instead, which shares the compilation cache, the scratch
-/// pools and (under [`Schedule::CostModel`]) the mapper history across
-/// jobs — see [`Engine::launch`].
+/// call gets a fresh scratch pool, a fresh mapper history and compiles
+/// the kernels' executable forms anew, so repeated calls are independent
+/// and bit-identical. A long-running service should hold an [`Engine`]
+/// instead, which shares the compilation cache, the executable forms, the
+/// scratch pools and (under [`Schedule::CostModel`]) the mapper history
+/// across jobs — see [`Engine::launch`].
 pub fn run_program(
     machine: &mut Machine,
     cfg: &ExecConfig,
@@ -560,21 +564,22 @@ pub fn run_program(
         prog,
         scalars,
         arrays,
-        mapper::TaskMapper::shared(prog.kernels.len()),
+        &program::ProgramState::new(prog.kernels.len()),
         &mut pool,
     )
 }
 
 /// The shared core under [`run_program`] and [`Engine::launch`]: input
-/// validation, machine reset, then one [`exec::Run`] with the mapper
-/// history and scratch pool the caller lends.
+/// validation, machine reset, then one [`exec::Run`] with the per-program
+/// state (mapper history, executable kernel forms) and the scratch pool
+/// the caller lends.
 pub(crate) fn run_with(
     machine: &mut Machine,
     cfg: &ExecConfig,
     prog: &CompiledProgram,
     scalars: Vec<Value>,
     arrays: Vec<Buffer>,
-    mapper: mapper::SharedMapper,
+    shared: &program::ProgramState,
     pool: &mut comm::StagingPool,
 ) -> Result<RunReport, RunError> {
     if cfg.mode == ExecMode::Gpu && (cfg.ngpus == 0 || cfg.ngpus > machine.n_gpus()) {
@@ -637,6 +642,6 @@ pub(crate) fn run_with(
     // can cross-check the recorder's spans against what the bus actually
     // scheduled.
     machine.bus.set_journal(cfg.tracing.keeps_spans());
-    let run = exec::Run::new(machine, cfg, prog, scalars, arrays, mapper, pool);
+    let run = exec::Run::new(machine, cfg, prog, scalars, arrays, shared, pool);
     run.run()
 }

@@ -20,18 +20,6 @@
 
 use crate::state::{cost_segments, integrate_cost, split_tasks, split_tasks_weighted};
 
-/// A [`TaskMapper`] shared across runs behind a lock.
-///
-/// [`run_program`](crate::run_program) hands each run a fresh mapper, so
-/// the one-shot path behaves exactly as before. A long-lived
-/// [`Engine`](crate::Engine) instead shares one mapper per compiled
-/// program across every launch of that program: under
-/// [`Schedule::CostModel`](crate::Schedule) the history a tenant's run
-/// measured feeds the split of the next tenant's run. Under the default
-/// [`Schedule::Equal`](crate::Schedule) the mapper is never consulted,
-/// so sharing cannot change results.
-pub(crate) type SharedMapper = std::sync::Arc<std::sync::Mutex<TaskMapper>>;
-
 /// One launch's feedback: per-GPU `(range, measured kernel seconds)`.
 type LaunchHistory = Vec<((i64, i64), f64)>;
 
@@ -60,11 +48,6 @@ impl TaskMapper {
         TaskMapper {
             hist: vec![None; nkernels],
         }
-    }
-
-    /// A fresh mapper behind the shared-handle type.
-    pub fn shared(nkernels: usize) -> SharedMapper {
-        std::sync::Arc::new(std::sync::Mutex::new(TaskMapper::new(nkernels)))
     }
 
     /// Plan the split of `[lo, hi)` over `n` GPUs for kernel `kidx`.

@@ -5,7 +5,7 @@
 //! millions of iterations, so the recursive AST walk in [`crate::interp`]
 //! (one heap-scattered `Box` dereference plus a `match` per expression
 //! node) is the hottest path in the whole simulator. This module compiles
-//! a kernel body once per launch into a flat instruction vector executed
+//! a kernel body once into a flat instruction vector executed
 //! by a small stack machine: the instruction stream is contiguous in
 //! memory, control flow becomes jumps, and per-node `Result` plumbing
 //! collapses into one dispatch loop.
@@ -369,8 +369,9 @@ fn fuse(mut ops: Vec<Op>) -> Vec<Op> {
     }
 }
 
-/// A kernel body compiled to bytecode. Build once per launch with
-/// [`compile`], execute per iteration with [`run_iteration`].
+/// A kernel body compiled to bytecode. Build once per kernel with
+/// [`compile`] (it is immutable and `Sync`: every GPU of every launch can
+/// share it), execute per iteration with [`run_iteration`].
 #[derive(Debug)]
 pub struct CompiledBody {
     ops: Vec<Op>,

@@ -688,18 +688,32 @@ impl<'a, 'b> Machine<'a, 'b> {
 /// accumulating into `ctx`. This is what one simulated GPU runs for its
 /// assigned task range in a BSP superstep.
 ///
-/// The body is compiled once into the flat bytecode of
-/// [`crate::bytecode`] and executed per iteration by its stack machine —
-/// results, counters and errors are identical to the AST walker
-/// ([`run_kernel_range_ast`]), which is kept as the reference
-/// implementation and held equal by differential tests.
+/// The body is compiled into the flat bytecode of [`crate::bytecode`]
+/// and executed per iteration by its stack machine — results, counters
+/// and errors are identical to the AST walker ([`run_kernel_range_ast`]),
+/// which is kept as the reference implementation and held equal by
+/// differential tests. This form compiles on every call; a caller that
+/// launches the same kernel repeatedly keeps the
+/// [`CompiledBody`](crate::bytecode::CompiledBody) and calls
+/// [`run_kernel_range_compiled`].
 pub fn run_kernel_range(
     k: &Kernel,
     ctx: &mut ExecCtx<'_>,
     lo: i64,
     hi: i64,
 ) -> Result<(), ExecError> {
-    let code = crate::bytecode::compile(&k.body);
+    run_kernel_range_compiled(k, &crate::bytecode::compile(&k.body), ctx, lo, hi)
+}
+
+/// [`run_kernel_range`] from an already-compiled body: `code` must be
+/// [`bytecode::compile`](crate::bytecode::compile) of `k.body`.
+pub fn run_kernel_range_compiled(
+    k: &Kernel,
+    code: &crate::bytecode::CompiledBody,
+    ctx: &mut ExecCtx<'_>,
+    lo: i64,
+    hi: i64,
+) -> Result<(), ExecError> {
     let mut scratch = crate::bytecode::Scratch::default();
     let mut locals: Vec<Value> = k.locals.iter().map(|t| t.zero()).collect();
     for tid in lo..hi {
@@ -707,7 +721,7 @@ pub fn run_kernel_range(
         for (slot, ty) in locals.iter_mut().zip(&k.locals) {
             *slot = ty.zero();
         }
-        crate::bytecode::run_iteration(&code, ctx, &mut locals, tid, &mut scratch)?;
+        crate::bytecode::run_iteration(code, ctx, &mut locals, tid, &mut scratch)?;
         ctx.counters.threads += 1;
     }
     Ok(())
@@ -994,6 +1008,29 @@ mod tests {
         assert_eq!(c.stores, 4);
         assert_eq!(c.load_bytes, 32);
         assert!(c.f64_ops >= 8);
+    }
+
+    #[test]
+    fn one_compiled_body_serves_every_share_of_a_launch() {
+        let k = square_add_kernel();
+        let code = crate::bytecode::compile(&k.body);
+        let mut a = Buffer::from_f64(&[1.0, 2.0, 3.0, 4.0]);
+        let mut out = Buffer::zeroed(Ty::F64, 4);
+        let mut counters = OpCounters::default();
+        // Two "GPUs" take half the iteration space each from one body.
+        for (lo, hi) in [(0, 2), (2, 4)] {
+            let bufs = vec![BufSlot::whole(&mut a), BufSlot::whole(&mut out)];
+            let mut ctx = ExecCtx::new(&k, vec![Value::F64(0.5)], bufs);
+            run_kernel_range_compiled(&k, &code, &mut ctx, lo, hi).unwrap();
+            counters.merge(&ctx.counters);
+        }
+        let mut want = Buffer::zeroed(Ty::F64, 4);
+        let bufs = vec![BufSlot::whole(&mut a), BufSlot::whole(&mut want)];
+        let mut ctx = ExecCtx::new(&k, vec![Value::F64(0.5)], bufs);
+        run_kernel_range_ast(&k, &mut ctx, 0, 4).unwrap();
+        assert_eq!(counters, ctx.counters);
+        drop(ctx);
+        assert_eq!(out.bytes(), want.bytes());
     }
 
     #[test]

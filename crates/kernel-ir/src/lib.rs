@@ -49,8 +49,9 @@ pub use counters::OpCounters;
 pub use dirty::DirtyMap;
 pub use expr::{BinOp, Builtin, Expr, UnOp};
 pub use interp::{
-    rmw_apply_slice, run_kernel_range, run_kernel_range_ast, BufSanitize, BufSlot, ExecCtx,
-    ExecError, MissRecord, SanitizeKind, SanitizeRecord, SANITIZE_LOG_CAP,
+    rmw_apply_slice, run_kernel_range, run_kernel_range_ast, run_kernel_range_compiled,
+    BufSanitize, BufSlot, ExecCtx, ExecError, MissRecord, SanitizeKind, SanitizeRecord,
+    SANITIZE_LOG_CAP,
 };
 pub use kernel::{BufAccess, BufParam, Kernel, ScalarParam, ScalarReduction};
 pub use regvm::{run_kernel_range_opt, RegCompiled};
