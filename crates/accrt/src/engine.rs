@@ -493,19 +493,30 @@ void scale(int n, double *a) {
     fn launches_reuse_the_compiled_bodies_cached_with_the_program() -> Result<(), RunError> {
         use acc_kernel_ir::{Buffer, Value};
         let input = || (vec![Value::I32(4)], vec![Buffer::from_f64(&[1.0, 2.0, 3.0, 4.0])]);
-        let body_of = |ck: &CompiledKernel| ck.shared.body(0).map(std::ptr::from_ref);
+        let forms_of = |ck: &CompiledKernel| {
+            let (reg, body) = ck.shared.forms(0);
+            (reg.map(std::ptr::from_ref), body.map(std::ptr::from_ref))
+        };
         let eng = Engine::new(MachineKind::Desktop, ExecConfig::gpus(2));
         let ck = eng.compile(SRC, "scale", &CompileOptions::proposal())?;
-        assert!(body_of(&ck).is_none(), "compiled by the first launch, not before");
+        assert_eq!(forms_of(&ck), (None, None), "compiled by the first launch, not before");
         let (scalars, arrays) = input();
         let first = eng.launch(&ck, scalars, arrays)?;
-        let body = body_of(&ck);
-        assert!(body.is_some(), "the first launch fills the program's cache");
+        let (reg, body) = forms_of(&ck);
+        assert!(reg.is_some(), "the first launch fills the program's cache");
+        assert!(body.is_none(), "no launch of a well-typed kernel fell back to the bytecode");
         let (scalars, arrays) = input();
         let second = eng.launch(&ck, scalars, arrays)?;
-        // A later request gets the same kernel, hence the same body.
+        // A later request gets the same kernel, hence the same form.
         let again = eng.compile(SRC, "scale", &CompileOptions::proposal())?;
-        assert_eq!(body_of(&again), body);
+        assert_eq!(forms_of(&again), (reg, None));
+        // The bytecode is built by the first run that asks for it.
+        let (scalars, arrays) = input();
+        let cfg = ExecConfig::gpus(2).kernel_vm(crate::KernelVm::Bytecode);
+        let stack = eng.launch_with(&ck, &cfg, scalars, arrays)?;
+        assert!(forms_of(&ck).1.is_some());
+        assert_eq!(stack.arrays[0].bytes(), first.arrays[0].bytes());
+        assert_eq!(stack.profile.time, first.profile.time);
         assert_eq!(first.arrays[0].to_f64_vec(), [2.0, 4.0, 6.0, 8.0]);
         assert_eq!(first.arrays[0].bytes(), second.arrays[0].bytes());
 

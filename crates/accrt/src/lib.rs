@@ -185,10 +185,10 @@ pub struct ExecConfig {
     /// ([`RunError::ElisionUnsound`] on escape), so a Full-sanitize run
     /// is bit-identical to one with elision off.
     pub comm_elision: bool,
-    /// Which kernel interpreter executes launch bodies. Simulated times,
-    /// counters, and array contents are bit-identical across engines (the
-    /// register VM prices blocks from the pre-optimization IR); this only
-    /// trades host wall time.
+    /// Which kernel tier executes launch bodies. Simulated times,
+    /// counters, and array contents are bit-identical across tiers (each
+    /// charges the AST walker's counters in the walker's order); this
+    /// only trades host wall time.
     pub kernel_vm: KernelVm,
     /// Double-buffered halo overlap: loader-phase peer halo fills of
     /// arrays the compiler's [`acc_compiler::OverlapPlan`] proved safe
@@ -204,15 +204,17 @@ pub struct ExecConfig {
     pub overlap: bool,
 }
 
-/// Kernel execution engine selection.
+/// Kernel execution tier selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelVm {
-    /// The fused stack-bytecode interpreter (reference fast path).
-    #[default]
+    /// The dynamically typed stack-bytecode interpreter: what a launch
+    /// the register tier cannot type falls back to, selectable for
+    /// whole runs as the comparison tier.
     Bytecode,
-    /// The SSA-optimized, register-allocated VM
-    /// ([`acc_kernel_ir::regvm`]); kernels it cannot statically type
-    /// fall back to bytecode per launch.
+    /// The statically typed register VM ([`acc_kernel_ir::regvm`]), the
+    /// default. A kernel it cannot type, or a launch whose value types
+    /// differ from the kernel's declarations, runs the bytecode instead.
+    #[default]
     Register,
 }
 
@@ -230,7 +232,7 @@ impl ExecConfig {
             sanitize: SanitizeLevel::Off,
             schedule: Schedule::Equal,
             comm_elision: false,
-            kernel_vm: KernelVm::Bytecode,
+            kernel_vm: KernelVm::default(),
             overlap: false,
         }
     }
@@ -293,7 +295,7 @@ impl ExecConfig {
         self
     }
 
-    /// Select the kernel execution engine.
+    /// Select the kernel execution tier.
     pub fn kernel_vm(mut self, vm: KernelVm) -> ExecConfig {
         self.kernel_vm = vm;
         self
@@ -582,6 +584,7 @@ pub(crate) fn run_with(
     shared: &program::ProgramState,
     pool: &mut comm::StagingPool,
 ) -> Result<RunReport, RunError> {
+    shared.check(prog)?;
     if cfg.mode == ExecMode::Gpu && (cfg.ngpus == 0 || cfg.ngpus > machine.n_gpus()) {
         return Err(RunError::TooManyGpus {
             requested: cfg.ngpus,

@@ -8,8 +8,10 @@ use ir::bytecode::CompiledBody;
 use ir::regvm::{launch_types_match, run_compiled, RegCompiled};
 use ir::{run_kernel_range_compiled, ExecCtx, Kernel};
 
+use acc_compiler::CompiledProgram;
+
 use crate::mapper::TaskMapper;
-use crate::KernelVm;
+use crate::{KernelVm, RunError};
 
 /// The state that rides with a compiled program rather than with one
 /// run of it. [`run_program`](crate::run_program) lends each run a fresh
@@ -28,13 +30,19 @@ pub(crate) struct ProgramState {
     /// needs them and immutable afterwards — once per program however
     /// many GPUs, launches and jobs run it.
     forms: Vec<KernelForms>,
+    /// The first kernel that fails [`Kernel::validate`], looked for once,
+    /// by the first run: see [`ProgramState::check`].
+    invalid: OnceLock<Option<String>>,
 }
 
 #[derive(Debug, Default)]
 struct KernelForms {
-    body: OnceLock<CompiledBody>,
-    /// Holds `None` when the optimizer declined the kernel.
+    /// Holds `None` when the kernel cannot be statically typed.
     reg: OnceLock<Option<RegCompiled>>,
+    /// The stack bytecode, built by the first launch that runs it: every
+    /// launch under [`KernelVm::Bytecode`], otherwise only one that fell
+    /// back from the register tier.
+    body: OnceLock<CompiledBody>,
 }
 
 impl ProgramState {
@@ -42,7 +50,22 @@ impl ProgramState {
         ProgramState {
             mapper: Mutex::new(TaskMapper::new(nkernels)),
             forms: (0..nkernels).map(|_| KernelForms::default()).collect(),
+            invalid: OnceLock::new(),
         }
+    }
+
+    /// Refuse `prog`, the program this state rides with, when one of its
+    /// kernels is malformed. Every run passes through here, so a
+    /// hand-built `CompiledProgram` with an unresolvable slot or a stray
+    /// `break` reaches neither a tier compiler nor an interpreter.
+    pub(crate) fn check(&self, prog: &CompiledProgram) -> Result<(), RunError> {
+        let invalid = self.invalid.get_or_init(|| {
+            let mut kernels = prog.kernels.iter().map(|ck| &ck.kernel);
+            kernels.find_map(|k| Some(format!("kernel `{}`: {}", k.name, k.validate().err()?)))
+        });
+        invalid
+            .clone()
+            .map_or(Ok(()), |m| Err(RunError::Compile(m)))
     }
 
     /// What a launch of kernel `kidx` (`kernel`) executes under `vm`.
@@ -55,9 +78,6 @@ impl ProgramState {
         let forms = &self.forms[kidx];
         KernelCode {
             kernel,
-            body: forms
-                .body
-                .get_or_init(|| ir::bytecode::compile(&kernel.body)),
             reg: match vm {
                 KernelVm::Bytecode => None,
                 KernelVm::Register => forms
@@ -65,13 +85,15 @@ impl ProgramState {
                     .get_or_init(|| ir::regvm::compile(kernel))
                     .as_ref(),
             },
+            body: &forms.body,
         }
     }
 
-    /// The cached bytecode of kernel `kidx`, if a launch compiled it.
+    /// The cached forms of kernel `kidx`, where a launch compiled them.
     #[cfg(test)]
-    pub(crate) fn body(&self, kidx: usize) -> Option<&CompiledBody> {
-        self.forms[kidx].body.get()
+    pub(crate) fn forms(&self, kidx: usize) -> (Option<&RegCompiled>, Option<&CompiledBody>) {
+        let forms = &self.forms[kidx];
+        (forms.reg.get().and_then(Option::as_ref), forms.body.get())
     }
 }
 
@@ -79,20 +101,25 @@ impl ProgramState {
 #[derive(Clone, Copy)]
 pub(crate) struct KernelCode<'f> {
     pub(crate) kernel: &'f Kernel,
-    body: &'f CompiledBody,
-    /// Register-VM code, when the run selected [`KernelVm::Register`]
-    /// and the optimizer accepted the kernel.
+    /// Register-tier code, when the run selected [`KernelVm::Register`]
+    /// and the kernel is statically typed.
     reg: Option<&'f RegCompiled>,
+    body: &'f OnceLock<CompiledBody>,
 }
 
 impl KernelCode<'_> {
-    /// Execute iterations `[lo, hi)`. The register VM is statically
+    /// Execute iterations `[lo, hi)`. The register tier is statically
     /// typed, so a launch whose dynamic types differ from the kernel's
     /// declarations takes the bytecode.
     pub(crate) fn run(&self, ctx: &mut ExecCtx<'_>, lo: i64, hi: i64) -> Result<(), ir::ExecError> {
         match self.reg {
             Some(rc) if launch_types_match(self.kernel, ctx) => run_compiled(rc, ctx, lo, hi),
-            _ => run_kernel_range_compiled(self.kernel, self.body, ctx, lo, hi),
+            _ => {
+                let body = self
+                    .body
+                    .get_or_init(|| ir::bytecode::compile(&self.kernel.body));
+                run_kernel_range_compiled(self.kernel, body, ctx, lo, hi)
+            }
         }
     }
 }

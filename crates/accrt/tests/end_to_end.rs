@@ -576,6 +576,84 @@ fn distributed_placement_without_localaccess_is_a_typed_error() {
     assert_eq!(err.code(), "ACC-R004");
 }
 
+/// The same door for malformed kernels: `Kernel::validate` runs where a
+/// program enters the runtime, so neither tier compiler nor interpreter
+/// ever indexes an unresolvable slot or unwinds a `break` with no loop.
+#[test]
+fn forged_kernels_are_typed_errors_from_both_entry_points() {
+    use acc_kernel_ir::{BufId, Builtin, Expr, LocalId, ParamId, RmwOp, Stmt};
+    let store = |idx: Expr, value: Expr| Stmt::Store {
+        buf: BufId(0),
+        idx,
+        value,
+        dirty: false,
+        checked: false,
+    };
+    let forgeries: Vec<(&str, Stmt)> = vec![
+        ("break outside a loop", Stmt::Break),
+        (
+            "local slot",
+            Stmt::Assign {
+                local: LocalId(999),
+                value: Expr::imm_i32(0),
+            },
+        ),
+        ("param slot", store(Expr::ThreadIdx, Expr::Param(ParamId(999)))),
+        (
+            "buffer slot",
+            Stmt::Store {
+                buf: BufId(999),
+                idx: Expr::ThreadIdx,
+                value: Expr::imm_i32(0),
+                dirty: false,
+                checked: false,
+            },
+        ),
+        (
+            "reduction slot",
+            Stmt::ReduceScalar {
+                slot: 999,
+                op: RmwOp::Add,
+                value: Expr::imm_i32(1),
+            },
+        ),
+        (
+            "builtin arity",
+            store(
+                Expr::ThreadIdx,
+                Expr::Call {
+                    f: Builtin::Sqrt,
+                    args: vec![],
+                },
+            ),
+        ),
+    ];
+    let engine = Engine::new(acc_gpusim::MachineKind::SupercomputerNode, ExecConfig::gpus(2));
+    for (what, stmt) in forgeries {
+        let mut prog = compile_source(SAXPY, "saxpy", &CompileOptions::proposal()).unwrap();
+        prog.kernels[0].kernel.body.push(stmt);
+        let inputs = || {
+            (
+                vec![Value::I32(8), Value::F32(1.0)],
+                vec![Buffer::from_f32(&[1.0; 8]), Buffer::from_f32(&[2.0; 8])],
+            )
+        };
+        for vm in [KernelVm::Register, KernelVm::Bytecode] {
+            let cfg = ExecConfig::gpus(2).kernel_vm(vm);
+            let (scalars, arrays) = inputs();
+            let err = run_program(&mut machine(), &cfg, &prog, scalars, arrays).unwrap_err();
+            assert!(matches!(&err, RunError::Compile(m) if m.contains("saxpy")), "{what}: {err}");
+            assert_eq!(err.code(), "ACC-R010");
+        }
+        let kernel = engine.insert(prog);
+        for _ in 0..2 {
+            let (scalars, arrays) = inputs();
+            let err = engine.launch(&kernel, scalars, arrays).unwrap_err();
+            assert!(matches!(err, RunError::Compile(_)), "{what}: {err}");
+        }
+    }
+}
+
 /// A machine whose GPUs have tiny memories, to exercise capacity limits
 /// without allocating gigabytes for real.
 fn tiny_machine() -> Machine {
@@ -662,13 +740,13 @@ fn time_breakdown_is_populated() {
 
 #[test]
 fn register_vm_is_observationally_identical_end_to_end() {
-    // The SSA-optimizing register VM prices launches from the
-    // pre-optimization IR, so a whole program run must produce the same
-    // arrays, scalar frame, work counters, traffic statistics, and
-    // *simulated time* as the bytecode engine — on every GPU count, with
-    // the sanitizer fully on. Two programs: a scalar reduction, and an
-    // iterative one that relaunches its kernel (the per-run register-code
-    // cache is hit from the second launch on).
+    // Both tiers charge the walker's counters in the walker's order, so
+    // a whole program run must produce the same arrays, scalar frame,
+    // work counters, traffic statistics, and *simulated time* under
+    // either — on every GPU count, with the sanitizer fully on. Two
+    // programs: a scalar reduction, and an iterative one that relaunches
+    // its kernel (the cached register form is hit from the second
+    // launch on).
     let n = 5_000i32;
     let x: Vec<f64> = (0..n).map(|i| (i % 23) as f64 * 0.5).collect();
     let y: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64).collect();

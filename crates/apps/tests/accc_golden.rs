@@ -12,6 +12,9 @@ use acc_compiler::{
 };
 use acc_runtime::CompiledKernel;
 
+mod common;
+use common::embedded_sources;
+
 const GOLDEN: &str = include_str!("golden/accc_golden.txt");
 
 /// The sources of `accc/src/lint.rs`'s unit tests, by test name.
@@ -175,22 +178,6 @@ const LINT_UNIT_SOURCES: &[(&str, &str)] = &[
          }",
     ),
 ];
-
-/// `r#"..."#` literals holding OpenACC pragmas, as `acc-lint FILE.rs`
-/// extracts them.
-fn embedded_sources(rs: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = rs;
-    while let Some(start) = rest.find("r#\"") {
-        let body = &rest[start + 3..];
-        let Some(end) = body.find("\"#") else { break };
-        if body[..end].contains("#pragma acc") {
-            out.push(body[..end].to_string());
-        }
-        rest = &body[end + 2..];
-    }
-    out
-}
 
 fn app_sources() -> Vec<(&'static str, &'static str, &'static str)> {
     let mut v: Vec<_> = App::ALL

@@ -1,14 +1,14 @@
-//! A flat bytecode fast path for kernel execution.
+//! The dynamically typed stack bytecode: the fallback tier.
 //!
-//! [`run_kernel_range`](crate::interp::run_kernel_range) executes one
-//! simulated GPU thread per loop iteration; paper-scale apps run tens of
-//! millions of iterations, so the recursive AST walk in [`crate::interp`]
-//! (one heap-scattered `Box` dereference plus a `match` per expression
-//! node) is the hottest path in the whole simulator. This module compiles
-//! a kernel body once into a flat instruction vector executed
-//! by a small stack machine: the instruction stream is contiguous in
-//! memory, control flow becomes jumps, and per-node `Result` plumbing
-//! collapses into one dispatch loop.
+//! Kernels run on the statically typed register tier ([`crate::regvm`])
+//! whenever they can be typed, so this is not the hot path: it
+//! executes the kernels and launches `regvm` declines — those that can
+//! raise a dynamic `TypeError`, which only a tagged-`Value` machine
+//! reproduces — and whole runs under `KernelVm::Bytecode`. A kernel body
+//! is compiled once into a flat instruction vector executed by a small
+//! stack machine: the instruction stream is contiguous in memory,
+//! control flow becomes jumps, and the AST walker's per-node `Result`
+//! plumbing collapses into one dispatch loop.
 //!
 //! The compiled path is an *implementation detail*, not a semantic one:
 //! it must produce exactly the results of the AST walker — the same
@@ -17,7 +17,7 @@
 //! values on failure. The timing model prices runs from the counters, so
 //! any drift here would change *simulated* results, which is forbidden.
 //! `interp::run_kernel_range_ast` keeps the walker alive as the reference
-//! implementation, and differential tests in this module hold the two
+//! implementation, and `tests/bytecode_differential.rs` holds the two
 //! paths equal.
 
 use crate::interp::{rmw_apply, ExecCtx, ExecError};

@@ -63,25 +63,6 @@ impl OpCounters {
         self.threads += other.threads;
     }
 
-    /// Accumulate `n` executions' worth of another counter set. Used by
-    /// the register VM to settle per-block static deltas in one step.
-    pub fn merge_scaled(&mut self, other: &OpCounters, n: u64) {
-        self.int_ops += other.int_ops * n;
-        self.f32_ops += other.f32_ops * n;
-        self.f64_ops += other.f64_ops * n;
-        self.special_ops += other.special_ops * n;
-        self.loads += other.loads * n;
-        self.stores += other.stores * n;
-        self.load_bytes += other.load_bytes * n;
-        self.store_bytes += other.store_bytes * n;
-        self.atomics += other.atomics * n;
-        self.branches += other.branches * n;
-        self.dirty_marks += other.dirty_marks * n;
-        self.miss_checks += other.miss_checks * n;
-        self.misses += other.misses * n;
-        self.threads += other.threads * n;
-    }
-
     /// Total dynamic instruction estimate (everything except byte counts).
     pub fn total_ops(&self) -> u64 {
         self.int_ops

@@ -33,9 +33,7 @@ fn fold_node(e: Expr) -> Expr {
             // A same-type cast of a non-constant operand is NOT elided:
             // the interpreter charges one int op per executed `Cast`, so
             // dropping the node would change a kernel's priced cost
-            // depending on whether folding ran. Redundant-cast removal
-            // belongs to the SSA optimizer, which prices blocks from the
-            // pre-optimization IR and therefore keeps counters intact.
+            // depending on whether folding ran.
             _ => Expr::Cast { ty, a },
         },
         Expr::Select { c, t, f } => match c.as_ref() {

@@ -1,12 +1,18 @@
 //! The kernel IR interpreter.
 //!
 //! One simulated GPU executes the iteration sub-range assigned to it by
-//! running [`run_kernel_range`] over an [`ExecCtx`] built from its device
-//! memory. The interpreter is single-threaded per GPU (multi-GPU
-//! parallelism happens one level up, in `acc-runtime`, with one OS thread
-//! per simulated GPU); within a GPU, hardware parallelism is captured by
-//! the timing model in `acc-gpusim`, not by host threads — this keeps
-//! irregular-write kernels deterministic.
+//! running [`run_kernel_range`] — or one of the faster tiers held equal
+//! to it — over an [`ExecCtx`] built from its device memory. The
+//! interpreter is single-threaded per GPU (multi-GPU parallelism happens
+//! one level up, in `acc-runtime`, which runs the GPUs' shares of a
+//! launch on as many host threads as the host has cores); within a GPU,
+//! hardware parallelism is captured by the timing model in `acc-gpusim`,
+//! not by host threads — this keeps irregular-write kernels
+//! deterministic.
+//!
+//! The AST walker here ([`run_kernel_range_ast`]) is the reference
+//! semantics: the stack bytecode ([`crate::bytecode`]) and the register
+//! tier ([`crate::regvm`]) are differential-tested against it.
 
 use crate::dirty::DirtyMap;
 use crate::{

@@ -38,9 +38,7 @@ pub mod expr;
 pub mod fold;
 pub mod interp;
 pub mod kernel;
-pub mod passes;
 pub mod regvm;
-pub mod ssa;
 pub mod stmt;
 pub mod ty;
 

@@ -1,496 +1,697 @@
-//! Register-allocated VM over the optimized SSA kernel IR.
+//! The statically typed register tier: a tree-to-register VM on an
+//! untagged frame.
 //!
-//! [`compile`] runs the full pipeline — lower → mem2reg → type inference →
-//! pricing resolution → CSE → load forwarding → strength reduction → DCE →
-//! CFG simplification — then assigns every SSA value a frame slot with a
-//! linear-scan allocator and flattens phis into parallel copies on
-//! (split) edges. [`run_kernel_range_opt`] executes the result, falling
-//! back to the reference bytecode path ([`run_kernel_range`]) whenever the
-//! kernel fails to lower, fails type validation, or the launch context's
-//! value types don't match the declaration (those launches can raise
-//! dynamic `TypeError`s that only the reference path reproduces).
+//! A [`Kernel`] declares the type of every local, parameter, buffer and
+//! reduction, so the type of every expression node is known before the
+//! first thread runs. [`compile`] walks the statement tree once,
+//! computing each node's [`Ty`] bottom-up, and emits one
+//! type-specialised three-address `Op` per *interior* node. It returns
+//! `None` — and the caller runs the stack bytecode
+//! ([`run_kernel_range`]) — for any kernel the AST walker could answer
+//! with a dynamic `TypeError`: operand types that differ, a non-`I32`
+//! index, an `Assign` whose value type is not the local's declared type,
+//! `Select` arms of different types, an `AtomicRmw` / `ReduceScalar`
+//! value that is not the buffer's / reduction's type, float `Rem` or
+//! bitwise ops, `Neg` on `Bool`, `Abs` on non-`I32`, a `Bool` builtin
+//! argument, a condition that is neither `Bool` nor `I32`, a kernel that
+//! fails [`Kernel::validate`], or a frame wider than `u16` slots. A
+//! launch whose dynamic types differ from the declarations
+//! ([`launch_types_match`]) takes the same fallback.
 //!
-//! Counter parity (see the [`crate::ssa`] module docs): the VM charges
-//! nothing per arithmetic instruction. It counts block executions and
-//! settles `counts[b] × delta[b]` at the end of the range; a faulting
-//! instruction settles the counts and then adds its pre-computed prefix
-//! delta. Only checked stores price themselves dynamically (their cost
-//! depends on hit/miss). The result is bit-identical to the AST walker:
-//! same buffers, locals, reduction partials, miss records, dirty bits,
-//! `OpCounters`, per-buffer bytes, sanitizer log, and `ExecError` values.
+//! **Frame.** One `[u64]` per launch share, laid out
+//! `[locals | tid | params | consts | temps]`, holding raw bits: `i32`
+//! zero-extended, `f32` / `f64` bit patterns, `bool` 0/1. Params and
+//! consts are written once per [`run_compiled`]; locals are zeroed (every
+//! type's zero is the zero word) and `tid` set once per thread. Every
+//! *leaf* (`Local`, `Param`, `Imm`, `ThreadIdx`) therefore already is a
+//! slot and costs no instruction. Temps are handed out by expression
+//! depth and released by the parent node.
+//!
+//! **Fused `Assign`.** The root op of an `Assign`'s value writes the
+//! local directly and carries the `Assign`'s own `int_ops` charge (the
+//! `x` of `R2` / `R3`), applied after the op's last fault point.
+//! This is safe although the local may occur in its own value
+//! (`x = x * 2 + x`, `x = a[x]`): expressions are pure, inner nodes
+//! write temps, and only the root — for `Select` / `&&` / `||` the last
+//! op of the taken arm — writes the destination, after every read.
+//!
+//! **Counters.** Each op charges [`OpCounters`](crate::OpCounters)
+//! inline, in the walker's post-order, with the increment chosen at
+//! compile time from the static type. A failing run has therefore
+//! tallied exactly what the walker tallied when it stopped — by
+//! construction, with no pricing tables to keep in step. Every check of
+//! the walker stays where the walker has it: window bounds, the
+//! checked-store miss path (whose `MissRecord` keeps the uncast value),
+//! dirty marks, the sanitizer audits, `DivByZero` after `special_ops`.
 
-use std::collections::HashSet;
-
-use crate::expr::{BinOp, Builtin, UnOp};
+use crate::expr::{BinOp, Builtin, Expr, UnOp};
 use crate::interp::{
-    eval_binary, eval_builtin, eval_unary, rmw_apply, run_kernel_range, sanitize_load,
-    sanitize_store, ExecCtx, ExecError, MissRecord,
+    eval_builtin, rmw_apply, run_kernel_range, sanitize_load, sanitize_store, BufSlot, ExecCtx,
+    ExecError, MissRecord,
 };
 use crate::kernel::Kernel;
-use crate::passes;
-use crate::ssa::{self, Block, Delta, Func, Id, InstKind, Term, NO_PREFIX};
-use crate::stmt::RmwOp;
+use crate::stmt::{RmwOp, Stmt};
 use crate::ty::{Ty, Value};
 
-/// One register-VM instruction. `d`/`a`/`b`/`idx`/`val` are frame slots;
-/// `ep` indexes [`RegCompiled::prefixes`] for fault settling.
-#[derive(Debug, Clone)]
-pub enum RInstr {
-    Const { d: u16, v: Value },
-    Tid { d: u16 },
-    Param { d: u16, p: u16 },
-    Copy { d: u16, s: u16 },
-    Un { d: u16, op: UnOp, a: u16 },
-    Bin { d: u16, op: BinOp, a: u16, b: u16, ep: u32 },
-    AsBool { d: u16, a: u16 },
-    Cast { d: u16, ty: Ty, a: u16 },
-    Call1 { d: u16, f: Builtin, a: u16 },
-    Call2 { d: u16, f: Builtin, a: u16, b: u16 },
-    Load { d: u16, buf: u32, idx: u16, ep: u32 },
-    /// Sanitizer ghost of a forwarded load (see [`InstKind::Probe`]).
-    Probe { buf: u32, idx: u16 },
-    Store { buf: u32, idx: u16, val: u16, dirty: bool, checked: bool, ep: u32 },
-    Atomic { buf: u32, op: RmwOp, idx: u16, val: u16, ep: u32 },
-    Reduce { slot: u32, op: RmwOp, val: u16 },
+/// `frame[d] = ∘ frame[a]`, then `x` more `int_ops`: the charge of the
+/// `Assign` this op is the root of (0 for an inner node).
+#[derive(Debug, Clone, Copy)]
+struct R2 {
+    d: u16,
+    a: u16,
+    x: u8,
 }
 
+/// `frame[d] = frame[a] ∘ frame[b]`; `x` as in [`R2`].
 #[derive(Debug, Clone, Copy)]
-pub enum RTerm {
+struct R3 {
+    d: u16,
+    a: u16,
+    b: u16,
+    x: u8,
+}
+
+/// One instruction. Suffixes name the static operand type: `I` = `i32`,
+/// `S` = `f32`, `D` = `f64`. Jump targets are absolute indices.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    AddI(R3),
+    SubI(R3),
+    MulI(R3),
+    DivI(R3),
+    RemI(R3),
+    AndI(R3),
+    OrI(R3),
+    XorI(R3),
+    ShlI(R3),
+    ShrI(R3),
+    AddS(R3),
+    SubS(R3),
+    MulS(R3),
+    DivS(R3),
+    AddD(R3),
+    SubD(R3),
+    MulD(R3),
+    DivD(R3),
+    /// Comparisons produce 0/1. `CmpI` also serves `Bool` operands,
+    /// whose 0/1 bits order like the walker's `false < true`.
+    CmpI(BinOp, R3),
+    CmpS(BinOp, R3),
+    CmpD(BinOp, R3),
+    NegI(R2),
+    NegS(R2),
+    NegD(R2),
+    /// Logical not of an `I32` or a `Bool`: `d = (a == 0)`.
+    Not(R2),
+    BitNot(R2),
+    /// Copy a leaf; charges `x` only (a same-type `Cast` is a `Mov`
+    /// whose `x` includes the cast's own charge).
+    Mov(R2),
+    /// Normalise an `I32` right-hand side of `&&` / `||` in place.
+    Truth(u16),
+    Cast {
+        from: Ty,
+        to: Ty,
+        r: R2,
+    },
+    Call1 {
+        f: Builtin,
+        ta: Ty,
+        r: R2,
+    },
+    Call2 {
+        f: Builtin,
+        ta: Ty,
+        tb: Ty,
+        r: R3,
+    },
+    /// 4- / 8-byte little-endian load; `r.a` is the index slot.
+    Load4 {
+        buf: u16,
+        r: R2,
+    },
+    Load8 {
+        buf: u16,
+        r: R2,
+    },
+    Store {
+        buf: u16,
+        idx: u16,
+        val: u16,
+        vty: Ty,
+        bty: Ty,
+        dirty: bool,
+        checked: bool,
+    },
+    Atomic {
+        buf: u16,
+        idx: u16,
+        val: u16,
+        ty: Ty,
+        op: RmwOp,
+    },
+    Reduce {
+        slot: u16,
+        val: u16,
+        ty: Ty,
+        op: RmwOp,
+    },
     Jump(u32),
-    Br { c: u16, t: u32, f: u32 },
+    /// Count a branch; jump when `a` (a `Bool` or an `I32`) is zero.
+    BrZero {
+        a: u16,
+        t: u32,
+    },
+    /// A comparison fused with the branch on it: charge the compare by
+    /// type, count a branch, jump when the comparison is false.
+    BrCmpI {
+        cmp: BinOp,
+        a: u16,
+        b: u16,
+        t: u32,
+    },
+    BrCmpS {
+        cmp: BinOp,
+        a: u16,
+        b: u16,
+        t: u32,
+    },
+    BrCmpD {
+        cmp: BinOp,
+        a: u16,
+        b: u16,
+        t: u32,
+    },
     Ret,
 }
 
-#[derive(Debug, Clone)]
-pub struct RBlock {
-    pub code: Vec<RInstr>,
-    pub term: RTerm,
+impl Op {
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jump(t)
+            | Op::BrZero { t, .. }
+            | Op::BrCmpI { t, .. }
+            | Op::BrCmpS { t, .. }
+            | Op::BrCmpD { t, .. } => Some(t),
+            _ => None,
+        }
+    }
 }
 
-/// A compiled kernel: register code plus the pre-optimization pricing
-/// tables (per-block deltas and per-fault-site prefixes).
+/// A kernel compiled for the register tier.
 #[derive(Debug, Clone)]
 pub struct RegCompiled {
-    pub blocks: Vec<RBlock>,
-    pub deltas: Vec<Delta>,
-    pub prefixes: Vec<Delta>,
-    pub nslots: usize,
+    code: Vec<Op>,
+    /// Bit patterns of the frame's constant section, sorted.
+    consts: Vec<u64>,
+    nlocals: usize,
+    const0: usize,
+    nslots: usize,
 }
 
-/// Compile a kernel through the optimizing pipeline. Returns `None` when
-/// the kernel can't be statically validated (out-of-range indices, type
-/// inference failure, or a frame wider than `u16` slots); callers fall
-/// back to the reference interpreter.
+#[inline]
+fn geti(x: u64) -> i32 {
+    x as u32 as i32
+}
+#[inline]
+fn puti(v: i32) -> u64 {
+    v as u32 as u64
+}
+#[inline]
+fn gets(x: u64) -> f32 {
+    f32::from_bits(x as u32)
+}
+#[inline]
+fn puts(v: f32) -> u64 {
+    v.to_bits() as u64
+}
+
+/// The frame representation of a value: its little-endian bytes, as a
+/// buffer holds them, zero-extended to a word.
+fn bits(v: Value) -> u64 {
+    let mut word = [0u8; 8];
+    v.write_le(&mut word);
+    u64::from_le_bytes(word)
+}
+
+/// The value a frame word of static type `ty` stands for.
+fn value(ty: Ty, x: u64) -> Value {
+    Value::read_le(ty, &x.to_le_bytes())
+}
+
+// ---------------------------------------------------------------------------
+// Compilation
+// ---------------------------------------------------------------------------
+
+struct LoopFrame {
+    head: u32,
+    breaks: Vec<usize>,
+}
+
+struct Compiler<'k> {
+    k: &'k Kernel,
+    code: Vec<Op>,
+    consts: Vec<u64>,
+    tid: u16,
+    param0: u16,
+    const0: u16,
+    temp0: usize,
+    /// Temps in use by the expression being compiled, and the most any
+    /// expression used.
+    temps: usize,
+    max_temps: usize,
+    loops: Vec<LoopFrame>,
+}
+
+/// Compile a kernel for the register tier, or `None` when it cannot be
+/// statically typed (see the module docs); callers then run the stack
+/// bytecode, which reproduces the walker's dynamic errors.
 pub fn compile(k: &Kernel) -> Option<RegCompiled> {
-    let mut f = ssa::lower(k)?;
-    ssa::prune_unreachable(&mut f);
-    passes::mem2reg(&mut f, k);
-    passes::forward_copies(&mut f);
-    ssa::infer(&mut f, k).ok()?;
-    ssa::resolve_pricing(&mut f);
-    passes::cse(&mut f);
-    passes::forward_loads(&mut f);
-    passes::strength(&mut f);
-    passes::dce(&mut f);
-    passes::simplify(&mut f);
-    passes::forward_copies(&mut f);
-    passes::dce(&mut f);
-    split_critical_edges(&mut f);
-    lower_to_registers(&f)
-}
-
-/// Split every `Br` edge into a phi-bearing block through a fresh empty
-/// block (zero delta), so phi parallel copies always sit in a block whose
-/// only successor is the phi's block.
-fn split_critical_edges(f: &mut Func) {
-    for b in 0..f.blocks.len() as u32 {
-        let Term::Br { c, t, f: fb } = f.blocks[b as usize].term else {
-            continue;
-        };
-        let nt = maybe_split(f, b, t);
-        let nf = maybe_split(f, b, fb);
-        f.blocks[b as usize].term = Term::Br { c, t: nt, f: nf };
-    }
-}
-
-fn maybe_split(f: &mut Func, b: u32, s: u32) -> u32 {
-    let has_phi = f.blocks[s as usize]
-        .code
-        .iter()
-        .any(|&id| matches!(f.insts[id as usize].kind, InstKind::Phi(_)));
-    if !has_phi {
-        return s;
-    }
-    let e = f.blocks.len() as u32;
-    f.blocks.push(Block {
-        code: Vec::new(),
-        term: Term::Jump(s),
-        preds: vec![b],
-        delta: Delta::default(),
-        pending: Vec::new(),
-    });
-    for p in &mut f.blocks[s as usize].preds {
-        if *p == b {
-            *p = e;
-        }
-    }
-    let code = f.blocks[s as usize].code.clone();
-    for id in code {
-        if let InstKind::Phi(ops) = &mut f.insts[id as usize].kind {
-            for op in ops {
-                if op.0 == b {
-                    op.0 = e;
-                }
-            }
-        }
-    }
-    e
-}
-
-fn has_def(kind: &InstKind) -> bool {
-    !matches!(
-        kind,
-        InstKind::Store { .. }
-            | InstKind::Atomic { .. }
-            | InstKind::Reduce { .. }
-            | InstKind::Probe { .. }
-            | InstKind::StLocal(..)
-            | InstKind::Removed
-    )
-}
-
-fn lower_to_registers(f: &Func) -> Option<RegCompiled> {
-    let n = f.blocks.len();
-    let ni = f.insts.len();
-    let order = passes::rpo(f);
-
-    // Linear positions: block start (phi defs), one per non-phi
-    // instruction, block end (terminator + phi copies).
-    let mut pos = vec![0u32; ni];
-    let mut brange = vec![(0u32, 0u32); n];
-    let mut p = 0u32;
-    for &b in &order {
-        let start = p;
-        p += 1;
-        for &id in &f.blocks[b as usize].code {
-            if matches!(f.insts[id as usize].kind, InstKind::Phi(_)) {
-                pos[id as usize] = start;
-            } else {
-                pos[id as usize] = p;
-                p += 1;
-            }
-        }
-        brange[b as usize] = (start, p);
-        p += 1;
-    }
-
-    // Backward liveness. Phi operands count as uses at the end of the
-    // corresponding predecessor (where the parallel copy reads them), and
-    // phi *defs* are also marked live there so the copy's destination slot
-    // can't be shared with anything still live at the edge.
-    let mut live_in: Vec<HashSet<Id>> = vec![HashSet::new(); n];
-    let mut live_out: Vec<HashSet<Id>> = vec![HashSet::new(); n];
-    loop {
-        let mut changed = false;
-        for &b in order.iter().rev() {
-            let mut live: HashSet<Id> = HashSet::new();
-            for s in f.succs(b) {
-                live.extend(live_in[s as usize].iter().copied());
-                for &id in &f.blocks[s as usize].code {
-                    if let InstKind::Phi(ops) = &f.insts[id as usize].kind {
-                        live.insert(id);
-                        if let Some(&(_, v)) = ops.iter().find(|&&(pb, _)| pb == b) {
-                            live.insert(v);
-                        }
-                    }
-                }
-            }
-            if let Term::Br { c, .. } = f.blocks[b as usize].term {
-                live.insert(c);
-            }
-            live_out[b as usize] = live.clone();
-            for &id in f.blocks[b as usize].code.iter().rev() {
-                let kind = &f.insts[id as usize].kind;
-                if matches!(kind, InstKind::Phi(_)) {
-                    live.remove(&id);
-                } else {
-                    if has_def(kind) {
-                        live.remove(&id);
-                    }
-                    Func::visit_uses(kind, &mut |u| {
-                        live.insert(u);
-                    });
-                }
-            }
-            if live != live_in[b as usize] {
-                live_in[b as usize] = live;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Conservative hull intervals.
-    let mut iv: Vec<Option<(u32, u32)>> = vec![None; ni];
-    let touch = |iv: &mut Vec<Option<(u32, u32)>>, id: Id, at: u32| {
-        let e = &mut iv[id as usize];
-        match e {
-            None => *e = Some((at, at)),
-            Some((lo, hi)) => {
-                *lo = (*lo).min(at);
-                *hi = (*hi).max(at);
-            }
-        }
-    };
-    for &b in &order {
-        let (start, end) = brange[b as usize];
-        for &v in &live_in[b as usize] {
-            touch(&mut iv, v, start);
-        }
-        for &v in &live_out[b as usize] {
-            touch(&mut iv, v, end);
-        }
-        for &id in &f.blocks[b as usize].code {
-            let kind = &f.insts[id as usize].kind;
-            if has_def(kind) {
-                touch(&mut iv, id, pos[id as usize]);
-            }
-            let at = pos[id as usize];
-            Func::visit_uses(kind, &mut |u| {
-                touch(&mut iv, u, at);
-            });
-        }
-    }
-
-    // Linear scan over interval hulls; slots are unbounded (no spilling),
-    // the scan exists to pack the frame tightly for cache-friendly reuse.
-    let mut items: Vec<(u32, u32, Id)> = iv
-        .iter()
-        .enumerate()
-        .filter_map(|(id, r)| r.map(|(lo, hi)| (lo, hi, id as Id)))
-        .collect();
-    items.sort_unstable();
-    let mut slot_of = vec![0u16; ni];
-    let mut active: Vec<(u32, u16)> = Vec::new();
-    let mut free: Vec<u16> = Vec::new();
-    let mut next: u32 = 0;
-    for (lo, hi, id) in items {
-        active.retain(|&(end, s)| {
-            if end < lo {
-                free.push(s);
-                false
-            } else {
-                true
+    k.validate().ok()?;
+    // 0 and 1 are always present: the results of a short-circuit.
+    let mut consts = vec![0, 1];
+    for s in &k.body {
+        s.visit_exprs(&mut |e| {
+            if let Expr::Imm(v) = e {
+                consts.push(bits(*v));
             }
         });
-        let s = match free.pop() {
-            Some(s) => s,
-            None => {
-                let s = next;
-                next += 1;
-                if next >= u16::MAX as u32 {
-                    return None; // frame too wide; fall back
-                }
-                s as u16
-            }
-        };
-        slot_of[id as usize] = s;
-        active.push((hi, s));
     }
-    let scratch = next as u16;
-    let nslots = next as usize + 1;
-
-    // Emission. Block indices are preserved, so pricing tables line up.
-    let sl = |id: Id| slot_of[passes::resolve_copy(f, id) as usize];
-    let mut rblocks: Vec<RBlock> = Vec::with_capacity(n);
-    for b in 0..n as u32 {
-        let mut code = Vec::new();
-        for &id in &f.blocks[b as usize].code {
-            let inst = &f.insts[id as usize];
-            let d = slot_of[id as usize];
-            let ep = inst.prefix;
-            match &inst.kind {
-                InstKind::Phi(_) | InstKind::Removed => {}
-                InstKind::Copy(s) => {
-                    let s = sl(*s);
-                    if s != d {
-                        code.push(RInstr::Copy { d, s });
-                    }
-                }
-                InstKind::Const(v) => code.push(RInstr::Const { d, v: *v }),
-                InstKind::Tid => code.push(RInstr::Tid { d }),
-                InstKind::Param(p) => code.push(RInstr::Param { d, p: *p as u16 }),
-                InstKind::Un(op, a) => code.push(RInstr::Un { d, op: *op, a: sl(*a) }),
-                InstKind::Bin(op, a, bb) => code.push(RInstr::Bin {
-                    d,
-                    op: *op,
-                    a: sl(*a),
-                    b: sl(*bb),
-                    ep,
-                }),
-                InstKind::AsBool(a) => code.push(RInstr::AsBool { d, a: sl(*a) }),
-                InstKind::Cast(ty, a) => code.push(RInstr::Cast { d, ty: *ty, a: sl(*a) }),
-                InstKind::Call(fb, args) => match args.len() {
-                    1 => code.push(RInstr::Call1 { d, f: *fb, a: sl(args[0]) }),
-                    2 => code.push(RInstr::Call2 {
-                        d,
-                        f: *fb,
-                        a: sl(args[0]),
-                        b: sl(args[1]),
-                    }),
-                    _ => return None, // no such builtin arity post-typing
-                },
-                InstKind::Load { buf, idx } => code.push(RInstr::Load {
-                    d,
-                    buf: *buf,
-                    idx: sl(*idx),
-                    ep,
-                }),
-                InstKind::Probe { buf, idx } => {
-                    code.push(RInstr::Probe { buf: *buf, idx: sl(*idx) })
-                }
-                InstKind::Store { buf, idx, val, dirty, checked } => {
-                    code.push(RInstr::Store {
-                        buf: *buf,
-                        idx: sl(*idx),
-                        val: sl(*val),
-                        dirty: *dirty,
-                        checked: *checked,
-                        ep,
-                    })
-                }
-                InstKind::Atomic { buf, idx, op, val } => code.push(RInstr::Atomic {
-                    buf: *buf,
-                    op: *op,
-                    idx: sl(*idx),
-                    val: sl(*val),
-                    ep,
-                }),
-                InstKind::Reduce { slot, op, val } => code.push(RInstr::Reduce {
-                    slot: *slot,
-                    op: *op,
-                    val: sl(*val),
-                }),
-                InstKind::LdLocal(_) | InstKind::StLocal(..) => return None, // mem2reg missed
-            }
-        }
-        // Phi parallel copies at the end of the (post-split, Jump-only)
-        // predecessor edge.
-        if let Term::Jump(t) = f.blocks[b as usize].term {
-            let mut moves: Vec<(u16, u16)> = Vec::new();
-            for &id in &f.blocks[t as usize].code {
-                if let InstKind::Phi(ops) = &f.insts[id as usize].kind {
-                    if let Some(&(_, v)) = ops.iter().find(|&&(pb, _)| pb == b) {
-                        moves.push((slot_of[id as usize], sl(v)));
-                    }
-                }
-            }
-            for (d, s) in seq_parallel_moves(moves, scratch) {
-                code.push(RInstr::Copy { d, s });
-            }
-        }
-        let term = match f.blocks[b as usize].term {
-            Term::Jump(t) => RTerm::Jump(t),
-            Term::Br { c, t, f: fb } => RTerm::Br { c: sl(c), t, f: fb },
-            Term::Ret => RTerm::Ret,
-        };
-        rblocks.push(RBlock { code, term });
-    }
-
+    consts.sort_unstable();
+    consts.dedup();
+    let nlocals = k.locals.len();
+    let temp0 = nlocals + 1 + k.params.len() + consts.len();
+    // Every fixed slot, buffer and reduction index must fit an operand.
+    u16::try_from(temp0.max(k.bufs.len()).max(k.reductions.len())).ok()?;
+    let mut c = Compiler {
+        k,
+        code: Vec::new(),
+        tid: nlocals as u16,
+        param0: nlocals as u16 + 1,
+        const0: (temp0 - consts.len()) as u16,
+        consts,
+        temp0,
+        temps: 0,
+        max_temps: 0,
+        loops: Vec::new(),
+    };
+    c.block(&k.body)?;
+    c.emit(Op::Ret);
     Some(RegCompiled {
-        blocks: rblocks,
-        deltas: f.blocks.iter().map(|b| b.delta.clone()).collect(),
-        prefixes: f.prefixes.iter().map(|p| p.delta.clone()).collect(),
-        nslots,
+        code: c.code,
+        consts: c.consts,
+        nlocals,
+        const0: c.const0 as usize,
+        nslots: temp0 + c.max_temps,
     })
 }
 
-/// Sequence a parallel copy set, breaking cycles through `scratch`.
-/// Destination slots are unique; a single scratch suffices because a
-/// broken cycle fully drains (as a chain of safe moves) before another
-/// break can occur.
-fn seq_parallel_moves(moves: Vec<(u16, u16)>, scratch: u16) -> Vec<(u16, u16)> {
-    let mut pending: Vec<(u16, u16)> = moves.into_iter().filter(|&(d, s)| d != s).collect();
-    let mut out = Vec::with_capacity(pending.len());
-    while !pending.is_empty() {
-        if let Some(i) = pending
-            .iter()
-            .position(|&(d, _)| !pending.iter().any(|&(_, s)| s == d))
-        {
-            let m = pending.remove(i);
-            out.push(m);
-        } else {
-            // Pure cycle(s) remain: free one destination via scratch.
-            let (d, s) = pending.remove(0);
-            out.push((scratch, d));
-            for m in &mut pending {
-                if m.1 == d {
-                    m.1 = scratch;
-                }
-            }
-            out.push((d, s));
+/// The result type of `f` on arguments of types `args`, mirroring
+/// `eval_builtin`'s dynamic rules.
+fn builtin_ty(f: Builtin, args: &[Ty]) -> Option<Ty> {
+    if args.contains(&Ty::Bool) {
+        return None;
+    }
+    match (f, args) {
+        (Builtin::Abs, [Ty::I32]) => Some(Ty::I32),
+        (Builtin::Abs, _) => None,
+        (Builtin::Min | Builtin::Max, [Ty::I32, Ty::I32]) => Some(Ty::I32),
+        // Everything else computes in f64 and returns at the first
+        // argument's precision.
+        (_, [Ty::F32, ..]) => Some(Ty::F32),
+        _ => Some(Ty::F64),
+    }
+}
+
+fn arith(op: BinOp, ty: Ty, r: R3) -> Option<Op> {
+    use BinOp::*;
+    Some(match (op, ty) {
+        (Add, Ty::I32) => Op::AddI(r),
+        (Sub, Ty::I32) => Op::SubI(r),
+        (Mul, Ty::I32) => Op::MulI(r),
+        (Div, Ty::I32) => Op::DivI(r),
+        (Rem, Ty::I32) => Op::RemI(r),
+        (And, Ty::I32) => Op::AndI(r),
+        (Or, Ty::I32) => Op::OrI(r),
+        (Xor, Ty::I32) => Op::XorI(r),
+        (Shl, Ty::I32) => Op::ShlI(r),
+        (Shr, Ty::I32) => Op::ShrI(r),
+        (Add, Ty::F32) => Op::AddS(r),
+        (Sub, Ty::F32) => Op::SubS(r),
+        (Mul, Ty::F32) => Op::MulS(r),
+        (Div, Ty::F32) => Op::DivS(r),
+        (Add, Ty::F64) => Op::AddD(r),
+        (Sub, Ty::F64) => Op::SubD(r),
+        (Mul, Ty::F64) => Op::MulD(r),
+        (Div, Ty::F64) => Op::DivD(r),
+        _ => return None,
+    })
+}
+
+impl Compiler<'_> {
+    fn emit(&mut self, op: Op) -> usize {
+        self.code.push(op);
+        self.code.len() - 1
+    }
+
+    /// Point the branch at `at` to the next instruction emitted.
+    fn patch(&mut self, at: usize) {
+        let here = self.code.len() as u32;
+        if let Some(t) = self.code[at].target_mut() {
+            *t = here;
         }
     }
-    out
+
+    /// The slot holding `e`'s value and its type: the leaf's own slot,
+    /// or a fresh temp the caller releases.
+    fn operand(&mut self, e: &Expr) -> Option<(u16, Ty)> {
+        Some(match e {
+            Expr::Imm(v) => {
+                let i = self.consts.binary_search(&bits(*v)).ok()?;
+                (self.const0 + i as u16, v.ty())
+            }
+            Expr::Local(l) => (l.0 as u16, self.k.locals[l.0 as usize]),
+            Expr::Param(p) => (self.param0 + p.0 as u16, self.k.params[p.0 as usize].ty),
+            Expr::ThreadIdx => (self.tid, Ty::I32),
+            _ => {
+                let d = u16::try_from(self.temp0 + self.temps).ok()?;
+                self.temps += 1;
+                self.max_temps = self.max_temps.max(self.temps);
+                (d, self.into(e, d, 0)?)
+            }
+        })
+    }
+
+    fn index(&mut self, e: &Expr) -> Option<u16> {
+        let (s, ty) = self.operand(e)?;
+        (ty == Ty::I32).then_some(s)
+    }
+
+    /// Compile `e` so that the last op executed writes its value to `d`
+    /// and charges `x` further `int_ops`. Returns `e`'s type.
+    fn into(&mut self, e: &Expr, d: u16, x: u8) -> Option<Ty> {
+        let mark = self.temps;
+        let ty = match e {
+            Expr::Imm(_) | Expr::Local(_) | Expr::Param(_) | Expr::ThreadIdx => {
+                let (a, ty) = self.operand(e)?;
+                self.emit(Op::Mov(R2 { d, a, x }));
+                ty
+            }
+            Expr::Load { buf, idx } => {
+                let r = R2 {
+                    d,
+                    a: self.index(idx)?,
+                    x,
+                };
+                let ty = self.k.bufs[buf.0 as usize].ty;
+                let buf = buf.0 as u16;
+                self.emit(if ty == Ty::F64 {
+                    Op::Load8 { buf, r }
+                } else {
+                    Op::Load4 { buf, r }
+                });
+                ty
+            }
+            Expr::Unary { op, a } => {
+                let (a, ty) = self.operand(a)?;
+                let r = R2 { d, a, x };
+                let (op, ty) = match (op, ty) {
+                    (UnOp::Neg, Ty::I32) => (Op::NegI(r), ty),
+                    (UnOp::Neg, Ty::F32) => (Op::NegS(r), ty),
+                    (UnOp::Neg, Ty::F64) => (Op::NegD(r), ty),
+                    (UnOp::Not, Ty::I32 | Ty::Bool) => (Op::Not(r), Ty::Bool),
+                    (UnOp::BitNot, Ty::I32) => (Op::BitNot(r), ty),
+                    _ => return None,
+                };
+                self.emit(op);
+                ty
+            }
+            Expr::Binary { op, a, b } if op.is_logical() => {
+                // consts[0] = 0 and consts[1] = 1, the smallest bit patterns.
+                let (and, zero, one) = (*op == BinOp::LAnd, self.const0, self.const0 + 1);
+                let lhs_false = self.branch_if_false(a)?;
+                // A true lhs decides `||` and leaves `&&` to the rhs ...
+                if and {
+                    self.truth_into(b, d, x)?;
+                } else {
+                    self.emit(Op::Mov(R2 { d, a: one, x }));
+                }
+                let done = self.emit(Op::Jump(0));
+                self.patch(lhs_false);
+                // ... a false lhs decides `&&` and leaves `||` to the rhs.
+                if and {
+                    self.emit(Op::Mov(R2 { d, a: zero, x }));
+                } else {
+                    self.truth_into(b, d, x)?;
+                }
+                self.patch(done);
+                Ty::Bool
+            }
+            Expr::Binary { op, a, b } => {
+                let (a, ta) = self.operand(a)?;
+                let (b, tb) = self.operand(b)?;
+                if ta != tb {
+                    return None;
+                }
+                let r = R3 { d, a, b, x };
+                if op.is_comparison() {
+                    self.emit(match ta {
+                        Ty::I32 | Ty::Bool => Op::CmpI(*op, r),
+                        Ty::F32 => Op::CmpS(*op, r),
+                        Ty::F64 => Op::CmpD(*op, r),
+                    });
+                    Ty::Bool
+                } else {
+                    self.emit(arith(*op, ta, r)?);
+                    ta
+                }
+            }
+            Expr::Cast { ty, a } => {
+                let (a, from) = self.operand(a)?;
+                self.emit(if from == *ty {
+                    Op::Mov(R2 { d, a, x: x + 1 })
+                } else {
+                    Op::Cast {
+                        from,
+                        to: *ty,
+                        r: R2 { d, a, x },
+                    }
+                });
+                *ty
+            }
+            Expr::Call { f, args } => {
+                // `validate` pinned the arity to the builtin's: 1 or 2.
+                let (mut slots, mut tys) = ([0; 2], [Ty::I32; 2]);
+                for (i, arg) in args.iter().enumerate() {
+                    (slots[i], tys[i]) = self.operand(arg)?;
+                }
+                let ([a, b], [ta, tb], f) = (slots, tys, *f);
+                let ty = builtin_ty(f, &tys[..args.len()])?;
+                self.emit(if args.len() == 2 {
+                    Op::Call2 {
+                        f,
+                        ta,
+                        tb,
+                        r: R3 { d, a, b, x },
+                    }
+                } else {
+                    Op::Call1 {
+                        f,
+                        ta,
+                        r: R2 { d, a, x },
+                    }
+                });
+                ty
+            }
+            Expr::Select { c, t, f } => {
+                let cond_false = self.branch_if_false(c)?;
+                let tt = self.into(t, d, x)?;
+                let done = self.emit(Op::Jump(0));
+                self.patch(cond_false);
+                let tf = self.into(f, d, x)?;
+                self.patch(done);
+                if tt != tf {
+                    return None;
+                }
+                tt
+            }
+        };
+        self.temps = mark;
+        Some(ty)
+    }
+
+    /// The truth value of `rhs`, the right-hand side of a `&&` / `||`,
+    /// into `d`.
+    fn truth_into(&mut self, rhs: &Expr, d: u16, x: u8) -> Option<()> {
+        match self.into(rhs, d, x)? {
+            Ty::Bool => {}
+            // No fault point and no charge between the rhs's last op
+            // and this one, so where `x` was charged is unobservable.
+            Ty::I32 => {
+                self.emit(Op::Truth(d));
+            }
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// Evaluate `cond` and branch when it is false. Returns the branch
+    /// for [`patch`](Self::patch).
+    fn branch_if_false(&mut self, cond: &Expr) -> Option<usize> {
+        let mark = self.temps;
+        let at = match cond {
+            Expr::Binary { op, a, b } if op.is_comparison() => {
+                let (a, ta) = self.operand(a)?;
+                let (b, tb) = self.operand(b)?;
+                if ta != tb {
+                    return None;
+                }
+                let (cmp, t) = (*op, 0);
+                self.emit(match ta {
+                    Ty::I32 | Ty::Bool => Op::BrCmpI { cmp, a, b, t },
+                    Ty::F32 => Op::BrCmpS { cmp, a, b, t },
+                    Ty::F64 => Op::BrCmpD { cmp, a, b, t },
+                })
+            }
+            _ => {
+                let (a, ty) = self.operand(cond)?;
+                if !matches!(ty, Ty::Bool | Ty::I32) {
+                    return None;
+                }
+                self.emit(Op::BrZero { a, t: 0 })
+            }
+        };
+        self.temps = mark;
+        Some(at)
+    }
+
+    fn block(&mut self, stmts: &[Stmt]) -> Option<()> {
+        stmts.iter().try_for_each(|s| self.stmt(s))
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> Option<()> {
+        match s {
+            Stmt::Assign { local, value } => {
+                let ty = self.into(value, local.0 as u16, 1)?;
+                if ty != self.k.locals[local.0 as usize] {
+                    return None;
+                }
+            }
+            Stmt::Store {
+                buf,
+                idx,
+                value,
+                dirty,
+                checked,
+            } => {
+                // The index temp stays allocated while the value is
+                // evaluated: temps are released per statement here.
+                let idx = self.index(idx)?;
+                let (val, vty) = self.operand(value)?;
+                let bty = self.k.bufs[buf.0 as usize].ty;
+                let (buf, dirty, checked) = (buf.0 as u16, *dirty, *checked);
+                self.emit(Op::Store {
+                    buf,
+                    idx,
+                    val,
+                    vty,
+                    bty,
+                    dirty,
+                    checked,
+                });
+            }
+            Stmt::AtomicRmw {
+                buf,
+                idx,
+                op,
+                value,
+            } => {
+                let idx = self.index(idx)?;
+                let (val, ty) = self.operand(value)?;
+                if ty != self.k.bufs[buf.0 as usize].ty {
+                    return None;
+                }
+                self.emit(Op::Atomic {
+                    buf: buf.0 as u16,
+                    idx,
+                    val,
+                    ty,
+                    op: *op,
+                });
+            }
+            Stmt::ReduceScalar { slot, op, value } => {
+                let (val, ty) = self.operand(value)?;
+                if ty != self.k.reductions[*slot as usize].ty || ty == Ty::Bool {
+                    return None;
+                }
+                self.emit(Op::Reduce {
+                    slot: *slot as u16,
+                    val,
+                    ty,
+                    op: *op,
+                });
+            }
+            Stmt::If { cond, then_, else_ } => {
+                let cond_false = self.branch_if_false(cond)?;
+                self.block(then_)?;
+                if else_.is_empty() {
+                    self.patch(cond_false);
+                } else {
+                    let done = self.emit(Op::Jump(0));
+                    self.patch(cond_false);
+                    self.block(else_)?;
+                    self.patch(done);
+                }
+            }
+            Stmt::While { cond, body } => {
+                let head = self.code.len() as u32;
+                let exit = self.branch_if_false(cond)?;
+                self.loops.push(LoopFrame {
+                    head,
+                    breaks: vec![exit],
+                });
+                self.block(body)?;
+                self.emit(Op::Jump(head));
+                for at in self.loops.pop()?.breaks {
+                    self.patch(at);
+                }
+            }
+            Stmt::Break => {
+                let at = self.emit(Op::Jump(0));
+                self.loops.last_mut()?.breaks.push(at);
+            }
+            Stmt::Continue => {
+                let head = self.loops.last()?.head;
+                self.emit(Op::Jump(head));
+            }
+        }
+        self.temps = 0;
+        Some(())
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
 
-#[inline]
-fn index(v: Value) -> i64 {
-    match v {
-        Value::I32(x) => x as i64,
-        _ => unreachable!("regvm: index validated as i32"),
-    }
-}
-
-#[cold]
-fn oob(buf: u32, window_lo: i64, len: usize, gidx: i64) -> ExecError {
-    ExecError::OutOfBounds {
-        buf: format!("buf#{buf}"),
-        idx: gidx,
-        window: (window_lo, window_lo + len as i64),
-    }
-}
-
-fn charge(ctx: &mut ExecCtx<'_>, d: &Delta) {
-    ctx.counters.merge(&d.c);
-    for &(buf, lb, sb) in &d.per_buf {
-        let e = &mut ctx.per_buf_bytes[buf as usize];
-        e.0 += lb;
-        e.1 += sb;
-    }
-}
-
-fn settle(rc: &RegCompiled, ctx: &mut ExecCtx<'_>, counts: &[u64]) {
-    for (b, &nexec) in counts.iter().enumerate() {
-        if nexec == 0 {
-            continue;
-        }
-        let d = &rc.deltas[b];
-        ctx.counters.merge_scaled(&d.c, nexec);
-        for &(buf, lb, sb) in &d.per_buf {
-            let e = &mut ctx.per_buf_bytes[buf as usize];
-            e.0 += lb * nexec;
-            e.1 += sb * nexec;
-        }
-    }
-}
-
 /// Do the launch context's dynamic value types match the kernel's
 /// declarations? When they don't, the walker can raise `TypeError`s the
-/// statically-typed VM ruled out — such launches take the reference path.
+/// statically typed VM ruled out — such launches take the reference path.
 /// Public so callers that cache [`compile`]d code across launches can
 /// re-validate each launch the way [`run_kernel_range_opt`] does.
 pub fn launch_types_match(k: &Kernel, ctx: &ExecCtx<'_>) -> bool {
     ctx.params.len() == k.params.len()
-        && ctx.params.iter().zip(&k.params).all(|(v, p)| v.ty() == p.ty)
+        && ctx
+            .params
+            .iter()
+            .zip(&k.params)
+            .all(|(v, p)| v.ty() == p.ty)
         && ctx.bufs.len() == k.bufs.len()
-        && ctx.bufs.iter().zip(&k.bufs).all(|(s, b)| s.data.ty() == b.ty)
+        && ctx
+            .bufs
+            .iter()
+            .zip(&k.bufs)
+            .all(|(s, b)| s.data.ty() == b.ty)
         && ctx.reduction_partials.len() == k.reductions.len()
         && ctx
             .reduction_partials
@@ -499,27 +700,25 @@ pub fn launch_types_match(k: &Kernel, ctx: &ExecCtx<'_>) -> bool {
             .all(|(v, r)| v.ty() == r.ty)
 }
 
-/// Optimizing counterpart of [`run_kernel_range`]: execute iterations
-/// `[lo, hi)` through the register VM, bit-identical to the walker, with
-/// automatic fallback to the reference path when static compilation or
-/// launch validation fails.
+/// Register-tier counterpart of [`run_kernel_range`]: execute iterations
+/// `[lo, hi)`, bit-identical to the walker, falling back to the
+/// reference path when static compilation or launch validation fails.
+/// Compiles on every call; a caller that launches the same kernel
+/// repeatedly keeps the [`RegCompiled`] and calls [`run_compiled`].
 pub fn run_kernel_range_opt(
     k: &Kernel,
     ctx: &mut ExecCtx<'_>,
     lo: i64,
     hi: i64,
 ) -> Result<(), ExecError> {
-    let Some(rc) = compile(k) else {
-        return run_kernel_range(k, ctx, lo, hi);
-    };
-    if !launch_types_match(k, ctx) {
-        return run_kernel_range(k, ctx, lo, hi);
+    match compile(k) {
+        Some(rc) if launch_types_match(k, ctx) => run_compiled(&rc, ctx, lo, hi),
+        _ => run_kernel_range(k, ctx, lo, hi),
     }
-    run_compiled(&rc, ctx, lo, hi)
 }
 
 /// Execute a pre-compiled kernel over `[lo, hi)`. The caller must have
-/// checked [`launch_types_match`]-equivalent invariants (as
+/// checked [`launch_types_match`] for this context (as
 /// [`run_kernel_range_opt`] does).
 pub fn run_compiled(
     rc: &RegCompiled,
@@ -527,174 +726,285 @@ pub fn run_compiled(
     lo: i64,
     hi: i64,
 ) -> Result<(), ExecError> {
-    let mut frame: Vec<Value> = vec![Value::I32(0); rc.nslots];
-    let mut counts: Vec<u64> = vec![0; rc.blocks.len()];
-    for tid in lo..hi {
-        match run_iter(rc, ctx, &mut frame, tid, &mut counts) {
-            Ok(()) => ctx.counters.threads += 1,
-            Err((e, ep)) => {
-                settle(rc, ctx, &counts);
-                if ep != NO_PREFIX {
-                    let d = rc.prefixes[ep as usize].clone();
-                    charge(ctx, &d);
-                }
-                return Err(e);
-            }
-        }
+    let mut frame = vec![0u64; rc.nslots];
+    let tid_slot = rc.nlocals;
+    for (s, v) in frame[tid_slot + 1..rc.const0].iter_mut().zip(&ctx.params) {
+        *s = bits(*v);
     }
-    settle(rc, ctx, &counts);
+    frame[rc.const0..rc.const0 + rc.consts.len()].copy_from_slice(&rc.consts);
+    for tid in lo..hi {
+        debug_assert!(tid <= i32::MAX as i64);
+        frame[..tid_slot].fill(0);
+        frame[tid_slot] = puti(tid as i32);
+        run_thread(&rc.code, ctx, &mut frame, tid)?;
+        ctx.counters.threads += 1;
+    }
     Ok(())
 }
 
-fn run_iter(
-    rc: &RegCompiled,
+#[cold]
+fn oob(buf: u16, slot: &BufSlot<'_>, gidx: i64) -> ExecError {
+    ExecError::OutOfBounds {
+        buf: format!("buf#{buf}"),
+        idx: gidx,
+        window: (slot.window_lo, slot.window_lo + slot.data.len() as i64),
+    }
+}
+
+/// The element of `slot` global index `gidx` names, bounds-checked.
+#[inline]
+fn element(buf: u16, slot: &BufSlot<'_>, gidx: i64) -> Result<usize, ExecError> {
+    let local = gidx - slot.window_lo;
+    if local < 0 || local as usize >= slot.data.len() {
+        return Err(oob(buf, slot, gidx));
+    }
+    Ok(local as usize)
+}
+
+/// `Expr::Load` of an `N`-byte element, zero-extended into the frame.
+#[inline]
+fn load<const N: usize>(
     ctx: &mut ExecCtx<'_>,
-    frame: &mut [Value],
+    f: &mut [u64],
+    buf: u16,
+    r: R2,
     tid: i64,
-    counts: &mut [u64],
-) -> Result<(), (ExecError, u32)> {
-    let mut b = 0usize;
+) -> Result<(), ExecError> {
+    let gidx = geti(f[r.a as usize]) as i64;
+    let slot = &ctx.bufs[buf as usize];
+    let at = element(buf, slot, gidx)? * N;
+    let mut word = [0u8; 8];
+    word[..N].copy_from_slice(&slot.data.bytes()[at..at + N]);
+    f[r.d as usize] = u64::from_le_bytes(word);
+    let c = &mut ctx.counters;
+    c.loads += 1;
+    c.load_bytes += N as u64;
+    c.int_ops += 1 + r.x as u64; // index translation
+    ctx.per_buf_bytes[buf as usize].0 += N as u64;
+    if !ctx.sanitize.is_empty() {
+        sanitize_load(ctx, buf as u32, tid, gidx);
+    }
+    Ok(())
+}
+
+#[inline]
+fn test<T: PartialOrd>(cmp: BinOp, a: T, b: T) -> bool {
+    // On floats these are C's semantics for NaN: only `!=` holds.
+    match cmp {
+        BinOp::Lt => a < b,
+        BinOp::Le => a <= b,
+        BinOp::Gt => a > b,
+        BinOp::Ge => a >= b,
+        BinOp::Eq => a == b,
+        _ => a != b,
+    }
+}
+
+// Out of line on purpose: inlined into `run_compiled`'s thread loop the
+// dispatch loop spills `pc` and the frame pointer to the stack
+// (`stencil-2gpu` `wall_s` 0.074 s inlined, 0.060 s like this).
+#[inline(never)]
+fn run_thread(
+    code: &[Op],
+    ctx: &mut ExecCtx<'_>,
+    f: &mut [u64],
+    tid: i64,
+) -> Result<(), ExecError> {
+    // `$r` is an `R3`; `$e` computes the result from operands `$p`, `$q`
+    // decoded by `$get`, and `$n` is the counter the op's own charge
+    // goes to.
+    macro_rules! bin {
+        ($r:ident, $get:expr, $put:expr, $n:ident, |$p:ident, $q:ident| $e:expr) => {{
+            let ($p, $q) = ($get(f[$r.a as usize]), $get(f[$r.b as usize]));
+            f[$r.d as usize] = $put($e);
+            ctx.counters.$n += 1;
+            ctx.counters.int_ops += $r.x as u64;
+        }};
+    }
+    macro_rules! un {
+        ($r:ident, $n:ident, |$p:ident| $e:expr) => {{
+            let $p = f[$r.a as usize];
+            f[$r.d as usize] = $e;
+            ctx.counters.$n += 1;
+            ctx.counters.int_ops += $r.x as u64;
+        }};
+    }
+    // Integer `/` and `%`: the charge precedes the fault, like the walker.
+    macro_rules! div {
+        ($r:ident, |$p:ident, $q:ident| $e:expr) => {{
+            ctx.counters.special_ops += 1;
+            let ($p, $q) = (geti(f[$r.a as usize]), geti(f[$r.b as usize]));
+            if $q == 0 {
+                return Err(ExecError::DivByZero);
+            }
+            f[$r.d as usize] = puti($e);
+            ctx.counters.int_ops += $r.x as u64;
+        }};
+    }
+    macro_rules! br {
+        ($cmp:ident, $a:ident, $b:ident, $t:ident, $get:expr, $n:ident, $pc:ident) => {{
+            ctx.counters.$n += 1;
+            ctx.counters.branches += 1;
+            if !test($cmp, $get(f[$a as usize]), $get(f[$b as usize])) {
+                $pc = $t as usize;
+            }
+        }};
+    }
+    let getd = f64::from_bits;
+    let putd = f64::to_bits;
+    let flag = |b: bool| b as u64;
+
+    let mut pc = 0usize;
     loop {
-        let blk = &rc.blocks[b];
-        for ins in &blk.code {
-            match *ins {
-                RInstr::Const { d, v } => frame[d as usize] = v,
-                RInstr::Tid { d } => {
-                    debug_assert!(tid <= i32::MAX as i64);
-                    frame[d as usize] = Value::I32(tid as i32);
-                }
-                RInstr::Param { d, p } => frame[d as usize] = ctx.params[p as usize],
-                RInstr::Copy { d, s } => frame[d as usize] = frame[s as usize],
-                RInstr::Un { d, op, a } => {
-                    frame[d as usize] =
-                        eval_unary(op, frame[a as usize]).expect("regvm: unary typed")
-                }
-                RInstr::Bin { d, op, a, b: bb, ep } => {
-                    frame[d as usize] = eval_binary(op, frame[a as usize], frame[bb as usize])
-                        .map_err(|e| (e, ep))?;
-                }
-                RInstr::AsBool { d, a } => {
-                    let v = frame[a as usize].as_bool().expect("regvm: as_bool typed");
-                    frame[d as usize] = Value::Bool(v);
-                }
-                RInstr::Cast { d, ty, a } => frame[d as usize] = frame[a as usize].cast(ty),
-                RInstr::Call1 { d, f, a } => {
-                    frame[d as usize] =
-                        eval_builtin(f, &[frame[a as usize]]).expect("regvm: builtin typed")
-                }
-                RInstr::Call2 { d, f, a, b: bb } => {
-                    frame[d as usize] = eval_builtin(f, &[frame[a as usize], frame[bb as usize]])
-                        .expect("regvm: builtin typed")
-                }
-                RInstr::Load { d, buf, idx, ep } => {
-                    let gidx = index(frame[idx as usize]);
-                    let slot = &mut ctx.bufs[buf as usize];
-                    let local = gidx - slot.window_lo;
-                    if local < 0 || local as usize >= slot.data.len() {
-                        return Err((oob(buf, slot.window_lo, slot.data.len(), gidx), ep));
-                    }
-                    frame[d as usize] = slot.data.get(local as usize);
-                    sanitize_load(ctx, buf, tid, gidx);
-                }
-                RInstr::Probe { buf, idx } => {
-                    let gidx = index(frame[idx as usize]);
-                    sanitize_load(ctx, buf, tid, gidx);
-                }
-                RInstr::Store { buf, idx, val, dirty, checked, ep } => {
-                    let gidx = index(frame[idx as usize]);
-                    let v = frame[val as usize];
-                    if checked {
-                        // Fully runtime-priced, mirroring the walker.
-                        ctx.counters.miss_checks += 1;
-                        let own = ctx.bufs[buf as usize].own;
-                        if gidx < own.0 || gidx >= own.1 {
-                            ctx.counters.misses += 1;
-                            if ctx.miss_buf.len() >= ctx.miss_capacity {
-                                return Err((
-                                    ExecError::MissBufferOverflow {
-                                        capacity: ctx.miss_capacity,
-                                    },
-                                    ep,
-                                ));
-                            }
-                            let c = &mut ctx.counters;
-                            c.stores += 1;
-                            c.store_bytes += (8 + v.ty().size_bytes()) as u64;
-                            ctx.miss_buf.push(MissRecord { buf, idx: gidx, value: v });
-                            continue;
-                        }
-                        let slot = &mut ctx.bufs[buf as usize];
-                        let local = gidx - slot.window_lo;
-                        if local < 0 || local as usize >= slot.data.len() {
-                            return Err((oob(buf, slot.window_lo, slot.data.len(), gidx), ep));
-                        }
-                        let bty = slot.data.ty();
-                        slot.data.set(local as usize, v.cast(bty));
-                        let nbytes = bty.size_bytes() as u64;
-                        let c = &mut ctx.counters;
-                        c.stores += 1;
-                        c.store_bytes += nbytes;
-                        c.int_ops += 1; // index translation
-                        ctx.per_buf_bytes[buf as usize].1 += nbytes;
-                        if dirty {
-                            let slot = &mut ctx.bufs[buf as usize];
-                            let l = (gidx - slot.window_lo) as usize;
-                            if let Some(dm) = slot.dirty.as_deref_mut() {
-                                dm.mark(l);
-                            }
-                            ctx.counters.dirty_marks += 1;
-                        }
-                    } else {
-                        // Statically priced; the sanitizer audit precedes
-                        // the bounds fault, exactly like the walker.
-                        sanitize_store(ctx, buf, tid, gidx);
-                        let slot = &mut ctx.bufs[buf as usize];
-                        let local = gidx - slot.window_lo;
-                        if local < 0 || local as usize >= slot.data.len() {
-                            return Err((oob(buf, slot.window_lo, slot.data.len(), gidx), ep));
-                        }
-                        let bty = slot.data.ty();
-                        slot.data.set(local as usize, v.cast(bty));
-                        if dirty {
-                            let slot = &mut ctx.bufs[buf as usize];
-                            let l = (gidx - slot.window_lo) as usize;
-                            if let Some(dm) = slot.dirty.as_deref_mut() {
-                                dm.mark(l);
-                            }
-                        }
-                    }
-                }
-                RInstr::Atomic { buf, op, idx, val, ep } => {
-                    let gidx = index(frame[idx as usize]);
-                    let v = frame[val as usize];
-                    let slot = &mut ctx.bufs[buf as usize];
-                    let local = gidx - slot.window_lo;
-                    if local < 0 || local as usize >= slot.data.len() {
-                        return Err((oob(buf, slot.window_lo, slot.data.len(), gidx), ep));
-                    }
-                    let old = slot.data.get(local as usize);
-                    let new = rmw_apply(op, old, v).expect("regvm: atomic typed");
-                    let bty = slot.data.ty();
-                    slot.data.set(local as usize, new.cast(bty));
-                }
-                RInstr::Reduce { slot, op, val } => {
-                    let v = frame[val as usize];
-                    let cur = ctx.reduction_partials[slot as usize];
-                    ctx.reduction_partials[slot as usize] =
-                        rmw_apply(op, cur, v).expect("regvm: reduce typed");
-                }
+        let op = code[pc];
+        pc += 1;
+        match op {
+            Op::AddI(r) => bin!(r, geti, puti, int_ops, |p, q| p.wrapping_add(q)),
+            Op::SubI(r) => bin!(r, geti, puti, int_ops, |p, q| p.wrapping_sub(q)),
+            Op::MulI(r) => bin!(r, geti, puti, int_ops, |p, q| p.wrapping_mul(q)),
+            Op::DivI(r) => div!(r, |p, q| p.wrapping_div(q)),
+            Op::RemI(r) => div!(r, |p, q| p.wrapping_rem(q)),
+            Op::AndI(r) => bin!(r, geti, puti, int_ops, |p, q| p & q),
+            Op::OrI(r) => bin!(r, geti, puti, int_ops, |p, q| p | q),
+            Op::XorI(r) => bin!(r, geti, puti, int_ops, |p, q| p ^ q),
+            Op::ShlI(r) => bin!(r, geti, puti, int_ops, |p, q| p.wrapping_shl(q as u32)),
+            Op::ShrI(r) => bin!(r, geti, puti, int_ops, |p, q| p.wrapping_shr(q as u32)),
+            Op::AddS(r) => bin!(r, gets, puts, f32_ops, |p, q| p + q),
+            Op::SubS(r) => bin!(r, gets, puts, f32_ops, |p, q| p - q),
+            Op::MulS(r) => bin!(r, gets, puts, f32_ops, |p, q| p * q),
+            Op::DivS(r) => bin!(r, gets, puts, special_ops, |p, q| p / q),
+            Op::AddD(r) => bin!(r, getd, putd, f64_ops, |p, q| p + q),
+            Op::SubD(r) => bin!(r, getd, putd, f64_ops, |p, q| p - q),
+            Op::MulD(r) => bin!(r, getd, putd, f64_ops, |p, q| p * q),
+            Op::DivD(r) => bin!(r, getd, putd, special_ops, |p, q| p / q),
+            Op::CmpI(cmp, r) => bin!(r, geti, flag, int_ops, |p, q| test(cmp, p, q)),
+            Op::CmpS(cmp, r) => bin!(r, gets, flag, f32_ops, |p, q| test(cmp, p, q)),
+            Op::CmpD(cmp, r) => bin!(r, getd, flag, f64_ops, |p, q| test(cmp, p, q)),
+            Op::NegI(r) => un!(r, int_ops, |p| puti(geti(p).wrapping_neg())),
+            Op::NegS(r) => un!(r, f32_ops, |p| puts(-gets(p))),
+            Op::NegD(r) => un!(r, f64_ops, |p| putd(-getd(p))),
+            Op::Not(r) => un!(r, int_ops, |p| flag(p == 0)),
+            Op::BitNot(r) => un!(r, int_ops, |p| puti(!geti(p))),
+            Op::Mov(r) => {
+                f[r.d as usize] = f[r.a as usize];
+                ctx.counters.int_ops += r.x as u64;
             }
-        }
-        counts[b] += 1;
-        match blk.term {
-            RTerm::Jump(t) => b = t as usize,
-            RTerm::Br { c, t, f } => {
-                let Value::Bool(v) = frame[c as usize] else {
-                    unreachable!("regvm: branch on non-bool")
+            Op::Truth(d) => f[d as usize] = flag(f[d as usize] != 0),
+            Op::Cast { from, to, r } => un!(r, int_ops, |p| bits(value(from, p).cast(to))),
+            Op::Call1 { f: fun, ta, r } => {
+                ctx.counters.special_ops += 1;
+                f[r.d as usize] = bits(eval_builtin(fun, &[value(ta, f[r.a as usize])])?);
+                ctx.counters.int_ops += r.x as u64;
+            }
+            Op::Call2 { f: fun, ta, tb, r } => {
+                ctx.counters.special_ops += 1;
+                let args = [value(ta, f[r.a as usize]), value(tb, f[r.b as usize])];
+                f[r.d as usize] = bits(eval_builtin(fun, &args)?);
+                ctx.counters.int_ops += r.x as u64;
+            }
+            Op::Load4 { buf, r } => load::<4>(ctx, f, buf, r, tid)?,
+            Op::Load8 { buf, r } => load::<8>(ctx, f, buf, r, tid)?,
+            Op::Store {
+                buf,
+                idx,
+                val,
+                vty,
+                bty,
+                dirty,
+                checked,
+            } => {
+                let gidx = geti(f[idx as usize]) as i64;
+                let v = f[val as usize];
+                let b = buf as usize;
+                if checked {
+                    ctx.counters.miss_checks += 1;
+                    let own = ctx.bufs[b].own;
+                    if gidx < own.0 || gidx >= own.1 {
+                        // Write miss: stage (destination, uncast value).
+                        ctx.counters.misses += 1;
+                        if ctx.miss_buf.len() >= ctx.miss_capacity {
+                            return Err(ExecError::MissBufferOverflow {
+                                capacity: ctx.miss_capacity,
+                            });
+                        }
+                        ctx.counters.stores += 1;
+                        ctx.counters.store_bytes += (8 + vty.size_bytes()) as u64;
+                        ctx.miss_buf.push(MissRecord {
+                            buf: buf as u32,
+                            idx: gidx,
+                            value: value(vty, v),
+                        });
+                        continue;
+                    }
+                } else if !ctx.sanitize.is_empty() {
+                    sanitize_store(ctx, buf as u32, tid, gidx);
+                }
+                let slot = &mut ctx.bufs[b];
+                let at = element(buf, slot, gidx)?;
+                let v = if vty == bty {
+                    v
+                } else {
+                    bits(value(vty, v).cast(bty))
                 };
-                b = if v { t as usize } else { f as usize };
+                let n = bty.size_bytes();
+                slot.data.bytes_mut()[at * n..(at + 1) * n].copy_from_slice(&v.to_le_bytes()[..n]);
+                let c = &mut ctx.counters;
+                c.stores += 1;
+                c.store_bytes += n as u64;
+                c.int_ops += 1; // index translation
+                ctx.per_buf_bytes[b].1 += n as u64;
+                if dirty {
+                    if let Some(dm) = slot.dirty.as_deref_mut() {
+                        dm.mark(at);
+                    }
+                    c.dirty_marks += 1;
+                }
             }
-            RTerm::Ret => return Ok(()),
+            Op::Atomic {
+                buf,
+                idx,
+                val,
+                ty,
+                op,
+            } => {
+                let gidx = geti(f[idx as usize]) as i64;
+                let slot = &mut ctx.bufs[buf as usize];
+                let at = element(buf, slot, gidx)?;
+                let new = rmw_apply(op, slot.data.get(at), value(ty, f[val as usize]))?;
+                slot.data.set(at, new);
+                let n = ty.size_bytes() as u64;
+                let c = &mut ctx.counters;
+                c.loads += 1;
+                c.load_bytes += n;
+                c.stores += 1;
+                c.store_bytes += n;
+                c.int_ops += 1; // index translation
+                c.atomics += 1;
+                let pb = &mut ctx.per_buf_bytes[buf as usize];
+                pb.0 += n;
+                pb.1 += n;
+            }
+            Op::Reduce { slot, val, ty, op } => {
+                let p = &mut ctx.reduction_partials[slot as usize];
+                *p = rmw_apply(op, *p, value(ty, f[val as usize]))?;
+                let c = &mut ctx.counters;
+                match ty {
+                    Ty::F32 => c.f32_ops += 1,
+                    Ty::F64 => c.f64_ops += 1,
+                    _ => c.int_ops += 1,
+                }
+            }
+            Op::Jump(t) => pc = t as usize,
+            Op::BrZero { a, t } => {
+                ctx.counters.branches += 1;
+                if f[a as usize] == 0 {
+                    pc = t as usize;
+                }
+            }
+            Op::BrCmpI { cmp, a, b, t } => br!(cmp, a, b, t, geti, int_ops, pc),
+            Op::BrCmpS { cmp, a, b, t } => br!(cmp, a, b, t, gets, f32_ops, pc),
+            Op::BrCmpD { cmp, a, b, t } => br!(cmp, a, b, t, getd, f64_ops, pc),
+            Op::Ret => return Ok(()),
         }
     }
 }
@@ -703,30 +1013,47 @@ fn run_iter(
 mod tests {
     use super::*;
     use crate::buffer::Buffer;
-    use crate::expr::Expr;
-    use crate::kernel::{BufAccess, BufParam, Kernel};
-    use crate::stmt::Stmt;
-    use crate::{BufId, LocalId};
+    use crate::interp::run_kernel_range_ast;
+    use crate::kernel::{BufAccess, BufParam};
+    use crate::{BufId, LocalId, OpCounters};
 
-    fn loop_kernel() -> Kernel {
-        // s = 0; j = 0; while (j < 8) { s = s + a[tid]; j = j + 1; } out[tid] = s;
-        let s = LocalId(0);
-        let j = LocalId(1);
-        Kernel {
+    fn i32_bufs() -> Vec<BufParam> {
+        ["a", "out"]
+            .iter()
+            .zip([BufAccess::Read, BufAccess::Write])
+            .map(|(name, access)| BufParam {
+                name: (*name).into(),
+                ty: Ty::I32,
+                access,
+            })
+            .collect()
+    }
+
+    /// Run `k` over `a` on the walker or the register tier.
+    fn run(k: &Kernel, a: &[i32], ast: bool) -> (Result<(), ExecError>, Vec<i32>, OpCounters) {
+        let mut a = Buffer::from_i32(a);
+        let n = a.len();
+        let mut out = Buffer::zeroed(Ty::I32, n);
+        let bufs = vec![BufSlot::whole(&mut a), BufSlot::whole(&mut out)];
+        let mut ctx = ExecCtx::new(k, vec![], bufs);
+        let r = if ast {
+            run_kernel_range_ast(k, &mut ctx, 0, n as i64)
+        } else {
+            run_kernel_range_opt(k, &mut ctx, 0, n as i64)
+        };
+        let c = ctx.counters;
+        drop(ctx);
+        (r, out.to_i32_vec(), c)
+    }
+
+    #[test]
+    fn loop_kernel_compiles_and_matches_walker() {
+        // j = 0; while (j < 8) { s = s + a[tid]; j = j + 1; } out[tid] = s;
+        let (s, j) = (LocalId(0), LocalId(1));
+        let k = Kernel {
             name: "loopy".into(),
             params: vec![],
-            bufs: vec![
-                BufParam {
-                    name: "a".into(),
-                    ty: Ty::I32,
-                    access: BufAccess::Read,
-                },
-                BufParam {
-                    name: "out".into(),
-                    ty: Ty::I32,
-                    access: BufAccess::Write,
-                },
-            ],
+            bufs: i32_bufs(),
             locals: vec![Ty::I32, Ty::I32],
             reductions: vec![],
             body: vec![
@@ -735,10 +1062,7 @@ mod tests {
                     body: vec![
                         Stmt::Assign {
                             local: s,
-                            value: Expr::add(
-                                Expr::Local(s),
-                                Expr::load(BufId(0), Expr::ThreadIdx),
-                            ),
+                            value: Expr::add(Expr::Local(s), Expr::load(BufId(0), Expr::ThreadIdx)),
                         },
                         Stmt::Assign {
                             local: j,
@@ -754,54 +1078,13 @@ mod tests {
                     checked: false,
                 },
             ],
-        }
-    }
-
-    fn run_both(k: &Kernel, n: i64) -> ((Vec<i32>, crate::OpCounters), (Vec<i32>, crate::OpCounters)) {
-        let run = |opt: bool| {
-            let mut a = Buffer::from_i32(&(0..n as i32).collect::<Vec<_>>());
-            let mut out = Buffer::zeroed(Ty::I32, n as usize);
-            let mut ctx = ExecCtx::new(
-                k,
-                vec![],
-                vec![
-                    crate::BufSlot::whole(&mut a),
-                    crate::BufSlot::whole(&mut out),
-                ],
-            );
-            crate::interp::run_kernel_range_ast(k, &mut ctx, 0, n).unwrap();
-            let c = ctx.counters;
-            drop(ctx);
-            let _ = opt;
-            (out.to_i32_vec(), c)
         };
-        let walker = run(false);
-        let vm = {
-            let mut a = Buffer::from_i32(&(0..n as i32).collect::<Vec<_>>());
-            let mut out = Buffer::zeroed(Ty::I32, n as usize);
-            let mut ctx = ExecCtx::new(
-                k,
-                vec![],
-                vec![
-                    crate::BufSlot::whole(&mut a),
-                    crate::BufSlot::whole(&mut out),
-                ],
-            );
-            run_kernel_range_opt(k, &mut ctx, 0, n).unwrap();
-            let c = ctx.counters;
-            drop(ctx);
-            (out.to_i32_vec(), c)
-        };
-        (walker, vm)
-    }
-
-    #[test]
-    fn loop_kernel_compiles_and_matches_walker() {
-        let k = loop_kernel();
-        assert!(compile(&k).is_some(), "loop kernel must take the VM path");
-        let (walker, vm) = run_both(&k, 16);
-        assert_eq!(walker.0, vm.0);
-        assert_eq!(walker.1, vm.1);
+        let rc = compile(&k).expect("loop kernel must take the VM path");
+        // One op per interior node, a fused compare-and-branch, the back
+        // edge, the store and the return: leaves cost nothing.
+        assert_eq!(rc.code.len(), 7, "{:?}", rc.code);
+        let a: Vec<i32> = (0..16).collect();
+        assert_eq!(run(&k, &a, true), run(&k, &a, false));
     }
 
     #[test]
@@ -810,18 +1093,7 @@ mod tests {
         let k = Kernel {
             name: "divk".into(),
             params: vec![],
-            bufs: vec![
-                BufParam {
-                    name: "a".into(),
-                    ty: Ty::I32,
-                    access: BufAccess::Read,
-                },
-                BufParam {
-                    name: "out".into(),
-                    ty: Ty::I32,
-                    access: BufAccess::Write,
-                },
-            ],
+            bufs: i32_bufs(),
             locals: vec![],
             reductions: vec![],
             body: vec![Stmt::Store {
@@ -837,31 +1109,12 @@ mod tests {
             }],
         };
         assert!(compile(&k).is_some());
-        let run = |ast: bool| {
-            let mut a = Buffer::from_i32(&[0, 1, 2, 3]);
-            let mut out = Buffer::zeroed(Ty::I32, 4);
-            let mut ctx = ExecCtx::new(
-                &k,
-                vec![],
-                vec![
-                    crate::BufSlot::whole(&mut a),
-                    crate::BufSlot::whole(&mut out),
-                ],
-            );
-            let r = if ast {
-                crate::interp::run_kernel_range_ast(&k, &mut ctx, 0, 4)
-            } else {
-                run_kernel_range_opt(&k, &mut ctx, 0, 4)
-            };
-            let c = ctx.counters;
-            drop(ctx);
-            (r, out.to_i32_vec(), c)
-        };
-        let (re, oe, ce) = run(true);
-        let (rv, ov, cv) = run(false);
-        assert_eq!(re.unwrap_err(), ExecError::DivByZero);
-        assert_eq!(rv.unwrap_err(), ExecError::DivByZero);
-        assert_eq!(oe, ov);
-        assert_eq!(ce, cv, "error-path counters must be bit-identical");
+        let walker = run(&k, &[0, 1, 2, 3], true);
+        let vm = run(&k, &[0, 1, 2, 3], false);
+        assert_eq!(walker.0, Err(ExecError::DivByZero));
+        assert_eq!(
+            walker, vm,
+            "error-path state and counters must be bit-identical"
+        );
     }
 }
