@@ -3,10 +3,11 @@
 //! Called "just after the kernel functions executed on the GPUs", it
 //! performs three reconciliations:
 //!
-//! 1. **replicated arrays** — using the two-level dirty bits, every GPU
-//!    ships only the chunks whose second-level bit is set to every other
-//!    GPU; receivers apply the dirty element runs. Clean chunks move no
-//!    bytes — the point of the two-level scheme (§IV-D1);
+//! 1. **replicated arrays** — using the two-level dirty bits, only the
+//!    chunks whose second-level bit is set move, and receivers apply the
+//!    dirty element runs. Clean chunks move no bytes — the point of the
+//!    two-level scheme (§IV-D1). The chunks travel as a union
+//!    all-gather up and down the topology levels (see below);
 //! 2. **distributed arrays** — buffered write-miss records are routed to
 //!    the GPU owning the destination element and replayed there
 //!    (§IV-D2); halo copies are invalidated so the loader refreshes them;
@@ -15,13 +16,24 @@
 //!    (island, node, machine — the inter-GPU level of the §IV-B4
 //!    hierarchical reduction); GPU 0 ends up with the result.
 //!
-//! There is one communication path for every topology. Peers are always
-//! visited in [`Topology::peer_order`](acc_gpusim::Topology::peer_order)
-//! and merges always walk the level-structured tree; the paper's flat
-//! platforms are the one-island instance, where the peer order is plain
-//! ascending index and the tree has a single group. Every transfer —
-//! these three and the loader's — is priced by `Run::price_transfer`,
-//! and every GPU→GPU byte lands through `Run::move_p2p`.
+//! There is one communication path for every topology, and its priced
+//! schedules are data: lists of `Step`s per topology level (island,
+//! node, machine), each level starting at the barrier that ends the one
+//! before, all priced by `Run::price_steps`. A replica sync
+//! (`sync_schedule`) is a union all-gather over those levels. Up-sweep:
+//! dirty GPUs ship their chunks to every replica holder of their own
+//! island, island leaders (the lowest holder) exchange the *union* of
+//! their island's dirty chunks inside the node, node leaders exchange
+//! node unions across the fabric. Down-sweep: each leader hands its group
+//! the chunks dirtied outside it. A chunk dirtied by every GPU of an
+//! island therefore crosses the root complex once, not once per writer
+//! and reader. The reduction merge walks the same levels as a
+//! stride-doubling tree per group. The paper's flat platforms are the
+//! one-island instance: the first level is the paper's all-to-all in
+//! [`Topology::peer_order`] (plain ascending index), the tree has a
+//! single group, and every other level is empty. Every transfer — these
+//! and the loader's — is priced by `Run::price_transfer`, and every
+//! GPU→GPU byte lands through `Run::move_p2p`.
 //!
 //! Each reconciliation has two independent halves:
 //!
@@ -42,7 +54,7 @@
 //!   why *simulated* times never depend on the host-parallelism switch.
 
 use acc_compiler::{CompiledKernel, Placement};
-use acc_gpusim::{BufferHandle, Endpoint, Gpu};
+use acc_gpusim::{BufferHandle, Endpoint, Gpu, Topology};
 use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
 use acc_obs::{CollectiveRound, CommElided, CommRound, MissReplay, ReductionMerge};
 
@@ -67,8 +79,8 @@ use crate::{RunError, SanitizeLevel};
 ///
 /// * `bufs` — replica-sync staging ([`Run::apply_replica_runs_parallel`]),
 ///   counted in `allocs` / `Profiler::staging_allocs`;
-/// * `scratch` — loader window-grow and [`Run::move_p2p`] staging,
-///   counted in `scratch_allocs` / `Profiler::scratch_allocs`;
+/// * `scratch` — loader window-grow staging, counted in
+///   `scratch_allocs` / `Profiler::scratch_allocs`;
 /// * `miss_bufs` — per-GPU write-miss record buffers, reclaimed after
 ///   every communication phase (BFS-style apps fill these every launch).
 #[derive(Debug, Default)]
@@ -203,11 +215,103 @@ impl<'o> OwnerRouter<'o> {
     }
 }
 
-/// Bytes dirty chunk `c` ships: the mechanism moves whole chunks plus
-/// their first-level bits; receivers apply per element.
-fn chunk_payload(dm: &DirtyMap, c: usize) -> u64 {
+/// A dirty chunk on the wire: `(chunk index, payload bytes)`. The
+/// mechanism moves whole chunks plus their first-level bits — however
+/// many GPUs dirtied the chunk — and receivers apply per element.
+pub(crate) type Chunk = (usize, u64);
+
+fn chunk_payload(dm: &DirtyMap, c: usize) -> Chunk {
     let (clo, chi) = dm.chunk_range(c);
-    ((chi - clo) * dm.elem_bytes()) as u64 + ((chi - clo) as u64).div_ceil(8)
+    (c, ((chi - clo) * dm.elem_bytes()) as u64 + ((chi - clo) as u64).div_ceil(8))
+}
+
+/// One hop of a priced schedule: `src` ships every chunk of set `set`
+/// (an index into the schedule's set table) to `dst`, each chunk its
+/// own asynchronous transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Step {
+    pub src: usize,
+    pub dst: usize,
+    pub set: usize,
+}
+
+/// The priced schedule of one replica sync.
+#[derive(Debug)]
+pub(crate) struct SyncSchedule {
+    /// Ascending chunk sets the steps refer to; set `g` is what GPU `g`
+    /// dirtied itself.
+    pub sets: Vec<Vec<Chunk>>,
+    /// Non-empty step lists in pricing order, one per topology level of
+    /// the up- and the down-sweep.
+    pub levels: Vec<Vec<Step>>,
+}
+
+fn union<'s>(parts: impl Iterator<Item = &'s Vec<Chunk>>) -> Vec<Chunk> {
+    let mut all: Vec<Chunk> = parts.flatten().copied().collect();
+    all.sort_unstable();
+    all.dedup();
+    all
+}
+
+/// Build the union all-gather (module docs) that makes the chunks in
+/// `dirty[g]` of every GPU `g` reach every GPU with `has_replica` set.
+/// Members of a group are all at the same distance from each other, so
+/// visiting them in ascending index is `peer_order` restricted to the
+/// group. No step ships an empty set.
+pub(crate) fn sync_schedule(
+    bus: &Topology,
+    dirty: Vec<Vec<Chunk>>,
+    has_replica: &[bool],
+) -> SyncSchedule {
+    let widths = [bus.gpus_per_island, bus.gpus_per_node, usize::MAX];
+    let same_group =
+        |width| move |a: &(usize, usize), b: &(usize, usize)| a.0 / width == b.0 / width;
+    let mut sets = dirty;
+    let mut levels = Vec::new();
+    // Up-sweep. `tiers[l]` lists level `l`'s participants as `(GPU, set
+    // it carries)`: every holder with its own chunks, then the leader of
+    // each group with the union of the group's.
+    let holders = (0..has_replica.len()).filter(|&g| has_replica[g]);
+    let mut tiers: Vec<Vec<(usize, usize)>> = vec![holders.map(|g| (g, g)).collect()];
+    for (l, width) in widths.into_iter().enumerate() {
+        let (mut steps, mut leaders) = (Vec::new(), Vec::new());
+        for group in tiers[l].chunk_by(same_group(width)) {
+            for &(src, set) in group.iter().filter(|m| !sets[m.1].is_empty()) {
+                let peers = group.iter().filter(|m| m.0 != src);
+                steps.extend(peers.map(|m| Step { src, dst: m.0, set }));
+            }
+            sets.push(union(group.iter().map(|m| &sets[m.1])));
+            leaders.push((group[0].0, sets.len() - 1));
+        }
+        levels.push(steps);
+        tiers.push(leaders);
+    }
+    // Down-sweep. `outside[i]` is the set of chunks dirtied outside the
+    // `i`-th group of the level — nothing, for the whole machine. A
+    // member already holds its siblings' unions from the up-sweep.
+    sets.push(Vec::new());
+    let mut outside = vec![sets.len() - 1];
+    for (l, width) in widths.into_iter().enumerate().rev() {
+        let (mut steps, mut below) = (Vec::new(), Vec::new());
+        for (group, &out) in tiers[l].chunk_by(same_group(width)).zip(&outside) {
+            if !sets[out].is_empty() {
+                let (src, set) = (group[0].0, out);
+                steps.extend(group[1..].iter().map(|m| Step { src, dst: m.0, set }));
+            }
+            // Each member leads a group one level down; GPUs lead none.
+            if l > 0 {
+                for m in group {
+                    let siblings = group.iter().filter(|o| o.0 != m.0).map(|o| &sets[o.1]);
+                    sets.push(union(siblings.chain([&sets[out]])));
+                    below.push(sets.len() - 1);
+                }
+            }
+        }
+        levels.push(steps);
+        outside = below;
+    }
+    levels.retain(|steps| !steps.is_empty());
+    SyncSchedule { sets, levels }
 }
 
 impl<'a> Run<'a> {
@@ -328,59 +432,88 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// Estimated bytes a replica sync of `arr` would ship right now: the
-    /// accumulated dirty-chunk payloads of every dirty GPU to every other
-    /// replica holder (the `CommElided` event's saving estimate).
+    /// Bytes a replica sync of `arr` would price right now: the steps of
+    /// its schedule summed (the `CommElided` event's saving estimate).
     fn pending_sync_bytes(&self, arr: usize) -> u64 {
-        let gpus = &self.arrays[arr].gpu[..self.cfg.ngpus];
-        let holders = gpus.iter().filter(|ga| ga.handle.is_some()).count() as u64;
-        gpus.iter()
-            .filter_map(|ga| ga.dirty.as_ref())
-            .map(|dm| dm.dirty_chunks().map(|c| chunk_payload(dm, c)).sum::<u64>())
-            .sum::<u64>()
-            * holders.saturating_sub(1)
+        let SyncSchedule { sets, levels } = self.replica_schedule(arr);
+        let bytes = |s: &Step| sets[s.set].iter().map(|c| c.1).sum::<u64>();
+        levels.iter().flatten().map(bytes).sum()
     }
 
-    /// §IV-D1: replica reconciliation via two-level dirty bits.
-    fn sync_replicas(&mut self, arr: usize, t2: f64) -> Result<f64, RunError> {
-        let ngpus = self.cfg.ngpus;
-        let mut end = t2;
-
+    /// The schedule that reconciles `arr`'s replicas over the dirty bits
+    /// as they stand.
+    fn replica_schedule(&self, arr: usize) -> SyncSchedule {
+        let gpus = &self.arrays[arr].gpu[..self.cfg.ngpus];
         // A GPU idle for this launch (empty partition) that never held a
         // replica has nothing to reconcile: it must receive no transfers
         // and appear in no comm rounds. A GPU that *does* still hold a
         // replica from an earlier launch stays a destination — its valid
         // set claims the data, so it has to keep tracking updates.
-        let has_replica: Vec<bool> = (0..ngpus)
-            .map(|h| self.arrays[arr].gpu[h].handle.is_some())
-            .collect();
+        let has_replica: Vec<bool> = gpus.iter().map(|ga| ga.handle.is_some()).collect();
+        let chunks = |dm: &DirtyMap| dm.dirty_chunks().map(|c| chunk_payload(dm, c)).collect();
+        let dirty = gpus.iter().map(|ga| ga.dirty.as_ref().map_or_else(Vec::new, chunks));
+        sync_schedule(&self.machine.bus, dirty.collect(), &has_replica)
+    }
 
-        // Collect each GPU's dirty runs and per-chunk payloads first
-        // (immutable pass). A dirty chunk holds at least one run, so a
-        // GPU has runs exactly when it has chunks to ship.
-        let mut per_gpu_runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ngpus];
-        let mut per_gpu_chunk_sizes: Vec<Vec<u64>> = vec![Vec::new(); ngpus];
-        for g in 0..ngpus {
-            if let Some(dm) = self.arrays[arr].gpu[g].dirty.as_ref() {
-                for c in dm.dirty_chunks() {
-                    per_gpu_chunk_sizes[g].push(chunk_payload(dm, c));
-                    per_gpu_runs[g].extend(dm.dirty_runs_in_chunk(c));
-                }
+    /// Price one level of a schedule from its barrier `t`: every chunk of
+    /// every step is its own asynchronous transfer (per-chunk latency is
+    /// the cost of choosing small chunks — the other side of the §IV-D1
+    /// trade-off). Serial, in list order: the interconnect timelines are
+    /// order-dependent. `landed(run, step, bytes, start, end)` reports
+    /// each step as its last transfer is priced and returns when the step
+    /// is complete at its destination; the latest of those is the level's
+    /// end.
+    fn price_steps(
+        &mut self,
+        arr: usize,
+        steps: &[Step],
+        sets: &[Vec<Chunk>],
+        t: f64,
+        why: &'static str,
+        mut landed: impl FnMut(&mut Self, Step, u64, f64, f64) -> f64,
+    ) -> f64 {
+        let mut level_end = t;
+        for &step in steps {
+            let (mut start, mut end, mut bytes) = (f64::INFINITY, t, 0u64);
+            for &(_, payload) in &sets[step.set] {
+                let (src, dst) = (Endpoint::Gpu(step.src), Endpoint::Gpu(step.dst));
+                let (s, e) = self.price_transfer(arr, src, dst, payload, t, why);
+                start = start.min(s);
+                end = end.max(e);
+                bytes += payload;
             }
+            level_end = level_end.max(landed(self, step, bytes, start, end));
         }
+        level_end
+    }
+
+    /// §IV-D1: replica reconciliation via two-level dirty bits.
+    fn sync_replicas(&mut self, arr: usize, t2: f64) -> Result<f64, RunError> {
+        let ngpus = self.cfg.ngpus;
+        let SyncSchedule { sets, levels } = self.replica_schedule(arr);
 
         // Functional half: land every dirty run on every other replica.
+        // Final contents do not depend on the priced schedule.
         // Conflicting writes (a program-level race under BSP) resolve
         // deterministically: the lowest-indexed dirty GPU wins, exactly
         // as under the serial pairwise schedule.
+        let gpus = &self.arrays[arr].gpu[..ngpus];
+        let runs = |dm: &DirtyMap| -> Vec<(usize, usize)> {
+            dm.dirty_chunks().flat_map(|c| dm.dirty_runs_in_chunk(c)).collect()
+        };
+        let per_gpu_runs: Vec<_> = gpus
+            .iter()
+            .map(|ga| ga.dirty.as_ref().map_or_else(Vec::new, runs))
+            .collect();
         if per_gpu_runs.iter().any(|r| !r.is_empty()) {
             if self.cfg.parallel_comm {
                 self.apply_replica_runs_parallel(arr, &per_gpu_runs)?;
             } else {
                 // Reference path: pairwise current-value copies in
                 // (src, dst) order.
+                let holders: Vec<usize> = (0..ngpus).filter(|&h| gpus[h].handle.is_some()).collect();
                 for (g, runs) in per_gpu_runs.iter().enumerate() {
-                    for h in (0..ngpus).filter(|&h| h != g && has_replica[h]) {
+                    for &h in holders.iter().filter(|&&h| h != g) {
                         for &(lo, hi) in runs {
                             self.move_p2p(arr, g, h, (lo as i64, hi as i64), None)?;
                         }
@@ -389,49 +522,24 @@ impl<'a> Run<'a> {
             }
         }
 
-        // Pricing half: each dirty chunk is its own asynchronous
-        // transfer (per-chunk latency is the cost of choosing small
-        // chunks — the other side of the §IV-D1 trade-off). Serial, in
-        // fixed order: the interconnect timelines are order-dependent.
-        // Each source ships to its nearest destinations first, so
-        // intra-island rounds clear their dedicated links before root-
-        // and fabric-bound rounds queue.
-        for (g, chunk_sizes) in per_gpu_chunk_sizes.iter().enumerate() {
-            if chunk_sizes.is_empty() {
-                continue;
-            }
-            for h in self.machine.bus.peer_order(g, ngpus) {
-                if !has_replica[h] {
-                    continue;
-                }
-                let mut pair_start = f64::INFINITY;
-                let mut pair_end = t2;
-                let mut pair_bytes = 0u64;
-                for &bytes in chunk_sizes {
-                    let (s, e) = self.price_transfer(
-                        arr,
-                        Endpoint::Gpu(g),
-                        Endpoint::Gpu(h),
-                        bytes,
-                        t2,
-                        "sync",
-                    );
-                    pair_start = pair_start.min(s);
-                    pair_end = pair_end.max(e);
-                    pair_bytes += bytes;
-                }
-                end = end.max(pair_end);
-                self.rec.comm_round(CommRound {
-                    launch: self.cur_launch,
-                    array: self.prog.array_params[arr].0.clone(),
-                    src: g,
-                    dst: h,
-                    chunks: chunk_sizes.len() as u64,
-                    bytes: pair_bytes,
-                    start: pair_start,
-                    end: pair_end,
+        // Pricing half: the level walk, one `CommRound` per step. On a
+        // relay hop `src` is the forwarding leader and the chunks are a
+        // group's union, not `src`'s own.
+        let mut end = t2;
+        for steps in &levels {
+            end = self.price_steps(arr, steps, &sets, end, "sync", |run, step, bytes, start, end| {
+                run.rec.comm_round(CommRound {
+                    launch: run.cur_launch,
+                    array: run.prog.array_params[arr].0.clone(),
+                    src: step.src,
+                    dst: step.dst,
+                    chunks: sets[step.set].len() as u64,
+                    bytes,
+                    start,
+                    end,
                 });
-            }
+                end
+            });
         }
 
         // All replicas are consistent again; clear the bits.
@@ -708,11 +816,12 @@ impl<'a> Run<'a> {
     }
 
     /// Stride-doubling tree merge of the private copies on `gpus` (all
-    /// active) onto `gpus[0]`, priced from `t`. Each pairwise merge is
-    /// one [`Run::move_p2p`] fold plus one priced transfer. On a
-    /// one-island topology it is reported as the paper's
-    /// [`ReductionMerge`]; otherwise as a [`CollectiveRound`] tagged with
-    /// the topology `level`.
+    /// active) onto `gpus[0]`, priced from `t`. Each round is a step
+    /// list — one [`Run::move_p2p`] fold and one whole-array transfer
+    /// per pair — priced like a replica-sync level. On a one-island
+    /// topology a merge is reported as the paper's [`ReductionMerge`];
+    /// otherwise as a [`CollectiveRound`] tagged with the topology
+    /// `level`.
     fn merge_group(
         &mut self,
         bi: &ArrLaunch,
@@ -721,28 +830,22 @@ impl<'a> Run<'a> {
         level: &'static str,
         t: f64,
     ) -> Result<f64, RunError> {
-        let n = self.arrays[bi.arr].len;
-        let bytes = (n * self.arrays[bi.arr].elem()) as u64;
+        let (arr, n) = (bi.arr, self.arrays[bi.arr].len);
+        let whole = [vec![(0, (n * self.arrays[arr].elem()) as u64)]];
         let leveled = self.machine.bus.is_hierarchical();
         let mut round_start = t;
         let mut stride = 1usize;
         while stride < gpus.len() {
-            let mut round_end = round_start;
-            for pair in gpus.chunks(stride * 2).filter(|c| c.len() > stride) {
-                let (dst, src) = (pair[0], pair[stride]);
-                self.move_p2p(bi.arr, src, dst, (0, n as i64), Some(op))?;
-                let (start, e) = self.price_transfer(
-                    bi.arr,
-                    Endpoint::Gpu(src),
-                    Endpoint::Gpu(dst),
-                    bytes,
-                    round_start,
-                    "reduce",
-                );
-                let end = e + self.machine.gpus[dst].spec.local_copy_time(bytes);
-                let (launch, array) = (self.cur_launch, self.prog.array_params[bi.arr].0.clone());
+            let pairs = gpus.chunks(stride * 2).filter(|c| c.len() > stride);
+            let steps: Vec<Step> = pairs.map(|p| Step { src: p[stride], dst: p[0], set: 0 }).collect();
+            for s in &steps {
+                self.move_p2p(arr, s.src, s.dst, (0, n as i64), Some(op))?;
+            }
+            let merged = |run: &mut Self, Step { src, dst, .. }, bytes, start, arrived: f64| {
+                let end = arrived + run.machine.gpus[dst].spec.local_copy_time(bytes);
+                let (launch, array) = (run.cur_launch, run.prog.array_params[arr].0.clone());
                 if leveled {
-                    self.rec.collective_round(CollectiveRound {
+                    run.rec.collective_round(CollectiveRound {
                         launch,
                         array,
                         level,
@@ -753,7 +856,7 @@ impl<'a> Run<'a> {
                         end,
                     });
                 } else {
-                    self.rec.reduction_merge(ReductionMerge {
+                    run.rec.reduction_merge(ReductionMerge {
                         launch,
                         array,
                         src,
@@ -763,9 +866,9 @@ impl<'a> Run<'a> {
                         end,
                     });
                 }
-                round_end = round_end.max(end);
-            }
-            round_start = round_end;
+                end
+            };
+            round_start = self.price_steps(arr, &steps, &whole, round_start, "reduce", merged);
             stride *= 2;
         }
         Ok(round_start)
@@ -773,48 +876,4 @@ impl<'a> Run<'a> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::OwnerRouter;
-
-    #[test]
-    fn router_routes_contiguous_partitions() {
-        // Uneven but contiguous: the resolve_bindings shape.
-        let own = [(0i64, 34), (34, 67), (67, 100)];
-        let r = OwnerRouter::new(&own);
-        assert!(r.contiguous);
-        for idx in 0..100 {
-            let want = own.iter().position(|w| w.0 <= idx && idx < w.1);
-            assert_eq!(r.route(idx), want, "idx {idx}");
-        }
-        assert_eq!(r.route(-1), None);
-        assert_eq!(r.route(100), None);
-    }
-
-    #[test]
-    fn router_handles_empty_suffix() {
-        // ngpus > iterations: trailing GPUs own nothing.
-        let own = [(0i64, 2), (2, 3), (0, 0), (0, 0)];
-        let r = OwnerRouter::new(&own);
-        assert!(r.contiguous);
-        assert_eq!(r.route(0), Some(0));
-        assert_eq!(r.route(2), Some(1));
-        assert_eq!(r.route(3), None);
-    }
-
-    #[test]
-    fn router_falls_back_on_gaps() {
-        let own = [(0i64, 2), (5, 9)];
-        let r = OwnerRouter::new(&own);
-        assert!(!r.contiguous);
-        assert_eq!(r.route(1), Some(0));
-        assert_eq!(r.route(3), None);
-        assert_eq!(r.route(6), Some(1));
-    }
-
-    #[test]
-    fn router_handles_all_empty() {
-        let own = [(0i64, 0), (0, 0)];
-        let r = OwnerRouter::new(&own);
-        assert_eq!(r.route(0), None);
-    }
-}
+mod tests;

@@ -475,12 +475,12 @@ impl<'a> Run<'a> {
         (start, end)
     }
 
-    /// The functional half of every GPU→GPU movement: stage elements
-    /// `[lo, hi)` (global) of `arr` from `src`'s window through pooled
-    /// scratch, then land them on the same elements of `dst`'s window —
-    /// overwriting them, or folding them in with `combine` (reduction
-    /// merge). Under `parallel_comm(false)` the fold is the per-element
-    /// [`rmw_apply`] reference the typed-slice pass is held equal to.
+    /// The functional half of every GPU→GPU movement: land elements
+    /// `[lo, hi)` (global) of `arr` straight from `src`'s window on the
+    /// same elements of `dst`'s — overwriting them, or folding them in
+    /// with `combine` (reduction merge). Under `parallel_comm(false)` the
+    /// fold is the per-element [`rmw_apply`] reference the typed-slice
+    /// pass is held equal to.
     pub(crate) fn move_p2p(
         &mut self,
         arr: usize,
@@ -490,39 +490,30 @@ impl<'a> Run<'a> {
         combine: Option<RmwOp>,
     ) -> Result<(), RunError> {
         let elem = self.arrays[arr].elem();
-        let staged: Vec<u8> = {
-            let ga = &self.arrays[arr].gpu[src];
-            let sb = self.machine.gpus[src].memory.get(ga.handle.expect("src window"))?;
-            let off = (lo - ga.window.0) as usize * elem;
-            let bytes = &sb.bytes()[off..off + (hi - lo) as usize * elem];
-            let mut buf = self.staging.take_scratch(bytes.len());
-            buf.extend_from_slice(bytes);
-            buf
-        };
-        let ga = &self.arrays[arr].gpu[dst];
-        let db = self.machine.gpus[dst]
-            .memory
-            .get_mut(ga.handle.expect("dst window"))?;
-        let first = (lo - ga.window.0) as usize;
+        let (sa, da) = (&self.arrays[arr].gpu[src], &self.arrays[arr].gpu[dst]);
+        let first = (lo - da.window.0) as usize;
+        let soff = (lo - sa.window.0) as usize * elem;
+        let nbytes = (hi - lo) as usize * elem;
+        let pair = self.machine.gpus.get_disjoint_mut([src, dst]);
+        let [sgpu, dgpu] = pair.expect("a self-transfer is a device-local copy");
+        let sb = sgpu.memory.get(sa.handle.expect("src window"))?;
+        let moved = &sb.bytes()[soff..soff + nbytes];
+        let db = dgpu.memory.get_mut(da.handle.expect("dst window"))?;
         let ty = db.ty();
-        let window = first * elem..first * elem + staged.len();
-        let landed: Result<(), RunError> = match combine {
-            None => {
-                db.bytes_mut()[window].copy_from_slice(&staged);
-                Ok(())
-            }
+        let window = first * elem..first * elem + nbytes;
+        match combine {
+            None => db.bytes_mut()[window].copy_from_slice(moved),
             Some(op) if self.cfg.parallel_comm => {
-                rmw_apply_slice(op, ty, &mut db.bytes_mut()[window], &staged);
-                Ok(())
+                rmw_apply_slice(op, ty, &mut db.bytes_mut()[window], moved)
             }
-            Some(op) => staged.chunks_exact(elem).enumerate().try_for_each(|(i, v)| {
-                let merged = rmw_apply(op, db.get(first + i), Value::read_le(ty, v))?;
-                db.set(first + i, merged);
-                Ok(())
-            }),
-        };
-        self.staging.put_back_scratch(staged);
-        landed
+            Some(op) => {
+                for (i, v) in moved.chunks_exact(elem).enumerate() {
+                    let merged = rmw_apply(op, db.get(first + i), Value::read_le(ty, v))?;
+                    db.set(first + i, merged);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Host → device `[lo, hi)` (global elements): functional copy plus
@@ -581,8 +572,8 @@ impl<'a> Run<'a> {
         Ok(end)
     }
 
-    /// Device → device `[lo, hi)` (staged functionally; the simulated
-    /// interconnect still prices it as one peer transfer).
+    /// Device → device `[lo, hi)`: functional copy plus the priced peer
+    /// transfer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn xfer_p2p(
         &mut self,

@@ -364,12 +364,23 @@ fn run(
     run.run()
 }
 
-#[test]
-fn worker_count_determinism() -> Result<(), RunError> {
+/// Everything the worker count must not reach.
+fn assert_same_run(r: &RunReport, base: &RunReport, what: &str) {
     let moved = |r: &RunReport| {
         let p = &r.profile;
         (p.h2d_bytes, p.d2h_bytes, p.p2p_bytes)
     };
+    for (a, b) in r.arrays.iter().zip(&base.arrays) {
+        assert_eq!(a.bytes(), b.bytes(), "{what}: arrays");
+    }
+    assert_eq!(r.locals, base.locals, "{what}: host scalars");
+    assert_eq!(r.profile.time, base.profile.time, "{what}: simulated time");
+    assert_eq!(moved(r), moved(base), "{what}: transfer bytes");
+    assert_eq!(r.trace.events(), base.trace.events(), "{what}: events");
+}
+
+#[test]
+fn worker_count_determinism() -> Result<(), RunError> {
     for case in cases()? {
         for (ngpus, machine) in [
             (8, Machine::cluster as fn(usize) -> Machine),
@@ -392,15 +403,54 @@ fn worker_count_determinism() -> Result<(), RunError> {
                     }
                     for workers in [None, Some(2), Some(3), Some(ngpus)] {
                         let r = run(&case, machine(ngpus), &cfg, workers)?;
-                        let what = format!("{what}, workers {workers:?}");
-                        for (a, b) in r.arrays.iter().zip(&base.arrays) {
-                            assert_eq!(a.bytes(), b.bytes(), "{what}: arrays");
-                        }
-                        assert_eq!(r.locals, base.locals, "{what}: host scalars");
-                        assert_eq!(r.profile.time, base.profile.time, "{what}: simulated time");
-                        assert_eq!(moved(&r), moved(&base), "{what}: transfer bytes");
-                        assert_eq!(r.trace.events(), base.trace.events(), "{what}: events");
+                        assert_same_run(&r, &base, &format!("{what}, workers {workers:?}"));
                     }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Colliding scatter into a replicated array: iterations `i`,
+/// `i + n/3` and `i + 2n/3` store different values to one element from
+/// different GPUs, so replica sync has conflicts to resolve.
+const CLASH: &str = r#"
+void clash(int n, int *flags) {
+#pragma acc data copy(flags[0:n])
+{
+#pragma acc parallel loop
+  for (int i = 0; i < n; i++) flags[(i * 7) % (n / 3)] = i;
+}
+}
+"#;
+
+/// Above one island replica sync relays unions through leaders and the
+/// reduction tree has three levels: none of it may see the worker count
+/// either.
+#[test]
+fn worker_count_determinism_above_one_island() -> Result<(), RunError> {
+    let clash = case(
+        "clash",
+        CLASH,
+        &[6000],
+        vec![Buffer::from_i32(&vec![-1; 6000])],
+        |r| r.profile.dirty_chunks_sent > 0,
+    )?;
+    let pagerank = cases()?.remove(0);
+    for case in [clash, pagerank] {
+        for ngpus in [16, 64] {
+            for parallel_comm in [true, false] {
+                let cfg = ExecConfig::gpus(ngpus)
+                    .parallel_comm(parallel_comm)
+                    .chunk_bytes(256)
+                    .tracing(TraceLevel::Spans);
+                let what = format!("{} on {ngpus} GPUs, parallel_comm {parallel_comm}", case.name);
+                let base = run(&case, Machine::cluster(ngpus), &cfg, Some(1))?;
+                assert!((case.exercised)(&base), "{what}: mechanism not exercised");
+                for workers in [2, 8] {
+                    let r = run(&case, Machine::cluster(ngpus), &cfg, Some(workers))?;
+                    assert_same_run(&r, &base, &format!("{what}, workers {workers}"));
                 }
             }
         }

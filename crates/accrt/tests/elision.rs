@@ -15,6 +15,7 @@
 use acc_compiler::{compile_source, force_comm_elision, CompileOptions};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Value};
+use acc_obs::{Event, TraceLevel};
 use acc_runtime::{run_program, ExecConfig, RunError, SanitizeLevel};
 
 /// Two launches per iteration; `y` and `z` are written then read
@@ -39,11 +40,15 @@ const N: usize = 10_000;
 const ITERS: i32 = 5;
 
 fn run_elidable(ngpus: usize, cfg: ExecConfig) -> acc_runtime::RunReport {
+    let m = Machine::supercomputer_node();
+    assert!(ngpus <= m.gpus.len());
+    run_elidable_on(m, cfg)
+}
+
+fn run_elidable_on(mut m: Machine, cfg: ExecConfig) -> acc_runtime::RunReport {
     let prog = compile_source(ELIDABLE, "f", &CompileOptions::proposal()).unwrap();
     assert!(prog.comm_plan.n_facts() > 0, "test program must earn facts");
     let x: Vec<f64> = (0..N).map(|i| (i % 97) as f64).collect();
-    let mut m = Machine::supercomputer_node();
-    assert!(ngpus <= m.gpus.len());
     run_program(
         &mut m,
         &cfg,
@@ -84,6 +89,30 @@ fn elision_skips_syncs_and_preserves_results() {
             off.profile.p2p_bytes
         );
         assert!(on.profile.time.parallel_region() <= off.profile.time.parallel_region());
+    }
+}
+
+/// `CommElided::skipped_bytes` is what the skipped sync would have
+/// priced — above one island that is the level walk's relayed unions,
+/// not payload × (holders − 1). The first launch starts from clean
+/// dirty bits either way, so its estimate must equal the bytes the
+/// un-elided run's first sync moved.
+#[test]
+fn an_elided_sync_reports_the_bytes_its_schedule_would_price() {
+    for ngpus in [3usize, 16, 64] {
+        let cfg = ExecConfig::gpus(ngpus).chunk_bytes(512).tracing(TraceLevel::Summary);
+        let off = run_elidable_on(Machine::cluster(ngpus), cfg.clone());
+        let on = run_elidable_on(Machine::cluster(ngpus), cfg.comm_elision(true));
+        let priced: u64 = off.trace.events().iter().filter_map(|e| match e {
+            Event::Comm(r) if r.launch == 0 => Some(r.bytes),
+            _ => None,
+        }).sum();
+        let skipped: Vec<u64> = on.trace.events().iter().filter_map(|e| match e {
+            Event::Elided(e) if e.launch == 0 => Some(e.skipped_bytes),
+            _ => None,
+        }).collect();
+        assert!(priced > 0, "ngpus={ngpus}");
+        assert_eq!(skipped, [priced], "ngpus={ngpus}");
     }
 }
 

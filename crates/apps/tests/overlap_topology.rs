@@ -179,13 +179,54 @@ fn hierarchical_reduction_emits_leveled_collective_rounds() {
 }
 
 #[test]
-#[ignore = "release-mode CI smoke: full sanitize at 8 and 16 cluster GPUs"]
+fn pagerank_sync_traffic_grows_with_the_topology_not_with_gpu_pairs() {
+    // Replica sync relays island and node unions through leaders, so
+    // going from two islands to eight (16 → 64 GPUs) must not cost the
+    // 16× an all-to-all would. One island (8 GPUs) is the paper's
+    // all-to-all: its numbers are pinned to that schedule's. The input
+    // has `pagerank-64gpu`'s shape.
+    let cfg = pagerank::PagerankConfig { n: 16_384, ..pagerank::PagerankConfig::small() };
+    let input = pagerank::generate(&cfg, 42);
+    let expect = pagerank::reference(&input);
+    let prog = compile_source(
+        pagerank::SOURCE,
+        pagerank::FUNCTION,
+        &CompileOptions::proposal(),
+    )
+    .unwrap();
+    let comm = |ngpus: usize| {
+        let (scalars, arrays) = pagerank::inputs(&input);
+        let r = run_program(
+            &mut Machine::cluster(ngpus),
+            &ExecConfig::gpus(ngpus),
+            &prog,
+            scalars,
+            arrays,
+        )
+        .unwrap();
+        let err = pagerank::max_error(&r.arrays[pagerank::RANK_ARRAY].to_f64_vec(), &expect);
+        assert!(err < 1e-9, "x{ngpus}: err={err}");
+        (r.profile.p2p_bytes, r.profile.time.gpu_gpu)
+    };
+    let (b8, t8) = comm(8);
+    let (b16, t16) = comm(16);
+    let (b64, t64) = comm(64);
+    assert_eq!(b8, 135_765_672, "one-island sync volume moved");
+    assert!((t8 - 2.509339364864892e-3).abs() < 1e-12, "one-island GPU-GPU time moved: {t8:e}");
+    // 4.1× and 2.0× here; the all-to-all read 16.6× and 12.6×.
+    assert!(b64 < 6 * b16, "p2p bytes: {b16} at 16 GPUs, {b64} at 64");
+    assert!(t64 < 4.0 * t16, "GPU-GPU time: {t16:e} s at 16 GPUs, {t64:e} s at 64");
+}
+
+#[test]
+#[ignore = "release-mode CI smoke: full sanitize at 8, 16 and 64 cluster GPUs"]
 fn scaling_smoke_full_sanitize_cluster_with_overlap_armed() {
     // The CI scaling job: both scaling apps on the cluster topology at
-    // 8 and 16 GPUs, fully sanitized, with the overlap knob armed (Full
-    // re-arms the synchronous schedule, so this also exercises the
-    // re-arming path at scale). Everything must pass its oracle.
-    for ngpus in [8usize, 16] {
+    // 8, 16 and 64 GPUs (one island, one node, four nodes), fully
+    // sanitized, with the overlap knob armed (Full re-arms the
+    // synchronous schedule, so this also exercises the re-arming path
+    // at scale). Everything must pass its oracle.
+    for ngpus in [8usize, 16, 64] {
         let ecfg = ExecConfig::gpus(ngpus)
             .sanitize(SanitizeLevel::Full)
             .overlap(true);

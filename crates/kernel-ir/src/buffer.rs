@@ -32,29 +32,30 @@ impl Buffer {
 
     /// Build a buffer from `i32` elements.
     pub fn from_i32(data: &[i32]) -> Buffer {
-        let mut b = Buffer::zeroed(Ty::I32, data.len());
-        for (i, v) in data.iter().enumerate() {
-            b.set(i, Value::I32(*v));
-        }
-        b
+        Buffer::from_le(Ty::I32, data.iter().map(|v| v.to_le_bytes()))
     }
 
     /// Build a buffer from `f32` elements.
     pub fn from_f32(data: &[f32]) -> Buffer {
-        let mut b = Buffer::zeroed(Ty::F32, data.len());
-        for (i, v) in data.iter().enumerate() {
-            b.set(i, Value::F32(*v));
-        }
-        b
+        Buffer::from_le(Ty::F32, data.iter().map(|v| v.to_le_bytes()))
     }
 
     /// Build a buffer from `f64` elements.
     pub fn from_f64(data: &[f64]) -> Buffer {
-        let mut b = Buffer::zeroed(Ty::F64, data.len());
-        for (i, v) in data.iter().enumerate() {
-            b.set(i, Value::F64(*v));
+        Buffer::from_le(Ty::F64, data.iter().map(|v| v.to_le_bytes()))
+    }
+
+    /// Lay out `elems` — each already its little-endian pattern — back to
+    /// back. `N` is a compile-time width, so the copy loop is specialised
+    /// per element size.
+    fn from_le<const N: usize>(ty: Ty, elems: impl ExactSizeIterator<Item = [u8; N]>) -> Buffer {
+        debug_assert_eq!(ty.size_bytes(), N);
+        let len = elems.len();
+        let mut bytes = Vec::with_capacity(len * N);
+        for e in elems {
+            bytes.extend_from_slice(&e);
         }
-        b
+        Buffer { ty, len, bytes }
     }
 
     /// Element type.
@@ -145,11 +146,26 @@ impl Buffer {
         self.iter().map(|v| v.as_f64().unwrap()).collect()
     }
 
-    /// Fill every element with `v`.
+    /// Fill every element with `v`: one bulk pass writing the element's
+    /// little-endian pattern, specialised per element width.
+    ///
+    /// # Panics
+    /// Panics if `v` is not of the buffer's element type.
     pub fn fill(&mut self, v: Value) {
-        for i in 0..self.len {
-            self.set(i, v);
+        assert_eq!(v.ty(), self.ty, "type-confused fill");
+        match v {
+            Value::I32(x) => fill_le(&mut self.bytes, x.to_le_bytes()),
+            Value::F32(x) => fill_le(&mut self.bytes, x.to_le_bytes()),
+            Value::F64(x) => fill_le(&mut self.bytes, x.to_le_bytes()),
+            // One byte wide; `zeroed` builds no such buffer anyway.
+            Value::Bool(x) => self.bytes.fill(x as u8),
         }
+    }
+}
+
+fn fill_le<const N: usize>(bytes: &mut [u8], pattern: [u8; N]) {
+    for elem in bytes.chunks_exact_mut(N) {
+        elem.copy_from_slice(&pattern);
     }
 }
 
@@ -198,5 +214,20 @@ mod tests {
         let mut b = Buffer::zeroed(Ty::I32, 3);
         b.fill(Value::I32(7));
         assert_eq!(b.to_i32_vec(), vec![7, 7, 7]);
+        // Every width agrees with the per-element `set`, bit for bit
+        // (negative zero and infinity are reduction identities).
+        for v in [Value::I32(i32::MIN), Value::F32(-0.0), Value::F64(f64::NEG_INFINITY)] {
+            let mut bulk = Buffer::zeroed(v.ty(), 5);
+            let mut each = bulk.clone();
+            bulk.fill(v);
+            (0..5).for_each(|i| each.set(i, v));
+            assert_eq!(bulk.bytes(), each.bytes(), "{v:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "type-confused fill")]
+    fn fill_rejects_a_value_of_another_type() {
+        Buffer::zeroed(Ty::I32, 2).fill(Value::F64(1.0));
     }
 }

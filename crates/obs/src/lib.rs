@@ -326,8 +326,9 @@ pub struct SanitizeEvent {
 pub struct CommElided {
     pub launch: u64,
     pub array: String,
-    /// Estimated bytes the skipped sync would have shipped (the currently
-    /// accumulated dirty-chunk payload to every other replica holder).
+    /// Bytes the skipped sync would have priced: the steps of its
+    /// schedule over the currently accumulated dirty chunks (on one
+    /// island, their payload to every other replica holder).
     pub skipped_bytes: u64,
     /// Simulated instant of the skip (start of the comm phase).
     pub at: SimTime,
