@@ -22,8 +22,9 @@
 //! 3. The **window** is the union of the per-iteration read intervals:
 //!    `left = max(-offset.lo)`, `right = max(offset.hi - (S-1))` over
 //!    the load sites, each rounded *up* into the annotation vocabulary
-//!    `{0, positive constant, S}` (rounding up preserves soundness; the
-//!    loader may over-fetch but never under-allocate).
+//!    `{0, positive constant, m*S}` with `m` a positive integer
+//!    (rounding up preserves soundness; the loader may over-fetch but
+//!    never under-allocate).
 //!
 //! The result is expressed in the host frame — exactly the expressions
 //! the frontend would have produced for a hand-written pragma — so
@@ -43,8 +44,9 @@ use crate::range::{self, BufSites, StrideRef, SymBound};
 enum Halo {
     Zero,
     Const(i64),
-    /// The stride expression itself (`left(cols)` with `stride(cols)`).
-    Stride,
+    /// A positive multiple of the stride expression: `left(cols)` (1)
+    /// or `left(2*cols)` (2) with `stride(cols)`.
+    Strides(i64),
 }
 
 /// Infer a sound `localaccess` annotation for one kernel buffer from its
@@ -277,8 +279,10 @@ fn sym_max(a: SymBound, b: SymBound, sr: StrideRef) -> Option<SymBound> {
 
 /// Round a required halo *up* into the annotation vocabulary. With a
 /// constant stride the bound is evaluated exactly; with a symbolic
-/// stride it must be a non-positive bound (`0`), a positive constant, or
-/// at most the stride itself (rounded up to `S`).
+/// stride it is a non-positive bound (`0`), a positive constant, or
+/// rounded up to the least whole number of strides that covers it for
+/// every `S >= 1`: `a*S + k <= m*S` needs `m >= a` and, at `S = 1`,
+/// `m >= a + k`.
 fn round_halo(b: SymBound, sr: StrideRef) -> Option<Halo> {
     match sr {
         StrideRef::Const(s) => {
@@ -290,10 +294,8 @@ fn round_halo(b: SymBound, sr: StrideRef) -> Option<Halo> {
                 Some(Halo::Zero)
             } else if b.a == 0 {
                 Some(Halo::Const(b.k))
-            } else if b.le(SymBound::stride(), sr) {
-                Some(Halo::Stride)
             } else {
-                None
+                Some(Halo::Strides(b.a.max(b.a.checked_add(b.k)?).max(1)))
             }
         }
     }
@@ -325,7 +327,12 @@ fn halo_expr(h: Halo, stride: &ir::Expr) -> Option<ir::Expr> {
             let v: i32 = k.try_into().ok()?;
             Some(ir::Expr::imm_i32(v))
         }
-        Halo::Stride => Some(stride.clone()),
+        Halo::Strides(1) => Some(stride.clone()),
+        // `m*S`, as the frontend lowers a hand-written `left(2*cols)`.
+        Halo::Strides(m) => {
+            let m: i32 = m.try_into().ok()?;
+            Some(ir::Expr::mul(ir::Expr::imm_i32(m), stride.clone()))
+        }
     }
 }
 
@@ -453,6 +460,45 @@ mod tests {
         let lb = cfg(&p, 0, "b").localaccess.clone().unwrap();
         assert_eq!(lb.stride, ir::Expr::Local(ir::LocalId(1)));
         assert_eq!(lb.left, ir::Expr::imm_i32(0));
+    }
+
+    #[test]
+    fn rounds_symbolic_halo_up_to_whole_strides() {
+        let sym = StrideRef::Sym(ir::LocalId(0));
+        let strides = |a, k| round_halo(SymBound { a, k }, sym);
+        assert_eq!(strides(2, 0), Some(Halo::Strides(2)));
+        assert_eq!(strides(3, 0), Some(Halo::Strides(3)));
+        // Not a multiple: `S + 1` exceeds one stride and, at `S = 1`,
+        // equals two; `2*S - 1` fits two.
+        assert_eq!(strides(1, 1), Some(Halo::Strides(2)));
+        assert_eq!(strides(2, -1), Some(Halo::Strides(2)));
+        assert_eq!(strides(2, 3), Some(Halo::Strides(5)));
+        let cols = ir::Expr::Local(ir::LocalId(1));
+        assert_eq!(halo_expr(Halo::Strides(1), &cols), Some(cols.clone()));
+        assert_eq!(
+            halo_expr(Halo::Strides(2), &cols),
+            Some(ir::Expr::mul(ir::Expr::imm_i32(2), cols.clone()))
+        );
+
+        // End to end: a sweep reading two rows back derives the deep
+        // stencil's hand annotation, `left(2*cols) right(cols)`.
+        let p = compile_source(
+            "void f(int rows, int cols, double *a, double *b) {\n\
+             #pragma acc parallel loop copyin(a[0:rows*cols]) copy(b[0:rows*cols])\n\
+             for (int i = 2; i < rows - 1; i++) {\n\
+             for (int j = 0; j < cols; j++) {\n\
+             b[i*cols + j] = a[(i-2)*cols + j] + a[(i+1)*cols + j];\n\
+             }\n\
+             }\n\
+             }",
+            "f",
+            &infer_opts(),
+        )
+        .unwrap();
+        let la = cfg(&p, 0, "a").localaccess.clone().unwrap();
+        assert_eq!(la.stride, cols);
+        assert_eq!(la.left, ir::Expr::mul(ir::Expr::imm_i32(2), cols.clone()));
+        assert_eq!(la.right, cols);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   compiled IR, so textually different requests that lower to the same
 //!   program still share one [`CompiledKernel`] (and its mapper
 //!   history). Repeat requests return the same `Arc` without invoking
-//!   the compiler;
+//!   the compiler, and concurrent first requests for one key are
+//!   single-flight — one of them compiles, the rest wait for its
+//!   outcome — so the hit and compile counts depend on which requests
+//!   were made, not on how they interleaved;
 //! * **compiled kernel bodies** — each cached program carries the
 //!   executable forms of its kernels (bytecode, and register-VM code
 //!   when a job asks for it), compiled by the first launch that needs
@@ -37,7 +40,7 @@
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use acc_compiler::{compile_source, CompileOptions, CompiledProgram};
 use acc_gpusim::{Machine, MachineKind};
@@ -59,6 +62,15 @@ fn fnv1a64(parts: &[&[u8]]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Request-cache key of one `(source, function, options)` request.
+fn request_key(source: &str, function: &str, options: &CompileOptions) -> u64 {
+    fnv1a64(&[
+        source.as_bytes(),
+        function.as_bytes(),
+        format!("{options:?}").as_bytes(),
+    ])
 }
 
 /// A cached compiled program plus the cross-request state that rides
@@ -124,6 +136,55 @@ struct CacheEntry {
     last_used: u64,
 }
 
+/// What a request-cache miss produced: the kernel, or the compiler's
+/// message (the payload of [`RunError::Compile`]).
+type Compiled = Result<Arc<CompiledKernel>, String>;
+
+/// A request-cache miss being compiled. The first requester of a key
+/// runs the compiler; every later requester of the same key waits here
+/// for that one outcome instead of compiling again.
+#[derive(Default)]
+struct Flight {
+    outcome: Mutex<Option<Compiled>>,
+    done: Condvar,
+}
+
+impl Flight {
+    fn wait(&self) -> Compiled {
+        let mut slot = self.outcome.lock().expect("flight lock poisoned");
+        loop {
+            match &*slot {
+                Some(outcome) => return outcome.clone(),
+                None => slot = self.done.wait(slot).expect("flight lock poisoned"),
+            }
+        }
+    }
+}
+
+/// Held by the requester that compiles. Dropping it takes the key out
+/// of `in_flight` and wakes the waiters with `outcome` — on every exit,
+/// so a compiler panic unwinding through the owner cannot leave them
+/// blocked.
+struct FlightOwner<'a> {
+    inner: &'a Mutex<EngineInner>,
+    key: u64,
+    flight: Arc<Flight>,
+    outcome: Compiled,
+}
+
+impl Drop for FlightOwner<'_> {
+    fn drop(&mut self) {
+        // `Drop` must not panic: a poisoned lock is skipped, not unwrapped.
+        if let Ok(mut inner) = self.inner.lock() {
+            inner.in_flight.remove(&self.key);
+        }
+        if let Ok(mut slot) = self.flight.outcome.lock() {
+            *slot = Some(self.outcome.clone());
+        }
+        self.flight.done.notify_all();
+    }
+}
+
 /// Cache + pool state behind the engine's lock.
 #[derive(Default)]
 struct EngineInner {
@@ -131,6 +192,8 @@ struct EngineInner {
     /// options are part of the key, so e.g. an `infer_localaccess`
     /// recompile of the same source gets its own entry.
     by_request: HashMap<u64, CacheEntry>,
+    /// Request keys whose first requester is still compiling.
+    in_flight: HashMap<u64, Arc<Flight>>,
     /// IR cache: compiled-IR hash → kernel (dedups textually different
     /// requests that lower identically).
     by_ir: HashMap<u64, CacheEntry>,
@@ -182,12 +245,14 @@ fn insert_bounded(
 /// repeated jobs should sit well above 0.9.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
-    /// `compile` calls that invoked the compiler.
+    /// `compile` calls that invoked the compiler (failed compiles
+    /// included; those are not cached).
     pub compiles: u64,
-    /// `compile` calls answered from the request cache.
+    /// `compile` calls answered from the request cache, or by waiting
+    /// for another thread's compile of the same request.
     pub cache_hits: u64,
     /// Compiler invocations whose output deduplicated against an
-    /// already-cached identical IR.
+    /// already-cached identical IR (a textually different request).
     pub ir_dedups: u64,
     /// Completed `launch` calls (success or failure).
     pub launches: u64,
@@ -283,21 +348,18 @@ impl Engine {
     }
 
     /// [`Engine::compile`] plus a flag saying whether this exact
-    /// request was served from the cache (`true`) or had to run the
-    /// compiler (`false`, including the IR-dedup case). `acc-serve`
-    /// uses the flag for per-job cache-hit accounting.
+    /// request was served from the cache (`true`, including a wait on
+    /// another thread's compile of it) or had to run the compiler
+    /// (`false`, including the IR-dedup case). `acc-serve` uses the flag
+    /// for per-job cache-hit accounting.
     pub fn compile_entry(
         &self,
         source: &str,
         function: &str,
         options: &CompileOptions,
     ) -> Result<(Arc<CompiledKernel>, bool), RunError> {
-        let key = fnv1a64(&[
-            source.as_bytes(),
-            function.as_bytes(),
-            format!("{options:?}").as_bytes(),
-        ]);
-        {
+        let key = request_key(source, function, options);
+        let flight = {
             let mut inner = self.inner.lock().expect("engine lock poisoned");
             let tick = inner.next_tick();
             if let Some(e) = inner.by_request.get_mut(&key) {
@@ -305,24 +367,46 @@ impl Engine {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((Arc::clone(&e.kernel), true));
             }
-        }
+            if let Some(flight) = inner.in_flight.get(&key).cloned() {
+                // Someone else is compiling this request: its outcome
+                // is ours. A failed compile is not cached, so every
+                // waiter reports the owner's error.
+                drop(inner);
+                let ck = flight.wait().map_err(RunError::Compile)?;
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((ck, true));
+            }
+            let flight = Arc::new(Flight::default());
+            inner.in_flight.insert(key, Arc::clone(&flight));
+            flight
+        };
+        let mut owner = FlightOwner {
+            inner: &self.inner,
+            key,
+            flight,
+            outcome: Err("the compiler panicked".to_string()),
+        };
         // Compile outside the lock: concurrent misses on different
         // sources shouldn't serialise on the compiler.
-        let prog = compile_source(source, function, options).map_err(RunError::Compile)?;
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let ir_hash = ir_hash_of(&prog);
-        let mut inner = self.inner.lock().expect("engine lock poisoned");
-        let ck = self.intern(&mut inner, ir_hash, prog);
-        let tick = inner.tick;
-        insert_bounded(
-            &mut inner.by_request,
-            key,
-            Arc::clone(&ck),
-            tick,
-            self.cache_capacity,
-            &self.evictions,
-        );
-        Ok((ck, false))
+        owner.outcome = compile_source(source, function, options).map(|prog| {
+            let ir_hash = ir_hash_of(&prog);
+            let mut inner = self.inner.lock().expect("engine lock poisoned");
+            let ck = self.intern(&mut inner, ir_hash, prog);
+            let tick = inner.tick;
+            // Cached before `owner` drops: a requester sees the key in
+            // `in_flight` or in `by_request`, never in neither.
+            insert_bounded(
+                &mut inner.by_request,
+                key,
+                Arc::clone(&ck),
+                tick,
+                self.cache_capacity,
+                &self.evictions,
+            );
+            ck
+        });
+        owner.outcome.clone().map(|ck| (ck, false)).map_err(RunError::Compile)
     }
 
     /// Adopt an already-compiled program into the cache (deduplicated
@@ -336,9 +420,9 @@ impl Engine {
 
     /// The cached kernel for `prog`'s IR (`ir_hash`, computed by the
     /// caller outside the lock), adopting `prog` as that kernel when the
-    /// IR map has none. A racing thread may have finished the same
-    /// compile first; the map keeps exactly one kernel per distinct
-    /// program either way.
+    /// IR map has none. A textually different request may have lowered
+    /// to the same IR first; the map keeps exactly one kernel per
+    /// distinct program either way.
     fn intern(
         &self,
         inner: &mut EngineInner,
@@ -584,6 +668,48 @@ void scale(int n, double *a) {
         assert!(!a.options.infer_localaccess && b.options.infer_localaccess);
         assert_eq!(eng.stats().compiles, 2);
         assert_eq!(eng.stats().ir_dedups, 0);
+    }
+
+    #[test]
+    fn waiters_on_a_failed_compile_get_its_error_and_nothing_is_cached() {
+        const BROKEN: &str = "void broken(";
+        let eng = Arc::new(Engine::new(MachineKind::Desktop, ExecConfig::gpus(1)));
+        let opts = CompileOptions::proposal();
+        // Own the flight by hand, so that all seven requesters are
+        // waiting on it before it fails.
+        let key = request_key(BROKEN, "broken", &opts);
+        let flight = Arc::new(Flight::default());
+        eng.inner.lock().unwrap().in_flight.insert(key, Arc::clone(&flight));
+        let waiters: Vec<_> = (0..7)
+            .map(|_| {
+                let eng = Arc::clone(&eng);
+                std::thread::spawn(move || {
+                    eng.compile(BROKEN, "broken", &CompileOptions::proposal()).unwrap_err()
+                })
+            })
+            .collect();
+        // The map, this test and each requester that found the flight
+        // hold one reference.
+        while Arc::strong_count(&flight) < 2 + waiters.len() {
+            std::thread::yield_now();
+        }
+        drop(FlightOwner {
+            inner: &eng.inner,
+            key,
+            flight,
+            outcome: Err("owner's diagnostic".to_string()),
+        });
+        for w in waiters {
+            let err = w.join().unwrap();
+            assert_eq!(err.code(), "ACC-R010");
+            assert!(matches!(err, RunError::Compile(m) if m == "owner's diagnostic"));
+        }
+        assert!(eng.inner.lock().unwrap().in_flight.is_empty());
+        let s = eng.stats();
+        assert_eq!((s.compiles, s.cache_hits), (0, 0), "no waiter compiled or hit");
+        // The failure was not cached: the next request runs the compiler.
+        assert!(eng.compile(BROKEN, "broken", &opts).is_err());
+        assert_eq!(eng.stats().compiles, 1);
     }
 
     #[test]

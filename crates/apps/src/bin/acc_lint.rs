@@ -186,25 +186,18 @@ fn check_divergence(label: &str, src: &str, p: &CompiledProgram) -> usize {
             else {
                 continue;
             };
-            match &cfg.inferred {
-                Some(inf) if inf == hand => {}
-                Some(inf) => {
-                    println!(
-                        "{label}: divergence: kernel `{}` array `{}`: \
-                         hand-written {:?} but inference derives {:?}",
-                        k.kernel.name, cfg.name, hand, inf
-                    );
-                    n += 1;
-                }
-                None => {
-                    println!(
-                        "{label}: divergence: kernel `{}` array `{}`: \
-                         hand-written {:?} but inference derives nothing",
-                        k.kernel.name, cfg.name, hand
-                    );
-                    n += 1;
-                }
+            if cfg.inferred.as_ref() == Some(hand) {
+                continue;
             }
+            let pragma = |la| acc_compiler::render_annotation(&cfg.name, la, &p.locals);
+            println!(
+                "{label}: divergence: kernel `{}` array `{}`: hand-written `{}` but inference derives {}",
+                k.kernel.name,
+                cfg.name,
+                pragma(hand),
+                cfg.inferred.as_ref().map_or("nothing".to_string(), |inf| format!("`{}`", pragma(inf)))
+            );
+            n += 1;
         }
     }
     n

@@ -1,86 +1,13 @@
-//! Criterion benches for the runtime mechanisms the paper's design hinges
-//! on: the kernel interpreter, the two-level dirty-bit map, the range-set
-//! coherence bookkeeping, and the PCIe bus scheduler.
+//! Criterion benches for the two runtime mechanisms `accbench` has no
+//! metric for: the two-level dirty-bit map and the range-set coherence
+//! bookkeeping. Everything else that reads the host clock — frontend,
+//! translator, kernel tier, interconnect pricing, whole-app runs — is
+//! measured by `accbench` (`benchmarks/`), not here.
 
 use acc_kernel_ir::dirty::DirtyMap;
-use acc_kernel_ir::{
-    run_kernel_range, BufAccess, BufId, BufParam, Buffer, ExecCtx, Expr, Kernel, LocalId,
-    ScalarParam, Stmt, Ty, Value,
-};
 use acc_runtime::RangeSet;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-
-/// The saxpy kernel in IR form.
-fn saxpy_kernel() -> Kernel {
-    let k = Kernel {
-        name: "saxpy".into(),
-        params: vec![ScalarParam {
-            name: "a".into(),
-            ty: Ty::F64,
-        }],
-        bufs: vec![
-            BufParam {
-                name: "x".into(),
-                ty: Ty::F64,
-                access: BufAccess::Read,
-            },
-            BufParam {
-                name: "y".into(),
-                ty: Ty::F64,
-                access: BufAccess::ReadWrite,
-            },
-        ],
-        locals: vec![Ty::F64],
-        reductions: vec![],
-        body: vec![
-            Stmt::Assign {
-                local: LocalId(0),
-                value: Expr::add(
-                    Expr::mul(
-                        Expr::Param(acc_kernel_ir::ParamId(0)),
-                        Expr::load(BufId(0), Expr::ThreadIdx),
-                    ),
-                    Expr::load(BufId(1), Expr::ThreadIdx),
-                ),
-            },
-            Stmt::Store {
-                buf: BufId(1),
-                idx: Expr::ThreadIdx,
-                value: Expr::Local(LocalId(0)),
-                dirty: false,
-                checked: false,
-            },
-        ],
-    };
-    k.validate().unwrap();
-    k
-}
-
-fn bench_interpreter(c: &mut Criterion) {
-    let mut g = c.benchmark_group("interp/saxpy");
-    let k = saxpy_kernel();
-    for n in [1_000usize, 100_000] {
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut x = Buffer::zeroed(Ty::F64, n);
-            let mut y = Buffer::zeroed(Ty::F64, n);
-            b.iter(|| {
-                let mut ctx = ExecCtx::new(
-                    &k,
-                    vec![Value::F64(2.0)],
-                    vec![
-                        acc_kernel_ir::BufSlot::whole(&mut x),
-                        acc_kernel_ir::BufSlot::whole(&mut y),
-                    ],
-                );
-                run_kernel_range(&k, &mut ctx, 0, n as i64).unwrap();
-                black_box(ctx.counters.threads)
-            })
-        });
-    }
-    g.finish();
-}
 
 fn bench_dirty_marks(c: &mut Criterion) {
     let mut g = c.benchmark_group("dirty/mark");
@@ -149,34 +76,5 @@ fn bench_rangeset(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_bus(c: &mut Criterion) {
-    use acc_gpusim::{Endpoint, Topology};
-    let mut g = c.benchmark_group("bus/schedule");
-    g.bench_function("1000_transfers", |b| {
-        b.iter(|| {
-            let mut bus = Topology::desktop();
-            let mut t = 0.0;
-            for i in 0..1000u64 {
-                let (_, e) = bus.transfer(
-                    Endpoint::Host,
-                    Endpoint::Gpu((i % 2) as usize),
-                    1 << 20,
-                    t,
-                );
-                t = e;
-            }
-            black_box(t)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_interpreter,
-    bench_dirty_marks,
-    bench_dirty_scan,
-    bench_rangeset,
-    bench_bus
-);
+criterion_group!(benches, bench_dirty_marks, bench_dirty_scan, bench_rangeset);
 criterion_main!(benches);

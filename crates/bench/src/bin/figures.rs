@@ -18,13 +18,15 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>) next to the phase
 //! summary table.
 //!
-//! The `bench` target measures the simulator's own wall-clock (not
-//! simulated time) for every app × GPU count and writes
-//! `BENCH_runtime.json` (see `docs/benchmarks.md`); `--reps N` controls
-//! repetitions per configuration. `bench-diff <old.json> <new.json>`
-//! compares two such artifacts and exits non-zero on a wall-clock
-//! regression over tolerance (`--wall-tolerance F`, default 0.15) at
-//! fixed scale/seed or any simulated-time drift.
+//! The `bench` target runs the evaluation matrix behind Figs. 7–9 plus
+//! the scheduler, comm-experiment and scaling rows and writes every
+//! simulated value as `BENCH_runtime.json` (see `docs/benchmarks.md`;
+//! the committed baselines are `BENCH_runtime.json` at `small` and
+//! `BENCH_runtime_scaled.json` at `scaled`). `bench-diff <old.json>
+//! <new.json>` compares two such artifacts exactly and exits 1 on any
+//! drift, lost row, wrong result or scale/seed mismatch, 2 on malformed
+//! input. Host wall-clock is not measured here: that is `accbench`
+//! (`benchmarks/`).
 
 use acc_apps::Scale;
 use acc_bench::*;
@@ -36,10 +38,6 @@ struct Args {
     scale: Scale,
     json: Option<String>,
     seed: u64,
-    reps: usize,
-    /// Wall-clock regression tolerance for `bench-diff` (fraction, e.g.
-    /// 0.15). CI passes a generous value because its runners are noisy.
-    wall_tolerance: f64,
     /// Positional arguments after the target (`bench-diff` file paths).
     free: Vec<String>,
 }
@@ -50,8 +48,6 @@ fn parse_args() -> Args {
         scale: Scale::Scaled,
         json: None,
         seed: 42,
-        reps: 3,
-        wall_tolerance: DEFAULT_WALL_TOLERANCE,
         free: Vec::new(),
     };
     let mut have_target = false;
@@ -71,24 +67,13 @@ fn parse_args() -> Args {
             }
             "--json" => args.json = it.next(),
             "--seed" => args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(42),
-            "--reps" => args.reps = it.next().and_then(|s| s.parse().ok()).unwrap_or(3),
-            "--wall-tolerance" => {
-                let raw = it.next();
-                args.wall_tolerance = match raw.as_deref().map(str::parse::<f64>) {
-                    Some(Ok(t)) if t >= 0.0 && t.is_finite() => t,
-                    _ => {
-                        eprintln!("bad --wall-tolerance {raw:?} (want a non-negative fraction)");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: figures [table1|table2|fig7|fig8|fig9|ablation-chunk|\
                      ablation-layout|ablation-placement|ablation-loader-reuse|\
                      extension-stencil|trace|bench|all] [--scale small|scaled|paper] \
-                     [--json FILE] [--seed N] [--reps N]\n\
-                     \x20      figures bench-diff <old.json> <new.json> [--wall-tolerance F]"
+                     [--json FILE] [--seed N]\n\
+                     \x20      figures bench-diff <old.json> <new.json>"
                 );
                 std::process::exit(0);
             }
@@ -103,9 +88,9 @@ fn parse_args() -> Args {
 }
 
 /// The `bench-diff` target: compare two `BENCH_runtime.json` artifacts.
-/// Exit 0 when clean, 1 on a regression (wall-clock over tolerance,
-/// simulated-time drift, missing point, scale/seed mismatch, wrong
-/// result), 2 on malformed input.
+/// Exit 0 when clean, 1 on a failed comparison (simulated-value drift,
+/// missing row, scale/seed mismatch, wrong result), 2 on malformed
+/// input.
 fn run_bench_diff_target(args: &Args) -> ! {
     let [old_path, new_path] = args.free.as_slice() else {
         eprintln!("usage: figures bench-diff <old.json> <new.json>");
@@ -118,7 +103,7 @@ fn run_bench_diff_target(args: &Args) -> ! {
         })
     };
     let (old_doc, new_doc) = (read(old_path), read(new_path));
-    match bench_diff(&old_doc, &new_doc, args.wall_tolerance) {
+    match bench_diff(&old_doc, &new_doc) {
         Ok(report) => {
             print!("{}", report.render());
             std::process::exit(if report.failed() { 1 } else { 0 });
@@ -167,54 +152,62 @@ fn run_trace_target(args: &Args) {
     eprintln!("wrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
 }
 
-/// The `bench` target: the simulator's own wall-clock per app × GPU
-/// count, written as `BENCH_runtime.json` so the host-side cost of the
-/// runtime can be tracked across commits (simulated times are recorded
-/// alongside and must not move).
+/// The `bench` target: every pinned simulated value at one scale and
+/// seed, printed as tables and written as `BENCH_runtime.json`.
 fn run_bench_target(args: &Args) {
-    let scale_name = match args.scale {
-        Scale::Small => "small",
-        Scale::Scaled => "scaled",
-        Scale::Paper => "paper",
-    };
-    eprintln!("measuring wall-clock at scale `{scale_name}`, {} reps each", args.reps);
-    let points = bench_runtime(args.scale, args.seed, args.reps, true);
+    let file = bench_runtime(args.scale, args.seed, true);
     println!(
-        "  {:<8} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}",
-        "App", "GPUs", "wall best", "wall mean", "sim time", "comm sim", "comm wall", "correct"
+        "  {:<20} {:<13} {:<15} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10} {:>8}",
+        "Machine", "App", "Version", "sim time", "kernels", "cpu-gpu", "gpu-gpu", "user MB",
+        "system MB", "correct"
     );
-    for p in &points {
+    for p in &file.points {
         println!(
-            "  {:<8} {:>5} {:>11.3}s {:>11.3}s {:>11.6}s {:>11.6}s {:>11.4}s {:>8}",
-            p.app, p.ngpus, p.wall_best_s, p.wall_mean_s, p.sim_s, p.comm_sim_s, p.comm_wall_s,
+            "  {:<20} {:<13} {:<15} {:>11.6}s {:>11.6}s {:>11.6}s {:>11.6}s {:>10.2} {:>10.3} {:>8}",
+            p.machine,
+            p.app,
+            p.version,
+            p.sim_s,
+            p.kernels_s,
+            p.cpu_gpu_s,
+            p.gpu_gpu_s,
+            p.user_peak as f64 / 1e6,
+            p.system_peak as f64 / 1e6,
             p.correct
         );
     }
-    let comm = bench_comm(args.scale, args.seed, true);
     println!(
-        "  {:<8} {:<15} {:>5} {:>12} {:>12} {:>10} {:>8} {:>8}",
-        "App", "Mode", "GPUs", "comm sim", "comm wall", "p2p MB", "elided", "matches"
+        "  {:<13} {:>5} {:>12} {:>12} {:>8}",
+        "Schedule", "GPUs", "sim time", "comm sim", "correct"
     );
-    for c in &comm {
+    for p in &file.schedules {
         println!(
-            "  {:<8} {:<15} {:>5} {:>11.6}s {:>11.4}s {:>10.2} {:>8} {:>8}",
+            "  {:<13} {:>5} {:>11.6}s {:>11.6}s {:>8}",
+            p.app, p.ngpus, p.sim_s, p.comm_sim_s, p.correct
+        );
+    }
+    println!(
+        "  {:<8} {:<15} {:>5} {:>12} {:>10} {:>8} {:>8}",
+        "App", "Mode", "GPUs", "comm sim", "p2p MB", "elided", "matches"
+    );
+    for c in &file.comm_experiments {
+        println!(
+            "  {:<8} {:<15} {:>5} {:>11.6}s {:>10.2} {:>8} {:>8}",
             c.app,
             c.mode,
             c.ngpus,
             c.comm_sim_s,
-            c.comm_wall_s,
             c.p2p_bytes as f64 / 1e6,
             c.comm_elisions,
             c.matches_annotated
         );
     }
-    let scaling = bench_scaling(args.scale, args.seed, true);
     println!(
         "  {:<8} {:>5} {:<8} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>8}",
         "App", "GPUs", "Topo", "overlap", "sim time", "comm sim", "cpu-gpu", "hidden", "p2p MB",
         "correct"
     );
-    for s in &scaling {
+    for s in &file.scaling {
         println!(
             "  {:<8} {:>5} {:<8} {:>8} {:>11.6}s {:>11.6}s {:>11.6}s {:>11.6}s {:>10.2} {:>8}",
             s.app,
@@ -229,105 +222,11 @@ fn run_bench_target(args: &Args) {
             s.correct
         );
     }
-    let serve = bench_serve(8, 6, true);
-    println!(
-        "  serve: {} tenants x {} jobs: {:.1} jobs/s, p50 {:.1} ms, p99 {:.1} ms, \
-         cache hit rate {:.1}%, correct {}",
-        serve.tenants,
-        serve.jobs_per_tenant,
-        serve.jobs_per_s,
-        serve.p50_ms,
-        serve.p99_ms,
-        serve.cache_hit_rate * 100.0,
-        serve.all_correct
-    );
-    let json = Value::obj([
-        ("scale", Value::str(scale_name)),
-        ("seed", Value::num(args.seed as f64)),
-        (
-            "points",
-            Value::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("app", Value::str(&p.app)),
-                            ("ngpus", Value::num(p.ngpus as f64)),
-                            ("wall_best_s", Value::num(p.wall_best_s)),
-                            ("wall_mean_s", Value::num(p.wall_mean_s)),
-                            ("sim_s", Value::num(p.sim_s)),
-                            ("comm_sim_s", Value::num(p.comm_sim_s)),
-                            ("comm_wall_s", Value::num(p.comm_wall_s)),
-                            ("correct", Value::Bool(p.correct)),
-                            ("reps", Value::num(p.reps as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "comm_experiments",
-            Value::Arr(
-                comm.iter()
-                    .map(|c| {
-                        Value::obj([
-                            ("app", Value::str(&c.app)),
-                            ("mode", Value::str(&c.mode)),
-                            ("ngpus", Value::num(c.ngpus as f64)),
-                            ("comm_sim_s", Value::num(c.comm_sim_s)),
-                            ("comm_wall_s", Value::num(c.comm_wall_s)),
-                            ("p2p_bytes", Value::num(c.p2p_bytes as f64)),
-                            ("comm_elisions", Value::num(c.comm_elisions as f64)),
-                            ("matches_annotated", Value::Bool(c.matches_annotated)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "scaling",
-            Value::Arr(
-                scaling
-                    .iter()
-                    .map(|s| {
-                        Value::obj([
-                            ("app", Value::str(&s.app)),
-                            ("ngpus", Value::num(s.ngpus as f64)),
-                            ("topo", Value::str(&s.topo)),
-                            ("overlap", Value::Bool(s.overlap)),
-                            ("sim_s", Value::num(s.sim_s)),
-                            ("comm_sim_s", Value::num(s.comm_sim_s)),
-                            ("cpu_gpu_s", Value::num(s.cpu_gpu_s)),
-                            ("overlap_hidden_s", Value::num(s.overlap_hidden_s)),
-                            ("p2p_mb", Value::num(s.p2p_mb)),
-                            ("correct", Value::Bool(s.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "serve",
-            Value::obj([
-                ("tenants", Value::num(serve.tenants as f64)),
-                ("jobs_per_tenant", Value::num(serve.jobs_per_tenant as f64)),
-                ("jobs_total", Value::num(serve.jobs_total as f64)),
-                ("jobs_ok", Value::num(serve.jobs_ok as f64)),
-                ("wall_s", Value::num(serve.wall_s)),
-                ("jobs_per_s", Value::num(serve.jobs_per_s)),
-                ("p50_ms", Value::num(serve.p50_ms)),
-                ("p99_ms", Value::num(serve.p99_ms)),
-                ("cache_hit_rate", Value::num(serve.cache_hit_rate)),
-                ("all_correct", Value::Bool(serve.all_correct)),
-            ]),
-        ),
-    ])
-    .to_string_pretty();
     let path = args
         .json
         .clone()
         .unwrap_or_else(|| "BENCH_runtime.json".to_string());
-    std::fs::write(&path, json).expect("write bench json");
+    std::fs::write(&path, file.to_json().to_string_pretty()).expect("write bench json");
     eprintln!("wrote {path}");
 }
 

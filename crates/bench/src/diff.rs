@@ -1,279 +1,343 @@
-//! `bench-diff` — compare two `BENCH_runtime.json` artifacts (see
-//! [`crate::bench_runtime`]) and decide whether the newer one represents
-//! a host-side performance regression or, worse, a simulated-semantics
-//! change.
+//! The pinned artifact (`BENCH_runtime.json`, `BENCH_runtime_scaled.json`;
+//! see [`crate::bench_runtime`]): its JSON form, and `bench-diff`, the
+//! exact comparison of two of them.
 //!
-//! The contract it enforces across commits:
+//! Every value in the artifact is simulated and therefore deterministic,
+//! so the contract across commits has no tolerance:
 //!
 //! * both artifacts must come from the same configuration (`scale` and
-//!   `seed` equal) — wall-clock numbers at different scales are not
-//!   comparable;
-//! * every point (app × GPU count) of the old artifact must still exist;
-//! * `sim_s` must match *exactly* per point: simulated time is
-//!   deterministic, so any drift means the runtime changed observable
-//!   semantics, not just host speed;
-//! * `wall_best_s` may regress by at most the tolerance (15% by
-//!   default), with a small absolute floor so microsecond-scale jitter
-//!   on near-instant configurations cannot trip it;
-//! * every point of the new artifact must be `correct`.
+//!   `seed` equal);
+//! * every row of the old artifact — matrix point, scheduler row, comm
+//!   experiment, scaling point — must still exist in the new one;
+//! * every recorded value of such a row must match to 1e-9 relative
+//!   (slack for the decimal round trip through the JSON writer only):
+//!   any drift means the runtime changed observable semantics;
+//! * every row of the new artifact must be `correct`.
 //!
-//! [`bench_diff`] returns `Err` only for malformed input; comparison
-//! failures are collected in [`DiffReport::problems`] so the CLI can
-//! print the full table before exiting non-zero.
+//! [`bench_diff`] returns `Err` only for malformed input — a missing
+//! section included; comparison failures are collected in
+//! [`DiffReport::problems`] so the CLI can print the full table before
+//! exiting non-zero.
 
 use acc_obs::json::{self, Value};
 
-/// Default allowed relative wall-clock regression (`0.15` = +15%).
-pub const DEFAULT_WALL_TOLERANCE: f64 = 0.15;
+use crate::{BenchPoint, CommPoint, ScalingPoint, SchedulePoint};
 
-/// Absolute slack (seconds) under which a relative wall regression is
-/// ignored: a 0.3 ms → 0.4 ms move is +33% but pure scheduler noise.
-const WALL_ABS_FLOOR_S: f64 = 1e-3;
-
-/// Relative slack for the `sim_s` equality check — covers only decimal
+/// Relative slack of the equality check — covers only decimal
 /// round-tripping through the JSON writer, not real drift.
 const SIM_REL_EPS: f64 = 1e-9;
 
-/// One parsed measurement point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPoint {
-    pub app: String,
-    pub ngpus: usize,
-    pub wall_best_s: f64,
-    pub wall_mean_s: f64,
-    pub sim_s: f64,
-    /// Simulated comm-phase seconds. `None` for artifacts written before
-    /// the column existed; present on both sides it is held to the same
-    /// exact-match contract as `sim_s`.
-    pub comm_sim_s: Option<f64>,
-    pub correct: bool,
-}
-
-/// One parsed `comm_experiments` entry (app × compile/run mode).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommExpPoint {
-    pub app: String,
-    pub mode: String,
-    pub comm_sim_s: f64,
-    pub comm_elisions: u64,
-    pub matches_annotated: bool,
-}
-
-/// One parsed `scaling` entry (app × GPU count × topology × overlap;
-/// see `acc_bench::bench_scaling`). All four time fields are simulated
-/// seconds and therefore deterministic: present on both sides they are
-/// held to the same exact-match contract as `sim_s` in `points`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingSecPoint {
-    pub app: String,
-    pub ngpus: usize,
-    pub topo: String,
-    pub overlap: bool,
-    pub sim_s: f64,
-    pub comm_sim_s: f64,
-    pub cpu_gpu_s: f64,
-    pub overlap_hidden_s: f64,
-    pub correct: bool,
-}
-
-/// The parsed `serve` section: one in-process daemon throughput
-/// measurement (see `acc_bench::bench_serve`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSection {
-    pub tenants: usize,
-    pub jobs_total: usize,
-    pub jobs_per_s: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub cache_hit_rate: f64,
-    pub all_correct: bool,
-}
-
-/// One parsed `BENCH_runtime.json` artifact.
+/// One pinned artifact, produced by [`crate::bench_runtime`] and read
+/// back by [`parse_bench_file`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
     pub scale: String,
     pub seed: u64,
+    /// The evaluation matrix: machine × app × version.
     pub points: Vec<BenchPoint>,
-    /// Empty for artifacts written before the section existed.
-    pub comm_experiments: Vec<CommExpPoint>,
-    /// Empty for artifacts written before the topology scaling section
-    /// existed.
-    pub scaling: Vec<ScalingSecPoint>,
-    /// `None` for artifacts written before the daemon existed.
-    pub serve: Option<ServeSection>,
+    pub schedules: Vec<SchedulePoint>,
+    pub comm_experiments: Vec<CommPoint>,
+    pub scaling: Vec<ScalingPoint>,
 }
 
-/// Parse a `BENCH_runtime.json` document.
+/// One object of a section being parsed, with the path that error
+/// messages name it by.
+struct Fields<'a> {
+    obj: &'a Value,
+    path: String,
+}
+
+impl Fields<'_> {
+    fn bad<T>(&self, key: &str) -> Result<T, String> {
+        Err(format!("{}: bad `{key}`", self.path))
+    }
+
+    fn num(&self, key: &str) -> Result<f64, String> {
+        self.obj.get(key).and_then(Value::as_f64).map_or_else(|| self.bad(key), Ok)
+    }
+
+    /// A count or byte total: a non-negative whole number.
+    fn int(&self, key: &str) -> Result<u64, String> {
+        match self.num(key)? {
+            n if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
+            _ => self.bad(key),
+        }
+    }
+
+    fn text(&self, key: &str) -> Result<String, String> {
+        self.obj.get(key).and_then(Value::as_str).map_or_else(|| self.bad(key), |s| Ok(s.to_string()))
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        match self.obj.get(key) {
+            Some(Value::Bool(b)) => Ok(*b),
+            _ => self.bad(key),
+        }
+    }
+}
+
+/// What `bench-diff` compares of one row.
+struct Pinned {
+    /// The row's identity within its section.
+    key: String,
+    /// Every recorded value, by field name.
+    values: Vec<(&'static str, f64)>,
+    correct: bool,
+}
+
+/// A section's row type: its JSON form both ways and its comparable view.
+trait Row: Sized {
+    const SECTION: &'static str;
+    fn to_json(&self) -> Value;
+    fn from_json(f: &Fields) -> Result<Self, String>;
+    fn pinned(&self) -> Pinned;
+}
+
+impl Row for BenchPoint {
+    const SECTION: &'static str = "points";
+
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("machine", Value::str(&self.machine)),
+            ("app", Value::str(&self.app)),
+            ("version", Value::str(&self.version)),
+            ("sim_s", Value::num(self.sim_s)),
+            ("kernels_s", Value::num(self.kernels_s)),
+            ("cpu_gpu_s", Value::num(self.cpu_gpu_s)),
+            ("gpu_gpu_s", Value::num(self.gpu_gpu_s)),
+            ("user_peak", Value::num(self.user_peak as f64)),
+            ("system_peak", Value::num(self.system_peak as f64)),
+            ("correct", Value::Bool(self.correct)),
+        ])
+    }
+
+    fn from_json(f: &Fields) -> Result<Self, String> {
+        Ok(BenchPoint {
+            machine: f.text("machine")?,
+            app: f.text("app")?,
+            version: f.text("version")?,
+            sim_s: f.num("sim_s")?,
+            kernels_s: f.num("kernels_s")?,
+            cpu_gpu_s: f.num("cpu_gpu_s")?,
+            gpu_gpu_s: f.num("gpu_gpu_s")?,
+            user_peak: f.int("user_peak")?,
+            system_peak: f.int("system_peak")?,
+            correct: f.flag("correct")?,
+        })
+    }
+
+    fn pinned(&self) -> Pinned {
+        Pinned {
+            key: format!("{} / {} / {}", self.machine, self.app, self.version),
+            values: vec![
+                ("sim_s", self.sim_s),
+                ("kernels_s", self.kernels_s),
+                ("cpu_gpu_s", self.cpu_gpu_s),
+                ("gpu_gpu_s", self.gpu_gpu_s),
+                ("user_peak", self.user_peak as f64),
+                ("system_peak", self.system_peak as f64),
+            ],
+            correct: self.correct,
+        }
+    }
+}
+
+impl Row for SchedulePoint {
+    const SECTION: &'static str = "schedules";
+
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("app", Value::str(&self.app)),
+            ("ngpus", Value::num(self.ngpus as f64)),
+            ("sim_s", Value::num(self.sim_s)),
+            ("comm_sim_s", Value::num(self.comm_sim_s)),
+            ("correct", Value::Bool(self.correct)),
+        ])
+    }
+
+    fn from_json(f: &Fields) -> Result<Self, String> {
+        Ok(SchedulePoint {
+            app: f.text("app")?,
+            ngpus: f.int("ngpus")? as usize,
+            sim_s: f.num("sim_s")?,
+            comm_sim_s: f.num("comm_sim_s")?,
+            correct: f.flag("correct")?,
+        })
+    }
+
+    fn pinned(&self) -> Pinned {
+        Pinned {
+            key: format!("{} x{}", self.app, self.ngpus),
+            values: vec![("sim_s", self.sim_s), ("comm_sim_s", self.comm_sim_s)],
+            correct: self.correct,
+        }
+    }
+}
+
+impl Row for CommPoint {
+    const SECTION: &'static str = "comm_experiments";
+
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("app", Value::str(&self.app)),
+            ("mode", Value::str(&self.mode)),
+            ("ngpus", Value::num(self.ngpus as f64)),
+            ("comm_sim_s", Value::num(self.comm_sim_s)),
+            ("p2p_bytes", Value::num(self.p2p_bytes as f64)),
+            ("comm_elisions", Value::num(self.comm_elisions as f64)),
+            ("matches_annotated", Value::Bool(self.matches_annotated)),
+        ])
+    }
+
+    fn from_json(f: &Fields) -> Result<Self, String> {
+        Ok(CommPoint {
+            app: f.text("app")?,
+            mode: f.text("mode")?,
+            ngpus: f.int("ngpus")? as usize,
+            comm_sim_s: f.num("comm_sim_s")?,
+            p2p_bytes: f.int("p2p_bytes")?,
+            comm_elisions: f.int("comm_elisions")?,
+            matches_annotated: f.flag("matches_annotated")?,
+        })
+    }
+
+    /// The guard on the inference/elision wins: the simulated comm time
+    /// and traffic are pinned, an elision count that moves means static
+    /// facts changed, and bit-identity to the annotated baseline is a
+    /// recorded value like the others (it is legitimately `false` for
+    /// some modes, so it is not this section's `correct`).
+    fn pinned(&self) -> Pinned {
+        Pinned {
+            key: format!("{}/{} x{}", self.app, self.mode, self.ngpus),
+            values: vec![
+                ("comm_sim_s", self.comm_sim_s),
+                ("p2p_bytes", self.p2p_bytes as f64),
+                ("comm_elisions", self.comm_elisions as f64),
+                ("matches_annotated", f64::from(self.matches_annotated)),
+            ],
+            correct: true,
+        }
+    }
+}
+
+impl Row for ScalingPoint {
+    const SECTION: &'static str = "scaling";
+
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("app", Value::str(&self.app)),
+            ("ngpus", Value::num(self.ngpus as f64)),
+            ("topo", Value::str(&self.topo)),
+            ("overlap", Value::Bool(self.overlap)),
+            ("sim_s", Value::num(self.sim_s)),
+            ("comm_sim_s", Value::num(self.comm_sim_s)),
+            ("cpu_gpu_s", Value::num(self.cpu_gpu_s)),
+            ("overlap_hidden_s", Value::num(self.overlap_hidden_s)),
+            ("p2p_mb", Value::num(self.p2p_mb)),
+            ("correct", Value::Bool(self.correct)),
+        ])
+    }
+
+    fn from_json(f: &Fields) -> Result<Self, String> {
+        Ok(ScalingPoint {
+            app: f.text("app")?,
+            ngpus: f.int("ngpus")? as usize,
+            topo: f.text("topo")?,
+            overlap: f.flag("overlap")?,
+            sim_s: f.num("sim_s")?,
+            comm_sim_s: f.num("comm_sim_s")?,
+            cpu_gpu_s: f.num("cpu_gpu_s")?,
+            overlap_hidden_s: f.num("overlap_hidden_s")?,
+            p2p_mb: f.num("p2p_mb")?,
+            correct: f.flag("correct")?,
+        })
+    }
+
+    fn pinned(&self) -> Pinned {
+        Pinned {
+            key: format!(
+                "{} x{} {}{}",
+                self.app,
+                self.ngpus,
+                self.topo,
+                if self.overlap { "+overlap" } else { "" }
+            ),
+            values: vec![
+                ("sim_s", self.sim_s),
+                ("comm_sim_s", self.comm_sim_s),
+                ("cpu_gpu_s", self.cpu_gpu_s),
+                ("overlap_hidden_s", self.overlap_hidden_s),
+                ("p2p_mb", self.p2p_mb),
+            ],
+            correct: self.correct,
+        }
+    }
+}
+
+fn section_json<T: Row>(rows: &[T]) -> (&'static str, Value) {
+    (T::SECTION, Value::Arr(rows.iter().map(Row::to_json).collect()))
+}
+
+/// Every section is required: both committed baselines carry all four.
+fn parse_section<T: Row>(doc: &Value, which: &str) -> Result<Vec<T>, String> {
+    let name = T::SECTION;
+    let rows = doc
+        .get(name)
+        .ok_or_else(|| format!("{which}: missing section `{name}`"))?
+        .as_arr()
+        .ok_or_else(|| format!("{which}: `{name}` is not an array"))?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, obj)| T::from_json(&Fields { obj, path: format!("{which}: {name}[{i}]") }))
+        .collect()
+}
+
+impl BenchFile {
+    /// The artifact as `figures bench` writes it.
+    pub fn to_json(&self) -> Value {
+        Value::obj([
+            ("scale", Value::str(&self.scale)),
+            ("seed", Value::num(self.seed as f64)),
+            section_json(&self.points),
+            section_json(&self.schedules),
+            section_json(&self.comm_experiments),
+            section_json(&self.scaling),
+        ])
+    }
+}
+
+/// Parse a pinned artifact; `which` names it in error messages.
 pub fn parse_bench_file(src: &str, which: &str) -> Result<BenchFile, String> {
     let doc = json::parse(src).map_err(|e| format!("{which}: {e}"))?;
-    let field = |v: &Value, key: &str| -> Result<Value, String> {
-        v.get(key)
-            .cloned()
-            .ok_or_else(|| format!("{which}: missing field `{key}`"))
-    };
-    let scale = field(&doc, "scale")?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{which}: `scale` is not a string"))?;
-    let seed = field(&doc, "seed")?
-        .as_f64()
-        .ok_or_else(|| format!("{which}: `seed` is not a number"))? as u64;
-    let raw = field(&doc, "points")?;
-    let arr = raw
-        .as_arr()
-        .ok_or_else(|| format!("{which}: `points` is not an array"))?;
-    let mut points = Vec::with_capacity(arr.len());
-    for (i, p) in arr.iter().enumerate() {
-        let num = |key: &str| -> Result<f64, String> {
-            p.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{which}: points[{i}]: bad `{key}`"))
-        };
-        let correct = match p.get("correct") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err(format!("{which}: points[{i}]: bad `correct`")),
-        };
-        points.push(BenchPoint {
-            app: p
-                .get("app")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{which}: points[{i}]: bad `app`"))?
-                .to_string(),
-            ngpus: num("ngpus")? as usize,
-            wall_best_s: num("wall_best_s")?,
-            wall_mean_s: num("wall_mean_s")?,
-            sim_s: num("sim_s")?,
-            comm_sim_s: p.get("comm_sim_s").and_then(Value::as_f64),
-            correct,
-        });
-    }
-    // `comm_experiments` appeared after the first artifacts were
-    // committed: absent means "old format", not malformed — but a
-    // present section must parse fully.
-    let mut comm_experiments = Vec::new();
-    if let Some(raw) = doc.get("comm_experiments") {
-        let arr = raw
-            .as_arr()
-            .ok_or_else(|| format!("{which}: `comm_experiments` is not an array"))?;
-        for (i, c) in arr.iter().enumerate() {
-            let sfield = |key: &str| -> Result<String, String> {
-                c.get(key)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{which}: comm_experiments[{i}]: bad `{key}`"))
-            };
-            let num = |key: &str| -> Result<f64, String> {
-                c.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{which}: comm_experiments[{i}]: bad `{key}`"))
-            };
-            let matches_annotated = match c.get("matches_annotated") {
-                Some(Value::Bool(b)) => *b,
-                _ => {
-                    return Err(format!(
-                        "{which}: comm_experiments[{i}]: bad `matches_annotated`"
-                    ))
-                }
-            };
-            comm_experiments.push(CommExpPoint {
-                app: sfield("app")?,
-                mode: sfield("mode")?,
-                comm_sim_s: num("comm_sim_s")?,
-                comm_elisions: num("comm_elisions")? as u64,
-                matches_annotated,
-            });
-        }
-    }
-    // The `scaling` section postdates the flat-bus artifacts: absent
-    // means "old format", a present section must parse fully.
-    let mut scaling = Vec::new();
-    if let Some(raw) = doc.get("scaling") {
-        let arr = raw
-            .as_arr()
-            .ok_or_else(|| format!("{which}: `scaling` is not an array"))?;
-        for (i, s) in arr.iter().enumerate() {
-            let sfield = |key: &str| -> Result<String, String> {
-                s.get(key)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{which}: scaling[{i}]: bad `{key}`"))
-            };
-            let num = |key: &str| -> Result<f64, String> {
-                s.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{which}: scaling[{i}]: bad `{key}`"))
-            };
-            let flag = |key: &str| -> Result<bool, String> {
-                match s.get(key) {
-                    Some(Value::Bool(b)) => Ok(*b),
-                    _ => Err(format!("{which}: scaling[{i}]: bad `{key}`")),
-                }
-            };
-            scaling.push(ScalingSecPoint {
-                app: sfield("app")?,
-                ngpus: num("ngpus")? as usize,
-                topo: sfield("topo")?,
-                overlap: flag("overlap")?,
-                sim_s: num("sim_s")?,
-                comm_sim_s: num("comm_sim_s")?,
-                cpu_gpu_s: num("cpu_gpu_s")?,
-                overlap_hidden_s: num("overlap_hidden_s")?,
-                correct: flag("correct")?,
-            });
-        }
-    }
-    // Like `comm_experiments`, the `serve` section postdates the first
-    // committed artifacts: an old baseline without it is "section not
-    // yet recorded", never a mismatch. A present section must parse.
-    let serve = match doc.get("serve") {
-        None | Some(Value::Null) => None,
-        Some(s) => {
-            let num = |key: &str| -> Result<f64, String> {
-                s.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{which}: serve: bad `{key}`"))
-            };
-            let all_correct = match s.get("all_correct") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err(format!("{which}: serve: bad `all_correct`")),
-            };
-            Some(ServeSection {
-                tenants: num("tenants")? as usize,
-                jobs_total: num("jobs_total")? as usize,
-                jobs_per_s: num("jobs_per_s")?,
-                p50_ms: num("p50_ms")?,
-                p99_ms: num("p99_ms")?,
-                cache_hit_rate: num("cache_hit_rate")?,
-                all_correct,
-            })
-        }
-    };
-    Ok(BenchFile { scale, seed, points, comm_experiments, scaling, serve })
+    let head = Fields { obj: &doc, path: which.to_string() };
+    Ok(BenchFile {
+        scale: head.text("scale")?,
+        seed: head.int("seed")?,
+        points: parse_section(&doc, which)?,
+        schedules: parse_section(&doc, which)?,
+        comm_experiments: parse_section(&doc, which)?,
+        scaling: parse_section(&doc, which)?,
+    })
 }
 
-/// One old-vs-new point comparison.
+/// One compared row of the old artifact.
 #[derive(Debug, Clone)]
 pub struct DiffLine {
-    pub app: String,
-    pub ngpus: usize,
-    pub old_wall_s: f64,
-    pub new_wall_s: f64,
-    /// `new / old`; > 1 is slower.
-    pub ratio: f64,
-    pub sim_matches: bool,
-    pub regressed: bool,
+    pub section: &'static str,
+    pub key: String,
+    /// The recorded values that differ between old and new.
+    pub moved: Vec<&'static str>,
+    /// The new row's oracle verdict.
+    pub correct: bool,
 }
 
 /// The full comparison result.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
+    /// One line per row present in both artifacts.
     pub lines: Vec<DiffLine>,
     /// Human-readable failures; non-empty means the diff should fail.
     pub problems: Vec<String>,
-    /// Informational observations (e.g. a section the old baseline
-    /// predates); never fail the diff.
-    pub notes: Vec<String>,
 }
 
 impl DiffReport {
@@ -282,731 +346,270 @@ impl DiffReport {
         !self.problems.is_empty()
     }
 
-    /// Render the per-point table plus any problems.
+    /// Render the per-row table plus any problems.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  {:<8} {:>5} {:>12} {:>12} {:>8}  verdict",
-            "App", "GPUs", "old wall", "new wall", "ratio"
-        );
+        let _ = writeln!(out, "  {:<17} {:<50} verdict", "Section", "Row");
         for l in &self.lines {
-            let verdict = if !l.sim_matches {
-                "SIM MISMATCH"
-            } else if l.regressed {
-                "REGRESSED"
-            } else if l.ratio < 1.0 {
-                "faster"
+            let verdict = if !l.moved.is_empty() {
+                format!("SIM MISMATCH ({})", l.moved.join(", "))
+            } else if !l.correct {
+                "WRONG RESULT".to_string()
             } else {
-                "ok"
+                "ok".to_string()
             };
-            let _ = writeln!(
-                out,
-                "  {:<8} {:>5} {:>11.3}s {:>11.3}s {:>7.2}x  {}",
-                l.app, l.ngpus, l.old_wall_s, l.new_wall_s, l.ratio, verdict
-            );
-        }
-        for n in &self.notes {
-            let _ = writeln!(out, "NOTE: {n}");
+            let _ = writeln!(out, "  {:<17} {:<50} {verdict}", l.section, l.key);
         }
         for p in &self.problems {
             let _ = writeln!(out, "FAIL: {p}");
         }
         if !self.failed() {
-            let _ = writeln!(out, "OK: no wall-clock regression, simulated times unchanged");
+            let _ = writeln!(out, "OK: {} rows, simulated values unchanged", self.lines.len());
         }
         out
     }
 }
 
-/// Compare two parsed artifacts. `wall_tolerance` is the allowed
-/// relative `wall_best_s` regression (e.g. `0.15`).
-pub fn diff_bench(old: &BenchFile, new: &BenchFile, wall_tolerance: f64) -> DiffReport {
+/// Compare one section: old rows must persist with every value in
+/// place, new rows must be correct.
+fn diff_section<T: Row>(old: &[T], new: &[T], r: &mut DiffReport) {
+    let section = T::SECTION;
+    let new: Vec<Pinned> = new.iter().map(Row::pinned).collect();
+    for np in new.iter().filter(|np| !np.correct) {
+        r.problems.push(format!("{section}: new row {} reports correct=false", np.key));
+    }
+    for op in old.iter().map(Row::pinned) {
+        let Some(np) = new.iter().find(|np| np.key == op.key) else {
+            r.problems
+                .push(format!("{section}: row {} present in old but missing from new", op.key));
+            continue;
+        };
+        let mut moved = Vec::new();
+        for (&(name, o), &(_, n)) in op.values.iter().zip(&np.values) {
+            if (n - o).abs() > SIM_REL_EPS * o.abs().max(n.abs()) {
+                r.problems.push(format!(
+                    "{section}: row {}: simulated `{name}` moved: {o} -> {n} (pinned exactly; \
+                     a move needs a named model or algorithm change and a regenerated baseline)",
+                    op.key
+                ));
+                moved.push(name);
+            }
+        }
+        r.lines.push(DiffLine { section, key: op.key, moved, correct: np.correct });
+    }
+}
+
+/// Compare two parsed artifacts.
+pub fn diff_bench(old: &BenchFile, new: &BenchFile) -> DiffReport {
     let mut r = DiffReport::default();
     if old.scale != new.scale {
         r.problems.push(format!(
-            "scale mismatch: old `{}` vs new `{}` (wall times are only comparable at a fixed scale)",
+            "scale mismatch: old `{}` vs new `{}` (rows are only comparable at a fixed scale)",
             old.scale, new.scale
         ));
     }
     if old.seed != new.seed {
-        r.problems.push(format!(
-            "seed mismatch: old {} vs new {}",
-            old.seed, new.seed
-        ));
-    }
-    for op in &old.points {
-        let Some(np) = new
-            .points
-            .iter()
-            .find(|p| p.app == op.app && p.ngpus == op.ngpus)
-        else {
-            r.problems.push(format!(
-                "point {} x{} present in old but missing from new",
-                op.app, op.ngpus
-            ));
-            continue;
-        };
-        let sim_matches = (np.sim_s - op.sim_s).abs()
-            <= SIM_REL_EPS * op.sim_s.abs().max(np.sim_s.abs());
-        if !sim_matches {
-            r.problems.push(format!(
-                "simulated time moved for {} x{}: {} -> {} (host-side changes must not alter simulated semantics)",
-                op.app, op.ngpus, op.sim_s, np.sim_s
-            ));
-        }
-        // The comm-phase column is a component of `sim_s` and equally
-        // deterministic; compare only when both artifacts carry it.
-        if let (Some(oc), Some(nc)) = (op.comm_sim_s, np.comm_sim_s) {
-            if (nc - oc).abs() > SIM_REL_EPS * oc.abs().max(nc.abs()) {
-                r.problems.push(format!(
-                    "simulated comm-phase time moved for {} x{}: {oc} -> {nc}",
-                    op.app, op.ngpus
-                ));
-            }
-        }
-        // A zero, negative or non-finite baseline wall time cannot
-        // anchor a ratio — dividing by it yields inf/NaN, and silently
-        // substituting 1.0 would wave any regression through. Reject the
-        // baseline loudly instead.
-        let ratio = if op.wall_best_s.is_finite() && op.wall_best_s > 0.0 {
-            np.wall_best_s / op.wall_best_s
-        } else {
-            r.problems.push(format!(
-                "unusable baseline for {} x{}: old wall_best_s = {} (must be finite and > 0; re-record the baseline artifact)",
-                op.app, op.ngpus, op.wall_best_s
-            ));
-            1.0
-        };
-        let regressed = ratio > 1.0 + wall_tolerance
-            && np.wall_best_s - op.wall_best_s > WALL_ABS_FLOOR_S;
-        if regressed {
-            r.problems.push(format!(
-                "wall-clock regression for {} x{}: {:.3}s -> {:.3}s ({:+.1}%, tolerance {:.0}%)",
-                op.app,
-                op.ngpus,
-                op.wall_best_s,
-                np.wall_best_s,
-                (ratio - 1.0) * 100.0,
-                wall_tolerance * 100.0
-            ));
-        }
-        if !np.correct {
-            r.problems
-                .push(format!("new point {} x{} reports correct=false", np.app, np.ngpus));
-        }
-        r.lines.push(DiffLine {
-            app: op.app.clone(),
-            ngpus: op.ngpus,
-            old_wall_s: op.wall_best_s,
-            new_wall_s: np.wall_best_s,
-            ratio,
-            sim_matches,
-            regressed,
-        });
-    }
-    // The comm-experiments section guards the inference/elision wins:
-    // a recorded mode must not vanish, its simulated comm time is
-    // deterministic, an elision count that drops means facts were lost,
-    // and a run that used to match the annotated baseline bit-for-bit
-    // must keep matching.
-    for oc in &old.comm_experiments {
-        let Some(nc) = new
-            .comm_experiments
-            .iter()
-            .find(|c| c.app == oc.app && c.mode == oc.mode)
-        else {
-            r.problems.push(format!(
-                "comm experiment {}/{} present in old but missing from new",
-                oc.app, oc.mode
-            ));
-            continue;
-        };
-        if (nc.comm_sim_s - oc.comm_sim_s).abs()
-            > SIM_REL_EPS * oc.comm_sim_s.abs().max(nc.comm_sim_s.abs())
-        {
-            r.problems.push(format!(
-                "comm experiment {}/{}: simulated comm time moved: {} -> {}",
-                oc.app, oc.mode, oc.comm_sim_s, nc.comm_sim_s
-            ));
-        }
-        if nc.comm_elisions < oc.comm_elisions {
-            r.problems.push(format!(
-                "comm experiment {}/{}: elided syncs dropped {} -> {} (static facts lost)",
-                oc.app, oc.mode, oc.comm_elisions, nc.comm_elisions
-            ));
-        }
-        if oc.matches_annotated && !nc.matches_annotated {
-            r.problems.push(format!(
-                "comm experiment {}/{}: no longer bit-identical to the annotated baseline",
-                oc.app, oc.mode
-            ));
-        }
-    }
-    diff_scaling(old, new, &mut r);
-    diff_serve(old, new, &mut r);
-    r
-}
-
-/// Compare the `scaling` sections. Every recorded point (app × GPUs ×
-/// topology × overlap) must persist, its simulated times are
-/// deterministic and pinned exactly, and `correct` must stay true. A
-/// baseline that predates the section gets a note, like `serve`.
-fn diff_scaling(old: &BenchFile, new: &BenchFile, r: &mut DiffReport) {
-    if old.scaling.is_empty() && !new.scaling.is_empty() {
-        r.notes.push(format!(
-            "scaling section added ({} points: app x GPUs x topology x overlap)",
-            new.scaling.len()
-        ));
-    }
-    for np in &new.scaling {
-        if !np.correct {
-            r.problems.push(format!(
-                "scaling point {} x{} {}{} reports correct=false",
-                np.app,
-                np.ngpus,
-                np.topo,
-                if np.overlap { "+overlap" } else { "" }
-            ));
-        }
-    }
-    for op in &old.scaling {
-        let key = format!(
-            "{} x{} {}{}",
-            op.app,
-            op.ngpus,
-            op.topo,
-            if op.overlap { "+overlap" } else { "" }
-        );
-        let Some(np) = new.scaling.iter().find(|p| {
-            p.app == op.app && p.ngpus == op.ngpus && p.topo == op.topo && p.overlap == op.overlap
-        }) else {
-            r.problems
-                .push(format!("scaling point {key} present in old but missing from new"));
-            continue;
-        };
-        for (name, o, n) in [
-            ("sim_s", op.sim_s, np.sim_s),
-            ("comm_sim_s", op.comm_sim_s, np.comm_sim_s),
-            ("cpu_gpu_s", op.cpu_gpu_s, np.cpu_gpu_s),
-            ("overlap_hidden_s", op.overlap_hidden_s, np.overlap_hidden_s),
-        ] {
-            if (n - o).abs() > SIM_REL_EPS * o.abs().max(n.abs()) {
-                r.problems.push(format!(
-                    "scaling point {key}: simulated `{name}` moved: {o} -> {n}"
-                ));
-            }
-        }
-    }
-}
-
-/// Hit rate below which the serve section fails the diff: repeated
-/// mixed jobs over three programs must be nearly all cache hits.
-const SERVE_MIN_HIT_RATE: f64 = 0.90;
-
-/// Compare the `serve` sections. A baseline that predates the section
-/// gets a note, not a failure — the section being *added* is the
-/// expected one-time event, only its *removal* is a regression.
-fn diff_serve(old: &BenchFile, new: &BenchFile, r: &mut DiffReport) {
-    let (os, ns) = match (&old.serve, &new.serve) {
-        (None, None) => return,
-        (None, Some(ns)) => {
-            r.notes.push(format!(
-                "serve section added ({} tenants, {} jobs, {:.1} jobs/s, hit rate {:.1}%)",
-                ns.tenants,
-                ns.jobs_total,
-                ns.jobs_per_s,
-                ns.cache_hit_rate * 100.0
-            ));
-            // No baseline to compare against, but the absolute guards
-            // below still apply to the new section.
-            (None, ns)
-        }
-        (Some(_), None) => {
-            r.problems
-                .push("serve section present in old but missing from new".to_string());
-            return;
-        }
-        (Some(os), Some(ns)) => (Some(os), ns),
-    };
-    if !ns.all_correct {
         r.problems
-            .push("serve section reports all_correct=false".to_string());
+            .push(format!("seed mismatch: old {} vs new {}", old.seed, new.seed));
     }
-    if ns.cache_hit_rate <= SERVE_MIN_HIT_RATE {
-        r.problems.push(format!(
-            "serve cache hit rate {:.1}% is not above {:.0}%",
-            ns.cache_hit_rate * 100.0,
-            SERVE_MIN_HIT_RATE * 100.0
-        ));
-    }
-    if let Some(os) = os {
-        if ns.tenants < os.tenants {
-            r.problems.push(format!(
-                "serve tenants dropped {} -> {}",
-                os.tenants, ns.tenants
-            ));
-        }
-        r.notes.push(format!(
-            "serve throughput {:.1} -> {:.1} jobs/s, p50 {:.1} -> {:.1} ms, p99 {:.1} -> {:.1} ms",
-            os.jobs_per_s, ns.jobs_per_s, os.p50_ms, ns.p50_ms, os.p99_ms, ns.p99_ms
-        ));
-    }
+    diff_section(&old.points, &new.points, &mut r);
+    diff_section(&old.schedules, &new.schedules, &mut r);
+    diff_section(&old.comm_experiments, &new.comm_experiments, &mut r);
+    diff_section(&old.scaling, &new.scaling, &mut r);
+    r
 }
 
 /// End-to-end entry used by `figures -- bench-diff`: parse both
 /// documents and compare. `Err` means malformed input (exit 2 in the
-/// CLI); a returned report with [`DiffReport::failed`] means a
-/// regression (exit 1).
-pub fn bench_diff(old_src: &str, new_src: &str, wall_tolerance: f64) -> Result<DiffReport, String> {
+/// CLI); a returned report with [`DiffReport::failed`] means drift, a
+/// lost row, a wrong result or a configuration mismatch (exit 1).
+pub fn bench_diff(old_src: &str, new_src: &str) -> Result<DiffReport, String> {
     let old = parse_bench_file(old_src, "old")?;
     let new = parse_bench_file(new_src, "new")?;
-    Ok(diff_bench(&old, &new, wall_tolerance))
+    Ok(diff_bench(&old, &new))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn artifact(scale: &str, seed: u64, points: &[(&str, usize, f64, f64, bool)]) -> String {
-        let pts: Vec<Value> = points
-            .iter()
-            .map(|(app, ngpus, wall, sim, correct)| {
-                Value::obj([
-                    ("app", Value::str(*app)),
-                    ("ngpus", Value::num(*ngpus as f64)),
-                    ("wall_best_s", Value::num(*wall)),
-                    ("wall_mean_s", Value::num(*wall * 1.1)),
-                    ("sim_s", Value::num(*sim)),
-                    ("correct", Value::Bool(*correct)),
-                    ("reps", Value::num(3.0)),
-                ])
-            })
-            .collect();
-        Value::obj([
-            ("scale", Value::str(scale)),
-            ("seed", Value::num(seed as f64)),
-            ("points", Value::Arr(pts)),
-        ])
-        .to_string_pretty()
+    fn point(app: &str, ngpus: usize, sim_s: f64, correct: bool) -> BenchPoint {
+        BenchPoint {
+            machine: "Supercomputer Node".to_string(),
+            app: app.to_string(),
+            version: format!("Proposal({ngpus}GPU)"),
+            sim_s,
+            kernels_s: sim_s * 0.5,
+            cpu_gpu_s: sim_s * 0.25,
+            gpu_gpu_s: sim_s * 0.25,
+            user_peak: 4096,
+            system_peak: 64,
+            correct,
+        }
     }
 
-    const BASE: &[(&str, usize, f64, f64, bool)] = &[
-        ("md", 1, 1.0, 0.5, true),
-        ("md", 2, 0.6, 0.3, true),
-        ("bfs", 3, 0.4, 0.2, true),
-    ];
+    fn scaling(app: &str, ngpus: usize, topo: &str, overlap: bool, sim_s: f64, correct: bool) -> ScalingPoint {
+        ScalingPoint {
+            app: app.to_string(),
+            ngpus,
+            topo: topo.to_string(),
+            overlap,
+            sim_s,
+            comm_sim_s: sim_s / 4.0,
+            cpu_gpu_s: sim_s / 2.0,
+            overlap_hidden_s: 0.001,
+            p2p_mb: 1.5,
+            correct,
+        }
+    }
+
+    fn comm(mode: &str, comm_sim_s: f64, comm_elisions: u64, matches_annotated: bool) -> CommPoint {
+        CommPoint {
+            app: "spmv".to_string(),
+            mode: mode.to_string(),
+            ngpus: 3,
+            comm_sim_s,
+            p2p_bytes: 4096,
+            comm_elisions,
+            matches_annotated,
+        }
+    }
+
+    fn base() -> BenchFile {
+        BenchFile {
+            scale: "scaled".to_string(),
+            seed: 42,
+            points: vec![point("md", 1, 0.5, true), point("md", 2, 0.3, true), point("bfs", 3, 0.2, true)],
+            schedules: vec![SchedulePoint {
+                app: "bfs-skew".to_string(),
+                ngpus: 3,
+                sim_s: 0.125,
+                comm_sim_s: 0.0625,
+                correct: true,
+            }],
+            comm_experiments: vec![comm("stripped", 0.5, 10, true), comm("stripped-elide", 0.5, 10, true)],
+            scaling: vec![
+                scaling("heat2d", 16, "flat", false, 0.4, true),
+                scaling("heat2d", 16, "cluster", false, 0.3, true),
+                scaling("heat2d", 16, "cluster", true, 0.25, true),
+            ],
+        }
+    }
+
+    fn diff(old: &BenchFile, new: &BenchFile) -> DiffReport {
+        bench_diff(&old.to_json().to_string_pretty(), &new.to_json().to_string_pretty()).unwrap()
+    }
 
     #[test]
     fn identical_artifacts_pass() {
-        let doc = artifact("scaled", 42, BASE);
-        let r = bench_diff(&doc, &doc, DEFAULT_WALL_TOLERANCE).unwrap();
+        let r = diff(&base(), &base());
         assert!(!r.failed(), "{:?}", r.problems);
-        assert_eq!(r.lines.len(), 3);
-        assert!(r.render().contains("OK:"));
-    }
-
-    #[test]
-    fn improvement_and_small_jitter_pass() {
-        let old = artifact("scaled", 42, BASE);
-        // md x1 40% faster, md x2 10% slower (inside tolerance).
-        let new = artifact(
-            "scaled",
-            42,
-            &[
-                ("md", 1, 0.6, 0.5, true),
-                ("md", 2, 0.66, 0.3, true),
-                ("bfs", 3, 0.4, 0.2, true),
-            ],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(r.render().contains("faster"));
-    }
-
-    #[test]
-    fn wall_regression_over_tolerance_fails() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact(
-            "scaled",
-            42,
-            &[
-                ("md", 1, 1.3, 0.5, true), // +30% > 15%
-                ("md", 2, 0.6, 0.3, true),
-                ("bfs", 3, 0.4, 0.2, true),
-            ],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert_eq!(r.problems.len(), 1);
-        assert!(r.problems[0].contains("wall-clock regression for md x1"));
-        assert!(r.render().contains("REGRESSED"));
-    }
-
-    #[test]
-    fn micro_scale_jitter_is_ignored() {
-        // +33% relative but only 0.1 ms absolute: noise, not a regression.
-        let old = artifact("small", 1, &[("md", 1, 0.0003, 0.5, true)]);
-        let new = artifact("small", 1, &[("md", 1, 0.0004, 0.5, true)]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
+        assert_eq!(r.lines.len(), 3 + 1 + 2 + 3);
+        assert!(r.render().contains("OK: 9 rows"));
     }
 
     #[test]
     fn sim_time_drift_fails_even_when_faster() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact(
-            "scaled",
-            42,
-            &[
-                ("md", 1, 0.5, 0.500001, true), // faster, but sim moved
-                ("md", 2, 0.6, 0.3, true),
-                ("bfs", 3, 0.4, 0.2, true),
-            ],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(r.problems[0].contains("simulated time moved for md x1"));
-        assert!(r.render().contains("SIM MISMATCH"));
+        let mut new = base();
+        new.points[0].sim_s = 0.499999;
+        new.points[1].system_peak = 65;
+        let r = diff(&base(), &new);
+        assert_eq!(r.problems.len(), 2, "{:?}", r.problems);
+        assert!(r.problems[0]
+            .contains("points: row Supercomputer Node / md / Proposal(1GPU): simulated `sim_s` moved"));
+        assert!(r.problems[1].contains("`system_peak` moved: 64 -> 65"));
+        assert!(r.render().contains("SIM MISMATCH (sim_s)"));
     }
 
     #[test]
     fn missing_point_and_wrong_result_fail() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact(
-            "scaled",
-            42,
-            &[("md", 1, 1.0, 0.5, true), ("md", 2, 0.6, 0.3, false)],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(r.problems.iter().any(|p| p.contains("bfs x3") && p.contains("missing")));
-        assert!(r.problems.iter().any(|p| p.contains("correct=false")));
+        let mut new = base();
+        new.points.pop();
+        new.points[1].correct = false;
+        new.schedules[0].correct = false;
+        let r = diff(&base(), &new);
+        let all = r.problems.join("\n");
+        assert!(all.contains("bfs / Proposal(3GPU) present in old but missing"), "{all}");
+        assert!(all.contains("md / Proposal(2GPU) reports correct=false"), "{all}");
+        assert!(all.contains("schedules: new row bfs-skew x3 reports correct=false"), "{all}");
+        assert!(r.render().contains("WRONG RESULT"));
     }
 
     #[test]
     fn scale_and_seed_mismatch_fail() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact("small", 7, BASE);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
+        let mut new = base();
+        new.scale = "small".to_string();
+        new.seed = 7;
+        let r = diff(&base(), &new);
         assert!(r.problems.iter().any(|p| p.contains("scale mismatch")));
         assert!(r.problems.iter().any(|p| p.contains("seed mismatch")));
     }
 
     #[test]
-    fn zero_wall_baseline_is_an_unusable_baseline() {
-        // A baseline recorded as 0.0s (e.g. a truncated artifact) must
-        // not silently pass as ratio 1.0.
-        let old = artifact("scaled", 42, &[("md", 1, 0.0, 0.5, true)]);
-        let new = artifact("scaled", 42, &[("md", 1, 1.0, 0.5, true)]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(
-            r.problems.iter().any(|p| p.contains("unusable baseline for md x1")),
-            "{:?}",
-            r.problems
-        );
-    }
-
-    fn artifact_with_serve(hit_rate: f64, correct: bool, tenants: f64) -> String {
-        Value::obj([
-            ("scale", Value::str("small")),
-            ("seed", Value::num(42.0)),
-            ("points", Value::Arr(vec![])),
-            (
-                "serve",
-                Value::obj([
-                    ("tenants", Value::num(tenants)),
-                    ("jobs_per_tenant", Value::num(6.0)),
-                    ("jobs_total", Value::num(tenants * 6.0)),
-                    ("jobs_ok", Value::num(tenants * 6.0)),
-                    ("jobs_per_s", Value::num(120.0)),
-                    ("p50_ms", Value::num(8.0)),
-                    ("p99_ms", Value::num(30.0)),
-                    ("cache_hit_rate", Value::num(hit_rate)),
-                    ("all_correct", Value::Bool(correct)),
-                ]),
-            ),
-        ])
-        .to_string_pretty()
-    }
-
-    #[test]
-    fn serve_section_added_is_a_note_not_a_failure() {
-        // The committed baseline predates the daemon: a new artifact
-        // carrying the section must pass with a note, not fail on a
-        // "missing section" mismatch.
-        let old = artifact("small", 42, &[("md", 1, 1.0, 0.5, true)]);
-        let mut new_doc = artifact_with_serve(0.95, true, 8.0);
-        // Give the new artifact the same points as the old one.
-        new_doc = new_doc.replace("\"points\": []", &format!(
-            "\"points\": {}",
-            Value::Arr(vec![Value::obj([
-                ("app", Value::str("md")),
-                ("ngpus", Value::num(1.0)),
-                ("wall_best_s", Value::num(1.0)),
-                ("wall_mean_s", Value::num(1.1)),
-                ("sim_s", Value::num(0.5)),
-                ("correct", Value::Bool(true)),
-            ])])
-            .to_string_compact()
-        ));
-        let r = bench_diff(&old, &new_doc, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(
-            r.notes.iter().any(|n| n.contains("serve section added")),
-            "{:?}",
-            r.notes
-        );
-        assert!(r.render().contains("NOTE: serve section added"));
-    }
-
-    #[test]
-    fn serve_section_removal_fails() {
-        let old = artifact_with_serve(0.95, true, 8.0);
-        let new = artifact("small", 42, &[]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(r.problems.iter().any(|p| p.contains("missing from new")));
-    }
-
-    #[test]
-    fn serve_guards_hit_rate_correctness_and_tenants() {
-        let old = artifact_with_serve(0.95, true, 8.0);
-        let bad_rate = artifact_with_serve(0.85, true, 8.0);
-        let r = bench_diff(&old, &bad_rate, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.problems.iter().any(|p| p.contains("hit rate")), "{:?}", r.problems);
-
-        let bad_correct = artifact_with_serve(0.95, false, 8.0);
-        let r = bench_diff(&old, &bad_correct, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.problems.iter().any(|p| p.contains("all_correct=false")));
-
-        let fewer_tenants = artifact_with_serve(0.95, true, 4.0);
-        let r = bench_diff(&old, &fewer_tenants, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.problems.iter().any(|p| p.contains("tenants dropped")));
-
-        // Hit-rate guard also applies when the old baseline lacks the
-        // section entirely.
-        let no_serve = artifact("small", 42, &[]);
-        let r = bench_diff(&no_serve, &bad_rate, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-
-        let ok = artifact_with_serve(0.97, true, 8.0);
-        let r = bench_diff(&old, &ok, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(r.notes.iter().any(|n| n.contains("serve throughput")));
-    }
-
-    fn artifact_with_scaling(points: &[(&str, usize, &str, bool, f64, bool)]) -> String {
-        Value::obj([
-            ("scale", Value::str("small")),
-            ("seed", Value::num(42.0)),
-            ("points", Value::Arr(vec![])),
-            (
-                "scaling",
-                Value::Arr(
-                    points
-                        .iter()
-                        .map(|(app, ngpus, topo, overlap, sim, correct)| {
-                            Value::obj([
-                                ("app", Value::str(*app)),
-                                ("ngpus", Value::num(*ngpus as f64)),
-                                ("topo", Value::str(*topo)),
-                                ("overlap", Value::Bool(*overlap)),
-                                ("sim_s", Value::num(*sim)),
-                                ("comm_sim_s", Value::num(*sim / 4.0)),
-                                ("cpu_gpu_s", Value::num(*sim / 2.0)),
-                                ("overlap_hidden_s", Value::num(0.001)),
-                                ("p2p_mb", Value::num(1.5)),
-                                ("correct", Value::Bool(*correct)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string_pretty()
-    }
-
-    const SCALING_BASE: &[(&str, usize, &str, bool, f64, bool)] = &[
-        ("heat2d", 16, "flat", false, 0.4, true),
-        ("heat2d", 16, "cluster", false, 0.3, true),
-        ("heat2d", 16, "cluster", true, 0.25, true),
-    ];
-
-    #[test]
-    fn scaling_section_added_is_a_note_and_identical_sections_pass() {
-        let old = artifact("small", 42, &[]);
-        let new = artifact_with_scaling(SCALING_BASE);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(
-            r.notes.iter().any(|n| n.contains("scaling section added")),
-            "{:?}",
-            r.notes
-        );
-        let r = bench_diff(&new, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(r.notes.is_empty(), "{:?}", r.notes);
-    }
-
-    #[test]
     fn scaling_sim_drift_missing_point_and_wrong_result_fail() {
-        let old = artifact_with_scaling(SCALING_BASE);
         // Cluster point's sim time drifts, overlap point vanishes.
-        let new = artifact_with_scaling(&[
-            ("heat2d", 16, "flat", false, 0.4, true),
-            ("heat2d", 16, "cluster", false, 0.31, true),
-        ]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
+        let mut new = base();
+        new.scaling.pop();
+        new.scaling[1].sim_s = 0.31;
+        let r = diff(&base(), &new);
         let all = r.problems.join("\n");
-        assert!(all.contains("scaling point heat2d x16 cluster: simulated `sim_s` moved"), "{all}");
+        assert!(all.contains("scaling: row heat2d x16 cluster: simulated `sim_s` moved"), "{all}");
         assert!(all.contains("heat2d x16 cluster+overlap present in old but missing"), "{all}");
 
         // A wrong result fails even without a baseline for the point.
-        let bad = artifact_with_scaling(&[("pagerank", 64, "cluster", true, 0.2, false)]);
-        let r = bench_diff(&old, &bad, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r
-            .problems
-            .iter()
-            .any(|p| p.contains("pagerank x64 cluster+overlap reports correct=false")));
-    }
-
-    #[test]
-    fn malformed_input_is_an_error_not_a_report() {
-        assert!(bench_diff("{", "{}", DEFAULT_WALL_TOLERANCE).is_err());
-        assert!(bench_diff("{\"scale\": \"s\"}", "{}", DEFAULT_WALL_TOLERANCE)
-            .unwrap_err()
-            .contains("missing field `seed`"));
-    }
-
-    #[test]
-    fn real_bench_runtime_artifact_round_trips() {
-        // The writer in `figures` serialises `bench_runtime` points with
-        // exactly these fields; keep the parser in sync with it.
-        let points = [crate::RuntimePoint {
-            app: "md".to_string(),
-            ngpus: 2,
-            wall_best_s: 0.25,
-            wall_mean_s: 0.3,
-            sim_s: 0.125,
-            comm_sim_s: 0.0625,
-            comm_wall_s: 0.001,
-            correct: true,
-            reps: 3,
-        }];
-        let comm = [crate::CommPoint {
-            app: "heat2d".to_string(),
-            mode: "inferred".to_string(),
-            ngpus: 3,
-            comm_sim_s: 0.01,
-            comm_wall_s: 0.002,
-            p2p_bytes: 1024,
-            comm_elisions: 0,
-            matches_annotated: true,
-        }];
-        let doc = Value::obj([
-            ("scale", Value::str("scaled")),
-            ("seed", Value::num(42.0)),
-            (
-                "points",
-                Value::Arr(
-                    points
-                        .iter()
-                        .map(|p| {
-                            Value::obj([
-                                ("app", Value::str(&p.app)),
-                                ("ngpus", Value::num(p.ngpus as f64)),
-                                ("wall_best_s", Value::num(p.wall_best_s)),
-                                ("wall_mean_s", Value::num(p.wall_mean_s)),
-                                ("sim_s", Value::num(p.sim_s)),
-                                ("comm_sim_s", Value::num(p.comm_sim_s)),
-                                ("comm_wall_s", Value::num(p.comm_wall_s)),
-                                ("correct", Value::Bool(p.correct)),
-                                ("reps", Value::num(p.reps as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "comm_experiments",
-                Value::Arr(
-                    comm.iter()
-                        .map(|c| {
-                            Value::obj([
-                                ("app", Value::str(&c.app)),
-                                ("mode", Value::str(&c.mode)),
-                                ("ngpus", Value::num(c.ngpus as f64)),
-                                ("comm_sim_s", Value::num(c.comm_sim_s)),
-                                ("comm_wall_s", Value::num(c.comm_wall_s)),
-                                ("p2p_bytes", Value::num(c.p2p_bytes as f64)),
-                                ("comm_elisions", Value::num(c.comm_elisions as f64)),
-                                ("matches_annotated", Value::Bool(c.matches_annotated)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string_pretty();
-        let parsed = parse_bench_file(&doc, "artifact").unwrap();
-        assert_eq!(parsed.scale, "scaled");
-        assert_eq!(parsed.seed, 42);
-        assert_eq!(parsed.points.len(), 1);
-        assert_eq!(parsed.points[0].app, "md");
-        assert_eq!(parsed.points[0].sim_s, 0.125);
-        assert_eq!(parsed.points[0].comm_sim_s, Some(0.0625));
-        assert_eq!(parsed.comm_experiments.len(), 1);
-        assert_eq!(parsed.comm_experiments[0].mode, "inferred");
-        assert!(parsed.comm_experiments[0].matches_annotated);
-        // Identical artifacts with the comm section still diff clean.
-        let r = bench_diff(&doc, &doc, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
+        let mut bad = base();
+        bad.scaling.push(scaling("pagerank", 64, "cluster", true, 0.2, false));
+        let r = diff(&base(), &bad);
+        assert_eq!(r.problems.len(), 1, "{:?}", r.problems);
+        assert!(r.problems[0].contains("pagerank x64 cluster+overlap reports correct=false"));
     }
 
     #[test]
     fn comm_experiment_regressions_fail() {
-        let mk = |comm_sim: f64, elisions: f64, matches: bool, modes: &[&str]| {
-            Value::obj([
-                ("scale", Value::str("scaled")),
-                ("seed", Value::num(42.0)),
-                ("points", Value::Arr(vec![])),
-                (
-                    "comm_experiments",
-                    Value::Arr(
-                        modes
-                            .iter()
-                            .map(|m| {
-                                Value::obj([
-                                    ("app", Value::str("spmv")),
-                                    ("mode", Value::str(*m)),
-                                    ("ngpus", Value::num(3.0)),
-                                    ("comm_sim_s", Value::num(comm_sim)),
-                                    ("comm_wall_s", Value::num(0.001)),
-                                    ("p2p_bytes", Value::num(4096.0)),
-                                    ("comm_elisions", Value::num(elisions)),
-                                    ("matches_annotated", Value::Bool(matches)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-            .to_string_pretty()
-        };
-        let old = mk(0.5, 10.0, true, &["stripped", "stripped-elide"]);
         // Sim drift + lost elisions + lost bit-identity, and one mode gone.
-        let new = mk(0.6, 4.0, false, &["stripped"]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
+        let mut new = base();
+        new.comm_experiments.pop();
+        new.comm_experiments[0] = comm("stripped", 0.6, 4, false);
+        let r = diff(&base(), &new);
         let all = r.problems.join("\n");
-        assert!(all.contains("simulated comm time moved"), "{all}");
-        assert!(all.contains("elided syncs dropped"), "{all}");
-        assert!(all.contains("no longer bit-identical"), "{all}");
-        assert!(all.contains("missing from new"), "{all}");
+        assert!(all.contains("spmv/stripped x3: simulated `comm_sim_s` moved"), "{all}");
+        assert!(all.contains("`comm_elisions` moved: 10 -> 4"), "{all}");
+        assert!(all.contains("`matches_annotated` moved: 1 -> 0"), "{all}");
+        assert!(all.contains("spmv/stripped-elide x3 present in old but missing"), "{all}");
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_not_a_report() {
+        let good = base().to_json().to_string_pretty();
+        assert!(bench_diff("{", &good).is_err());
+        assert!(bench_diff("{\"scale\": \"s\"}", &good).unwrap_err().contains("old: bad `seed`"));
+        let bad_field = good.replace("\"sim_s\": 0.125", "\"sim_s\": \"fast\"");
+        assert_eq!(bench_diff(&good, &bad_field).unwrap_err(), "new: schedules[0]: bad `sim_s`");
+        let negative = good.replace("\"user_peak\": 4096", "\"user_peak\": -1");
+        assert!(bench_diff(&negative, &good).unwrap_err().contains("old: points[0]: bad `user_peak`"));
+    }
+
+    #[test]
+    fn a_baseline_without_scaling_or_comm_experiments_is_malformed() {
+        let good = base().to_json();
+        for section in ["points", "schedules", "comm_experiments", "scaling"] {
+            let Value::Obj(mut fields) = good.clone() else { unreachable!() };
+            fields.remove(section);
+            let cut = Value::Obj(fields).to_string_pretty();
+            assert_eq!(
+                bench_diff(&cut, &good.to_string_pretty()).unwrap_err(),
+                format!("old: missing section `{section}`")
+            );
+        }
+    }
+
+    #[test]
+    fn real_bench_runtime_artifact_round_trips() {
+        // What `figures bench` writes is what the parser reads back,
+        // field for field.
+        let file = base();
+        let doc = file.to_json().to_string_pretty();
+        assert_eq!(parse_bench_file(&doc, "artifact").unwrap(), file);
     }
 }

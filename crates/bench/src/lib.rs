@@ -6,17 +6,26 @@
 //! * [`table1`] — the machine settings (Table I);
 //! * [`table2`] — application characteristics (Table II): device-memory
 //!   footprint, parallel loops, kernel executions, `localaccess` ratio;
-//! * [`fig7`] — relative performance normalised to OpenMP, all program
+//! * [`fig7_from`] — relative performance normalised to OpenMP, all program
 //!   versions on both machines;
-//! * [`fig8`] — execution-time breakdown (KERNELS / CPU-GPU / GPU-GPU)
+//! * [`fig8_from`] — execution-time breakdown (KERNELS / CPU-GPU / GPU-GPU)
 //!   normalised to the single-GPU total;
-//! * [`fig9`] — per-GPU device-memory usage (User / System) normalised to
+//! * [`fig9_from`] — per-GPU device-memory usage (User / System) normalised to
 //!   the single-GPU usage;
 //! * [`ablation_chunk`] — second-level dirty-bit chunk-size sweep
 //!   (§IV-D1 fixes 1 MB experimentally);
 //! * [`ablation_layout`] — the 2-D layout transform on/off (§IV-B4);
 //! * [`ablation_placement`] — distribution-based placement vs
-//!   replica-everything (§IV-C).
+//!   replica-everything (§IV-C);
+//! * [`bench_runtime`] — the pinned artifact (`BENCH_runtime.json` at
+//!   `small`, `BENCH_runtime_scaled.json` at `scaled`): the evaluation
+//!   matrix behind Figs. 7–9 plus the scheduler, comm-experiment and
+//!   scaling rows, simulated values only, compared exactly by
+//!   [`bench_diff`].
+//!
+//! Everything here reads the *simulated* clock. The host clock belongs
+//! to `accbench` (`benchmarks/`, `BENCHMARK.json`); see
+//! `docs/benchmarks.md`.
 //!
 //! All entry points return plain data; the `figures` binary renders them
 //! as text tables and optionally JSON (via `acc_obs::json`).
@@ -28,7 +37,7 @@ use acc_compiler::CompileOptions;
 use acc_gpusim::{Machine, MachineKind};
 use acc_runtime::{run_program, ExecConfig, Schedule};
 
-pub use diff::{bench_diff, BenchFile, DiffReport, DEFAULT_WALL_TOLERANCE};
+pub use diff::{bench_diff, parse_bench_file, BenchFile, DiffReport};
 
 /// Compile-checks (and runs) the code examples embedded in the README.
 #[doc = include_str!("../../../README.md")]
@@ -162,19 +171,50 @@ fn input_label(app: App, scale: Scale) -> String {
     }
 }
 
-/// One run of the full evaluation matrix: every (machine × app × version)
-/// combination, executed once and shared by Figs. 7, 8 and 9.
-#[derive(Debug)]
-pub struct MatrixEntry {
-    pub machine: MachineKind,
-    pub app: App,
-    pub version: Version,
-    pub result: acc_apps::AppResult,
+/// One run of the evaluation matrix (machine × app × version): a row of
+/// the pinned artifact's `points` section and the input of Figs. 7, 8
+/// and 9. Every value is simulated, hence deterministic.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchPoint {
+    /// [`MachineKind::label`].
+    pub machine: String,
+    /// [`App::name`].
+    pub app: String,
+    /// [`Version::label`].
+    pub version: String,
+    /// Simulated parallel-region seconds: the sum of the three phases.
+    pub sim_s: f64,
+    pub kernels_s: f64,
+    pub cpu_gpu_s: f64,
+    pub gpu_gpu_s: f64,
+    /// Peak user / system device bytes, summed over the GPUs.
+    pub user_peak: u64,
+    pub system_peak: u64,
+    pub correct: bool,
 }
 
-/// Execute the evaluation matrix. With `progress`, prints one line per
-/// configuration to stderr (runs take a while at paper scale).
-pub fn run_matrix(scale: Scale, seed: u64, progress: bool) -> Vec<MatrixEntry> {
+impl BenchPoint {
+    /// `n` for a `Proposal(nGPU)` row, `None` for the other versions.
+    pub fn proposal_gpus(&self) -> Option<usize> {
+        self.version.strip_prefix("Proposal(")?.strip_suffix("GPU)")?.parse().ok()
+    }
+
+    /// The row of `matrix` on this row's machine and app at `version`
+    /// (the normalisation base of a figure).
+    fn sibling<'a>(&self, matrix: &'a [BenchPoint], version: Version) -> &'a BenchPoint {
+        let label = version.label();
+        matrix
+            .iter()
+            .find(|b| b.machine == self.machine && b.app == self.app && b.version == label)
+            .unwrap_or_else(|| panic!("no {label} row for {} / {}", self.machine, self.app))
+    }
+}
+
+/// Execute the evaluation matrix: every (machine × app × version)
+/// combination once, shared by Figs. 7, 8 and 9 and by [`bench_runtime`].
+/// With `progress`, prints one line per configuration to stderr (runs
+/// take a while at paper scale).
+pub fn run_matrix(scale: Scale, seed: u64, progress: bool) -> Vec<BenchPoint> {
     let mut out = Vec::new();
     for kind in [MachineKind::Desktop, MachineKind::SupercomputerNode] {
         for &app in &App::ALL {
@@ -183,12 +223,18 @@ pub fn run_matrix(scale: Scale, seed: u64, progress: bool) -> Vec<MatrixEntry> {
                     eprintln!("running {} / {} / {} ...", kind.label(), app.name(), v.label());
                 }
                 let mut m = Machine::with_kind(kind);
-                let result = run_app(app, v, &mut m, scale, seed).expect("run");
-                out.push(MatrixEntry {
-                    machine: kind,
-                    app,
-                    version: v,
-                    result,
+                let r = run_app(app, v, &mut m, scale, seed).expect("run");
+                out.push(BenchPoint {
+                    machine: kind.label().to_string(),
+                    app: app.name().to_string(),
+                    version: v.label(),
+                    sim_s: r.time.parallel_region(),
+                    kernels_s: r.time.kernels,
+                    cpu_gpu_s: r.time.cpu_gpu,
+                    gpu_gpu_s: r.time.gpu_gpu,
+                    user_peak: r.mem.iter().map(|g| g.user_peak).sum(),
+                    system_peak: r.mem.iter().map(|g| g.system_peak).sum(),
+                    correct: r.correct,
                 });
             }
         }
@@ -207,32 +253,17 @@ pub struct Fig7Bar {
 }
 
 /// Fig. 7 from a computed matrix: every version normalised to OpenMP.
-pub fn fig7_from(matrix: &[MatrixEntry]) -> Vec<Fig7Bar> {
-    let mut out = Vec::new();
-    for e in matrix {
-        let base = matrix
-            .iter()
-            .find(|b| {
-                b.machine == e.machine && b.app == e.app && b.version == Version::OpenMP
-            })
-            .expect("OpenMP baseline present")
-            .result
-            .time
-            .parallel_region();
-        out.push(Fig7Bar {
-            machine: e.machine.label().to_string(),
-            app: e.app.name().to_string(),
-            version: e.version.label(),
-            relative_perf: base / e.result.time.parallel_region(),
-            correct: e.result.correct,
-        });
-    }
-    out
-}
-
-/// Fig. 7: performance of every version normalised to OpenMP.
-pub fn fig7(scale: Scale, seed: u64) -> Vec<Fig7Bar> {
-    fig7_from(&run_matrix(scale, seed, false))
+pub fn fig7_from(matrix: &[BenchPoint]) -> Vec<Fig7Bar> {
+    matrix
+        .iter()
+        .map(|e| Fig7Bar {
+            machine: e.machine.clone(),
+            app: e.app.clone(),
+            version: e.version.clone(),
+            relative_perf: e.sibling(matrix, Version::OpenMP).sim_s / e.sim_s,
+            correct: e.correct,
+        })
+        .collect()
 }
 
 /// One Fig. 8 stacked bar: phase times normalised to the 1-GPU total.
@@ -247,36 +278,23 @@ pub struct Fig8Bar {
 }
 
 /// Fig. 8 from a computed matrix: proposal breakdown on 1..max GPUs.
-pub fn fig8_from(matrix: &[MatrixEntry]) -> Vec<Fig8Bar> {
+pub fn fig8_from(matrix: &[BenchPoint]) -> Vec<Fig8Bar> {
     let mut out = Vec::new();
     for e in matrix {
-        let Version::Proposal(n) = e.version else {
+        let Some(ngpus) = e.proposal_gpus() else {
             continue;
         };
-        let base = matrix
-            .iter()
-            .find(|b| {
-                b.machine == e.machine && b.app == e.app && b.version == Version::Proposal(1)
-            })
-            .expect("1-GPU run present")
-            .result
-            .time
-            .parallel_region();
+        let base = e.sibling(matrix, Version::Proposal(1)).sim_s;
         out.push(Fig8Bar {
-            machine: e.machine.label().to_string(),
-            app: e.app.name().to_string(),
-            ngpus: n,
-            kernels: e.result.time.kernels / base,
-            cpu_gpu: e.result.time.cpu_gpu / base,
-            gpu_gpu: e.result.time.gpu_gpu / base,
+            machine: e.machine.clone(),
+            app: e.app.clone(),
+            ngpus,
+            kernels: e.kernels_s / base,
+            cpu_gpu: e.cpu_gpu_s / base,
+            gpu_gpu: e.gpu_gpu_s / base,
         });
     }
     out
-}
-
-/// Fig. 8: execution-time breakdown of the proposal on 1..max GPUs.
-pub fn fig8(scale: Scale, seed: u64) -> Vec<Fig8Bar> {
-    fig8_from(&run_matrix(scale, seed, false))
 }
 
 /// One Fig. 9 stacked bar: summed per-GPU peak memory normalised to the
@@ -291,40 +309,22 @@ pub struct Fig9Bar {
 }
 
 /// Fig. 9 from a computed matrix.
-pub fn fig9_from(matrix: &[MatrixEntry]) -> Vec<Fig9Bar> {
+pub fn fig9_from(matrix: &[BenchPoint]) -> Vec<Fig9Bar> {
     let mut out = Vec::new();
     for e in matrix {
-        let Version::Proposal(n) = e.version else {
+        let Some(ngpus) = e.proposal_gpus() else {
             continue;
         };
-        let base = matrix
-            .iter()
-            .find(|b| {
-                b.machine == e.machine && b.app == e.app && b.version == Version::Proposal(1)
-            })
-            .expect("1-GPU run present")
-            .result
-            .mem
-            .iter()
-            .map(|g| g.user_peak)
-            .sum::<u64>()
-            .max(1);
-        let user: u64 = e.result.mem.iter().map(|g| g.user_peak).sum();
-        let system: u64 = e.result.mem.iter().map(|g| g.system_peak).sum();
+        let base = e.sibling(matrix, Version::Proposal(1)).user_peak.max(1);
         out.push(Fig9Bar {
-            machine: e.machine.label().to_string(),
-            app: e.app.name().to_string(),
-            ngpus: n,
-            user: user as f64 / base as f64,
-            system: system as f64 / base as f64,
+            machine: e.machine.clone(),
+            app: e.app.clone(),
+            ngpus,
+            user: e.user_peak as f64 / base as f64,
+            system: e.system_peak as f64 / base as f64,
         });
     }
     out
-}
-
-/// Fig. 9: device memory usage of the proposal on 1..max GPUs.
-pub fn fig9(scale: Scale, seed: u64) -> Vec<Fig9Bar> {
-    fig9_from(&run_matrix(scale, seed, false))
 }
 
 /// One chunk-size ablation point.
@@ -597,184 +597,77 @@ pub fn extension_stencil(scale: Scale, seed: u64) -> Vec<StencilPoint> {
     out
 }
 
-/// One wall-clock measurement for the `bench` target: how long the
-/// simulator itself takes to run an app on N GPUs, as opposed to the
-/// simulated time it reports. This is the number the runtime's host-side
-/// optimisations (interpreter fast path, parallel communication phase)
-/// move, and the one `BENCH_runtime.json` tracks across commits.
-#[derive(Debug, Clone)]
-pub struct RuntimePoint {
-    pub app: String,
-    pub ngpus: usize,
-    /// Best wall-clock over `reps` runs, seconds. Minimum, not mean: the
-    /// minimum of repeated identical runs is the least noisy estimator
-    /// of intrinsic cost on a shared machine.
-    pub wall_best_s: f64,
-    /// Mean wall-clock over `reps` runs, seconds.
-    pub wall_mean_s: f64,
-    /// Simulated parallel-region time, seconds. Must not change when
-    /// host-side optimisations do (the equivalence tests enforce this;
-    /// the field is recorded so a regression is visible in the artifact).
-    pub sim_s: f64,
-    /// Simulated GPU-GPU communication-phase time, seconds (a component
-    /// of `sim_s`). Recorded separately so comm-phase optimisations —
-    /// elision, inferred distribution — are visible per point.
-    pub comm_sim_s: f64,
-    /// Host wall-clock seconds spent inside the communication phase on
-    /// the *best-wall* rep. Tracks what the parallel comm phase and the
-    /// staging pool actually cost on the host.
-    pub comm_wall_s: f64,
-    pub correct: bool,
-    pub reps: usize,
+/// The scale's name on the command line and in the pinned artifact.
+fn scale_name(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Small => "small",
+        Scale::Scaled => "scaled",
+        Scale::Paper => "paper",
+    }
 }
 
-/// Measure end-to-end wall-clock for every app × GPU count on the
-/// supercomputer node. Each configuration runs `reps` times. The
-/// `heat2d-halo2` points double as the wavefront rows: its carried
-/// dependence is proved halo-local, so the runtime pipelines it, and its
-/// multi-GPU `sim_s`/`comm_sim_s` values pin the wavefront's pricing.
-pub fn bench_runtime(scale: Scale, seed: u64, reps: usize, progress: bool) -> Vec<RuntimePoint> {
-    let reps = reps.max(1);
-    let mut out = Vec::new();
-    for &app in &App::ALL {
-        for ngpus in 1..=3 {
-            let v = Version::Proposal(ngpus);
+/// Everything the `bench` target pins, at one scale and seed: the
+/// evaluation matrix ([`run_matrix`]; the `heat2d-halo2` rows double as
+/// the wavefront's pricing pins — its carried dependence is proved
+/// halo-local, so the runtime pipelines it), the two scheduler rows, the
+/// comm experiments and the scaling section.
+pub fn bench_runtime(scale: Scale, seed: u64, progress: bool) -> BenchFile {
+    BenchFile {
+        scale: scale_name(scale).to_string(),
+        seed,
+        points: run_matrix(scale, seed, progress),
+        schedules: bench_schedules(scale, seed, progress),
+        comm_experiments: bench_comm(scale, seed, progress),
+        scaling: bench_scaling(scale, seed, progress),
+    }
+}
+
+/// One row of the `bench` target's `schedules` section: the skewed
+/// power-law BFS on the node's three GPUs under one task schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchedulePoint {
+    /// `bfs-skew` (equal static division) or `bfs-skew-cm` (the
+    /// cost-model mapper) on the same input.
+    pub app: String,
+    pub ngpus: usize,
+    /// Simulated parallel-region seconds.
+    pub sim_s: f64,
+    /// Simulated GPU-GPU communication-phase seconds (a component of
+    /// `sim_s`).
+    pub comm_sim_s: f64,
+    pub correct: bool,
+}
+
+/// The skewed BFS is not part of `App::ALL` (that list reproduces the
+/// paper's Table II); these two rows exist so the artifact records the
+/// mapper's simulated-time margin, and `bench-diff` notices if the win
+/// erodes.
+pub fn bench_schedules(scale: Scale, seed: u64, progress: bool) -> Vec<SchedulePoint> {
+    use acc_apps::bfs_skew;
+    let input = bfs_skew::generate(&bfs_skew_config(scale), seed);
+    let expect = bfs_skew::reference(&input);
+    let prog =
+        acc_compiler::compile_source(bfs_skew::SOURCE, bfs_skew::FUNCTION, &CompileOptions::proposal())
+            .expect("bfs_skew compiles");
+    [("bfs-skew", Schedule::Equal), ("bfs-skew-cm", Schedule::CostModel)]
+        .into_iter()
+        .map(|(label, sched)| {
             if progress {
-                eprintln!("  bench: {} x{} ({} reps)", app.name(), ngpus, reps);
+                eprintln!("  bench: {label} x3");
             }
-            let mut walls = Vec::with_capacity(reps);
-            let mut sim_s = 0.0;
-            let mut comm_sim_s = 0.0;
-            let mut comm_wall_s = f64::INFINITY;
-            let mut correct = true;
-            for _ in 0..reps {
-                let mut m = Machine::supercomputer_node();
-                let t0 = std::time::Instant::now();
-                let r = acc_apps::run_app(app, v, &mut m, scale, seed).expect("app run");
-                walls.push(t0.elapsed().as_secs_f64());
-                sim_s = r.time.parallel_region();
-                comm_sim_s = r.time.gpu_gpu;
-                comm_wall_s = comm_wall_s.min(r.comm_wall_s);
-                correct &= r.correct;
+            let mut m = Machine::supercomputer_node();
+            let (scalars, arrays) = bfs_skew::inputs(&input);
+            let r = run_program(&mut m, &ExecConfig::gpus(3).schedule(sched), &prog, scalars, arrays)
+                .expect("bfs_skew run");
+            SchedulePoint {
+                app: label.to_string(),
+                ngpus: 3,
+                sim_s: r.profile.time.parallel_region(),
+                comm_sim_s: r.profile.time.gpu_gpu,
+                correct: r.arrays[bfs_skew::LEVELS_ARRAY].to_i32_vec() == expect,
             }
-            let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mean = walls.iter().sum::<f64>() / walls.len() as f64;
-            out.push(RuntimePoint {
-                app: app.name().to_string(),
-                ngpus,
-                wall_best_s: best,
-                wall_mean_s: mean,
-                sim_s,
-                comm_sim_s,
-                comm_wall_s,
-                correct,
-                reps,
-            });
-        }
-    }
-    // The skewed power-law BFS rides along as two extra points at the
-    // full GPU count — the equal static division vs the cost-model
-    // mapper on the same input. It is not part of `App::ALL` (that list
-    // reproduces the paper's Table II); these rows exist so the
-    // artifact records the mapper's simulated-time margin, and CI's
-    // bench-diff notices if the win erodes.
-    for (label, sched) in [
-        ("bfs-skew", Schedule::Equal),
-        ("bfs-skew-cm", Schedule::CostModel),
-    ] {
-        if progress {
-            eprintln!("  bench: {label} x3 ({reps} reps)");
-        }
-        let cfg = bfs_skew_config(scale);
-        let input = acc_apps::bfs_skew::generate(&cfg, seed);
-        let expect = acc_apps::bfs_skew::reference(&input);
-        let prog = acc_compiler::compile_source(
-            acc_apps::bfs_skew::SOURCE,
-            acc_apps::bfs_skew::FUNCTION,
-            &acc_compiler::CompileOptions::proposal(),
-        )
-        .expect("bfs_skew compiles");
-        let mut walls = Vec::with_capacity(reps);
-        let mut sim_s = 0.0;
-        let mut comm_sim_s = 0.0;
-        let mut comm_wall_s = f64::INFINITY;
-        let mut correct = true;
-        for _ in 0..reps {
-            let mut m = Machine::supercomputer_node();
-            let (scalars, arrays) = acc_apps::bfs_skew::inputs(&input);
-            let t0 = std::time::Instant::now();
-            let r = acc_runtime::run_program(
-                &mut m,
-                &acc_runtime::ExecConfig::gpus(3).schedule(sched),
-                &prog,
-                scalars,
-                arrays,
-            )
-            .expect("bfs_skew run");
-            walls.push(t0.elapsed().as_secs_f64());
-            sim_s = r.profile.time.parallel_region();
-            comm_sim_s = r.profile.time.gpu_gpu;
-            comm_wall_s = comm_wall_s.min(r.profile.comm_wall_s);
-            correct &= r.arrays[acc_apps::bfs_skew::LEVELS_ARRAY].to_i32_vec() == expect;
-        }
-        let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mean = walls.iter().sum::<f64>() / walls.len() as f64;
-        out.push(RuntimePoint {
-            app: label.to_string(),
-            ngpus: 3,
-            wall_best_s: best,
-            wall_mean_s: mean,
-            sim_s,
-            comm_sim_s,
-            comm_wall_s,
-            correct,
-            reps,
-        });
-    }
-    // Register-VM rows. The register tier is the default now, so these
-    // duplicate the `bfs` / `heat2d` x3 rows above; what they stood in
-    // for — tier parity on `sim_s` — is asserted for every app by
-    // `crates/apps/tests/tier_parity.rs`. They stay so `bench-diff`
-    // keeps its point coverage against the committed artifact, and
-    // leave with ROADMAP's "one performance harness" item.
-    for &app in &[App::Bfs, App::Heat2d] {
-        let label = format!("{}-regvm", app.name());
-        if progress {
-            eprintln!("  bench: {label} x3 ({reps} reps)");
-        }
-        let v = Version::Proposal(3);
-        let cfg = v.exec_config().kernel_vm(acc_runtime::KernelVm::Register);
-        let mut walls = Vec::with_capacity(reps);
-        let mut sim_s = 0.0;
-        let mut comm_sim_s = 0.0;
-        let mut comm_wall_s = f64::INFINITY;
-        let mut correct = true;
-        for _ in 0..reps {
-            let mut m = Machine::supercomputer_node();
-            let t0 = std::time::Instant::now();
-            let r = acc_apps::run_app_with_config(app, v, &mut m, scale, seed, &cfg)
-                .expect("regvm app run");
-            walls.push(t0.elapsed().as_secs_f64());
-            sim_s = r.time.parallel_region();
-            comm_sim_s = r.time.gpu_gpu;
-            comm_wall_s = comm_wall_s.min(r.comm_wall_s);
-            correct &= r.correct;
-        }
-        let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mean = walls.iter().sum::<f64>() / walls.len() as f64;
-        out.push(RuntimePoint {
-            app: label,
-            ngpus: 3,
-            wall_best_s: best,
-            wall_mean_s: mean,
-            sim_s,
-            comm_sim_s,
-            comm_wall_s,
-            correct,
-            reps,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// The skewed-BFS input behind the `bfs-skew` bench rows.
@@ -825,7 +718,7 @@ pub fn strip_localaccess(src: &str) -> String {
 /// One comm-phase measurement of the `bench` target's
 /// `comm_experiments` section: an app × compile/run mode, always at the
 /// full GPU count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommPoint {
     pub app: String,
     /// `annotated` (hand pragmas, the baseline), `stripped` (pragmas
@@ -836,8 +729,6 @@ pub struct CommPoint {
     pub ngpus: usize,
     /// Simulated GPU-GPU communication-phase seconds.
     pub comm_sim_s: f64,
-    /// Host wall-clock seconds inside the communication phase.
-    pub comm_wall_s: f64,
     pub p2p_bytes: u64,
     /// Replica syncs the runtime skipped on static facts.
     pub comm_elisions: u64,
@@ -845,8 +736,8 @@ pub struct CommPoint {
     /// is a strict all-arrays comparison: scratch arrays (e.g. the
     /// heat2d ping-pong buffer) can legitimately hold different
     /// copy-out content across placements even when every output array
-    /// is bit-exact, so `false` here is only meaningful per mode — the
-    /// guarded invariant is that it never regresses from `true`.
+    /// is bit-exact, so `false` here is only meaningful per mode — what
+    /// `bench-diff` guards is that the flag does not change.
     pub matches_annotated: bool,
 }
 
@@ -900,7 +791,6 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
                 mode: mode.to_string(),
                 ngpus,
                 comm_sim_s: r.profile.time.gpu_gpu,
-                comm_wall_s: r.profile.comm_wall_s,
                 p2p_bytes: r.profile.p2p_bytes,
                 comm_elisions: r.profile.comm_elisions,
                 matches_annotated,
@@ -912,13 +802,12 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
 
 /// One simulated-time measurement of the `bench` target's `scaling`
 /// section: a halo/reduction-heavy app at a GPU count well past one
-/// PCIe bus, on one interconnect model. Unlike [`RuntimePoint`] the
-/// interesting numbers here are *simulated* seconds: the section is the
-/// artifact behind the claim that the hierarchical topology (island
+/// PCIe bus, on one interconnect model. The section is the artifact
+/// behind the claim that the hierarchical topology (island
 /// links + per-node roots + inter-node fabric), the topology-aware
 /// reduction tree and the double-buffered halo overlap reduce
 /// communication cost at 8/16/64 GPUs — `bench-diff` pins every value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     pub app: String,
     pub ngpus: usize,
@@ -969,8 +858,7 @@ pub fn scaling_pagerank_config(scale: Scale) -> acc_apps::pagerank::PagerankConf
 
 /// Measure simulated communication cost for the scaling apps at 8, 16
 /// and 64 GPUs on the flat bus, the cluster topology, and the cluster
-/// topology with halo overlap armed. Simulated time is deterministic,
-/// so one run per point suffices (no reps).
+/// topology with halo overlap armed.
 pub fn bench_scaling(scale: Scale, seed: u64, progress: bool) -> Vec<ScalingPoint> {
     use acc_apps::{heat2d, pagerank};
     const GPU_COUNTS: [usize; 3] = [8, 16, 64];
@@ -1045,117 +933,6 @@ pub fn bench_scaling(scale: Scale, seed: u64, progress: bool) -> Vec<ScalingPoin
     out
 }
 
-/// One throughput measurement of the `bench` target's `serve` section:
-/// `tenants` concurrent clients each pushing `jobs_per_tenant` mixed
-/// jobs through one in-process [`acc_serve::Server`].
-#[derive(Debug, Clone)]
-pub struct ServePoint {
-    pub tenants: usize,
-    pub jobs_per_tenant: usize,
-    /// Jobs submitted (`tenants * jobs_per_tenant`).
-    pub jobs_total: usize,
-    /// Jobs that completed with a summary.
-    pub jobs_ok: usize,
-    /// Every completed job passed its oracle.
-    pub all_correct: bool,
-    /// End-to-end wall-clock for the whole fleet, seconds.
-    pub wall_s: f64,
-    /// Completed jobs per wall-clock second.
-    pub jobs_per_s: f64,
-    /// Median per-job latency (submit → summary), milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile per-job latency, milliseconds.
-    pub p99_ms: f64,
-    /// Fraction of jobs whose compile was a request-cache hit.
-    pub cache_hit_rate: f64,
-}
-
-/// Measure daemon throughput in-process (no socket: the numbers track
-/// queueing + engine cost, not loopback TCP). Tenants cycle through the
-/// cheap communication-diverse apps (HEAT2D, BFS, MD) at `Scale::Small`
-/// and GPU counts 1–3, so a fleet of `tenants * jobs_per_tenant` jobs
-/// needs exactly three compiles — every later job must be a cache hit.
-pub fn bench_serve(tenants: usize, jobs_per_tenant: usize, progress: bool) -> ServePoint {
-    use acc_serve::{JobRequest, Server, ServerConfig};
-
-    let apps = [App::Heat2d, App::Bfs, App::Md];
-    let jobs_total = tenants * jobs_per_tenant;
-    if progress {
-        eprintln!("  bench: serve {tenants} tenants x {jobs_per_tenant} jobs");
-    }
-    let server = Server::new(ServerConfig {
-        workers: tenants,
-        queue_cap: jobs_total.max(1),
-        default_timeout_ms: 600_000,
-        ..ServerConfig::default()
-    });
-    let workers = server.spawn_workers(tenants);
-    let t0 = std::time::Instant::now();
-    let tenant_threads: Vec<_> = (0..tenants)
-        .map(|t| {
-            let srv = std::sync::Arc::clone(&server);
-            std::thread::spawn(move || {
-                let mut lat_ms = Vec::with_capacity(jobs_per_tenant);
-                let mut hits = 0usize;
-                let mut ok = 0usize;
-                let mut correct = true;
-                for i in 0..jobs_per_tenant {
-                    let mut req = JobRequest::new(apps[(t + i) % apps.len()], 1 + (t + i) % 3);
-                    req.seed = 42;
-                    let j0 = std::time::Instant::now();
-                    match srv.run_sync(req) {
-                        Ok(summary) => {
-                            lat_ms.push(j0.elapsed().as_secs_f64() * 1e3);
-                            ok += 1;
-                            hits += summary.cache_hit as usize;
-                            correct &= summary.correct;
-                        }
-                        Err(_) => correct = false,
-                    }
-                }
-                (lat_ms, hits, ok, correct)
-            })
-        })
-        .collect();
-    let mut lat_ms = Vec::with_capacity(jobs_total);
-    let mut hits = 0usize;
-    let mut jobs_ok = 0usize;
-    let mut all_correct = true;
-    for t in tenant_threads {
-        let (l, h, o, c) = t.join().expect("tenant thread");
-        lat_ms.extend(l);
-        hits += h;
-        jobs_ok += o;
-        all_correct &= c;
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    server.shutdown();
-    for w in workers {
-        let _ = w.join();
-    }
-    lat_ms.sort_by(|a, b| a.total_cmp(b));
-    // Nearest-rank percentile on the completed-job latencies.
-    let pct = |q: f64| -> f64 {
-        if lat_ms.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * lat_ms.len() as f64).ceil() as usize).clamp(1, lat_ms.len());
-        lat_ms[rank - 1]
-    };
-    ServePoint {
-        tenants,
-        jobs_per_tenant,
-        jobs_total,
-        jobs_ok,
-        all_correct,
-        wall_s,
-        jobs_per_s: if wall_s > 0.0 { jobs_ok as f64 / wall_s } else { 0.0 },
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
-        cache_hit_rate: if jobs_ok > 0 { hits as f64 / jobs_ok as f64 } else { 0.0 },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1176,29 +953,36 @@ mod tests {
 
     #[test]
     fn figure_extractors_normalise_correctly() {
-        // Build a 3-entry matrix by hand (OpenMP + proposal on 1/2 GPUs
-        // for one app) and check the normalisations.
-        let mk = |v: Version| {
-            let mut m = Machine::desktop();
-            MatrixEntry {
-                machine: MachineKind::Desktop,
-                app: App::Md,
-                version: v,
-                result: acc_apps::run_app(App::Md, v, &mut m, Scale::Small, 3).unwrap(),
-            }
+        // A 3-row matrix by hand (OpenMP + proposal on 1/2 GPUs for one
+        // app): the normalisations, and which rows each figure keeps.
+        let row = |version: Version, sim_s: f64, user_peak: u64, system_peak: u64| BenchPoint {
+            machine: "Desktop Machine".to_string(),
+            app: "md".to_string(),
+            version: version.label(),
+            sim_s,
+            kernels_s: sim_s * 0.5,
+            cpu_gpu_s: sim_s * 0.25,
+            gpu_gpu_s: sim_s * 0.25,
+            user_peak,
+            system_peak,
+            correct: true,
         };
-        let matrix = vec![mk(Version::OpenMP), mk(Version::Proposal(1)), mk(Version::Proposal(2))];
+        let matrix = [
+            row(Version::OpenMP, 8.0, 0, 0),
+            row(Version::Proposal(1), 4.0, 1000, 0),
+            row(Version::Proposal(2), 2.0, 1200, 30),
+        ];
+        assert_eq!(matrix[0].proposal_gpus(), None);
+        assert_eq!(matrix[2].proposal_gpus(), Some(2));
         let f7 = fig7_from(&matrix);
-        assert_eq!(f7.len(), 3);
-        assert!((f7[0].relative_perf - 1.0).abs() < 1e-12, "OpenMP bar is 1.0");
+        assert_eq!(f7.iter().map(|b| b.relative_perf).collect::<Vec<_>>(), [1.0, 2.0, 4.0]);
         let f8 = fig8_from(&matrix);
         assert_eq!(f8.len(), 2); // proposal entries only
-        let one_gpu = &f8[0];
-        assert!((one_gpu.kernels + one_gpu.cpu_gpu + one_gpu.gpu_gpu - 1.0).abs() < 1e-9);
+        assert_eq!((f8[0].kernels, f8[0].cpu_gpu, f8[0].gpu_gpu), (0.5, 0.25, 0.25));
+        assert_eq!((f8[1].ngpus, f8[1].kernels), (2, 0.25));
         let f9 = fig9_from(&matrix);
-        assert_eq!(f9.len(), 2);
-        assert!((f9[0].user - 1.0).abs() < 1e-12, "1-GPU user bar is the base");
-        assert_eq!(f9[0].system, 0.0, "single GPU has no system memory");
+        assert_eq!((f9[0].user, f9[0].system), (1.0, 0.0));
+        assert_eq!((f9[1].user, f9[1].system), (1.2, 0.03));
     }
 
     #[test]

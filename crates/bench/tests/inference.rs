@@ -38,20 +38,6 @@ fn golden_inference_reproduces_hand_annotations_exactly() {
                     k.kernel.name,
                     cfg.name
                 );
-                // A `CarriedLocal` halo annotation is a *contract*, not a
-                // recoverable access pattern: the distance analysis is
-                // relative to the declared stride windows, so stripping
-                // the pragma decays the verdict to `Unknown` and there is
-                // nothing for inference to rediscover. The lint instead
-                // validates the contract and prints the machine-applyable
-                // pragma in its ACC-I003 note.
-                if matches!(
-                    cfg.lint.verdict,
-                    acc_compiler::DependVerdict::CarriedLocal { .. }
-                ) {
-                    assert!(cfg.inferred.is_none());
-                    continue;
-                }
                 match &cfg.localaccess {
                     Some(hand) => assert_eq!(
                         cfg.inferred.as_ref(),
@@ -79,13 +65,6 @@ fn golden_inference_reproduces_hand_annotations_exactly() {
 #[test]
 fn stripped_sources_with_inference_run_bit_identical() {
     for app in App::ALL {
-        // heat2d-halo2's only annotation is the halo contract licensing
-        // its carried dependence; stripped, the array falls back to a
-        // replicated placement (see the golden test above), so there is
-        // no inference to compare against the hand-annotated build.
-        if app == App::Heat2dHalo2 {
-            continue;
-        }
         let hand = compile_source(app.source(), app.function(), &CompileOptions::proposal())
             .unwrap();
         let stripped = strip_localaccess(app.source());

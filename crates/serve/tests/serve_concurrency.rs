@@ -38,8 +38,9 @@ fn start_daemon(cfg: ServerConfig) -> Daemon {
 }
 
 /// The acceptance scenario: 8 concurrent tenants over TCP, mixed apps
-/// and GPU counts, every job correct, compilation-cache hit rate above
-/// 90%, clean shutdown afterwards.
+/// and GPU counts, every job correct, each of the three sources compiled
+/// exactly once however the first requests race (hit rate 45/48), clean
+/// shutdown afterwards.
 #[test]
 fn eight_tenants_sustain_a_hot_cache_over_tcp() {
     let (server, addr, workers, acceptor) = start_daemon(ServerConfig {
@@ -76,7 +77,9 @@ fn eight_tenants_sustain_a_hot_cache_over_tcp() {
     let stats = client.stats().expect("stats");
     let jobs_ok = stats.get("jobs_ok").and_then(Value::as_f64).unwrap();
     let hit_rate = stats.get("job_cache_hit_rate").and_then(Value::as_f64).unwrap();
+    let compiles = stats.get("engine").and_then(|e| e.get("compiles")).and_then(Value::as_f64);
     assert_eq!(jobs_ok, 48.0, "{}", stats.to_string_compact());
+    assert_eq!(compiles, Some(3.0), "{}", stats.to_string_compact());
     assert!(
         hit_rate > 0.90,
         "cache hit rate {hit_rate} must exceed 90%: {}",
