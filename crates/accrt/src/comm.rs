@@ -1,7 +1,8 @@
 //! The inter-GPU communication manager (paper §IV-D).
 //!
 //! Called "just after the kernel functions executed on the GPUs", it
-//! performs three reconciliations:
+//! performs, per array, the one `CommStep` the launch's `LaunchPlan`
+//! decided (`plan.rs`) — three reconciliations:
 //!
 //! 1. **replicated arrays** — using the two-level dirty bits, only the
 //!    chunks whose second-level bit is set move, and receivers apply the
@@ -53,13 +54,14 @@
 //!   serially, in a fixed order, on the coordinating thread — which is
 //!   why *simulated* times never depend on the host-parallelism switch.
 
-use acc_compiler::{CompiledKernel, Placement};
+use acc_compiler::CompiledKernel;
 use acc_gpusim::{BufferHandle, Endpoint, Gpu, Topology};
 use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
 use acc_obs::{CollectiveRound, CommElided, CommRound, MissReplay, ReductionMerge};
 
-use crate::exec::{ArrLaunch, Run};
-use crate::{RunError, SanitizeLevel};
+use crate::exec::Run;
+use crate::plan::{owner_of, CommStep, LaunchPlan};
+use crate::RunError;
 
 /// Reusable scratch buffers for the runtime's functional halves.
 ///
@@ -144,74 +146,6 @@ impl StagingPool {
     ) {
         self.miss_bufs
             .extend(bufs.into_iter().filter(|b| b.capacity() > 0));
-    }
-}
-
-/// O(1) owner lookup over a per-GPU `own` partition.
-///
-/// `resolve_bindings` derives the owned ranges of a distributed array
-/// from the equal static division of the iteration space: the non-empty
-/// ranges form an ascending, gap-free partition occupying a prefix of
-/// the GPU list. That structure lets a write-miss destination index be
-/// routed by partition arithmetic — guess `idx * k / span`, then walk at
-/// most a step or two to correct for the clamp-induced size wobble —
-/// instead of the linear scan the manager previously did per record.
-///
-/// If the ranges ever violate that shape (a custom binding, a future
-/// placement policy), the router detects it at construction and falls
-/// back to the scan, so routing results never depend on the fast path.
-pub(crate) struct OwnerRouter<'o> {
-    own: &'o [(i64, i64)],
-    /// Number of leading non-empty ranges when `contiguous`.
-    k: usize,
-    /// Covered span `[own[0].0, own[k-1].1)` when `contiguous`.
-    lo: i64,
-    hi: i64,
-    contiguous: bool,
-}
-
-impl<'o> OwnerRouter<'o> {
-    pub fn new(own: &'o [(i64, i64)]) -> OwnerRouter<'o> {
-        let k = own.iter().take_while(|r| r.1 > r.0).count();
-        let contiguous = k > 0
-            && own[..k].windows(2).all(|w| w[0].1 == w[1].0)
-            && own[k..].iter().all(|r| r.1 <= r.0);
-        let (lo, hi) = if contiguous {
-            (own[0].0, own[k - 1].1)
-        } else {
-            (0, 0)
-        };
-        OwnerRouter {
-            own,
-            k,
-            lo,
-            hi,
-            contiguous,
-        }
-    }
-
-    /// The GPU owning `idx`, or `None` if no owned range covers it.
-    pub fn route(&self, idx: i64) -> Option<usize> {
-        if !self.contiguous {
-            return (0..self.own.len()).find(|&h| self.own[h].0 <= idx && idx < self.own[h].1);
-        }
-        if idx < self.lo || idx >= self.hi {
-            return None;
-        }
-        let span = (self.hi - self.lo) as u128;
-        let mut j =
-            (((idx - self.lo) as u128 * self.k as u128) / span) as usize;
-        j = j.min(self.k - 1);
-        // The guess is off by at most the clamp wobble; each step moves
-        // monotonically toward the owner and the range checks above
-        // guarantee termination inside [0, k).
-        while idx < self.own[j].0 {
-            j -= 1;
-        }
-        while idx >= self.own[j].1 {
-            j += 1;
-        }
-        Some(j)
     }
 }
 
@@ -315,75 +249,62 @@ pub(crate) fn sync_schedule(
 }
 
 impl<'a> Run<'a> {
-    /// Run the communication phase; transfers are scheduled from `t2`.
-    /// Returns the phase end time.
+    /// Run the communication phase — one [`CommStep`] per array, as the
+    /// plan decided; transfers are scheduled from `t2`. Returns the phase
+    /// end time.
     pub(crate) fn comm_phase(
         &mut self,
         ck: &CompiledKernel,
-        binfo: &[ArrLaunch],
+        plan: &LaunchPlan,
         misses: &[Vec<MissRecord>],
         t2: f64,
     ) -> Result<f64, RunError> {
-        let ngpus = self.cfg.ngpus;
         let mut end = t2;
-
-        for (kbuf, bi) in binfo.iter().enumerate() {
-            match &bi.placement {
-                Placement::Replicated if bi.writes && ngpus > 1 => {
-                    if let Some(claims) = &bi.elide {
-                        if self.cfg.sanitize == SanitizeLevel::Full {
-                            // Audit path: the accumulated dirty runs must
-                            // stay inside the fact's claimed partitions;
-                            // then the skipped sync is re-armed, so a
-                            // Full-sanitize run is bit-identical (arrays
-                            // *and* simulated times) to elision off.
-                            self.audit_elision(bi.arr, claims)?;
-                            let e = self.sync_replicas(bi.arr, t2)?;
-                            end = end.max(e);
-                        } else {
-                            // Skip the sync: keep the dirty maps armed
-                            // and accumulating, and defer reconciliation
-                            // to the first operation that can observe
-                            // another GPU's partition (ensure_synced).
-                            let skipped = self.pending_sync_bytes(bi.arr);
-                            self.arrays[bi.arr].sync_pending = true;
-                            self.rec.comm_elided(CommElided {
-                                launch: self.cur_launch,
-                                array: self.prog.array_params[bi.arr].0.clone(),
-                                skipped_bytes: skipped,
-                                at: t2,
-                            });
-                        }
-                    } else {
-                        let e = self.sync_replicas(bi.arr, t2)?;
-                        end = end.max(e);
-                    }
+        for (kbuf, ap) in plan.arrays.iter().enumerate() {
+            let e = match &ap.comm {
+                // Nothing to reconcile; the host copy is refreshed on
+                // demand by update/copy-out.
+                CommStep::None => t2,
+                CommStep::Sync => self.sync_replicas(ap.arr, t2)?,
+                CommStep::AuditedSync(claims) => {
+                    // The accumulated dirty runs must stay inside the
+                    // fact's claimed partitions; then the skipped sync is
+                    // re-armed, so a Full-sanitize run is bit-identical
+                    // (arrays *and* simulated times) to elision off.
+                    self.audit_elision(ap.arr, claims)?;
+                    self.sync_replicas(ap.arr, t2)?
                 }
-                Placement::Replicated | Placement::Distributed
-                    if bi.writes && ngpus == 1 =>
-                {
-                    // Single GPU: nothing to reconcile; host copy is
-                    // refreshed on demand by update/copy-out.
+                CommStep::Elide(_) => {
+                    // Keep the dirty maps armed and accumulating, and
+                    // defer reconciliation to the first operation that
+                    // can observe another GPU's partition (ensure_synced).
+                    let skipped = self.pending_sync_bytes(ap.arr);
+                    self.arrays[ap.arr].sync_pending = true;
+                    self.rec.comm_elided(CommElided {
+                        launch: self.cur_launch,
+                        array: self.prog.array_params[ap.arr].0.clone(),
+                        skipped_bytes: skipped,
+                        at: t2,
+                    });
+                    t2
                 }
-                Placement::Distributed if bi.writes => {
-                    let e = self.replay_misses(ck, kbuf, bi, misses, t2)?;
-                    end = end.max(e);
+                CommStep::ReplayMisses => {
+                    let e = self.replay_misses(&ck.configs[kbuf].name, kbuf, plan, misses, t2)?;
                     // Halos are stale now; keep only owned ranges valid.
-                    for g in 0..ngpus {
-                        let own = crate::ranges::RangeSet::of(bi.own[g].0, bi.own[g].1);
-                        self.arrays[bi.arr].gpu[g].valid.intersect(&own);
+                    for (ga, own) in self.arrays[ap.arr].gpu.iter_mut().zip(&ap.own) {
+                        ga.valid.intersect(&crate::ranges::RangeSet::of(own.0, own.1));
                     }
+                    e
                 }
-                Placement::ReductionPrivate(op) if ngpus > 1 => {
-                    let e = self.merge_reduction_copies(bi, *op, t2)?;
-                    end = end.max(e);
+                CommStep::MergeReduction(op) => {
+                    self.merge_reduction_copies(ap.arr, plan.active, *op, t2)?
                 }
-                Placement::ReductionPrivate(_) => {
-                    // Single GPU: atomics already accumulated in place.
-                    self.arrays[bi.arr].gpu[0].red_private = false;
+                CommStep::ClearPrivate => {
+                    self.arrays[ap.arr].gpu[0].red_private = false;
+                    t2
                 }
-                _ => {}
-            }
+            };
+            end = end.max(e);
         }
         Ok(end)
     }
@@ -629,15 +550,15 @@ impl<'a> Run<'a> {
     /// replay them there.
     fn replay_misses(
         &mut self,
-        ck: &CompiledKernel,
+        name: &str,
         kbuf: usize,
-        bi: &ArrLaunch,
+        plan: &LaunchPlan,
         misses: &[Vec<MissRecord>],
         t2: f64,
     ) -> Result<f64, RunError> {
         let ngpus = self.cfg.ngpus;
-        let elem = self.arrays[bi.arr].elem();
-        let router = OwnerRouter::new(&bi.own[..ngpus]);
+        let (arr, own) = (plan.arrays[kbuf].arr, &plan.arrays[kbuf].own[..plan.active]);
+        let elem = self.arrays[arr].elem();
         let mut end = t2;
         for g in 0..ngpus {
             // Records for this buffer from GPU g, batched by owner.
@@ -647,13 +568,10 @@ impl<'a> Run<'a> {
                 if r.buf as usize != kbuf {
                     continue;
                 }
-                let owner =
-                    router
-                        .route(r.idx)
-                        .ok_or_else(|| RunError::MissOutsideCoverage {
-                            array: ck.configs[kbuf].name.clone(),
-                            idx: r.idx,
-                        })?;
+                let owner = owner_of(own, r.idx).ok_or_else(|| RunError::MissOutsideCoverage {
+                    array: name.to_string(),
+                    idx: r.idx,
+                })?;
                 by_owner[owner].push(r);
                 any = true;
             }
@@ -662,7 +580,7 @@ impl<'a> Run<'a> {
             }
 
             // Functional half: replay each owner's batch on its GPU.
-            self.apply_miss_batches(&ck.configs[kbuf].name, bi, &by_owner)?;
+            self.apply_miss_batches(name, arr, &by_owner)?;
 
             // Pricing half, per owner in ascending order.
             for (owner, recs) in by_owner.iter().enumerate() {
@@ -674,7 +592,7 @@ impl<'a> Run<'a> {
                     // robust: applied with no transfer.
                     self.rec.miss_replay(MissReplay {
                         launch: self.cur_launch,
-                        array: ck.configs[kbuf].name.clone(),
+                        array: name.to_string(),
                         src: g,
                         dst: owner,
                         records: recs.len() as u64,
@@ -686,7 +604,7 @@ impl<'a> Run<'a> {
                 }
                 let bytes = (recs.len() * (8 + elem)) as u64;
                 let (s, e) = self.price_transfer(
-                    bi.arr,
+                    arr,
                     Endpoint::Gpu(g),
                     Endpoint::Gpu(owner),
                     bytes,
@@ -699,7 +617,7 @@ impl<'a> Run<'a> {
                     .local_copy_time((recs.len() * elem) as u64);
                 self.rec.miss_replay(MissReplay {
                     launch: self.cur_launch,
-                    array: ck.configs[kbuf].name.clone(),
+                    array: name.to_string(),
                     src: g,
                     dst: owner,
                     records: recs.len() as u64,
@@ -722,10 +640,10 @@ impl<'a> Run<'a> {
     fn apply_miss_batches(
         &mut self,
         array_name: &str,
-        bi: &ArrLaunch,
+        arr: usize,
         by_owner: &[Vec<&MissRecord>],
     ) -> Result<(), RunError> {
-        let views = self.window_views(bi.arr);
+        let views = self.window_views(arr);
         type Batch<'r> = ((i64, Option<BufferHandle>), &'r Vec<&'r MissRecord>);
         let replay = |gpu: &mut Gpu, ((wlo, handle), recs): Batch<'_>| {
             let buf = gpu.memory.get_mut(handle.expect("owner window"))?;
@@ -757,22 +675,20 @@ impl<'a> Run<'a> {
     /// which is observable only as floating-point rounding.
     fn merge_reduction_copies(
         &mut self,
-        bi: &ArrLaunch,
+        arr: usize,
+        active: usize,
         op: RmwOp,
         t2: f64,
     ) -> Result<f64, RunError> {
         let ngpus = self.cfg.ngpus;
-        let n = self.arrays[bi.arr].len;
+        let n = self.arrays[arr].len;
         // Only GPUs that actually ran iterations hold a private copy
         // (GPU 0's live value or an identity fill). When the launch has
         // fewer iterations than GPUs the idle tail has neither — merging
         // it would fold never-initialised buffers into the result and
-        // price transfers that never happen. Both splitters compact
-        // empty ranges to the tail, so the active GPUs are a prefix.
-        let k = bi.required[..ngpus]
-            .iter()
-            .take_while(|r| r.0 < r.1)
-            .count();
+        // price transfers that never happen. The active GPUs are the
+        // plan's prefix; a zero-length array has no holder even there.
+        let k = if n == 0 { 0 } else { active };
         if k == 0 {
             return Ok(t2);
         }
@@ -796,7 +712,7 @@ impl<'a> Run<'a> {
             let mut next = Vec::new();
             for group in leaders.chunk_by(|a, b| a / width == b / width) {
                 next.push(group[0]);
-                let e = self.merge_group(bi, op, group, level, level_start)?;
+                let e = self.merge_group(arr, op, group, level, level_start)?;
                 end = end.max(e);
             }
             leaders = next;
@@ -804,7 +720,7 @@ impl<'a> Run<'a> {
         // GPU 0 now holds the merged result; other copies are garbage.
         let whole = crate::ranges::RangeSet::of(0, n as i64);
         for g in 0..ngpus {
-            let ga = &mut self.arrays[bi.arr].gpu[g];
+            let ga = &mut self.arrays[arr].gpu[g];
             ga.red_private = false;
             if g == 0 {
                 ga.valid = whole.clone();
@@ -824,13 +740,13 @@ impl<'a> Run<'a> {
     /// `level`.
     fn merge_group(
         &mut self,
-        bi: &ArrLaunch,
+        arr: usize,
         op: RmwOp,
         gpus: &[usize],
         level: &'static str,
         t: f64,
     ) -> Result<f64, RunError> {
-        let (arr, n) = (bi.arr, self.arrays[bi.arr].len);
+        let n = self.arrays[arr].len;
         let whole = [vec![(0, (n * self.arrays[arr].elem()) as u64)]];
         let leveled = self.machine.bus.is_hierarchical();
         let mut round_start = t;

@@ -2,6 +2,11 @@
 //! interprets sequential host code, and orchestrates BSP kernel launches
 //! (loader phase → parallel kernel phase → communication phase → barrier,
 //! paper §III-A Fig. 3).
+//!
+//! A GPU launch first becomes a `LaunchPlan`: `launch_gpu` evaluates
+//! the host expressions it depends on and calls the pure `plan::build`
+//! once; the loader, the kernel wave, the sanitizer verdict and the comm
+//! manager are then methods that read it.
 
 use acc_compiler::{ArrayConfig, CompiledKernel, CompiledProgram, HostOp, ParamSrc, Placement};
 use acc_compiler::affine::AccessPattern;
@@ -14,15 +19,16 @@ use acc_obs::{
 };
 use ir::interp::{eval_host_expr, rmw_apply, run_host_block};
 use ir::{
-    BufSanitize, Buffer, BufSlot, DirtyMap, ExecCtx, MissRecord, OpCounters, SanitizeKind,
+    Buffer, BufSlot, DirtyMap, ExecCtx, MissRecord, OpCounters, SanitizeKind,
     SanitizeRecord, Value,
 };
 
+use crate::plan::{self, ArrInputs, LaunchPlan};
 use crate::program::{KernelCode, ProgramState};
 use crate::profiler::Profiler;
 use crate::state::{split_tasks, ArrayState};
 use crate::{
-    ExecConfig, ExecMode, GpuMemReport, RunError, RunReport, SanitizeLevel, Schedule,
+    ExecConfig, ExecMode, GpuMemReport, RunError, RunReport, Schedule,
 };
 
 /// Host-level control flow signal.
@@ -32,36 +38,6 @@ enum Flow {
     Break,
     Continue,
     Return,
-}
-
-/// Per-launch, per-array resolved placement information.
-pub(crate) struct ArrLaunch {
-    /// Program array index.
-    pub arr: usize,
-    /// Resolved placement for this launch.
-    pub placement: Placement,
-    /// Per-GPU required (to-load) global ranges.
-    pub required: Vec<(i64, i64)>,
-    /// Per-GPU owned global ranges (covering partition; used for checked
-    /// stores and write-miss routing).
-    pub own: Vec<(i64, i64)>,
-    /// Per-GPU window to materialise.
-    pub window: Vec<(i64, i64)>,
-    /// Whether this kernel writes the array.
-    pub writes: bool,
-    /// Whether replica-sync dirty maps are needed.
-    pub needs_dirty: bool,
-    /// Runtime-sanitizer checks for this array (same on every GPU).
-    pub sanitize: BufSanitize,
-    /// Per-GPU element partitions a static comm-elision fact claims all
-    /// of this launch's writes stay inside (`None`: no applicable fact —
-    /// the replica sync runs normally).
-    pub elide: Option<Vec<(i64, i64)>>,
-    /// Whether this launch's loader-phase peer halo fills of the array
-    /// are priced concurrently with the kernel phase (double-buffered
-    /// overlap): the overlap knob is on, the sanitizer is not re-arming
-    /// the synchronous path, and a compiler [`OverlapFact`] licensed it.
-    pub overlap: bool,
 }
 
 /// What one GPU returns from its kernel job.
@@ -75,26 +51,24 @@ struct JobOut {
     sanitize_log: Vec<SanitizeRecord>,
     sanitize_hits: u64,
     ran: bool,
+    /// Simulated kernel start and duration on this GPU (set by the wave).
+    start: f64,
+    tg: f64,
 }
 
-
-/// One GPU's kernel job: everything the wave needs to run it, with the
-/// dirty maps temporarily moved out of the engine state.
+/// What the wave moves onto one GPU for its share of a launch; tasks,
+/// owned ranges, miss capacity and sanitizer table are read from the plan.
 struct Job {
-    tasks: (i64, i64),
-    params: Vec<Value>,
     binds: Vec<JobBind>,
-    miss_capacity: usize,
     /// Pooled write-miss buffer (capacity recycled across launches).
     miss_buf: Vec<MissRecord>,
-    /// Per-buffer sanitizer config; empty disables sanitizing.
-    sanitize: Vec<BufSanitize>,
 }
 
+/// One kernel buffer as resident on the job's GPU, its dirty map
+/// temporarily moved out of the engine state.
 struct JobBind {
     handle: acc_gpusim::BufferHandle,
     window_lo: i64,
-    own: (i64, i64),
     dirty: Option<DirtyMap>,
 }
 
@@ -331,14 +305,7 @@ impl<'a> Run<'a> {
         use acc_minic::directive::DataClauseKind as K;
         for c in clauses {
             for s in &c.sections {
-                let range = match &s.range {
-                    None => None,
-                    Some((a, b)) => {
-                        let lo = self.eval_host_i64(a)?;
-                        let len = self.eval_host_i64(b)?;
-                        Some((lo, lo + len))
-                    }
-                };
+                let range = self.resolve_section(s)?;
                 let st = &mut self.arrays[s.array];
                 if c.kind == K::Present && st.region_depth == 0 {
                     return Err(RunError::NotPresent(
@@ -352,12 +319,8 @@ impl<'a> Run<'a> {
                 // Entries without a section only balance the depth at
                 // exit; `copy`/`copyout` entries also flush the section
                 // back to the host.
-                let copyout_range = if matches!(c.kind, K::Copy | K::CopyOut) {
-                    Some(range.unwrap_or((0, st.len as i64)))
-                } else {
-                    None
-                };
-                st.exit_stack.push((region, copyout_range));
+                let copyout = matches!(c.kind, K::Copy | K::CopyOut).then_some(range);
+                st.exit_stack.push((region, copyout));
             }
         }
         Ok(())
@@ -459,46 +422,10 @@ impl<'a> Run<'a> {
         let params = self.gather_params(ck)?;
         let code = self.kernel_code(kidx);
 
-        let mut bufs: Vec<&mut Buffer> = Vec::with_capacity(ck.buf_map.len());
-        {
-            // Disjoint &mut borrows of the selected host arrays.
-            let mut rest: &mut [Buffer] = &mut self.host_arrays;
-            let mut base = 0usize;
-            let mut picks: Vec<(usize, &mut Buffer)> = Vec::new();
-            let mut order: Vec<usize> = ck.buf_map.clone();
-            order.sort_unstable();
-            for arr in order {
-                let rel = arr - base;
-                let (left, right) = rest.split_at_mut(rel + 1);
-                picks.push((arr, &mut left[rel]));
-                rest = right;
-                base = arr + 1;
-            }
-            for &arr in &ck.buf_map {
-                let pos = picks.iter().position(|(a, _)| *a == arr).unwrap();
-                let (_, b) = picks.remove(pos);
-                bufs.push(b);
-            }
-        }
-        let slots: Vec<BufSlot> = bufs.into_iter().map(BufSlot::whole).collect();
-        let n = slots.len();
-        let mut ctx = ExecCtx {
-            params,
-            bufs: slots,
-            reduction_partials: ck
-                .kernel
-                .reductions
-                .iter()
-                .map(|r| ir::interp::rmw_identity(r.op, r.ty))
-                .collect(),
-            miss_buf: Vec::new(),
-            miss_capacity: self.cfg.miss_capacity,
-            counters: OpCounters::default(),
-            per_buf_bytes: vec![(0, 0); n],
-            sanitize: Vec::new(),
-            sanitize_log: Vec::new(),
-            sanitize_hits: 0,
-        };
+        let mut hosts: Vec<_> = self.host_arrays.iter_mut().map(Some).collect();
+        let bind = |&arr: &usize| BufSlot::whole(hosts[arr].take().expect("bound once"));
+        let mut ctx = ExecCtx::new(code.kernel, params, ck.buf_map.iter().map(bind).collect());
+        ctx.miss_capacity = self.cfg.miss_capacity;
         code.run(&mut ctx, lo, hi)?;
         let counters = ctx.counters;
         let per_buf_bytes = std::mem::take(&mut ctx.per_buf_bytes);
@@ -524,8 +451,8 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// Multi-GPU BSP launch: loader phase, parallel kernel phase,
-    /// communication phase, barrier.
+    /// Multi-GPU BSP launch: decide the [`LaunchPlan`], then loader phase,
+    /// kernel wave, communication phase, barrier — each a reader of it.
     fn launch_gpu(&mut self, kidx: usize, ck: &CompiledKernel) -> Result<(), RunError> {
         let ngpus = self.cfg.ngpus;
         let lo = self.eval_host_i64(&ck.lo)?;
@@ -534,17 +461,12 @@ impl<'a> Run<'a> {
         // division directly — the mapper is never consulted and no
         // mapper events are emitted, keeping the default bit-identical
         // to a runtime without the cost model.
-        let use_mapper = self.cfg.schedule == Schedule::CostModel;
-        let (tasks, predicted_s, from_history) = if use_mapper {
-            let plan = self
-                .shared
-                .mapper
-                .lock()
-                .expect("mapper lock poisoned")
-                .plan(kidx, lo, hi, ngpus);
-            (plan.tasks, plan.predicted_s, plan.from_history)
+        let (tasks, predicted) = if self.cfg.schedule == Schedule::CostModel {
+            let mapper = self.shared.mapper.lock().expect("mapper lock poisoned");
+            let cut = mapper.plan(kidx, lo, hi, ngpus);
+            (cut.tasks, Some((cut.predicted_s, cut.from_history)))
         } else {
-            (split_tasks(lo, hi, ngpus), Vec::new(), false)
+            (split_tasks(lo, hi, ngpus), None)
         };
         let params = self.gather_params(ck)?;
 
@@ -561,255 +483,28 @@ impl<'a> Run<'a> {
             }
         }
 
-        // Resolve per-array launch placement.
-        let binfo = self.resolve_bindings(kidx, ck, &tasks)?;
+        let inputs = self.eval_plan_inputs(kidx, ck)?;
+        let bus = &self.machine.bus;
+        let bus_product = (bus.h2d_bw * bus.latency) as u64;
+        let plan = plan::build(kidx, ck, self.prog, self.cfg, tasks, predicted, &inputs, bus_product);
 
         // ---- loader phase ----
         let t0 = self.now;
-        let (t1, bg_end) = self.loader_phase(ck, &binfo, t0)?;
+        let (t1, bg_end) = self.loader_phase(&plan, t0)?;
         self.rec
             .phase(Some(self.cur_launch), PhaseKind::Loader, t0, t1);
 
         // ---- kernel phase ----
-        let mut jobs: Vec<Option<Job>> = Vec::with_capacity(ngpus);
-        #[allow(clippy::needless_range_loop)] // g indexes several parallel tables
-        for g in 0..ngpus {
-            if tasks[g].0 >= tasks[g].1 {
-                jobs.push(None);
-                continue;
-            }
-            let mut binds = Vec::with_capacity(binfo.len());
-            for bi in &binfo {
-                let ga = &mut self.arrays[bi.arr].gpu[g];
-                binds.push(JobBind {
-                    handle: ga.handle.expect("loader materialised the window"),
-                    window_lo: ga.window.0,
-                    own: bi.own[g],
-                    dirty: ga.dirty.take(),
-                });
-            }
-            jobs.push(Some(Job {
-                tasks: tasks[g],
-                params: params.clone(),
-                binds,
-                miss_capacity: self.cfg.miss_capacity,
-                miss_buf: self.staging.take_misses(),
-                sanitize: if self.cfg.sanitize == SanitizeLevel::Off {
-                    Vec::new()
-                } else {
-                    binfo.iter().map(|bi| bi.sanitize).collect()
-                },
-            }));
-        }
-
-        let code = self.kernel_code(kidx);
-        // Wavefront: when the compiler proved every carried dependence
-        // of this launch *local* (distance inside the declared halo), the
-        // equal division runs the GPUs sequentially in partition order,
-        // each fed its left halo with the rows its predecessors just
-        // wrote, so dependent outer iterations pipeline across the GPUs
-        // with the exact semantics of the sequential loop. Pricing is an
-        // honest pipeline: GPU g starts once GPU g-1 finished *and* g's
-        // halo feed landed. Launches the proof does not license run the
-        // division in parallel.
-        let wavefront = self.cfg.schedule == Schedule::Equal
-            && ngpus > 1
-            && acc_compiler::wavefront_eligible(ck);
-        // A GPU with an empty partition runs nothing and reports zeros.
-        let idle = || Ok(JobOut::default());
-        let mut outs: Vec<Result<JobOut, ir::ExecError>> = Vec::new();
-        // Per-GPU kernel start times (the barrier `t1` on the parallel
-        // path; staggered under the wavefront) and wavefront-priced
-        // durations.
-        let mut starts = vec![t1; ngpus];
-        let mut wf_tg: Option<Vec<f64>> = None;
-        if wavefront {
-            let mut tgs = vec![0.0f64; ngpus];
-            let mut cursor = t1;
-            for (g, job) in jobs.into_iter().enumerate() {
-                let mut start_g = cursor;
-                let mut fed = 0u64;
-                if g > 0 {
-                    // Refresh this GPU's left halo — [required.0, own.0)
-                    // of every written distributed array — from the
-                    // predecessors that own those rows. The copies become
-                    // ready when the previous GPU's turn ended.
-                    for bi in &binfo {
-                        if !(bi.writes && matches!(bi.placement, Placement::Distributed)) {
-                            continue;
-                        }
-                        let (halo_lo, halo_hi) = (bi.required[g].0, bi.own[g].0);
-                        if halo_lo >= halo_hi {
-                            continue;
-                        }
-                        for h in (0..g).rev() {
-                            let lo = halo_lo.max(bi.own[h].0);
-                            let hi = halo_hi.min(bi.own[h].1);
-                            if lo >= hi {
-                                continue;
-                            }
-                            let end = self.xfer_p2p(bi.arr, h, g, lo, hi, cursor, "wavefront")?;
-                            fed += ((hi - lo) as u64) * self.arrays[bi.arr].elem() as u64;
-                            start_g = start_g.max(end);
-                        }
-                    }
-                }
-                let res = job.map_or_else(idle, |job| {
-                    run_gpu_job(&mut self.machine.gpus[g], code, job)
-                });
-                if let Ok(out) = &res {
-                    if out.ran {
-                        let tg = self.gpu_kernel_time(ck, &binfo, g, out);
-                        self.rec.wavefront_round(WavefrontRound {
-                            launch: self.cur_launch,
-                            kernel: ck.kernel.name.clone(),
-                            gpu: g,
-                            round: g,
-                            fed_bytes: fed,
-                            start: start_g,
-                            end: start_g + tg,
-                        });
-                        starts[g] = start_g;
-                        tgs[g] = tg;
-                        cursor = start_g + tg;
-                    }
-                }
-                outs.push(res);
-            }
-            wf_tg = Some(tgs);
-        } else {
-            let gpus = &mut self.machine.gpus[..ngpus];
-            let run = |gpu: &mut Gpu, job| run_gpu_job(gpu, code, job);
-            outs = crate::wave::for_each_gpu(self.workers, gpus, jobs, run)
-                .into_iter()
-                .map(|out| out.unwrap_or_else(idle))
-                .collect();
-        }
-
-        // Return dirty maps to the state, collect results.
-        let mut job_outs = Vec::with_capacity(ngpus);
-        for (g, out) in outs.into_iter().enumerate() {
-            let mut out = match out {
-                Ok(o) => o,
-                Err(e) => return Err(RunError::Exec(e)),
-            };
-            for (bi, dm) in binfo.iter().zip(out.dirty_back.drain(..)) {
-                self.arrays[bi.arr].gpu[g].dirty = dm;
-            }
-            job_outs.push(out);
-        }
-
-        // Sanitizer verdicts: every retained violation becomes a typed
-        // observability event, then the run fails on the first one (the
-        // results would be silently wrong without the audit).
-        let mut first_violation: Option<(usize, SanitizeRecord)> = None;
-        let mut total_hits = 0u64;
-        for (g, out) in job_outs.iter().enumerate() {
-            total_hits += out.sanitize_hits;
-            for r in &out.sanitize_log {
-                self.rec.sanitize(SanitizeEvent {
-                    launch: self.cur_launch,
-                    array: self.prog.array_params[binfo[r.buf as usize].arr].0.clone(),
-                    gpu: g,
-                    kind: match r.kind {
-                        SanitizeKind::LoadOutsideWindow => "load-outside-window",
-                        SanitizeKind::StoreOutsideOwn => "store-outside-own",
-                        SanitizeKind::CarriedDistanceEscape => "carried-distance-escape",
-                    },
-                    tid: r.tid,
-                    idx: r.idx,
-                    window: r.window,
-                    at: t1,
-                });
-            }
-            if first_violation.is_none() {
-                if let Some(r) = out.sanitize_log.first() {
-                    first_violation = Some((g, *r));
-                }
-            }
-        }
-        if let Some((g, r)) = first_violation {
-            let array = self.prog.array_params[binfo[r.buf as usize].arr].0.clone();
-            // Refusing here — before the communication phase and before
-            // any flush — means no array state the violation may have
-            // corrupted ever escapes the devices.
-            return Err(match r.kind {
-                SanitizeKind::CarriedDistanceEscape => RunError::CarriedDistanceViolated {
-                    array,
-                    gpu: g,
-                    record: r,
-                    hits: total_hits,
-                },
-                _ => RunError::SanitizeViolation {
-                    array,
-                    gpu: g,
-                    record: r,
-                    hits: total_hits,
-                },
-            });
-        }
-
-        // Kernel-phase duration = slowest GPU; every GPU that ran gets a
-        // launch span on its own timeline starting at the barrier `t1`.
-        let mut tk = 0.0f64;
-        let mut measured_s = vec![0.0f64; ngpus];
-        for (g, out) in job_outs.iter().enumerate() {
-            if !out.ran {
-                continue;
-            }
-            let tg = match &wf_tg {
-                // The wavefront loop already priced this GPU's turn (it
-                // needed the duration to schedule the successor's feed).
-                Some(tgs) => tgs[g],
-                None => self.gpu_kernel_time(ck, &binfo, g, out),
-            };
-            // Kernel-phase duration runs to the last finisher; under the
-            // wavefront the staggered starts make that the final GPU.
-            tk = tk.max(starts[g] + tg - t1);
-            measured_s[g] = tg;
-            self.kernel_counters.merge(&out.counters);
-            self.rec.launch_span(LaunchSpan {
-                launch: self.cur_launch,
-                kernel: ck.kernel.name.clone(),
-                gpu: g,
-                rows: tasks[g],
-                start: starts[g],
-                end: starts[g] + tg,
-            });
-        }
-        if job_outs.iter().all(|o| !o.ran) {
-            // Degenerate empty launch still pays one launch overhead.
-            tk = self.machine.gpus[0].spec.launch_overhead_s;
-        }
-        if use_mapper {
-            // One decision per launch: the ranges this launch actually
-            // used, the history's prediction, and the measured cost the
-            // next launch of this kernel will be cut from.
-            self.rec.mapper_decision(MapperDecision {
-                launch: self.cur_launch,
-                kernel: ck.kernel.name.clone(),
-                ranges: tasks.clone(),
-                predicted_s,
-                measured_s: measured_s.clone(),
-                from_history,
-                at: t1,
-            });
-            let overhead = self.machine.gpus[0].spec.launch_overhead_s;
-            self.shared
-                .mapper
-                .lock()
-                .expect("mapper lock poisoned")
-                .record(kidx, &tasks, &measured_s, overhead);
-        }
-        self.rec
-            .phase(Some(self.cur_launch), PhaseKind::Kernel, t1, t1 + tk);
+        let outs = self.kernel_wave(kidx, ck, &plan, &params, t1)?;
+        self.sanitizer_verdict(&plan, &outs, t1)?;
+        let tk = self.close_kernel_phase(kidx, ck, &plan, &outs, t1);
         // Background halo fills that the loader priced past the barrier
         // run under the kernel phase; the wave cannot advance until both
         // the slowest kernel and the last in-flight fill are done.
         let t2 = (t1 + tk).max(bg_end);
 
         // Scalar reductions merge back into host locals.
-        let partials: Vec<Vec<Value>> = job_outs
+        let partials: Vec<Vec<Value>> = outs
             .iter()
             .filter(|o| o.ran)
             .map(|o| o.partials.clone())
@@ -817,16 +512,14 @@ impl<'a> Run<'a> {
         self.apply_scalar_reductions(ck, &partials)?;
 
         // Device writes make the host copy stale until flushed.
-        for bi in &binfo {
-            if bi.writes {
-                self.arrays[bi.arr].host_stale = true;
-            }
+        for ap in plan.arrays.iter().filter(|ap| ap.writes) {
+            self.arrays[ap.arr].host_stale = true;
         }
 
         // ---- communication phase ----
-        let misses: Vec<Vec<MissRecord>> = job_outs.into_iter().map(|o| o.misses).collect();
+        let misses: Vec<Vec<MissRecord>> = outs.into_iter().map(|o| o.misses).collect();
         let wall = std::time::Instant::now();
-        let t3 = self.comm_phase(ck, &binfo, &misses, t2)?;
+        let t3 = self.comm_phase(ck, &plan, &misses, t2)?;
         self.comm_wall_s += wall.elapsed().as_secs_f64();
         // The replay only reads the records; reclaim the buffers so the
         // next launch (or the pool's next job) skips the allocation.
@@ -856,13 +549,269 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
+    /// Evaluate, in kernel-buffer order, the host expressions
+    /// [`plan::build`] needs: per distributed array its validated
+    /// `localaccess` parameters, then the comm-elision stride where
+    /// [`plan::elision_stride`] asks for one. Each evaluation is charged
+    /// to `host_counters`, hence to the simulated clock.
+    fn eval_plan_inputs(
+        &mut self,
+        kidx: usize,
+        ck: &CompiledKernel,
+    ) -> Result<Vec<ArrInputs>, RunError> {
+        let mut out = Vec::with_capacity(ck.configs.len());
+        for (kbuf, cfg) in ck.configs.iter().enumerate() {
+            let bad = |what: String| RunError::BadLocalAccess(format!("`{}`: {what}", cfg.name));
+            let localaccess = match (&cfg.placement, &cfg.localaccess) {
+                (Placement::Distributed, Some(la)) => {
+                    let stride = self.eval_host_i64(&la.stride)?;
+                    let left = self.eval_host_i64(&la.left)?;
+                    let right = self.eval_host_i64(&la.right)?;
+                    if stride < 1 || left < 0 || right < 0 {
+                        return Err(bad(format!("stride({stride}) left({left}) right({right})")));
+                    }
+                    Some((stride, left, right))
+                }
+                (Placement::Distributed, None) => {
+                    return Err(bad("distributed placement without a localaccess window".into()))
+                }
+                _ => None,
+            };
+            let elide_stride = plan::elision_stride(kidx, kbuf, ck, self.prog, self.cfg)
+                .map(|stride| self.eval_host_i64(stride))
+                .transpose()?;
+            let st = &self.arrays[cfg.array];
+            out.push(ArrInputs { len: st.len as i64, elem: st.elem(), localaccess, elide_stride });
+        }
+        Ok(out)
+    }
+
+    /// The kernel phase's functional half: move each active GPU's windows
+    /// and dirty maps into a [`Job`], run the wave — in parallel, or as
+    /// the pipelined wavefront the plan licensed — and hand the dirty maps
+    /// back. Every output carries its GPU's simulated start and duration.
+    fn kernel_wave(
+        &mut self,
+        kidx: usize,
+        ck: &CompiledKernel,
+        plan: &LaunchPlan,
+        params: &[Value],
+        t1: f64,
+    ) -> Result<Vec<JobOut>, RunError> {
+        let ngpus = self.cfg.ngpus;
+        let mut jobs: Vec<Option<Job>> = Vec::with_capacity(ngpus);
+        for g in 0..ngpus {
+            jobs.push((g < plan.active).then(|| Job {
+                binds: plan
+                    .arrays
+                    .iter()
+                    .map(|ap| {
+                        let ga = &mut self.arrays[ap.arr].gpu[g];
+                        JobBind {
+                            handle: ga.handle.expect("loader materialised the window"),
+                            window_lo: ga.window.0,
+                            dirty: ga.dirty.take(),
+                        }
+                    })
+                    .collect(),
+                miss_buf: self.staging.take_misses(),
+            }));
+        }
+        let code = self.kernel_code(kidx);
+        let miss_capacity = self.cfg.miss_capacity;
+        let run = |gpu: &mut Gpu, job| run_gpu_job(gpu, code, plan, params, miss_capacity, job);
+        let mut outs: Vec<JobOut> = if plan.wavefront {
+            self.wavefront(ck, plan, jobs, run, t1)?
+        } else {
+            // A GPU with an empty partition runs nothing and reports
+            // zeros; the first error by ascending GPU is the run's.
+            let gpus = &mut self.machine.gpus[..ngpus];
+            let outs = crate::wave::for_each_gpu(self.workers, gpus, jobs, run);
+            let outs = outs.into_iter().map(|out| out.unwrap_or_else(|| Ok(JobOut::default())));
+            outs.collect::<Result<_, _>>()?
+        };
+        // Return dirty maps to the state, price the parallel path's
+        // durations (the wavefront needed them to schedule its feeds).
+        for (g, out) in outs.iter_mut().enumerate() {
+            for (ap, dm) in plan.arrays.iter().zip(out.dirty_back.drain(..)) {
+                self.arrays[ap.arr].gpu[g].dirty = dm;
+            }
+            if out.ran && !plan.wavefront {
+                (out.start, out.tg) = (t1, self.gpu_kernel_time(ck, plan, g, out));
+            }
+        }
+        Ok(outs)
+    }
+
+    /// Wavefront: when the compiler proved every carried dependence of
+    /// this launch *local* (distance inside the declared halo), the equal
+    /// division runs the GPUs sequentially in partition order, each fed
+    /// its left halo with the rows its predecessors just wrote, so
+    /// dependent outer iterations pipeline across the GPUs with the exact
+    /// semantics of the sequential loop. Pricing is an honest pipeline:
+    /// GPU g starts once GPU g-1 finished *and* g's halo feed landed.
+    fn wavefront(
+        &mut self,
+        ck: &CompiledKernel,
+        plan: &LaunchPlan,
+        jobs: Vec<Option<Job>>,
+        run: impl Fn(&mut Gpu, Job) -> Result<JobOut, ir::ExecError>,
+        t1: f64,
+    ) -> Result<Vec<JobOut>, RunError> {
+        let mut outs = Vec::with_capacity(jobs.len());
+        let mut cursor = t1;
+        for (g, job) in jobs.into_iter().enumerate() {
+            let mut start_g = cursor;
+            let mut fed = 0u64;
+            // Refresh this GPU's left halo — [required.0, own.0) of every
+            // written distributed array — from the predecessors that own
+            // those rows. The copies become ready when the previous GPU's
+            // turn ended.
+            for ap in &plan.arrays {
+                if !(ap.writes && matches!(ap.placement, Placement::Distributed)) {
+                    continue;
+                }
+                let (halo_lo, halo_hi) = (ap.required[g].0, ap.own[g].0);
+                for h in (0..g).rev() {
+                    let lo = halo_lo.max(ap.own[h].0);
+                    let hi = halo_hi.min(ap.own[h].1);
+                    if lo >= hi {
+                        continue;
+                    }
+                    let end = self.xfer_p2p(ap.arr, h, g, lo, hi, cursor, "wavefront")?;
+                    fed += ((hi - lo) as u64) * self.arrays[ap.arr].elem() as u64;
+                    start_g = start_g.max(end);
+                }
+            }
+            let Some(job) = job else {
+                outs.push(JobOut::default());
+                continue;
+            };
+            let mut out = run(&mut self.machine.gpus[g], job)?;
+            (out.start, out.tg) = (start_g, self.gpu_kernel_time(ck, plan, g, &out));
+            cursor = start_g + out.tg;
+            self.rec.wavefront_round(WavefrontRound {
+                launch: self.cur_launch,
+                kernel: ck.kernel.name.clone(),
+                gpu: g,
+                round: g,
+                fed_bytes: fed,
+                start: start_g,
+                end: cursor,
+            });
+            outs.push(out);
+        }
+        Ok(outs)
+    }
+
+    /// Sanitizer verdicts: every retained violation becomes a typed
+    /// observability event, then the run fails on the first one (the
+    /// results would be silently wrong without the audit).
+    fn sanitizer_verdict(
+        &mut self,
+        plan: &LaunchPlan,
+        outs: &[JobOut],
+        t1: f64,
+    ) -> Result<(), RunError> {
+        let name = |r: &SanitizeRecord| self.prog.array_params[plan.arrays[r.buf as usize].arr].0.clone();
+        let mut first_violation: Option<(usize, SanitizeRecord)> = None;
+        let mut total_hits = 0u64;
+        for (g, out) in outs.iter().enumerate() {
+            total_hits += out.sanitize_hits;
+            for r in &out.sanitize_log {
+                self.rec.sanitize(SanitizeEvent {
+                    launch: self.cur_launch,
+                    array: name(r),
+                    gpu: g,
+                    kind: match r.kind {
+                        SanitizeKind::LoadOutsideWindow => "load-outside-window",
+                        SanitizeKind::StoreOutsideOwn => "store-outside-own",
+                        SanitizeKind::CarriedDistanceEscape => "carried-distance-escape",
+                    },
+                    tid: r.tid,
+                    idx: r.idx,
+                    window: r.window,
+                    at: t1,
+                });
+            }
+            if first_violation.is_none() {
+                first_violation = out.sanitize_log.first().map(|r| (g, *r));
+            }
+        }
+        let Some((gpu, record)) = first_violation else {
+            return Ok(());
+        };
+        let (array, hits) = (name(&record), total_hits);
+        // Refusing here — before the communication phase and before any
+        // flush — means no array state the violation may have corrupted
+        // ever escapes the devices.
+        Err(match record.kind {
+            SanitizeKind::CarriedDistanceEscape => {
+                RunError::CarriedDistanceViolated { array, gpu, record, hits }
+            }
+            _ => RunError::SanitizeViolation { array, gpu, record, hits },
+        })
+    }
+
+    /// The kernel phase's account: a launch span per GPU that ran, the
+    /// mapper's decision and feedback, the phase itself. Returns the
+    /// phase duration — to the last finisher, which under the wavefront's
+    /// staggered starts is the final GPU.
+    fn close_kernel_phase(
+        &mut self,
+        kidx: usize,
+        ck: &CompiledKernel,
+        plan: &LaunchPlan,
+        outs: &[JobOut],
+        t1: f64,
+    ) -> f64 {
+        let mut tk = 0.0f64;
+        for (g, out) in outs.iter().enumerate().filter(|(_, o)| o.ran) {
+            tk = tk.max(out.start + out.tg - t1);
+            self.kernel_counters.merge(&out.counters);
+            self.rec.launch_span(LaunchSpan {
+                launch: self.cur_launch,
+                kernel: ck.kernel.name.clone(),
+                gpu: g,
+                rows: plan.tasks[g],
+                start: out.start,
+                end: out.start + out.tg,
+            });
+        }
+        let overhead = self.machine.gpus[0].spec.launch_overhead_s;
+        if outs.iter().all(|o| !o.ran) {
+            // Degenerate empty launch still pays one launch overhead.
+            tk = overhead;
+        }
+        if let Some((predicted_s, from_history)) = &plan.predicted {
+            // One decision per launch: the ranges this launch actually
+            // used, the history's prediction, and the measured cost the
+            // next launch of this kernel will be cut from.
+            let measured_s: Vec<f64> = outs.iter().map(|o| o.tg).collect();
+            self.rec.mapper_decision(MapperDecision {
+                launch: self.cur_launch,
+                kernel: ck.kernel.name.clone(),
+                ranges: plan.tasks.clone(),
+                predicted_s: predicted_s.clone(),
+                measured_s: measured_s.clone(),
+                from_history: *from_history,
+                at: t1,
+            });
+            let mut mapper = self.shared.mapper.lock().expect("mapper lock poisoned");
+            mapper.record(kidx, &plan.tasks, &measured_s, overhead);
+        }
+        self.rec
+            .phase(Some(self.cur_launch), PhaseKind::Kernel, t1, t1 + tk);
+        tk
+    }
+
     /// Simulated duration of GPU `g`'s share of a launch: its work
     /// counters through the device model, memory traffic priced per
     /// buffer against the window resident on that GPU.
     fn gpu_kernel_time(
         &self,
         ck: &CompiledKernel,
-        binfo: &[ArrLaunch],
+        plan: &LaunchPlan,
         g: usize,
         out: &JobOut,
     ) -> f64 {
@@ -872,7 +821,7 @@ impl<'a> Run<'a> {
             &out.per_buf_bytes,
             true,
             |kbuf, cfg| {
-                let w = binfo[kbuf].window[g];
+                let w = plan.arrays[kbuf].window[g];
                 ((w.1 - w.0).max(0) as u64) * self.arrays[cfg.array].elem() as u64
             },
             |resident| spec.gather_efficiency(resident),
@@ -905,248 +854,48 @@ impl<'a> Run<'a> {
         }
         Ok(())
     }
-
-    /// Resolve per-array placement, windows and ownership for a launch.
-    fn resolve_bindings(
-        &mut self,
-        kidx: usize,
-        ck: &CompiledKernel,
-        tasks: &[(i64, i64)],
-    ) -> Result<Vec<ArrLaunch>, RunError> {
-        let ngpus = tasks.len();
-        let instrument = self.prog.options.instrument;
-        let mut out = Vec::with_capacity(ck.configs.len());
-        for (kbuf, cfg) in ck.configs.iter().enumerate() {
-            let n = self.arrays[cfg.array].len as i64;
-            let clamp = |x: i64| x.clamp(0, n);
-            let mut la_params = None;
-            let (required, own, window) = match (&cfg.placement, &cfg.localaccess) {
-                (Placement::Distributed, Some(la)) => {
-                    let stride = self.eval_host_i64(&la.stride)?;
-                    let left = self.eval_host_i64(&la.left)?;
-                    let right = self.eval_host_i64(&la.right)?;
-                    la_params = Some((stride, left, right));
-                    if stride < 1 || left < 0 || right < 0 {
-                        return Err(RunError::BadLocalAccess(format!(
-                            "`{}`: stride({stride}) left({left}) right({right})",
-                            cfg.name
-                        )));
-                    }
-                    let mut required = Vec::with_capacity(ngpus);
-                    let mut own = Vec::with_capacity(ngpus);
-                    let mut window = Vec::with_capacity(ngpus);
-                    // Covering partition boundaries: the first owner
-                    // reaches down to 0, the last up to n.
-                    // Under the cost model the cut points move between
-                    // launches, so a tight window would pay one
-                    // transfer-latency round for every few-element
-                    // boundary shift. Padding the read range by a slice
-                    // of its own length keeps small shifts inside
-                    // already-valid data; the extra bytes are cheap next
-                    // to the per-transfer latency they avoid.
-                    let cost_model = self.cfg.schedule == crate::Schedule::CostModel;
-                    let slack = |len: i64| {
-                        if cost_model {
-                            (len / 8).max(left.max(right)).max(1)
-                        } else {
-                            0
-                        }
-                    };
-                    // A distributed array whose whole footprint is below
-                    // the bus's bandwidth·latency product is
-                    // latency-dominated: re-slicing it every launch costs
-                    // more in transfer rounds than replicating it once.
-                    // Under the cost model, read such arrays in full.
-                    let bus = &self.machine.bus;
-                    let whole_read = cost_model
-                        && (n as u64) * self.arrays[cfg.array].elem() as u64
-                            <= (bus.h2d_bw * bus.latency) as u64;
-                    for (g, &(tlo, thi)) in tasks.iter().enumerate() {
-                        if tlo >= thi {
-                            required.push((0, 0));
-                            own.push((0, 0));
-                            window.push((0, 0));
-                            continue;
-                        }
-                        let req = if whole_read {
-                            (0, n)
-                        } else {
-                            let pad = slack(stride * (thi - tlo));
-                            (
-                                clamp(stride * tlo - left - pad),
-                                clamp(stride * thi + right + pad),
-                            )
-                        };
-                        let own_lo = if g == 0 { 0 } else { clamp(stride * tlo) };
-                        // Find the next non-empty task to bound ownership.
-                        let own_hi = match tasks[g + 1..].iter().find(|(a, b)| a < b) {
-                            Some(&(nlo, _)) => clamp(stride * nlo),
-                            None => n,
-                        };
-                        let o = (own_lo, own_hi.max(own_lo));
-                        required.push(req);
-                        own.push(o);
-                        window.push((req.0.min(o.0), req.1.max(o.1)));
-                    }
-                    (required, own, window)
-                }
-                (Placement::Distributed, None) => {
-                    return Err(RunError::BadLocalAccess(format!(
-                        "`{}`: distributed placement without a localaccess window",
-                        cfg.name
-                    )))
-                }
-                _ => {
-                    // Replicated / reduction-private: active GPUs hold
-                    // the whole array. GPUs with an empty partition get
-                    // empty windows too — they run no kernel, so
-                    // materialising (or syncing) a replica there would
-                    // only fabricate allocations and comm traffic.
-                    let whole = (0i64, n);
-                    let active = |&(a, b): &(i64, i64)| if a < b { whole } else { (0, 0) };
-                    (
-                        tasks.iter().map(active).collect::<Vec<_>>(),
-                        tasks.iter().map(active).collect::<Vec<_>>(),
-                        tasks.iter().map(active).collect::<Vec<_>>(),
-                    )
-                }
-            };
-            let writes = cfg.mode.writes();
-            let needs_dirty = instrument
-                && ngpus > 1
-                && writes
-                && matches!(cfg.placement, Placement::Replicated);
-            // The audits only make sense on distributed arrays: checked
-            // stores handle their own misses, and replicated arrays own
-            // (and keep resident) the whole window.
-            let sanitize = BufSanitize {
-                load_window: la_params.filter(|_| self.cfg.sanitize.checks_loads()),
-                // Carried-distance audit: under `Full`, every
-                // `CarriedLocal { distance }` claim is cross-validated at
-                // runtime — a load must stay within the proved distance
-                // of the loading thread's own stride window, or the
-                // verdict (and everything it licensed) was mislabeled.
-                carried_window: cfg
-                    .lint
-                    .verdict
-                    .carried_distance()
-                    .and_then(|d| d.halo_need())
-                    .and_then(|(lw, rw)| la_params.map(|(s, _, _)| (s, lw * s, rw * s)))
-                    .filter(|_| self.cfg.sanitize.checks_loads()),
-                check_stores: self.cfg.sanitize.checks_stores()
-                    && writes
-                    && cfg.miss_check_elided
-                    && matches!(cfg.placement, Placement::Distributed),
-            };
-            // Static comm-elision claim: the per-GPU element partitions
-            // the fact asserts every write of this launch stays inside.
-            // Only materialised when the runtime could act on it — the
-            // facts assume the equal static schedule's launch-invariant
-            // partitions, and without dirty maps there is no sync to
-            // skip.
-            let elide = if self.cfg.comm_elision
-                && needs_dirty
-                && self.cfg.schedule == Schedule::Equal
-            {
-                let stride = self
-                    .prog
-                    .comm_plan
-                    .fact(kidx, kbuf)
-                    .map(|fact| fact.stride.clone());
-                match stride {
-                    Some(stride) => {
-                        let s = self.eval_host_i64(&stride)?;
-                        if s >= 1 {
-                            Some(
-                                tasks
-                                    .iter()
-                                    .map(|&(a, b)| (clamp(s * a), clamp(s * b.max(a))))
-                                    .collect::<Vec<_>>(),
-                            )
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                }
-            } else {
-                None
-            };
-            // Double-buffered halo overlap: only when the knob is on,
-            // `SanitizeLevel::Full` is not re-arming the synchronous
-            // path, and the compiler's dataflow pass granted an
-            // `OverlapFact` for this (kernel, buffer) — distributed with
-            // a declared halo window, read-only this launch, every
-            // verdict in the wave race-free.
-            let overlap = self.cfg.overlap
-                && self.cfg.sanitize != SanitizeLevel::Full
-                && matches!(cfg.placement, Placement::Distributed)
-                && self.prog.overlap_plan.fact(kidx, kbuf).is_some();
-            out.push(ArrLaunch {
-                arr: cfg.array,
-                placement: cfg.placement.clone(),
-                required,
-                own,
-                window,
-                writes,
-                needs_dirty,
-                sanitize,
-                elide,
-                overlap,
-            });
-        }
-        Ok(out)
-    }
 }
 
 /// Execute one GPU's portion of a kernel, with exclusive access to that
 /// GPU (any thread of the wave may run it).
-fn run_gpu_job(gpu: &mut Gpu, code: KernelCode<'_>, mut job: Job) -> Result<JobOut, ir::ExecError> {
-    let kernel = code.kernel;
+fn run_gpu_job(
+    gpu: &mut Gpu,
+    code: KernelCode<'_>,
+    plan: &LaunchPlan,
+    params: &[Value],
+    miss_capacity: usize,
+    mut job: Job,
+) -> Result<JobOut, ir::ExecError> {
+    let g = gpu.id;
     let handles: Vec<_> = job.binds.iter().map(|b| b.handle).collect();
     let bufs = gpu
         .memory
         .get_many_mut(&handles)
         .expect("loader materialised all windows");
-    let mut slots = Vec::with_capacity(bufs.len());
-    for (buf, bind) in bufs.into_iter().zip(job.binds.iter_mut()) {
-        slots.push(BufSlot {
-            data: buf,
+    let slots = (bufs.into_iter().zip(&mut job.binds).zip(&plan.arrays))
+        .map(|((data, bind), ap)| BufSlot {
+            data,
             window_lo: bind.window_lo,
-            own: bind.own,
+            own: ap.own[g],
             dirty: bind.dirty.as_mut(),
-        });
-    }
-    let n = slots.len();
-    let mut ctx = ExecCtx {
-        params: std::mem::take(&mut job.params),
-        bufs: slots,
-        reduction_partials: kernel
-            .reductions
-            .iter()
-            .map(|r| ir::interp::rmw_identity(r.op, r.ty))
-            .collect(),
-        miss_buf: std::mem::take(&mut job.miss_buf),
-        miss_capacity: job.miss_capacity,
-        counters: OpCounters::default(),
-        per_buf_bytes: vec![(0, 0); n],
-        sanitize: std::mem::take(&mut job.sanitize),
-        sanitize_log: Vec::new(),
-        sanitize_hits: 0,
-    };
-    code.run(&mut ctx, job.tasks.0, job.tasks.1)?;
-    let out = JobOut {
+        })
+        .collect();
+    let mut ctx = ExecCtx::new(code.kernel, params.to_vec(), slots);
+    ctx.miss_buf = std::mem::take(&mut job.miss_buf);
+    ctx.miss_capacity = miss_capacity;
+    ctx.sanitize = plan.sanitize.clone();
+    code.run(&mut ctx, plan.tasks[g].0, plan.tasks[g].1)?;
+    let mut out = JobOut {
         counters: ctx.counters,
         per_buf_bytes: std::mem::take(&mut ctx.per_buf_bytes),
         partials: std::mem::take(&mut ctx.reduction_partials),
         misses: std::mem::take(&mut ctx.miss_buf),
-        dirty_back: Vec::new(),
         sanitize_log: std::mem::take(&mut ctx.sanitize_log),
         sanitize_hits: ctx.sanitize_hits,
         ran: true,
+        ..JobOut::default()
     };
     drop(ctx);
-    let mut out = out;
     out.dirty_back = job.binds.into_iter().map(|b| b.dirty).collect();
     Ok(out)
 }

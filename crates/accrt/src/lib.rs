@@ -30,6 +30,7 @@ pub mod engine;
 pub mod exec;
 pub mod loader;
 pub mod mapper;
+mod plan;
 pub mod profiler;
 mod program;
 pub mod ranges;

@@ -2,8 +2,11 @@
 //!
 //! Before every kernel launch the loader guarantees that "all the data
 //! which are potentially read by the kernel running on each GPU \[are\]
-//! loaded into the corresponding GPU memory". Placement follows the
-//! translator's array configuration information:
+//! loaded into the corresponding GPU memory". It reads the launch's
+//! `LaunchPlan` — windows, allocation class, which GPUs need dirty maps
+//! or write-miss buffers, which fills may overlap the kernel — and
+//! decides none of that itself. Placement follows the translator's array
+//! configuration information:
 //!
 //! * **replica-based** — the whole array is materialised on every GPU
 //!   (the default policy);
@@ -16,14 +19,15 @@
 //! requirement — "this is common in iterative algorithms" and is the
 //! reason iterative kernels only pay the CPU→GPU transfer once.
 
-use acc_compiler::{CompiledKernel, Placement};
+use acc_compiler::Placement;
 use acc_gpusim::memory::AllocClass;
 use acc_gpusim::Endpoint;
 use acc_kernel_ir::interp::{rmw_apply, rmw_apply_slice, rmw_identity};
 use acc_kernel_ir::{DirtyMap, RmwOp, Ty, Value};
 use acc_obs::{LoaderDecision, OverlapWindow, TransferKind, TransferSpan};
 
-use crate::exec::{ArrLaunch, Run};
+use crate::exec::Run;
+use crate::plan::LaunchPlan;
 use crate::ranges::RangeSet;
 use crate::RunError;
 
@@ -47,84 +51,44 @@ impl<'a> Run<'a> {
     /// `max(t1 + kernel, bg_end)`.
     pub(crate) fn loader_phase(
         &mut self,
-        ck: &CompiledKernel,
-        binfo: &[ArrLaunch],
+        plan: &LaunchPlan,
         t0: f64,
     ) -> Result<(f64, f64), RunError> {
         let ngpus = self.cfg.ngpus;
         let mut end = t0;
         let mut bg: Vec<BgFill> = Vec::new();
 
-        // Pass 1: windows (and metadata allocations).
-        for (kbuf, bi) in binfo.iter().enumerate() {
+        // Pass 1: windows, then the System-memory metadata (Fig. 9) of
+        // the GPUs that hold one: replica-sync dirty maps and write-miss
+        // buffers. An idle GPU runs no kernel, so it writes nothing and
+        // buffers no misses.
+        for ap in &plan.arrays {
             for g in 0..ngpus {
-                // Reduction-private scratch copies (every GPU but the
-                // first) are runtime-created, so they count as System
-                // memory in the Fig. 9 split.
-                let class = if g > 0
-                    && matches!(bi.placement, Placement::ReductionPrivate(_))
-                {
-                    AllocClass::System
-                } else {
-                    AllocClass::User
-                };
-                let e = self.ensure_window(bi.arr, g, bi.window[g], class, t0)?;
+                let e = self.ensure_window(ap.arr, g, ap.window[g], ap.alloc_class(g), t0)?;
                 end = end.max(e);
             }
-            // Replica-sync dirty maps (System memory, Fig. 9). GPUs with
-            // an empty partition run no kernel, write nothing, and so
-            // need no write-tracking metadata.
-            if bi.needs_dirty {
-                for g in 0..ngpus {
-                    if bi.window[g].0 < bi.window[g].1 {
-                        self.ensure_dirty_map(bi.arr, g)?;
-                    }
+            for g in (0..ngpus).filter(|&g| ap.window[g].0 < ap.window[g].1) {
+                if ap.needs_dirty {
+                    self.ensure_dirty_map(ap.arr, g)?;
                 }
-            }
-            // Write-miss system buffers (idle GPUs buffer no misses).
-            let cfg = &ck.configs[kbuf];
-            let needs_miss_buf = self.prog.options.instrument
-                && ngpus > 1
-                && bi.writes
-                && matches!(bi.placement, Placement::Distributed)
-                && !cfg.miss_check_elided;
-            if needs_miss_buf {
-                for g in 0..ngpus {
-                    if bi.window[g].0 < bi.window[g].1 {
-                        self.ensure_miss_acct(bi.arr, g)?;
-                    }
+                if ap.needs_miss_buf {
+                    self.ensure_miss_acct(ap.arr, g)?;
                 }
             }
         }
 
-        // Pass 2: contents.
-        for bi in binfo {
-            match bi.placement {
-                Placement::ReductionPrivate(op) => {
-                    // GPU 0 carries the live value; the rest are identity.
-                    if bi.required[0].0 < bi.required[0].1 {
-                        let e = self.fill_required(bi.arr, 0, bi.required[0], t0, false, &mut bg)?;
-                        end = end.max(e);
+        // Pass 2: contents. Of a reduction-private array GPU 0 carries
+        // the live value; the rest are identity.
+        for ap in &plan.arrays {
+            for g in (0..ngpus).filter(|&g| ap.required[g].0 < ap.required[g].1) {
+                let e = match ap.placement {
+                    Placement::ReductionPrivate(op) if g > 0 => {
+                        let identity = rmw_identity(op, self.arrays[ap.arr].ty);
+                        self.fill_identity(ap.arr, g, identity, t0)?
                     }
-                    let ty = self.arrays[bi.arr].ty;
-                    for g in 1..ngpus {
-                        if bi.required[g].0 >= bi.required[g].1 {
-                            continue;
-                        }
-                        let e = self.fill_identity(bi.arr, g, rmw_identity(op, ty), t0)?;
-                        end = end.max(e);
-                    }
-                }
-                _ => {
-                    for g in 0..ngpus {
-                        if bi.required[g].0 >= bi.required[g].1 {
-                            continue;
-                        }
-                        let e =
-                            self.fill_required(bi.arr, g, bi.required[g], t0, bi.overlap, &mut bg)?;
-                        end = end.max(e);
-                    }
-                }
+                    _ => self.fill_required(ap.arr, g, ap.required[g], t0, ap.overlap, &mut bg)?,
+                };
+                end = end.max(e);
             }
         }
         // Background fills were priced on the bus like any other
@@ -224,6 +188,7 @@ impl<'a> Run<'a> {
             let e = self.xfer_d2h(arr, g, lo, hi, t0, "evict")?;
             end = end.max(e);
         }
+        self.arrays[arr].evicted.union(&exclusive);
         // Re-allocate the window.
         let ty = self.arrays[arr].ty;
         let old = self.arrays[arr].gpu[g].handle.take();
@@ -275,8 +240,9 @@ impl<'a> Run<'a> {
 
     /// Load the missing parts of `req` onto GPU `g`: peer GPUs that hold
     /// current device data are preferred; otherwise the host copy is the
-    /// source (`copyin` semantics); `create`-style arrays materialise as
-    /// zeros without traffic.
+    /// source (`copyin` semantics, or data an eviction parked there);
+    /// what is left of a `create`-style array materialises as zeros
+    /// without traffic.
     ///
     /// With `overlap` set, peer halo fills are priced in the background:
     /// the functional copy still happens here (program order — array
@@ -378,19 +344,23 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        // Host source.
-        if self.arrays[arr].init_from_host {
-            for (lo, hi) in missing.iter().collect::<Vec<_>>() {
-                let e = self.xfer_h2d(arr, g, lo, hi, t0, "load")?;
-                end = end.max(e);
-                bytes_moved += (hi - lo) as u64 * elem;
-            }
-        } else {
-            // `create`: fresh zeroed allocation already matches.
-            let ga = &mut self.arrays[arr].gpu[g];
-            for (lo, hi) in missing.iter().collect::<Vec<_>>() {
-                ga.valid.insert(lo, hi);
-            }
+        // Host source: everything still missing under `copy`/`copyin`,
+        // otherwise only what an eviction parked there. The rest of a
+        // `create`/`copyout` array was never written: the fresh zeroed
+        // allocation already matches, with no traffic.
+        let st = &self.arrays[arr];
+        let mut from_host = missing.clone();
+        if !st.init_from_host {
+            from_host.intersect(&st.evicted);
+        }
+        missing.subtract(&from_host);
+        for (lo, hi) in from_host.iter() {
+            let e = self.xfer_h2d(arr, g, lo, hi, t0, "load")?;
+            end = end.max(e);
+            bytes_moved += (hi - lo) as u64 * elem;
+        }
+        for (lo, hi) in missing.iter() {
+            self.arrays[arr].gpu[g].valid.insert(lo, hi);
         }
         self.rec.loader_decision(LoaderDecision {
             launch: self.cur_launch,
@@ -673,6 +643,7 @@ impl<'a> Run<'a> {
         // With no device copies left, the host copy is authoritative again.
         self.arrays[arr].host_stale = false;
         self.arrays[arr].sync_pending = false;
+        self.arrays[arr].evicted.clear();
         let ngpus = self.arrays[arr].gpu.len();
         for g in 0..ngpus {
             let ga = &mut self.arrays[arr].gpu[g];

@@ -14,9 +14,9 @@
 //! is unusable) falls back to the equal division.
 //!
 //! Ownership follows the split: the ranges the mapper returns feed the
-//! same `resolve_bindings` / loader-window / owner-routing machinery the
-//! equal division does, so replica sync, miss replay and reductions see
-//! the actual per-launch partition.
+//! same `plan::build` the equal division does — windows, owned ranges,
+//! owner routing — so replica sync, miss replay and reductions see the
+//! actual per-launch partition.
 
 use crate::state::{cost_segments, integrate_cost, split_tasks, split_tasks_weighted};
 

@@ -5,7 +5,7 @@
 use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Ty, Value};
-use acc_runtime::{run_program, ExecConfig, RunError};
+use acc_runtime::{run_program, ExecConfig, RunError, Schedule};
 
 fn machine() -> Machine {
     Machine::supercomputer_node()
@@ -243,4 +243,57 @@ for (int i = 0; i < n; i++) x[i] = a + (float)b;\n\
     )
     .unwrap();
     assert!(r.arrays[0].to_f32_vec().iter().all(|&v| v == 3.75));
+}
+
+#[test]
+fn a_reallocated_window_keeps_what_the_device_wrote() {
+    // Kernel B reads `t` one element past kernel A's window, so every
+    // GPU but the last evicts its `t` to the host and re-allocates. What
+    // was evicted must come back from the host whatever `t`'s clause
+    // says: `create` / `copyout` only mean that *never-written* ranges
+    // materialise as zeros.
+    for clause in ["copy", "create", "copyout"] {
+        let src = format!(
+            "void f(int n, double *x, double *t, double *y) {{\n\
+#pragma acc data copyin(x[0:n]) {clause}(t[0:n]) copyout(y[0:n])\n\
+{{\n\
+#pragma acc localaccess(x) stride(1)\n\
+#pragma acc localaccess(t) stride(1)\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) t[i] = x[i] * 2.0;\n\
+#pragma acc localaccess(t) stride(1) right(1)\n\
+#pragma acc localaccess(y) stride(1)\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n - 1; i++) y[i] = t[i] + t[i + 1];\n\
+}}\n\
+}}"
+        );
+        let prog = compile_source(&src, "f", &CompileOptions::proposal()).unwrap();
+        let n = 24;
+        let x: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        let run = |m: &mut Machine, cfg: &ExecConfig| {
+            let arrays = vec![
+                Buffer::from_f64(&x),
+                Buffer::zeroed(Ty::F64, n),
+                Buffer::zeroed(Ty::F64, n),
+            ];
+            let r = run_program(m, cfg, &prog, vec![Value::I32(n as i32)], arrays).unwrap();
+            let mut out: Vec<_> = r.arrays.iter().map(Buffer::to_f64_vec).collect();
+            // The host copy of a `create` array is the eviction's spill
+            // space, so its final content says where windows moved, not
+            // what the program computed.
+            if clause == "create" {
+                out.remove(1);
+            }
+            out
+        };
+        let want = run(&mut machine(), &ExecConfig::gpus(1));
+        assert_eq!(want.last().unwrap()[0], 2.0 * x[0] + 2.0 * x[1]);
+        for schedule in [Schedule::Equal, Schedule::CostModel] {
+            for (ngpus, mut m) in [(2, machine()), (3, machine()), (16, Machine::cluster(16))] {
+                let got = run(&mut m, &ExecConfig::gpus(ngpus).schedule(schedule));
+                assert_eq!(got, want, "{clause}(t), {ngpus} GPUs, {schedule:?}");
+            }
+        }
+    }
 }

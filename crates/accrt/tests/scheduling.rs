@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// A partition of `[lo, hi)` into `n` ranges must be contiguous and
 /// monotone, cover exactly `[lo, hi)`, contain no negative-length
 /// ranges, and keep every empty range after the last non-empty one
-/// (`OwnerRouter` and the reduction merge tree index active GPUs as a
+/// (`LaunchPlan::active`: owner routing and the reduction merge tree index active GPUs as a
 /// prefix).
 fn assert_partition(tasks: &[(i64, i64)], lo: i64, hi: i64, n: usize, what: &str) {
     assert_eq!(tasks.len(), n, "{what}: wrong arity");
