@@ -18,10 +18,12 @@
 //!    hierarchical reduction); GPU 0 ends up with the result.
 //!
 //! There is one communication path for every topology, and its priced
-//! schedules are data: lists of `Step`s per topology level (island,
-//! node, machine), each level starting at the barrier that ends the one
-//! before, all priced by `Run::price_steps`. A replica sync
-//! (`sync_schedule`) is a union all-gather over those levels. Up-sweep:
+//! schedules are data: lists of `Step`s, all priced by
+//! `Run::price_steps`. A miss replay is one list — one step per
+//! (source, owner) pair, carrying that pair's records. A replica sync
+//! (`sync_schedule`) is a union all-gather over the topology levels
+//! (island, node, machine), each level starting at the barrier that ends
+//! the one before. Up-sweep:
 //! dirty GPUs ship their chunks to every replica holder of their own
 //! island, island leaders (the lowest holder) exchange the *union* of
 //! their island's dirty chunks inside the node, node leaders exchange
@@ -38,21 +40,18 @@
 //!
 //! Each reconciliation has two independent halves:
 //!
-//! * the **functional half** mutates simulated device buffers. With
-//!   [`ExecConfig::parallel_comm`](crate::ExecConfig) set (the default)
-//!   replica sync and miss replay share the destination GPUs out over
-//!   the host's cores through the same bounded fan-out as the kernel
-//!   wave (`wave::for_each_gpu`) — destinations touch disjoint buffers,
-//!   so this is safe — and data moves as typed byte windows
+//! * the **functional half** mutates simulated device buffers. Replica
+//!   sync and miss replay share the destination GPUs out over the host's
+//!   cores through the same bounded fan-out as the kernel wave
+//!   (`wave::for_each_gpu`) — destinations touch disjoint buffers, so
+//!   this is safe — and data moves as typed byte windows
 //!   (`copy_from_slice` / [`acc_kernel_ir::rmw_apply_slice`]) rather
-//!   than element-at-a-time `get`/`set`. The serial per-element path is
-//!   the specification of BSP conflict resolution; equivalence tests
-//!   hold the two bit-identical;
+//!   than element-at-a-time `get`/`set`;
 //! * the **pricing half** walks the per-segment interconnect timelines
 //!   and emits [`TransferSpan`](acc_obs::TransferSpan)/[`CommRound`]/…​
 //!   events. The timelines are order-dependent, so this half always runs
 //!   serially, in a fixed order, on the coordinating thread — which is
-//!   why *simulated* times never depend on the host-parallelism switch.
+//!   why *simulated* times never depend on the host's core count.
 
 use acc_compiler::CompiledKernel;
 use acc_gpusim::{BufferHandle, Endpoint, Gpu, Topology};
@@ -79,7 +78,7 @@ use crate::RunError;
 /// Three buffer classes are kept apart so their reuse patterns (and
 /// counters) don't interfere:
 ///
-/// * `bufs` — replica-sync staging ([`Run::apply_replica_runs_parallel`]),
+/// * `bufs` — replica-sync staging ([`Run::apply_replica_runs`]),
 ///   counted in `allocs` / `Profiler::staging_allocs`;
 /// * `scratch` — loader window-grow staging, counted in
 ///   `scratch_allocs` / `Profiler::scratch_allocs`;
@@ -415,9 +414,6 @@ impl<'a> Run<'a> {
 
         // Functional half: land every dirty run on every other replica.
         // Final contents do not depend on the priced schedule.
-        // Conflicting writes (a program-level race under BSP) resolve
-        // deterministically: the lowest-indexed dirty GPU wins, exactly
-        // as under the serial pairwise schedule.
         let gpus = &self.arrays[arr].gpu[..ngpus];
         let runs = |dm: &DirtyMap| -> Vec<(usize, usize)> {
             dm.dirty_chunks().flat_map(|c| dm.dirty_runs_in_chunk(c)).collect()
@@ -427,20 +423,7 @@ impl<'a> Run<'a> {
             .map(|ga| ga.dirty.as_ref().map_or_else(Vec::new, runs))
             .collect();
         if per_gpu_runs.iter().any(|r| !r.is_empty()) {
-            if self.cfg.parallel_comm {
-                self.apply_replica_runs_parallel(arr, &per_gpu_runs)?;
-            } else {
-                // Reference path: pairwise current-value copies in
-                // (src, dst) order.
-                let holders: Vec<usize> = (0..ngpus).filter(|&h| gpus[h].handle.is_some()).collect();
-                for (g, runs) in per_gpu_runs.iter().enumerate() {
-                    for &h in holders.iter().filter(|&&h| h != g) {
-                        for &(lo, hi) in runs {
-                            self.move_p2p(arr, g, h, (lo as i64, hi as i64), None)?;
-                        }
-                    }
-                }
-            }
+            self.apply_replica_runs(arr, &per_gpu_runs)?;
         }
 
         // Pricing half: the level walk, one `CommRound` per step. On a
@@ -479,19 +462,17 @@ impl<'a> Run<'a> {
         gpus.iter().map(|ga| (ga.window.0, ga.handle)).collect()
     }
 
-    /// The host-parallel functional half of [`Run::sync_replicas`]:
-    /// stage every dirty source's run bytes (pre-sync values), then let
-    /// every destination apply all sources' runs to its own replica, in
-    /// *descending* source order.
+    /// The functional half of [`Run::sync_replicas`]: stage every dirty
+    /// source's run bytes (pre-sync values), then let every destination
+    /// apply all sources' runs to its own replica, in *descending* source
+    /// order, destinations shared out over the host's cores.
     ///
-    /// Element-wise this reproduces the serial pairwise schedule: there
-    /// the lowest-indexed dirty GPU's value reaches every replica —
-    /// intermediate sources forward it because their own copy has
-    /// already been overwritten by the time they ship. Applying staged
-    /// pre-sync runs from source `ngpus-1` down to `0` (a destination's
-    /// own runs included, restoring its values at its turn) leaves the
-    /// lowest dirty source's value last everywhere.
-    fn apply_replica_runs_parallel(
+    /// Conflicting writes (a program-level race under BSP) resolve
+    /// deterministically: applying the staged runs from source
+    /// `ngpus-1` down to `0` (a destination's own runs included,
+    /// restoring its values at its turn) leaves the lowest-indexed dirty
+    /// source's value last on every replica.
+    fn apply_replica_runs(
         &mut self,
         arr: usize,
         runs: &[Vec<(usize, usize)>],
@@ -547,7 +528,10 @@ impl<'a> Run<'a> {
     }
 
     /// §IV-D2: route buffered write-miss records to their owners and
-    /// replay them there.
+    /// replay them there. One routing pass yields one [`Step`] per
+    /// (source, owner) pair, sources then owners ascending, whose single
+    /// payload is the pair's records; the owners apply their records in
+    /// one wave, each in ascending source order.
     fn replay_misses(
         &mut self,
         name: &str,
@@ -559,84 +543,56 @@ impl<'a> Run<'a> {
         let ngpus = self.cfg.ngpus;
         let (arr, own) = (plan.arrays[kbuf].arr, &plan.arrays[kbuf].own[..plan.active]);
         let elem = self.arrays[arr].elem();
-        let mut end = t2;
-        for g in 0..ngpus {
-            // Records for this buffer from GPU g, batched by owner.
-            let mut by_owner: Vec<Vec<&MissRecord>> = vec![Vec::new(); ngpus];
-            let mut any = false;
-            for r in misses.get(g).map(|v| v.as_slice()).unwrap_or(&[]) {
-                if r.buf as usize != kbuf {
-                    continue;
-                }
+        let mut by_owner: Vec<Vec<&MissRecord>> = vec![Vec::new(); ngpus];
+        let (mut steps, mut sets) = (Vec::new(), Vec::new());
+        for (g, recs) in misses.iter().enumerate() {
+            let mut from_g = vec![0usize; ngpus];
+            for r in recs.iter().filter(|r| r.buf as usize == kbuf) {
                 let owner = owner_of(own, r.idx).ok_or_else(|| RunError::MissOutsideCoverage {
                     array: name.to_string(),
                     idx: r.idx,
                 })?;
                 by_owner[owner].push(r);
-                any = true;
+                from_g[owner] += 1;
             }
-            if !any {
-                continue;
-            }
-
-            // Functional half: replay each owner's batch on its GPU.
-            self.apply_miss_batches(name, arr, &by_owner)?;
-
-            // Pricing half, per owner in ascending order.
-            for (owner, recs) in by_owner.iter().enumerate() {
-                if recs.is_empty() {
-                    continue;
-                }
-                if owner == g {
-                    // Shouldn't happen (local writes don't miss), but be
-                    // robust: applied with no transfer.
-                    self.rec.miss_replay(MissReplay {
-                        launch: self.cur_launch,
-                        array: name.to_string(),
-                        src: g,
-                        dst: owner,
-                        records: recs.len() as u64,
-                        bytes: 0,
-                        start: t2,
-                        end: t2,
-                    });
-                    continue;
-                }
-                let bytes = (recs.len() * (8 + elem)) as u64;
-                let (s, e) = self.price_transfer(
-                    arr,
-                    Endpoint::Gpu(g),
-                    Endpoint::Gpu(owner),
-                    bytes,
-                    t2,
-                    "miss",
-                );
-                // Completing the writes is a small kernel on the owner.
-                let apply = self.machine.gpus[owner]
-                    .spec
-                    .local_copy_time((recs.len() * elem) as u64);
-                self.rec.miss_replay(MissReplay {
-                    launch: self.cur_launch,
-                    array: name.to_string(),
-                    src: g,
-                    dst: owner,
-                    records: recs.len() as u64,
-                    bytes,
-                    start: s,
-                    end: e + apply,
-                });
-                end = end.max(e + apply);
+            // A kernel buffers a miss only for a store outside its own
+            // partition, and `owner_of` reads the same table, so no
+            // record routes back to its source: such a pair is never
+            // priced as a self-transfer.
+            for (dst, &n) in from_g.iter().enumerate().filter(|&(h, &n)| n > 0 && h != g) {
+                let set = sets.len();
+                steps.push(Step { src: g, dst, set });
+                sets.push(vec![(0, (n * (8 + elem)) as u64)]);
             }
         }
-        Ok(end)
+        if by_owner.iter().all(Vec::is_empty) {
+            return Ok(t2);
+        }
+        self.apply_miss_batches(name, arr, &by_owner)?;
+        let replayed = |run: &mut Self, Step { src, dst, .. }, bytes: u64, start, arrived: f64| {
+            let records = bytes / (8 + elem) as u64;
+            // Completing the writes is a small kernel on the owner.
+            let spec = &run.machine.gpus[dst].spec;
+            let end = arrived + spec.local_copy_time(records * elem as u64);
+            run.rec.miss_replay(MissReplay {
+                launch: run.cur_launch,
+                array: name.to_string(),
+                src,
+                dst,
+                records,
+                bytes,
+                start,
+                end,
+            });
+            end
+        };
+        Ok(self.price_steps(arr, &steps, &sets, t2, "miss", replayed))
     }
 
-    /// Apply per-owner miss batches to their owning GPUs — in parallel
-    /// (owners are distinct GPUs, so their buffers are disjoint) or, on
-    /// the reference path, as the same wave with one worker: a serial
-    /// ascending loop. Within an owner, records apply in arrival order
-    /// either way, and the first failing owner in ascending order is the
-    /// one reported.
+    /// Apply per-owner miss batches to their owning GPUs, in parallel:
+    /// owners are distinct GPUs, so their buffers are disjoint. Within an
+    /// owner, records apply in batch order, and the first failing owner
+    /// in ascending order is the one reported.
     fn apply_miss_batches(
         &mut self,
         array_name: &str,
@@ -660,11 +616,10 @@ impl<'a> Run<'a> {
             }
             Ok(())
         };
-        let workers = if self.cfg.parallel_comm { self.workers } else { 1 };
         let gpus = &mut self.machine.gpus[..self.cfg.ngpus];
         let batches = views.into_iter().zip(by_owner);
         let batches = batches.map(|b| (!b.1.is_empty()).then_some(b)).collect();
-        crate::wave::for_each_gpu(workers, gpus, batches, replay)
+        crate::wave::for_each_gpu(self.workers, gpus, batches, replay)
             .into_iter()
             .flatten()
             .collect()

@@ -161,13 +161,6 @@ pub struct ExecConfig {
     /// [`RunReport::trace`]. Phase totals and counters are accumulated
     /// regardless.
     pub tracing: TraceLevel,
-    /// Run the functional half of the communication phase (replica-run
-    /// application, miss replay, reduction merge) on one host thread per
-    /// destination GPU instead of serially. Simulated times, transfer
-    /// events and array contents are identical either way — the serial
-    /// path exists as the reference for equivalence tests and as an
-    /// ablation switch.
-    pub parallel_comm: bool,
     /// Runtime auditing of static elision verdicts and `localaccess`
     /// windows (GPU mode only; the OpenMP baseline has no partitions to
     /// audit against).
@@ -229,7 +222,6 @@ impl ExecConfig {
             miss_capacity: 1 << 22,
             loader_reuse: true,
             tracing: TraceLevel::Off,
-            parallel_comm: true,
             sanitize: SanitizeLevel::Off,
             schedule: Schedule::Equal,
             comm_elision: false,
@@ -268,13 +260,6 @@ impl ExecConfig {
     /// Set the event-retention level for [`RunReport::trace`].
     pub fn tracing(mut self, level: TraceLevel) -> ExecConfig {
         self.tracing = level;
-        self
-    }
-
-    /// Enable or disable host-parallel execution of the communication
-    /// phase's functional work (simulated results are unaffected).
-    pub fn parallel_comm(mut self, parallel: bool) -> ExecConfig {
-        self.parallel_comm = parallel;
         self
     }
 

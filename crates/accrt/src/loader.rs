@@ -22,7 +22,7 @@
 use acc_compiler::Placement;
 use acc_gpusim::memory::AllocClass;
 use acc_gpusim::Endpoint;
-use acc_kernel_ir::interp::{rmw_apply, rmw_apply_slice, rmw_identity};
+use acc_kernel_ir::interp::{rmw_apply_slice, rmw_identity};
 use acc_kernel_ir::{DirtyMap, RmwOp, Ty, Value};
 use acc_obs::{LoaderDecision, OverlapWindow, TransferKind, TransferSpan};
 
@@ -382,7 +382,7 @@ impl<'a> Run<'a> {
         &mut self,
         arr: usize,
         g: usize,
-        identity: acc_kernel_ir::Value,
+        identity: Value,
         t0: f64,
     ) -> Result<f64, RunError> {
         let handle = self.arrays[arr].gpu[g].handle.expect("window ensured");
@@ -448,9 +448,8 @@ impl<'a> Run<'a> {
     /// The functional half of every GPU→GPU movement: land elements
     /// `[lo, hi)` (global) of `arr` straight from `src`'s window on the
     /// same elements of `dst`'s — overwriting them, or folding them in
-    /// with `combine` (reduction merge). Under `parallel_comm(false)` the
-    /// fold is the per-element [`rmw_apply`] reference the typed-slice
-    /// pass is held equal to.
+    /// with `combine` (reduction merge) as one typed pass over the byte
+    /// window ([`rmw_apply_slice`]).
     pub(crate) fn move_p2p(
         &mut self,
         arr: usize,
@@ -470,18 +469,10 @@ impl<'a> Run<'a> {
         let moved = &sb.bytes()[soff..soff + nbytes];
         let db = dgpu.memory.get_mut(da.handle.expect("dst window"))?;
         let ty = db.ty();
-        let window = first * elem..first * elem + nbytes;
+        let window = &mut db.bytes_mut()[first * elem..first * elem + nbytes];
         match combine {
-            None => db.bytes_mut()[window].copy_from_slice(moved),
-            Some(op) if self.cfg.parallel_comm => {
-                rmw_apply_slice(op, ty, &mut db.bytes_mut()[window], moved)
-            }
-            Some(op) => {
-                for (i, v) in moved.chunks_exact(elem).enumerate() {
-                    let merged = rmw_apply(op, db.get(first + i), Value::read_le(ty, v))?;
-                    db.set(first + i, merged);
-                }
-            }
+            None => window.copy_from_slice(moved),
+            Some(op) => rmw_apply_slice(op, ty, window, moved),
         }
         Ok(())
     }

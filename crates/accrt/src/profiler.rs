@@ -70,9 +70,9 @@ pub struct Profiler {
     /// Staging buffers the replica-sync pool actually allocated (or
     /// grew); reuse keeps this near the GPU count for iterative programs.
     pub staging_allocs: u64,
-    /// Loader/copy scratch buffers the pool actually allocated (or
-    /// grew) during this run — window-grow moves, peer-sourced fills and
-    /// the serial replica-copy reference path all draw from it.
+    /// Loader scratch buffers the pool actually allocated (or grew)
+    /// during this run. Only the `Schedule::CostModel` window grow (the
+    /// resident bytes' device-local move) draws from it.
     pub scratch_allocs: u64,
     /// Host wall-clock seconds spent inside the communication phase
     /// (functional work + pricing), as opposed to the *simulated*

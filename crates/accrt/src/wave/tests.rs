@@ -387,24 +387,18 @@ fn worker_count_determinism() -> Result<(), RunError> {
             (3, |_| Machine::supercomputer_node()),
         ] {
             for sanitize in [SanitizeLevel::Off, SanitizeLevel::Full] {
-                for parallel_comm in [true, false] {
-                    let cfg = ExecConfig::gpus(ngpus)
-                        .sanitize(sanitize)
-                        .parallel_comm(parallel_comm)
-                        .overlap(case.overlap)
-                        .tracing(TraceLevel::Spans);
-                    let what = format!(
-                        "{} on {ngpus} GPUs, {sanitize:?}, parallel_comm {parallel_comm}",
-                        case.name
-                    );
-                    let base = run(&case, machine(ngpus), &cfg, Some(1))?;
-                    if ngpus == 8 && sanitize == SanitizeLevel::Off {
-                        assert!((case.exercised)(&base), "{what}: mechanism not exercised");
-                    }
-                    for workers in [None, Some(2), Some(3), Some(ngpus)] {
-                        let r = run(&case, machine(ngpus), &cfg, workers)?;
-                        assert_same_run(&r, &base, &format!("{what}, workers {workers:?}"));
-                    }
+                let cfg = ExecConfig::gpus(ngpus)
+                    .sanitize(sanitize)
+                    .overlap(case.overlap)
+                    .tracing(TraceLevel::Spans);
+                let what = format!("{} on {ngpus} GPUs, {sanitize:?}", case.name);
+                let base = run(&case, machine(ngpus), &cfg, Some(1))?;
+                if ngpus == 8 && sanitize == SanitizeLevel::Off {
+                    assert!((case.exercised)(&base), "{what}: mechanism not exercised");
+                }
+                for workers in [None, Some(2), Some(3), Some(ngpus)] {
+                    let r = run(&case, machine(ngpus), &cfg, workers)?;
+                    assert_same_run(&r, &base, &format!("{what}, workers {workers:?}"));
                 }
             }
         }
@@ -440,18 +434,15 @@ fn worker_count_determinism_above_one_island() -> Result<(), RunError> {
     let pagerank = cases()?.remove(0);
     for case in [clash, pagerank] {
         for ngpus in [16, 64] {
-            for parallel_comm in [true, false] {
-                let cfg = ExecConfig::gpus(ngpus)
-                    .parallel_comm(parallel_comm)
-                    .chunk_bytes(256)
-                    .tracing(TraceLevel::Spans);
-                let what = format!("{} on {ngpus} GPUs, parallel_comm {parallel_comm}", case.name);
-                let base = run(&case, Machine::cluster(ngpus), &cfg, Some(1))?;
-                assert!((case.exercised)(&base), "{what}: mechanism not exercised");
-                for workers in [2, 8] {
-                    let r = run(&case, Machine::cluster(ngpus), &cfg, Some(workers))?;
-                    assert_same_run(&r, &base, &format!("{what}, workers {workers}"));
-                }
+            let cfg = ExecConfig::gpus(ngpus)
+                .chunk_bytes(256)
+                .tracing(TraceLevel::Spans);
+            let what = format!("{} on {ngpus} GPUs", case.name);
+            let base = run(&case, Machine::cluster(ngpus), &cfg, Some(1))?;
+            assert!((case.exercised)(&base), "{what}: mechanism not exercised");
+            for workers in [2, 8] {
+                let r = run(&case, Machine::cluster(ngpus), &cfg, Some(workers))?;
+                assert_same_run(&r, &base, &format!("{what}, workers {workers}"));
             }
         }
     }

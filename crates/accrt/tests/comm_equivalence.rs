@@ -1,10 +1,11 @@
-//! The communication manager's host-parallel, slice-based functional
-//! paths must be observationally identical to the serial per-element
-//! reference paths: same final arrays, same simulated time breakdown,
-//! same structured event stream. `ExecConfig::parallel_comm` toggles
-//! between the two, and these tests hold them together — on fixed
-//! regressions and on randomized dirty patterns, miss shapes and
-//! reduction inputs.
+//! The communication manager's one functional path — host-parallel,
+//! slice-based replica sync, miss replay and reduction merge — held
+//! against pure-Rust oracles that share no code with it: the BSP rule
+//! for replica sync (every GPU runs its equal-division range on its own
+//! replica; the lowest-indexed GPU that wrote an element wins), the
+//! sequential loop for miss replay, and the sequential histogram for
+//! the reduction merges. Fixed regressions and randomized dirty
+//! patterns, miss shapes and reduction inputs.
 
 use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::Machine;
@@ -17,12 +18,18 @@ fn run_with(
     src: &str,
     func: &str,
     ngpus: usize,
-    parallel: bool,
     scalars: Vec<Value>,
     arrays: Vec<Buffer>,
 ) -> RunReport {
     // 3 GPUs
-    run_on(Machine::supercomputer_node(), src, func, ngpus, parallel, scalars, arrays)
+    run_on(
+        Machine::supercomputer_node(),
+        src,
+        func,
+        ngpus,
+        scalars,
+        arrays,
+    )
 }
 
 fn run_on(
@@ -30,43 +37,65 @@ fn run_on(
     src: &str,
     func: &str,
     ngpus: usize,
-    parallel: bool,
     scalars: Vec<Value>,
     arrays: Vec<Buffer>,
 ) -> RunReport {
     let prog = compile_source(src, func, &CompileOptions::proposal()).unwrap();
-    run_program(
-        &mut m,
-        &ExecConfig::gpus(ngpus)
-            .parallel_comm(parallel)
-            .tracing(TraceLevel::Spans),
-        &prog,
-        scalars,
-        arrays,
-    )
-    .unwrap()
+    let cfg = ExecConfig::gpus(ngpus).tracing(TraceLevel::Spans);
+    run_program(&mut m, &cfg, &prog, scalars, arrays).unwrap()
 }
 
-/// Everything a run exposes must agree between the two comm paths.
-fn assert_reports_identical(par: &RunReport, ser: &RunReport, what: &str) {
-    for (i, (a, b)) in par.arrays.iter().zip(&ser.arrays).enumerate() {
-        assert_eq!(a.bytes(), b.bytes(), "{what}: array {i} contents differ");
+/// One launch under the BSP rule replica sync must implement: GPU `g`
+/// runs its share of the equal division of `0..iters` (the first
+/// `iters % ngpus` GPUs one iteration more) sequentially on its own
+/// replica of `a`; iteration `i` stores `store(replica, i) = (element,
+/// value)`. Afterwards every element holds the value of the
+/// lowest-indexed GPU that wrote it, or its old value.
+fn bsp_launch(
+    a: &mut [i32],
+    iters: usize,
+    ngpus: usize,
+    store: impl Fn(&[i32], usize) -> (usize, i32),
+) {
+    let mut synced = a.to_vec();
+    let mut won = vec![false; a.len()];
+    let mut lo = 0;
+    for g in 0..ngpus {
+        let hi = lo + iters / ngpus + usize::from(g < iters % ngpus);
+        let mut replica = a.to_vec();
+        let mut wrote = vec![false; a.len()];
+        for i in lo..hi {
+            let (e, v) = store(&replica, i);
+            replica[e] = v;
+            wrote[e] = true;
+        }
+        for e in 0..a.len() {
+            if wrote[e] && !won[e] {
+                synced[e] = replica[e];
+                won[e] = true;
+            }
+        }
+        lo = hi;
     }
-    assert_eq!(par.locals, ser.locals, "{what}: host scalars differ");
-    assert_eq!(par.profile.time, ser.profile.time, "{what}: time breakdown differs");
-    assert_eq!(
-        par.profile.p2p_bytes, ser.profile.p2p_bytes,
-        "{what}: P2P bytes differ"
-    );
-    assert_eq!(
-        par.trace.events(),
-        ser.trace.events(),
-        "{what}: event streams differ"
-    );
-    for (g, (a, b)) in par.mem.iter().zip(&ser.mem).enumerate() {
-        assert_eq!(a.user_peak, b.user_peak, "{what}: GPU {g} user peak");
-        assert_eq!(a.system_peak, b.system_peak, "{what}: GPU {g} system peak");
+    a.copy_from_slice(&synced);
+}
+
+/// The sequential loop of [`SHIFT`]: `dst[(i + off) % n] = src[i]`.
+fn shifted(src: &[f64], off: usize) -> Vec<f64> {
+    let mut dst = vec![0.0; src.len()];
+    for (i, &v) in src.iter().enumerate() {
+        dst[(i + off) % src.len()] = v;
     }
+    dst
+}
+
+/// The sequential loop of [`HIST_ADD`] / [`HIST_MIN`] over `base`.
+fn histogram(base: &[f64], keys: &[i32], w: &[f64], op: fn(f64, f64) -> f64) -> Vec<f64> {
+    let mut bins = base.to_vec();
+    for (&k, &x) in keys.iter().zip(w) {
+        bins[k as usize] = op(bins[k as usize], x);
+    }
+    bins
 }
 
 /// Replicated scatter: every GPU dirties chunks, replica sync reconciles.
@@ -146,7 +175,6 @@ fn comm_rounds_report_true_transfer_starts() {
         SCATTER,
         "scat",
         3,
-        true,
         vec![Value::I32(n as i32), Value::I32(3)],
         vec![Buffer::from_i32(&idx), Buffer::zeroed(Ty::I32, n)],
     );
@@ -194,22 +222,20 @@ fn replay_with_more_gpus_than_iterations() {
     let n = 2i32; // 3 GPUs, 2 iterations: GPU 2 owns nothing
     let src = vec![10.0f64, 20.0];
     let expect = vec![20.0f64, 10.0]; // shift by 1, wrap
-    for parallel in [true, false] {
-        let r = run_with(
-            SHIFT,
-            "shift",
-            3,
-            parallel,
-            vec![Value::I32(n), Value::I32(1)],
-            vec![Buffer::from_f64(&src), Buffer::zeroed(Ty::F64, 2)],
-        );
-        assert_eq!(r.arrays[1].to_f64_vec(), expect, "parallel={parallel}");
-        assert!(r.profile.miss_records > 0, "cross-partition writes missed");
-    }
+    let r = run_with(
+        SHIFT,
+        "shift",
+        3,
+        vec![Value::I32(n), Value::I32(1)],
+        vec![Buffer::from_f64(&src), Buffer::zeroed(Ty::F64, 2)],
+    );
+    assert_eq!(r.arrays[1].to_f64_vec(), expect);
+    assert_eq!(expect, shifted(&src, 1));
+    assert!(r.profile.miss_records > 0, "cross-partition writes missed");
 }
 
 /// A write-miss record whose destination index is outside every GPU's
-/// owned range must surface as `MissOutsideCoverage`, on both paths.
+/// owned range must surface as `MissOutsideCoverage`.
 #[test]
 fn miss_outside_coverage_is_reported() {
     // dst[2*i] for i < n runs past the end of dst for i >= (n+1)/2.
@@ -223,24 +249,19 @@ for (int i = 0; i < n; i++) dst[2*i] = a[i];\n\
 }\n\
 }";
     let prog = compile_source(src, "f", &CompileOptions::proposal()).unwrap();
-    for parallel in [true, false] {
-        let mut m = Machine::supercomputer_node();
-        let err = run_program(
-            &mut m,
-            &ExecConfig::gpus(2).parallel_comm(parallel),
-            &prog,
-            vec![Value::I32(8)],
-            vec![
-                Buffer::from_f64(&[1.0; 8]),
-                Buffer::zeroed(Ty::F64, 8),
-            ],
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, RunError::MissOutsideCoverage { .. }),
-            "parallel={parallel}: got {err}"
-        );
-    }
+    let mut m = Machine::supercomputer_node();
+    let err = run_program(
+        &mut m,
+        &ExecConfig::gpus(2),
+        &prog,
+        vec![Value::I32(8)],
+        vec![Buffer::from_f64(&[1.0; 8]), Buffer::zeroed(Ty::F64, 8)],
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, RunError::MissOutsideCoverage { .. }),
+        "got {err}"
+    );
 }
 
 /// Every GPU loads the whole of `a` but writes only its own rows, so the
@@ -279,78 +300,69 @@ fn transfer_pairs(r: &RunReport, why: &str) -> Vec<(usize, usize)> {
 fn one_island_topology_keeps_the_flat_schedule() {
     let node8 = || Machine::supercomputer_node_with_gpus(8);
     let n = 4096i32;
-    for parallel in [true, false] {
-        // Reduction tree: (1→0),(3→2),(5→4),(7→6), then (2→0),(6→4), then (4→0).
-        let keys: Vec<i32> = (0..n).map(|i| i % 7).collect();
-        let w = vec![1.0f64; n as usize];
-        let r = run_on(
-            node8(),
-            HIST_ADD,
-            "hist",
-            8,
-            parallel,
-            vec![Value::I32(n), Value::I32(7)],
-            vec![
-                Buffer::from_i32(&keys),
-                Buffer::from_f64(&w),
-                Buffer::zeroed(Ty::F64, 7),
-            ],
-        );
-        assert_eq!(
-            transfer_pairs(&r, "reduce"),
-            [(1, 0), (3, 2), (5, 4), (7, 6), (2, 0), (6, 4), (4, 0)],
-            "parallel={parallel}"
-        );
-        let merges = |f: fn(&Event) -> bool| r.trace.events().iter().filter(|e| f(e)).count();
-        assert_eq!(merges(|e| matches!(e, Event::Reduction(_))), 7);
-        assert_eq!(merges(|e| matches!(e, Event::Collective(_))), 0);
+    // Reduction tree: (1→0),(3→2),(5→4),(7→6), then (2→0),(6→4), then (4→0).
+    let keys: Vec<i32> = (0..n).map(|i| i % 7).collect();
+    let w = vec![1.0f64; n as usize];
+    let r = run_on(
+        node8(),
+        HIST_ADD,
+        "hist",
+        8,
+        vec![Value::I32(n), Value::I32(7)],
+        vec![
+            Buffer::from_i32(&keys),
+            Buffer::from_f64(&w),
+            Buffer::zeroed(Ty::F64, 7),
+        ],
+    );
+    assert_eq!(
+        transfer_pairs(&r, "reduce"),
+        [(1, 0), (3, 2), (5, 4), (7, 6), (2, 0), (6, 4), (4, 0)]
+    );
+    let merges = |f: fn(&Event) -> bool| r.trace.events().iter().filter(|e| f(e)).count();
+    assert_eq!(merges(|e| matches!(e, Event::Reduction(_))), 7);
+    assert_eq!(merges(|e| matches!(e, Event::Collective(_))), 0);
 
-        // Replica sync: every source ships to its destinations in
-        // ascending index, sources in ascending index.
-        let idx: Vec<i32> = (0..n)
-            .map(|i| ((i as u64).wrapping_mul(2654435761) % n as u64) as i32)
-            .collect();
-        let r = run_on(
-            node8(),
-            SCATTER,
-            "scat",
-            8,
-            parallel,
-            vec![Value::I32(n), Value::I32(1)],
-            vec![Buffer::from_i32(&idx), Buffer::zeroed(Ty::I32, n as usize)],
-        );
-        let mut rounds = transfer_pairs(&r, "sync");
-        rounds.dedup();
-        let all_pairs: Vec<(usize, usize)> = (0..8)
-            .flat_map(|g| (0..8).filter(move |&h| h != g).map(move |h| (g, h)))
-            .collect();
-        assert_eq!(rounds, all_pairs, "parallel={parallel}");
+    // Replica sync: every source ships to its destinations in
+    // ascending index, sources in ascending index.
+    let idx: Vec<i32> = (0..n)
+        .map(|i| ((i as u64).wrapping_mul(2654435761) % n as u64) as i32)
+        .collect();
+    let r = run_on(
+        node8(),
+        SCATTER,
+        "scat",
+        8,
+        vec![Value::I32(n), Value::I32(1)],
+        vec![Buffer::from_i32(&idx), Buffer::zeroed(Ty::I32, n as usize)],
+    );
+    let mut rounds = transfer_pairs(&r, "sync");
+    rounds.dedup();
+    let all_pairs: Vec<(usize, usize)> = (0..8)
+        .flat_map(|g| (0..8).filter(move |&h| h != g).map(move |h| (g, h)))
+        .collect();
+    assert_eq!(rounds, all_pairs);
 
-        // Halo fill: peers are tried in ascending index. GPU 0 is
-        // refilled first and pulls one partition from each peer; it then
-        // holds everything, so every later GPU finds it first.
-        let r = run_on(
-            node8(),
-            REFILL,
-            "refill",
-            8,
-            parallel,
-            vec![Value::I32(n)],
-            vec![
-                Buffer::from_f64(&w),
-                Buffer::zeroed(Ty::F64, n as usize),
-            ],
-        );
-        let fills = transfer_pairs(&r, "fill");
-        let sources = |g| -> Vec<usize> {
-            let mut s: Vec<usize> = fills.iter().filter(|p| p.1 == g).map(|p| p.0).collect();
-            s.dedup();
-            s
-        };
-        assert_eq!(sources(0), [1, 2, 3, 4, 5, 6, 7], "parallel={parallel}");
-        for g in 1..8 {
-            assert_eq!(sources(g), [0], "fill sources of GPU {g}, parallel={parallel}");
-        }
+    // Halo fill: peers are tried in ascending index. GPU 0 is
+    // refilled first and pulls one partition from each peer; it then
+    // holds everything, so every later GPU finds it first.
+    let r = run_on(
+        node8(),
+        REFILL,
+        "refill",
+        8,
+        vec![Value::I32(n)],
+        vec![Buffer::from_f64(&w), Buffer::zeroed(Ty::F64, n as usize)],
+    );
+    let fills = transfer_pairs(&r, "fill");
+    let sources = |g| -> Vec<usize> {
+        let mut s: Vec<usize> = fills.iter().filter(|p| p.1 == g).map(|p| p.0).collect();
+        s.dedup();
+        s
+    };
+    assert_eq!(sources(0), [1, 2, 3, 4, 5, 6, 7]);
+    for g in 1..8 {
+        assert_eq!(sources(g), [0], "fill sources of GPU {g}");
     }
 }
 
@@ -370,12 +382,10 @@ t = t + 1;\n\
 }";
 
 /// Above one island the priced schedule is the level walk, with relay
-/// hops the serial pairwise reference has no counterpart for. Final
-/// replica contents must not notice: with deliberately conflicting
-/// writes (the lowest dirty GPU wins) and small chunks (so islands and
-/// nodes carry different unions), arrays agree across both functional
-/// paths and the fully sanitized run, and the simulated clock and event
-/// stream agree across both functional paths.
+/// hops. Final replica contents must not notice: with deliberately
+/// conflicting writes (the lowest dirty GPU wins) and small chunks (so
+/// islands and nodes carry different unions), the plain and the fully
+/// sanitized run both equal the BSP oracle.
 #[test]
 fn cluster_sync_with_conflicting_writes_is_schedule_independent() {
     let n = 6_000usize;
@@ -397,11 +407,20 @@ fn cluster_sync_with_conflicting_writes_is_schedule_independent() {
             )
             .unwrap()
         };
+        let mut expect = vec![0i32; n];
+        for t in 0..2 {
+            bsp_launch(&mut expect, n, ngpus, |_, i| {
+                (idx[i] as usize, i as i32 + t)
+            });
+        }
         let par = run(ExecConfig::gpus(ngpus));
-        let ser = run(ExecConfig::gpus(ngpus).parallel_comm(false));
-        assert_reports_identical(&par, &ser, &format!("clash on cluster x{ngpus}"));
+        assert_eq!(par.arrays[1].to_i32_vec(), expect, "x{ngpus}: BSP oracle");
         let full = run(ExecConfig::gpus(ngpus).sanitize(SanitizeLevel::Full));
-        assert_eq!(par.arrays[1].bytes(), full.arrays[1].bytes(), "x{ngpus}: Full sanitize");
+        assert_eq!(
+            full.arrays[1].to_i32_vec(),
+            expect,
+            "x{ngpus}: Full sanitize"
+        );
 
         // Relay hops exist: a round between islands (8 GPUs each) is
         // leader to leader.
@@ -419,7 +438,7 @@ fn cluster_sync_with_conflicting_writes_is_schedule_independent() {
 }
 
 // ---------------------------------------------------------------------
-// Randomized equivalence: parallel/slice comm == serial reference.
+// Randomized: the one path against its oracle.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -444,10 +463,13 @@ proptest! {
             })
             .collect();
         let scalars = vec![Value::I32(n as i32), Value::I32(iters)];
-        let arrays = || vec![Buffer::from_i32(&idx), Buffer::zeroed(Ty::I32, n)];
-        let par = run_with(SCATTER, "scat", ngpus, true, scalars.clone(), arrays());
-        let ser = run_with(SCATTER, "scat", ngpus, false, scalars, arrays());
-        assert_reports_identical(&par, &ser, "replica sync");
+        let arrays = vec![Buffer::from_i32(&idx), Buffer::zeroed(Ty::I32, n)];
+        let r = run_with(SCATTER, "scat", ngpus, scalars, arrays);
+        let mut expect = vec![0i32; n];
+        for _ in 0..iters {
+            bsp_launch(&mut expect, n, ngpus, |a, i| (idx[i] as usize, a[idx[i] as usize] + 1));
+        }
+        prop_assert_eq!(r.arrays[1].to_i32_vec(), expect);
     }
 
     /// Miss replay on random shift distances (including 0 and wrap-heavy
@@ -461,15 +483,17 @@ proptest! {
         let off = off % n;
         let src: Vec<f64> = (0..n).map(|i| i as f64 * 1.5).collect();
         let scalars = vec![Value::I32(n), Value::I32(off)];
-        let arrays = || vec![Buffer::from_f64(&src), Buffer::zeroed(Ty::F64, n as usize)];
-        let par = run_with(SHIFT, "shift", ngpus, true, scalars.clone(), arrays());
-        let ser = run_with(SHIFT, "shift", ngpus, false, scalars, arrays());
-        assert_reports_identical(&par, &ser, "miss replay");
+        let arrays = vec![Buffer::from_f64(&src), Buffer::zeroed(Ty::F64, n as usize)];
+        let r = run_with(SHIFT, "shift", ngpus, scalars, arrays);
+        prop_assert_eq!(r.arrays[1].to_f64_vec(), shifted(&src, off as usize));
+        // A non-trivial rotation maps no proper partition onto itself.
+        prop_assert_eq!(r.profile.miss_records > 0, off != 0);
     }
 
     /// Reduction merge on random keys/weights, for an integer-insensitive
     /// (+) and an order-sensitive comparison (min) operator — on the
-    /// one-island node and across two islands of the cluster.
+    /// one-island node and across two islands of the cluster. Weights
+    /// are integer-valued, so every combine order sums exactly.
     #[test]
     fn reduction_merge_paths_agree(
         n in 16i32..2000,
@@ -485,24 +509,22 @@ proptest! {
             .map(|i| (((i as u64).wrapping_mul(seed ^ 0x9e3779b9) % 2001) as f64) - 1000.0)
             .collect();
         let base: Vec<f64> = (0..k).map(|i| 100.0 + i as f64).collect();
-        for (src, func) in [(HIST_ADD, "hist"), (HIST_MIN, "hmin")] {
+        let add: fn(f64, f64) -> f64 = |a, b| a + b;
+        for (src, func, op) in [(HIST_ADD, "hist", add), (HIST_MIN, "hmin", f64::min)] {
+            let expect = histogram(&base, &keys, &w, op);
             let scalars = vec![Value::I32(n), Value::I32(k)];
             let arrays = || vec![
                 Buffer::from_i32(&keys),
                 Buffer::from_f64(&w),
                 Buffer::from_f64(&base),
             ];
-            let par = run_with(src, func, ngpus, true, scalars.clone(), arrays());
-            let ser = run_with(src, func, ngpus, false, scalars.clone(), arrays());
-            assert_reports_identical(&par, &ser, func);
-            // Two islands of one node: the level-structured tree against
-            // its per-element reference.
-            let cluster = |parallel| {
-                run_on(Machine::cluster(16), src, func, cluster_gpus, parallel, scalars.clone(), arrays())
-            };
-            let (par, ser) = (cluster(true), cluster(false));
-            assert_reports_identical(&par, &ser, &format!("{func} on cluster x{cluster_gpus}"));
-            let collectives = par
+            let r = run_with(src, func, ngpus, scalars.clone(), arrays());
+            prop_assert_eq!(r.arrays[2].to_f64_vec(), expect.clone(), "{} on {} GPUs", func, ngpus);
+            // Two islands of one node: the level-structured tree.
+            let r = run_on(Machine::cluster(16), src, func, cluster_gpus, scalars, arrays());
+            let what = format!("{func} on cluster x{cluster_gpus}");
+            prop_assert_eq!(r.arrays[2].to_f64_vec(), expect, "{}", what);
+            let collectives = r
                 .trace
                 .events()
                 .iter()

@@ -1,14 +1,16 @@
 //! Whole-run goldens for the launch path: one line per run carrying the
 //! event count, FNV-1a-64 hashes of the full `Spans` event stream, of
 //! every output array's bytes and of the host scalar frame, and the bit
-//! pattern of the total simulated time. `golden/launch_golden.txt` was
-//! generated at the commit before a launch became a `LaunchPlan`
-//! (`ba73ccd`); a refactor of `accrt`'s loader / kernel wave / comm
-//! manager that moves one byte, one event or one simulated nanosecond
-//! shows up here as a diff.
+//! pattern of the total simulated time. The `App::ALL` lines of
+//! `golden/launch_golden.txt` were generated at the commit before a
+//! launch became a `LaunchPlan` (`ba73ccd`), the write-miss replay lines
+//! (`shift`, `rotate`) at the commit before miss replay was priced as a
+//! step list (`8f69fde`); a refactor of `accrt`'s loader / kernel wave /
+//! comm manager that moves one byte, one event or one simulated
+//! nanosecond shows up here as a diff.
 
 use acc_apps::{bfs, heat2d, heat2d_halo2, kmeans, md, pagerank, spmv, App, Scale};
-use acc_compiler::{compile_source, CompileOptions};
+use acc_compiler::{compile_source, CompileOptions, CompiledProgram};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Value};
 use acc_runtime::prelude::*;
@@ -50,7 +52,6 @@ fn runs(app: App) -> Vec<(String, Machine, ExecConfig)> {
         ("overlap", three.clone().overlap(true)),
         ("comm_elision", three.clone().comm_elision(true)),
         ("sanitize_full", three.clone().sanitize(SanitizeLevel::Full)),
-        ("serial_comm", three.clone().parallel_comm(false)),
     ] {
         out.push((format!("node3 {knob}"), Machine::supercomputer_node(), cfg));
     }
@@ -68,26 +69,129 @@ fn runs(app: App) -> Vec<(String, Machine, ExecConfig)> {
     out
 }
 
+/// Distributed shifted write: every store past the GPU's own partition
+/// is buffered as a write-miss record and replayed on its owner.
+const SHIFT: &str = "void shift(int n, int off, double *src, double *dst) {\n\
+#pragma acc data copyin(src[0:n]) copy(dst[0:n])\n\
+{\n\
+#pragma acc localaccess(src) stride(1)\n\
+#pragma acc localaccess(dst) stride(1)\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) {\n\
+int j = i + off;\n\
+if (j >= n) j = j - n;\n\
+dst[j] = src[i];\n\
+}\n\
+}\n\
+}";
+
+/// The i32 counterpart, iterated so the cost model re-cuts the owned
+/// ranges between launches: two rotated copies per step.
+const ROTATE: &str = "void rotate(int n, int off, int iters, int *a, int *b) {\n\
+#pragma acc data copy(a[0:n], b[0:n])\n\
+{\n\
+int t = 0;\n\
+while (t < iters) {\n\
+#pragma acc localaccess(a) stride(1)\n\
+#pragma acc localaccess(b) stride(1)\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) b[(i + off) % n] = a[i] + t;\n\
+#pragma acc localaccess(a) stride(1)\n\
+#pragma acc localaccess(b) stride(1)\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) a[(i + off) % n] = b[i] * 3;\n\
+t = t + 1;\n\
+}\n\
+}\n\
+}";
+
+/// `(label, machine, configuration)` of every write-miss replay run.
+fn miss_runs() -> Vec<(String, Machine, ExecConfig)> {
+    let mut out = Vec::new();
+    for ngpus in 2..=3 {
+        for schedule in [Schedule::Equal, Schedule::CostModel] {
+            let cfg = ExecConfig::gpus(ngpus).schedule(schedule);
+            out.push((
+                format!("node{ngpus} {schedule:?}"),
+                Machine::supercomputer_node(),
+                cfg,
+            ));
+        }
+    }
+    out.push((
+        "cluster16 Equal".into(),
+        Machine::cluster(16),
+        ExecConfig::gpus(16),
+    ));
+    out
+}
+
+/// One golden line: run `prog` and fingerprint everything it exposes.
+/// A write-miss row that buffered no miss would pin nothing it is for.
+fn line(
+    (name, label): (&str, &str),
+    (mut machine, cfg): (Machine, ExecConfig),
+    prog: &CompiledProgram,
+    (scalars, arrays): (Vec<Value>, Vec<Buffer>),
+    misses: bool,
+) -> String {
+    let cfg = cfg.tracing(TraceLevel::Spans);
+    let r = run_program(&mut machine, &cfg, prog, scalars, arrays)
+        .unwrap_or_else(|e| panic!("{name} {label}: {e}"));
+    assert!(
+        !misses || r.profile.miss_records > 0,
+        "{name} {label}: no write miss"
+    );
+    let events = r.trace.events();
+    format!(
+        "{name} {label}: events {} stream {:016x} arrays {:016x} locals {:016x} time {:016x}\n",
+        events.len(),
+        fnv1a(format!("{events:?}").bytes()),
+        fnv1a(r.arrays.iter().flat_map(|b| b.bytes().iter().copied())),
+        fnv1a(format!("{:?}", r.locals).bytes()),
+        r.total_time().to_bits(),
+    )
+}
+
 fn render() -> String {
     let mut out = String::new();
     for app in App::ALL {
         let prog = compile_source(app.source(), app.function(), &CompileOptions::proposal())
             .expect("app compiles");
-        for (label, mut machine, cfg) in runs(app) {
-            let (scalars, arrays) = inputs(app);
-            let cfg = cfg.tracing(TraceLevel::Spans);
-            let r = run_program(&mut machine, &cfg, &prog, scalars, arrays)
-                .unwrap_or_else(|e| panic!("{} {label}: {e}", app.name()));
-            let events = r.trace.events();
-            out.push_str(&format!(
-                "{} {label}: events {} stream {:016x} arrays {:016x} locals {:016x} time {:016x}\n",
-                app.name(),
-                events.len(),
-                fnv1a(format!("{events:?}").bytes()),
-                fnv1a(r.arrays.iter().flat_map(|b| b.bytes().iter().copied())),
-                fnv1a(format!("{:?}", r.locals).bytes()),
-                r.total_time().to_bits(),
-            ));
+        for (label, machine, cfg) in runs(app) {
+            let run = (machine, cfg);
+            out.push_str(&line((app.name(), &label), run, &prog, inputs(app), false));
+        }
+    }
+    let n = 1000;
+    let ramp: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+    let ids: Vec<i32> = (0..n).map(|i| (i * 7919) % 1009).collect();
+    let shift = || {
+        let scalars = vec![Value::I32(n), Value::I32(137)];
+        (
+            scalars,
+            vec![
+                Buffer::from_f64(&ramp),
+                Buffer::from_f64(&vec![0.0; n as usize]),
+            ],
+        )
+    };
+    let rotate = || {
+        let scalars = vec![Value::I32(n), Value::I32(263), Value::I32(3)];
+        (
+            scalars,
+            vec![
+                Buffer::from_i32(&ids),
+                Buffer::from_i32(&vec![0; n as usize]),
+            ],
+        )
+    };
+    let kernels: [(&str, &str, &dyn Fn() -> _); 2] =
+        [(SHIFT, "shift", &shift), (ROTATE, "rotate", &rotate)];
+    for (src, name, inputs) in kernels {
+        let prog = compile_source(src, name, &CompileOptions::proposal()).expect("kernel compiles");
+        for (label, machine, cfg) in miss_runs() {
+            out.push_str(&line((name, &label), (machine, cfg), &prog, inputs(), true));
         }
     }
     out

@@ -14,8 +14,8 @@
 //! exit), and the accept loop exits on its next wakeup.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -56,6 +56,11 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Longest request line [`Server::serve_tcp`] reads, newline excluded.
+/// A `run` request is under 300 bytes; without a cap one client could
+/// grow a connection thread's buffer without bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 struct QueuedJob {
     req: JobRequest,
@@ -322,6 +327,11 @@ impl Server {
         Ok(())
     }
 
+    /// Speak the line protocol on one connection. Hostile lines are
+    /// typed rejects (`ACC-S003`), never a reason to stop serving: a line
+    /// that is not UTF-8 or not JSON keeps the connection open, and one
+    /// longer than [`MAX_LINE_BYTES`] is answered, then the connection —
+    /// whose framing is lost — closed.
     fn handle_conn(&self, stream: TcpStream, addr: SocketAddr) {
         let read_half = match stream.try_clone() {
             Ok(s) => s,
@@ -329,18 +339,22 @@ impl Server {
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            let mut capped = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+            match capped.read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => return,
                 Ok(_) => {}
             }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let response = self.handle_line(trimmed, addr);
+            let oversize = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+            let bad = |why: String| error_json(&ServeError::BadRequest(why));
+            let response = match std::str::from_utf8(&line) {
+                _ if oversize => bad(format!("request line longer than {MAX_LINE_BYTES} bytes")),
+                Err(e) => bad(format!("request line is not UTF-8: {e}")),
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => self.handle_line(text.trim(), addr),
+            };
             let mut out = response.to_string_compact();
             out.push('\n');
             if writer
@@ -348,6 +362,16 @@ impl Server {
                 .and_then(|_| writer.flush())
                 .is_err()
             {
+                return;
+            }
+            if oversize {
+                // Hang up behind the reply. Closing with input still
+                // unread would reset the connection, which can discard
+                // the reply before the client reads it; so read on, to a
+                // bound, until the client hangs up too.
+                let _ = writer.get_ref().shutdown(Shutdown::Write);
+                let mut rest = reader.take(16 * MAX_LINE_BYTES as u64);
+                let _ = std::io::copy(&mut rest, &mut std::io::sink());
                 return;
             }
         }

@@ -235,3 +235,77 @@ fn memory_budgets_apply_per_job_over_tcp() {
         w.join().expect("worker");
     }
 }
+
+/// One hostile line must not take the daemon down for every tenant: a
+/// line nested far past the JSON parser's depth limit and one that is
+/// not UTF-8 each get `ACC-S003` on a connection that stays open; a
+/// line past the length cap gets `ACC-S003` and loses its connection.
+/// Afterwards the daemon still answers `ping` and runs a job.
+#[test]
+fn hostile_lines_get_typed_rejects_and_the_daemon_keeps_serving() {
+    let (server, addr, workers, acceptor) = start_daemon(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let code = |v: &Value| v.get("code").and_then(Value::as_str).map(str::to_string);
+
+    let raw = TcpStream::connect(addr).expect("connect raw");
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut w = raw;
+    let mut send = |line: &[u8]| -> Value {
+        w.write_all(line).unwrap();
+        w.write_all(b"\n").unwrap();
+        w.flush().unwrap();
+        let mut resp = String::new();
+        reader
+            .read_line(&mut resp)
+            .expect("reply on an open connection");
+        acc_obs::json::parse(resp.trim()).expect("response parses")
+    };
+    let deep = "[".repeat(60_000);
+    for hostile in [deep.as_bytes(), b"{\"cmd\":\"ping\xff\xfe\"}"] {
+        assert_eq!(code(&send(hostile)).as_deref(), Some("ACC-S003"));
+    }
+    let pong = send(br#"{"cmd":"ping"}"#);
+    assert!(
+        matches!(pong.get("pong"), Some(Value::Bool(true))),
+        "{}",
+        pong.to_string_compact()
+    );
+
+    let flood = TcpStream::connect(addr).expect("connect flood");
+    let mut flood_reader = BufReader::new(flood.try_clone().unwrap());
+    let mut flood_w = flood;
+    let writer = std::thread::spawn(move || {
+        flood_w
+            .write_all(&vec![b'a'; 256 << 10])
+            .expect("the daemon reads on");
+        flood_w.write_all(b"\n").expect("the daemon reads on");
+    });
+    let mut resp = String::new();
+    flood_reader
+        .read_line(&mut resp)
+        .expect("reply before the hang-up");
+    let resp = acc_obs::json::parse(resp.trim()).expect("response parses");
+    assert_eq!(code(&resp).as_deref(), Some("ACC-S003"));
+    let mut rest = String::new();
+    assert!(
+        matches!(flood_reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "an oversize line closes its connection, got {rest:?}"
+    );
+    writer.join().expect("flood writer");
+    drop(flood_reader);
+
+    let mut client = Client::connect(addr).expect("connect after the hostile lines");
+    client.ping().expect("ping after the hostile lines");
+    let summary = client
+        .run(&JobRequest::new(App::Heat2d, 2))
+        .expect("job runs");
+    assert!(summary.correct);
+    client.shutdown().expect("shutdown");
+    acceptor.join().expect("acceptor").expect("accept loop");
+    server.shutdown();
+    for w in workers {
+        w.join().expect("worker");
+    }
+}
