@@ -173,8 +173,69 @@ const STATEMENTS: &[&str] = &[
     ";",
 ];
 
+/// A literal in C source: negative values are parenthesised, so `-` never
+/// meets another `-` or an operator.
+fn lit(v: i64) -> String {
+    if v < 0 {
+        format!("({v})")
+    } else {
+        v.to_string()
+    }
+}
+
+/// One store `y[a*i + c] = 1.0;` to an array declared `localaccess(y)
+/// stride(s)`, with the index spelled five ways the write-locality proof
+/// must see through alike.
+fn literal_stride_stores(s: i64, a: i64, c: i64) -> Vec<String> {
+    let (a, c, neg_c) = (lit(a), lit(c), lit(-c));
+    [
+        format!("y[{a}*i + {c}] = 1.0;"),
+        format!("y[{c} + i*{a}] = 1.0;"),
+        format!("y[(i*{a}) - {neg_c}] = 1.0;"),
+        format!("y[(int)({a}*i) + {c}] = 1.0;"),
+        format!("int k = {c}; y[{a}*i + k] = 1.0;"),
+    ]
+    .into_iter()
+    .map(|store| {
+        format!(
+            "void f(int n, double *y) {{\n\
+             #pragma acc localaccess(y) stride({s})\n\
+             #pragma acc parallel loop copy(y[0:n])\n\
+             for (int i = 0; i < n; i++) {{ {store} }}\n}}"
+        )
+    })
+    .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The miss-check elision on literal strides: a store `a*i + c` stays
+    /// in iteration `i`'s partition `[s*i, s*(i+1) - 1]` exactly when
+    /// `a == s` and `0 <= c < s`, however the index is spelled. The
+    /// constant-stride prover answers where it can read the index; the
+    /// interval prover covers the other spellings.
+    #[test]
+    fn literal_stride_stores_are_proved_local_exactly_when_inside_the_partition(
+        s in 1i64..=64,
+        a_raw in 0i64..=1024,
+        c_raw in 0i64..=1024,
+        pick in 0usize..4,
+    ) {
+        // One draw in four pins `a == s`, the only coefficient that can
+        // prove; the rest cover `[-2s, 2s]`.
+        let a = if pick == 0 { s } else { a_raw % (4 * s + 1) - 2 * s };
+        let c = c_raw % (4 * s + 1) - 2 * s;
+        let local = a == s && (0..s).contains(&c);
+        for src in literal_stride_stores(s, a, c) {
+            let prog = compile_source(&src, "f", &CompileOptions::proposal())
+                .map_err(|e| TestCaseError::fail(format!("{src}: {e}")))?;
+            let y = &prog.kernels[0].configs[0];
+            prop_assert_eq!(y.miss_check_elided, local, "{}", src);
+            let proved = matches!(y.lint.elision, ElisionProof::ConstStride | ElisionProof::Interval);
+            prop_assert_eq!(proved, local, "{:?}: {}", y.lint.elision, src);
+        }
+    }
 
     /// C-looking soup as the body of a parallel loop: most of it dies in
     /// the frontend (an `Err`), the rest must translate or fail typed.
