@@ -3,10 +3,9 @@
 //! The translator needs to know, per buffer access site, the shape of the
 //! index as a function of the thread index `tid`:
 //!
-//! * stores of the strict form `s*tid + c` (both constant) with
-//!   `0 <= c < s` are provably inside the iteration's own `localaccess`
-//!   partition, so the write-miss check can be elided (paper §IV-D2, last
-//!   paragraph);
+//! * stores of the strict form `s*tid + c` (both constant) are coalesced
+//!   when `|s| <= 1` and stride-`|s|` otherwise — the write class the
+//!   runtime prices;
 //! * loads of the loose form `A*tid + B` — where `A`/`B` may be
 //!   thread-invariant runtime values such as `i*nfeatures + j` in KMEANS —
 //!   are *affine*: coalesced when `|A| == 1`, strided otherwise; these are
@@ -63,8 +62,7 @@ pub struct LinForm {
     pub offset: Coef,
 }
 
-/// Strict linear form with compile-time-constant coefficients (for the
-/// miss-check elision proof).
+/// Strict linear form with compile-time-constant coefficients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Linear {
     pub coeff: i64,
@@ -147,7 +145,9 @@ fn multiply(factor: LinForm, lin: LinForm) -> Option<LinForm> {
     })
 }
 
-/// Strict constant linear form, used by the miss-check elision proof.
+/// Strict constant linear form: the store classes of
+/// [`crate::analysis::BufUsage`] and the constant pieces of
+/// [`crate::range`] and [`crate::infer`].
 pub fn linear_in_tid(e: &Expr) -> Option<Linear> {
     match linear_form(e)? {
         LinForm {

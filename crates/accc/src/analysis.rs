@@ -1,14 +1,16 @@
 //! Kernel-body array-access analysis.
 //!
 //! For every buffer parameter of a kernel the translator records how it is
-//! accessed: read/write mode, the affine structure of store indices (for
-//! the §IV-D2 miss-check elision) and the coalescing class of every access
-//! site weighted by loop depth (for the timing model and the §IV-B4
-//! layout-transform decision).
+//! accessed: read/write mode and the coalescing class of every load, store
+//! and atomic site. The worst class per direction ([`BufUsage::read_pattern`],
+//! [`BufUsage::write_pattern`]) is what the runtime prices each array's
+//! memory traffic with, through [`pattern_efficiency`]; the load classes
+//! also decide the §IV-B4 layout transform. The §IV-D2 write-locality
+//! proof lives in [`crate::range`].
 
 use acc_kernel_ir::{Expr, Stmt};
 
-use crate::affine::{classify, linear_in_tid, AccessPattern, Linear};
+use crate::affine::{classify, linear_in_tid, AccessPattern};
 
 /// Read/write mode of one array in one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,13 +39,14 @@ pub struct BufUsage {
     pub writes: bool,
     /// The buffer is the target of atomic RMW (reductiontoarray lowering).
     pub atomics: bool,
-    /// One entry per textual store site: affine form (if any) and the
-    /// loop depth the site sits at.
-    pub store_sites: Vec<(Option<Linear>, u32)>,
-    /// One entry per textual load site: coalescing class and loop depth.
-    pub load_sites: Vec<(AccessPattern, u32)>,
+    /// One entry per textual store site: a constant-coefficient affine
+    /// index `c*tid + o` is `Coalesced` when `|c| <= 1`, else
+    /// `Strided(|c|)`; anything else is `Irregular`.
+    pub store_sites: Vec<AccessPattern>,
+    /// One entry per textual load site: its coalescing class.
+    pub load_sites: Vec<AccessPattern>,
     /// One entry per atomic site.
-    pub atomic_sites: Vec<(AccessPattern, u32)>,
+    pub atomic_sites: Vec<AccessPattern>,
 }
 
 impl BufUsage {
@@ -60,73 +63,92 @@ impl BufUsage {
     /// All load sites are affine in the thread index (the precondition for
     /// the layout transform).
     pub fn all_loads_affine(&self) -> bool {
-        self.load_sites.iter().all(|(p, _)| p.is_affine())
+        self.load_sites.iter().all(|p| p.is_affine())
     }
 
-    /// Every store is `stride*tid + c` with `0 <= c < stride` — i.e.
-    /// provably inside the iteration's own partition for a distribution
-    /// with that (constant) stride.
-    pub fn stores_within_own_stride(&self, stride: i64) -> bool {
-        !self.store_sites.is_empty()
-            && self.store_sites.iter().all(|(l, _)| match l {
-                Some(l) => l.coeff == stride && l.offset >= 0 && l.offset < stride,
-                None => false,
-            })
+    /// The least efficient load site (`Coalesced` when the buffer is not
+    /// read).
+    pub fn read_pattern(&self) -> AccessPattern {
+        worst(&self.load_sites)
+    }
+
+    /// The least efficient store or atomic site, stores first
+    /// (`Coalesced` when the buffer is not written).
+    pub fn write_pattern(&self) -> AccessPattern {
+        worst(self.store_sites.iter().chain(&self.atomic_sites))
+    }
+}
+
+/// The site with the lowest [`pattern_efficiency`]; ties go to the first.
+fn worst<'a>(sites: impl IntoIterator<Item = &'a AccessPattern>) -> AccessPattern {
+    sites
+        .into_iter()
+        .copied()
+        .min_by(|a, b| pattern_efficiency(*a).total_cmp(&pattern_efficiency(*b)))
+        .unwrap_or(AccessPattern::Coalesced)
+}
+
+/// The coalescing class of a store index.
+fn store_pattern(idx: &Expr) -> AccessPattern {
+    match linear_in_tid(idx) {
+        Some(l) if l.coeff.unsigned_abs() <= 1 => AccessPattern::Coalesced,
+        Some(l) => AccessPattern::Strided(l.coeff.unsigned_abs()),
+        None => AccessPattern::Irregular,
     }
 }
 
 /// Analyze a kernel body over `n_bufs` buffer parameters.
 pub fn analyze_body(body: &[Stmt], n_bufs: usize) -> Vec<BufUsage> {
     let mut usage = vec![BufUsage::default(); n_bufs];
-    walk_block(body, 0, &mut usage);
+    walk_block(body, &mut usage);
     usage
 }
 
-fn walk_block(stmts: &[Stmt], depth: u32, usage: &mut [BufUsage]) {
+fn walk_block(stmts: &[Stmt], usage: &mut [BufUsage]) {
     for s in stmts {
-        walk_stmt(s, depth, usage);
+        walk_stmt(s, usage);
     }
 }
 
-fn walk_stmt(s: &Stmt, depth: u32, usage: &mut [BufUsage]) {
+fn walk_stmt(s: &Stmt, usage: &mut [BufUsage]) {
     match s {
-        Stmt::Assign { value, .. } => walk_expr(value, depth, usage),
+        Stmt::Assign { value, .. } => walk_expr(value, usage),
         Stmt::Store { buf, idx, value, .. } => {
-            walk_expr(idx, depth, usage);
-            walk_expr(value, depth, usage);
+            walk_expr(idx, usage);
+            walk_expr(value, usage);
             let u = &mut usage[buf.0 as usize];
             u.writes = true;
-            u.store_sites.push((linear_in_tid(idx), depth));
+            u.store_sites.push(store_pattern(idx));
         }
         Stmt::AtomicRmw {
             buf, idx, value, ..
         } => {
-            walk_expr(idx, depth, usage);
-            walk_expr(value, depth, usage);
+            walk_expr(idx, usage);
+            walk_expr(value, usage);
             let u = &mut usage[buf.0 as usize];
             u.atomics = true;
-            u.atomic_sites.push((classify(idx), depth));
+            u.atomic_sites.push(classify(idx));
         }
-        Stmt::ReduceScalar { value, .. } => walk_expr(value, depth, usage),
+        Stmt::ReduceScalar { value, .. } => walk_expr(value, usage),
         Stmt::If { cond, then_, else_ } => {
-            walk_expr(cond, depth, usage);
-            walk_block(then_, depth, usage);
-            walk_block(else_, depth, usage);
+            walk_expr(cond, usage);
+            walk_block(then_, usage);
+            walk_block(else_, usage);
         }
         Stmt::While { cond, body } => {
-            walk_expr(cond, depth + 1, usage);
-            walk_block(body, depth + 1, usage);
+            walk_expr(cond, usage);
+            walk_block(body, usage);
         }
         Stmt::Break | Stmt::Continue => {}
     }
 }
 
-fn walk_expr(e: &Expr, depth: u32, usage: &mut [BufUsage]) {
+fn walk_expr(e: &Expr, usage: &mut [BufUsage]) {
     e.visit(&mut |e| {
         if let Expr::Load { buf, idx } = e {
             let u = &mut usage[buf.0 as usize];
             u.reads = true;
-            u.load_sites.push((classify(idx), depth));
+            u.load_sites.push(classify(idx));
         }
     });
 }
@@ -145,12 +167,6 @@ pub fn pattern_efficiency(p: AccessPattern) -> f64 {
         AccessPattern::StridedDyn => 1.0 / 8.0,
         AccessPattern::Irregular => 0.125,
     }
-}
-
-/// Loop-depth weight: sites inside loops execute more often; without
-/// dynamic counts we weight a site 8× per nesting level (capped).
-pub fn depth_weight(depth: u32) -> f64 {
-    8f64.powi(depth.min(3) as i32)
 }
 
 #[cfg(test)]
@@ -203,20 +219,28 @@ mod tests {
 
     #[test]
     fn store_affinity_detected() {
-        // out[3*tid + 1] = 0  → within stride 3
-        let body = vec![Stmt::Store {
+        // out[3*tid + 1] = 0; out[1 - tid] = 0
+        let store = |idx| Stmt::Store {
             buf: BufId(0),
-            idx: Expr::add(
-                Expr::mul(Expr::imm_i32(3), Expr::ThreadIdx),
-                Expr::imm_i32(1),
-            ),
+            idx,
             value: Expr::imm_i32(0),
             dirty: false,
             checked: false,
-        }];
+        };
+        let body = vec![
+            store(Expr::add(
+                Expr::mul(Expr::imm_i32(3), Expr::ThreadIdx),
+                Expr::imm_i32(1),
+            )),
+            store(Expr::sub(Expr::imm_i32(1), Expr::ThreadIdx)),
+        ];
         let u = analyze_body(&body, 1);
-        assert!(u[0].stores_within_own_stride(3));
-        assert!(!u[0].stores_within_own_stride(2));
+        assert_eq!(
+            u[0].store_sites,
+            [AccessPattern::Strided(3), AccessPattern::Coalesced]
+        );
+        assert_eq!(u[0].write_pattern(), AccessPattern::Strided(3));
+        assert_eq!(u[0].read_pattern(), AccessPattern::Coalesced);
     }
 
     #[test]
@@ -229,11 +253,25 @@ mod tests {
             checked: false,
         }];
         let u = analyze_body(&body, 2);
-        assert!(!u[0].stores_within_own_stride(1));
+        assert_eq!(u[0].write_pattern(), AccessPattern::Irregular);
+        assert_eq!(u[1].read_pattern(), AccessPattern::Coalesced);
     }
 
     #[test]
-    fn depth_weights_inner_loops() {
+    fn equally_slow_sites_resolve_to_the_first() {
+        // `Irregular` and `StridedDyn` price alike: the store comes first.
+        let u = BufUsage {
+            store_sites: vec![AccessPattern::Coalesced, AccessPattern::Irregular],
+            atomic_sites: vec![AccessPattern::StridedDyn],
+            load_sites: vec![AccessPattern::StridedDyn, AccessPattern::Irregular],
+            ..BufUsage::default()
+        };
+        assert_eq!(u.write_pattern(), AccessPattern::Irregular);
+        assert_eq!(u.read_pattern(), AccessPattern::StridedDyn);
+    }
+
+    #[test]
+    fn loads_inside_loops_are_classified() {
         // while (...) { t = x[tid*8]; }
         let body = vec![Stmt::While {
             cond: Expr::Imm(acc_kernel_ir::Value::Bool(false)),
@@ -243,8 +281,8 @@ mod tests {
             }],
         }];
         let u = analyze_body(&body, 1);
-        assert_eq!(u[0].load_sites.len(), 1);
-        assert_eq!(u[0].load_sites[0], (AccessPattern::Strided(8), 1));
+        assert_eq!(u[0].load_sites, [AccessPattern::Strided(8)]);
+        assert_eq!(u[0].read_pattern(), AccessPattern::Strided(8));
         assert!(u[0].all_loads_affine());
     }
 
@@ -260,7 +298,5 @@ mod tests {
             pattern_efficiency(AccessPattern::Strided(32))
         );
         assert!(pattern_efficiency(AccessPattern::Irregular) <= 0.25);
-        assert!(depth_weight(2) > depth_weight(1));
-        assert_eq!(depth_weight(3), depth_weight(9)); // capped
     }
 }

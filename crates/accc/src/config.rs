@@ -47,11 +47,9 @@ pub enum ElisionProof {
     NotApplicable,
     /// Distributed but never stored to by this kernel.
     NoStores,
-    /// Proved by the strict constant-stride prover (`s*tid + c`,
-    /// `0 <= c < s`).
-    ConstStride,
-    /// Proved by the interval/symbolic prover (runtime stride and/or
-    /// loop-bounded offsets, [`crate::range`]).
+    /// Proved by the interval/symbolic prover ([`crate::range`]): every
+    /// store lands in `[S*tid, S*(tid+1) - 1]` for the literal or
+    /// runtime stride `S`, constant and loop-bounded offsets alike.
     Interval,
     /// Not provable: the runtime miss check stays on every store.
     Unproven,

@@ -12,15 +12,16 @@
 //!   reduction-private) and the matching instrumentation is applied to
 //!   stores: dirty-bit marks on replicated arrays, miss checks on
 //!   distributed arrays unless statically elided;
-//! * a coalescing estimate is computed, with the 2-D layout transform
-//!   applied where legal (read-only, all-affine, `localaccess` arrays).
+//! * each array's worst read and write access class is recorded for the
+//!   runtime's memory pricing, and the 2-D layout transform is applied
+//!   where legal (read-only, all-affine, `localaccess` arrays).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use acc_kernel_ir as ir;
 use acc_minic::hir::{ParallelLoopNode, TypedFunction};
 
-use crate::analysis::{self, depth_weight, pattern_efficiency, AccessMode};
+use crate::analysis::{self, AccessMode};
 use crate::config::{ArrayConfig, ArrayLint, ElisionProof, LocalAccessParams, Placement};
 use crate::{depend, infer, lint, range, CompileError, CompileOptions, CompiledKernel, ParamSrc};
 
@@ -184,10 +185,10 @@ pub fn extract_kernel(
             None => Placement::Replicated,
         };
 
-        // Miss-check elision (§IV-D2): first the strict constant-stride
-        // prover, then the broadened interval/symbolic prover, which also
-        // handles runtime strides and nested-loop offsets. The same
-        // decomposition feeds the `localaccess` window check (ACC-W003).
+        // Miss-check elision (§IV-D2): the interval/symbolic prover, for
+        // literal and runtime strides and nested-loop offsets alike. The
+        // same decomposition feeds the `localaccess` window check
+        // (ACC-W003).
         let declared = la.as_ref().and_then(|p| {
             let sr = stride_ref(&p.stride, &local_map, &assigned)?;
             Some((p, sr))
@@ -196,13 +197,9 @@ pub fn extract_kernel(
         let mut elision = ElisionProof::NotApplicable;
         let mut window = range::WindowCheck::default();
         let mut halo_windows = (0, 0);
-        if let (Placement::Distributed, Some(p)) = (&placement, &la) {
+        if placement == Placement::Distributed {
             (miss_check_elided, elision) = if !u.writes {
                 (false, ElisionProof::NoStores)
-            } else if matches!(const_i32(&p.stride),
-                Some(s) if s > 0 && u.stores_within_own_stride(s as i64))
-            {
-                (true, ElisionProof::ConstStride)
             } else if declared.is_some_and(|(_, sr)| range::stores_proved_local(sites.get(sr), sr))
             {
                 (true, ElisionProof::Interval)
@@ -250,39 +247,13 @@ pub fn extract_kernel(
             && la.is_some()
             && mode == AccessMode::Read
             && u.all_loads_affine()
-            && u.load_sites.iter().any(|(p, _)| {
+            && u.load_sites.iter().any(|p| {
                 matches!(
                     p,
                     crate::affine::AccessPattern::Strided(_)
                         | crate::affine::AccessPattern::StridedDyn
                 )
             });
-
-        // Worst-case (least efficient) patterns for the runtime's
-        // per-array memory pricing.
-        let worst = |pats: Vec<crate::affine::AccessPattern>| {
-            pats.into_iter().min_by(|a, b| {
-                pattern_efficiency(*a)
-                    .partial_cmp(&pattern_efficiency(*b))
-                    .unwrap()
-            })
-        };
-        let read_pattern = worst(u.load_sites.iter().map(|(p, _)| *p).collect())
-            .unwrap_or(crate::affine::AccessPattern::Coalesced);
-        let write_pattern = worst(
-            u.store_sites
-                .iter()
-                .map(|(l, _)| match l {
-                    Some(l) if l.coeff == 0 || l.coeff.unsigned_abs() == 1 => {
-                        crate::affine::AccessPattern::Coalesced
-                    }
-                    Some(l) => crate::affine::AccessPattern::Strided(l.coeff.unsigned_abs()),
-                    None => crate::affine::AccessPattern::Irregular,
-                })
-                .chain(u.atomic_sites.iter().map(|(p, _)| *p))
-                .collect(),
-        )
-        .unwrap_or(crate::affine::AccessPattern::Coalesced);
 
         configs.push(ArrayConfig {
             array: arr,
@@ -295,8 +266,8 @@ pub fn extract_kernel(
             own_strides,
             miss_check_elided,
             layout_transformed,
-            read_pattern,
-            write_pattern,
+            read_pattern: u.read_pattern(),
+            write_pattern: u.write_pattern(),
             inferred_reduction: inferred_reds[kbuf],
             monotone_window: dep.monotone.map(|m| crate::config::MonotoneWindowInfo {
                 ptr_array: buf_map[m.ptr.0 as usize],
@@ -323,9 +294,6 @@ pub fn extract_kernel(
             }
         }
     }
-
-    // ---- coalescing estimate ----
-    let mem_efficiency = estimate_mem_efficiency(&usage, &configs);
 
     // ---- assemble ----
     let kernel_locals: Vec<ir::Ty> = used_locals
@@ -391,7 +359,6 @@ pub fn extract_kernel(
 
     Ok(CompiledKernel {
         kernel,
-        mem_efficiency,
         configs,
         buf_map,
         param_src,
@@ -432,49 +399,6 @@ fn stride_ref(
         }
     }
     None
-}
-
-fn estimate_mem_efficiency(
-    usage: &[analysis::BufUsage],
-    configs: &[ArrayConfig],
-) -> f64 {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (u, cfg) in usage.iter().zip(configs) {
-        for (p, d) in &u.load_sites {
-            let w = depth_weight(*d);
-            let eff = if cfg.layout_transformed {
-                // Transformed arrays are accessed coalesced.
-                1.0
-            } else {
-                pattern_efficiency(*p)
-            };
-            num += eff * w;
-            den += w;
-        }
-        for (lin, d) in &u.store_sites {
-            let w = depth_weight(*d);
-            let p = match lin {
-                Some(l) if l.coeff == 0 || l.coeff.unsigned_abs() == 1 => {
-                    crate::affine::AccessPattern::Coalesced
-                }
-                Some(l) => crate::affine::AccessPattern::Strided(l.coeff.unsigned_abs()),
-                None => crate::affine::AccessPattern::Irregular,
-            };
-            num += pattern_efficiency(p) * w;
-            den += w;
-        }
-        for (p, d) in &u.atomic_sites {
-            let w = depth_weight(*d);
-            num += pattern_efficiency(*p) * w;
-            den += w;
-        }
-    }
-    if den == 0.0 {
-        1.0
-    } else {
-        num / den
-    }
 }
 
 // ---------- body scanning and remapping ----------
@@ -618,6 +542,7 @@ pub(crate) fn set_store_flags(stmts: &mut [ir::Stmt], kbuf: u32, dirty: bool, ch
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::affine::AccessPattern;
     use crate::compile_source;
 
     #[test]
@@ -767,9 +692,14 @@ mod tests {
             },
         )
         .unwrap();
-        let cx = with.kernels[0].configs.iter().find(|c| c.name == "x").unwrap();
-        assert!(cx.layout_transformed);
-        assert!(with.kernels[0].mem_efficiency > without.kernels[0].mem_efficiency);
+        // `x` is the first array the kernel uses.
+        let x = |p: &crate::CompiledProgram| p.kernels[0].configs[0].clone();
+        assert_eq!(x(&with).name, "x");
+        assert!(x(&with).layout_transformed);
+        assert!(!x(&without).layout_transformed);
+        // The class the runtime prices when the transform is off.
+        assert_eq!(x(&with).read_pattern, AccessPattern::Strided(8));
+        assert_eq!(x(&without).read_pattern, x(&with).read_pattern);
     }
 
     #[test]
@@ -839,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn mem_efficiency_between_zero_and_one() {
+    fn gathered_reads_are_irregular() {
         let p = compile_source(
             "void f(int n, int *m, double *y) {\n\
              #pragma acc parallel loop\n\
@@ -849,9 +779,8 @@ mod tests {
             &CompileOptions::proposal(),
         )
         .unwrap();
-        let e = p.kernels[0].mem_efficiency;
-        assert!(e > 0.0 && e <= 1.0);
-        // Irregular read drags it below full.
-        assert!(e < 0.9);
+        let cm = &p.kernels[0].configs[0];
+        assert_eq!(cm.name, "m");
+        assert_eq!(cm.read_pattern, AccessPattern::Irregular);
     }
 }

@@ -6,13 +6,15 @@
 //! 1. one [`CompiledKernel`] per combined parallel loop — the "generated
 //!    CUDA kernel": extracted body with the induction variable replaced by
 //!    the thread index, captured host scalars turned into launch
-//!    parameters, dirty-bit / write-miss instrumentation applied per the
-//!    placement decisions, and a static memory-coalescing estimate
-//!    (`mem_efficiency`) that the 2-D layout transform (§IV-B4) improves;
+//!    parameters, and dirty-bit / write-miss instrumentation applied per
+//!    the placement decisions;
 //! 2. the *array configuration information* (§IV-B5): per kernel × array,
 //!    the access mode, placement policy (replica vs distribution vs
-//!    reduction-private), `localaccess` parameters, and whether the
-//!    write-miss check could be statically elided (§IV-D2);
+//!    reduction-private), `localaccess` parameters, whether the
+//!    write-miss check could be statically elided (§IV-D2), and the
+//!    worst read and write coalescing class the runtime prices memory
+//!    traffic with (reads count as coalesced once the 2-D layout
+//!    transform of §IV-B4 applies);
 //! 3. the host program ([`HostOp`] tree): the original sequential control
 //!    flow with parallel loops replaced by launch operations and data
 //!    directives replaced by runtime calls — "the translator just inserts
@@ -53,7 +55,7 @@ pub use lint::{lint_function, lint_program, lint_source, lint_source_with};
 ///   ignored, single-GPU replica semantics);
 /// * **hand-written CUDA** — `CompileOptions::cuda_expert()` (no runtime
 ///   instrumentation at all; only valid for single-GPU execution).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
     /// Honor the `localaccess` / `reductiontoarray` extensions. When off,
     /// every array is placed replica-style and array reductions fall back
@@ -164,9 +166,6 @@ pub enum ParamSrc {
 pub struct CompiledKernel {
     /// The generated kernel.
     pub kernel: ir::Kernel,
-    /// Static coalescing estimate in `(0, 1]` fed to the device timing
-    /// model; the layout transform raises it.
-    pub mem_efficiency: f64,
     /// Array configuration information, one entry per kernel buffer
     /// parameter (same order as `kernel.bufs`).
     pub configs: Vec<ArrayConfig>,

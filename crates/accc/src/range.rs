@@ -1,11 +1,10 @@
 //! Interval/range reasoning over loop bounds and the `localaccess` stride
-//! symbol (the broadened §IV-D2 write-locality prover).
+//! symbol: the translator's one §IV-D2 write-locality prover.
 //!
-//! The strict prover in [`crate::analysis`] only accepts stores of the
-//! form `s*tid + c` with both parts compile-time constants. Real stencil
+//! Stores of the literal form `s*tid + c` are the easy case. Real stencil
 //! kernels index as `tid*S + j` where `S` is a *runtime* stride (a
 //! captured host scalar such as `cols`) and `j` runs over a desugared
-//! inner loop `0 <= j < S`. This module proves such stores local by
+//! inner loop `0 <= j < S`. This module proves both kinds of store local by
 //!
 //! * tracking every kernel local as an inclusive interval of *symbolic
 //!   bounds* `a*S + k` (with the runtime guarantee `S >= 1`, enforced by
@@ -270,9 +269,8 @@ fn within_own_partition(f: &Option<IndexForm>, stride: StrideRef) -> bool {
     })
 }
 
-/// Every store decomposed and provably inside `[S*tid, S*(tid+1) - 1]`.
-/// Mirrors `BufUsage::stores_within_own_stride`: vacuously false when the
-/// buffer has no stores.
+/// Every store decomposed and provably inside `[S*tid, S*(tid+1) - 1]`;
+/// false when the buffer has no stores (there is no check to elide).
 pub fn stores_proved_local(sites: &BufSites, stride: StrideRef) -> bool {
     !sites.stores.is_empty() && sites.stores.iter().all(|f| within_own_partition(f, stride))
 }
@@ -898,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn const_stride_matches_strict_prover() {
+    fn literal_stride_store_is_proved_for_its_own_stride_only() {
         // out[3*tid + 1]: provable for stride 3, not 2.
         let body = vec![Stmt::Store {
             buf: BufId(0),

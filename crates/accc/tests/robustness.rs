@@ -212,9 +212,8 @@ proptest! {
 
     /// The miss-check elision on literal strides: a store `a*i + c` stays
     /// in iteration `i`'s partition `[s*i, s*(i+1) - 1]` exactly when
-    /// `a == s` and `0 <= c < s`, however the index is spelled. The
-    /// constant-stride prover answers where it can read the index; the
-    /// interval prover covers the other spellings.
+    /// `a == s` and `0 <= c < s`, however the index is spelled, and the
+    /// interval prover is the one that proves it.
     #[test]
     fn literal_stride_stores_are_proved_local_exactly_when_inside_the_partition(
         s in 1i64..=64,
@@ -232,8 +231,8 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("{src}: {e}")))?;
             let y = &prog.kernels[0].configs[0];
             prop_assert_eq!(y.miss_check_elided, local, "{}", src);
-            let proved = matches!(y.lint.elision, ElisionProof::ConstStride | ElisionProof::Interval);
-            prop_assert_eq!(proved, local, "{:?}: {}", y.lint.elision, src);
+            let want = if local { ElisionProof::Interval } else { ElisionProof::Unproven };
+            prop_assert_eq!(y.lint.elision, want, "{}", src);
         }
     }
 

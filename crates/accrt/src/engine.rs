@@ -5,11 +5,11 @@
 //! `acc-serve` daemon) instead wants **compile-once / run-many** across
 //! many concurrent tenants. [`Engine`] is that handle:
 //!
-//! * **compilation cache** — [`Engine::compile`] is keyed first on the
-//!   `(source, function, options)` request and then on the hash of the
-//!   compiled IR, so textually different requests that lower to the same
-//!   program still share one [`CompiledKernel`] (and its mapper
-//!   history). Repeat requests return the same `Arc` without invoking
+//! * **compilation cache** — one bounded LRU map, keyed by the exact
+//!   `(source, function, options)` request and compared in full, so two
+//!   requests share a [`CompiledKernel`] (and its mapper history) only
+//!   when they are the same request; a cosmetic edit to a source is a
+//!   new entry. Repeat requests return the same `Arc` without invoking
 //!   the compiler, and concurrent first requests for one key are
 //!   single-flight — one of them compiles, the rest wait for its
 //!   outcome — so the hit and compile counts depend on which requests
@@ -49,33 +49,12 @@ use crate::comm::StagingPool;
 use crate::program::ProgramState;
 use crate::{run_with, ExecConfig, RunError, RunReport};
 
-/// 64-bit FNV-1a — the repo's no-dependency stable hash.
-fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separator so ("ab","c") and ("a","bc") hash apart.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Request-cache key of one `(source, function, options)` request.
-fn request_key(source: &str, function: &str, options: &CompileOptions) -> u64 {
-    fnv1a64(&[
-        source.as_bytes(),
-        function.as_bytes(),
-        format!("{options:?}").as_bytes(),
-    ])
-}
+/// One compile request, the cache key: `(source, function, options)`.
+type Request = (String, String, CompileOptions);
 
 /// A cached compiled program plus the cross-request state that rides
-/// with it: its IR hash (the cache identity), its shared mapper history
-/// and the executable forms of its kernels.
+/// with it: its shared mapper history and the executable forms of its
+/// kernels.
 ///
 /// Dereferences to [`CompiledProgram`], so anything that inspects a
 /// program (`localaccess_ratio()`, `kernels`, …) works on a
@@ -83,7 +62,6 @@ fn request_key(source: &str, function: &str, options: &CompileOptions) -> u64 {
 #[derive(Debug)]
 pub struct CompiledKernel {
     prog: CompiledProgram,
-    ir_hash: u64,
     shared: ProgramState,
 }
 
@@ -91,23 +69,10 @@ impl CompiledKernel {
     /// Wrap an already-compiled program (no engine involved — useful
     /// for tests and for adopting programs compiled elsewhere).
     pub fn from_program(prog: CompiledProgram) -> CompiledKernel {
-        let ir_hash = ir_hash_of(&prog);
-        CompiledKernel::with_hash(prog, ir_hash)
-    }
-
-    fn with_hash(prog: CompiledProgram, ir_hash: u64) -> CompiledKernel {
         CompiledKernel {
             shared: ProgramState::new(prog.kernels.len()),
-            ir_hash,
             prog,
         }
-    }
-
-    /// Hash of the compiled IR — the compilation-cache identity. Two
-    /// requests whose sources lower to the same program get the same
-    /// hash (and, through an [`Engine`], the same `Arc`).
-    pub fn ir_hash(&self) -> u64 {
-        self.ir_hash
     }
 
     /// The compiled program.
@@ -123,24 +88,17 @@ impl Deref for CompiledKernel {
     }
 }
 
-/// Stable hash of a compiled program's IR. The IR types don't implement
-/// `Hash`, but they all derive `Debug` with full structural detail, and
-/// the `Debug` rendering is deterministic — hash that.
-fn ir_hash_of(prog: &CompiledProgram) -> u64 {
-    fnv1a64(&[format!("{prog:?}").as_bytes()])
-}
-
 /// One cached kernel plus its recency stamp for LRU eviction.
 struct CacheEntry {
     kernel: Arc<CompiledKernel>,
     last_used: u64,
 }
 
-/// What a request-cache miss produced: the kernel, or the compiler's
+/// What a cache miss produced: the kernel, or the compiler's
 /// message (the payload of [`RunError::Compile`]).
 type Compiled = Result<Arc<CompiledKernel>, String>;
 
-/// A request-cache miss being compiled. The first requester of a key
+/// A cache miss being compiled. The first requester of a key
 /// runs the compiler; every later requester of the same key waits here
 /// for that one outcome instead of compiling again.
 #[derive(Default)]
@@ -167,7 +125,7 @@ impl Flight {
 /// blocked.
 struct FlightOwner<'a> {
     inner: &'a Mutex<EngineInner>,
-    key: u64,
+    key: Request,
     flight: Arc<Flight>,
     outcome: Compiled,
 }
@@ -188,16 +146,13 @@ impl Drop for FlightOwner<'_> {
 /// Cache + pool state behind the engine's lock.
 #[derive(Default)]
 struct EngineInner {
-    /// Request cache: `(source, function, options)` hash → kernel. The
-    /// options are part of the key, so e.g. an `infer_localaccess`
-    /// recompile of the same source gets its own entry.
-    by_request: HashMap<u64, CacheEntry>,
-    /// Request keys whose first requester is still compiling.
-    in_flight: HashMap<u64, Arc<Flight>>,
-    /// IR cache: compiled-IR hash → kernel (dedups textually different
-    /// requests that lower identically).
-    by_ir: HashMap<u64, CacheEntry>,
-    /// Monotonic recency clock shared by both maps.
+    /// The compilation cache: request → kernel. The options are part of
+    /// the key, so e.g. an `infer_localaccess` recompile of the same
+    /// source gets its own entry.
+    by_request: HashMap<Request, CacheEntry>,
+    /// Requests whose first requester is still compiling.
+    in_flight: HashMap<Request, Arc<Flight>>,
+    /// Monotonic recency clock of the cache entries.
     tick: u64,
     /// Idle scratch pools, checked out one per in-flight launch.
     pools: Vec<StagingPool>,
@@ -210,13 +165,13 @@ impl EngineInner {
     }
 }
 
-/// Insert into a bounded cache map, evicting the least-recently-used
+/// Insert into the bounded cache map, evicting the least-recently-used
 /// entry first when at capacity. Eviction only drops the map's `Arc`:
 /// tenants still holding the kernel keep using it, and its shared
 /// mapper history dies only when the last holder lets go.
 fn insert_bounded(
-    map: &mut HashMap<u64, CacheEntry>,
-    key: u64,
+    map: &mut HashMap<Request, CacheEntry>,
+    key: Request,
     kernel: Arc<CompiledKernel>,
     tick: u64,
     cap: usize,
@@ -225,7 +180,11 @@ fn insert_bounded(
     if !map.contains_key(&key) && map.len() >= cap.max(1) {
         // O(n) min-scan; the capacity is small (default 256) and
         // insertions only happen on compile misses.
-        if let Some((&oldest, _)) = map.iter().min_by_key(|(_, e)| e.last_used) {
+        let oldest = map
+            .iter()
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone());
+        if let Some(oldest) = oldest {
             map.remove(&oldest);
             evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -248,20 +207,17 @@ pub struct EngineStats {
     /// `compile` calls that invoked the compiler (failed compiles
     /// included; those are not cached).
     pub compiles: u64,
-    /// `compile` calls answered from the request cache, or by waiting
-    /// for another thread's compile of the same request.
+    /// `compile` calls answered from the cache, or by waiting for
+    /// another thread's compile of the same request.
     pub cache_hits: u64,
-    /// Compiler invocations whose output deduplicated against an
-    /// already-cached identical IR (a textually different request).
-    pub ir_dedups: u64,
     /// Completed `launch` calls (success or failure).
     pub launches: u64,
     /// Launches that reused a warm scratch pool instead of creating one.
     pub pool_reuses: u64,
-    /// Cache entries dropped by the bounded LRU (request and IR maps
-    /// together). A steadily climbing value under a steady tenant set
-    /// means the capacity ([`Engine::with_cache_capacity`]) is too small
-    /// and compiles are being redone.
+    /// Cache entries dropped by the bounded LRU. A steadily climbing
+    /// value under a steady tenant set means the capacity
+    /// ([`Engine::with_cache_capacity`]) is too small and compiles are
+    /// being redone.
     pub evictions: u64,
 }
 
@@ -287,14 +243,12 @@ pub struct Engine {
     inner: Mutex<EngineInner>,
     compiles: AtomicU64,
     cache_hits: AtomicU64,
-    ir_dedups: AtomicU64,
     launches: AtomicU64,
     pool_reuses: AtomicU64,
     evictions: AtomicU64,
 }
 
-/// Default bound on each compilation-cache map (requests and IRs are
-/// capped independently).
+/// Default bound on the number of compilation-cache entries.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 impl Engine {
@@ -309,16 +263,15 @@ impl Engine {
             inner: Mutex::new(EngineInner::default()),
             compiles: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            ir_dedups: AtomicU64::new(0),
             launches: AtomicU64::new(0),
             pool_reuses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// Bound each compilation-cache map at `cap` entries (least
-    /// recently used evicted first; clamped to at least 1). The default
-    /// is [`DEFAULT_CACHE_CAPACITY`].
+    /// Bound the compilation cache at `cap` entries (least recently used
+    /// evicted first; clamped to at least 1). The default is
+    /// [`DEFAULT_CACHE_CAPACITY`].
     pub fn with_cache_capacity(mut self, cap: usize) -> Engine {
         self.cache_capacity = cap.max(1);
         self
@@ -334,10 +287,9 @@ impl Engine {
         &self.cfg
     }
 
-    /// Compile `source`, or return the cached kernel if this request
-    /// (or any request lowering to the same IR) was compiled before.
-    /// The hit path returns the same `Arc`, so pointer equality holds
-    /// across tenants.
+    /// Compile `source`, or return the cached kernel if this exact
+    /// request was compiled before. The hit path returns the same `Arc`,
+    /// so pointer equality holds across tenants.
     pub fn compile(
         &self,
         source: &str,
@@ -350,15 +302,15 @@ impl Engine {
     /// [`Engine::compile`] plus a flag saying whether this exact
     /// request was served from the cache (`true`, including a wait on
     /// another thread's compile of it) or had to run the compiler
-    /// (`false`, including the IR-dedup case). `acc-serve` uses the flag
-    /// for per-job cache-hit accounting.
+    /// (`false`). `acc-serve` uses the flag for per-job cache-hit
+    /// accounting.
     pub fn compile_entry(
         &self,
         source: &str,
         function: &str,
         options: &CompileOptions,
     ) -> Result<(Arc<CompiledKernel>, bool), RunError> {
-        let key = request_key(source, function, options);
+        let key: Request = (source.to_owned(), function.to_owned(), options.clone());
         let flight = {
             let mut inner = self.inner.lock().expect("engine lock poisoned");
             let tick = inner.next_tick();
@@ -377,7 +329,7 @@ impl Engine {
                 return Ok((ck, true));
             }
             let flight = Arc::new(Flight::default());
-            inner.in_flight.insert(key, Arc::clone(&flight));
+            inner.in_flight.insert(key.clone(), Arc::clone(&flight));
             flight
         };
         let mut owner = FlightOwner {
@@ -390,15 +342,14 @@ impl Engine {
         // sources shouldn't serialise on the compiler.
         self.compiles.fetch_add(1, Ordering::Relaxed);
         owner.outcome = compile_source(source, function, options).map(|prog| {
-            let ir_hash = ir_hash_of(&prog);
+            let ck = Arc::new(CompiledKernel::from_program(prog));
             let mut inner = self.inner.lock().expect("engine lock poisoned");
-            let ck = self.intern(&mut inner, ir_hash, prog);
-            let tick = inner.tick;
+            let tick = inner.next_tick();
             // Cached before `owner` drops: a requester sees the key in
             // `in_flight` or in `by_request`, never in neither.
             insert_bounded(
                 &mut inner.by_request,
-                key,
+                owner.key.clone(),
                 Arc::clone(&ck),
                 tick,
                 self.cache_capacity,
@@ -407,44 +358,6 @@ impl Engine {
             ck
         });
         owner.outcome.clone().map(|ck| (ck, false)).map_err(RunError::Compile)
-    }
-
-    /// Adopt an already-compiled program into the cache (deduplicated
-    /// by IR hash) — the path for callers that drive the compiler
-    /// themselves but still want shared launches.
-    pub fn insert(&self, prog: CompiledProgram) -> Arc<CompiledKernel> {
-        let ir_hash = ir_hash_of(&prog);
-        let mut inner = self.inner.lock().expect("engine lock poisoned");
-        self.intern(&mut inner, ir_hash, prog)
-    }
-
-    /// The cached kernel for `prog`'s IR (`ir_hash`, computed by the
-    /// caller outside the lock), adopting `prog` as that kernel when the
-    /// IR map has none. A textually different request may have lowered
-    /// to the same IR first; the map keeps exactly one kernel per
-    /// distinct program either way.
-    fn intern(
-        &self,
-        inner: &mut EngineInner,
-        ir_hash: u64,
-        prog: CompiledProgram,
-    ) -> Arc<CompiledKernel> {
-        let tick = inner.next_tick();
-        if let Some(existing) = inner.by_ir.get_mut(&ir_hash) {
-            existing.last_used = tick;
-            self.ir_dedups.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&existing.kernel);
-        }
-        let ck = Arc::new(CompiledKernel::with_hash(prog, ir_hash));
-        insert_bounded(
-            &mut inner.by_ir,
-            ir_hash,
-            Arc::clone(&ck),
-            tick,
-            self.cache_capacity,
-            &self.evictions,
-        );
-        ck
     }
 
     /// Run one job on a fresh machine with the engine's default
@@ -515,7 +428,6 @@ impl Engine {
         EngineStats {
             compiles: self.compiles.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            ir_dedups: self.ir_dedups.load(Ordering::Relaxed),
             launches: self.launches.load(Ordering::Relaxed),
             pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -554,7 +466,6 @@ void scale(int n, double *a) {
         let a = eng.compile(SRC, "scale", &opts).unwrap();
         let b = eng.compile(SRC, "scale", &opts).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.ir_hash(), b.ir_hash());
         let s = eng.stats();
         assert_eq!(s.compiles, 1);
         assert_eq!(s.cache_hits, 1);
@@ -562,15 +473,26 @@ void scale(int n, double *a) {
     }
 
     #[test]
-    fn textually_different_requests_dedup_on_ir() {
+    fn cosmetic_variants_get_their_own_entry() -> Result<(), RunError> {
         let eng = Engine::new(MachineKind::Desktop, ExecConfig::gpus(2));
         let opts = CompileOptions::proposal();
-        let a = eng.compile(SRC, "scale", &opts).unwrap();
-        // A trailing comment changes the request key but not the IR.
+        let a = eng.compile(SRC, "scale", &opts)?;
+        // A trailing comment is a different request, though it lowers to
+        // the same program.
         let src2 = format!("{SRC}\n// cosmetic change\n");
-        let b = eng.compile(&src2, "scale", &opts).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same IR must share one kernel");
-        assert_eq!(eng.stats().ir_dedups, 1);
+        let b = eng.compile(&src2, "scale", &opts)?;
+        assert!(
+            !Arc::ptr_eq(&a, &b),
+            "a different request is a different entry"
+        );
+        assert_eq!(format!("{:?}", a.program()), format!("{:?}", b.program()));
+        let s = eng.stats();
+        assert_eq!((s.compiles, s.cache_hits), (2, 0));
+        // Each variant is now a hit on its own entry.
+        assert!(Arc::ptr_eq(&b, &eng.compile(&src2, "scale", &opts)?));
+        assert!(Arc::ptr_eq(&a, &eng.compile(SRC, "scale", &opts)?));
+        assert_eq!(eng.stats().cache_hits, 2);
+        Ok(())
     }
 
     #[test]
@@ -637,11 +559,11 @@ void scale(int n, double *a) {
         eng.compile(&variant(3), "scale", &opts).unwrap();
         // Touch the oldest so the middle one becomes LRU.
         eng.compile(&variant(2), "scale", &opts).unwrap();
-        // Third distinct program: evicts variant(3) from both maps.
+        // Third distinct request: evicts variant(3).
         eng.compile(&variant(4), "scale", &opts).unwrap();
         let s = eng.stats();
         assert_eq!(s.compiles, 3);
-        assert_eq!(s.evictions, 2, "one request entry + one IR entry");
+        assert_eq!(s.evictions, 1);
         // The touched program is still cached (same Arc)...
         let a2 = eng.compile(&variant(2), "scale", &opts).unwrap();
         assert!(Arc::ptr_eq(&a, &a2));
@@ -667,7 +589,6 @@ void scale(int n, double *a) {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!a.options.infer_localaccess && b.options.infer_localaccess);
         assert_eq!(eng.stats().compiles, 2);
-        assert_eq!(eng.stats().ir_dedups, 0);
     }
 
     #[test]
@@ -677,9 +598,9 @@ void scale(int n, double *a) {
         let opts = CompileOptions::proposal();
         // Own the flight by hand, so that all seven requesters are
         // waiting on it before it fails.
-        let key = request_key(BROKEN, "broken", &opts);
+        let key: Request = (BROKEN.to_owned(), "broken".to_owned(), opts.clone());
         let flight = Arc::new(Flight::default());
-        eng.inner.lock().unwrap().in_flight.insert(key, Arc::clone(&flight));
+        eng.inner.lock().unwrap().in_flight.insert(key.clone(), Arc::clone(&flight));
         let waiters: Vec<_> = (0..7)
             .map(|_| {
                 let eng = Arc::clone(&eng);

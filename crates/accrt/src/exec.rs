@@ -10,6 +10,7 @@
 
 use acc_compiler::{ArrayConfig, CompiledKernel, CompiledProgram, HostOp, ParamSrc, Placement};
 use acc_compiler::affine::AccessPattern;
+use acc_compiler::analysis::pattern_efficiency;
 use acc_compiler::hostgen::CompiledClause;
 use acc_gpusim::{Gpu, Machine};
 use acc_kernel_ir as ir;
@@ -442,7 +443,7 @@ impl<'a> Run<'a> {
             |_, cfg| self.host_arrays[cfg.array].size_bytes() as u64,
             |resident| cpu.gather_efficiency(resident),
         );
-        let t = cpu.parallel_region_time_split(&counters, &terms);
+        let t = cpu.parallel_region_time(&counters, &terms);
         self.rec
             .phase(Some(self.cur_launch), PhaseKind::Kernel, self.now, self.now + t);
         self.now += t;
@@ -826,7 +827,7 @@ impl<'a> Run<'a> {
             },
             |resident| spec.gather_efficiency(resident),
         );
-        spec.kernel_time_split(&out.counters, &terms)
+        spec.kernel_time(&out.counters, &terms)
     }
 
     fn gather_params(&mut self, ck: &CompiledKernel) -> Result<Vec<Value>, RunError> {
@@ -902,11 +903,11 @@ fn run_gpu_job(
 
 /// `(bytes, efficiency)` memory-pricing terms for one device's share of
 /// a launch: per kernel buffer a read and a write term, the efficiency
-/// taken from the translator's access classification. `resident` is the
-/// buffer's footprint on the device and `gather` prices an irregular
-/// access to it against the device's cache. On a GPU a stride costs
-/// coalescing (and the §IV-B4 layout transform restores it for reads);
-/// CPU caches absorb most of it.
+/// the translator's [`pattern_efficiency`] gives its access class.
+/// `resident` is the buffer's footprint on the device and `gather` prices
+/// an irregular access to it against the device's cache instead. On a
+/// GPU a stride costs coalescing (and the §IV-B4 layout transform
+/// restores it for reads); CPU caches absorb most of it.
 fn mem_terms(
     ck: &CompiledKernel,
     per_buf_bytes: &[(u64, u64)],
@@ -915,11 +916,9 @@ fn mem_terms(
     gather: impl Fn(u64) -> f64,
 ) -> Vec<(u64, f64)> {
     let eff = |pattern: AccessPattern, resident: u64| match pattern {
-        AccessPattern::Broadcast | AccessPattern::Coalesced => 1.0,
         AccessPattern::Irregular => gather(resident),
-        _ if !gpu => 0.8,
-        AccessPattern::Strided(s) => 1.0 / (s.min(32) as f64),
-        AccessPattern::StridedDyn => 1.0 / 8.0,
+        AccessPattern::Strided(_) | AccessPattern::StridedDyn if !gpu => 0.8,
+        p => pattern_efficiency(p),
     };
     let mut terms = Vec::with_capacity(2 * ck.configs.len());
     for (kbuf, cfg) in ck.configs.iter().enumerate() {

@@ -3,10 +3,14 @@
 //! OpenMP-mode results bit-for-bit (integers) / exactly (doubles, since
 //! the operations are order-preserving per element).
 
+use std::sync::Arc;
+
 use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Value};
-use acc_runtime::{run_program, Engine, ExecConfig, KernelVm, RunError, SanitizeLevel};
+use acc_runtime::{
+    run_program, CompiledKernel, Engine, ExecConfig, KernelVm, RunError, SanitizeLevel,
+};
 
 fn machine() -> Machine {
     Machine::supercomputer_node() // 3 GPUs
@@ -545,7 +549,7 @@ fn bad_inputs_rejected() {
 }
 
 /// Every field of a `CompiledProgram` is `pub`, so a caller can hand
-/// `run_program` / `Engine::insert` a program the compiler would never
+/// `run_program` or an `Engine` a program the compiler would never
 /// emit. Distribution without a `localaccess` window must surface as the
 /// stable ACC-R004, not a panic.
 #[test]
@@ -568,9 +572,9 @@ fn distributed_placement_without_localaccess_is_a_typed_error() {
         .unwrap_err();
     assert!(matches!(err, RunError::BadLocalAccess(_)), "got {err}");
     assert_eq!(err.code(), "ACC-R004");
-    // Same program adopted through the engine.
+    // Same program launched through the engine.
     let engine = Engine::new(acc_gpusim::MachineKind::SupercomputerNode, ExecConfig::gpus(2));
-    let kernel = engine.insert(prog);
+    let kernel = Arc::new(CompiledKernel::from_program(prog));
     let (scalars, arrays) = inputs();
     let err = engine.launch(&kernel, scalars, arrays).unwrap_err();
     assert_eq!(err.code(), "ACC-R004");
@@ -645,7 +649,7 @@ fn forged_kernels_are_typed_errors_from_both_entry_points() {
             assert!(matches!(&err, RunError::Compile(m) if m.contains("saxpy")), "{what}: {err}");
             assert_eq!(err.code(), "ACC-R010");
         }
-        let kernel = engine.insert(prog);
+        let kernel = Arc::new(CompiledKernel::from_program(prog));
         for _ in 0..2 {
             let (scalars, arrays) = inputs();
             let err = engine.launch(&kernel, scalars, arrays).unwrap_err();

@@ -36,7 +36,7 @@ fn machines() -> Vec<(usize, Machine)> {
 fn engine() -> (Engine, std::sync::Arc<CompiledKernel>) {
     let engine = Engine::new(MachineKind::SupercomputerNode, ExecConfig::gpus(1));
     let prog = compile_source(REVERSE, "rev", &CompileOptions::proposal()).unwrap();
-    let kernel = engine.insert(prog);
+    let kernel = std::sync::Arc::new(CompiledKernel::from_program(prog));
     (engine, kernel)
 }
 

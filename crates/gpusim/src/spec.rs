@@ -90,16 +90,6 @@ impl GpuSpec {
         self.cores as f64 * self.clock_ghz * 1e9 * per_cycle
     }
 
-    /// Simulated execution time of a kernel that performed the counted
-    /// work. `mem_efficiency` in `(0, 1]` is the coalescing factor the
-    /// translator computed for the kernel's access pattern (§IV-B4's
-    /// layout transform exists to push this toward 1.0).
-    pub fn kernel_time(&self, c: &OpCounters, mem_efficiency: f64) -> SimTime {
-        let eff = mem_efficiency.clamp(1e-3, 1.0);
-        let memory = c.total_bytes() as f64 / (self.mem_bw_gbs * 1e9 * eff);
-        self.compute_time(c).max(memory) + self.launch_overhead_s
-    }
-
     /// Arithmetic-side time of the roofline.
     pub fn compute_time(&self, c: &OpCounters) -> SimTime {
         c.int_ops as f64 / self.tput(self.eff_int_per_cycle)
@@ -112,12 +102,14 @@ impl GpuSpec {
             + c.atomics as f64 / (self.atomic_gops * 1e9)
     }
 
-    /// Roofline time with per-array memory terms: each term is
-    /// `(bytes, efficiency)` — the byte traffic one buffer generated and
-    /// the effective-bandwidth fraction its access pattern achieves (the
-    /// runtime derives the efficiency from the translator's access
-    /// classification plus residency vs `cache_bytes`).
-    pub fn kernel_time_split(&self, c: &OpCounters, mem_terms: &[(u64, f64)]) -> SimTime {
+    /// Simulated execution time of a kernel that performed the counted
+    /// work, with per-array memory terms: each term is `(bytes,
+    /// efficiency)` — the byte traffic one buffer generated and the
+    /// effective-bandwidth fraction in `(0, 1]` its access pattern
+    /// achieves (the runtime derives the efficiency from the translator's
+    /// access classification plus residency vs `cache_bytes`; the
+    /// §IV-B4 layout transform raises a strided read's to 1.0).
+    pub fn kernel_time(&self, c: &OpCounters, mem_terms: &[(u64, f64)]) -> SimTime {
         let memory: f64 = mem_terms
             .iter()
             .map(|(bytes, eff)| *bytes as f64 / (self.mem_bw_gbs * 1e9 * eff.clamp(1e-3, 1.0)))
@@ -241,15 +233,9 @@ impl CpuSpec {
     }
 
     /// Simulated time of an OpenMP parallel region that performed the
-    /// counted work across `omp_threads`.
-    pub fn parallel_region_time(&self, c: &OpCounters) -> SimTime {
-        let memory = c.total_bytes() as f64 / (self.mem_bw_gbs * 1e9);
-        self.region_compute_time(c).max(memory) + self.region_overhead_s
-    }
-
-    /// Roofline with per-array memory terms `(bytes, efficiency)`, like
-    /// [`GpuSpec::kernel_time_split`].
-    pub fn parallel_region_time_split(&self, c: &OpCounters, mem_terms: &[(u64, f64)]) -> SimTime {
+    /// counted work across `omp_threads`, with per-array memory terms
+    /// `(bytes, efficiency)` like [`GpuSpec::kernel_time`].
+    pub fn parallel_region_time(&self, c: &OpCounters, mem_terms: &[(u64, f64)]) -> SimTime {
         let memory: f64 = mem_terms
             .iter()
             .map(|(bytes, eff)| *bytes as f64 / (self.mem_bw_gbs * 1e9 * eff.clamp(1e-3, 1.0)))
@@ -292,31 +278,35 @@ mod tests {
     #[test]
     fn gpu_compute_bound_scales_with_ops() {
         let g = GpuSpec::tesla_c2075();
-        let t1 = g.kernel_time(&work(1_000_000_000, 0), 1.0);
-        let t2 = g.kernel_time(&work(2_000_000_000, 0), 1.0);
+        let (w1, w2) = (work(1_000_000_000, 0), work(2_000_000_000, 0));
+        let t1 = g.kernel_time(&w1, &[(w1.total_bytes(), 1.0)]);
+        let t2 = g.kernel_time(&w2, &[(w2.total_bytes(), 1.0)]);
         assert!(t2 > t1 * 1.9 && t2 < t1 * 2.1);
     }
 
     #[test]
     fn gpu_memory_bound_scales_with_bytes() {
         let g = GpuSpec::tesla_c2075();
-        let t1 = g.kernel_time(&work(0, 1 << 30), 1.0);
-        let t2 = g.kernel_time(&work(0, 2 << 30), 1.0);
+        let (w1, w2) = (work(0, 1 << 30), work(0, 2 << 30));
+        let t1 = g.kernel_time(&w1, &[(w1.total_bytes(), 1.0)]);
+        let t2 = g.kernel_time(&w2, &[(w2.total_bytes(), 1.0)]);
         assert!(t2 > t1 * 1.8);
     }
 
     #[test]
     fn coalescing_efficiency_matters() {
         let g = GpuSpec::tesla_c2075();
-        let fast = g.kernel_time(&work(0, 1 << 30), 1.0);
-        let slow = g.kernel_time(&work(0, 1 << 30), 0.25);
+        let w = work(0, 1 << 30);
+        let fast = g.kernel_time(&w, &[(w.total_bytes(), 1.0)]);
+        let slow = g.kernel_time(&w, &[(w.total_bytes(), 0.25)]);
         assert!(slow > fast * 3.0);
     }
 
     #[test]
     fn launch_overhead_floors_empty_kernels() {
         let g = GpuSpec::tesla_c2075();
-        let t = g.kernel_time(&OpCounters::default(), 1.0);
+        let w = OpCounters::default();
+        let t = g.kernel_time(&w, &[(w.total_bytes(), 1.0)]);
         assert!((t - g.launch_overhead_s).abs() < 1e-12);
     }
 
@@ -326,7 +316,8 @@ mod tests {
         let g = GpuSpec::tesla_c2075();
         let c = CpuSpec::core_i7_desktop();
         let w = work(10_000_000_000, 0);
-        assert!(g.kernel_time(&w, 1.0) < c.parallel_region_time(&w) / 4.0);
+        let terms = [(w.total_bytes(), 1.0)];
+        assert!(g.kernel_time(&w, &terms) < c.parallel_region_time(&w, &terms) / 4.0);
     }
 
     #[test]
@@ -335,14 +326,15 @@ mod tests {
         let d = CpuSpec::core_i7_desktop();
         let n = CpuSpec::dual_xeon_node();
         let w = work(10_000_000_000, 40 << 30);
-        assert!(n.parallel_region_time(&w) < d.parallel_region_time(&w));
+        let terms = [(w.total_bytes(), 1.0)];
+        assert!(n.parallel_region_time(&w, &terms) < d.parallel_region_time(&w, &terms));
     }
 
     #[test]
     fn serial_slower_than_parallel() {
         let c = CpuSpec::core_i7_desktop();
         let w = work(1_000_000_000, 0);
-        assert!(c.serial_time(&w) > c.parallel_region_time(&w) * 3.0);
+        assert!(c.serial_time(&w) > c.parallel_region_time(&w, &[(w.total_bytes(), 1.0)]) * 3.0);
     }
 
     #[test]
@@ -356,7 +348,10 @@ mod tests {
             int_ops: 100_000_000,
             ..Default::default()
         };
-        assert!(g.kernel_time(&w, 1.0) > g.kernel_time(&w2, 1.0) * 10.0);
+        assert!(
+            g.kernel_time(&w, &[(w.total_bytes(), 1.0)])
+                > g.kernel_time(&w2, &[(w2.total_bytes(), 1.0)]) * 10.0
+        );
     }
 
     #[test]
@@ -364,8 +359,8 @@ mod tests {
         let g = GpuSpec::tesla_c2075();
         let c = OpCounters::default();
         // Two equal terms at efficiency 1.0 and 0.5: the second costs 2x.
-        let t1 = g.kernel_time_split(&c, &[(1 << 30, 1.0)]);
-        let t2 = g.kernel_time_split(&c, &[(1 << 30, 1.0), (1 << 30, 0.5)]);
+        let t1 = g.kernel_time(&c, &[(1 << 30, 1.0)]);
+        let t2 = g.kernel_time(&c, &[(1 << 30, 1.0), (1 << 30, 0.5)]);
         let base = g.launch_overhead_s;
         assert!(((t2 - base) / (t1 - base) - 3.0).abs() < 0.01);
     }
@@ -397,7 +392,8 @@ mod tests {
             f64_ops: 10_000_000,
             ..Default::default()
         };
-        assert!(c.parallel_region_time(&divs) > 5.0 * c.parallel_region_time(&muls));
+        let time = |w: &OpCounters| c.parallel_region_time(w, &[(w.total_bytes(), 1.0)]);
+        assert!(time(&divs) > 5.0 * time(&muls));
     }
 
     #[test]

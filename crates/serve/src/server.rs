@@ -298,7 +298,6 @@ impl Server {
                 Value::obj([
                     ("compiles", Value::num(es.compiles as f64)),
                     ("cache_hits", Value::num(es.cache_hits as f64)),
-                    ("ir_dedups", Value::num(es.ir_dedups as f64)),
                     ("launches", Value::num(es.launches as f64)),
                     ("pool_reuses", Value::num(es.pool_reuses as f64)),
                     ("cache_hit_rate", Value::num(es.cache_hit_rate())),

@@ -48,17 +48,20 @@ fn main() {
     for (i, ck) in prog.kernels.iter().enumerate() {
         println!("\n--- kernel {} ---", i);
         println!("{}", kernel_to_string(&ck.kernel));
-        println!("static coalescing estimate: {:.3}", ck.mem_efficiency);
         println!("array configuration information:");
         for c in &ck.configs {
             println!(
-                "  `{}`: {:?}, {:?}, localaccess: {}, miss checks elided: {}, layout transformed: {}",
+                "  `{}`: {:?}, {:?}, localaccess: {}, miss checks elided: {}",
                 c.name,
                 c.mode,
                 c.placement,
                 c.localaccess.is_some(),
                 c.miss_check_elided,
-                c.layout_transformed,
+            );
+            // What the runtime prices this array's memory traffic with.
+            println!(
+                "    read: {:?}, write: {:?}, layout transformed: {}",
+                c.read_pattern, c.write_pattern, c.layout_transformed,
             );
         }
     }
