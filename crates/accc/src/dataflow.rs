@@ -41,7 +41,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use acc_kernel_ir as ir;
 
 use crate::config::Placement;
-use crate::hostgen::HostOp;
+use crate::depend::value_uniform;
+use crate::hostgen::{clause_arrays, HostOp};
 use crate::CompiledKernel;
 
 /// The static proof that one launch's replica sync for one buffer may
@@ -263,7 +264,7 @@ pub fn comm_plan(kernels: &[CompiledKernel], host: &[HostOp]) -> CommPlan {
         }
         // Identical, stable iteration bounds across every accessing launch.
         let (lo0, hi0) = (&kernels[uses[0].0].lo, &kernels[uses[0].0].hi);
-        if !expr_stable(lo0, &assigned) || !expr_stable(hi0, &assigned) {
+        if !value_uniform(lo0, &assigned) || !value_uniform(hi0, &assigned) {
             continue;
         }
         for &(ki, _) in uses {
@@ -283,7 +284,7 @@ pub fn comm_plan(kernels: &[CompiledKernel], host: &[HostOp]) -> CommPlan {
         let Some(stride) = common
             .unwrap_or_default()
             .into_iter()
-            .find(|e| expr_stable(e, &assigned))
+            .find(|e| value_uniform(e, &assigned))
         else {
             continue;
         };
@@ -323,7 +324,7 @@ fn host_assigned_locals(host: &[HostOp], kernels: &[CompiledKernel]) -> BTreeSet
                     walk(then_, out);
                     walk(else_, out);
                 }
-                HostOp::While { body, .. } => walk(body, out),
+                HostOp::While { body, .. } | HostOp::Region { body, .. } => walk(body, out),
                 _ => {}
             }
         }
@@ -335,24 +336,11 @@ fn host_assigned_locals(host: &[HostOp], kernels: &[CompiledKernel]) -> BTreeSet
     out
 }
 
-/// True when `e` evaluates to the same value at every launch: no memory
-/// reads, no thread index, and only never-reassigned locals.
-fn expr_stable(e: &ir::Expr, assigned: &BTreeSet<ir::LocalId>) -> bool {
-    let mut ok = true;
-    e.visit(&mut |e| match e {
-        ir::Expr::Load { .. } | ir::Expr::ThreadIdx => ok = false,
-        ir::Expr::Local(l) if assigned.contains(l) => ok = false,
-        _ => {}
-    });
-    ok
-}
-
-/// Linear walk collecting `update device` targets and arrays stored by
-/// host code while device-present. `DataEnter`/`DataExit` are balanced
-/// flat ops, so a region stack over the op sequence is exact.
+/// Walk collecting `update device` targets and arrays stored by host
+/// code while device-present.
 struct HostWalk {
-    /// Stack of `(region id, arrays)` for open data regions.
-    present: Vec<(usize, BTreeSet<usize>)>,
+    /// Arrays of the enclosing data regions, innermost last.
+    present: Vec<BTreeSet<usize>>,
     update_device: BTreeSet<usize>,
     host_stored_present: BTreeSet<usize>,
 }
@@ -361,15 +349,10 @@ impl HostWalk {
     fn walk(&mut self, ops: &[HostOp]) {
         for op in ops {
             match op {
-                HostOp::DataEnter { region, clauses } => {
-                    let arrays = clauses
-                        .iter()
-                        .flat_map(|c| c.sections.iter().map(|s| s.array))
-                        .collect();
-                    self.present.push((*region, arrays));
-                }
-                HostOp::DataExit { region } => {
-                    self.present.retain(|(r, _)| r != region);
+                HostOp::Region { clauses, body } => {
+                    self.present.push(clause_arrays(clauses).collect());
+                    self.walk(body);
+                    self.present.pop();
                 }
                 HostOp::Update { to_device, .. } => {
                     self.update_device.extend(to_device.iter().map(|s| s.array));
@@ -378,7 +361,7 @@ impl HostWalk {
                     stmt.visit(&mut |s| {
                         if let ir::Stmt::Store { buf, .. } | ir::Stmt::AtomicRmw { buf, .. } = s {
                             let arr = buf.0 as usize;
-                            if self.present.iter().any(|(_, a)| a.contains(&arr)) {
+                            if self.present.iter().any(|a| a.contains(&arr)) {
                                 self.host_stored_present.insert(arr);
                             }
                         }

@@ -477,10 +477,13 @@ fn common_claim(sites: &[Site]) -> Option<MonoSig> {
     sig
 }
 
-/// A store value is *uniform* when it cannot diverge across the threads
-/// that execute the store: no thread index, no memory loads, no local
-/// assigned inside the kernel (mirrors the `ACC-W001` value test).
-fn value_uniform(e: &Expr, assigned: &BTreeSet<ir::LocalId>) -> bool {
+/// An expression is *uniform* when it cannot diverge across the
+/// executions that evaluate it: no thread index, no memory loads, no
+/// local from `assigned` (the locals that may change between them). The
+/// one store-value test of the dependence verdicts and of `ACC-W001`
+/// (`assigned` = locals the kernel assigns), and the launch-invariance
+/// test of comm elision (`assigned` = locals the host assigns).
+pub(crate) fn value_uniform(e: &Expr, assigned: &BTreeSet<ir::LocalId>) -> bool {
     let mut uni = true;
     e.visit(&mut |e| match e {
         Expr::ThreadIdx | Expr::Load { .. } => uni = false,

@@ -411,16 +411,14 @@ fn scan_block(
 ) {
     for s in stmts {
         // Reads (all expressions).
-        s.visit_exprs(&mut |e| {
-            e.visit(&mut |e| match e {
-                ir::Expr::Local(l) if *l != loop_var => {
-                    locals.insert(l.0, true);
-                }
-                ir::Expr::Load { buf, .. } => {
-                    bufs.insert(buf.0, ());
-                }
-                _ => {}
-            });
+        s.visit_exprs(&mut |e| match e {
+            ir::Expr::Local(l) if *l != loop_var => {
+                locals.insert(l.0, true);
+            }
+            ir::Expr::Load { buf, .. } => {
+                bufs.insert(buf.0, ());
+            }
+            _ => {}
         });
         // Writes.
         s.visit(&mut |s| match s {

@@ -6,7 +6,10 @@
 //! functions, and to control the data movement among the distributed
 //! memories" (§IV-B). Here the host program is a small op tree the
 //! `acc-runtime` executor walks; data movement is delegated to the runtime
-//! (§IV-B1) through the `DataEnter`/`DataExit`/`Update` ops.
+//! (§IV-B1) through the `Region` and `Update` ops. Regions are structured:
+//! every launch sits inside regions covering each array it uses, because
+//! hostgen wraps it in an innermost region for the arrays no enclosing
+//! one covers (OpenACC's implicit per-launch `copy`).
 
 use acc_kernel_ir as ir;
 use acc_minic::directive::DataClauseKind;
@@ -44,13 +47,13 @@ pub enum HostOp {
         cond: ir::Expr,
         body: Vec<HostOp>,
     },
-    /// Enter a data region: the runtime allocates/loads per the clauses.
-    DataEnter {
-        region: usize,
+    /// A data region: the runtime enters it per the clauses, runs the
+    /// body, and exits it (copy-out and free) on every flow out of the
+    /// body — fall-through, `break`, `continue` and `return` alike.
+    Region {
         clauses: Vec<CompiledClause>,
+        body: Vec<HostOp>,
     },
-    /// Exit the region opened with the same id: copy-out and free.
-    DataExit { region: usize },
     /// Launch compiled kernel `kernels[idx]` as one BSP superstep.
     Launch { kernel: usize },
     /// `#pragma acc update`.
@@ -81,6 +84,35 @@ fn lower_clauses(clauses: &[TypedDataClause]) -> Vec<CompiledClause> {
         .collect()
 }
 
+/// The program arrays `clauses` name, one per section.
+pub(crate) fn clause_arrays(clauses: &[CompiledClause]) -> impl Iterator<Item = usize> + '_ {
+    clauses.iter().flat_map(|c| c.sections.iter().map(|s| s.array))
+}
+
+/// OpenACC's implicit per-launch region: the arrays of `ck` that no
+/// enclosing region covers, `copy` if the kernel writes them and
+/// `copyin` otherwise (a whole-array flush at exit only when written).
+fn implicit_clauses(ck: &CompiledKernel, present: &[usize]) -> Vec<CompiledClause> {
+    let uncovered = |writes: bool| -> Vec<Section> {
+        ck.configs
+            .iter()
+            .filter(|c| c.mode.writes() == writes && !present.contains(&c.array))
+            .map(|c| Section {
+                array: c.array,
+                range: None,
+            })
+            .collect()
+    };
+    [(DataClauseKind::Copy, true), (DataClauseKind::CopyIn, false)]
+        .into_iter()
+        .map(|(kind, writes)| CompiledClause {
+            kind,
+            sections: uncovered(writes),
+        })
+        .filter(|c| !c.sections.is_empty())
+        .collect()
+}
+
 /// Lower a function's host body, extracting kernels as they are found
 /// (`HostOp::Launch` indexes the returned kernel list).
 pub fn lower_host(
@@ -92,7 +124,7 @@ pub fn lower_host(
         options,
         written: depend::arrays_written_in_function(f),
         kernels: Vec::new(),
-        region_counter: 0,
+        present: Vec::new(),
     };
     let host = l.lower_block(&f.body)?;
     Ok((host, l.kernels))
@@ -104,7 +136,8 @@ struct Lowering<'a> {
     /// Per program array: does the function write it anywhere?
     written: Vec<bool>,
     kernels: Vec<CompiledKernel>,
-    region_counter: usize,
+    /// [`clause_arrays`] of the enclosing data regions.
+    present: Vec<usize>,
 }
 
 impl Lowering<'_> {
@@ -134,25 +167,27 @@ impl Lowering<'_> {
                     });
                 }
                 HostStmt::DataRegion { clauses, body } => {
-                    let region = self.open_region(clauses, &mut out);
-                    out.extend(self.lower_block(body)?);
-                    out.push(HostOp::DataExit { region });
+                    let clauses = lower_clauses(clauses);
+                    let body = self.covered(&clauses, |l| l.lower_block(body))?;
+                    out.push(HostOp::Region { clauses, body });
                 }
                 HostStmt::ParallelLoop(node) => {
                     let ck = extract_kernel(node, self.f, self.options, &self.written)?;
-                    let launch = HostOp::Launch {
+                    let clauses = lower_clauses(&node.data_clauses);
+                    let implicit = self.covered(&clauses, |l| implicit_clauses(&ck, &l.present));
+                    let mut op = HostOp::Launch {
                         kernel: self.kernels.len(),
                     };
                     self.kernels.push(ck);
-                    // Data clauses on the combined directive form an implicit
-                    // region around the single launch.
-                    if node.data_clauses.is_empty() {
-                        out.push(launch);
-                    } else {
-                        let region = self.open_region(&node.data_clauses, &mut out);
-                        out.push(launch);
-                        out.push(HostOp::DataExit { region });
+                    for clauses in [implicit, clauses] {
+                        if !clauses.is_empty() {
+                            op = HostOp::Region {
+                                clauses,
+                                body: vec![op],
+                            };
+                        }
                     }
+                    out.push(op);
                 }
                 HostStmt::Update { host, device } => out.push(HostOp::Update {
                     to_host: lower_sections(host),
@@ -164,14 +199,13 @@ impl Lowering<'_> {
         Ok(out)
     }
 
-    fn open_region(&mut self, clauses: &[TypedDataClause], out: &mut Vec<HostOp>) -> usize {
-        let region = self.region_counter;
-        self.region_counter += 1;
-        out.push(HostOp::DataEnter {
-            region,
-            clauses: lower_clauses(clauses),
-        });
-        region
+    /// Run `f` with the arrays of `clauses` marked present.
+    fn covered<T>(&mut self, clauses: &[CompiledClause], f: impl FnOnce(&mut Self) -> T) -> T {
+        let depth = self.present.len();
+        self.present.extend(clause_arrays(clauses));
+        let out = f(self);
+        self.present.truncate(depth);
+        out
     }
 }
 
@@ -180,9 +214,25 @@ mod tests {
     use super::*;
     use crate::compile_source;
 
+    fn compile(src: &str) -> crate::CompiledProgram {
+        compile_source(src, "f", &CompileOptions::proposal()).unwrap()
+    }
+
+    /// `(kind, arrays)` of each clause of a `Region` op.
+    fn clauses_of(op: &HostOp) -> (Vec<(DataClauseKind, Vec<usize>)>, &[HostOp]) {
+        let HostOp::Region { clauses, body } = op else {
+            panic!("not a region: {op:?}")
+        };
+        let clauses = clauses
+            .iter()
+            .map(|c| (c.kind, c.sections.iter().map(|s| s.array).collect()))
+            .collect();
+        (clauses, body)
+    }
+
     #[test]
     fn data_region_brackets_launch() {
-        let p = compile_source(
+        let p = compile(
             "void f(int n, double *x) {\n\
              #pragma acc data copy(x[0:n])\n\
              {\n\
@@ -190,35 +240,68 @@ mod tests {
              for (int i = 0; i < n; i++) x[i] = 0.0;\n\
              }\n\
              }",
-            "f",
-            &CompileOptions::proposal(),
-        )
-        .unwrap();
-        assert!(matches!(p.host[0], HostOp::DataEnter { .. }));
-        assert!(matches!(p.host[1], HostOp::Launch { kernel: 0 }));
-        assert!(matches!(p.host[2], HostOp::DataExit { .. }));
+        );
+        assert_eq!(p.host.len(), 1);
+        let (clauses, body) = clauses_of(&p.host[0]);
+        assert_eq!(clauses, vec![(DataClauseKind::Copy, vec![0])]);
+        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
     }
 
     #[test]
     fn directive_clauses_make_implicit_region() {
-        let p = compile_source(
+        let p = compile(
             "void f(int n, double *x) {\n\
              #pragma acc parallel loop copy(x[0:n])\n\
              for (int i = 0; i < n; i++) x[i] = 0.0;\n\
              }",
-            "f",
-            &CompileOptions::proposal(),
-        )
-        .unwrap();
-        assert_eq!(p.host.len(), 3);
-        assert!(matches!(p.host[0], HostOp::DataEnter { .. }));
-        assert!(matches!(p.host[1], HostOp::Launch { .. }));
-        assert!(matches!(p.host[2], HostOp::DataExit { .. }));
+        );
+        assert_eq!(p.host.len(), 1);
+        let (clauses, body) = clauses_of(&p.host[0]);
+        assert_eq!(clauses, vec![(DataClauseKind::Copy, vec![0])]);
+        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
+    }
+
+    #[test]
+    fn uncovered_arrays_get_an_innermost_implicit_region() {
+        // `x` is covered by the data region; `y` (written) and `z` (read)
+        // by nothing, so they get `copy` and `copyin` around the launch.
+        let p = compile(
+            "void f(int n, double *x, double *y, double *z) {\n\
+             #pragma acc data copyin(x[0:n])\n\
+             {\n\
+             #pragma acc parallel loop\n\
+             for (int i = 0; i < n; i++) y[i] = x[i] + z[i];\n\
+             }\n\
+             }",
+        );
+        let (outer, body) = clauses_of(&p.host[0]);
+        assert_eq!(outer, vec![(DataClauseKind::CopyIn, vec![0])]);
+        let (inner, body) = clauses_of(&body[0]);
+        assert_eq!(
+            inner,
+            vec![(DataClauseKind::Copy, vec![1]), (DataClauseKind::CopyIn, vec![2])]
+        );
+        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
+    }
+
+    #[test]
+    fn implicit_region_nests_inside_the_directive_region() {
+        let p = compile(
+            "void f(int n, double *x, double *y) {\n\
+             #pragma acc parallel loop copyin(x[0:n])\n\
+             for (int i = 0; i < n; i++) y[i] = x[i];\n\
+             }",
+        );
+        let (outer, body) = clauses_of(&p.host[0]);
+        assert_eq!(outer, vec![(DataClauseKind::CopyIn, vec![0])]);
+        let (inner, body) = clauses_of(&body[0]);
+        assert_eq!(inner, vec![(DataClauseKind::Copy, vec![1])]);
+        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
     }
 
     #[test]
     fn launches_inside_host_loop() {
-        let p = compile_source(
+        let p = compile(
             "void f(int n, int iters, double *x) {\n\
              #pragma acc data copy(x[0:n])\n\
              {\n\
@@ -230,12 +313,10 @@ mod tests {
              }\n\
              }\n\
              }",
-            "f",
-            &CompileOptions::proposal(),
-        )
-        .unwrap();
+        );
         assert_eq!(p.kernels.len(), 1);
-        let HostOp::While { body, .. } = &p.host[2] else {
+        let (_, region) = clauses_of(&p.host[0]);
+        let HostOp::While { body, .. } = &region[1] else {
             panic!("{:?}", p.host)
         };
         assert!(body.iter().any(|op| matches!(op, HostOp::Launch { .. })));
@@ -243,17 +324,14 @@ mod tests {
 
     #[test]
     fn two_loops_two_kernels() {
-        let p = compile_source(
+        let p = compile(
             "void f(int n, double *x, double *y) {\n\
              #pragma acc parallel loop\n\
              for (int i = 0; i < n; i++) x[i] = 1.0;\n\
              #pragma acc parallel loop\n\
              for (int i = 0; i < n; i++) y[i] = x[i];\n\
              }",
-            "f",
-            &CompileOptions::proposal(),
-        )
-        .unwrap();
+        );
         assert_eq!(p.kernels.len(), 2);
         assert_eq!(p.kernels[0].kernel.name, "f_k0");
         assert_eq!(p.kernels[1].kernel.name, "f_k1");
@@ -262,14 +340,11 @@ mod tests {
 
     #[test]
     fn update_lowered() {
-        let p = compile_source(
+        let p = compile(
             "void f(int n, double *x) {\n\
              #pragma acc update host(x[0:n])\n\
              }",
-            "f",
-            &CompileOptions::proposal(),
-        )
-        .unwrap();
+        );
         let HostOp::Update { to_host, to_device } = &p.host[0] else {
             panic!()
         };

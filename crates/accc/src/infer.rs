@@ -175,7 +175,7 @@ pub(crate) fn candidate_strides(
         let mut terms = Vec::new();
         range::flatten(idx, 1, &mut terms);
         for (_, t) in terms {
-            if !has_tid(t) {
+            if !range::contains_tid(t) {
                 continue;
             }
             if let Some(lin) = linear_in_tid(t) {
@@ -190,7 +190,7 @@ pub(crate) fn candidate_strides(
             {
                 for (x, y) in [(a, b), (b, a)] {
                     if let ir::Expr::Local(l) = range::strip_cast(x) {
-                        if !assigned.contains(l) && has_tid(y) && linear_in_tid(y).is_some() {
+                        if !assigned.contains(l) && range::contains_tid(y) && linear_in_tid(y).is_some() {
                             push(StrideRef::Sym(*l));
                         }
                     }
@@ -214,26 +214,14 @@ fn index_exprs(body: &[ir::Stmt], buf: ir::BufId) -> Vec<&ir::Expr> {
             _ => {}
         });
         s.visit_exprs(&mut |e| {
-            e.visit(&mut |e| {
-                if let ir::Expr::Load { buf: b, idx } = e {
-                    if *b == buf {
-                        out.push(idx);
-                    }
+            if let ir::Expr::Load { buf: b, idx } = e {
+                if *b == buf {
+                    out.push(idx);
                 }
-            });
+            }
         });
     }
     out
-}
-
-fn has_tid(e: &ir::Expr) -> bool {
-    let mut found = false;
-    e.visit(&mut |e| {
-        if matches!(e, ir::Expr::ThreadIdx) {
-            found = true;
-        }
-    });
-    found
 }
 
 // ---------- validation & window derivation ----------
@@ -371,6 +359,23 @@ mod tests {
         name: &str,
     ) -> &'a crate::ArrayConfig {
         p.kernels[k].configs.iter().find(|c| c.name == name).unwrap()
+    }
+
+    #[test]
+    fn index_exprs_yields_each_site_once() -> Result<(), String> {
+        let p = compile_source(
+            "void f(int n, double *x, double *y) {\n\
+             #pragma acc parallel loop copyin(x[0:n]) copy(y[0:n])\n\
+             for (int i = 0; i < n - 1; i++) y[i] = x[i] + x[i + 1];\n\
+             }",
+            "f",
+            &CompileOptions::proposal(),
+        )?;
+        let k = &p.kernels[0];
+        let x = k.configs.iter().position(|c| c.name == "x").ok_or("no `x`")?;
+        let sites = index_exprs(&k.kernel.body, ir::BufId(x as u32));
+        assert_eq!(sites.len(), 2, "{sites:?}");
+        Ok(())
     }
 
     #[test]

@@ -62,7 +62,7 @@ use acc_minic::directive::DataClauseKind;
 use acc_minic::hir;
 
 use crate::affine::{classify, AccessPattern};
-use crate::hostgen::CompiledClause;
+use crate::hostgen::{clause_arrays, CompiledClause};
 use crate::{CompileOptions, CompiledProgram, DependVerdict, HostOp, Placement};
 
 /// Count the store-hazard sites for one buffer of a (remapped) kernel
@@ -103,13 +103,7 @@ pub(crate) fn store_hazards(
                     rmw += 1;
                     return;
                 }
-                let mut variant = false;
-                value.visit(&mut |e| match e {
-                    ir::Expr::ThreadIdx | ir::Expr::Load { .. } => variant = true,
-                    ir::Expr::Local(l) if assigned.contains(l) => variant = true,
-                    _ => {}
-                });
-                if variant {
+                if !crate::depend::value_uniform(value, assigned) {
                     overlap += 1;
                 }
             }
@@ -216,12 +210,12 @@ impl<'a> HostLint<'a> {
                 // The loop may have run zero times.
                 self.stale.extend(entry);
             }
-            HostOp::DataEnter { clauses, .. } => self.regions.push(clauses),
-            // Regions nest, so the exit always closes the innermost one:
-            // its copy/copyout sections flush unless an enclosing region
-            // keeps the array present.
-            HostOp::DataExit { .. } => {
-                let clauses = self.regions.pop().unwrap_or_default();
+            HostOp::Region { clauses, body } => {
+                self.regions.push(clauses);
+                self.walk_block(body);
+                self.regions.pop();
+                // The exit flushes the copy/copyout sections unless an
+                // enclosing region keeps the array present.
                 for c in clauses {
                     if matches!(c.kind, DataClauseKind::Copy | DataClauseKind::CopyOut) {
                         for sec in &c.sections {
@@ -245,8 +239,7 @@ impl<'a> HostLint<'a> {
     fn present(&self, array: usize) -> bool {
         self.regions
             .iter()
-            .flat_map(|clauses| clauses.iter())
-            .any(|c| c.sections.iter().any(|s| s.array == array))
+            .any(|clauses| clause_arrays(clauses).any(|a| a == array))
     }
 
     fn visit_kernel(&mut self, kidx: usize) {
@@ -699,17 +692,36 @@ mod tests {
 
     #[test]
     fn implicit_region_flush_clears_staleness() {
-        // Combined-directive copy clause flushes at the implicit region
-        // exit: the later host read is fine.
-        let d = lint(
+        // The region around the launch flushes `y` before the host reads
+        // it: the combined directive's `copy`, or the translator's
+        // implicit `copy` for an array no region names (none at all, or
+        // an enclosing region that covers only `x`).
+        for src in [
             "void f(int n, double *x, double *y) {\n\
              double t;\n\
              #pragma acc parallel loop copyin(x[0:n]) copy(y[0:n])\n\
              for (int i = 0; i < n; i++) y[i] = x[i];\n\
              t = y[0];\n\
              }",
-        );
-        assert!(codes(&d).is_empty(), "{d:?}");
+            "void f(int n, double *x, double *y) {\n\
+             double t;\n\
+             #pragma acc parallel loop\n\
+             for (int i = 0; i < n; i++) y[i] = x[i];\n\
+             t = y[0];\n\
+             }",
+            "void f(int n, double *x, double *y) {\n\
+             double t;\n\
+             #pragma acc data copyin(x[0:n])\n\
+             {\n\
+             #pragma acc parallel loop\n\
+             for (int i = 0; i < n; i++) y[i] = x[i];\n\
+             t = y[0];\n\
+             }\n\
+             }",
+        ] {
+            let d = lint(src);
+            assert!(codes(&d).is_empty(), "{src}: {d:?}");
+        }
     }
 
     #[test]

@@ -697,7 +697,8 @@ fn const_point(r: SymRange) -> Option<i64> {
     }
 }
 
-fn contains_tid(e: &Expr) -> bool {
+/// Does `e` read the thread index anywhere?
+pub(crate) fn contains_tid(e: &Expr) -> bool {
     let mut found = false;
     e.visit(&mut |e| {
         if matches!(e, Expr::ThreadIdx) {

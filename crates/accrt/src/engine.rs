@@ -277,11 +277,6 @@ impl Engine {
         self
     }
 
-    /// The machine kind each [`Engine::launch`] job runs on.
-    pub fn machine_kind(&self) -> MachineKind {
-        self.kind
-    }
-
     /// The default launch configuration.
     pub fn config(&self) -> &ExecConfig {
         &self.cfg

@@ -3,6 +3,12 @@
 //! (loader phase → parallel kernel phase → communication phase → barrier,
 //! paper §III-A Fig. 3).
 //!
+//! Data regions are structured: `HostOp::Region` enters per its clauses,
+//! runs its body and exits — copy-out, then free at depth zero — on every
+//! flow out of the body (`break`, `continue` and `return` included). The
+//! translator already wrapped each launch in the implicit region for its
+//! uncovered arrays, so a launch itself decides nothing about regions.
+//!
 //! A GPU launch first becomes a `LaunchPlan`: `launch_gpu` evaluates
 //! the host expressions it depends on and calls the pure `plan::build`
 //! once; the loader, the kernel wave, the sanitizer verdict and the comm
@@ -40,6 +46,10 @@ enum Flow {
     Continue,
     Return,
 }
+
+/// One exit obligation of an open data region: the array and, for a
+/// `copy`/`copyout` section, the range flushed back to the host.
+type Exit = (usize, Option<(i64, i64)>);
 
 /// What one GPU returns from its kernel job.
 #[derive(Default)]
@@ -284,8 +294,16 @@ impl<'a> Run<'a> {
                         Flow::Return => return Ok(Flow::Return),
                     }
                 },
-                HostOp::DataEnter { region, clauses } => self.data_enter(*region, clauses)?,
-                HostOp::DataExit { region } => self.data_exit(*region)?,
+                HostOp::Region { clauses, body } => {
+                    let exits = self.data_enter(clauses)?;
+                    // Every flow out of the body exits the region; an
+                    // error propagates without one.
+                    let f = self.exec_ops(body)?;
+                    self.data_exit(exits)?;
+                    if f != Flow::Normal {
+                        return Ok(f);
+                    }
+                }
                 HostOp::Launch { kernel } => self.launch(*kernel)?,
                 HostOp::Update {
                     to_host,
@@ -299,9 +317,15 @@ impl<'a> Run<'a> {
 
     // ---------------- data regions / update ----------------
 
-    fn data_enter(&mut self, region: usize, clauses: &[CompiledClause]) -> Result<(), RunError> {
+    /// Enter a data region: count each clause section into its array's
+    /// nesting depth. Returns the region's exit obligations, one per
+    /// section: `(array, copy-out range)` — `copy`/`copyout` sections
+    /// flush their range back to the host at exit, the others only
+    /// balance the depth.
+    fn data_enter(&mut self, clauses: &[CompiledClause]) -> Result<Vec<Exit>, RunError> {
+        let mut exits = Vec::new();
         if self.cfg.mode == ExecMode::CpuParallel {
-            return Ok(());
+            return Ok(exits);
         }
         use acc_minic::directive::DataClauseKind as K;
         for c in clauses {
@@ -317,39 +341,28 @@ impl<'a> Run<'a> {
                     st.init_from_host = matches!(c.kind, K::Copy | K::CopyIn | K::Present);
                 }
                 st.region_depth += 1;
-                // Entries without a section only balance the depth at
-                // exit; `copy`/`copyout` entries also flush the section
-                // back to the host.
-                let copyout = matches!(c.kind, K::Copy | K::CopyOut).then_some(range);
-                st.exit_stack.push((region, copyout));
+                exits.push((s.array, matches!(c.kind, K::Copy | K::CopyOut).then_some(range)));
             }
         }
-        Ok(())
+        Ok(exits)
     }
 
-    fn data_exit(&mut self, region: usize) -> Result<(), RunError> {
-        if self.cfg.mode == ExecMode::CpuParallel {
-            return Ok(());
-        }
+    /// Exit a data region: flush its copy-outs (all starting at once, in
+    /// array order, each array's sections last-entered first) and free
+    /// the arrays whose depth reaches zero.
+    fn data_exit(&mut self, mut exits: Vec<Exit>) -> Result<(), RunError> {
+        exits.reverse();
+        exits.sort_by_key(|&(arr, _)| arr);
         let t0 = self.now;
         let mut end = t0;
-        for arr in 0..self.arrays.len() {
-            // Pop every obligation this region registered for the array.
-            loop {
-                let st = &mut self.arrays[arr];
-                let Some(pos) = st.exit_stack.iter().rposition(|(r, _)| *r == region) else {
-                    break;
-                };
-                let (_, copyout) = st.exit_stack.remove(pos);
-                if let Some((lo, hi)) = copyout {
-                    let e = self.flush_to_host(arr, lo, hi, t0)?;
-                    end = end.max(e);
-                }
-                let st = &mut self.arrays[arr];
-                st.region_depth -= 1;
-                if st.region_depth == 0 {
-                    self.free_array_devices(arr)?;
-                }
+        for (arr, copyout) in exits {
+            if let Some((lo, hi)) = copyout {
+                end = end.max(self.flush_to_host(arr, lo, hi, t0)?);
+            }
+            let st = &mut self.arrays[arr];
+            st.region_depth -= 1;
+            if st.region_depth == 0 {
+                self.free_array_devices(arr)?;
             }
         }
         self.rec.phase(None, PhaseKind::Data, t0, end);
@@ -471,19 +484,6 @@ impl<'a> Run<'a> {
         };
         let params = self.gather_params(ck)?;
 
-        // Arrays used by this kernel but not inside any data region get an
-        // implicit per-launch `copy` region (OpenACC default behaviour —
-        // and the performance trap data regions exist to avoid).
-        let mut implicit: Vec<usize> = Vec::new();
-        for cfg in &ck.configs {
-            if self.arrays[cfg.array].region_depth == 0 {
-                implicit.push(cfg.array);
-                let st = &mut self.arrays[cfg.array];
-                st.init_from_host = true;
-                st.region_depth = 1;
-            }
-        }
-
         let inputs = self.eval_plan_inputs(kidx, ck)?;
         let bus = &self.machine.bus;
         let bus_product = (bus.h2d_bw * bus.latency) as u64;
@@ -528,25 +528,6 @@ impl<'a> Run<'a> {
         self.rec
             .phase(Some(self.cur_launch), PhaseKind::Comm, t2, t3);
         self.now = t3;
-
-        // Close implicit regions (copy-out + free).
-        for arr in implicit {
-            let t0 = self.now;
-            let st = &self.arrays[arr];
-            let writes = ck
-                .configs
-                .iter()
-                .any(|c| c.array == arr && c.mode.writes());
-            let end = if writes {
-                self.flush_to_host(arr, 0, st.len as i64, t0)?
-            } else {
-                t0
-            };
-            self.rec.phase(None, PhaseKind::Data, t0, end);
-            self.now = end;
-            self.arrays[arr].region_depth = 0;
-            self.free_array_devices(arr)?;
-        }
         Ok(())
     }
 

@@ -7,6 +7,12 @@
 //! materialised and current (`valid`); the communication manager updates
 //! these sets after every kernel wave. `update` directives and region-exit
 //! copy-outs move data between the two logical copies explicitly.
+//!
+//! Regions are structured `HostOp::Region`s of the translated host
+//! program, and every launch sits inside regions covering each array it
+//! uses (the translator adds the implicit per-launch one), so an array's
+//! state only counts how deep it is nested; each open region's copy-out
+//! list lives with the executor frame that entered it.
 
 use acc_gpusim::BufferHandle;
 use acc_kernel_ir::{DirtyMap, Ty};
@@ -41,7 +47,8 @@ pub(crate) struct GpuArr {
 pub(crate) struct ArrayState {
     pub ty: Ty,
     pub len: usize,
-    /// Data-region nesting depth; 0 = not device-resident.
+    /// Number of open region clause sections naming the array; 0 = not
+    /// device-resident.
     pub region_depth: u32,
     /// Whether missing device ranges may be faulted in from the host copy
     /// (`copy`/`copyin`) or must materialise as zeros (`create`/`copyout`).
@@ -51,10 +58,6 @@ pub(crate) struct ArrayState {
     /// missing ranges from peer GPUs (the paper's loader otherwise always
     /// loads from CPU memory, §IV-C).
     pub host_stale: bool,
-    /// Copy-out obligations: `(region id, section)` — at the matching
-    /// `DataExit`, the section (or the whole array for `None`) is flushed
-    /// to the host copy.
-    pub exit_stack: Vec<(usize, Option<(i64, i64)>)>,
     /// Set when a replica sync was elided on a static comm-elision fact:
     /// the replicas are mutually stale outside each GPU's own partition
     /// and the accumulated dirty bits are still armed. Any operation that
@@ -76,7 +79,6 @@ impl ArrayState {
             region_depth: 0,
             init_from_host: true,
             host_stale: false,
-            exit_stack: Vec::new(),
             sync_pending: false,
             evicted: RangeSet::new(),
             gpu: (0..ngpus).map(|_| GpuArr::default()).collect(),

@@ -297,3 +297,106 @@ for (int i = 0; i < n - 1; i++) y[i] = t[i] + t[i + 1];\n\
         }
     }
 }
+
+/// Run `src` (function `f`, one `int` parameter `iters` after `n`, one
+/// `double` array) under `cfg`. Returns the array and the number of
+/// device allocations that outlived the run (regions left open).
+fn run_counting_leaks(src: &str, n: usize, iters: i32, cfg: &ExecConfig) -> (Vec<f64>, usize) {
+    let opts = if cfg.mode == acc_runtime::ExecMode::CpuParallel {
+        CompileOptions::pgi_like()
+    } else {
+        CompileOptions::proposal()
+    };
+    let prog = compile_source(src, "f", &opts).unwrap();
+    let mut m = machine();
+    let r = run_program(
+        &mut m,
+        cfg,
+        &prog,
+        vec![Value::I32(n as i32), Value::I32(iters)],
+        vec![Buffer::zeroed(Ty::F64, n)],
+    )
+    .unwrap();
+    let leaks = m.gpus.iter().map(|g| g.memory.live_allocations()).sum();
+    (r.arrays[0].to_f64_vec(), leaks)
+}
+
+/// Leaving a `copy` region inside a host loop by `break`, `return` or
+/// `continue` performs its exit: every GPU count and schedule returns
+/// the OpenMP baseline's array.
+#[test]
+fn early_exits_from_a_data_region_copy_out() {
+    let shape = |exit: &str| {
+        format!(
+            "void f(int n, int iters, double *a) {{\n\
+int t;\n\
+t = 0;\n\
+while (t < iters) {{\n\
+#pragma acc data copy(a[0:n])\n\
+{{\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) a[i] = a[i] + 1.0;\n\
+t = t + 1;\n\
+{exit}\n\
+}}\n\
+}}\n\
+}}"
+        )
+    };
+    let cases = [
+        // Breaks on the second pass: a = 2.
+        ("break", shape("if (t >= 2) break;"), 2.0),
+        // Returns on the first pass: a = 1.
+        ("return", shape("if (t >= 1) return;"), 1.0),
+        // Odd passes continue past the region's end: a = 3, and the
+        // last pass is one of them.
+        ("continue", shape("if (t % 2 == 1) continue;"), 3.0),
+    ];
+    let n = 48;
+    for (what, src, want) in cases {
+        let (omp, _) = run_counting_leaks(&src, n, 3, &ExecConfig::openmp());
+        assert_eq!(omp, vec![want; n], "{what}: OpenMP baseline");
+        for schedule in [Schedule::Equal, Schedule::CostModel] {
+            for ngpus in 1..=3 {
+                let cfg = ExecConfig::gpus(ngpus).schedule(schedule);
+                let (got, leaks) = run_counting_leaks(&src, n, 3, &cfg);
+                assert_eq!(got, omp, "{what}, {ngpus} GPUs, {schedule:?}");
+                assert_eq!(leaks, 0, "{what}: a region was left open");
+            }
+        }
+    }
+}
+
+/// A launch with no `data` directive sits in the translator's implicit
+/// `copy` region, so the host read after it sees the kernel's values —
+/// and the linter, reading the same region tree, does not warn.
+#[test]
+fn implicit_region_flushes_before_the_host_reads() {
+    let src = "void f(int n, double *x, double *y) {\n\
+double t;\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) y[i] = x[i] * 2.0;\n\
+t = y[1];\n\
+x[0] = t;\n\
+}";
+    let diags = acc_compiler::lint_source(src).unwrap();
+    assert!(diags.iter().all(|d| d.code != Some("ACC-W004")), "{diags:?}");
+    let prog = compile_source(src, "f", &CompileOptions::proposal()).unwrap();
+    let n = 16;
+    let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    for ngpus in 1..=3 {
+        let mut m = machine();
+        let r = run_program(
+            &mut m,
+            &ExecConfig::gpus(ngpus),
+            &prog,
+            vec![Value::I32(n as i32)],
+            vec![Buffer::from_f64(&x), Buffer::zeroed(Ty::F64, n)],
+        )
+        .unwrap();
+        let want: Vec<f64> = x.iter().map(|v| v * 2.0).collect();
+        assert_eq!(r.arrays[1].to_f64_vec(), want, "{ngpus} GPUs");
+        // The host read `y[1]` after the kernel wrote it.
+        assert_eq!(r.arrays[0].to_f64_vec()[0], 2.0, "{ngpus} GPUs");
+    }
+}

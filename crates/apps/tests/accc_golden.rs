@@ -1,5 +1,7 @@
 //! Whole-compile goldens for the translator: the IR hash of every app
-//! source under every option set the harnesses use, and the full rendered
+//! source under every option set the harnesses use (kernels, configs and
+//! plans — the host program is emptied before hashing), an outline of
+//! its host program's region/launch/update tree, and the full rendered
 //! diagnostic stream (code, span, message, order) of the linter over the
 //! apps, every `examples/*.rs` embedded source and the linter's own unit
 //! sources. The diagnostic lines of `golden/accc_golden.txt` date from the
@@ -11,6 +13,7 @@
 use acc_apps::App;
 use acc_compiler::{
     compile, compile_source, lint_function, lint_program, lint_source_with, CompileOptions,
+    CompiledProgram, HostOp,
 };
 
 mod common;
@@ -195,6 +198,50 @@ const LINT_UNIT_SOURCES: &[(&str, &str)] = &[
     ),
 ];
 
+/// A one-line outline of a host program: regions with their clauses,
+/// launches, updates, loops, branches and returns; plain host
+/// statements are left out. E.g.
+/// `region[copyin pos,neigh; copyout force]{launch 0}`.
+fn outline(prog: &CompiledProgram, ops: &[HostOp]) -> String {
+    let name = |a: usize| prog.array_params[a].0.as_str();
+    let names = |secs: &[acc_compiler::hostgen::Section]| {
+        secs.iter().map(|s| name(s.array)).collect::<Vec<_>>().join(",")
+    };
+    let items: Vec<String> = ops
+        .iter()
+        .filter_map(|op| match op {
+            HostOp::Plain(_) => None,
+            HostOp::If { then_, else_, .. } if else_.is_empty() => {
+                Some(format!("if{{{}}}", outline(prog, then_)))
+            }
+            HostOp::If { then_, else_, .. } => Some(format!(
+                "if{{{}}}else{{{}}}",
+                outline(prog, then_),
+                outline(prog, else_)
+            )),
+            HostOp::While { body, .. } => Some(format!("while{{{}}}", outline(prog, body))),
+            HostOp::Region { clauses, body } => {
+                let clauses: Vec<String> = clauses
+                    .iter()
+                    .map(|c| format!("{:?}", c.kind).to_lowercase() + " " + &names(&c.sections))
+                    .collect();
+                Some(format!("region[{}]{{{}}}", clauses.join("; "), outline(prog, body)))
+            }
+            HostOp::Launch { kernel } => Some(format!("launch {kernel}")),
+            HostOp::Update { to_host, to_device } => {
+                let sides: Vec<String> = [("host", to_host), ("device", to_device)]
+                    .into_iter()
+                    .filter(|(_, secs)| !secs.is_empty())
+                    .map(|(side, secs)| format!("{side} {}", names(secs)))
+                    .collect();
+                Some(format!("update[{}]", sides.join("; ")))
+            }
+            HostOp::Return => Some("return".to_string()),
+        })
+        .collect();
+    items.join(" ")
+}
+
 fn app_sources() -> Vec<(&'static str, &'static str, &'static str)> {
     let mut v: Vec<_> = App::ALL
         .iter()
@@ -237,8 +284,14 @@ fn render() -> String {
     for (name, src, function) in app_sources() {
         for (preset, opts) in &presets {
             let p = compile_source(src, function, opts).expect("app compiles");
+            let host = outline(&p, &p.host);
+            let p = CompiledProgram {
+                host: Vec::new(),
+                ..p
+            };
             let hash = fnv1a64(&[format!("{p:?}").as_bytes()]);
             out.push_str(&format!("ir {name} {preset} {hash:016x}\n"));
+            out.push_str(&format!("host {name} {preset} {host}\n"));
         }
     }
 

@@ -496,8 +496,8 @@ fn main() {
         for p in &t {
             let _ = writeln!(
                 text,
-                "  {:<8} transform={:<5}  kernels {:>9.4}s  total {:>9.4}s",
-                p.app, p.transform, p.kernels_time, p.total_time
+                "  {:<8} transform={:<5}  kernels {:>9.4}s  total {:>9.4}s  correct {}",
+                p.app, p.transform, p.kernels_time, p.total_time, p.correct
             );
         }
         out.push((
@@ -510,6 +510,7 @@ fn main() {
                             ("transform", Value::Bool(p.transform)),
                             ("kernels_time", Value::num(p.kernels_time)),
                             ("total_time", Value::num(p.total_time)),
+                            ("correct", Value::Bool(p.correct)),
                         ])
                     })
                     .collect(),
@@ -526,8 +527,9 @@ fn main() {
         for p in &t {
             let _ = writeln!(
                 text,
-                "  {:<8} distribution={:<5}  h2d {:>8.1} MB  user mem {:>8.1} MB  total {:>9.4}s",
-                p.app, p.distribution, p.h2d_mb, p.user_mem_mb, p.total_time
+                "  {:<8} distribution={:<5}  h2d {:>8.1} MB  user mem {:>8.1} MB  total {:>9.4}s  \
+                 correct {}",
+                p.app, p.distribution, p.h2d_mb, p.user_mem_mb, p.total_time, p.correct
             );
         }
         out.push((
@@ -541,6 +543,7 @@ fn main() {
                             ("h2d_mb", Value::num(p.h2d_mb)),
                             ("total_time", Value::num(p.total_time)),
                             ("user_mem_mb", Value::num(p.user_mem_mb)),
+                            ("correct", Value::Bool(p.correct)),
                         ])
                     })
                     .collect(),
@@ -557,8 +560,8 @@ fn main() {
         for p in &t {
             let _ = writeln!(
                 text,
-                "  {:<8} reuse={:<5}  h2d {:>8.1} MB  cpu-gpu {:>9.4}s  total {:>9.4}s",
-                p.app, p.reuse, p.h2d_mb, p.cpu_gpu_time, p.total_time
+                "  {:<8} reuse={:<5}  h2d {:>8.1} MB  cpu-gpu {:>9.4}s  total {:>9.4}s  correct {}",
+                p.app, p.reuse, p.h2d_mb, p.cpu_gpu_time, p.total_time, p.correct
             );
         }
         out.push((
@@ -572,6 +575,7 @@ fn main() {
                             ("h2d_mb", Value::num(p.h2d_mb)),
                             ("cpu_gpu_time", Value::num(p.cpu_gpu_time)),
                             ("total_time", Value::num(p.total_time)),
+                            ("correct", Value::Bool(p.correct)),
                         ])
                     })
                     .collect(),

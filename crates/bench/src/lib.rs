@@ -431,6 +431,24 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
     out
 }
 
+/// Compile `src` (an `app` source, possibly edited) under `opts` and run
+/// it on the desktop through the app harness: the app's own inputs and
+/// oracle, so every ablation row says whether its variant is correct.
+fn run_variant(
+    app: App,
+    src: &str,
+    opts: &CompileOptions,
+    ec: &ExecConfig,
+    scale: Scale,
+    seed: u64,
+) -> acc_apps::runner::AppResult {
+    let engine = acc_apps::runner::engine();
+    let prog = engine.compile(src, app.function(), opts).expect("ablation variant compiles");
+    let mut m = Machine::desktop();
+    acc_apps::runner::run_compiled(engine, &prog, app, Version::Proposal(2), &mut m, scale, seed, ec)
+        .expect("ablation run")
+}
+
 /// One layout-transform ablation point.
 #[derive(Debug)]
 pub struct LayoutPoint {
@@ -438,6 +456,7 @@ pub struct LayoutPoint {
     pub transform: bool,
     pub kernels_time: f64,
     pub total_time: f64,
+    pub correct: bool,
 }
 
 /// §IV-B4 ablation: the 2-D layout transform on/off, for the two apps
@@ -450,15 +469,13 @@ pub fn ablation_layout(scale: Scale, seed: u64) -> Vec<LayoutPoint> {
                 layout_transform: transform,
                 ..CompileOptions::proposal()
             };
-            let prog = acc_compiler::compile_source(app.source(), app.function(), &opts).unwrap();
-            let mut m = Machine::desktop();
-            let (scalars, arrays) = app_inputs(app, scale, seed);
-            let r = run_program(&mut m, &ExecConfig::gpus(2), &prog, scalars, arrays).unwrap();
+            let r = run_variant(app, app.source(), &opts, &ExecConfig::gpus(2), scale, seed);
             out.push(LayoutPoint {
                 app: app.name().to_string(),
                 transform,
-                kernels_time: r.profile.time.kernels,
-                total_time: r.profile.time.parallel_region(),
+                kernels_time: r.time.kernels,
+                total_time: r.time.parallel_region(),
+                correct: r.correct,
             });
         }
     }
@@ -473,31 +490,32 @@ pub struct PlacementPoint {
     pub h2d_mb: f64,
     pub total_time: f64,
     pub user_mem_mb: f64,
+    pub correct: bool,
 }
 
-/// §IV-C ablation: distribution-based placement (localaccess honored) vs
-/// replica-everything, on 2 GPUs.
+/// §IV-C ablation: distribution-based placement (the app's
+/// `localaccess` pragmas) vs replica-everything (the same source with
+/// them stripped, `reductiontoarray` kept), on 2 GPUs. HEAT2D-HALO2 is
+/// left out: its carried dependence is only correct under the
+/// distributed wavefront.
 pub fn ablation_placement(scale: Scale, seed: u64) -> Vec<PlacementPoint> {
     let mut out = Vec::new();
-    for &app in &App::ALL {
+    for app in App::ALL.into_iter().filter(|&a| a != App::Heat2dHalo2) {
         for dist in [true, false] {
-            let opts = CompileOptions {
-                honor_extensions: dist,
-                layout_transform: dist,
-                instrument: true,
-                infer_localaccess: false,
-                infer_reductions: false,
+            let src = if dist {
+                app.source().to_string()
+            } else {
+                strip_localaccess(app.source())
             };
-            let prog = acc_compiler::compile_source(app.source(), app.function(), &opts).unwrap();
-            let mut m = Machine::desktop();
-            let (scalars, arrays) = app_inputs(app, scale, seed);
-            let r = run_program(&mut m, &ExecConfig::gpus(2), &prog, scalars, arrays).unwrap();
+            let ec = ExecConfig::gpus(2);
+            let r = run_variant(app, &src, &CompileOptions::proposal(), &ec, scale, seed);
             out.push(PlacementPoint {
                 app: app.name().to_string(),
                 distribution: dist,
-                h2d_mb: r.profile.h2d_bytes as f64 / 1e6,
-                total_time: r.profile.time.parallel_region(),
+                h2d_mb: r.h2d_bytes as f64 / 1e6,
+                total_time: r.time.parallel_region(),
                 user_mem_mb: r.mem.iter().map(|g| g.user_peak).sum::<u64>() as f64 / 1e6,
+                correct: r.correct,
             });
         }
     }
@@ -512,6 +530,7 @@ pub struct ReusePoint {
     pub h2d_mb: f64,
     pub cpu_gpu_time: f64,
     pub total_time: f64,
+    pub correct: bool,
 }
 
 /// §IV-C ablation: the loader's reload-skipping for iterative kernels,
@@ -520,17 +539,15 @@ pub fn ablation_loader_reuse(scale: Scale, seed: u64) -> Vec<ReusePoint> {
     let mut out = Vec::new();
     for app in [App::Kmeans, App::Bfs] {
         for reuse in [true, false] {
-            let prog = acc_apps::runner::compile_app(app, Version::Proposal(2)).unwrap();
-            let mut m = Machine::desktop();
             let ec = ExecConfig::gpus(2).loader_reuse(reuse);
-            let (scalars, arrays) = app_inputs(app, scale, seed);
-            let r = run_program(&mut m, &ec, &prog, scalars, arrays).unwrap();
+            let r = run_variant(app, app.source(), &CompileOptions::proposal(), &ec, scale, seed);
             out.push(ReusePoint {
                 app: app.name().to_string(),
                 reuse,
-                h2d_mb: r.profile.h2d_bytes as f64 / 1e6,
-                cpu_gpu_time: r.profile.time.cpu_gpu,
-                total_time: r.profile.time.parallel_region(),
+                h2d_mb: r.h2d_bytes as f64 / 1e6,
+                cpu_gpu_time: r.time.cpu_gpu,
+                total_time: r.time.parallel_region(),
+                correct: r.correct,
             });
         }
     }

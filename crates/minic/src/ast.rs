@@ -16,13 +16,6 @@ pub enum CType {
     Ptr(Box<CType>),
 }
 
-impl CType {
-    /// Whether this is a scalar arithmetic type.
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, CType::Int | CType::Float | CType::Double)
-    }
-}
-
 impl std::fmt::Display for CType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -1,13 +1,13 @@
 //! Inspect the translator's output for an OpenACC program: the generated
 //! pseudo-CUDA kernels, the array configuration information (paper
-//! §IV-B5), and the host-op sequence. Reads a file given as an argument,
-//! or dumps the built-in KMEANS benchmark.
+//! §IV-B5), and the host-op tree with its nested data regions. Reads a
+//! file given as an argument, or dumps the built-in KMEANS benchmark.
 //!
 //! ```text
 //! cargo run -p acc-apps --example inspect_translation [file.c [function]]
 //! ```
 
-use acc_compiler::{compile_source, CompileOptions, HostOp};
+use acc_compiler::{compile_source, CompileOptions, CompiledProgram, HostOp};
 use acc_kernel_ir::display::kernel_to_string;
 
 fn main() {
@@ -67,7 +67,7 @@ fn main() {
     }
 
     println!("\n--- host program ---");
-    print_ops(&prog.host, 1);
+    print_ops(&prog, &prog.host, 1);
 }
 
 fn guess_function(path: &str) -> String {
@@ -78,29 +78,42 @@ fn guess_function(path: &str) -> String {
         .to_string()
 }
 
-fn print_ops(ops: &[HostOp], depth: usize) {
+fn print_ops(prog: &CompiledProgram, ops: &[HostOp], depth: usize) {
     let pad = "  ".repeat(depth);
     for op in ops {
         match op {
             HostOp::Plain(_) => println!("{pad}host statement"),
             HostOp::If { then_, else_, .. } => {
                 println!("{pad}if {{");
-                print_ops(then_, depth + 1);
+                print_ops(prog, then_, depth + 1);
                 if !else_.is_empty() {
                     println!("{pad}}} else {{");
-                    print_ops(else_, depth + 1);
+                    print_ops(prog, else_, depth + 1);
                 }
                 println!("{pad}}}");
             }
             HostOp::While { body, .. } => {
                 println!("{pad}while {{");
-                print_ops(body, depth + 1);
+                print_ops(prog, body, depth + 1);
                 println!("{pad}}}");
             }
-            HostOp::DataEnter { region, clauses } => {
-                println!("{pad}data enter #{region} ({} clauses)", clauses.len())
+            HostOp::Region { clauses, body } => {
+                // e.g. `data copyin(pos, neigh) copy(force) {`
+                let clauses: Vec<String> = clauses
+                    .iter()
+                    .map(|c| {
+                        let arrays: Vec<&str> = c
+                            .sections
+                            .iter()
+                            .map(|s| prog.array_params[s.array].0.as_str())
+                            .collect();
+                        format!("{}({})", format!("{:?}", c.kind).to_lowercase(), arrays.join(", "))
+                    })
+                    .collect();
+                println!("{pad}data {} {{", clauses.join(" "));
+                print_ops(prog, body, depth + 1);
+                println!("{pad}}}");
             }
-            HostOp::DataExit { region } => println!("{pad}data exit  #{region}"),
             HostOp::Launch { kernel } => println!("{pad}LAUNCH kernel {kernel}"),
             HostOp::Update { to_host, to_device } => println!(
                 "{pad}update host({}) device({})",
