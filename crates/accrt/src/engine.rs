@@ -15,9 +15,9 @@
 //!   outcome — so the hit and compile counts depend on which requests
 //!   were made, not on how they interleaved;
 //! * **compiled kernel bodies** — each cached program carries the
-//!   executable forms of its kernels (bytecode, and register-VM code
-//!   when a job asks for it), compiled by the first launch that needs
-//!   them and shared by every GPU of every later launch and job;
+//!   register-tier code of its kernels, typed and compiled once when the
+//!   first job admits the program and shared by every GPU of every
+//!   later launch and job;
 //! * **shared mapper history** — each cached program carries one
 //!   `TaskMapper` behind a lock. Under
 //!   [`Schedule::CostModel`](crate::Schedule) the per-GPU costs one
@@ -491,37 +491,36 @@ void scale(int n, double *a) {
     }
 
     #[test]
-    fn launches_reuse_the_compiled_bodies_cached_with_the_program() -> Result<(), RunError> {
+    fn kernels_are_compiled_once_at_admission_and_shared_by_later_runs() -> Result<(), RunError> {
         use acc_kernel_ir::{Buffer, Value};
         let input = || (vec![Value::I32(4)], vec![Buffer::from_f64(&[1.0, 2.0, 3.0, 4.0])]);
-        let forms_of = |ck: &CompiledKernel| {
-            let (reg, body) = ck.shared.forms(0);
-            (reg.map(std::ptr::from_ref), body.map(std::ptr::from_ref))
+        let code_of = |ck: &CompiledKernel| {
+            let compiled = ck.shared.compiled.get();
+            compiled.map(|c| c.as_ref().map(|v| v.as_ptr()).map_err(Clone::clone))
         };
         let eng = Engine::new(MachineKind::Desktop, ExecConfig::gpus(2));
         let ck = eng.compile(SRC, "scale", &CompileOptions::proposal())?;
-        assert_eq!(forms_of(&ck), (None, None), "compiled by the first launch, not before");
+        assert_eq!(code_of(&ck), None, "admitted by the first run, not before");
         let (scalars, arrays) = input();
         let first = eng.launch(&ck, scalars, arrays)?;
-        let (reg, body) = forms_of(&ck);
-        assert!(reg.is_some(), "the first launch fills the program's cache");
-        assert!(body.is_none(), "no launch of a well-typed kernel fell back to the bytecode");
+        let code = code_of(&ck);
+        assert!(matches!(code, Some(Ok(_))), "the first run admitted the program");
         let (scalars, arrays) = input();
         let second = eng.launch(&ck, scalars, arrays)?;
-        // A later request gets the same kernel, hence the same form.
+        // A later request gets the same program, hence the same code.
         let again = eng.compile(SRC, "scale", &CompileOptions::proposal())?;
-        assert_eq!(forms_of(&again), (reg, None));
-        // The bytecode is built by the first run that asks for it.
+        assert_eq!(code_of(&again), code.clone());
+        // A run on the comparison tier is admitted by the same code.
         let (scalars, arrays) = input();
         let cfg = ExecConfig::gpus(2).kernel_vm(crate::KernelVm::Bytecode);
         let stack = eng.launch_with(&ck, &cfg, scalars, arrays)?;
-        assert!(forms_of(&ck).1.is_some());
+        assert_eq!(code_of(&ck), code);
         assert_eq!(stack.arrays[0].bytes(), first.arrays[0].bytes());
         assert_eq!(stack.profile.time, first.profile.time);
         assert_eq!(first.arrays[0].to_f64_vec(), [2.0, 4.0, 6.0, 8.0]);
         assert_eq!(first.arrays[0].bytes(), second.arrays[0].bytes());
 
-        // Without an engine every call compiles its own forms and agrees.
+        // Without an engine every call compiles its own code and agrees.
         let (scalars, arrays) = input();
         let mut machine = Machine::with_kind(MachineKind::Desktop);
         let cfg = ExecConfig::gpus(2);

@@ -104,7 +104,7 @@ pub(crate) struct Run<'a> {
     /// Id of the launch currently executing (valid inside `launch`).
     pub cur_launch: u64,
     pub now: f64,
-    /// The program's mapper history and executable kernel forms.
+    /// The program's mapper history and compiled kernels.
     shared: &'a ProgramState,
     /// Reusable staging/scratch/miss buffers, lent by the caller (the
     /// replica-staging allocation count surfaces as
@@ -413,9 +413,8 @@ impl<'a> Run<'a> {
 
     /// Kernel `kidx` in the form this run executes. The borrow is of the
     /// lent cache, not of `self`.
-    fn kernel_code(&self, kidx: usize) -> KernelCode<'a> {
-        self.shared
-            .code(kidx, &self.prog.kernels[kidx].kernel, self.cfg.kernel_vm)
+    fn kernel_code(&self, kidx: usize) -> Result<KernelCode<'a>, RunError> {
+        self.shared.code(self.prog, kidx, self.cfg.kernel_vm)
     }
 
     fn launch(&mut self, kidx: usize) -> Result<(), RunError> {
@@ -434,7 +433,7 @@ impl<'a> Run<'a> {
         let lo = self.eval_host_i64(&ck.lo)?;
         let hi = self.eval_host_i64(&ck.hi)?;
         let params = self.gather_params(ck)?;
-        let code = self.kernel_code(kidx);
+        let code = self.kernel_code(kidx)?;
 
         let mut hosts: Vec<_> = self.host_arrays.iter_mut().map(Some).collect();
         let bind = |&arr: &usize| BufSlot::whole(hosts[arr].take().expect("bound once"));
@@ -599,7 +598,7 @@ impl<'a> Run<'a> {
                 miss_buf: self.staging.take_misses(),
             }));
         }
-        let code = self.kernel_code(kidx);
+        let code = self.kernel_code(kidx)?;
         let miss_capacity = self.cfg.miss_capacity;
         let run = |gpu: &mut Gpu, job| run_gpu_job(gpu, code, plan, params, miss_capacity, job);
         let mut outs: Vec<JobOut> = if plan.wavefront {
@@ -637,7 +636,7 @@ impl<'a> Run<'a> {
         ck: &CompiledKernel,
         plan: &LaunchPlan,
         jobs: Vec<Option<Job>>,
-        run: impl Fn(&mut Gpu, Job) -> Result<JobOut, ir::ExecError>,
+        run: impl Fn(&mut Gpu, Job) -> Result<JobOut, RunError>,
         t1: f64,
     ) -> Result<Vec<JobOut>, RunError> {
         let mut outs = Vec::with_capacity(jobs.len());
@@ -847,7 +846,7 @@ fn run_gpu_job(
     params: &[Value],
     miss_capacity: usize,
     mut job: Job,
-) -> Result<JobOut, ir::ExecError> {
+) -> Result<JobOut, RunError> {
     let g = gpu.id;
     let handles: Vec<_> = job.binds.iter().map(|b| b.handle).collect();
     let bufs = gpu

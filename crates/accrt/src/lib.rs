@@ -182,7 +182,10 @@ pub struct ExecConfig {
     /// Which kernel tier executes launch bodies. Simulated times,
     /// counters, and array contents are bit-identical across tiers (each
     /// charges the AST walker's counters in the walker's order); this
-    /// only trades host wall time.
+    /// only trades host wall time. Either way a program is admitted only
+    /// when the register tier types every kernel ([`RunError::Compile`]
+    /// otherwise), and a launch whose bound values differ in type from
+    /// the kernel's declarations is refused ([`RunError::BadInputs`]).
     pub kernel_vm: KernelVm,
     /// Double-buffered halo overlap: loader-phase peer halo fills of
     /// arrays the compiler's [`acc_compiler::OverlapPlan`] proved safe
@@ -201,13 +204,13 @@ pub struct ExecConfig {
 /// Kernel execution tier selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelVm {
-    /// The dynamically typed stack-bytecode interpreter: what a launch
-    /// the register tier cannot type falls back to, selectable for
-    /// whole runs as the comparison tier.
+    /// The dynamically typed stack-bytecode interpreter, the comparison
+    /// tier: compiles each launch's body on the spot. Only tests select
+    /// it.
     Bytecode,
     /// The statically typed register VM ([`acc_kernel_ir::regvm`]), the
-    /// default. A kernel it cannot type, or a launch whose value types
-    /// differ from the kernel's declarations, runs the bytecode instead.
+    /// default: runs the code compiled once, when the program was
+    /// admitted.
     #[default]
     Register,
 }
@@ -559,7 +562,7 @@ pub fn run_program(
 
 /// The shared core under [`run_program`] and [`Engine::launch`]: input
 /// validation, machine reset, then one [`exec::Run`] with the per-program
-/// state (mapper history, executable kernel forms) and the scratch pool
+/// state (mapper history, compiled kernels) and the scratch pool
 /// the caller lends.
 pub(crate) fn run_with(
     machine: &mut Machine,

@@ -4,9 +4,8 @@
 use std::sync::{Mutex, OnceLock};
 
 use acc_kernel_ir as ir;
-use ir::bytecode::CompiledBody;
 use ir::regvm::{launch_types_match, run_compiled, RegCompiled};
-use ir::{run_kernel_range_compiled, ExecCtx, Kernel};
+use ir::{ExecCtx, Kernel};
 
 use acc_compiler::CompiledProgram;
 
@@ -26,74 +25,51 @@ pub(crate) struct ProgramState {
     /// Never consulted under [`Schedule::Equal`](crate::Schedule), so
     /// sharing it cannot change results there.
     pub(crate) mapper: Mutex<TaskMapper>,
-    /// The kernels' executable forms, compiled by the first launch that
-    /// needs them and immutable afterwards — once per program however
-    /// many GPUs, launches and jobs run it.
-    forms: Vec<KernelForms>,
-    /// The first kernel that fails [`Kernel::validate`], looked for once,
-    /// by the first run: see [`ProgramState::check`].
-    invalid: OnceLock<Option<String>>,
-}
-
-#[derive(Debug, Default)]
-struct KernelForms {
-    /// Holds `None` when the kernel cannot be statically typed.
-    reg: OnceLock<Option<RegCompiled>>,
-    /// The stack bytecode, built by the first launch that runs it: every
-    /// launch under [`KernelVm::Bytecode`], otherwise only one that fell
-    /// back from the register tier.
-    body: OnceLock<CompiledBody>,
+    /// Every kernel's register-tier code, typed and compiled by the first
+    /// run's admission ([`ProgramState::check`]) and immutable afterwards
+    /// — once per program however many GPUs, launches and jobs run it —
+    /// or the refusal of the first kernel that cannot be typed.
+    pub(crate) compiled: OnceLock<Result<Vec<RegCompiled>, String>>,
 }
 
 impl ProgramState {
     pub(crate) fn new(nkernels: usize) -> ProgramState {
         ProgramState {
             mapper: Mutex::new(TaskMapper::new(nkernels)),
-            forms: (0..nkernels).map(|_| KernelForms::default()).collect(),
-            invalid: OnceLock::new(),
+            compiled: OnceLock::new(),
         }
     }
 
-    /// Refuse `prog`, the program this state rides with, when one of its
-    /// kernels is malformed. Every run passes through here, so a
-    /// hand-built `CompiledProgram` with an unresolvable slot or a stray
-    /// `break` reaches neither a tier compiler nor an interpreter.
-    pub(crate) fn check(&self, prog: &CompiledProgram) -> Result<(), RunError> {
-        let invalid = self.invalid.get_or_init(|| {
-            let mut kernels = prog.kernels.iter().map(|ck| &ck.kernel);
-            kernels.find_map(|k| Some(format!("kernel `{}`: {}", k.name, k.validate().err()?)))
+    /// Admit `prog`, the program this state rides with: type every
+    /// kernel once, and refuse the program when one is malformed or
+    /// cannot be typed. Every run passes through here, so a hand-built
+    /// `CompiledProgram` with an unresolvable slot, a stray `break` or
+    /// an ill-typed expression reaches no interpreter, under either
+    /// [`KernelVm`].
+    pub(crate) fn check(&self, prog: &CompiledProgram) -> Result<&[RegCompiled], RunError> {
+        let compiled = self.compiled.get_or_init(|| {
+            let kernels = prog.kernels.iter();
+            kernels
+                .map(|ck| ir::regvm::compile(&ck.kernel).map_err(|e| e.to_string()))
+                .collect()
         });
-        invalid
-            .clone()
-            .map_or(Ok(()), |m| Err(RunError::Compile(m)))
+        compiled
+            .as_deref()
+            .map_err(|m| RunError::Compile(m.clone()))
     }
 
-    /// What a launch of kernel `kidx` (`kernel`) executes under `vm`.
+    /// What a launch of kernel `kidx` of `prog` executes under `vm`.
     pub(crate) fn code<'f>(
         &'f self,
+        prog: &'f CompiledProgram,
         kidx: usize,
-        kernel: &'f Kernel,
         vm: KernelVm,
-    ) -> KernelCode<'f> {
-        let forms = &self.forms[kidx];
-        KernelCode {
-            kernel,
-            reg: match vm {
-                KernelVm::Bytecode => None,
-                KernelVm::Register => forms
-                    .reg
-                    .get_or_init(|| ir::regvm::compile(kernel))
-                    .as_ref(),
-            },
-            body: &forms.body,
-        }
-    }
-
-    /// The cached forms of kernel `kidx`, where a launch compiled them.
-    #[cfg(test)]
-    pub(crate) fn forms(&self, kidx: usize) -> (Option<&RegCompiled>, Option<&CompiledBody>) {
-        let forms = &self.forms[kidx];
-        (forms.reg.get().and_then(Option::as_ref), forms.body.get())
+    ) -> Result<KernelCode<'f>, RunError> {
+        Ok(KernelCode {
+            kernel: &prog.kernels[kidx].kernel,
+            reg: &self.check(prog)?[kidx],
+            vm,
+        })
     }
 }
 
@@ -101,25 +77,25 @@ impl ProgramState {
 #[derive(Clone, Copy)]
 pub(crate) struct KernelCode<'f> {
     pub(crate) kernel: &'f Kernel,
-    /// Register-tier code, when the run selected [`KernelVm::Register`]
-    /// and the kernel is statically typed.
-    reg: Option<&'f RegCompiled>,
-    body: &'f OnceLock<CompiledBody>,
+    reg: &'f RegCompiled,
+    vm: KernelVm,
 }
 
 impl KernelCode<'_> {
-    /// Execute iterations `[lo, hi)`. The register tier is statically
-    /// typed, so a launch whose dynamic types differ from the kernel's
-    /// declarations takes the bytecode.
-    pub(crate) fn run(&self, ctx: &mut ExecCtx<'_>, lo: i64, hi: i64) -> Result<(), ir::ExecError> {
-        match self.reg {
-            Some(rc) if launch_types_match(self.kernel, ctx) => run_compiled(rc, ctx, lo, hi),
-            _ => {
-                let body = self
-                    .body
-                    .get_or_init(|| ir::bytecode::compile(&self.kernel.body));
-                run_kernel_range_compiled(self.kernel, body, ctx, lo, hi)
-            }
+    /// Execute iterations `[lo, hi)` on the run's tier. The kernel was
+    /// typed against its declarations, so a launch that binds values of
+    /// other types is refused rather than run another way.
+    pub(crate) fn run(&self, ctx: &mut ExecCtx<'_>, lo: i64, hi: i64) -> Result<(), RunError> {
+        if !launch_types_match(self.kernel, ctx) {
+            return Err(RunError::BadInputs(format!(
+                "kernel `{}`: launch binds values of other types than it declares",
+                self.kernel.name
+            )));
         }
+        match self.vm {
+            KernelVm::Register => run_compiled(self.reg, ctx, lo, hi)?,
+            KernelVm::Bytecode => ir::run_kernel_range(self.kernel, ctx, lo, hi)?,
+        }
+        Ok(())
     }
 }

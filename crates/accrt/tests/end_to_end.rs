@@ -658,6 +658,92 @@ fn forged_kernels_are_typed_errors_from_both_entry_points() {
     }
 }
 
+/// Kernels are typed once, where a program enters the runtime: a kernel
+/// the register tier cannot type is refused there, under either tier,
+/// even when no launch would ever reach it — nothing falls back to the
+/// bytecode at launch.
+#[test]
+fn untypeable_kernels_are_refused_at_admission_under_both_tiers() {
+    use acc_kernel_ir::{BufId, Expr, Stmt};
+    let mut prog = compile_source(SAXPY, "saxpy", &CompileOptions::proposal()).unwrap();
+    // An f64 buffer index: valid IR, but a dynamic `TypeError` to the
+    // walker. The copy is a second kernel no host op launches.
+    let mut untypeable = prog.kernels[0].clone();
+    untypeable.kernel.name = "badidx".into();
+    untypeable.kernel.body.push(Stmt::Store {
+        buf: BufId(0),
+        idx: Expr::imm_f64(1.5),
+        value: Expr::Imm(Value::F32(0.0)),
+        dirty: false,
+        checked: false,
+    });
+    assert!(untypeable.kernel.validate().is_ok());
+    prog.kernels.push(untypeable);
+    let inputs = || {
+        (
+            vec![Value::I32(8), Value::F32(1.0)],
+            vec![Buffer::from_f32(&[1.0; 8]), Buffer::from_f32(&[2.0; 8])],
+        )
+    };
+    for vm in [KernelVm::Register, KernelVm::Bytecode] {
+        let cfg = ExecConfig::gpus(2).kernel_vm(vm);
+        let (scalars, arrays) = inputs();
+        let err = run_program(&mut machine(), &cfg, &prog, scalars, arrays).unwrap_err();
+        assert_eq!(err.code(), "ACC-R010", "{vm:?}: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("`badidx`") && msg.contains("index of type f64"),
+            "{msg}"
+        );
+    }
+    let engine = Engine::new(
+        acc_gpusim::MachineKind::SupercomputerNode,
+        ExecConfig::gpus(2),
+    );
+    let kernel = Arc::new(CompiledKernel::from_program(prog));
+    for _ in 0..2 {
+        let (scalars, arrays) = inputs();
+        let err = engine.launch(&kernel, scalars, arrays).unwrap_err();
+        assert_eq!(err.code(), "ACC-R010", "{err}");
+    }
+}
+
+/// A launch binds the values its kernel was typed against, or it is
+/// refused: a forged launch that passes an `int` host local where the
+/// kernel declares a `float` parameter runs on neither tier.
+#[test]
+fn a_launch_binding_other_types_than_declared_is_refused() {
+    use acc_compiler::ParamSrc;
+    let mut prog = compile_source(SAXPY, "saxpy", &CompileOptions::proposal()).unwrap();
+    let n = prog
+        .locals
+        .iter()
+        .position(|(name, _)| name == "n")
+        .unwrap();
+    let ck = &mut prog.kernels[0];
+    let a = ck
+        .kernel
+        .params
+        .iter()
+        .position(|p| p.name.starts_with("a$"))
+        .unwrap();
+    assert_eq!(ck.kernel.params[a].ty, acc_kernel_ir::Ty::F32);
+    ck.param_src[a] = ParamSrc::HostLocal(acc_kernel_ir::LocalId(n as u32));
+    for vm in [KernelVm::Register, KernelVm::Bytecode] {
+        let cfg = ExecConfig::gpus(2).kernel_vm(vm);
+        let (scalars, arrays) = (
+            vec![Value::I32(8), Value::F32(1.0)],
+            vec![Buffer::from_f32(&[1.0; 8]), Buffer::from_f32(&[2.0; 8])],
+        );
+        let err = run_program(&mut machine(), &cfg, &prog, scalars, arrays).unwrap_err();
+        assert!(
+            matches!(&err, RunError::BadInputs(m) if m.contains("`saxpy")),
+            "{vm:?}: {err}"
+        );
+        assert_eq!(err.code(), "ACC-R003");
+    }
+}
+
 /// A machine whose GPUs have tiny memories, to exercise capacity limits
 /// without allocating gigabytes for real.
 fn tiny_machine() -> Machine {

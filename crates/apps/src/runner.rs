@@ -14,6 +14,7 @@ use std::sync::{Arc, OnceLock};
 
 use acc_compiler::{CompileOptions, CompiledProgram};
 use acc_gpusim::{Machine, MachineKind};
+use acc_kernel_ir::{Buffer, Value};
 use acc_runtime::{
     CompiledKernel, Engine, ExecConfig, GpuMemReport, RunError, RunReport,
     TimeBreakdown, Trace,
@@ -383,15 +384,27 @@ pub fn run_compiled(
     seed: u64,
     cfg: &ExecConfig,
 ) -> Result<AppResult, AppError> {
-    let run = |machine: &mut Machine, scalars, arrays| -> Result<RunReport, AppError> {
-        Ok(engine.launch_on(prog, machine, cfg, scalars, arrays)?)
-    };
-    let (report, correct, max_err) = match app {
+    let (report, correct, max_err) = run_checked(app, scale, seed, |scalars, arrays| {
+        Ok::<_, AppError>(engine.launch_on(prog, machine, cfg, scalars, arrays)?)
+    })?;
+    Ok(result_from(app, version, prog, report, correct, max_err))
+}
+
+/// Generate `app`'s input at `scale`, run it with `run`, and hold the
+/// result to the app's oracle: `(report, correct, max_err)`. The
+/// generate → run → oracle pipeline behind [`run_compiled`], for
+/// callers that run the program their own way.
+pub fn run_checked<E>(
+    app: App,
+    scale: Scale,
+    seed: u64,
+    run: impl FnOnce(Vec<Value>, Vec<Buffer>) -> Result<RunReport, E>,
+) -> Result<(RunReport, bool, f64), E> {
+    Ok(match app {
         App::Md => {
             let input = md::generate(&scale.md(), seed);
             let (scalars, arrays) = md::inputs(&input);
-            let report =
-                run(machine, scalars, arrays)?;
+            let report = run(scalars, arrays)?;
             let expect = md::reference(&input);
             let got = report.arrays[md::FORCE_ARRAY].to_f64_vec();
             let err = md::max_error(&got, &expect);
@@ -401,8 +414,7 @@ pub fn run_compiled(
         App::Kmeans => {
             let input = kmeans::generate(&scale.kmeans(), seed);
             let (scalars, arrays) = kmeans::inputs(&input);
-            let report =
-                run(machine, scalars, arrays)?;
+            let report = run(scalars, arrays)?;
             let expect = kmeans::reference(&input);
             let got_mem = report.arrays[kmeans::MEMBERSHIP_ARRAY].to_i32_vec();
             let got_clu = report.arrays[kmeans::CLUSTERS_ARRAY].to_f32_vec();
@@ -425,8 +437,7 @@ pub fn run_compiled(
         App::Bfs => {
             let input = bfs::generate(&scale.bfs(), seed);
             let (scalars, arrays) = bfs::inputs(&input);
-            let report =
-                run(machine, scalars, arrays)?;
+            let report = run(scalars, arrays)?;
             let expect = bfs::reference(&input);
             let got = report.arrays[bfs::LEVELS_ARRAY].to_i32_vec();
             let ok = got == expect;
@@ -435,8 +446,7 @@ pub fn run_compiled(
         App::Spmv => {
             let input = spmv::generate(&scale.spmv(), seed);
             let (scalars, arrays) = spmv::inputs(&input);
-            let report =
-                run(machine, scalars, arrays)?;
+            let report = run(scalars, arrays)?;
             let expect = spmv::reference(&input);
             let got = report.arrays[spmv::Y_ARRAY].to_f64_vec();
             // Each row's sum is computed by one thread in program order on
@@ -452,8 +462,7 @@ pub fn run_compiled(
         App::Heat2d => {
             let input = heat2d::generate(&scale.heat2d(), seed);
             let (scalars, arrays) = heat2d::inputs(&input);
-            let report =
-                run(machine, scalars, arrays)?;
+            let report = run(scalars, arrays)?;
             let expect = heat2d::reference(&input);
             let err = heat2d::max_error(
                 &report.arrays[heat2d::PLATE_ARRAY].to_f64_vec(),
@@ -465,8 +474,7 @@ pub fn run_compiled(
         App::Pagerank => {
             let input = pagerank::generate(&scale.pagerank(), seed);
             let (scalars, arrays) = pagerank::inputs(&input);
-            let report =
-                run(machine, scalars, arrays)?;
+            let report = run(scalars, arrays)?;
             let expect = pagerank::reference(&input);
             let err = pagerank::max_error(
                 &report.arrays[pagerank::RANK_ARRAY].to_f64_vec(),
@@ -482,7 +490,7 @@ pub fn run_compiled(
             let (scalars, arrays) = heat2d_halo2::inputs(&input);
             // The carried dependence is halo-local (ACC-I003), so the
             // runtime pipelines the equal division as a wavefront.
-            let report = run(machine, scalars, arrays)?;
+            let report = run(scalars, arrays)?;
             let expect = heat2d_halo2::reference(&input);
             let err = heat2d_halo2::max_error(
                 &report.arrays[heat2d_halo2::PLATE_ARRAY].to_f64_vec(),
@@ -492,8 +500,7 @@ pub fn run_compiled(
             let ok = err == 0.0;
             (report, ok, err)
         }
-    };
-    Ok(result_from(app, version, prog, report, correct, max_err))
+    })
 }
 
 fn result_from(

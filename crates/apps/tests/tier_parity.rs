@@ -1,12 +1,13 @@
-//! Every shipped kernel takes the statically typed register tier, and a
-//! run on it is indistinguishable from a run on the stack bytecode.
+//! Every shipped kernel types for the register tier, and a run on it is
+//! indistinguishable from a run on the stack bytecode.
 //!
-//! `regvm::compile` returning `None` is not an error anywhere — the
-//! launch silently runs the slower tier — so nothing else would notice a
-//! typing rule (or a translator change) that pushed an application's
-//! kernels off the default tier. The second test is the apps-level form
-//! of `kernel-ir`'s differential suites: the default configuration
-//! against `KernelVm::Bytecode` on everything a `RunReport` carries.
+//! The runtime refuses a program with a kernel `regvm::compile` cannot
+//! type, so a typing rule (or a translator change) that rejected a
+//! shipped kernel would break that app outright; the first test names
+//! the kernel, across every preset and every example source. The second
+//! test is the apps-level form of `kernel-ir`'s differential suites: the
+//! default configuration against `KernelVm::Bytecode` on everything a
+//! `RunReport` carries.
 
 use acc_apps::{bfs, heat2d, heat2d_halo2, kmeans, md, pagerank, spmv, App, Scale};
 use acc_compiler::{compile, compile_source, CompileOptions};
@@ -48,11 +49,9 @@ fn every_shipped_kernel_takes_the_register_tier() {
                 let prog = compile(&typed, &f.name, options).expect("shipped source compiles");
                 for ck in &prog.kernels {
                     kernels += 1;
-                    assert!(
-                        regvm::compile(&ck.kernel).is_some(),
-                        "{name} ({preset}): kernel `{}` falls back to the bytecode",
-                        ck.kernel.name
-                    );
+                    if let Err(e) = regvm::compile(&ck.kernel) {
+                        panic!("{name} ({preset}): {e}");
+                    }
                 }
             }
         }

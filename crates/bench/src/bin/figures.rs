@@ -187,19 +187,21 @@ fn run_bench_target(args: &Args) {
         );
     }
     println!(
-        "  {:<8} {:<15} {:>5} {:>12} {:>10} {:>8} {:>8}",
-        "App", "Mode", "GPUs", "comm sim", "p2p MB", "elided", "matches"
+        "  {:<8} {:<15} {:>5} {:>12} {:>12} {:>10} {:>8} {:>8} {:>8}",
+        "App", "Mode", "GPUs", "sim time", "comm sim", "p2p MB", "elided", "matches", "correct"
     );
     for c in &file.comm_experiments {
         println!(
-            "  {:<8} {:<15} {:>5} {:>11.6}s {:>10.2} {:>8} {:>8}",
+            "  {:<8} {:<15} {:>5} {:>11.6}s {:>11.6}s {:>10.2} {:>8} {:>8} {:>8}",
             c.app,
             c.mode,
             c.ngpus,
+            c.sim_s,
             c.comm_sim_s,
             c.p2p_bytes as f64 / 1e6,
             c.comm_elisions,
-            c.matches_annotated
+            c.matches_annotated,
+            c.correct
         );
     }
     println!(

@@ -182,10 +182,12 @@ impl Row for CommPoint {
             ("app", Value::str(&self.app)),
             ("mode", Value::str(&self.mode)),
             ("ngpus", Value::num(self.ngpus as f64)),
+            ("sim_s", Value::num(self.sim_s)),
             ("comm_sim_s", Value::num(self.comm_sim_s)),
             ("p2p_bytes", Value::num(self.p2p_bytes as f64)),
             ("comm_elisions", Value::num(self.comm_elisions as f64)),
             ("matches_annotated", Value::Bool(self.matches_annotated)),
+            ("correct", Value::Bool(self.correct)),
         ])
     }
 
@@ -194,15 +196,17 @@ impl Row for CommPoint {
             app: f.text("app")?,
             mode: f.text("mode")?,
             ngpus: f.int("ngpus")? as usize,
+            sim_s: f.num("sim_s")?,
             comm_sim_s: f.num("comm_sim_s")?,
             p2p_bytes: f.int("p2p_bytes")?,
             comm_elisions: f.int("comm_elisions")?,
             matches_annotated: f.flag("matches_annotated")?,
+            correct: f.flag("correct")?,
         })
     }
 
-    /// The guard on the inference/elision wins: the simulated comm time
-    /// and traffic are pinned, an elision count that moves means static
+    /// The guard on the inference/elision wins: the simulated time and
+    /// traffic are pinned, an elision count that moves means static
     /// facts changed, and bit-identity to the annotated baseline is a
     /// recorded value like the others (it is legitimately `false` for
     /// some modes, so it is not this section's `correct`).
@@ -210,12 +214,13 @@ impl Row for CommPoint {
         Pinned {
             key: format!("{}/{} x{}", self.app, self.mode, self.ngpus),
             values: vec![
+                ("sim_s", self.sim_s),
                 ("comm_sim_s", self.comm_sim_s),
                 ("p2p_bytes", self.p2p_bytes as f64),
                 ("comm_elisions", self.comm_elisions as f64),
                 ("matches_annotated", f64::from(self.matches_annotated)),
             ],
-            correct: true,
+            correct: self.correct,
         }
     }
 }
@@ -469,10 +474,12 @@ mod tests {
             app: "spmv".to_string(),
             mode: mode.to_string(),
             ngpus: 3,
+            sim_s: 2.0 * comm_sim_s,
             comm_sim_s,
             p2p_bytes: 4096,
             comm_elisions,
             matches_annotated,
+            correct: true,
         }
     }
 

@@ -46,7 +46,8 @@ fn committed_artifacts_cover_the_matrix_and_every_row_is_correct() {
         assert!(file.points.iter().all(|p| p.correct), "{name}: points");
         assert!(file.schedules.iter().all(|p| p.correct), "{name}: schedules");
         assert!(file.scaling.iter().all(|p| p.correct), "{name}: scaling");
-        assert_eq!((file.comm_experiments.len(), file.scaling.len()), (12, 18), "{name}");
+        assert!(file.comm_experiments.iter().all(|p| p.correct), "{name}: comm");
+        assert_eq!((file.comm_experiments.len(), file.scaling.len()), (48, 18), "{name}");
     }
 }
 

@@ -1,10 +1,10 @@
-//! The dynamically typed stack bytecode: the fallback tier.
+//! The dynamically typed stack bytecode: the comparison tier.
 //!
-//! Kernels run on the statically typed register tier ([`crate::regvm`])
-//! whenever they can be typed, so this is not the hot path: it
-//! executes the kernels and launches `regvm` declines — those that can
-//! raise a dynamic `TypeError`, which only a tagged-`Value` machine
-//! reproduces — and whole runs under `KernelVm::Bytecode`. A kernel body
+//! Kernels run on the statically typed register tier ([`crate::regvm`]),
+//! which refuses any kernel it cannot type, so this is not the hot path:
+//! it executes whole runs under `KernelVm::Bytecode`, and on hand-built
+//! IR it reproduces the walker's dynamic `TypeError`s, which only a
+//! tagged-`Value` machine can. A kernel body
 //! is compiled once into a flat instruction vector executed by a small
 //! stack machine: the instruction stream is contiguous in memory,
 //! control flow becomes jumps, and the AST walker's per-node `Result`

@@ -52,7 +52,7 @@ pub use interp::{
     SANITIZE_LOG_CAP,
 };
 pub use kernel::{BufAccess, BufParam, Kernel, ScalarParam, ScalarReduction};
-pub use regvm::{run_kernel_range_opt, RegCompiled};
+pub use regvm::RegCompiled;
 pub use stmt::{RmwOp, Stmt};
 pub use ty::{Ty, Value};
 

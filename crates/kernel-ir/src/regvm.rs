@@ -5,18 +5,19 @@
 //! reduction, so the type of every expression node is known before the
 //! first thread runs. [`compile`] walks the statement tree once,
 //! computing each node's [`Ty`] bottom-up, and emits one
-//! type-specialised three-address `Op` per *interior* node. It returns
-//! `None` — and the caller runs the stack bytecode
-//! ([`run_kernel_range`]) — for any kernel the AST walker could answer
-//! with a dynamic `TypeError`: operand types that differ, a non-`I32`
-//! index, an `Assign` whose value type is not the local's declared type,
-//! `Select` arms of different types, an `AtomicRmw` / `ReduceScalar`
-//! value that is not the buffer's / reduction's type, float `Rem` or
-//! bitwise ops, `Neg` on `Bool`, `Abs` on non-`I32`, a `Bool` builtin
-//! argument, a condition that is neither `Bool` nor `I32`, a kernel that
-//! fails [`Kernel::validate`], or a frame wider than `u16` slots. A
-//! launch whose dynamic types differ from the declarations
-//! ([`launch_types_match`]) takes the same fallback.
+//! type-specialised three-address `Op` per *interior* node. It is the
+//! one place a kernel is typed, and it refuses — with a
+//! [`ValidationError`] naming the kernel and the rule — any kernel the
+//! AST walker could answer with a dynamic `TypeError`: operand types
+//! that differ, a non-`I32` index, an `Assign` whose value type is not
+//! the local's declared type, `Select` arms of different types, an
+//! `AtomicRmw` / `ReduceScalar` value that is not the buffer's /
+//! reduction's type, float `Rem` or bitwise ops, `Neg` on `Bool`, `Abs`
+//! on non-`I32`, a `Bool` builtin argument, a condition that is neither
+//! `Bool` nor `I32` — and a kernel that fails [`Kernel::validate`] or
+//! whose frame is wider than `u16` slots. A launch must bind values of
+//! the declared types ([`launch_types_match`]); the runtime refuses one
+//! that does not.
 //!
 //! **Frame.** One `[u64]` per launch share, laid out
 //! `[locals | tid | params | consts | temps]`, holding raw bits: `i32`
@@ -46,10 +47,9 @@
 
 use crate::expr::{BinOp, Builtin, Expr, UnOp};
 use crate::interp::{
-    eval_builtin, rmw_apply, run_kernel_range, sanitize_load, sanitize_store, BufSlot, ExecCtx,
-    ExecError, MissRecord,
+    eval_builtin, rmw_apply, sanitize_load, sanitize_store, BufSlot, ExecCtx, ExecError, MissRecord,
 };
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, ValidationError};
 use crate::stmt::{RmwOp, Stmt};
 use crate::ty::{Ty, Value};
 
@@ -243,6 +243,9 @@ fn value(ty: Ty, x: u64) -> Value {
 // Compilation
 // ---------------------------------------------------------------------------
 
+/// A typing step's result; `Err` names the rule the kernel breaks.
+type Typed<T> = Result<T, String>;
+
 struct LoopFrame {
     head: u32,
     breaks: Vec<usize>,
@@ -263,11 +266,12 @@ struct Compiler<'k> {
     loops: Vec<LoopFrame>,
 }
 
-/// Compile a kernel for the register tier, or `None` when it cannot be
-/// statically typed (see the module docs); callers then run the stack
-/// bytecode, which reproduces the walker's dynamic errors.
-pub fn compile(k: &Kernel) -> Option<RegCompiled> {
-    k.validate().ok()?;
+/// Compile a kernel for the register tier, or refuse it when it fails
+/// [`Kernel::validate`] or cannot be statically typed (see the module
+/// docs). The error names the kernel and the rule it breaks.
+pub fn compile(k: &Kernel) -> Result<RegCompiled, ValidationError> {
+    let refuse = |why: String| ValidationError(format!("kernel `{}`: {why}", k.name));
+    k.validate().map_err(|e| refuse(e.0))?;
     // 0 and 1 are always present: the results of a short-circuit.
     let mut consts = vec![0, 1];
     for s in &k.body {
@@ -282,7 +286,8 @@ pub fn compile(k: &Kernel) -> Option<RegCompiled> {
     let nlocals = k.locals.len();
     let temp0 = nlocals + 1 + k.params.len() + consts.len();
     // Every fixed slot, buffer and reduction index must fit an operand.
-    u16::try_from(temp0.max(k.bufs.len()).max(k.reductions.len())).ok()?;
+    let widest = temp0.max(k.bufs.len()).max(k.reductions.len());
+    u16::try_from(widest).map_err(|_| refuse(format!("{widest} frame slots exceed u16")))?;
     let mut c = Compiler {
         k,
         code: Vec::new(),
@@ -295,9 +300,9 @@ pub fn compile(k: &Kernel) -> Option<RegCompiled> {
         max_temps: 0,
         loops: Vec::new(),
     };
-    c.block(&k.body)?;
+    c.block(&k.body).map_err(refuse)?;
     c.emit(Op::Ret);
-    Some(RegCompiled {
+    Ok(RegCompiled {
         code: c.code,
         consts: c.consts,
         nlocals,
@@ -308,24 +313,22 @@ pub fn compile(k: &Kernel) -> Option<RegCompiled> {
 
 /// The result type of `f` on arguments of types `args`, mirroring
 /// `eval_builtin`'s dynamic rules.
-fn builtin_ty(f: Builtin, args: &[Ty]) -> Option<Ty> {
-    if args.contains(&Ty::Bool) {
-        return None;
-    }
-    match (f, args) {
-        (Builtin::Abs, [Ty::I32]) => Some(Ty::I32),
-        (Builtin::Abs, _) => None,
-        (Builtin::Min | Builtin::Max, [Ty::I32, Ty::I32]) => Some(Ty::I32),
+fn builtin_ty(f: Builtin, args: &[Ty]) -> Typed<Ty> {
+    Ok(match (f, args) {
+        _ if args.contains(&Ty::Bool) => return Err(format!("{f:?} of a bool")),
+        (Builtin::Abs, [Ty::I32]) => Ty::I32,
+        (Builtin::Abs, _) => return Err(format!("Abs of {}", args[0])),
+        (Builtin::Min | Builtin::Max, [Ty::I32, Ty::I32]) => Ty::I32,
         // Everything else computes in f64 and returns at the first
         // argument's precision.
-        (_, [Ty::F32, ..]) => Some(Ty::F32),
-        _ => Some(Ty::F64),
-    }
+        (_, [Ty::F32, ..]) => Ty::F32,
+        _ => Ty::F64,
+    })
 }
 
-fn arith(op: BinOp, ty: Ty, r: R3) -> Option<Op> {
+fn arith(op: BinOp, ty: Ty, r: R3) -> Typed<Op> {
     use BinOp::*;
-    Some(match (op, ty) {
+    Ok(match (op, ty) {
         (Add, Ty::I32) => Op::AddI(r),
         (Sub, Ty::I32) => Op::SubI(r),
         (Mul, Ty::I32) => Op::MulI(r),
@@ -344,7 +347,7 @@ fn arith(op: BinOp, ty: Ty, r: R3) -> Option<Op> {
         (Sub, Ty::F64) => Op::SubD(r),
         (Mul, Ty::F64) => Op::MulD(r),
         (Div, Ty::F64) => Op::DivD(r),
-        _ => return None,
+        _ => return Err(format!("{op:?} on {ty}")),
     })
 }
 
@@ -364,17 +367,19 @@ impl Compiler<'_> {
 
     /// The slot holding `e`'s value and its type: the leaf's own slot,
     /// or a fresh temp the caller releases.
-    fn operand(&mut self, e: &Expr) -> Option<(u16, Ty)> {
-        Some(match e {
+    fn operand(&mut self, e: &Expr) -> Typed<(u16, Ty)> {
+        Ok(match e {
             Expr::Imm(v) => {
-                let i = self.consts.binary_search(&bits(*v)).ok()?;
+                let i = (self.consts.binary_search(&bits(*v)))
+                    .map_err(|_| "immediate missing from the constant pool")?;
                 (self.const0 + i as u16, v.ty())
             }
             Expr::Local(l) => (l.0 as u16, self.k.locals[l.0 as usize]),
             Expr::Param(p) => (self.param0 + p.0 as u16, self.k.params[p.0 as usize].ty),
             Expr::ThreadIdx => (self.tid, Ty::I32),
             _ => {
-                let d = u16::try_from(self.temp0 + self.temps).ok()?;
+                let d = u16::try_from(self.temp0 + self.temps)
+                    .map_err(|_| "temps exceed u16 frame slots")?;
                 self.temps += 1;
                 self.max_temps = self.max_temps.max(self.temps);
                 (d, self.into(e, d, 0)?)
@@ -382,14 +387,17 @@ impl Compiler<'_> {
         })
     }
 
-    fn index(&mut self, e: &Expr) -> Option<u16> {
+    fn index(&mut self, e: &Expr) -> Typed<u16> {
         let (s, ty) = self.operand(e)?;
-        (ty == Ty::I32).then_some(s)
+        if ty != Ty::I32 {
+            return Err(format!("index of type {ty}"));
+        }
+        Ok(s)
     }
 
     /// Compile `e` so that the last op executed writes its value to `d`
     /// and charges `x` further `int_ops`. Returns `e`'s type.
-    fn into(&mut self, e: &Expr, d: u16, x: u8) -> Option<Ty> {
+    fn into(&mut self, e: &Expr, d: u16, x: u8) -> Typed<Ty> {
         let mark = self.temps;
         let ty = match e {
             Expr::Imm(_) | Expr::Local(_) | Expr::Param(_) | Expr::ThreadIdx => {
@@ -421,7 +429,7 @@ impl Compiler<'_> {
                     (UnOp::Neg, Ty::F64) => (Op::NegD(r), ty),
                     (UnOp::Not, Ty::I32 | Ty::Bool) => (Op::Not(r), Ty::Bool),
                     (UnOp::BitNot, Ty::I32) => (Op::BitNot(r), ty),
-                    _ => return None,
+                    _ => return Err(format!("{op:?} on {ty}")),
                 };
                 self.emit(op);
                 ty
@@ -450,9 +458,7 @@ impl Compiler<'_> {
             Expr::Binary { op, a, b } => {
                 let (a, ta) = self.operand(a)?;
                 let (b, tb) = self.operand(b)?;
-                if ta != tb {
-                    return None;
-                }
+                same(ta, tb)?;
                 let r = R3 { d, a, b, x };
                 if op.is_comparison() {
                     self.emit(match ta {
@@ -511,18 +517,18 @@ impl Compiler<'_> {
                 let tf = self.into(f, d, x)?;
                 self.patch(done);
                 if tt != tf {
-                    return None;
+                    return Err(format!("select arms of types {tt} and {tf}"));
                 }
                 tt
             }
         };
         self.temps = mark;
-        Some(ty)
+        Ok(ty)
     }
 
     /// The truth value of `rhs`, the right-hand side of a `&&` / `||`,
     /// into `d`.
-    fn truth_into(&mut self, rhs: &Expr, d: u16, x: u8) -> Option<()> {
+    fn truth_into(&mut self, rhs: &Expr, d: u16, x: u8) -> Typed<()> {
         match self.into(rhs, d, x)? {
             Ty::Bool => {}
             // No fault point and no charge between the rhs's last op
@@ -530,22 +536,20 @@ impl Compiler<'_> {
             Ty::I32 => {
                 self.emit(Op::Truth(d));
             }
-            _ => return None,
+            ty => return Err(format!("condition of type {ty}")),
         }
-        Some(())
+        Ok(())
     }
 
     /// Evaluate `cond` and branch when it is false. Returns the branch
     /// for [`patch`](Self::patch).
-    fn branch_if_false(&mut self, cond: &Expr) -> Option<usize> {
+    fn branch_if_false(&mut self, cond: &Expr) -> Typed<usize> {
         let mark = self.temps;
         let at = match cond {
             Expr::Binary { op, a, b } if op.is_comparison() => {
                 let (a, ta) = self.operand(a)?;
                 let (b, tb) = self.operand(b)?;
-                if ta != tb {
-                    return None;
-                }
+                same(ta, tb)?;
                 let (cmp, t) = (*op, 0);
                 self.emit(match ta {
                     Ty::I32 | Ty::Bool => Op::BrCmpI { cmp, a, b, t },
@@ -556,25 +560,26 @@ impl Compiler<'_> {
             _ => {
                 let (a, ty) = self.operand(cond)?;
                 if !matches!(ty, Ty::Bool | Ty::I32) {
-                    return None;
+                    return Err(format!("condition of type {ty}"));
                 }
                 self.emit(Op::BrZero { a, t: 0 })
             }
         };
         self.temps = mark;
-        Some(at)
+        Ok(at)
     }
 
-    fn block(&mut self, stmts: &[Stmt]) -> Option<()> {
+    fn block(&mut self, stmts: &[Stmt]) -> Typed<()> {
         stmts.iter().try_for_each(|s| self.stmt(s))
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Option<()> {
+    fn stmt(&mut self, s: &Stmt) -> Typed<()> {
         match s {
             Stmt::Assign { local, value } => {
                 let ty = self.into(value, local.0 as u16, 1)?;
-                if ty != self.k.locals[local.0 as usize] {
-                    return None;
+                let declared = self.k.locals[local.0 as usize];
+                if ty != declared {
+                    return Err(format!("{ty} value assigned to {declared} local"));
                 }
             }
             Stmt::Store {
@@ -608,9 +613,7 @@ impl Compiler<'_> {
             } => {
                 let idx = self.index(idx)?;
                 let (val, ty) = self.operand(value)?;
-                if ty != self.k.bufs[buf.0 as usize].ty {
-                    return None;
-                }
+                same(ty, self.k.bufs[buf.0 as usize].ty)?;
                 self.emit(Op::Atomic {
                     buf: buf.0 as u16,
                     idx,
@@ -621,8 +624,9 @@ impl Compiler<'_> {
             }
             Stmt::ReduceScalar { slot, op, value } => {
                 let (val, ty) = self.operand(value)?;
-                if ty != self.k.reductions[*slot as usize].ty || ty == Ty::Bool {
-                    return None;
+                same(ty, self.k.reductions[*slot as usize].ty)?;
+                if ty == Ty::Bool {
+                    return Err("bool reduction".into());
                 }
                 self.emit(Op::Reduce {
                     slot: *slot as u16,
@@ -652,22 +656,31 @@ impl Compiler<'_> {
                 });
                 self.block(body)?;
                 self.emit(Op::Jump(head));
-                for at in self.loops.pop()?.breaks {
+                for at in self.loops.pop().ok_or("loop frame missing")?.breaks {
                     self.patch(at);
                 }
             }
             Stmt::Break => {
                 let at = self.emit(Op::Jump(0));
-                self.loops.last_mut()?.breaks.push(at);
+                let inner = self.loops.last_mut().ok_or("break outside a loop")?;
+                inner.breaks.push(at);
             }
             Stmt::Continue => {
-                let head = self.loops.last()?.head;
+                let head = self.loops.last().ok_or("continue outside a loop")?.head;
                 self.emit(Op::Jump(head));
             }
         }
         self.temps = 0;
-        Some(())
+        Ok(())
     }
+}
+
+/// Operands, or a value and its destination, must have one type.
+fn same(a: Ty, b: Ty) -> Typed<()> {
+    if a != b {
+        return Err(format!("operand types {a} and {b} differ"));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -675,10 +688,8 @@ impl Compiler<'_> {
 // ---------------------------------------------------------------------------
 
 /// Do the launch context's dynamic value types match the kernel's
-/// declarations? When they don't, the walker can raise `TypeError`s the
-/// statically typed VM ruled out — such launches take the reference path.
-/// Public so callers that cache [`compile`]d code across launches can
-/// re-validate each launch the way [`run_kernel_range_opt`] does.
+/// declarations? Typing assumed they do, so [`run_compiled`] may only
+/// run a launch for which this holds; a caller refuses any other.
 pub fn launch_types_match(k: &Kernel, ctx: &ExecCtx<'_>) -> bool {
     ctx.params.len() == k.params.len()
         && ctx
@@ -700,26 +711,9 @@ pub fn launch_types_match(k: &Kernel, ctx: &ExecCtx<'_>) -> bool {
             .all(|(v, r)| v.ty() == r.ty)
 }
 
-/// Register-tier counterpart of [`run_kernel_range`]: execute iterations
-/// `[lo, hi)`, bit-identical to the walker, falling back to the
-/// reference path when static compilation or launch validation fails.
-/// Compiles on every call; a caller that launches the same kernel
-/// repeatedly keeps the [`RegCompiled`] and calls [`run_compiled`].
-pub fn run_kernel_range_opt(
-    k: &Kernel,
-    ctx: &mut ExecCtx<'_>,
-    lo: i64,
-    hi: i64,
-) -> Result<(), ExecError> {
-    match compile(k) {
-        Some(rc) if launch_types_match(k, ctx) => run_compiled(&rc, ctx, lo, hi),
-        _ => run_kernel_range(k, ctx, lo, hi),
-    }
-}
-
-/// Execute a pre-compiled kernel over `[lo, hi)`. The caller must have
-/// checked [`launch_types_match`] for this context (as
-/// [`run_kernel_range_opt`] does).
+/// Execute a [`compile`]d kernel over `[lo, hi)`, bit-identical to the
+/// AST walker. The caller must have checked [`launch_types_match`] for
+/// this context.
 pub fn run_compiled(
     rc: &RegCompiled,
     ctx: &mut ExecCtx<'_>,
@@ -1029,17 +1023,20 @@ mod tests {
             .collect()
     }
 
-    /// Run `k` over `a` on the walker or the register tier.
-    fn run(k: &Kernel, a: &[i32], ast: bool) -> (Result<(), ExecError>, Vec<i32>, OpCounters) {
+    /// Run `k` over `a` on the register tier's `rc`, or on the walker.
+    fn run(
+        k: &Kernel,
+        a: &[i32],
+        rc: Option<&RegCompiled>,
+    ) -> (Result<(), ExecError>, Vec<i32>, OpCounters) {
         let mut a = Buffer::from_i32(a);
         let n = a.len();
         let mut out = Buffer::zeroed(Ty::I32, n);
         let bufs = vec![BufSlot::whole(&mut a), BufSlot::whole(&mut out)];
         let mut ctx = ExecCtx::new(k, vec![], bufs);
-        let r = if ast {
-            run_kernel_range_ast(k, &mut ctx, 0, n as i64)
-        } else {
-            run_kernel_range_opt(k, &mut ctx, 0, n as i64)
+        let r = match rc {
+            None => run_kernel_range_ast(k, &mut ctx, 0, n as i64),
+            Some(rc) => run_compiled(rc, &mut ctx, 0, n as i64),
         };
         let c = ctx.counters;
         drop(ctx);
@@ -1047,7 +1044,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_kernel_compiles_and_matches_walker() {
+    fn loop_kernel_compiles_and_matches_walker() -> Result<(), ValidationError> {
         // j = 0; while (j < 8) { s = s + a[tid]; j = j + 1; } out[tid] = s;
         let (s, j) = (LocalId(0), LocalId(1));
         let k = Kernel {
@@ -1079,16 +1076,17 @@ mod tests {
                 },
             ],
         };
-        let rc = compile(&k).expect("loop kernel must take the VM path");
+        let rc = compile(&k)?;
         // One op per interior node, a fused compare-and-branch, the back
         // edge, the store and the return: leaves cost nothing.
         assert_eq!(rc.code.len(), 7, "{:?}", rc.code);
         let a: Vec<i32> = (0..16).collect();
-        assert_eq!(run(&k, &a, true), run(&k, &a, false));
+        assert_eq!(run(&k, &a, None), run(&k, &a, Some(&rc)));
+        Ok(())
     }
 
     #[test]
-    fn div_by_zero_settles_identical_counters() {
+    fn div_by_zero_settles_identical_counters() -> Result<(), ValidationError> {
         // out[tid] = 100 / (a[tid] - 2): faults at tid == 2.
         let k = Kernel {
             name: "divk".into(),
@@ -1108,13 +1106,14 @@ mod tests {
                 checked: false,
             }],
         };
-        assert!(compile(&k).is_some());
-        let walker = run(&k, &[0, 1, 2, 3], true);
-        let vm = run(&k, &[0, 1, 2, 3], false);
+        let rc = compile(&k)?;
+        let walker = run(&k, &[0, 1, 2, 3], None);
+        let vm = run(&k, &[0, 1, 2, 3], Some(&rc));
         assert_eq!(walker.0, Err(ExecError::DivByZero));
         assert_eq!(
             walker, vm,
             "error-path state and counters must be bit-identical"
         );
+        Ok(())
     }
 }

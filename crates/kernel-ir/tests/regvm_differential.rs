@@ -3,9 +3,9 @@
 //!
 //! `regvm::compile` types a kernel's statement tree bottom-up and emits
 //! one type-specialised three-address op per interior node on an untagged
-//! `u64` frame; `run_kernel_range_opt` runs that, or the stack bytecode
-//! when the kernel cannot be statically typed. Either way nothing
-//! observable may differ from the tree walk: buffer bytes, dirty bits,
+//! `u64` frame, or refuses a kernel it cannot statically type;
+//! `regvm::run_compiled` runs the code. Nothing observable may differ
+//! from the tree walk: buffer bytes, dirty bits,
 //! miss records (with their *uncast* values), reduction partials,
 //! `OpCounters`, per-buffer byte tallies, the sanitizer log, and the exact
 //! `ExecError` — with the counters of the half-finished thread — on
@@ -13,16 +13,18 @@
 //! a destination that occurs in its own value, temps that must outlive a
 //! sibling's evaluation, raw-bit representations at the edges of each
 //! type, and the typing rules themselves — every rejection rule has a
-//! negative test asserting both `compile(..).is_none()` and fallback
-//! equality, and the random sweep asserts a floor on the share of kernels
-//! that compile, so the equalities cannot go vacuous.
+//! negative test asserting that `compile(..)` is `Err` where the walker
+//! raises a `TypeError` (or runs clean), and the random sweep asserts a
+//! floor on the share of kernels that compile, so the equalities cannot
+//! go vacuous. Walker-vs-bytecode parity on the kernels refused here is
+//! `bytecode_differential.rs`'s.
 
+use acc_kernel_ir::kernel::ValidationError;
 use acc_kernel_ir::regvm;
 use acc_kernel_ir::{
-    run_kernel_range_ast, run_kernel_range_opt, BinOp, BufAccess, BufId, BufParam, BufSanitize,
-    BufSlot, Buffer, Builtin, DirtyMap, ExecCtx, ExecError, Expr, Kernel, LocalId, MissRecord,
-    OpCounters, ParamId, RmwOp, SanitizeRecord, ScalarParam, ScalarReduction, Stmt, Ty, UnOp,
-    Value,
+    run_kernel_range_ast, BinOp, BufAccess, BufId, BufParam, BufSanitize, BufSlot, Buffer, Builtin,
+    DirtyMap, ExecCtx, ExecError, Expr, Kernel, LocalId, MissRecord, OpCounters, ParamId, RmwOp,
+    SanitizeRecord, ScalarParam, ScalarReduction, Stmt, Ty, UnOp, Value,
 };
 use proptest::prelude::*;
 
@@ -88,7 +90,8 @@ fn run_one(
     lo: i64,
     hi: i64,
     ast: bool,
-) -> Outcome {
+) -> Result<Outcome, ValidationError> {
+    let reg = if ast { None } else { Some(regvm::compile(k)?) };
     let mut bufs: Vec<Buffer> = init.to_vec();
     let mut dirty: Vec<Option<DirtyMap>> = bufs
         .iter()
@@ -112,10 +115,16 @@ fn run_one(
     let mut ctx = ExecCtx::new(k, params.to_vec(), slots);
     ctx.miss_capacity = miss_capacity;
     ctx.sanitize = sanitize.to_vec();
-    let result = if ast {
-        run_kernel_range_ast(k, &mut ctx, lo, hi)
-    } else {
-        run_kernel_range_opt(k, &mut ctx, lo, hi)
+    let result = match &reg {
+        None => run_kernel_range_ast(k, &mut ctx, lo, hi),
+        Some(rc) => {
+            assert!(
+                regvm::launch_types_match(k, &ctx),
+                "`{}`: launch types",
+                k.name
+            );
+            regvm::run_compiled(rc, &mut ctx, lo, hi)
+        }
     };
     let counters = ctx.counters;
     let per_buf_bytes = ctx.per_buf_bytes.clone();
@@ -125,7 +134,7 @@ fn run_one(
     let sanitize_log = ctx.sanitize_log.clone();
     let sanitize_hits = ctx.sanitize_hits;
     drop(ctx);
-    Outcome {
+    Ok(Outcome {
         result,
         bufs: bufs.iter().map(|b| b.bytes().to_vec()).collect(),
         dirty_bits: dirty
@@ -141,9 +150,10 @@ fn run_one(
         reductions,
         sanitize_log,
         sanitize_hits,
-    }
+    })
 }
 
+/// Walker against register tier on one launch; the kernel must compile.
 #[allow(clippy::too_many_arguments)]
 fn assert_regvm_agrees(
     k: &Kernel,
@@ -165,7 +175,8 @@ fn assert_regvm_agrees(
         lo,
         hi,
         true,
-    );
+    )
+    .expect("the walker compiles nothing");
     let reg = run_one(
         k,
         params,
@@ -176,7 +187,8 @@ fn assert_regvm_agrees(
         lo,
         hi,
         false,
-    );
+    )
+    .unwrap_or_else(|e| panic!("`{}` must take the register tier: {e}", k.name));
     assert_eq!(
         walker, reg,
         "register VM diverged from walker on `{}`",
@@ -439,16 +451,15 @@ fn bfs_world(n: usize, seed: &[i32]) -> (Vec<Buffer>, Vec<Binding>) {
 
 #[test]
 fn curated_kernels_compile_to_register_vm() {
-    // The equality tests below would pass vacuously if `compile` bailed
-    // and `run_kernel_range_opt` fell back to bytecode. Pin that the
-    // curated kernels actually take the register tier.
+    // The equality tests below need the curated kernels to type. Pin
+    // that they take the register tier.
     for k in [
         bfs_like_kernel(),
         kitchen_sink_kernel(),
         optimizer_bait_kernel(),
     ] {
         assert!(
-            regvm::compile(&k).is_some(),
+            regvm::compile(&k).is_ok(),
             "kernel `{}` failed to compile to the register VM",
             k.name
         );
@@ -583,7 +594,7 @@ fn sanitizer_audits_a_store_before_its_bounds_fault() {
             Expr::load(BufId(0), Expr::ThreadIdx),
         )],
     );
-    assert!(regvm::compile(&k).is_some());
+    assert!(regvm::compile(&k).is_ok());
     let bufs = vec![
         Buffer::from_i32(&[1, 2, 3, 4, 5, 6, 7, 8]),
         Buffer::zeroed(Ty::I32, 8),
@@ -632,7 +643,7 @@ fn error_paths_match_walker() {
             checked: false,
         }],
     };
-    assert!(regvm::compile(&k).is_some());
+    assert!(regvm::compile(&k).is_ok());
     let bufs = vec![
         Buffer::from_i32(&[1, 2, 3, 4, 5, 6, 7, 8]),
         Buffer::zeroed(Ty::I32, 8),
@@ -657,7 +668,7 @@ fn error_paths_match_walker() {
             checked: false,
         }],
     };
-    assert!(regvm::compile(&k).is_some());
+    assert!(regvm::compile(&k).is_ok());
     let bufs = vec![Buffer::zeroed(Ty::I32, 4)];
     let bind = vec![Binding::whole(4)];
     let out = assert_regvm_agrees(&k, &[Value::I32(0)], &bufs, &bind, &[], usize::MAX, 0, 4);
@@ -703,10 +714,9 @@ fn error_paths_match_walker() {
 }
 
 #[test]
-fn untypeable_kernel_falls_back_and_still_matches() {
+fn untypeable_kernel_is_rejected() {
     // A non-integer buffer index is a runtime TypeError in the walker;
-    // `compile` rejects the kernel, and `run_kernel_range_opt` must take
-    // the bytecode fallback and still produce the identical error.
+    // `compile` refuses the kernel, naming it and the rule.
     let k = Kernel {
         name: "badidx".into(),
         params: vec![],
@@ -724,14 +734,19 @@ fn untypeable_kernel_falls_back_and_still_matches() {
             checked: false,
         }],
     };
-    assert!(
-        regvm::compile(&k).is_none(),
-        "expected typing to reject `badidx`"
-    );
+    let err = regvm::compile(&k).expect_err("typing must reject `badidx`");
+    assert_eq!(err.0, "kernel `badidx`: index of type f64");
     let bufs = vec![Buffer::from_i32(&[1, 2]), Buffer::zeroed(Ty::I32, 2)];
     let bind = vec![Binding::whole(2), Binding::whole(2)];
-    let out = assert_regvm_agrees(&k, &[], &bufs, &bind, &[], usize::MAX, 0, 2);
+    let out = walk(&k, &bufs, &bind);
     assert!(matches!(out.result, Err(ExecError::TypeError(_))));
+}
+
+/// The walker alone over threads `[0, n)`, for kernels the register
+/// tier refuses.
+fn walk(k: &Kernel, bufs: &[Buffer], bind: &[Binding]) -> Outcome {
+    let n = bind[0].own.1;
+    run_one(k, &[], bufs, bind, &[], usize::MAX, 0, n, true).expect("the walker compiles nothing")
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +814,7 @@ fn kernel(name: &str, bufs: Vec<BufParam>, locals: Vec<Ty>, body: Vec<Stmt>) -> 
 /// bindings with no sanitizer; the kernel must have compiled.
 fn agree(k: &Kernel, bufs: &[Buffer], n: usize) -> Outcome {
     assert!(
-        regvm::compile(k).is_some(),
+        regvm::compile(k).is_ok(),
         "`{}` must take the register tier",
         k.name
     );
@@ -926,7 +941,7 @@ fn temps_survive_sibling_evaluation() {
             store(1, Expr::add(tid(), imm(8)), a(nested)),
         ],
     );
-    assert!(regvm::compile(&k).is_some());
+    assert!(regvm::compile(&k).is_ok());
     let data: Vec<i32> = (0..8).map(|i| (i * 3 + 1) % 8).collect();
     let bufs = [
         Buffer::from_i32(&data),
@@ -1089,8 +1104,12 @@ fn every_builtin_at_every_type_matches_walker() {
                 );
                 // Only `abs` of a float is a (dynamic, hence static) error.
                 let typed = f != Abs || a == 0;
-                assert_eq!(regvm::compile(&k).is_some(), typed, "{}", k.name);
-                let out = assert_regvm_agrees(&k, &[], &bufs, &bind, &[], usize::MAX, 0, 8);
+                assert_eq!(regvm::compile(&k).is_ok(), typed, "{}", k.name);
+                let out = if typed {
+                    assert_regvm_agrees(&k, &[], &bufs, &bind, &[], usize::MAX, 0, 8)
+                } else {
+                    walk(&k, &bufs, &bind)
+                };
                 assert_eq!(out.result.is_ok(), typed, "{}", k.name);
             }
         }
@@ -1221,7 +1240,7 @@ fn casting_stores_keep_the_uncast_value_in_miss_records() {
             store(1, tid(), v()),
         ],
     );
-    assert!(regvm::compile(&k).is_some());
+    assert!(regvm::compile(&k).is_ok());
     let bufs = [
         Buffer::from_f64(&EDGE_F64),
         Buffer::zeroed(Ty::F32, 8),
@@ -1244,8 +1263,9 @@ fn casting_stores_keep_the_uncast_value_in_miss_records() {
 }
 
 // ---------------------------------------------------------------------------
-// One negative test per rejection rule: `compile` declines, and the
-// fallback still equals the walker (usually on the walker's `TypeError`).
+// One negative test per rejection rule: `compile` refuses the kernel, and
+// the walker (usually) raises a `TypeError` on it — the typer refuses
+// what the reference semantics refuses.
 // ---------------------------------------------------------------------------
 
 /// A small world for ill-typed kernels: an i32 and an f64 input, an i32
@@ -1268,14 +1288,14 @@ fn rejected(name: &str, body: Vec<Stmt>) -> Outcome {
             body,
         )
     };
-    assert!(regvm::compile(&k).is_none(), "`{name}` must be rejected");
+    let err = regvm::compile(&k).expect_err("typing must reject the kernel");
+    assert!(err.0.starts_with(&format!("kernel `{name}`: ")), "{err}");
     let bufs = [
         Buffer::from_i32(&EDGE_I32),
         Buffer::from_f64(&EDGE_F64),
         Buffer::zeroed(Ty::I32, 8),
     ];
-    let bind = [Binding::whole(8); 3];
-    assert_regvm_agrees(&k, &[], &bufs, &bind, &[], usize::MAX, 0, 8)
+    walk(&k, &bufs, &[Binding::whole(8); 3])
 }
 
 fn is_type_error(o: &Outcome) -> bool {
@@ -1283,7 +1303,7 @@ fn is_type_error(o: &Outcome) -> bool {
 }
 
 #[test]
-fn each_typing_rule_rejects_and_falls_back() {
+fn each_typing_rule_rejects() {
     let i = || Expr::load(BufId(0), tid());
     let d = || Expr::load(BufId(1), tid());
     let b = || cmp(BinOp::Gt, i(), imm(0));
@@ -1433,26 +1453,17 @@ fn each_typing_rule_rejects_and_falls_back() {
 
 #[test]
 fn frames_wider_than_u16_and_invalid_kernels_are_rejected() {
-    // 70 000 locals do not fit 16-bit slot operands; the fallback runs.
+    // 70 000 locals do not fit 16-bit slot operands; the walker runs it.
     let wide = kernel(
         "wide",
         vec![buf("out", Ty::I32, BufAccess::Write)],
         vec![Ty::I32; 70_000],
         vec![assign(69_999, tid()), store(0, tid(), local(69_999))],
     );
-    assert!(regvm::compile(&wide).is_none());
+    let err = regvm::compile(&wide).expect_err("too wide for u16 slots");
+    assert_eq!(err.0, "kernel `wide`: 70003 frame slots exceed u16");
     let bufs = [Buffer::zeroed(Ty::I32, 4)];
-    let out = assert_regvm_agrees(
-        &wide,
-        &[],
-        &bufs,
-        &[Binding::whole(4)],
-        &[],
-        usize::MAX,
-        0,
-        4,
-    );
-    assert!(out.result.is_ok());
+    assert!(walk(&wide, &bufs, &[Binding::whole(4)]).result.is_ok());
     // ... while one that just fits compiles.
     let fits = Kernel {
         locals: vec![Ty::I32; 65_000],
@@ -1486,8 +1497,9 @@ fn frames_wider_than_u16_and_invalid_kernels_are_rejected() {
             body,
             ..wide.clone()
         };
-        assert!(k.validate().is_err(), "{:?}", k.body);
-        assert!(regvm::compile(&k).is_none(), "{:?}", k.body);
+        let invalid = k.validate().expect_err("the body is malformed");
+        let err = regvm::compile(&k).expect_err("a malformed kernel is refused");
+        assert_eq!(err.0, format!("kernel `wide`: {}", invalid.0));
     }
     // A Bool-typed reduction validates but has no identity to run from.
     let bool_reduction = Kernel {
@@ -1501,10 +1513,12 @@ fn frames_wider_than_u16_and_invalid_kernels_are_rejected() {
             op: RmwOp::Max,
             value: cmp(BinOp::Gt, tid(), imm(1)),
         }],
+        locals: vec![],
         ..wide
     };
     assert!(bool_reduction.validate().is_ok());
-    assert!(regvm::compile(&bool_reduction).is_none());
+    let err = regvm::compile(&bool_reduction).expect_err("no bool reductions");
+    assert_eq!(err.0, "kernel `wide`: bool reduction");
 }
 
 // ---------------------------------------------------------------------------
@@ -1514,7 +1528,7 @@ fn frames_wider_than_u16_and_invalid_kernels_are_rejected() {
 // buffer, an f64 read-write buffer; locals of all four types; i32, f32
 // and f64 parameters; an i32 and an f64 scalar reduction. About one kernel
 // in twenty is deliberately ill-typed (a float assigned to an i32 local),
-// which exercises the rejection and the fallback.
+// which exercises the rejection.
 // ---------------------------------------------------------------------------
 
 const RAND_N: usize = 64;
@@ -1900,6 +1914,12 @@ fn fuzz_case(
         Value::F32(p0 as f32 * 0.5),
         Value::F64(f64::from(p1) - 0.25),
     ];
+    if let Err(e) = regvm::compile(&k) {
+        // Only an assignment's type is ever off: the deliberate slip, or
+        // a `Min` / `Max` of two ints where a float was asked for.
+        assert!(e.0.contains(" value assigned to "), "{e}");
+        return false;
+    }
     assert_regvm_agrees(
         &k,
         &params,
@@ -1910,7 +1930,7 @@ fn fuzz_case(
         0,
         RAND_N as i64,
     );
-    regvm::compile(&k).is_some()
+    true
 }
 
 proptest! {
@@ -1956,8 +1976,8 @@ proptest! {
 
 /// 600 deterministic random launches, with a floor on the share of
 /// kernels that compiled: were the typing rules (or the generator) to
-/// drift until most kernels fell back, the equalities above would hold
-/// vacuously — bytecode against walker.
+/// drift until most kernels were refused, the equalities above would
+/// hold vacuously.
 #[test]
 fn regvm_fuzz_smoke() {
     // Deterministic xorshift stream; no RNG dependency needed.
