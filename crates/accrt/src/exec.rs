@@ -625,12 +625,13 @@ impl<'a> Run<'a> {
     }
 
     /// Wavefront: when the compiler proved every carried dependence of
-    /// this launch *local* (distance inside the declared halo), the equal
-    /// division runs the GPUs sequentially in partition order, each fed
-    /// its left halo with the rows its predecessors just wrote, so
-    /// dependent outer iterations pipeline across the GPUs with the exact
-    /// semantics of the sequential loop. Pricing is an honest pipeline:
-    /// GPU g starts once GPU g-1 finished *and* g's halo feed landed.
+    /// this launch *local* (distance inside the declared halo), the cut
+    /// — equal or cost-model — runs the GPUs sequentially in partition
+    /// order, each fed its left halo with the rows its predecessors just
+    /// wrote, so dependent outer iterations pipeline across the GPUs with
+    /// the exact semantics of the sequential loop. Pricing is an honest
+    /// pipeline: GPU g starts once GPU g-1 finished *and* g's halo feed
+    /// landed.
     fn wavefront(
         &mut self,
         ck: &CompiledKernel,

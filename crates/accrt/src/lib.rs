@@ -104,16 +104,19 @@ impl SanitizeLevel {
 
 /// How the task mapper divides each parallel loop's iteration space
 /// among the GPUs.
+///
+/// The schedule decides the cut and nothing else: no schedule (and no
+/// GPU count) changes the arrays a run returns. Under either one, a
+/// launch whose every loop-carried dependence the compiler proved
+/// *local* (`acc_compiler::wavefront_eligible`: `CarriedLocal` with a
+/// distance inside the declared halo) runs its cut as a pipelined
+/// wavefront — the GPUs go in partition order, each fed its left halo
+/// with the rows its predecessors just wrote — so its results stay
+/// bit-identical to the sequential loop. See `docs/analysis.md`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Schedule {
     /// The paper's equal static division (§IV-B2). The default; runs are
-    /// bit-identical to a runtime without the mapper. Launches whose
-    /// every loop-carried dependence the compiler proved *local*
-    /// (`acc_compiler::wavefront_eligible`: `CarriedLocal` with a distance
-    /// inside the declared halo) run the division as a pipelined
-    /// wavefront — the GPUs go in partition order, each fed its left halo
-    /// with the rows its predecessors just wrote — so their results stay
-    /// bit-identical to the sequential loop. See `docs/analysis.md`.
+    /// bit-identical to a runtime without the mapper.
     #[default]
     Equal,
     /// Counter-feedback proportional splitting: each kernel's previous

@@ -44,7 +44,7 @@ struct BgFill {
 
 impl<'a> Run<'a> {
     /// Run the loader for one launch. Returns `(t1, bg_end)`: the
-    /// simulated end of the synchronous phase (transfers scheduled from
+    /// simulated end of the synchronous phase (transfers priced from
     /// `t0`), and the end of the last background halo fill the overlap
     /// knob licensed out of the critical path (`bg_end == t1` when
     /// nothing overlapped). The caller's barrier waits on
@@ -113,9 +113,10 @@ impl<'a> Run<'a> {
         Ok((end, bg_end))
     }
 
-    /// Make sure GPU `g` holds array `arr` over at least `want`.
-    /// Exclusive device data that would be dropped is flushed to the host
-    /// first.
+    /// Make sure GPU `g` holds array `arr` over at least `want`. A
+    /// window only grows: resident bytes are never dropped or parked on
+    /// the host, so no cut of the loop, on any GPU count, changes
+    /// what a run returns.
     fn ensure_window(
         &mut self,
         arr: usize,
@@ -124,85 +125,51 @@ impl<'a> Run<'a> {
         class: AllocClass,
         t0: f64,
     ) -> Result<f64, RunError> {
-        let mut end = t0;
         if want.0 >= want.1 {
-            return Ok(end);
+            return Ok(t0);
         }
-        {
-            let ga = &self.arrays[arr].gpu[g];
-            if ga.handle.is_some() && ga.window.0 <= want.0 && ga.window.1 >= want.1 {
-                return Ok(end);
-            }
-        }
-        // Under the cost-model mapper the per-GPU iteration ranges (and
-        // with them the distributed windows) shift between launches.
-        // Reallocating fresh would drop everything already resident and
-        // reload it over PCIe every launch — so instead grow the window
-        // to the union, move the resident bytes with one device-local
-        // copy, and keep the valid set. The equal schedule never takes
-        // this path: its windows are launch-invariant per kernel, and
-        // skipping it keeps that schedule's behavior bit-identical.
-        if self.cfg.schedule == crate::Schedule::CostModel {
-            if let Some(old_handle) = self.arrays[arr].gpu[g].handle {
-                let owin = self.arrays[arr].gpu[g].window;
-                let elem = self.arrays[arr].elem();
-                let ty = self.arrays[arr].ty;
-                let union = (owin.0.min(want.0), owin.1.max(want.1));
-                let staged = {
-                    let bytes = self.machine.gpus[g].memory.get(old_handle)?.bytes();
-                    let mut buf = self.staging.take_scratch(bytes.len());
-                    buf.extend_from_slice(bytes);
-                    buf
-                };
-                let new_handle = self.machine.gpus[g].memory.alloc(
-                    ty,
-                    (union.1 - union.0) as usize,
-                    class,
-                )?;
-                let db = self.machine.gpus[g].memory.get_mut(new_handle)?;
-                let off = (owin.0 - union.0) as usize * elem;
-                db.bytes_mut()[off..off + staged.len()].copy_from_slice(&staged);
-                self.machine.gpus[g].memory.free(old_handle)?;
-                let cost = self.machine.gpus[g]
-                    .spec
-                    .local_copy_time(staged.len() as u64);
-                self.staging.put_back_scratch(staged);
-                let ga = &mut self.arrays[arr].gpu[g];
-                ga.handle = Some(new_handle);
-                ga.window = union;
-                return Ok(t0 + cost);
-            }
-        }
-        // Flush data that exists only on this GPU.
-        let exclusive = {
-            let st = &self.arrays[arr];
-            let mut ex = st.gpu[g].valid.clone();
-            for (h, other) in st.gpu.iter().enumerate() {
-                if h != g && !other.red_private {
-                    ex.subtract(&other.valid);
-                }
-            }
-            ex
-        };
-        for (lo, hi) in exclusive.iter().collect::<Vec<_>>() {
-            let e = self.xfer_d2h(arr, g, lo, hi, t0, "evict")?;
-            end = end.max(e);
-        }
-        self.arrays[arr].evicted.union(&exclusive);
-        // Re-allocate the window.
         let ty = self.arrays[arr].ty;
-        let old = self.arrays[arr].gpu[g].handle.take();
-        if let Some(h) = old {
-            self.machine.gpus[g].memory.free(h)?;
+        let Some(old_handle) = self.arrays[arr].gpu[g].handle else {
+            let handle =
+                self.machine.gpus[g]
+                    .memory
+                    .alloc(ty, (want.1 - want.0) as usize, class)?;
+            let ga = &mut self.arrays[arr].gpu[g];
+            ga.handle = Some(handle);
+            ga.window = want;
+            return Ok(t0);
+        };
+        let owin = self.arrays[arr].gpu[g].window;
+        if owin.0 <= want.0 && owin.1 >= want.1 {
+            return Ok(t0);
         }
-        let len = (want.1 - want.0) as usize;
-        let handle = self.machine.gpus[g].memory.alloc(ty, len, class)?;
+        // Grow to the union of the old and wanted windows: stage the
+        // resident bytes, free the old allocation before taking the new
+        // one (the device peak is max(old, union), not their sum), copy
+        // the bytes back at their offset and keep the valid set.
+        let union = (owin.0.min(want.0), owin.1.max(want.1));
+        let staged = {
+            let bytes = self.machine.gpus[g].memory.get(old_handle)?.bytes();
+            let mut buf = self.staging.take_scratch(bytes.len());
+            buf.extend_from_slice(bytes);
+            buf
+        };
+        self.machine.gpus[g].memory.free(old_handle)?;
+        let new_handle =
+            self.machine.gpus[g]
+                .memory
+                .alloc(ty, (union.1 - union.0) as usize, class)?;
+        let db = self.machine.gpus[g].memory.get_mut(new_handle)?;
+        let off = (owin.0 - union.0) as usize * self.arrays[arr].elem();
+        db.bytes_mut()[off..off + staged.len()].copy_from_slice(&staged);
+        let cost = self.machine.gpus[g]
+            .spec
+            .local_copy_time(staged.len() as u64);
+        self.staging.put_back_scratch(staged);
         let ga = &mut self.arrays[arr].gpu[g];
-        ga.handle = Some(handle);
-        ga.window = want;
-        ga.valid.clear();
-        ga.red_private = false;
-        Ok(end)
+        ga.handle = Some(new_handle);
+        ga.window = union;
+        Ok(t0 + cost)
     }
 
     fn ensure_dirty_map(&mut self, arr: usize, g: usize) -> Result<(), RunError> {
@@ -240,14 +207,13 @@ impl<'a> Run<'a> {
 
     /// Load the missing parts of `req` onto GPU `g`: peer GPUs that hold
     /// current device data are preferred; otherwise the host copy is the
-    /// source (`copyin` semantics, or data an eviction parked there);
-    /// what is left of a `create`-style array materialises as zeros
-    /// without traffic.
+    /// source (`copyin` semantics); what is left of a `create`-style
+    /// array materialises as zeros without traffic.
     ///
     /// With `overlap` set, peer halo fills are priced in the background:
     /// the functional copy still happens here (program order — array
     /// contents never depend on the knob), the transfer is still
-    /// scheduled on the bus from the same ready time (contention with
+    /// priced on the bus from the same ready time (contention with
     /// synchronous traffic preserved), but its end is pushed to `bg`
     /// instead of extending the returned synchronous end. Host loads
     /// stay synchronous either way — only the peer refills the
@@ -344,23 +310,16 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        // Host source: everything still missing under `copy`/`copyin`,
-        // otherwise only what an eviction parked there. The rest of a
-        // `create`/`copyout` array was never written: the fresh zeroed
-        // allocation already matches, with no traffic.
-        let st = &self.arrays[arr];
-        let mut from_host = missing.clone();
-        if !st.init_from_host {
-            from_host.intersect(&st.evicted);
-        }
-        missing.subtract(&from_host);
-        for (lo, hi) in from_host.iter() {
-            let e = self.xfer_h2d(arr, g, lo, hi, t0, "load")?;
-            end = end.max(e);
-            bytes_moved += (hi - lo) as u64 * elem;
-        }
+        // Host source: everything still missing under `copy`/`copyin`.
+        // The rest of a `create`/`copyout` array was never written: the
+        // zeroed allocation already matches, with no traffic.
         for (lo, hi) in missing.iter() {
-            self.arrays[arr].gpu[g].valid.insert(lo, hi);
+            if self.arrays[arr].init_from_host {
+                end = end.max(self.xfer_h2d(arr, g, lo, hi, t0, "load")?);
+                bytes_moved += (hi - lo) as u64 * elem;
+            } else {
+                self.arrays[arr].gpu[g].valid.insert(lo, hi);
+            }
         }
         self.rec.loader_decision(LoaderDecision {
             launch: self.cur_launch,
@@ -634,7 +593,6 @@ impl<'a> Run<'a> {
         // With no device copies left, the host copy is authoritative again.
         self.arrays[arr].host_stale = false;
         self.arrays[arr].sync_pending = false;
-        self.arrays[arr].evicted.clear();
         let ngpus = self.arrays[arr].gpu.len();
         for g in 0..ngpus {
             let ga = &mut self.arrays[arr].gpu[g];

@@ -103,8 +103,9 @@ pub(crate) struct LaunchPlan {
     /// Length of the non-empty GPU prefix (both splitters compact empty
     /// ranges to the tail). Idle GPUs run nothing and hold nothing.
     pub active: usize,
-    /// Every carried dependence was proved halo-local, so the equal
-    /// division runs as a pipelined wavefront in partition order.
+    /// Every carried dependence was proved halo-local, so the cut runs
+    /// as a pipelined wavefront in partition order (under either
+    /// schedule: the licence rests on the dependence proof alone).
     pub wavefront: bool,
     /// Under `Schedule::CostModel`: the mapper's predicted seconds per
     /// GPU and whether measured history drove the cut.
@@ -267,9 +268,7 @@ pub(crate) fn build(
         });
     }
     LaunchPlan {
-        wavefront: cfg.schedule == Schedule::Equal
-            && ngpus > 1
-            && acc_compiler::wavefront_eligible(ck),
+        wavefront: ngpus > 1 && acc_compiler::wavefront_eligible(ck),
         tasks,
         active,
         predicted,

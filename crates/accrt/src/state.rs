@@ -64,10 +64,6 @@ pub(crate) struct ArrayState {
     /// could observe the divergence (host flush, `update`, loader fill
     /// from peers) must reconcile first (`Engine::ensure_synced`).
     pub sync_pending: bool,
-    /// Ranges the loader evicted to the host copy when it re-allocated a
-    /// window: for these the host holds device-written data whatever the
-    /// array's clause says, so a later fill reloads them from it.
-    pub evicted: RangeSet,
     pub gpu: Vec<GpuArr>,
 }
 
@@ -80,7 +76,6 @@ impl ArrayState {
             init_from_host: true,
             host_stale: false,
             sync_pending: false,
-            evicted: RangeSet::new(),
             gpu: (0..ngpus).map(|_| GpuArr::default()).collect(),
         }
     }

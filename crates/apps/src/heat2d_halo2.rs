@@ -17,13 +17,13 @@
 //! and because the declared halo `left(2*cols) right(cols)` covers the
 //! whole interval, the lint *downgrades* the pessimistic `ACC-W006` to the
 //! informational `ACC-I003`: the carried dependence is provably local to
-//! the halo, so the runtime pipelines the default equal division as a
-//! wavefront — GPUs run in partition order, each fed the freshly written
-//! left-halo rows of its predecessors — and the distributed result is
-//! bit-identical to the sequential sweep on any GPU count (which the
-//! tests verify). Without the feed, GPU 1 would read stale left halos (a
-//! Jacobi/Gauss-Seidel hybrid); the boundary-heat test pins down that
-//! the default config never does.
+//! the halo, so the runtime pipelines the cut — equal or cost-model — as
+//! a wavefront (GPUs run in partition order, each fed the freshly
+//! written left-halo rows of its predecessors), and the distributed
+//! result is bit-identical to the sequential sweep on any GPU count and
+//! under either schedule (which the tests verify). Without the feed,
+//! GPU 1 would read stale left halos (a Jacobi/Gauss-Seidel hybrid); the
+//! boundary-heat test pins down that the default config never does.
 
 use acc_kernel_ir::{Buffer, Value};
 use rand::rngs::StdRng;
@@ -165,7 +165,7 @@ mod tests {
         compile_source, lint_source, CompileOptions, DependVerdict, Distance, Placement,
     };
     use acc_gpusim::Machine;
-    use acc_runtime::{run_program, ExecConfig, SanitizeLevel};
+    use acc_runtime::{run_program, ExecConfig, SanitizeLevel, Schedule};
 
     fn compiled() -> acc_compiler::CompiledProgram {
         compile_source(SOURCE, FUNCTION, &CompileOptions::proposal()).unwrap()
@@ -207,21 +207,21 @@ mod tests {
         let input = generate(&cfg, 9);
         let expect = reference(&input);
         let prog = compiled();
-        for ngpus in 1..=3 {
-            let mut m = Machine::supercomputer_node();
-            let (scalars, arrays) = inputs(&input);
-            let ecfg = ExecConfig::gpus(ngpus);
-            let r = run_program(&mut m, &ecfg, &prog, scalars, arrays).unwrap();
-            // Bit-identical, not approximately equal: the wavefront feeds
-            // each GPU the freshly written left-halo rows in partition
-            // order, reproducing the sequential sweep exactly.
-            assert_eq!(
-                r.arrays[PLATE_ARRAY].to_f64_vec(),
-                expect,
-                "ngpus={ngpus}"
-            );
-            if ngpus > 1 {
-                assert!(r.trace.counters().wavefront_rounds > 0, "ngpus={ngpus}");
+        for schedule in [Schedule::Equal, Schedule::CostModel] {
+            for ngpus in 1..=3 {
+                let mut m = Machine::supercomputer_node();
+                let (scalars, arrays) = inputs(&input);
+                let ecfg = ExecConfig::gpus(ngpus).schedule(schedule);
+                let r = run_program(&mut m, &ecfg, &prog, scalars, arrays).unwrap();
+                // Bit-identical, not approximately equal: under either
+                // cut the wavefront feeds each GPU the freshly written
+                // left-halo rows in partition order, reproducing the
+                // sequential sweep exactly.
+                let what = format!("ngpus={ngpus} {schedule:?}");
+                assert_eq!(r.arrays[PLATE_ARRAY].to_f64_vec(), expect, "{what}");
+                if ngpus > 1 {
+                    assert!(r.trace.counters().wavefront_rounds > 0, "{what}");
+                }
             }
         }
     }

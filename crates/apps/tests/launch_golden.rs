@@ -5,9 +5,12 @@
 //! `golden/launch_golden.txt` were generated at the commit before a
 //! launch became a `LaunchPlan` (`ba73ccd`), the write-miss replay lines
 //! (`shift`, `rotate`) at the commit before miss replay was priced as a
-//! step list (`8f69fde`); a refactor of `accrt`'s loader / kernel wave /
-//! comm manager that moves one byte, one event or one simulated
-//! nanosecond shows up here as a diff.
+//! step list (`8f69fde`). The 14 heat2d / pagerank / heat2d-halo2 lines
+//! that moved when a device window stopped evicting into the host copy
+//! and the wavefront licence stopped reading the schedule were
+//! regenerated on top of `fc05c29`. A refactor of `accrt`'s loader /
+//! kernel wave / comm manager that moves one byte, one event or one
+//! simulated nanosecond shows up here as a diff.
 
 use acc_apps::{bfs, heat2d, heat2d_halo2, kmeans, md, pagerank, spmv, App, Scale};
 use acc_compiler::{compile_source, CompileOptions, CompiledProgram};
@@ -197,9 +200,38 @@ fn render() -> String {
     out
 }
 
+/// Every run of one program returns the arrays of its first run
+/// (`node1 Equal` for the apps, `node2 Equal` for the write-miss
+/// kernels): the GPU count and the schedule only cut the loops. KMEANS
+/// and PAGERANK are exempt — their `reductiontoarray` merge order
+/// follows the topology, so their sums round differently.
+fn assert_arrays_ignore_the_cut(rendered: &str) {
+    let mut first: Option<(&str, &str)> = None;
+    for line in rendered.lines() {
+        let name = line.split(' ').next().unwrap_or_default();
+        let arrays = line
+            .split(" arrays ")
+            .nth(1)
+            .and_then(|s| s.split(' ').next());
+        let arrays = arrays.unwrap_or_default();
+        match first {
+            Some((n, want)) if n == name => {
+                if name != "kmeans" && name != "pagerank" {
+                    assert_eq!(
+                        arrays, want,
+                        "{line}: arrays differ from the first {name} run"
+                    );
+                }
+            }
+            _ => first = Some((name, arrays)),
+        }
+    }
+}
+
 #[test]
 fn every_run_matches_the_golden() {
     let got = render();
+    assert_arrays_ignore_the_cut(&got);
     if got != GOLDEN {
         // Keep what this build produced next to the other test outputs,
         // so a deliberate move is reviewed as a diff of two files.

@@ -211,7 +211,10 @@ fn pagerank_sync_traffic_grows_with_the_topology_not_with_gpu_pairs() {
     let (b8, t8) = comm(8);
     let (b16, t16) = comm(16);
     let (b64, t64) = comm(64);
-    assert_eq!(b8, 135_765_672, "one-island sync volume moved");
+    // Of these bytes, 114 688 (7/8 of `newrank`) are not sync: GPU 0's
+    // reduction-private live copy gathers the other partitions from its
+    // island peers once, because no window is ever evicted to the host.
+    assert_eq!(b8, 135_880_360, "one-island sync volume moved");
     assert!((t8 - 2.509339364864892e-3).abs() < 1e-12, "one-island GPU-GPU time moved: {t8:e}");
     // 4.1× and 2.0× here; the all-to-all read 16.6× and 12.6×.
     assert!(b64 < 6 * b16, "p2p bytes: {b16} at 16 GPUs, {b64} at 64");
