@@ -35,8 +35,9 @@
 //! one-island instance: the first level is the paper's all-to-all in
 //! [`Topology::peer_order`] (plain ascending index), the tree has a
 //! single group, and every other level is empty. Every transfer — these
-//! and the loader's — is priced by `Run::price_transfer`, and every
-//! GPU→GPU byte lands through `Run::move_p2p`.
+//! and the loader's fills, flushes, updates and wavefront feeds — is a
+//! `Step` of a list priced by `Run::price_steps`, and every byte lands
+//! through `Run::move_range`.
 //!
 //! Each reconciliation has two independent halves:
 //!
@@ -48,7 +49,7 @@
 //!   (`copy_from_slice` / [`acc_kernel_ir::rmw_apply_slice`]) rather
 //!   than element-at-a-time `get`/`set`;
 //! * the **pricing half** walks the per-segment interconnect timelines
-//!   and emits [`TransferSpan`](acc_obs::TransferSpan)/[`CommRound`]/…​
+//!   and emits [`TransferSpan`]/[`CommRound`]/…​
 //!   events. The timelines are order-dependent, so this half always runs
 //!   serially, in a fixed order, on the coordinating thread — which is
 //!   why *simulated* times never depend on the host's core count.
@@ -56,7 +57,9 @@
 use acc_compiler::CompiledKernel;
 use acc_gpusim::{BufferHandle, Endpoint, Gpu, Topology};
 use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
-use acc_obs::{CollectiveRound, CommElided, CommRound, MissReplay, ReductionMerge};
+use acc_obs::{
+    CollectiveRound, CommElided, CommRound, MissReplay, ReductionMerge, TransferKind, TransferSpan,
+};
 
 use crate::exec::Run;
 use crate::plan::{owner_of, CommStep, LaunchPlan};
@@ -160,11 +163,13 @@ fn chunk_payload(dm: &DirtyMap, c: usize) -> Chunk {
 
 /// One hop of a priced schedule: `src` ships every chunk of set `set`
 /// (an index into the schedule's set table) to `dst`, each chunk its
-/// own asynchronous transfer.
+/// own asynchronous transfer. The comm manager's schedules run between
+/// GPUs and name them by index; the loader's fills, flushes, updates and
+/// wavefront feeds name an [`Endpoint`], host or GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Step {
-    pub src: usize,
-    pub dst: usize,
+pub(crate) struct Step<E = usize> {
+    pub src: E,
+    pub dst: E,
     pub set: usize,
 }
 
@@ -375,28 +380,29 @@ impl<'a> Run<'a> {
         sync_schedule(&self.machine.bus, dirty.collect(), &has_replica)
     }
 
-    /// Price one level of a schedule from its barrier `t`: every chunk of
-    /// every step is its own asynchronous transfer (per-chunk latency is
-    /// the cost of choosing small chunks — the other side of the §IV-D1
-    /// trade-off). Serial, in list order: the interconnect timelines are
-    /// order-dependent. `landed(run, step, bytes, start, end)` reports
-    /// each step as its last transfer is priced and returns when the step
-    /// is complete at its destination; the latest of those is the level's
-    /// end.
-    fn price_steps(
+    /// Price one step list — a schedule level, a miss replay, a merge
+    /// round, a loader fill, a flush, an `update` or a wavefront feed —
+    /// from its ready time `t`: every chunk of every step is its own
+    /// asynchronous transfer (per-chunk latency is the cost of choosing
+    /// small chunks — the other side of the §IV-D1 trade-off). Serial, in
+    /// list order: the interconnect timelines are order-dependent.
+    /// `landed(run, step, bytes, start, end)` reports each step as its
+    /// last transfer is priced and returns when the step is complete at
+    /// its destination; the latest of those is the list's end.
+    pub(crate) fn price_steps<E: Copy + Into<Endpoint>>(
         &mut self,
         arr: usize,
-        steps: &[Step],
+        steps: &[Step<E>],
         sets: &[Vec<Chunk>],
         t: f64,
         why: &'static str,
-        mut landed: impl FnMut(&mut Self, Step, u64, f64, f64) -> f64,
+        mut landed: impl FnMut(&mut Self, Step<E>, u64, f64, f64) -> f64,
     ) -> f64 {
         let mut level_end = t;
         for &step in steps {
             let (mut start, mut end, mut bytes) = (f64::INFINITY, t, 0u64);
             for &(_, payload) in &sets[step.set] {
-                let (src, dst) = (Endpoint::Gpu(step.src), Endpoint::Gpu(step.dst));
+                let (src, dst) = (step.src.into(), step.dst.into());
                 let (s, e) = self.price_transfer(arr, src, dst, payload, t, why);
                 start = start.min(s);
                 end = end.max(e);
@@ -405,6 +411,41 @@ impl<'a> Run<'a> {
             level_end = level_end.max(landed(self, step, bytes, start, end));
         }
         level_end
+    }
+
+    /// Price one transfer on the interconnect from `ready` and record its
+    /// [`TransferSpan`]; returns `(start, end)`. Only
+    /// [`Run::price_steps`] calls it, so the recorder's spans and the
+    /// topology's timelines cannot disagree.
+    fn price_transfer(
+        &mut self,
+        arr: usize,
+        src: Endpoint,
+        dst: Endpoint,
+        bytes: u64,
+        ready: f64,
+        why: &'static str,
+    ) -> (f64, f64) {
+        let (start, end) = self.machine.bus.transfer(src, dst, bytes, ready);
+        let gpu = |e| match e {
+            Endpoint::Gpu(g) => Some(g),
+            Endpoint::Host => None,
+        };
+        self.rec.transfer(TransferSpan {
+            kind: match (src, dst) {
+                (Endpoint::Host, _) => TransferKind::H2D,
+                (_, Endpoint::Host) => TransferKind::D2H,
+                _ => TransferKind::P2P,
+            },
+            array: self.prog.array_params[arr].0.clone(),
+            bytes,
+            src: gpu(src),
+            dst: gpu(dst),
+            why,
+            start,
+            end,
+        });
+        (start, end)
     }
 
     /// §IV-D1: replica reconciliation via two-level dirty bits.
@@ -569,7 +610,8 @@ impl<'a> Run<'a> {
             return Ok(t2);
         }
         self.apply_miss_batches(name, arr, &by_owner)?;
-        let replayed = |run: &mut Self, Step { src, dst, .. }, bytes: u64, start, arrived: f64| {
+        let replayed = |run: &mut Self, step: Step, bytes: u64, start, arrived: f64| {
+            let Step { src, dst, .. } = step;
             let records = bytes / (8 + elem) as u64;
             // Completing the writes is a small kernel on the owner.
             let spec = &run.machine.gpus[dst].spec;
@@ -688,7 +730,7 @@ impl<'a> Run<'a> {
 
     /// Stride-doubling tree merge of the private copies on `gpus` (all
     /// active) onto `gpus[0]`, priced from `t`. Each round is a step
-    /// list — one [`Run::move_p2p`] fold and one whole-array transfer
+    /// list — one [`Run::move_range`] fold and one whole-array transfer
     /// per pair — priced like a replica-sync level. On a one-island
     /// topology a merge is reported as the paper's [`ReductionMerge`];
     /// otherwise as a [`CollectiveRound`] tagged with the topology
@@ -710,9 +752,10 @@ impl<'a> Run<'a> {
             let pairs = gpus.chunks(stride * 2).filter(|c| c.len() > stride);
             let steps: Vec<Step> = pairs.map(|p| Step { src: p[stride], dst: p[0], set: 0 }).collect();
             for s in &steps {
-                self.move_p2p(arr, s.src, s.dst, (0, n as i64), Some(op))?;
+                self.move_range(arr, s.src.into(), s.dst.into(), (0, n as i64), Some(op))?;
             }
-            let merged = |run: &mut Self, Step { src, dst, .. }, bytes, start, arrived: f64| {
+            let merged = |run: &mut Self, step: Step, bytes, start, arrived: f64| {
+                let Step { src, dst, .. } = step;
                 let end = arrived + run.machine.gpus[dst].spec.local_copy_time(bytes);
                 let (launch, array) = (run.cur_launch, run.prog.array_params[arr].0.clone());
                 if leveled {

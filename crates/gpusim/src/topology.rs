@@ -53,6 +53,13 @@ pub enum Endpoint {
     Gpu(usize),
 }
 
+impl From<usize> for Endpoint {
+    /// A bare index names a GPU.
+    fn from(g: usize) -> Endpoint {
+        Endpoint::Gpu(g)
+    }
+}
+
 /// One interconnect segment a transfer can occupy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Segment {
