@@ -202,3 +202,48 @@ fn trace_level_changes_detail_not_accounting() {
     assert_eq!(off.profile.time, spans.profile.time);
     assert_eq!(off.profile.kernel_launches, spans.profile.kernel_launches);
 }
+
+/// The simulated clock has one entry point, so the retained `Phase`
+/// spans tile a run: each starts where the previous one ended, and the
+/// phase totals add up to the last end. Held for every app with overlap
+/// armed on three GPUs and on `cluster(16)` — where a background halo
+/// fill may outlast the kernels it hides under — under the cost-model
+/// schedule, as the OpenMP baseline, and over HEAT2D-HALO2's wavefront.
+#[test]
+fn phases_tile_the_clock() {
+    use acc_apps::{run_app_with_config, App, Scale, Version};
+    let node = Machine::supercomputer_node;
+    for app in App::ALL {
+        let (p3, p16, three) = (Version::Proposal(3), Version::Proposal(16), ExecConfig::gpus(3));
+        let mut runs = vec![
+            ("node3 overlap", p3, node(), three.clone().overlap(true)),
+            ("cluster16 overlap", p16, Machine::cluster(16), ExecConfig::gpus(16).overlap(true)),
+            ("node3 CostModel", p3, node(), three.clone().schedule(Schedule::CostModel)),
+            ("OpenMP", Version::OpenMP, node(), ExecConfig::openmp()),
+        ];
+        if app == App::Heat2dHalo2 {
+            runs.push(("node3 wavefront", p3, node(), three));
+        }
+        for (label, version, mut machine, cfg) in runs {
+            let cfg = cfg.tracing(TraceLevel::Summary);
+            let r = run_app_with_config(app, version, &mut machine, Scale::Small, 42, &cfg)
+                .unwrap_or_else(|e| panic!("{} {label}: {e}", app.name()));
+            if label == "node3 wavefront" {
+                assert!(r.trace.counters().wavefront_rounds > 0, "{label}: no wavefront");
+            }
+            let mut end = 0.0;
+            for ev in r.trace.events() {
+                if let Event::Phase(p) = ev {
+                    assert_eq!(p.start, end, "{} {label}: {p:?} leaves a gap", app.name());
+                    end = p.end;
+                }
+            }
+            let total = r.trace.totals().total();
+            assert!(
+                (total - end).abs() <= 1e-12 * end,
+                "{} {label}: phases sum to {total}, the clock reads {end}",
+                app.name()
+            );
+        }
+    }
+}

@@ -8,7 +8,12 @@
 //! step list (`8f69fde`). The 14 heat2d / pagerank / heat2d-halo2 lines
 //! that moved when a device window stopped evicting into the host copy
 //! and the wavefront licence stopped reading the schedule were
-//! regenerated on top of `fc05c29`. A refactor of `accrt`'s loader /
+//! regenerated on top of `fc05c29`. The four overlap lines that moved
+//! when a background fill outlasting its kernels became loader time on
+//! the clock (heat2d node3 and cluster16, pagerank node3: five more
+//! phase spans each; heat2d-halo2 node3: the stream only, as
+//! `OverlapWindow` lost `hidden_s`) were regenerated on top of
+//! `9f02190`. A refactor of `accrt`'s loader /
 //! kernel wave / comm manager that moves one byte, one event or one
 //! simulated nanosecond shows up here as a diff.
 

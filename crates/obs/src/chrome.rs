@@ -265,7 +265,6 @@ pub fn export(trace: &Trace) -> String {
                         ("launch", Value::num(e.launch as f64)),
                         ("array", Value::str(&e.array)),
                         ("bytes", Value::num(e.bytes as f64)),
-                        ("hidden_s", Value::Num(e.hidden_s)),
                     ],
                 ));
             }

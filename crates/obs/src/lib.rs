@@ -234,8 +234,9 @@ pub struct CollectiveRound {
 
 /// One double-buffered halo fill whose bus time was priced concurrently
 /// with the same wave's compute — the overlap the compiler's
-/// `OverlapFact` licensed. Emitted once per launch per destination GPU
-/// when any background fill landed.
+/// `OverlapFact` licensed. Emitted once per background fill. What the
+/// fills saved is a per-launch quantity, counted in
+/// [`Counters::overlap_hidden_ns`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapWindow {
     pub launch: u64,
@@ -243,9 +244,6 @@ pub struct OverlapWindow {
     /// GPU whose halo was filled in the background.
     pub gpu: usize,
     pub bytes: u64,
-    /// Loader-critical-path seconds the overlap removed (what the same
-    /// fill would have added to the synchronous loader phase).
-    pub hidden_s: SimTime,
     pub start: SimTime,
     pub end: SimTime,
 }
@@ -474,8 +472,11 @@ pub struct Counters {
     pub collective_rounds: u64,
     /// Double-buffered halo fills priced concurrently with compute.
     pub overlap_windows: u64,
-    /// Loader-critical-path nanoseconds the overlap windows removed
-    /// (integer so the counter stays exactly comparable across runs).
+    /// Simulated nanoseconds overlap saved: per launch, how much sooner
+    /// the barrier came than had the loader waited for every background
+    /// fill before the kernels (at most the kernel phase). Rounded per
+    /// launch, so the counter stays exactly comparable across runs; it
+    /// equals the no-overlap run's extra clock to within that rounding.
     pub overlap_hidden_ns: u64,
     /// GPU turns run under a wavefront (pipelined) kernel schedule.
     pub wavefront_rounds: u64,
@@ -618,14 +619,18 @@ impl Recorder {
         }
     }
 
-    /// Record a double-buffered halo-fill overlap window (also counts it
-    /// and accumulates the hidden loader time, rounded to nanoseconds).
+    /// Record a double-buffered halo-fill overlap window (also counts it).
     pub fn overlap_window(&mut self, w: OverlapWindow) {
         self.counters.overlap_windows += 1;
-        self.counters.overlap_hidden_ns += (w.hidden_s * 1e9).round() as u64;
         if self.level.keeps_summary() {
             self.events.push(Event::Overlap(w));
         }
+    }
+
+    /// Count the seconds overlap saved one launch, rounded to
+    /// nanoseconds (see [`Counters::overlap_hidden_ns`]).
+    pub fn overlap_saved(&mut self, saved: SimTime) {
+        self.counters.overlap_hidden_ns += (saved * 1e9).round() as u64;
     }
 
     /// Record one GPU's turn in a wavefront schedule (also counts it).
@@ -1013,10 +1018,10 @@ mod tests {
                 array: "src".into(),
                 gpu: 3,
                 bytes: 4096,
-                hidden_s: 0.25,
                 start: 1.0,
                 end: 1.5,
             });
+            rec.overlap_saved(0.25);
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
@@ -1030,7 +1035,7 @@ mod tests {
         assert_eq!(t.gpus(), vec![3]);
         assert!(t.chrome_trace().contains("overlap src g3"));
         assert!(t.summary_table().contains("overlap windows"));
-        assert!(t.render_text()[0].contains("hidden=0.250000s"));
+        assert!(t.render_text()[0].contains("overlap src gpu=3 4096B dur=0.500000s"));
     }
 
     #[test]

@@ -208,12 +208,11 @@ pub fn render_text(trace: &Trace) -> Vec<String> {
                 e.end - e.start
             ),
             Event::Overlap(e) => format!(
-                "[{:.6}s] overlap {} gpu={} {}B hidden={:.6}s dur={:.6}s",
+                "[{:.6}s] overlap {} gpu={} {}B dur={:.6}s",
                 e.start,
                 e.array,
                 e.gpu,
                 e.bytes,
-                e.hidden_s,
                 e.end - e.start
             ),
             Event::Wavefront(e) => format!(
