@@ -33,7 +33,7 @@
 //! Host-visible sync points (region exit copy-out, `update host`) are
 //! *not* analyzed away: the runtime keeps per-GPU dirty runs armed and
 //! materializes the merged image lazily there (see `acc-runtime`).
-//! Under `SanitizeLevel::Full` the runtime re-arms the skipped sync and
+//! Under `SanitizeLevel::Full` the runtime still skips the sync and
 //! audits every dirty run against the static claim `[S*lo_g, S*hi_g)`.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,7 +113,7 @@ impl CommPlan {
 /// Functionally nothing moves: the runtime still performs the fill
 /// before the kernel's functional execution, so arrays are
 /// unconditionally bit-identical; the fact only licenses the pricing
-/// overlap, and `SanitizeLevel::Full` re-arms the synchronous path.
+/// overlap, which `SanitizeLevel::Full` only observes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapFact {
     /// Human-readable proof summary (reports, traces).

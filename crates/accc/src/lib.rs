@@ -317,7 +317,7 @@ pub fn force_miss_checks(p: &mut CompiledProgram) {
 /// write-miss check from every distributed array, as if the prover had
 /// (wrongly) elided it. Stores that leave the owner partition then land
 /// in the local replica and are silently lost at flush time. Exists to
-/// audit the runtime sanitizer: a `SanitizeLevel::Stores` run must catch
+/// audit the runtime sanitizer: a `SanitizeLevel::Full` run must catch
 /// exactly the programs this function breaks.
 pub fn force_elide_checks(p: &mut CompiledProgram) {
     for k in &mut p.kernels {

@@ -270,18 +270,14 @@ impl<'a> Run<'a> {
                 // demand by update/copy-out.
                 CommStep::None => t2,
                 CommStep::Sync => self.sync_replicas(ap.arr, t2)?,
-                CommStep::AuditedSync(claims) => {
-                    // The accumulated dirty runs must stay inside the
-                    // fact's claimed partitions; then the skipped sync is
-                    // re-armed, so a Full-sanitize run is bit-identical
-                    // (arrays *and* simulated times) to elision off.
-                    self.audit_elision(ap.arr, claims)?;
-                    self.sync_replicas(ap.arr, t2)?
-                }
-                CommStep::Elide(_) => {
-                    // Keep the dirty maps armed and accumulating, and
-                    // defer reconciliation to the first operation that
-                    // can observe another GPU's partition (ensure_synced).
+                CommStep::Elide(claims) => {
+                    // A sanitized run audits the claims first. Keep the
+                    // dirty maps armed and accumulating, and defer
+                    // reconciliation to the first operation that can
+                    // observe another GPU's partition (ensure_synced).
+                    if !plan.sanitize.is_empty() {
+                        self.audit_elision(ap.arr, claims)?;
+                    }
                     let skipped = self.pending_sync_bytes(ap.arr);
                     self.arrays[ap.arr].sync_pending = true;
                     self.rec.comm_elided(CommElided {

@@ -69,37 +69,25 @@ pub enum ExecMode {
 /// How much runtime auditing of the compiler's multi-GPU consistency
 /// verdicts to perform during GPU-mode interpretation.
 ///
-/// The sanitizer is a pure observer: it never changes buffers, simulated
-/// times or work counters. Violations surface as
-/// [`RunError::SanitizeViolation`] and as typed `acc-obs` events.
+/// The sanitizer is a pure observer: under every schedule and pricing
+/// knob it never changes buffers, simulated times, events or counters.
+/// Violations surface as typed [`RunError`]s and as `acc-obs` events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SanitizeLevel {
     /// No runtime auditing (the default).
     #[default]
     Off,
-    /// Audit elided-miss-check stores: every unchecked store to a
-    /// distributed array must land in the executing GPU's owned
-    /// partition, or the static write-locality proof was unsound.
-    Stores,
-    /// `Stores` plus load auditing: every read of a distributed array
-    /// must stay inside the thread's declared `localaccess` window
-    /// `[stride*i - left, stride*(i+1) + right)`. Catches annotations
-    /// that under-declare the true read footprint — which run silently
-    /// (but wrong on >1 GPU) because small GPU counts keep the whole
-    /// array resident.
+    /// Audit every static claim the run relies on: each elided-miss-check
+    /// store to a distributed array must land in the executing GPU's
+    /// owned partition; each read of a distributed array must stay
+    /// inside the thread's declared `localaccess` window
+    /// `[stride*i - left, stride*(i+1) + right)` (and its proved carried
+    /// distance); each elided replica sync's dirty runs must stay inside
+    /// the claimed partitions; and each monotone premise array must be
+    /// non-decreasing. Catches annotations that under-declare the true
+    /// read footprint — which run silently (but wrong on >1 GPU) because
+    /// small GPU counts keep the whole array resident.
     Full,
-}
-
-impl SanitizeLevel {
-    /// Whether elided-store auditing is on.
-    pub fn checks_stores(self) -> bool {
-        !matches!(self, SanitizeLevel::Off)
-    }
-
-    /// Whether `localaccess`-window load auditing is on.
-    pub fn checks_loads(self) -> bool {
-        matches!(self, SanitizeLevel::Full)
-    }
 }
 
 /// How the task mapper divides each parallel loop's iteration space
@@ -175,12 +163,8 @@ pub struct ExecConfig {
     /// dataflow analysis proved unobservable are skipped, their dirty
     /// bits kept accumulating, and the reconciliation deferred to the
     /// next operation that can actually observe the array (a host flush,
-    /// an `update`, or a loader fill). Off by default. Under
-    /// [`SanitizeLevel::Full`] elision is re-armed: the sync runs
-    /// normally and the accumulated dirty runs are first audited against
-    /// the fact's claimed per-GPU partitions
-    /// ([`RunError::ElisionUnsound`] on escape), so a Full-sanitize run
-    /// is bit-identical to one with elision off.
+    /// an `update`, or a loader fill). Off by default. The sanitizer
+    /// audits the claims ([`RunError::ElisionUnsound`]), never re-prices.
     pub comm_elision: bool,
     /// Which kernel tier executes launch bodies. Simulated times,
     /// counters, and array contents are bit-identical across tiers (each
@@ -197,10 +181,7 @@ pub struct ExecConfig {
     /// extending the synchronous loader critical path. Purely a pricing
     /// change: the functional copies still happen in program order, so
     /// array contents are unconditionally identical with the knob on or
-    /// off. Off by default. Under [`SanitizeLevel::Full`] the
-    /// synchronous path is re-armed, so a Full-sanitize run is
-    /// bit-identical (arrays *and* event stream) to one with overlap
-    /// off.
+    /// off. Off by default. The sanitizer audits, never re-prices.
     pub overlap: bool,
 }
 
@@ -619,7 +600,7 @@ pub(crate) fn run_with(
     // non-decreasing. Auditing the inputs costs one linear scan per
     // premise array, so it rides the sanitizer switch; `Off` trusts the
     // caller the same way it trusts the elision facts.
-    if cfg.mode == ExecMode::Gpu && cfg.sanitize.checks_stores() {
+    if cfg.mode == ExecMode::Gpu && cfg.sanitize == SanitizeLevel::Full {
         for &arr in &prog.monotone_premises {
             let (name, _) = &prog.array_params[arr];
             let vals = arrays[arr].to_i32_vec();

@@ -32,11 +32,9 @@ pub(crate) enum CommStep {
     None,
     /// §IV-D1 replica sync over the dirty bits.
     Sync,
-    /// `SanitizeLevel::Full` re-arms an elided sync: audit the dirty
-    /// runs against the claims, then sync — bit-identical to elision off.
-    AuditedSync(Vec<(i64, i64)>),
     /// Skip the sync; dirty bits keep accumulating until something can
-    /// observe another GPU's partition (`Run::ensure_synced`).
+    /// observe another GPU's partition (`Run::ensure_synced`). A
+    /// sanitized run first audits them against the claims.
     Elide(Vec<(i64, i64)>),
     /// §IV-D2 write-miss replay on the owners, then drop stale halos.
     ReplayMisses,
@@ -78,8 +76,7 @@ pub(crate) struct ArrPlan {
     pub needs_dirty: bool,
     pub needs_miss_buf: bool,
     /// The loader's peer halo fills are priced under the kernel phase:
-    /// the knob is on, `SanitizeLevel::Full` is not re-arming the
-    /// synchronous path, and an `OverlapFact` licensed it.
+    /// the knob is on and an `OverlapFact` licensed it.
     pub overlap: bool,
     pub comm: CommStep,
 }
@@ -111,7 +108,8 @@ pub(crate) struct LaunchPlan {
     /// GPU and whether measured history drove the cut.
     pub predicted: Option<(Vec<f64>, bool)>,
     /// Per-buffer sanitizer checks, the same on every GPU; empty under
-    /// `SanitizeLevel::Off`.
+    /// `SanitizeLevel::Off`, and when non-empty the comm phase also
+    /// audits each elided sync's claims.
     pub sanitize: Vec<BufSanitize>,
     /// Indexed by kernel buffer.
     pub arrays: Vec<ArrPlan>,
@@ -216,21 +214,19 @@ pub(crate) fn build(
         let writes = ac.mode.writes();
         let distributed = matches!(ac.placement, Placement::Distributed);
         let needs_dirty = needs_dirty(prog, ac, ngpus);
-        if cfg.sanitize != SanitizeLevel::Off {
+        if cfg.sanitize == SanitizeLevel::Full {
             // The audits only make sense on distributed arrays: checked
             // stores handle their own misses, and replicated arrays own
             // (and keep resident) the whole window.
-            let loads = cfg.sanitize.checks_loads();
             // Carried-distance audit: a load must stay within the proved
             // distance of the loading thread's own stride window, or the
             // `CarriedLocal` verdict (and everything it licensed) was
             // mislabeled.
             let carried = ac.lint.verdict.carried_distance().and_then(|d| d.halo_need());
             sanitize.push(BufSanitize {
-                load_window: inp.localaccess.filter(|_| loads),
+                load_window: inp.localaccess,
                 carried_window: carried
-                    .and_then(|(lw, rw)| inp.localaccess.map(|(s, _, _)| (s, lw * s, rw * s)))
-                    .filter(|_| loads),
+                    .and_then(|(lw, rw)| inp.localaccess.map(|(s, _, _)| (s, lw * s, rw * s))),
                 check_stores: writes && ac.miss_check_elided && distributed,
             });
         }
@@ -243,7 +239,6 @@ pub(crate) fn build(
             (Placement::ReductionPrivate(_), _) => CommStep::ClearPrivate,
             _ if !writes || ngpus == 1 => CommStep::None,
             (Placement::Distributed, _) => CommStep::ReplayMisses,
-            (_, Some(claims)) if cfg.sanitize == SanitizeLevel::Full => CommStep::AuditedSync(claims),
             (_, Some(claims)) => CommStep::Elide(claims),
             (_, None) => CommStep::Sync,
         };
@@ -260,10 +255,7 @@ pub(crate) fn build(
                 && writes
                 && distributed
                 && !ac.miss_check_elided,
-            overlap: cfg.overlap
-                && cfg.sanitize != SanitizeLevel::Full
-                && distributed
-                && prog.overlap_plan.fact(kidx, kbuf).is_some(),
+            overlap: cfg.overlap && distributed && prog.overlap_plan.fact(kidx, kbuf).is_some(),
             comm,
         });
     }

@@ -58,7 +58,7 @@ proptest! {
         // 0 takes the equal splitter.
         history in (0i64..=200, 0u32..=1000),
         localaccess in (1i64..=5, 0i64..=7, 0i64..=7),
-        knobs in (0usize..=1, 0usize..=2, 0usize..=1, 0usize..=1),
+        knobs in (0usize..=1, 0usize..=1, 0usize..=1, 0usize..=1),
         // Lengths incl. 0 and shorter than the iteration space.
         lens in proptest::collection::vec(0i64..=400, 5),
         bus_product in 0u64..4096,
@@ -73,9 +73,10 @@ proptest! {
         } else {
             split_tasks(lo, hi, ngpus)
         };
+        let sanitize = [SanitizeLevel::Off, SanitizeLevel::Full][sanitize];
         let cfg = ExecConfig::gpus(ngpus)
             .schedule([Schedule::Equal, Schedule::CostModel][cost_model])
-            .sanitize([SanitizeLevel::Off, SanitizeLevel::Stores, SanitizeLevel::Full][sanitize])
+            .sanitize(sanitize)
             .comm_elision(elision == 1)
             .overlap(overlap == 1);
         let inputs: Vec<ArrInputs> = ck
@@ -95,7 +96,7 @@ proptest! {
         let active = tasks.iter().filter(|t| nonempty(t)).count();
         prop_assert_eq!(plan.active, active);
         prop_assert!(tasks[..active].iter().all(nonempty), "{tasks:?}: the active GPUs are a prefix");
-        prop_assert_eq!(plan.sanitize.len(), if cfg.sanitize == SanitizeLevel::Off { 0 } else { 5 });
+        prop_assert_eq!(plan.sanitize.len(), if sanitize == SanitizeLevel::Off { 0 } else { 5 });
         for (ap, inp) in plan.arrays.iter().zip(&inputs) {
             let n = inp.len;
             for g in 0..ngpus {
@@ -127,8 +128,8 @@ proptest! {
                 }
             }
             prop_assert!(!(ap.needs_dirty || ap.needs_miss_buf) || ngpus > 1);
-            prop_assert!(!ap.overlap || cfg.sanitize != SanitizeLevel::Full && cfg.overlap);
-            if let CommStep::Elide(claims) | CommStep::AuditedSync(claims) = &ap.comm {
+            prop_assert!(!ap.overlap || cfg.overlap);
+            if let CommStep::Elide(claims) = &ap.comm {
                 prop_assert!(cfg.schedule == Schedule::Equal && cfg.comm_elision && ap.needs_dirty);
                 prop_assert_eq!(claims.len(), ngpus);
                 prop_assert!(claims.iter().all(|c| 0 <= c.0 && c.0 <= c.1 && c.1 <= n), "{claims:?}");
@@ -139,13 +140,10 @@ proptest! {
 
 /// The comm phase's guard ladder as `comm.rs` spelled it before the plan
 /// existed, `elide` being "a fact was materialised for this launch".
-fn ladder(p: &Placement, writes: bool, ngpus: usize, elide: bool, full: bool) -> &'static str {
+fn ladder(p: &Placement, writes: bool, ngpus: usize, elide: bool) -> &'static str {
     match p {
-        Placement::Replicated if writes && ngpus > 1 => match (elide, full) {
-            (true, true) => "audited-sync",
-            (true, false) => "elide",
-            (false, _) => "sync",
-        },
+        Placement::Replicated if writes && ngpus > 1 && elide => "elide",
+        Placement::Replicated if writes && ngpus > 1 => "sync",
         Placement::Replicated | Placement::Distributed if writes && ngpus == 1 => "none",
         Placement::Distributed if writes => "replay",
         Placement::ReductionPrivate(_) if ngpus > 1 => "merge",
@@ -160,7 +158,7 @@ fn comm_step_equals_the_guard_ladder() {
     let modes = [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite];
     let placements =
         [Placement::Replicated, Placement::Distributed, Placement::ReductionPrivate(RmwOp::Max)];
-    let levels = [SanitizeLevel::Off, SanitizeLevel::Stores, SanitizeLevel::Full];
+    let levels = [SanitizeLevel::Off, SanitizeLevel::Full];
     let mut seen = std::collections::BTreeSet::new();
     for (placement, mode) in placements.iter().flat_map(|p| modes.iter().map(move |m| (p, *m))) {
         for (ngpus, knob, fact, instrument) in
@@ -201,19 +199,17 @@ fn comm_step_equals_the_guard_ladder() {
                 let got = match &plan.arrays[3].comm {
                     CommStep::None => "none",
                     CommStep::Sync => "sync",
-                    CommStep::AuditedSync(_) => "audited-sync",
                     CommStep::Elide(_) => "elide",
                     CommStep::ReplayMisses => "replay",
                     CommStep::MergeReduction(RmwOp::Max) => "merge",
                     CommStep::MergeReduction(_) => "merge with the wrong operator",
                     CommStep::ClearPrivate => "clear",
                 };
-                let full = sanitize == SanitizeLevel::Full;
                 let what = format!("{placement:?} {mode:?} x{ngpus} knob={knob} fact={fact} {sanitize:?} {schedule:?}");
-                assert_eq!(got, ladder(placement, writes, ngpus, elide, full), "{what}");
+                assert_eq!(got, ladder(placement, writes, ngpus, elide), "{what}");
                 seen.insert(got);
             }
         }
     }
-    assert_eq!(seen.len(), 7, "every step was exercised: {seen:?}");
+    assert_eq!(seen.len(), 6, "every step was exercised: {seen:?}");
 }

@@ -71,8 +71,8 @@ pub struct Profiler {
     /// grew); reuse keeps this near the GPU count for iterative programs.
     pub staging_allocs: u64,
     /// Loader scratch buffers the pool actually allocated (or grew)
-    /// during this run. Only the `Schedule::CostModel` window grow (the
-    /// resident bytes' device-local move) draws from it.
+    /// during this run. Only a device window's grow (the resident
+    /// bytes' device-local move, under either schedule) draws from it.
     pub scratch_allocs: u64,
     /// Host wall-clock seconds spent inside the communication phase
     /// (functional work + pricing), as opposed to the *simulated*
@@ -81,11 +81,6 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Reset everything.
-    pub fn reset(&mut self) {
-        *self = Profiler::default();
-    }
-
     /// Derive the time breakdown and event counters from a finished
     /// event stream. Work counters (`kernel_counters`/`host_counters`)
     /// are not in the stream and start at their defaults.

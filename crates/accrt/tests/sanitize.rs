@@ -99,9 +99,6 @@ fn full_sanitize_catches_under_declared_localaccess_window() {
         other => panic!("expected SanitizeViolation, got {other}"),
     }
 
-    // `Stores` does not audit loads: still silent.
-    run(&prog, &ExecConfig::gpus(1).sanitize(SanitizeLevel::Stores), &a).unwrap();
-
     // On two GPUs the lie stops being silent even unsanitized — the halo
     // was never materialised, so the boundary read is a hard fault. The
     // sanitizer's value is catching that before the multi-GPU deploy.
@@ -182,8 +179,8 @@ fn store_sanitize_catches_fault_injected_elision() {
     let r = run(&forged, &ExecConfig::gpus(2), &a).unwrap();
     assert_ne!(r.arrays[1].to_f64_vec(), shift_reference(&a));
 
-    // Two GPUs, `Stores` audit: caught and attributed.
-    let err = run(&forged, &ExecConfig::gpus(2).sanitize(SanitizeLevel::Stores), &a)
+    // Two GPUs, sanitized: caught and attributed.
+    let err = run(&forged, &ExecConfig::gpus(2).sanitize(SanitizeLevel::Full), &a)
         .unwrap_err();
     match err {
         RunError::SanitizeViolation { array, record, .. } => {

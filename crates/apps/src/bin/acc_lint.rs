@@ -350,9 +350,9 @@ fn run_audit(args: &Args, name: &str) -> ! {
     let version = Version::Proposal(args.gpus);
     let mut cfg = version.exec_config().sanitize(SanitizeLevel::Full);
     if args.elide {
-        // Full sanitize re-arms every statically elided sync and audits
-        // the claimed partitions first — the combination is exactly the
-        // comm-elision soundness check, on a real app.
+        // Every statically elided sync stays elided and Full sanitize
+        // audits its claimed partitions — the comm-elision soundness
+        // check, on a run that really elides.
         cfg = cfg.comm_elision(true);
     }
     let mut m = Machine::supercomputer_node();

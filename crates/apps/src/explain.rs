@@ -299,9 +299,9 @@ pub fn explain(code: &str) -> Option<&'static str> {
         "ACC-R008" => {
             "ACC-R008: runtime sanitizer violation\n\
              \n\
-             With SanitizeLevel::Stores/Full, the runtime audited every elided\n\
-             store against the owner partition and (at Full) every load of a\n\
-             distributed array against its declared `localaccess` window — and\n\
+             With SanitizeLevel::Full, the runtime audited every elided store\n\
+             against the owner partition and every load of a distributed\n\
+             array against its declared `localaccess` window — and\n\
              an access contradicted the static analysis or the annotations.\n\
              The error carries the first violating access (array, thread,\n\
              index, allowed window) and the total violation count.\n\
@@ -313,7 +313,7 @@ pub fn explain(code: &str) -> Option<&'static str> {
         "ACC-R009" => {
             "ACC-R009: comm-elision audit failed\n\
              \n\
-             SanitizeLevel::Full re-checked a static communication-elision\n\
+             SanitizeLevel::Full audited a static communication-elision\n\
              fact: a GPU dirtied elements outside the partition the fact\n\
              claimed all its writes stay in. Skipping the replica sync would\n\
              have left observably stale replicas.\n\

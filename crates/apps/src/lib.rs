@@ -33,5 +33,5 @@ pub mod spmv;
 
 pub use runner::{
     compile_app, compile_app_on, run_app, run_app_with_config, run_app_with_engine, run_compiled,
-    App, AppError, AppResult, Scale, Version,
+    App, AppResult, Scale, Version,
 };

@@ -260,47 +260,6 @@ pub struct AppResult {
     pub trace: Trace,
 }
 
-/// Typed error surface for the application harness: either the compiler
-/// rejected the source or the runtime rejected/failed the run. Both
-/// carry a stable `ACC-XNNN` code ([`AppError::code`]) so bin targets
-/// print machine-matchable diagnostics instead of ad-hoc strings.
-#[derive(Debug)]
-pub enum AppError {
-    /// Source-to-IR compilation failed.
-    Compile(String),
-    /// The runtime rejected or failed the run.
-    Run(RunError),
-}
-
-impl AppError {
-    /// Stable diagnostic code (the `ACC-RNNN` family).
-    pub fn code(&self) -> &'static str {
-        match self {
-            AppError::Compile(_) => "ACC-R010",
-            AppError::Run(e) => e.code(),
-        }
-    }
-}
-
-impl std::fmt::Display for AppError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AppError::Compile(m) => write!(f, "compile error: {m}"),
-            AppError::Run(e) => e.fmt(f),
-        }
-    }
-}
-impl std::error::Error for AppError {}
-
-impl From<RunError> for AppError {
-    fn from(e: RunError) -> AppError {
-        match e {
-            RunError::Compile(m) => AppError::Compile(m),
-            other => AppError::Run(other),
-        }
-    }
-}
-
 /// The process-wide [`Engine`] behind the harness: every
 /// [`compile_app`] across every test/bench/CLI invocation in the
 /// process shares one compilation cache and one scratch-pool set, so a
@@ -315,7 +274,7 @@ pub fn engine() -> &'static Engine {
 
 /// Compile an application for a version (cached: repeat calls return
 /// the same [`CompiledKernel`]).
-pub fn compile_app(app: App, version: Version) -> Result<Arc<CompiledKernel>, AppError> {
+pub fn compile_app(app: App, version: Version) -> Result<Arc<CompiledKernel>, RunError> {
     compile_app_on(engine(), app, version)
 }
 
@@ -326,8 +285,8 @@ pub fn compile_app_on(
     engine: &Engine,
     app: App,
     version: Version,
-) -> Result<Arc<CompiledKernel>, AppError> {
-    Ok(engine.compile(app.source(), app.function(), &version.compile_options())?)
+) -> Result<Arc<CompiledKernel>, RunError> {
+    engine.compile(app.source(), app.function(), &version.compile_options())
 }
 
 /// Run one application/version on a machine at a workload scale.
@@ -337,7 +296,7 @@ pub fn run_app(
     machine: &mut Machine,
     scale: Scale,
     seed: u64,
-) -> Result<AppResult, AppError> {
+) -> Result<AppResult, RunError> {
     run_app_with_config(app, version, machine, scale, seed, &version.exec_config())
 }
 
@@ -351,7 +310,7 @@ pub fn run_app_with_config(
     scale: Scale,
     seed: u64,
     cfg: &ExecConfig,
-) -> Result<AppResult, AppError> {
+) -> Result<AppResult, RunError> {
     run_app_with_engine(engine(), app, version, machine, scale, seed, cfg)
 }
 
@@ -364,7 +323,7 @@ pub fn run_app_with_engine(
     scale: Scale,
     seed: u64,
     cfg: &ExecConfig,
-) -> Result<AppResult, AppError> {
+) -> Result<AppResult, RunError> {
     let prog = compile_app_on(engine, app, version)?;
     run_compiled(engine, &prog, app, version, machine, scale, seed, cfg)
 }
@@ -383,9 +342,9 @@ pub fn run_compiled(
     scale: Scale,
     seed: u64,
     cfg: &ExecConfig,
-) -> Result<AppResult, AppError> {
+) -> Result<AppResult, RunError> {
     let (report, correct, max_err) = run_checked(app, scale, seed, |scalars, arrays| {
-        Ok::<_, AppError>(engine.launch_on(prog, machine, cfg, scalars, arrays)?)
+        engine.launch_on(prog, machine, cfg, scalars, arrays)
     })?;
     Ok(result_from(app, version, prog, report, correct, max_err))
 }

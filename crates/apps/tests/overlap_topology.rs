@@ -1,6 +1,6 @@
 //! Acceptance tests for the hierarchical-topology runtime features:
-//! double-buffered halo overlap (pricing-only, `SanitizeLevel::Full`
-//! re-arms the synchronous path bit-identically) and topology-aware
+//! double-buffered halo overlap (pricing-only, and `SanitizeLevel::Full`
+//! only observes it) and topology-aware
 //! reduction collectives, on real apps at 16–64 simulated GPUs.
 
 use acc_apps::{heat2d, pagerank};
@@ -63,25 +63,23 @@ fn overlap_is_pricing_only_and_hides_loader_time() {
 }
 
 #[test]
-fn full_sanitize_rearms_the_synchronous_path_bit_identically() {
-    // Under SanitizeLevel::Full the overlap knob must be inert: arrays
-    // AND the full event stream (all simulated times included) match a
-    // run with the knob off.
-    let off = ExecConfig::gpus(16)
-        .sanitize(SanitizeLevel::Full)
-        .tracing(TraceLevel::Spans);
-    let on = off.clone().overlap(true);
-    let r_off = run_heat2d(&mut Machine::cluster(16), &off, 11);
-    let r_on = run_heat2d(&mut Machine::cluster(16), &on, 11);
+fn full_sanitize_observes_the_overlapped_run_bit_identically() {
+    // SanitizeLevel::Full only observes: with the overlap knob on, the
+    // arrays AND the full event stream (all simulated times included)
+    // match the unsanitized overlap run.
+    let plain = ExecConfig::gpus(16).overlap(true).tracing(TraceLevel::Spans);
+    let full = plain.clone().sanitize(SanitizeLevel::Full);
+    let r_plain = run_heat2d(&mut Machine::cluster(16), &plain, 11);
+    let r_full = run_heat2d(&mut Machine::cluster(16), &full, 11);
     assert_eq!(
-        r_off.arrays[heat2d::PLATE_ARRAY].to_f64_vec(),
-        r_on.arrays[heat2d::PLATE_ARRAY].to_f64_vec()
+        r_plain.arrays[heat2d::PLATE_ARRAY].to_f64_vec(),
+        r_full.arrays[heat2d::PLATE_ARRAY].to_f64_vec()
     );
-    assert_eq!(r_on.trace.counters().overlap_windows, 0);
+    assert!(r_full.trace.counters().overlap_windows > 0);
     assert_eq!(
-        r_off.trace.render_text(),
-        r_on.trace.render_text(),
-        "event streams diverged under Full re-arming"
+        r_plain.trace.render_text(),
+        r_full.trace.render_text(),
+        "event streams diverged under Full sanitize"
     );
 }
 
@@ -226,9 +224,9 @@ fn pagerank_sync_traffic_grows_with_the_topology_not_with_gpu_pairs() {
 fn scaling_smoke_full_sanitize_cluster_with_overlap_armed() {
     // The CI scaling job: both scaling apps on the cluster topology at
     // 8, 16 and 64 GPUs (one island, one node, four nodes), fully
-    // sanitized, with the overlap knob armed (Full re-arms the
-    // synchronous schedule, so this also exercises the re-arming path
-    // at scale). Everything must pass its oracle.
+    // sanitized, with the overlap knob armed (Full only observes, so the
+    // audits run over the overlapped schedule at scale). Everything must
+    // pass its oracle.
     for ngpus in [8usize, 16, 64] {
         let ecfg = ExecConfig::gpus(ngpus)
             .sanitize(SanitizeLevel::Full)

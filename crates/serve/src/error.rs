@@ -4,10 +4,9 @@
 //! `ACC-SNNN` for conditions the server itself raises (admission
 //! control, protocol violations, budgets), and the runtime's existing
 //! `ACC-RNNN` space for compile/run failures, which pass through
-//! unchanged via [`acc_apps::AppError`]. Codes — not message text — are
+//! unchanged as [`RunError`]. Codes — not message text — are
 //! the contract: clients and CI match on them.
 
-use acc_apps::AppError;
 use acc_runtime::RunError;
 
 /// Anything that can go wrong between a client submitting a job and
@@ -55,9 +54,9 @@ pub enum ServeError {
         /// The human-readable message from the response.
         message: String,
     },
-    /// The compiler or runtime rejected the job; carries the harness
-    /// error with its own `ACC-R`/`ACC-RNNN` code.
-    Run(AppError),
+    /// The compiler or runtime rejected the job; carries the runtime
+    /// error with its own `ACC-RNNN` code.
+    Run(RunError),
 }
 
 impl ServeError {
@@ -104,15 +103,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-impl From<AppError> for ServeError {
-    fn from(e: AppError) -> ServeError {
-        ServeError::Run(e)
-    }
-}
-
 impl From<RunError> for ServeError {
     fn from(e: RunError) -> ServeError {
-        ServeError::Run(AppError::from(e))
+        ServeError::Run(e)
     }
 }
 
