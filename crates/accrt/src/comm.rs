@@ -58,7 +58,7 @@ use acc_compiler::CompiledKernel;
 use acc_gpusim::{BufferHandle, Endpoint, Gpu, Topology};
 use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
 use acc_obs::{
-    CollectiveRound, CommElided, CommRound, MissReplay, ReductionMerge, TransferKind, TransferSpan,
+    CollectiveRound, CommElided, CommRound, MissReplay, TransferKind, TransferSpan,
 };
 
 use crate::exec::Run;
@@ -727,10 +727,8 @@ impl<'a> Run<'a> {
     /// Stride-doubling tree merge of the private copies on `gpus` (all
     /// active) onto `gpus[0]`, priced from `t`. Each round is a step
     /// list — one [`Run::move_range`] fold and one whole-array transfer
-    /// per pair — priced like a replica-sync level. On a one-island
-    /// topology a merge is reported as the paper's [`ReductionMerge`];
-    /// otherwise as a [`CollectiveRound`] tagged with the topology
-    /// `level`.
+    /// per pair — priced like a replica-sync level. Each hop is a
+    /// [`CollectiveRound`] tagged with the topology `level`.
     fn merge_group(
         &mut self,
         arr: usize,
@@ -741,7 +739,6 @@ impl<'a> Run<'a> {
     ) -> Result<f64, RunError> {
         let n = self.arrays[arr].len;
         let whole = [vec![(0, (n * self.arrays[arr].elem()) as u64)]];
-        let leveled = self.machine.bus.is_hierarchical();
         let mut round_start = t;
         let mut stride = 1usize;
         while stride < gpus.len() {
@@ -754,28 +751,8 @@ impl<'a> Run<'a> {
                 let Step { src, dst, .. } = step;
                 let end = arrived + run.machine.gpus[dst].spec.local_copy_time(bytes);
                 let (launch, array) = (run.cur_launch, run.prog.array_params[arr].0.clone());
-                if leveled {
-                    run.rec.collective_round(CollectiveRound {
-                        launch,
-                        array,
-                        level,
-                        src,
-                        dst,
-                        bytes,
-                        start,
-                        end,
-                    });
-                } else {
-                    run.rec.reduction_merge(ReductionMerge {
-                        launch,
-                        array,
-                        src,
-                        dst,
-                        bytes,
-                        start,
-                        end,
-                    });
-                }
+                let round = CollectiveRound { launch, array, level, src, dst, bytes, start, end };
+                run.rec.collective_round(round);
                 end
             };
             round_start = self.price_steps(arr, &steps, &whole, round_start, "reduce", merged);

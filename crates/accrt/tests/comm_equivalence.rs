@@ -294,7 +294,7 @@ fn transfer_pairs(r: &RunReport, why: &str) -> Vec<(usize, usize)> {
 /// The one-island contract. There is one communication path for every
 /// topology, so nothing in the code says "flat" any more — but on a
 /// one-island machine it must still produce the seed's schedule: the
-/// stride-doubling reduction pairs reported as `ReductionMerge`, and
+/// stride-doubling reduction pairs, every one an `intra-island` round, and
 /// peers visited in ascending index.
 #[test]
 fn one_island_topology_keeps_the_flat_schedule() {
@@ -319,9 +319,11 @@ fn one_island_topology_keeps_the_flat_schedule() {
         transfer_pairs(&r, "reduce"),
         [(1, 0), (3, 2), (5, 4), (7, 6), (2, 0), (6, 4), (4, 0)]
     );
-    let merges = |f: fn(&Event) -> bool| r.trace.events().iter().filter(|e| f(e)).count();
-    assert_eq!(merges(|e| matches!(e, Event::Reduction(_))), 7);
-    assert_eq!(merges(|e| matches!(e, Event::Collective(_))), 0);
+    let levels: Vec<&str> = r.trace.events().iter().filter_map(|e| match e {
+        Event::Collective(c) => Some(c.level),
+        _ => None,
+    }).collect();
+    assert_eq!(levels, ["intra-island"; 7]);
 
     // Replica sync: every source ships to its destinations in
     // ascending index, sources in ascending index.

@@ -13,7 +13,10 @@
 //! the clock (heat2d node3 and cluster16, pagerank node3: five more
 //! phase spans each; heat2d-halo2 node3: the stream only, as
 //! `OverlapWindow` lost `hidden_s`) were regenerated on top of
-//! `9f02190`. A refactor of `accrt`'s loader /
+//! `9f02190`. The 14 kmeans / pagerank node2 and node3 lines whose
+//! stream moved when every reduction-merge hop became a
+//! `CollectiveRound` (the event kind no longer depends on the machine)
+//! were regenerated on top of `0badfc4`. A refactor of `accrt`'s loader /
 //! kernel wave / comm manager that moves one byte, one event or one
 //! simulated nanosecond shows up here as a diff.
 

@@ -143,22 +143,24 @@ fn pagerank_comm_time_shrinks_on_cluster_at_16_gpus() {
     );
 }
 
+/// The interconnect levels a run's reduction-merge rounds rode.
+fn collective_levels(r: &RunReport) -> std::collections::BTreeSet<&'static str> {
+    let levels = r.trace.events().iter().filter_map(|e| match e {
+        Event::Collective(c) => Some(c.level),
+        _ => None,
+    });
+    levels.collect()
+}
+
 #[test]
 fn hierarchical_reduction_emits_leveled_collective_rounds() {
     // 64 cluster GPUs = 8 islands × 8 over 4 nodes: the reduction tree
-    // must produce rounds at all three levels, and the flat preset none.
+    // must produce rounds at all three levels, and the flat preset's
+    // rounds all sit at one.
     let ecfg = ExecConfig::gpus(64).tracing(TraceLevel::Summary);
     let r = run_pagerank(&mut Machine::cluster(64), &ecfg, 17);
     assert!(r.trace.counters().collective_rounds > 0);
-    let levels: std::collections::BTreeSet<&str> = r
-        .trace
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Collective(c) => Some(c.level),
-            _ => None,
-        })
-        .collect();
+    let levels = collective_levels(&r);
     for want in ["intra-island", "inter-island", "inter-node"] {
         assert!(levels.contains(want), "missing level {want}: {levels:?}");
     }
@@ -169,10 +171,12 @@ fn hierarchical_reduction_emits_leveled_collective_rounds() {
         &flat_cfg,
         17,
     );
+    assert!(r.trace.counters().collective_rounds > 0);
+    let levels = collective_levels(&r);
     assert_eq!(
-        r.trace.counters().collective_rounds,
-        0,
-        "flat topology must keep the seed's single-level tree"
+        levels.len(),
+        1,
+        "flat topology must keep the seed's single-level tree: {levels:?}"
     );
 }
 

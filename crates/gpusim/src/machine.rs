@@ -196,7 +196,7 @@ mod tests {
         let m = Machine::cluster(64);
         assert_eq!(m.n_gpus(), 64);
         assert_eq!(m.kind, MachineKind::SupercomputerNode);
-        assert!(m.bus.is_hierarchical());
+        assert_eq!(m.bus.distance(0, 63), 2);
         // 64 GPUs = 4 nodes of 2 islands each.
         assert_eq!(m.bus.node(63), 3);
         assert_eq!(m.bus.island(63), 7);

@@ -227,13 +227,6 @@ impl Topology {
         Topology::hierarchical(5.0, 2.6, 8.0, 12.0, 50.0, 1.0, 10.0, 40.0, 25.0, 8, 16)
     }
 
-    /// True when more than one island or node can exist. The runtime's
-    /// schedules never ask — they are the same code on every topology —
-    /// only which event kind reports a reduction-merge hop does.
-    pub fn is_hierarchical(&self) -> bool {
-        self.gpus_per_island != usize::MAX || self.gpus_per_node != usize::MAX
-    }
-
     /// Island index of a GPU.
     pub fn island(&self, gpu: usize) -> usize {
         gpu / self.gpus_per_island
@@ -595,13 +588,12 @@ mod tests {
     #[test]
     fn presets_are_one_island_instances() {
         for bus in [Topology::desktop(), Topology::supercomputer_node()] {
-            assert!(!bus.is_hierarchical());
+            assert_eq!(bus.distance(0, 1 << 20), 0, "one island at any GPU count");
             assert_eq!(bus.island(0), bus.island(7));
             assert_eq!(bus.node(0), bus.node(7));
             assert_eq!(bus.distance(0, 7), 0);
         }
         let c = Topology::cluster();
-        assert!(c.is_hierarchical());
         assert_eq!(c.distance(0, 7), 0); // same island
         assert_eq!(c.distance(0, 8), 1); // same node, other island
         assert_eq!(c.distance(0, 16), 2); // other node

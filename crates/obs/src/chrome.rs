@@ -221,22 +221,6 @@ pub fn export(trace: &Trace) -> String {
                     ],
                 ));
             }
-            Event::Reduction(e) => {
-                events.push(span(
-                    &format!("reduce {} g{}→g{}", e.array, e.src, e.dst),
-                    "reduction",
-                    e.dst,
-                    e.start,
-                    e.end,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("bytes", Value::num(e.bytes as f64)),
-                        ("src", Value::num(e.src as f64)),
-                        ("dst", Value::num(e.dst as f64)),
-                    ],
-                ));
-            }
             Event::Collective(e) => {
                 events.push(span(
                     &format!("collective {} {} g{}→g{}", e.level, e.array, e.src, e.dst),

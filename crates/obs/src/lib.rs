@@ -32,10 +32,10 @@ pub enum TraceLevel {
     #[default]
     Off,
     /// Keep coarse events: phases, per-GPU kernel launches, communication
-    /// rounds, and loader decisions.
+    /// and reduction-merge rounds, and loader decisions.
     Summary,
-    /// Keep everything `Summary` does plus every individual transfer,
-    /// miss replay, and reduction merge step.
+    /// Keep everything `Summary` does plus every individual transfer and
+    /// miss replay.
     Spans,
 }
 
@@ -198,24 +198,9 @@ pub struct MissReplay {
     pub end: SimTime,
 }
 
-/// One step of the binary-tree merge of private reduction copies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReductionMerge {
-    pub launch: u64,
-    pub array: String,
-    /// GPU whose private copy was shipped.
-    pub src: usize,
-    /// GPU that combined it into its own copy.
-    pub dst: usize,
-    pub bytes: u64,
-    pub start: SimTime,
-    /// Includes the combine cost on `dst`.
-    pub end: SimTime,
-}
-
-/// One round of a topology-aware collective schedule (hierarchical
-/// reduction merge): a peer copy plus the combine on `dst`, labelled
-/// with the interconnect level it rode.
+/// One hop of the reduction-merge tree: a peer copy plus the combine on
+/// `dst`, labelled with the interconnect level it rode (every hop of a
+/// one-island machine is `intra-island`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveRound {
     pub launch: u64,
@@ -368,7 +353,6 @@ pub enum Event {
     Loader(LoaderDecision),
     Mapper(MapperDecision),
     Miss(MissReplay),
-    Reduction(ReductionMerge),
     Collective(CollectiveRound),
     Overlap(OverlapWindow),
     Wavefront(WavefrontRound),
@@ -388,7 +372,6 @@ impl Event {
             Event::Loader(e) => e.at,
             Event::Mapper(e) => e.at,
             Event::Miss(e) => e.start,
-            Event::Reduction(e) => e.start,
             Event::Collective(e) => e.start,
             Event::Overlap(e) => e.start,
             Event::Wavefront(e) => e.start,
@@ -408,7 +391,6 @@ impl Event {
             Event::Loader(e) => e.at,
             Event::Mapper(e) => e.at,
             Event::Miss(e) => e.end,
-            Event::Reduction(e) => e.end,
             Event::Collective(e) => e.end,
             Event::Overlap(e) => e.end,
             Event::Wavefront(e) => e.end,
@@ -467,8 +449,7 @@ pub struct Counters {
     /// `localaccess` annotations inferred by the compiler and consumed in
     /// place of missing source annotations.
     pub inferred_annotations: u64,
-    /// Rounds of topology-aware collective schedules (hierarchical
-    /// reduction merges).
+    /// Reduction-merge hops ([`CollectiveRound`] events).
     pub collective_rounds: u64,
     /// Double-buffered halo fills priced concurrently with compute.
     pub overlap_windows: u64,
@@ -604,13 +585,6 @@ impl Recorder {
         }
     }
 
-    /// Record one reduction-merge step.
-    pub fn reduction_merge(&mut self, r: ReductionMerge) {
-        if self.level.keeps_spans() {
-            self.events.push(Event::Reduction(r));
-        }
-    }
-
     /// Record one round of a topology-aware collective (also counts it).
     pub fn collective_round(&mut self, r: CollectiveRound) {
         self.counters.collective_rounds += 1;
@@ -727,10 +701,6 @@ impl Trace {
                 Event::Loader(e) => push(e.gpu),
                 Event::Mapper(_) => {}
                 Event::Miss(e) => {
-                    push(e.src);
-                    push(e.dst);
-                }
-                Event::Reduction(e) => {
                     push(e.src);
                     push(e.dst);
                 }

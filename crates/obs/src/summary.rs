@@ -188,15 +188,6 @@ pub fn render_text(trace: &Trace) -> Vec<String> {
                 e.bytes,
                 e.end - e.start
             ),
-            Event::Reduction(e) => format!(
-                "[{:.6}s] reduce {} gpu{}→gpu{} {}B dur={:.6}s",
-                e.start,
-                e.array,
-                e.src,
-                e.dst,
-                e.bytes,
-                e.end - e.start
-            ),
             Event::Collective(e) => format!(
                 "[{:.6}s] collective {} {} gpu{}→gpu{} {}B dur={:.6}s",
                 e.start,
