@@ -57,9 +57,7 @@
 use acc_compiler::CompiledKernel;
 use acc_gpusim::{BufferHandle, Endpoint, Gpu, Topology};
 use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
-use acc_obs::{
-    CollectiveRound, CommElided, CommRound, MissReplay, TransferKind, TransferSpan,
-};
+use acc_obs::{CollectiveRound, CommElided, CommRound, MissReplay, TransferKind, TransferSpan};
 
 use crate::exec::Run;
 use crate::plan::{owner_of, CommStep, LaunchPlan};

@@ -349,6 +349,22 @@ pub fn run_compiled(
     Ok(result_from(app, version, prog, report, correct, max_err))
 }
 
+/// Generate `app`'s input at `scale`: the `(scalars, arrays)` its
+/// program is launched with.
+pub fn app_inputs(app: App, scale: Scale, seed: u64) -> (Vec<Value>, Vec<Buffer>) {
+    match app {
+        App::Md => md::inputs(&md::generate(&scale.md(), seed)),
+        App::Kmeans => kmeans::inputs(&kmeans::generate(&scale.kmeans(), seed)),
+        App::Bfs => bfs::inputs(&bfs::generate(&scale.bfs(), seed)),
+        App::Spmv => spmv::inputs(&spmv::generate(&scale.spmv(), seed)),
+        App::Heat2d => heat2d::inputs(&heat2d::generate(&scale.heat2d(), seed)),
+        App::Pagerank => pagerank::inputs(&pagerank::generate(&scale.pagerank(), seed)),
+        App::Heat2dHalo2 => {
+            heat2d_halo2::inputs(&heat2d_halo2::generate(&scale.heat2d_halo2(), seed))
+        }
+    }
+}
+
 /// Generate `app`'s input at `scale`, run it with `run`, and hold the
 /// result to the app's oracle: `(report, correct, max_err)`. The
 /// generate → run → oracle pipeline behind [`run_compiled`], for

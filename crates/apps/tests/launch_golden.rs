@@ -20,7 +20,7 @@
 //! kernel wave / comm manager that moves one byte, one event or one
 //! simulated nanosecond shows up here as a diff.
 
-use acc_apps::{bfs, heat2d, heat2d_halo2, kmeans, md, pagerank, spmv, App, Scale};
+use acc_apps::{app_inputs, App, Scale};
 use acc_compiler::{compile_source, CompileOptions, CompiledProgram};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Value};
@@ -32,21 +32,6 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-fn inputs(app: App) -> (Vec<Value>, Vec<Buffer>) {
-    let (scale, seed) = (Scale::Small, 7);
-    match app {
-        App::Md => md::inputs(&md::generate(&scale.md(), seed)),
-        App::Kmeans => kmeans::inputs(&kmeans::generate(&scale.kmeans(), seed)),
-        App::Bfs => bfs::inputs(&bfs::generate(&scale.bfs(), seed)),
-        App::Spmv => spmv::inputs(&spmv::generate(&scale.spmv(), seed)),
-        App::Heat2d => heat2d::inputs(&heat2d::generate(&scale.heat2d(), seed)),
-        App::Pagerank => pagerank::inputs(&pagerank::generate(&scale.pagerank(), seed)),
-        App::Heat2dHalo2 => {
-            heat2d_halo2::inputs(&heat2d_halo2::generate(&scale.heat2d_halo2(), seed))
-        }
-    }
 }
 
 /// `(label, machine, configuration)` of every run of one app.
@@ -170,8 +155,8 @@ fn render() -> String {
         let prog = compile_source(app.source(), app.function(), &CompileOptions::proposal())
             .expect("app compiles");
         for (label, machine, cfg) in runs(app) {
-            let run = (machine, cfg);
-            out.push_str(&line((app.name(), &label), run, &prog, inputs(app), false));
+            let (run, inputs) = ((machine, cfg), app_inputs(app, Scale::Small, 7));
+            out.push_str(&line((app.name(), &label), run, &prog, inputs, false));
         }
     }
     let n = 1000;

@@ -6,26 +6,11 @@
 //! does — the `Spans` event stream, the total simulated time to the
 //! bit, every trace counter and every output array's bytes.
 
-use acc_apps::{bfs, heat2d, heat2d_halo2, kmeans, md, pagerank, spmv, App, Scale};
+use acc_apps::{app_inputs, App, Scale};
 use acc_compiler::{compile_source, CompileOptions, CompiledProgram};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Value};
 use acc_runtime::prelude::*;
-
-fn inputs(app: App) -> (Vec<Value>, Vec<Buffer>) {
-    let (scale, seed) = (Scale::Small, 7);
-    match app {
-        App::Md => md::inputs(&md::generate(&scale.md(), seed)),
-        App::Kmeans => kmeans::inputs(&kmeans::generate(&scale.kmeans(), seed)),
-        App::Bfs => bfs::inputs(&bfs::generate(&scale.bfs(), seed)),
-        App::Spmv => spmv::inputs(&spmv::generate(&scale.spmv(), seed)),
-        App::Heat2d => heat2d::inputs(&heat2d::generate(&scale.heat2d(), seed)),
-        App::Pagerank => pagerank::inputs(&pagerank::generate(&scale.pagerank(), seed)),
-        App::Heat2dHalo2 => {
-            heat2d_halo2::inputs(&heat2d_halo2::generate(&scale.heat2d_halo2(), seed))
-        }
-    }
-}
 
 /// Drop every hand-written `localaccess` pragma line (replica placement
 /// everywhere, so elision facts apply to the written arrays).
@@ -37,7 +22,6 @@ fn strip_localaccess(src: &str) -> String {
 }
 
 /// Everything a run exposes, in comparable form.
-#[derive(Debug, PartialEq)]
 struct Observed {
     events: Vec<acc_obs::Event>,
     time_bits: u64,
@@ -45,13 +29,18 @@ struct Observed {
     arrays: Vec<Vec<u8>>,
 }
 
-fn observe(prog: &CompiledProgram, input: &(Vec<Value>, Vec<Buffer>), cfg: &ExecConfig) -> Observed {
+fn observe(
+    prog: &CompiledProgram,
+    input: &(Vec<Value>, Vec<Buffer>),
+    cfg: &ExecConfig,
+) -> Observed {
     let mut machine = match cfg.ngpus {
         n if n > 3 => Machine::cluster(n),
         _ => Machine::supercomputer_node(),
     };
     let (scalars, arrays) = input.clone();
-    let r = run_program(&mut machine, cfg, prog, scalars, arrays).unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+    let r = run_program(&mut machine, cfg, prog, scalars, arrays)
+        .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
     Observed {
         events: r.trace.events().to_vec(),
         time_bits: r.total_time().to_bits(),
@@ -69,7 +58,7 @@ fn full_sanitize_observes_every_schedule_and_knob() {
     let machines: Vec<_> = machines.collect();
     let (mut elided, mut overlapped) = (0, 0);
     for app in App::ALL {
-        let input = inputs(app);
+        let input = app_inputs(app, Scale::Small, 7);
         let mut sources = vec![("annotated", app.source().to_string())];
         if app != App::Heat2dHalo2 {
             // Its carried dependence is only correct distributed.
@@ -79,7 +68,9 @@ fn full_sanitize_observes_every_schedule_and_knob() {
             let prog = compile_source(&src, app.function(), &CompileOptions::proposal())
                 .unwrap_or_else(|e| panic!("{} {variant}: {e:?}", app.name()));
             for &(ngpus, schedule) in &machines {
-                for (overlap, elision) in [(false, false), (true, false), (false, true), (true, true)] {
+                for (overlap, elision) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
                     let cfg = ExecConfig::gpus(ngpus)
                         .schedule(schedule)
                         .overlap(overlap)

@@ -9,10 +9,10 @@
 //! default configuration against `KernelVm::Bytecode` on everything a
 //! `RunReport` carries.
 
-use acc_apps::{bfs, heat2d, heat2d_halo2, kmeans, md, pagerank, spmv, App, Scale};
+use acc_apps::{app_inputs, App, Scale};
 use acc_compiler::{compile, compile_source, CompileOptions};
 use acc_gpusim::Machine;
-use acc_kernel_ir::{regvm, Buffer, Value};
+use acc_kernel_ir::regvm;
 use acc_runtime::prelude::*;
 use acc_runtime::KernelVm;
 
@@ -59,21 +59,6 @@ fn every_shipped_kernel_takes_the_register_tier() {
     assert!(kernels >= 36, "only {kernels} kernels seen");
 }
 
-fn inputs(app: App) -> (Vec<Value>, Vec<Buffer>) {
-    let (scale, seed) = (Scale::Small, 7);
-    match app {
-        App::Md => md::inputs(&md::generate(&scale.md(), seed)),
-        App::Kmeans => kmeans::inputs(&kmeans::generate(&scale.kmeans(), seed)),
-        App::Bfs => bfs::inputs(&bfs::generate(&scale.bfs(), seed)),
-        App::Spmv => spmv::inputs(&spmv::generate(&scale.spmv(), seed)),
-        App::Heat2d => heat2d::inputs(&heat2d::generate(&scale.heat2d(), seed)),
-        App::Pagerank => pagerank::inputs(&pagerank::generate(&scale.pagerank(), seed)),
-        App::Heat2dHalo2 => {
-            heat2d_halo2::inputs(&heat2d_halo2::generate(&scale.heat2d_halo2(), seed))
-        }
-    }
-}
-
 #[test]
 fn default_tier_equals_the_bytecode_on_every_app() {
     for app in App::ALL {
@@ -87,7 +72,7 @@ fn default_tier_equals_the_bytecode_on_every_app() {
                     .tracing(TraceLevel::Spans);
                 assert_eq!(base.kernel_vm, KernelVm::Register, "the default tier");
                 let run = |cfg: &ExecConfig| {
-                    let (scalars, arrays) = inputs(app);
+                    let (scalars, arrays) = app_inputs(app, Scale::Small, 7);
                     let mut machine = Machine::supercomputer_node();
                     run_program(&mut machine, cfg, &prog, scalars, arrays)
                         .unwrap_or_else(|e| panic!("{what}: {e}"))

@@ -695,33 +695,6 @@ pub fn bfs_skew_config(scale: Scale) -> acc_apps::bfs_skew::BfsSkewConfig {
     }
 }
 
-/// Generate inputs for an app at a scale (shared by the ablations).
-pub fn app_inputs(
-    app: App,
-    scale: Scale,
-    seed: u64,
-) -> (Vec<acc_kernel_ir::Value>, Vec<acc_kernel_ir::Buffer>) {
-    match app {
-        App::Md => acc_apps::md::inputs(&acc_apps::md::generate(&scale.md(), seed)),
-        App::Kmeans => {
-            acc_apps::kmeans::inputs(&acc_apps::kmeans::generate(&scale.kmeans(), seed))
-        }
-        App::Bfs => acc_apps::bfs::inputs(&acc_apps::bfs::generate(&scale.bfs(), seed)),
-        App::Spmv => acc_apps::spmv::inputs(&acc_apps::spmv::generate(&scale.spmv(), seed)),
-        App::Heat2d => {
-            acc_apps::heat2d::inputs(&acc_apps::heat2d::generate(&scale.heat2d(), seed))
-        }
-        App::Pagerank => acc_apps::pagerank::inputs(&acc_apps::pagerank::generate(
-            &scale.pagerank(),
-            seed,
-        )),
-        App::Heat2dHalo2 => acc_apps::heat2d_halo2::inputs(&acc_apps::heat2d_halo2::generate(
-            &scale.heat2d_halo2(),
-            seed,
-        )),
-    }
-}
-
 /// Drop every hand-written `localaccess` pragma line from a source.
 /// Shared by the golden inference tests and [`bench_comm`], which both
 /// need the "programmer forgot to annotate" variant of an app.

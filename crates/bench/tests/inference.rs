@@ -9,8 +9,8 @@
 //! narrower than any loaded address would under-allocate the partition
 //! and fail the run.
 
-use acc_apps::{App, Scale};
-use acc_bench::{app_inputs, strip_localaccess};
+use acc_apps::{app_inputs, App, Scale};
+use acc_bench::strip_localaccess;
 use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::Machine;
 use acc_runtime::{run_program, ExecConfig, SanitizeLevel};
