@@ -7,37 +7,20 @@
 //! 1. **replicated arrays** — using the two-level dirty bits, only the
 //!    chunks whose second-level bit is set move, and receivers apply the
 //!    dirty element runs. Clean chunks move no bytes — the point of the
-//!    two-level scheme (§IV-D1). The chunks travel as a union
-//!    all-gather up and down the topology levels (see below);
+//!    two-level scheme (§IV-D1). The chunks travel as the union
+//!    all-gather `route::sync_schedule` plans;
 //! 2. **distributed arrays** — buffered write-miss records are routed to
 //!    the GPU owning the destination element and replayed there
 //!    (§IV-D2); halo copies are invalidated so the loader refreshes them;
 //! 3. **reduction-private arrays** — the per-GPU private copies are
-//!    combined pairwise in a stride-doubling tree per topology level
-//!    (island, node, machine — the inter-GPU level of the §IV-B4
-//!    hierarchical reduction); GPU 0 ends up with the result.
+//!    folded along the merge tree `route::reduce_tree` plans (island,
+//!    node, machine — the inter-GPU level of the §IV-B4 hierarchical
+//!    reduction); GPU 0 ends up with the result.
 //!
-//! There is one communication path for every topology, and its priced
-//! schedules are data: lists of `Step`s, all priced by
-//! `Run::price_steps`. A miss replay is one list — one step per
-//! (source, owner) pair, carrying that pair's records. A replica sync
-//! (`sync_schedule`) is a union all-gather over the topology levels
-//! (island, node, machine), each level starting at the barrier that ends
-//! the one before. Up-sweep:
-//! dirty GPUs ship their chunks to every replica holder of their own
-//! island, island leaders (the lowest holder) exchange the *union* of
-//! their island's dirty chunks inside the node, node leaders exchange
-//! node unions across the fabric. Down-sweep: each leader hands its group
-//! the chunks dirtied outside it. A chunk dirtied by every GPU of an
-//! island therefore crosses the root complex once, not once per writer
-//! and reader. The reduction merge walks the same levels as a
-//! stride-doubling tree per group. The paper's flat platforms are the
-//! one-island instance: the first level is the paper's all-to-all in
-//! [`Topology::peer_order`] (plain ascending index), the tree has a
-//! single group, and every other level is empty. Every transfer — these
-//! and the loader's fills, flushes, updates and wavefront feeds — is a
-//! `Step` of a list priced by `Run::price_steps`, and every byte lands
-//! through `Run::move_range`.
+//! This module lands and prices the routes `route.rs` planned: every
+//! transfer is a `Step` priced by `Run::price_steps`, every merge fold
+//! lands through `Run::transfer`, and a miss replay is one step per
+//! (source, owner) pair, carrying that pair's records.
 //!
 //! Each reconciliation has two independent halves:
 //!
@@ -55,12 +38,14 @@
 //!   why *simulated* times never depend on the host's core count.
 
 use acc_compiler::CompiledKernel;
-use acc_gpusim::{BufferHandle, Endpoint, Gpu, Topology};
+use acc_gpusim::{BufferHandle, Endpoint, Gpu};
 use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
 use acc_obs::{CollectiveRound, CommElided, CommRound, MissReplay, TransferKind, TransferSpan};
 
 use crate::exec::Run;
 use crate::plan::{owner_of, CommStep, LaunchPlan};
+use crate::ranges::RangeSet;
+use crate::route::{self, Chunk, Move, Step, SyncSchedule, LEVELS};
 use crate::RunError;
 
 /// Reusable scratch buffers for the runtime's functional halves.
@@ -149,105 +134,9 @@ impl StagingPool {
     }
 }
 
-/// A dirty chunk on the wire: `(chunk index, payload bytes)`. The
-/// mechanism moves whole chunks plus their first-level bits — however
-/// many GPUs dirtied the chunk — and receivers apply per element.
-pub(crate) type Chunk = (usize, u64);
-
 fn chunk_payload(dm: &DirtyMap, c: usize) -> Chunk {
     let (clo, chi) = dm.chunk_range(c);
     (c, ((chi - clo) * dm.elem_bytes()) as u64 + ((chi - clo) as u64).div_ceil(8))
-}
-
-/// One hop of a priced schedule: `src` ships every chunk of set `set`
-/// (an index into the schedule's set table) to `dst`, each chunk its
-/// own asynchronous transfer. The comm manager's schedules run between
-/// GPUs and name them by index; the loader's fills, flushes, updates and
-/// wavefront feeds name an [`Endpoint`], host or GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Step<E = usize> {
-    pub src: E,
-    pub dst: E,
-    pub set: usize,
-}
-
-/// The priced schedule of one replica sync.
-#[derive(Debug)]
-pub(crate) struct SyncSchedule {
-    /// Ascending chunk sets the steps refer to; set `g` is what GPU `g`
-    /// dirtied itself.
-    pub sets: Vec<Vec<Chunk>>,
-    /// Non-empty step lists in pricing order, one per topology level of
-    /// the up- and the down-sweep.
-    pub levels: Vec<Vec<Step>>,
-}
-
-fn union<'s>(parts: impl Iterator<Item = &'s Vec<Chunk>>) -> Vec<Chunk> {
-    let mut all: Vec<Chunk> = parts.flatten().copied().collect();
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
-/// Build the union all-gather (module docs) that makes the chunks in
-/// `dirty[g]` of every GPU `g` reach every GPU with `has_replica` set.
-/// Members of a group are all at the same distance from each other, so
-/// visiting them in ascending index is `peer_order` restricted to the
-/// group. No step ships an empty set.
-pub(crate) fn sync_schedule(
-    bus: &Topology,
-    dirty: Vec<Vec<Chunk>>,
-    has_replica: &[bool],
-) -> SyncSchedule {
-    let widths = [bus.gpus_per_island, bus.gpus_per_node, usize::MAX];
-    let same_group =
-        |width| move |a: &(usize, usize), b: &(usize, usize)| a.0 / width == b.0 / width;
-    let mut sets = dirty;
-    let mut levels = Vec::new();
-    // Up-sweep. `tiers[l]` lists level `l`'s participants as `(GPU, set
-    // it carries)`: every holder with its own chunks, then the leader of
-    // each group with the union of the group's.
-    let holders = (0..has_replica.len()).filter(|&g| has_replica[g]);
-    let mut tiers: Vec<Vec<(usize, usize)>> = vec![holders.map(|g| (g, g)).collect()];
-    for (l, width) in widths.into_iter().enumerate() {
-        let (mut steps, mut leaders) = (Vec::new(), Vec::new());
-        for group in tiers[l].chunk_by(same_group(width)) {
-            for &(src, set) in group.iter().filter(|m| !sets[m.1].is_empty()) {
-                let peers = group.iter().filter(|m| m.0 != src);
-                steps.extend(peers.map(|m| Step { src, dst: m.0, set }));
-            }
-            sets.push(union(group.iter().map(|m| &sets[m.1])));
-            leaders.push((group[0].0, sets.len() - 1));
-        }
-        levels.push(steps);
-        tiers.push(leaders);
-    }
-    // Down-sweep. `outside[i]` is the set of chunks dirtied outside the
-    // `i`-th group of the level — nothing, for the whole machine. A
-    // member already holds its siblings' unions from the up-sweep.
-    sets.push(Vec::new());
-    let mut outside = vec![sets.len() - 1];
-    for (l, width) in widths.into_iter().enumerate().rev() {
-        let (mut steps, mut below) = (Vec::new(), Vec::new());
-        for (group, &out) in tiers[l].chunk_by(same_group(width)).zip(&outside) {
-            if !sets[out].is_empty() {
-                let (src, set) = (group[0].0, out);
-                steps.extend(group[1..].iter().map(|m| Step { src, dst: m.0, set }));
-            }
-            // Each member leads a group one level down; GPUs lead none.
-            if l > 0 {
-                for m in group {
-                    let siblings = group.iter().filter(|o| o.0 != m.0).map(|o| &sets[o.1]);
-                    sets.push(union(siblings.chain([&sets[out]])));
-                    below.push(sets.len() - 1);
-                }
-            }
-        }
-        levels.push(steps);
-        outside = below;
-    }
-    levels.retain(|steps| !steps.is_empty());
-    SyncSchedule { sets, levels }
 }
 
 impl<'a> Run<'a> {
@@ -290,7 +179,7 @@ impl<'a> Run<'a> {
                     let e = self.replay_misses(&ck.configs[kbuf].name, kbuf, plan, misses, t2)?;
                     // Halos are stale now; keep only owned ranges valid.
                     for (ga, own) in self.arrays[ap.arr].gpu.iter_mut().zip(&ap.own) {
-                        ga.valid.intersect(&crate::ranges::RangeSet::of(own.0, own.1));
+                        ga.valid.intersect(&RangeSet::of(own.0, own.1));
                     }
                     e
                 }
@@ -371,7 +260,7 @@ impl<'a> Run<'a> {
         let has_replica: Vec<bool> = gpus.iter().map(|ga| ga.handle.is_some()).collect();
         let chunks = |dm: &DirtyMap| dm.dirty_chunks().map(|c| chunk_payload(dm, c)).collect();
         let dirty = gpus.iter().map(|ga| ga.dirty.as_ref().map_or_else(Vec::new, chunks));
-        sync_schedule(&self.machine.bus, dirty.collect(), &has_replica)
+        route::sync_schedule(&self.machine.bus, dirty.collect(), &has_replica)
     }
 
     /// Price one step list — a schedule level, a miss replay, a merge
@@ -661,9 +550,11 @@ impl<'a> Run<'a> {
             .collect()
     }
 
-    /// Inter-GPU level of the hierarchical reduction: tree merge of the
-    /// private copies into GPU 0. The combine order follows the topology,
-    /// which is observable only as floating-point rounding.
+    /// Inter-GPU level of the hierarchical reduction: fold the private
+    /// copies into GPU 0 along [`route::reduce_tree`], each level's chains
+    /// from the level's barrier, each round one [`Run::transfer`] of
+    /// whole-array folds, each fold a [`CollectiveRound`]. The combine
+    /// order follows the topology, observable only as rounding.
     fn merge_reduction_copies(
         &mut self,
         arr: usize,
@@ -671,7 +562,6 @@ impl<'a> Run<'a> {
         op: RmwOp,
         t2: f64,
     ) -> Result<f64, RunError> {
-        let ngpus = self.cfg.ngpus;
         let n = self.arrays[arr].len;
         // Only GPUs that actually ran iterations hold a private copy
         // (GPU 0's live value or an identity fill). When the launch has
@@ -683,69 +573,13 @@ impl<'a> Run<'a> {
         if k == 0 {
             return Ok(t2);
         }
-        // Leaders surviving one level fold onto the leader (lowest GPU)
-        // of the next-coarser group: islands, then nodes, then the whole
-        // machine — so only one transfer per island crosses the root
-        // complex and only one per node crosses the fabric. Groups at
-        // the same level occupy disjoint GPUs and price concurrently
-        // from the level barrier. On a one-island topology the first
-        // level is the single group `0..k` and the other two are no-ops.
-        let bus = &self.machine.bus;
-        let levels = [
-            ("intra-island", bus.gpus_per_island),
-            ("inter-island", bus.gpus_per_node),
-            ("inter-node", usize::MAX),
-        ];
-        let mut leaders: Vec<usize> = (0..k).collect();
-        let mut end = t2;
-        for (level, width) in levels {
-            let level_start = end;
-            let mut next = Vec::new();
-            for group in leaders.chunk_by(|a, b| a / width == b / width) {
-                next.push(group[0]);
-                let e = self.merge_group(arr, op, group, level, level_start)?;
-                end = end.max(e);
+        let (mut end, mut barrier, mut at, whole) = (t2, t2, 0, (0, n as i64));
+        for (level, rounds) in route::reduce_tree(&self.machine.bus, k) {
+            if level > at {
+                (at, barrier) = (level, end);
             }
-            leaders = next;
-        }
-        // GPU 0 now holds the merged result; other copies are garbage.
-        let whole = crate::ranges::RangeSet::of(0, n as i64);
-        for g in 0..ngpus {
-            let ga = &mut self.arrays[arr].gpu[g];
-            ga.red_private = false;
-            if g == 0 {
-                ga.valid = whole.clone();
-            } else {
-                ga.valid.clear();
-            }
-        }
-        Ok(end)
-    }
-
-    /// Stride-doubling tree merge of the private copies on `gpus` (all
-    /// active) onto `gpus[0]`, priced from `t`. Each round is a step
-    /// list — one [`Run::move_range`] fold and one whole-array transfer
-    /// per pair — priced like a replica-sync level. Each hop is a
-    /// [`CollectiveRound`] tagged with the topology `level`.
-    fn merge_group(
-        &mut self,
-        arr: usize,
-        op: RmwOp,
-        gpus: &[usize],
-        level: &'static str,
-        t: f64,
-    ) -> Result<f64, RunError> {
-        let n = self.arrays[arr].len;
-        let whole = [vec![(0, (n * self.arrays[arr].elem()) as u64)]];
-        let mut round_start = t;
-        let mut stride = 1usize;
-        while stride < gpus.len() {
-            let pairs = gpus.chunks(stride * 2).filter(|c| c.len() > stride);
-            let steps: Vec<Step> = pairs.map(|p| Step { src: p[stride], dst: p[0], set: 0 }).collect();
-            for s in &steps {
-                self.move_range(arr, s.src.into(), s.dst.into(), (0, n as i64), Some(op))?;
-            }
-            let merged = |run: &mut Self, step: Step, bytes, start, arrived: f64| {
+            let (mut t, level) = (barrier, LEVELS[level]);
+            let mut merged = |run: &mut Self, step: Step, bytes, start, arrived: f64| {
                 let Step { src, dst, .. } = step;
                 let end = arrived + run.machine.gpus[dst].spec.local_copy_time(bytes);
                 let (launch, array) = (run.cur_launch, run.prog.array_params[arr].0.clone());
@@ -753,10 +587,18 @@ impl<'a> Run<'a> {
                 run.rec.collective_round(round);
                 end
             };
-            round_start = self.price_steps(arr, &steps, &whole, round_start, "reduce", merged);
-            stride *= 2;
+            for round in rounds {
+                let folds: Vec<Move<usize>> = round.iter().map(|&(s, d)| (s, d, whole)).collect();
+                t = self.transfer(arr, &folds, Some(op), t, "reduce", &mut merged)?;
+            }
+            end = end.max(t);
         }
-        Ok(round_start)
+        // GPU 0 now holds the merged result; other copies are garbage.
+        for (g, ga) in self.arrays[arr].gpu.iter_mut().enumerate() {
+            ga.red_private = false;
+            ga.valid = RangeSet::of(0, if g == 0 { n as i64 } else { 0 });
+        }
+        Ok(end)
     }
 }
 

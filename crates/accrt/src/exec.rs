@@ -30,10 +30,11 @@ use ir::{
     SanitizeRecord, Value,
 };
 
-use crate::loader::Move;
 use crate::plan::{self, ArrInputs, ArrPlan, LaunchPlan};
 use crate::program::{KernelCode, ProgramState};
 use crate::profiler::Profiler;
+use crate::ranges::RangeSet;
+use crate::route;
 use crate::state::{split_tasks, ArrayState};
 use crate::{
     ExecConfig, ExecMode, GpuMemReport, RunError, RunReport, Schedule,
@@ -657,22 +658,20 @@ impl<'a> Run<'a> {
             let (mut start_g, mut fed) = (cursor, 0u64);
             // Refresh this GPU's left halo — [required.0, own.0) of every
             // written distributed array — from the predecessors that own
-            // those rows, one step list per array, ready when the
-            // previous GPU's turn ended.
+            // those rows, nearest first, one step list per array, ready
+            // when the previous GPU's turn ended.
             let written = |ap: &&ArrPlan| ap.writes && ap.placement == Placement::Distributed;
             for ap in plan.arrays.iter().filter(written) {
-                let (halo_lo, halo_hi) = (ap.required[g].0, ap.own[g].0);
-                let feeds: Vec<Move> = (0..g)
-                    .rev()
-                    .map(|h| (h, halo_lo.max(ap.own[h].0), halo_hi.min(ap.own[h].1)))
-                    .filter(|&(_, lo, hi)| lo < hi)
-                    .map(|(h, lo, hi)| (Endpoint::Gpu(h), Endpoint::Gpu(g), (lo, hi)))
-                    .collect();
+                let halo = RangeSet::of(ap.required[g].0, ap.own[g].0);
+                let own = |h: usize| RangeSet::of(ap.own[h].0, ap.own[h].1);
+                let owners = (0..g).rev().map(|h| (Endpoint::Gpu(h), own(h)));
+                let (feeds, _) = route::cover(halo, Endpoint::Gpu(g), owners);
                 let fed_at = |_: &mut Self, _, bytes, _, end| {
                     fed += bytes;
                     end
                 };
-                start_g = start_g.max(self.transfer(ap.arr, &feeds, cursor, "wavefront", fed_at)?);
+                let landed = self.transfer(ap.arr, &feeds, None, cursor, "wavefront", fed_at)?;
+                start_g = start_g.max(landed);
             }
             let Some(job) = job else {
                 outs.push(JobOut::default());

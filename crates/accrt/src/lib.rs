@@ -34,6 +34,7 @@ mod plan;
 pub mod profiler;
 mod program;
 pub mod ranges;
+mod route;
 pub mod state;
 mod wave;
 

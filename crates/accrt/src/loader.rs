@@ -19,11 +19,10 @@
 //! requirement — "this is common in iterative algorithms" and is the
 //! reason iterative kernels only pay the CPU→GPU transfer once.
 //!
-//! Every load, peer fill, flush and `update` is a list of `Move`s:
-//! `Run::transfer` lands each range through the one functional copy,
-//! `Run::move_range`, and prices the list as `Step`s with
-//! `Run::price_steps`, the pricing loop of the comm manager's replica syncs,
-//! miss replays and reduction merges.
+//! Every load, peer fill, flush and `update` is a list of `Move`s (peer
+//! fills and flushes as `route::cover` plans them) that `Run::transfer`
+//! lands through the one functional copy, `Run::move_range`, and prices
+//! with `Run::price_steps`, the comm manager's pricing loop too.
 
 use acc_compiler::Placement;
 use acc_gpusim::memory::AllocClass;
@@ -32,15 +31,11 @@ use acc_kernel_ir::interp::{rmw_apply_slice, rmw_identity};
 use acc_kernel_ir::{DirtyMap, RmwOp, Ty, Value};
 use acc_obs::{LoaderDecision, OverlapWindow};
 
-use crate::comm::Step;
 use crate::exec::Run;
 use crate::plan::LaunchPlan;
 use crate::ranges::RangeSet;
+use crate::route::{self, Move, Step};
 use crate::RunError;
-
-/// One range of an array moving between two endpoints: `(src, dst,
-/// [lo, hi))`, global elements.
-pub(crate) type Move = (Endpoint, Endpoint, (i64, i64));
 
 /// One peer halo fill the loader priced in the background (double-
 /// buffered overlap): emitted as an [`OverlapWindow`] when the loader
@@ -226,7 +221,6 @@ impl<'a> Run<'a> {
     /// instead of extending the returned synchronous end. Host loads
     /// stay synchronous either way — only the peer refills the
     /// `OverlapFact` proved unobservable may hide under compute.
-    #[allow(clippy::too_many_arguments)]
     fn fill_required(
         &mut self,
         arr: usize,
@@ -239,20 +233,15 @@ impl<'a> Run<'a> {
         if req.0 >= req.1 {
             return Ok(t0);
         }
-        let mut missing = if self.cfg.loader_reuse {
-            let ga = &self.arrays[arr].gpu[g];
-            ga.valid.missing_in(req.0, req.1)
+        // Ablation (`loader_reuse` off): no reuse — treat everything as
+        // missing, except data that exists nowhere else (dropping the
+        // reuse of device-written data would change semantics, not just
+        // performance).
+        let st = &self.arrays[arr];
+        let missing = if self.cfg.loader_reuse || st.host_stale {
+            st.gpu[g].valid.missing_in(req.0, req.1)
         } else {
-            // Ablation: no reuse — treat everything as missing, except
-            // data that exists nowhere else (dropping the reuse of
-            // device-written data would change semantics, not just
-            // performance).
-            let ga = &self.arrays[arr].gpu[g];
-            if self.arrays[arr].host_stale {
-                ga.valid.missing_in(req.0, req.1)
-            } else {
-                crate::ranges::RangeSet::of(req.0, req.1)
-            }
+            RangeSet::of(req.0, req.1)
         };
         if missing.is_empty() {
             // Clean reuse of the resident window — the §IV-C fast path.
@@ -275,31 +264,15 @@ impl<'a> Run<'a> {
         let mut bytes_moved = 0u64;
         // While the host copy is current, the loader always loads from CPU
         // memory (paper §IV-C). Once device writes have made it stale,
-        // peer GPUs holding current device data become the sources.
-        let mut peers = Vec::new();
-        if self.arrays[arr].host_stale {
-            // Nearest-neighbour halo routing: peers reached over
-            // intra-island links before peers behind the root complex or
-            // the inter-node fabric. Valid ranges shared by several peers
-            // hold identical bytes — reconciliation preceded this fill —
-            // so source choice only moves the transfer onto cheaper
-            // segments.
-            for h in self.machine.bus.peer_order(g, self.cfg.ngpus) {
-                let other = &self.arrays[arr].gpu[h];
-                if missing.is_empty() {
-                    break;
-                }
-                if other.red_private {
-                    continue;
-                }
-                let mut avail = other.valid.clone();
-                avail.intersect(&missing);
-                for (lo, hi) in avail.iter() {
-                    peers.push((Endpoint::Gpu(h), Endpoint::Gpu(g), (lo, hi)));
-                    missing.remove(lo, hi);
-                }
-            }
-        }
+        // peer GPUs holding current device data become the sources,
+        // nearest first. Valid ranges shared by several peers hold
+        // identical bytes — reconciliation preceded this fill — so source
+        // choice only moves the transfer onto cheaper segments.
+        let (st, bus) = (&self.arrays[arr], &self.machine.bus);
+        let peers = if st.host_stale { bus.peer_order(g, self.cfg.ngpus) } else { Vec::new() };
+        let peers = peers.into_iter().filter(|&h| !st.gpu[h].red_private);
+        let peers = peers.map(|h| (Endpoint::Gpu(h), &st.gpu[h].valid));
+        let (peers, missing) = route::cover(missing, Endpoint::Gpu(g), peers);
         // An overlapped fill still lands in program order and is priced
         // from the same ready time; only its end leaves the phase.
         let fill = |_: &mut Self, _, bytes, _, end| {
@@ -310,7 +283,7 @@ impl<'a> Run<'a> {
             bg.push(BgFill { arr, gpu: g, bytes, start: t0, end });
             t0
         };
-        let end = self.transfer(arr, &peers, t0, "fill", fill)?;
+        let end = self.transfer(arr, &peers, None, t0, "fill", fill)?;
         // Host source: everything still missing under `copy`/`copyin`.
         // The rest of a `create`/`copyout` array was never written: the
         // zeroed allocation already matches, with no traffic.
@@ -326,7 +299,7 @@ impl<'a> Run<'a> {
             bytes_moved += bytes;
             end
         };
-        let end = end.max(self.transfer(arr, &loads, t0, "load", load)?);
+        let end = end.max(self.transfer(arr, &loads, None, t0, "load", load)?);
         self.rec.loader_decision(LoaderDecision {
             launch: self.cur_launch,
             array: self.prog.array_params[arr].0.clone(),
@@ -375,22 +348,23 @@ impl<'a> Run<'a> {
 
     /// Move ranges of `arr` as one step list: land each
     /// `(src, dst, [lo, hi))` through [`Run::move_range`] — a GPU
-    /// destination then holds the range as valid — and price the list
-    /// from `t` with [`Run::price_steps`], one single-chunk step per
-    /// range, in order.
-    pub(crate) fn transfer(
+    /// destination then holds it as valid, unless it was folded in with
+    /// `combine` (the reduction merge resets `valid` itself) — and price
+    /// the list from `t`, one single-chunk step per range, in order.
+    pub(crate) fn transfer<E: Copy + Into<Endpoint>>(
         &mut self,
         arr: usize,
-        moves: &[Move],
+        moves: &[Move<E>],
+        combine: Option<RmwOp>,
         t: f64,
         why: &'static str,
-        landed: impl FnMut(&mut Self, Step<Endpoint>, u64, f64, f64) -> f64,
+        landed: impl FnMut(&mut Self, Step<E>, u64, f64, f64) -> f64,
     ) -> Result<f64, RunError> {
         let elem = self.arrays[arr].elem() as u64;
         let (mut steps, mut sets) = (Vec::with_capacity(moves.len()), Vec::new());
         for &(src, dst, (lo, hi)) in moves {
-            self.move_range(arr, src, dst, (lo, hi), None)?;
-            if let Endpoint::Gpu(d) = dst {
+            self.move_range(arr, src.into(), dst.into(), (lo, hi), combine)?;
+            if let (None, Endpoint::Gpu(d)) = (combine, dst.into()) {
                 self.arrays[arr].gpu[d].valid.insert(lo, hi);
             }
             steps.push(Step { src, dst, set: sets.len() });
@@ -404,7 +378,7 @@ impl<'a> Run<'a> {
     /// window — on the same elements of `dst`'s, overwriting them, or
     /// folding them in with `combine` (reduction merge) as one typed pass
     /// over the byte window ([`rmw_apply_slice`]).
-    pub(crate) fn move_range(
+    fn move_range(
         &mut self,
         arr: usize,
         src: Endpoint,
@@ -454,25 +428,14 @@ impl<'a> Run<'a> {
         // Flush takes ranges from the first GPU whose valid set covers
         // them, so an elided replica sync must be reconciled first.
         let t0 = self.ensure_synced(arr, t0)?;
-        let mut remaining = RangeSet::of(lo.max(0), hi.min(self.arrays[arr].len as i64));
-        let mut moves = Vec::new();
-        for (g, ga) in self.arrays[arr].gpu.iter().enumerate() {
-            if remaining.is_empty() {
-                break;
-            }
-            if ga.red_private {
-                continue;
-            }
-            let mut take = ga.valid.clone();
-            take.intersect(&remaining);
-            for (a, b) in take.iter() {
-                moves.push((Endpoint::Gpu(g), Endpoint::Host, (a, b)));
-                remaining.remove(a, b);
-            }
-        }
+        let st = &self.arrays[arr];
+        let want = RangeSet::of(lo.max(0), hi.min(st.len as i64));
+        let gpus = st.gpu.iter().enumerate().filter(|(_, ga)| !ga.red_private);
+        let gpus = gpus.map(|(g, ga)| (Endpoint::Gpu(g), &ga.valid));
+        let (moves, _) = route::cover(want, Endpoint::Host, gpus);
         // Ranges valid nowhere were never materialised on the device; the
         // host copy is already the logical content.
-        self.transfer(arr, &moves, t0, "flush", |_, _, _, _, end| end)
+        self.transfer(arr, &moves, None, t0, "flush", |_, _, _, _, end| end)
     }
 
     /// Push host data for `[lo, hi)` into every materialised device window
@@ -493,7 +456,7 @@ impl<'a> Run<'a> {
             .filter(|&(_, a, b)| a < b)
             .map(|(g, a, b)| (Endpoint::Host, Endpoint::Gpu(g), (a, b)))
             .collect();
-        self.transfer(arr, &moves, t0, "update", |_, _, _, _, end| end)
+        self.transfer(arr, &moves, None, t0, "update", |_, _, _, _, end| end)
     }
 
     /// Free all device allocations for an array (region fully exited).

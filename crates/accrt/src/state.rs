@@ -62,7 +62,7 @@ pub(crate) struct ArrayState {
     /// the replicas are mutually stale outside each GPU's own partition
     /// and the accumulated dirty bits are still armed. Any operation that
     /// could observe the divergence (host flush, `update`, loader fill
-    /// from peers) must reconcile first (`Engine::ensure_synced`).
+    /// from peers) must reconcile first (`Run::ensure_synced`).
     pub sync_pending: bool,
     pub gpu: Vec<GpuArr>,
 }

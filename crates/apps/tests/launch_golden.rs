@@ -16,7 +16,10 @@
 //! `9f02190`. The 14 kmeans / pagerank node2 and node3 lines whose
 //! stream moved when every reduction-merge hop became a
 //! `CollectiveRound` (the event kind no longer depends on the machine)
-//! were regenerated on top of `0badfc4`. A refactor of `accrt`'s loader /
+//! were regenerated on top of `0badfc4`. The four kmeans / pagerank
+//! `cluster12` / `cluster24` lines (islands of 8 + 4, a node next to a
+//! lone island) were rendered at `17a4a5e`, before the transfer planners
+//! moved into `route.rs`. A refactor of `accrt`'s loader /
 //! kernel wave / comm manager that moves one byte, one event or one
 //! simulated nanosecond shows up here as a diff.
 
@@ -51,16 +54,19 @@ fn runs(app: App) -> Vec<(String, Machine, ExecConfig)> {
     ] {
         out.push((format!("node3 {knob}"), Machine::supercomputer_node(), cfg));
     }
-    match app {
-        App::Heat2d => out.push((
-            "cluster16 overlap".into(),
-            Machine::cluster(16),
-            ExecConfig::gpus(16).overlap(true),
-        )),
-        App::Pagerank => {
-            out.push(("cluster16 Equal".into(), Machine::cluster(16), ExecConfig::gpus(16)))
+    // 12 GPUs are islands of 8 + 4; 24 put a node next to a lone island.
+    let clusters: &[usize] = match app {
+        App::Heat2d => {
+            let cfg = ExecConfig::gpus(16).overlap(true);
+            out.push(("cluster16 overlap".into(), Machine::cluster(16), cfg));
+            &[]
         }
-        _ => {}
+        App::Pagerank => &[16, 12, 24],
+        App::Kmeans => &[12, 24],
+        _ => &[],
+    };
+    for &n in clusters {
+        out.push((format!("cluster{n} Equal"), Machine::cluster(n), ExecConfig::gpus(n)));
     }
     out
 }
