@@ -324,7 +324,9 @@ pub fn export(trace: &Trace) -> String {
 mod tests {
     use crate::json;
     use crate::{
-        LaunchSpan, PhaseKind, Recorder, TraceLevel, TransferKind, TransferSpan,
+        CollectiveRound, CommElided, CommRound, InferredAnnotation, LaunchSpan, LoaderDecision,
+        MapperDecision, MissReplay, OverlapWindow, PhaseKind, Recorder, SanitizeEvent, TraceLevel,
+        TransferKind, TransferSpan, WavefrontRound,
     };
 
     #[test]
@@ -362,5 +364,135 @@ mod tests {
             .expect("kernel span present");
         assert_eq!(kernel.get("dur").unwrap().as_f64().unwrap(), 2e6);
         assert_eq!(kernel.get("tid").unwrap().as_f64().unwrap(), 1.0);
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One event of each of the 13 kinds, with fixed values. The hash
+    /// was taken from the exporter at commit `eac1a24`, before the
+    /// exporter read a per-kind description; it pins every name,
+    /// category, track, thread-name entry and argument order.
+    #[test]
+    fn every_kind_exports_the_pinned_bytes() {
+        let mut rec = Recorder::new(TraceLevel::Spans);
+        let launch = rec.launch_begin();
+        rec.phase(Some(launch), PhaseKind::Loader, 0.0, 1.0);
+        rec.phase(None, PhaseKind::Host, 1.0, 1.25);
+        rec.launch_span(LaunchSpan {
+            launch,
+            kernel: "k".into(),
+            gpu: 0,
+            rows: (0, 128),
+            start: 1.0,
+            end: 3.0,
+        });
+        for (kind, src, dst) in [
+            (TransferKind::H2D, None, Some(1)),
+            (TransferKind::D2H, Some(2), None),
+            (TransferKind::P2P, Some(0), Some(3)),
+        ] {
+            rec.transfer(TransferSpan {
+                kind,
+                array: "a".into(),
+                bytes: 4096,
+                src,
+                dst,
+                why: "fill",
+                start: 0.5,
+                end: 0.75,
+            });
+        }
+        rec.comm_round(CommRound {
+            launch,
+            array: "a".into(),
+            src: 0,
+            dst: 1,
+            chunks: 2,
+            bytes: 512,
+            start: 3.0,
+            end: 3.25,
+        });
+        rec.loader_decision(LoaderDecision {
+            launch,
+            array: "b".into(),
+            gpu: 1,
+            reused: true,
+            bytes_moved: 0,
+            at: 1.0,
+        });
+        rec.mapper_decision(MapperDecision {
+            launch,
+            kernel: "k".into(),
+            ranges: vec![(0, 64), (64, 128)],
+            predicted_s: vec![1e-3, 2e-3],
+            measured_s: vec![1.5e-3, 0.5e-3],
+            from_history: true,
+            at: 1.0,
+        });
+        rec.miss_replay(MissReplay {
+            launch,
+            array: "y".into(),
+            src: 1,
+            dst: 0,
+            records: 3,
+            bytes: 48,
+            start: 3.25,
+            end: 3.5,
+        });
+        rec.collective_round(CollectiveRound {
+            launch,
+            array: "r".into(),
+            level: "inter-island",
+            src: 8,
+            dst: 0,
+            bytes: 3200,
+            start: 3.5,
+            end: 4.0,
+        });
+        rec.overlap_window(OverlapWindow {
+            launch,
+            array: "src".into(),
+            gpu: 3,
+            bytes: 1024,
+            start: 1.0,
+            end: 1.5,
+        });
+        rec.wavefront_round(WavefrontRound {
+            launch,
+            kernel: "heat".into(),
+            gpu: 1,
+            round: 1,
+            fed_bytes: 2048,
+            start: 2.0,
+            end: 3.0,
+        });
+        rec.sanitize(SanitizeEvent {
+            launch,
+            array: "a".into(),
+            gpu: 2,
+            kind: "load-outside-window",
+            tid: 7,
+            idx: 9,
+            window: (6, 8),
+            at: 1.5,
+        });
+        rec.comm_elided(CommElided {
+            launch,
+            array: "t".into(),
+            skipped_bytes: 2048,
+            at: 3.0,
+        });
+        rec.inferred_annotation(InferredAnnotation {
+            kernel: "heat".into(),
+            array: "src".into(),
+            pragma: "#pragma acc localaccess(src) stride(cols)".into(),
+            at: 0.0,
+        });
+        let doc = rec.finish().chrome_trace();
+        assert_eq!(fnv1a64(doc.as_bytes()), 13_390_830_783_716_572_921, "{doc}");
     }
 }
