@@ -40,7 +40,9 @@
 use acc_compiler::CompiledKernel;
 use acc_gpusim::{BufferHandle, Endpoint, Gpu};
 use acc_kernel_ir::{DirtyMap, MissRecord, RmwOp, Value};
-use acc_obs::{CollectiveRound, CommElided, CommRound, MissReplay, TransferKind, TransferSpan};
+use acc_obs::{
+    CollectiveRound, CommElided, CommRound, Event, MissReplay, TransferKind, TransferSpan,
+};
 
 use crate::exec::Run;
 use crate::plan::{owner_of, CommStep, LaunchPlan};
@@ -167,12 +169,12 @@ impl<'a> Run<'a> {
                     }
                     let skipped = self.pending_sync_bytes(ap.arr);
                     self.arrays[ap.arr].sync_pending = true;
-                    self.rec.comm_elided(CommElided {
+                    self.rec.record(Event::Elided(CommElided {
                         launch: self.cur_launch,
                         array: self.prog.array_params[ap.arr].0.clone(),
                         skipped_bytes: skipped,
                         at: t2,
-                    });
+                    }));
                     t2
                 }
                 CommStep::ReplayMisses => {
@@ -314,7 +316,7 @@ impl<'a> Run<'a> {
             Endpoint::Gpu(g) => Some(g),
             Endpoint::Host => None,
         };
-        self.rec.transfer(TransferSpan {
+        self.rec.record(Event::Transfer(TransferSpan {
             kind: match (src, dst) {
                 (Endpoint::Host, _) => TransferKind::H2D,
                 (_, Endpoint::Host) => TransferKind::D2H,
@@ -327,7 +329,7 @@ impl<'a> Run<'a> {
             why,
             start,
             end,
-        });
+        }));
         (start, end)
     }
 
@@ -356,7 +358,7 @@ impl<'a> Run<'a> {
         let mut end = t2;
         for steps in &levels {
             end = self.price_steps(arr, steps, &sets, end, "sync", |run, step, bytes, start, end| {
-                run.rec.comm_round(CommRound {
+                run.rec.record(Event::Comm(CommRound {
                     launch: run.cur_launch,
                     array: run.prog.array_params[arr].0.clone(),
                     src: step.src,
@@ -365,7 +367,7 @@ impl<'a> Run<'a> {
                     bytes,
                     start,
                     end,
-                });
+                }));
                 end
             });
         }
@@ -499,7 +501,7 @@ impl<'a> Run<'a> {
             // Completing the writes is a small kernel on the owner.
             let spec = &run.machine.gpus[dst].spec;
             let end = arrived + spec.local_copy_time(records * elem as u64);
-            run.rec.miss_replay(MissReplay {
+            run.rec.record(Event::Miss(MissReplay {
                 launch: run.cur_launch,
                 array: name.to_string(),
                 src,
@@ -508,7 +510,7 @@ impl<'a> Run<'a> {
                 bytes,
                 start,
                 end,
-            });
+            }));
             end
         };
         Ok(self.price_steps(arr, &steps, &sets, t2, "miss", replayed))
@@ -584,7 +586,7 @@ impl<'a> Run<'a> {
                 let end = arrived + run.machine.gpus[dst].spec.local_copy_time(bytes);
                 let (launch, array) = (run.cur_launch, run.prog.array_params[arr].0.clone());
                 let round = CollectiveRound { launch, array, level, src, dst, bytes, start, end };
-                run.rec.collective_round(round);
+                run.rec.record(Event::Collective(round));
                 end
             };
             for round in rounds {

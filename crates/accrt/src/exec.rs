@@ -21,8 +21,8 @@ use acc_compiler::hostgen::CompiledClause;
 use acc_gpusim::{Endpoint, Gpu, Machine};
 use acc_kernel_ir as ir;
 use acc_obs::{
-    InferredAnnotation, LaunchSpan, MapperDecision, PhaseKind, Recorder, SanitizeEvent,
-    WavefrontRound,
+    Event, InferredAnnotation, LaunchSpan, MapperDecision, PhaseKind, PhaseSpan, Recorder,
+    SanitizeEvent, WavefrontRound,
 };
 use ir::interp::{eval_host_expr, rmw_apply, run_host_block};
 use ir::{
@@ -182,12 +182,12 @@ impl<'a> Run<'a> {
                         .localaccess
                         .as_ref()
                         .expect("inferred_used implies a localaccess");
-                    self.rec.inferred_annotation(InferredAnnotation {
+                    self.rec.record(Event::Inferred(InferredAnnotation {
                         kernel: ck.kernel.name.clone(),
                         array: cfg.name.clone(),
                         pragma: acc_compiler::render_annotation(&cfg.name, la, &prog.locals),
                         at: 0.0,
-                    });
+                    }));
                 }
             }
         }
@@ -237,7 +237,7 @@ impl<'a> Run<'a> {
             PhaseKind::Host | PhaseKind::Data => None,
             PhaseKind::Loader | PhaseKind::Kernel | PhaseKind::Comm => Some(self.cur_launch),
         };
-        self.rec.phase(launch, phase, self.now, to);
+        self.rec.record(Event::Phase(PhaseSpan { launch, phase, start: self.now, end: to }));
         self.now = to;
     }
 
@@ -680,7 +680,7 @@ impl<'a> Run<'a> {
             let mut out = run(&mut self.machine.gpus[g], job)?;
             (out.start, out.tg) = (start_g, self.gpu_kernel_time(ck, plan, g, &out));
             cursor = start_g + out.tg;
-            self.rec.wavefront_round(WavefrontRound {
+            self.rec.record(Event::Wavefront(WavefrontRound {
                 launch: self.cur_launch,
                 kernel: ck.kernel.name.clone(),
                 gpu: g,
@@ -688,7 +688,7 @@ impl<'a> Run<'a> {
                 fed_bytes: fed,
                 start: start_g,
                 end: cursor,
-            });
+            }));
             outs.push(out);
         }
         Ok(outs)
@@ -709,7 +709,7 @@ impl<'a> Run<'a> {
         for (g, out) in outs.iter().enumerate() {
             total_hits += out.sanitize_hits;
             for r in &out.sanitize_log {
-                self.rec.sanitize(SanitizeEvent {
+                self.rec.record(Event::Sanitize(SanitizeEvent {
                     launch: self.cur_launch,
                     array: name(r),
                     gpu: g,
@@ -722,7 +722,7 @@ impl<'a> Run<'a> {
                     idx: r.idx,
                     window: r.window,
                     at: t1,
-                });
+                }));
             }
             if first_violation.is_none() {
                 first_violation = out.sanitize_log.first().map(|r| (g, *r));
@@ -759,14 +759,14 @@ impl<'a> Run<'a> {
         for (g, out) in outs.iter().enumerate().filter(|(_, o)| o.ran) {
             tk = tk.max(out.start + out.tg - t1);
             self.kernel_counters.merge(&out.counters);
-            self.rec.launch_span(LaunchSpan {
+            self.rec.record(Event::Launch(LaunchSpan {
                 launch: self.cur_launch,
                 kernel: ck.kernel.name.clone(),
                 gpu: g,
                 rows: plan.tasks[g],
                 start: out.start,
                 end: out.start + out.tg,
-            });
+            }));
         }
         let overhead = self.machine.gpus[0].spec.launch_overhead_s;
         if outs.iter().all(|o| !o.ran) {
@@ -778,7 +778,7 @@ impl<'a> Run<'a> {
             // used, the history's prediction, and the measured cost the
             // next launch of this kernel will be cut from.
             let measured_s: Vec<f64> = outs.iter().map(|o| o.tg).collect();
-            self.rec.mapper_decision(MapperDecision {
+            self.rec.record(Event::Mapper(MapperDecision {
                 launch: self.cur_launch,
                 kernel: ck.kernel.name.clone(),
                 ranges: plan.tasks.clone(),
@@ -786,7 +786,7 @@ impl<'a> Run<'a> {
                 measured_s: measured_s.clone(),
                 from_history: *from_history,
                 at: t1,
-            });
+            }));
             let mut mapper = self.shared.mapper.lock().expect("mapper lock poisoned");
             mapper.record(kidx, &plan.tasks, &measured_s, overhead);
         }

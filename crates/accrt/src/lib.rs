@@ -42,9 +42,9 @@ use acc_compiler::CompiledProgram;
 use acc_gpusim::{Machine, MemError};
 use acc_kernel_ir::{Buffer, ExecError, Value};
 
-pub use acc_obs::{Trace, TraceLevel};
+pub use acc_obs::{TimeBreakdown, Trace, TraceLevel};
 pub use engine::{CompiledKernel, Engine, EngineStats};
-pub use profiler::{Profiler, TimeBreakdown};
+pub use profiler::Profiler;
 pub use ranges::RangeSet;
 
 /// The names most programs driving the runtime need:

@@ -29,7 +29,7 @@ use acc_gpusim::memory::AllocClass;
 use acc_gpusim::Endpoint;
 use acc_kernel_ir::interp::{rmw_apply_slice, rmw_identity};
 use acc_kernel_ir::{DirtyMap, RmwOp, Ty, Value};
-use acc_obs::{LoaderDecision, OverlapWindow};
+use acc_obs::{Event, LoaderDecision, OverlapWindow};
 
 use crate::exec::Run;
 use crate::plan::LaunchPlan;
@@ -104,14 +104,14 @@ impl<'a> Run<'a> {
         let mut bg_end = end;
         for f in bg {
             bg_end = bg_end.max(f.end);
-            self.rec.overlap_window(OverlapWindow {
+            self.rec.record(Event::Overlap(OverlapWindow {
                 launch: self.cur_launch,
                 array: self.prog.array_params[f.arr].0.clone(),
                 gpu: f.gpu,
                 bytes: f.bytes,
                 start: f.start,
                 end: f.end,
-            });
+            }));
         }
         Ok((end, bg_end))
     }
@@ -245,14 +245,14 @@ impl<'a> Run<'a> {
         };
         if missing.is_empty() {
             // Clean reuse of the resident window — the §IV-C fast path.
-            self.rec.loader_decision(LoaderDecision {
+            self.rec.record(Event::Loader(LoaderDecision {
                 launch: self.cur_launch,
                 array: self.prog.array_params[arr].0.clone(),
                 gpu: g,
                 reused: true,
                 bytes_moved: 0,
                 at: t0,
-            });
+            }));
             return Ok(t0);
         }
         // Data is about to move: a pending (elided) replica sync must
@@ -300,14 +300,14 @@ impl<'a> Run<'a> {
             end
         };
         let end = end.max(self.transfer(arr, &loads, None, t0, "load", load)?);
-        self.rec.loader_decision(LoaderDecision {
+        self.rec.record(Event::Loader(LoaderDecision {
             launch: self.cur_launch,
             array: self.prog.array_params[arr].0.clone(),
             gpu: g,
             reused: false,
             bytes_moved,
             at: end,
-        });
+        }));
         Ok(end)
     }
 
@@ -333,14 +333,14 @@ impl<'a> Run<'a> {
         let ga = &mut self.arrays[arr].gpu[g];
         ga.valid.clear();
         ga.red_private = true;
-        self.rec.loader_decision(LoaderDecision {
+        self.rec.record(Event::Loader(LoaderDecision {
             launch: self.cur_launch,
             array: self.prog.array_params[arr].0.clone(),
             gpu: g,
             reused: false,
             bytes_moved: 0,
             at: t0 + cost,
-        });
+        }));
         Ok(t0 + cost)
     }
 

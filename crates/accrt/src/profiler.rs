@@ -1,4 +1,5 @@
-//! Execution-time breakdown, mirroring Fig. 8's categories.
+//! The run-wide profiler: the phase-time breakdown (paper Fig. 8's
+//! categories) and counters of one run.
 //!
 //! "Each execution time is divided into the time spent on the data
 //! transfer between GPUs and GPUs (GPU-GPU), the time spent on the data
@@ -6,33 +7,7 @@
 //! of the GPU kernels (KERNELS)."
 
 use acc_kernel_ir::OpCounters;
-
-/// Accumulated simulated time per phase, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TimeBreakdown {
-    /// Kernel execution on the GPUs (or the CPU parallel regions for the
-    /// OpenMP baseline).
-    pub kernels: f64,
-    /// Data-loader transfers between the CPU memory and GPU memories.
-    pub cpu_gpu: f64,
-    /// Communication-manager transfers between GPU memories.
-    pub gpu_gpu: f64,
-    /// Sequential host code between parallel regions.
-    pub host: f64,
-}
-
-impl TimeBreakdown {
-    /// Total simulated wall-clock.
-    pub fn total(&self) -> f64 {
-        self.kernels + self.cpu_gpu + self.gpu_gpu + self.host
-    }
-
-    /// Time inside parallel regions (what the paper's Fig. 7/8 measure):
-    /// everything except sequential host code.
-    pub fn parallel_region(&self) -> f64 {
-        self.kernels + self.cpu_gpu + self.gpu_gpu
-    }
-}
+use acc_obs::TimeBreakdown;
 
 /// Run-wide profiler: phase times, work counters, transfer volumes.
 ///
@@ -85,15 +60,9 @@ impl Profiler {
     /// event stream. Work counters (`kernel_counters`/`host_counters`)
     /// are not in the stream and start at their defaults.
     pub fn from_trace(trace: &acc_obs::Trace) -> Profiler {
-        let totals = trace.totals();
         let c = trace.counters();
         Profiler {
-            time: TimeBreakdown {
-                kernels: totals.kernels,
-                cpu_gpu: totals.cpu_gpu,
-                gpu_gpu: totals.gpu_gpu,
-                host: totals.host,
-            },
+            time: trace.totals(),
             kernel_counters: OpCounters::default(),
             host_counters: OpCounters::default(),
             kernel_launches: c.kernel_launches as usize,

@@ -77,8 +77,8 @@ fn full_sanitize_observes_the_overlapped_run_bit_identically() {
     );
     assert!(r_full.trace.counters().overlap_windows > 0);
     assert_eq!(
-        r_plain.trace.render_text(),
-        r_full.trace.render_text(),
+        r_plain.trace.events(),
+        r_full.trace.events(),
         "event streams diverged under Full sanitize"
     );
 }

@@ -11,7 +11,7 @@
 //! to the format's microseconds.
 
 use crate::json::Value;
-use crate::{Event, Trace, TransferKind};
+use crate::{gpu_ids, Description, Event, Trace, Track};
 
 /// Thread id used for the host/phase track (GPUs use their own ids).
 pub const HOST_TID: usize = 1000;
@@ -21,37 +21,32 @@ fn us(t: f64) -> f64 {
     t * 1e6
 }
 
-fn span(
-    name: &str,
-    cat: &str,
-    tid: usize,
-    start: f64,
-    end: f64,
-    args: Vec<(&'static str, Value)>,
-) -> Value {
-    Value::obj([
-        ("name", Value::str(name)),
-        ("cat", Value::str(cat)),
-        ("ph", Value::str("X")),
-        ("ts", Value::Num(us(start))),
-        ("dur", Value::Num(us(end - start))),
-        ("pid", Value::num(0.0)),
-        ("tid", Value::num(tid as f64)),
-        ("args", Value::obj(args)),
-    ])
-}
-
-fn instant(name: &str, cat: &str, tid: usize, at: f64, args: Vec<(&'static str, Value)>) -> Value {
-    Value::obj([
-        ("name", Value::str(name)),
-        ("cat", Value::str(cat)),
-        ("ph", Value::str("i")),
-        ("ts", Value::Num(us(at))),
-        ("s", Value::str("t")),
-        ("pid", Value::num(0.0)),
-        ("tid", Value::num(tid as f64)),
-        ("args", Value::obj(args)),
-    ])
+/// One trace event: an `"X"` span, or an `"i"` instant when the
+/// description has no end.
+fn trace_event(d: Description) -> Value {
+    let tid = match d.track {
+        Track::Gpu(g) => g,
+        Track::Host => HOST_TID,
+    };
+    let timing = match d.end {
+        Some(end) => [
+            ("ph", Value::str("X")),
+            ("dur", Value::Num(us(end - d.start))),
+        ],
+        None => [("ph", Value::str("i")), ("s", Value::str("t"))],
+    };
+    Value::obj(
+        [
+            ("name", Value::Str(d.name)),
+            ("cat", Value::str(d.cat)),
+            ("ts", Value::Num(us(d.start))),
+            ("pid", Value::num(0.0)),
+            ("tid", Value::num(tid as f64)),
+            ("args", Value::obj(d.fields)),
+        ]
+        .into_iter()
+        .chain(timing),
+    )
 }
 
 fn thread_name(tid: usize, name: &str) -> Value {
@@ -60,10 +55,7 @@ fn thread_name(tid: usize, name: &str) -> Value {
         ("ph", Value::str("M")),
         ("pid", Value::num(0.0)),
         ("tid", Value::num(tid as f64)),
-        (
-            "args",
-            Value::obj([("name", Value::str(name))]),
-        ),
+        ("args", Value::obj([("name", Value::str(name))])),
     ])
 }
 
@@ -81,237 +73,11 @@ pub fn export(trace: &Trace) -> String {
         ),
     ]));
     events.push(thread_name(HOST_TID, "host / phases"));
-    for gpu in trace.gpus() {
+    let descriptions: Vec<Description> = trace.events().iter().map(Event::describe).collect();
+    for gpu in gpu_ids(&descriptions) {
         events.push(thread_name(gpu, &format!("GPU {gpu}")));
     }
-
-    for ev in trace.events() {
-        match ev {
-            Event::Phase(e) => {
-                let name = match e.launch {
-                    Some(l) => format!("{} (launch {l})", e.phase.name()),
-                    None => e.phase.name().to_string(),
-                };
-                events.push(span(
-                    &name,
-                    "phase",
-                    HOST_TID,
-                    e.start,
-                    e.end,
-                    vec![("phase", Value::str(e.phase.name()))],
-                ));
-            }
-            Event::Launch(e) => {
-                events.push(span(
-                    &format!("kernel {}", e.kernel),
-                    "kernel",
-                    e.gpu,
-                    e.start,
-                    e.end,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("rows_begin", Value::num(e.rows.0 as f64)),
-                        ("rows_end", Value::num(e.rows.1 as f64)),
-                    ],
-                ));
-            }
-            Event::Transfer(e) => {
-                let cat = match e.kind {
-                    TransferKind::H2D => "h2d",
-                    TransferKind::D2H => "d2h",
-                    TransferKind::P2P => "p2p",
-                };
-                let endpoint = |g: &Option<usize>| match g {
-                    Some(g) => Value::str(format!("gpu{g}")),
-                    None => Value::str("host"),
-                };
-                events.push(span(
-                    &format!("{} {} ({})", e.kind.name(), e.array, e.why),
-                    cat,
-                    e.gpu(),
-                    e.start,
-                    e.end,
-                    vec![
-                        ("array", Value::str(&e.array)),
-                        ("bytes", Value::num(e.bytes as f64)),
-                        ("src", endpoint(&e.src)),
-                        ("dst", endpoint(&e.dst)),
-                        ("why", Value::str(e.why)),
-                    ],
-                ));
-            }
-            Event::Comm(e) => {
-                events.push(span(
-                    &format!("sync {} g{}→g{}", e.array, e.src, e.dst),
-                    "comm",
-                    e.dst,
-                    e.start,
-                    e.end,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("chunks", Value::num(e.chunks as f64)),
-                        ("bytes", Value::num(e.bytes as f64)),
-                        ("src", Value::num(e.src as f64)),
-                        ("dst", Value::num(e.dst as f64)),
-                    ],
-                ));
-            }
-            Event::Loader(e) => {
-                events.push(instant(
-                    &format!(
-                        "loader {} {}",
-                        if e.reused { "reuse" } else { "load" },
-                        e.array
-                    ),
-                    "loader",
-                    e.gpu,
-                    e.at,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("reused", Value::Bool(e.reused)),
-                        ("bytes_moved", Value::num(e.bytes_moved as f64)),
-                    ],
-                ));
-            }
-            Event::Mapper(e) => {
-                let pair = |&(a, b): &(i64, i64)| {
-                    Value::Arr(vec![Value::num(a as f64), Value::num(b as f64)])
-                };
-                events.push(instant(
-                    &format!(
-                        "mapper {} {}",
-                        if e.from_history { "cost-model" } else { "equal" },
-                        e.kernel
-                    ),
-                    "mapper",
-                    HOST_TID,
-                    e.at,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("kernel", Value::str(&e.kernel)),
-                        ("from_history", Value::Bool(e.from_history)),
-                        ("ranges", Value::Arr(e.ranges.iter().map(pair).collect())),
-                        (
-                            "predicted_s",
-                            Value::Arr(e.predicted_s.iter().map(|&t| Value::Num(t)).collect()),
-                        ),
-                        (
-                            "measured_s",
-                            Value::Arr(e.measured_s.iter().map(|&t| Value::Num(t)).collect()),
-                        ),
-                    ],
-                ));
-            }
-            Event::Miss(e) => {
-                events.push(span(
-                    &format!("miss-replay {} g{}→g{}", e.array, e.src, e.dst),
-                    "miss",
-                    e.dst,
-                    e.start,
-                    e.end,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("records", Value::num(e.records as f64)),
-                        ("bytes", Value::num(e.bytes as f64)),
-                        ("src", Value::num(e.src as f64)),
-                        ("dst", Value::num(e.dst as f64)),
-                    ],
-                ));
-            }
-            Event::Collective(e) => {
-                events.push(span(
-                    &format!("collective {} {} g{}→g{}", e.level, e.array, e.src, e.dst),
-                    "collective",
-                    e.dst,
-                    e.start,
-                    e.end,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("level", Value::str(e.level)),
-                        ("bytes", Value::num(e.bytes as f64)),
-                        ("src", Value::num(e.src as f64)),
-                        ("dst", Value::num(e.dst as f64)),
-                    ],
-                ));
-            }
-            Event::Overlap(e) => {
-                events.push(span(
-                    &format!("overlap {} g{}", e.array, e.gpu),
-                    "overlap",
-                    e.gpu,
-                    e.start,
-                    e.end,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("bytes", Value::num(e.bytes as f64)),
-                    ],
-                ));
-            }
-            Event::Wavefront(e) => {
-                events.push(span(
-                    &format!("wavefront {} g{}", e.kernel, e.gpu),
-                    "wavefront",
-                    e.gpu,
-                    e.start,
-                    e.end,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("kernel", Value::str(&e.kernel)),
-                        ("round", Value::num(e.round as f64)),
-                        ("fed_bytes", Value::num(e.fed_bytes as f64)),
-                    ],
-                ));
-            }
-            Event::Sanitize(e) => {
-                events.push(instant(
-                    &format!("SANITIZE {} {}", e.kind, e.array),
-                    "sanitize",
-                    e.gpu,
-                    e.at,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("kind", Value::str(e.kind)),
-                        ("tid", Value::num(e.tid as f64)),
-                        ("idx", Value::num(e.idx as f64)),
-                        ("window_lo", Value::num(e.window.0 as f64)),
-                        ("window_hi", Value::num(e.window.1 as f64)),
-                    ],
-                ));
-            }
-            Event::Elided(e) => {
-                events.push(instant(
-                    &format!("comm-elided {}", e.array),
-                    "comm",
-                    HOST_TID,
-                    e.at,
-                    vec![
-                        ("launch", Value::num(e.launch as f64)),
-                        ("array", Value::str(&e.array)),
-                        ("skipped_bytes", Value::num(e.skipped_bytes as f64)),
-                    ],
-                ));
-            }
-            Event::Inferred(e) => {
-                events.push(instant(
-                    &format!("inferred localaccess {}", e.array),
-                    "infer",
-                    HOST_TID,
-                    e.at,
-                    vec![
-                        ("kernel", Value::str(&e.kernel)),
-                        ("array", Value::str(&e.array)),
-                        ("pragma", Value::str(&e.pragma)),
-                    ],
-                ));
-            }
-        }
-    }
+    events.extend(descriptions.into_iter().map(trace_event));
 
     Value::obj([
         ("traceEvents", Value::Arr(events)),
@@ -324,25 +90,30 @@ pub fn export(trace: &Trace) -> String {
 mod tests {
     use crate::json;
     use crate::{
-        CollectiveRound, CommElided, CommRound, InferredAnnotation, LaunchSpan, LoaderDecision,
-        MapperDecision, MissReplay, OverlapWindow, PhaseKind, Recorder, SanitizeEvent, TraceLevel,
-        TransferKind, TransferSpan, WavefrontRound,
+        CollectiveRound, CommElided, CommRound, Event, InferredAnnotation, LaunchSpan,
+        LoaderDecision, MapperDecision, MissReplay, OverlapWindow, PhaseKind, PhaseSpan, Recorder,
+        SanitizeEvent, TraceLevel, TransferKind, TransferSpan, WavefrontRound,
     };
 
     #[test]
     fn export_is_valid_json_with_expected_tracks() {
         let mut rec = Recorder::new(TraceLevel::Spans);
         let launch = rec.launch_begin();
-        rec.phase(Some(launch), PhaseKind::Kernel, 0.0, 2.0);
-        rec.launch_span(LaunchSpan {
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(launch),
+            phase: PhaseKind::Kernel,
+            start: 0.0,
+            end: 2.0,
+        }));
+        rec.record(Event::Launch(LaunchSpan {
             launch,
             kernel: "saxpy".into(),
             gpu: 1,
             rows: (0, 64),
             start: 0.0,
             end: 2.0,
-        });
-        rec.transfer(TransferSpan {
+        }));
+        rec.record(Event::Transfer(TransferSpan {
             kind: TransferKind::P2P,
             array: "x".into(),
             bytes: 256,
@@ -351,7 +122,7 @@ mod tests {
             why: "fill",
             start: 2.0,
             end: 2.5,
-        });
+        }));
         let doc = rec.finish().chrome_trace();
         let v = json::parse(&doc).expect("exporter must emit valid JSON");
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
@@ -380,22 +151,32 @@ mod tests {
     fn every_kind_exports_the_pinned_bytes() {
         let mut rec = Recorder::new(TraceLevel::Spans);
         let launch = rec.launch_begin();
-        rec.phase(Some(launch), PhaseKind::Loader, 0.0, 1.0);
-        rec.phase(None, PhaseKind::Host, 1.0, 1.25);
-        rec.launch_span(LaunchSpan {
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(launch),
+            phase: PhaseKind::Loader,
+            start: 0.0,
+            end: 1.0,
+        }));
+        rec.record(Event::Phase(PhaseSpan {
+            launch: None,
+            phase: PhaseKind::Host,
+            start: 1.0,
+            end: 1.25,
+        }));
+        rec.record(Event::Launch(LaunchSpan {
             launch,
             kernel: "k".into(),
             gpu: 0,
             rows: (0, 128),
             start: 1.0,
             end: 3.0,
-        });
+        }));
         for (kind, src, dst) in [
             (TransferKind::H2D, None, Some(1)),
             (TransferKind::D2H, Some(2), None),
             (TransferKind::P2P, Some(0), Some(3)),
         ] {
-            rec.transfer(TransferSpan {
+            rec.record(Event::Transfer(TransferSpan {
                 kind,
                 array: "a".into(),
                 bytes: 4096,
@@ -404,9 +185,9 @@ mod tests {
                 why: "fill",
                 start: 0.5,
                 end: 0.75,
-            });
+            }));
         }
-        rec.comm_round(CommRound {
+        rec.record(Event::Comm(CommRound {
             launch,
             array: "a".into(),
             src: 0,
@@ -415,16 +196,16 @@ mod tests {
             bytes: 512,
             start: 3.0,
             end: 3.25,
-        });
-        rec.loader_decision(LoaderDecision {
+        }));
+        rec.record(Event::Loader(LoaderDecision {
             launch,
             array: "b".into(),
             gpu: 1,
             reused: true,
             bytes_moved: 0,
             at: 1.0,
-        });
-        rec.mapper_decision(MapperDecision {
+        }));
+        rec.record(Event::Mapper(MapperDecision {
             launch,
             kernel: "k".into(),
             ranges: vec![(0, 64), (64, 128)],
@@ -432,8 +213,8 @@ mod tests {
             measured_s: vec![1.5e-3, 0.5e-3],
             from_history: true,
             at: 1.0,
-        });
-        rec.miss_replay(MissReplay {
+        }));
+        rec.record(Event::Miss(MissReplay {
             launch,
             array: "y".into(),
             src: 1,
@@ -442,8 +223,8 @@ mod tests {
             bytes: 48,
             start: 3.25,
             end: 3.5,
-        });
-        rec.collective_round(CollectiveRound {
+        }));
+        rec.record(Event::Collective(CollectiveRound {
             launch,
             array: "r".into(),
             level: "inter-island",
@@ -452,16 +233,16 @@ mod tests {
             bytes: 3200,
             start: 3.5,
             end: 4.0,
-        });
-        rec.overlap_window(OverlapWindow {
+        }));
+        rec.record(Event::Overlap(OverlapWindow {
             launch,
             array: "src".into(),
             gpu: 3,
             bytes: 1024,
             start: 1.0,
             end: 1.5,
-        });
-        rec.wavefront_round(WavefrontRound {
+        }));
+        rec.record(Event::Wavefront(WavefrontRound {
             launch,
             kernel: "heat".into(),
             gpu: 1,
@@ -469,8 +250,8 @@ mod tests {
             fed_bytes: 2048,
             start: 2.0,
             end: 3.0,
-        });
-        rec.sanitize(SanitizeEvent {
+        }));
+        rec.record(Event::Sanitize(SanitizeEvent {
             launch,
             array: "a".into(),
             gpu: 2,
@@ -479,19 +260,19 @@ mod tests {
             idx: 9,
             window: (6, 8),
             at: 1.5,
-        });
-        rec.comm_elided(CommElided {
+        }));
+        rec.record(Event::Elided(CommElided {
             launch,
             array: "t".into(),
             skipped_bytes: 2048,
             at: 3.0,
-        });
-        rec.inferred_annotation(InferredAnnotation {
+        }));
+        rec.record(Event::Inferred(InferredAnnotation {
             kernel: "heat".into(),
             array: "src".into(),
             pragma: "#pragma acc localaccess(src) stride(cols)".into(),
             at: 0.0,
-        });
+        }));
         let doc = rec.finish().chrome_trace();
         assert_eq!(fnv1a64(doc.as_bytes()), 13_390_830_783_716_572_921, "{doc}");
     }

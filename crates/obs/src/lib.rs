@@ -361,64 +361,264 @@ pub enum Event {
     Inferred(InferredAnnotation),
 }
 
-impl Event {
-    /// Start of the event's interval (point events report their instant).
-    pub fn start(&self) -> SimTime {
-        match self {
-            Event::Phase(e) => e.start,
-            Event::Launch(e) => e.start,
-            Event::Transfer(e) => e.start,
-            Event::Comm(e) => e.start,
-            Event::Loader(e) => e.at,
-            Event::Mapper(e) => e.at,
-            Event::Miss(e) => e.start,
-            Event::Collective(e) => e.start,
-            Event::Overlap(e) => e.start,
-            Event::Wavefront(e) => e.start,
-            Event::Sanitize(e) => e.at,
-            Event::Elided(e) => e.at,
-            Event::Inferred(e) => e.at,
+/// The timeline an event is drawn on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Track {
+    /// The host / phases track ([`chrome::HOST_TID`] in Chrome exports).
+    Host,
+    Gpu(usize),
+}
+
+/// How one event is drawn: what the Chrome exporter, the text log and
+/// the track list read, built by [`Event::describe`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Description {
+    pub name: String,
+    /// Chrome trace category.
+    pub cat: &'static str,
+    pub track: Track,
+    /// The other GPU of a pair event (a sync, replay or merge hop drawn
+    /// on its destination); it gets a track of its own.
+    pub peer: Option<usize>,
+    pub start: SimTime,
+    /// `None` for an instant.
+    pub end: Option<SimTime>,
+    /// The event's arguments, in display order.
+    pub fields: Vec<(&'static str, json::Value)>,
+}
+
+impl Description {
+    fn new(
+        name: String,
+        cat: &'static str,
+        track: Track,
+        start: SimTime,
+        end: Option<SimTime>,
+    ) -> Self {
+        Description {
+            name,
+            cat,
+            track,
+            peer: None,
+            start,
+            end,
+            fields: Vec::new(),
         }
     }
 
-    /// End of the event's interval (== start for point events).
-    pub fn end(&self) -> SimTime {
-        match self {
-            Event::Phase(e) => e.end,
-            Event::Launch(e) => e.end,
-            Event::Transfer(e) => e.end,
-            Event::Comm(e) => e.end,
-            Event::Loader(e) => e.at,
-            Event::Mapper(e) => e.at,
-            Event::Miss(e) => e.end,
-            Event::Collective(e) => e.end,
-            Event::Overlap(e) => e.end,
-            Event::Wavefront(e) => e.end,
-            Event::Sanitize(e) => e.at,
-            Event::Elided(e) => e.at,
-            Event::Inferred(e) => e.at,
+    fn peer(self, gpu: usize) -> Self {
+        Description {
+            peer: Some(gpu),
+            ..self
+        }
+    }
+
+    fn fields<const N: usize>(self, fields: [(&'static str, json::Value); N]) -> Self {
+        Description {
+            fields: fields.into(),
+            ..self
         }
     }
 }
 
-/// Phase-time totals accumulated from [`PhaseSpan`]s (the event-stream
-/// equivalent of the runtime's `TimeBreakdown`).
+impl Event {
+    /// The one per-kind description of how this event is drawn.
+    pub fn describe(&self) -> Description {
+        use json::Value;
+        use Track::{Gpu, Host};
+        let num = |x: f64| Value::Num(x);
+        let text = |s: &str| Value::str(s);
+        match self {
+            Event::Phase(e) => {
+                let name = match e.launch {
+                    Some(l) => format!("{} (launch {l})", e.phase.name()),
+                    None => e.phase.name().to_string(),
+                };
+                Description::new(name, "phase", Host, e.start, Some(e.end))
+                    .fields([("phase", text(e.phase.name()))])
+            }
+            Event::Launch(e) => Description::new(
+                format!("kernel {}", e.kernel),
+                "kernel",
+                Gpu(e.gpu),
+                e.start,
+                Some(e.end),
+            )
+            .fields([
+                ("launch", num(e.launch as f64)),
+                ("rows_begin", num(e.rows.0 as f64)),
+                ("rows_end", num(e.rows.1 as f64)),
+            ]),
+            Event::Transfer(e) => {
+                let name = format!("{} {} ({})", e.kind.name(), e.array, e.why);
+                let cat = match e.kind {
+                    TransferKind::H2D => "h2d",
+                    TransferKind::D2H => "d2h",
+                    TransferKind::P2P => "p2p",
+                };
+                let endpoint =
+                    |g: Option<usize>| g.map_or(text("host"), |g| Value::str(format!("gpu{g}")));
+                Description::new(name, cat, Gpu(e.gpu()), e.start, Some(e.end)).fields([
+                    ("array", text(&e.array)),
+                    ("bytes", num(e.bytes as f64)),
+                    ("src", endpoint(e.src)),
+                    ("dst", endpoint(e.dst)),
+                    ("why", text(e.why)),
+                ])
+            }
+            Event::Comm(e) => {
+                let name = format!("sync {} g{}→g{}", e.array, e.src, e.dst);
+                Description::new(name, "comm", Gpu(e.dst), e.start, Some(e.end))
+                    .peer(e.src)
+                    .fields([
+                        ("launch", num(e.launch as f64)),
+                        ("array", text(&e.array)),
+                        ("chunks", num(e.chunks as f64)),
+                        ("bytes", num(e.bytes as f64)),
+                        ("src", num(e.src as f64)),
+                        ("dst", num(e.dst as f64)),
+                    ])
+            }
+            Event::Loader(e) => {
+                let verdict = if e.reused { "reuse" } else { "load" };
+                Description::new(
+                    format!("loader {verdict} {}", e.array),
+                    "loader",
+                    Gpu(e.gpu),
+                    e.at,
+                    None,
+                )
+                .fields([
+                    ("launch", num(e.launch as f64)),
+                    ("array", text(&e.array)),
+                    ("reused", Value::Bool(e.reused)),
+                    ("bytes_moved", num(e.bytes_moved as f64)),
+                ])
+            }
+            Event::Mapper(e) => {
+                let how = if e.from_history {
+                    "cost-model"
+                } else {
+                    "equal"
+                };
+                let pair = |&(a, b): &(i64, i64)| Value::Arr(vec![num(a as f64), num(b as f64)]);
+                let secs = |s: &[f64]| Value::Arr(s.iter().map(|&t| num(t)).collect());
+                Description::new(
+                    format!("mapper {how} {}", e.kernel),
+                    "mapper",
+                    Host,
+                    e.at,
+                    None,
+                )
+                .fields([
+                    ("launch", num(e.launch as f64)),
+                    ("kernel", text(&e.kernel)),
+                    ("from_history", Value::Bool(e.from_history)),
+                    ("ranges", Value::Arr(e.ranges.iter().map(pair).collect())),
+                    ("predicted_s", secs(&e.predicted_s)),
+                    ("measured_s", secs(&e.measured_s)),
+                ])
+            }
+            Event::Miss(e) => {
+                let name = format!("miss-replay {} g{}→g{}", e.array, e.src, e.dst);
+                Description::new(name, "miss", Gpu(e.dst), e.start, Some(e.end))
+                    .peer(e.src)
+                    .fields([
+                        ("launch", num(e.launch as f64)),
+                        ("array", text(&e.array)),
+                        ("records", num(e.records as f64)),
+                        ("bytes", num(e.bytes as f64)),
+                        ("src", num(e.src as f64)),
+                        ("dst", num(e.dst as f64)),
+                    ])
+            }
+            Event::Collective(e) => {
+                let name = format!("collective {} {} g{}→g{}", e.level, e.array, e.src, e.dst);
+                Description::new(name, "collective", Gpu(e.dst), e.start, Some(e.end))
+                    .peer(e.src)
+                    .fields([
+                        ("launch", num(e.launch as f64)),
+                        ("array", text(&e.array)),
+                        ("level", text(e.level)),
+                        ("bytes", num(e.bytes as f64)),
+                        ("src", num(e.src as f64)),
+                        ("dst", num(e.dst as f64)),
+                    ])
+            }
+            Event::Overlap(e) => {
+                let name = format!("overlap {} g{}", e.array, e.gpu);
+                Description::new(name, "overlap", Gpu(e.gpu), e.start, Some(e.end)).fields([
+                    ("launch", num(e.launch as f64)),
+                    ("array", text(&e.array)),
+                    ("bytes", num(e.bytes as f64)),
+                ])
+            }
+            Event::Wavefront(e) => {
+                let name = format!("wavefront {} g{}", e.kernel, e.gpu);
+                Description::new(name, "wavefront", Gpu(e.gpu), e.start, Some(e.end)).fields([
+                    ("launch", num(e.launch as f64)),
+                    ("kernel", text(&e.kernel)),
+                    ("round", num(e.round as f64)),
+                    ("fed_bytes", num(e.fed_bytes as f64)),
+                ])
+            }
+            Event::Sanitize(e) => {
+                let name = format!("SANITIZE {} {}", e.kind, e.array);
+                Description::new(name, "sanitize", Gpu(e.gpu), e.at, None).fields([
+                    ("launch", num(e.launch as f64)),
+                    ("array", text(&e.array)),
+                    ("kind", text(e.kind)),
+                    ("tid", num(e.tid as f64)),
+                    ("idx", num(e.idx as f64)),
+                    ("window_lo", num(e.window.0 as f64)),
+                    ("window_hi", num(e.window.1 as f64)),
+                ])
+            }
+            Event::Elided(e) => {
+                Description::new(format!("comm-elided {}", e.array), "comm", Host, e.at, None)
+                    .fields([
+                        ("launch", num(e.launch as f64)),
+                        ("array", text(&e.array)),
+                        ("skipped_bytes", num(e.skipped_bytes as f64)),
+                    ])
+            }
+            Event::Inferred(e) => {
+                let name = format!("inferred localaccess {}", e.array);
+                Description::new(name, "infer", Host, e.at, None).fields([
+                    ("kernel", text(&e.kernel)),
+                    ("array", text(&e.array)),
+                    ("pragma", text(&e.pragma)),
+                ])
+            }
+        }
+    }
+}
+
+/// Simulated time per phase category, accumulated from [`PhaseSpan`]s
+/// (paper Fig. 8's KERNELS / CPU-GPU / GPU-GPU breakdown plus host code).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTotals {
-    /// Kernel phases (slowest GPU per launch).
+pub struct TimeBreakdown {
+    /// Kernel phases: the slowest GPU per launch (or the CPU parallel
+    /// regions of the OpenMP baseline).
     pub kernels: SimTime,
     /// Loader phases plus data-region CPU↔GPU traffic.
     pub cpu_gpu: SimTime,
-    /// Communication phases.
+    /// Communication phases (transfers between GPU memories).
     pub gpu_gpu: SimTime,
-    /// Host compute.
+    /// Sequential host code between parallel regions.
     pub host: SimTime,
 }
 
-impl PhaseTotals {
-    /// Sum over all categories.
+impl TimeBreakdown {
+    /// Sum over all categories: the simulated wall-clock.
     pub fn total(&self) -> SimTime {
         self.kernels + self.cpu_gpu + self.gpu_gpu + self.host
+    }
+
+    /// Time inside parallel regions (what the paper's Fig. 7/8 measure):
+    /// everything except sequential host code.
+    pub fn parallel_region(&self) -> SimTime {
+        self.kernels + self.cpu_gpu + self.gpu_gpu
     }
 }
 
@@ -469,7 +669,7 @@ pub struct Counters {
 pub struct Recorder {
     level: TraceLevel,
     events: Vec<Event>,
-    totals: PhaseTotals,
+    totals: TimeBreakdown,
     counters: Counters,
 }
 
@@ -478,7 +678,7 @@ impl Recorder {
         Recorder {
             level,
             events: Vec::new(),
-            totals: PhaseTotals::default(),
+            totals: TimeBreakdown::default(),
             counters: Counters::default(),
         }
     }
@@ -489,7 +689,7 @@ impl Recorder {
     }
 
     /// Totals accumulated so far.
-    pub fn totals(&self) -> PhaseTotals {
+    pub fn totals(&self) -> TimeBreakdown {
         self.totals
     }
 
@@ -498,32 +698,55 @@ impl Recorder {
         self.counters
     }
 
-    /// Record a phase interval. Zero-length intervals still count toward
-    /// totals (they are exact zeros) but are not retained as events.
-    pub fn phase(&mut self, launch: Option<u64>, phase: PhaseKind, start: SimTime, end: SimTime) {
-        debug_assert!(end >= start, "phase interval runs backwards");
-        let dt = end - start;
-        match phase {
-            PhaseKind::Kernel => self.totals.kernels += dt,
-            PhaseKind::Loader | PhaseKind::Data => self.totals.cpu_gpu += dt,
-            PhaseKind::Comm => self.totals.gpu_gpu += dt,
-            PhaseKind::Host => self.totals.host += dt,
+    /// Record one event: add what it counts to the totals and counters
+    /// (at every level), and keep it if the recorder's level does —
+    /// transfers and miss replays at [`TraceLevel::Spans`], every other
+    /// kind at [`TraceLevel::Summary`]. A phase of zero length still
+    /// counts toward the totals (it is an exact zero) but is not kept.
+    pub fn record(&mut self, ev: Event) {
+        let c = &mut self.counters;
+        let mut keep = self.level.keeps_summary();
+        match &ev {
+            Event::Phase(e) => {
+                debug_assert!(e.end >= e.start, "phase interval runs backwards");
+                let dt = e.end - e.start;
+                *match e.phase {
+                    PhaseKind::Kernel => &mut self.totals.kernels,
+                    PhaseKind::Loader | PhaseKind::Data => &mut self.totals.cpu_gpu,
+                    PhaseKind::Comm => &mut self.totals.gpu_gpu,
+                    PhaseKind::Host => &mut self.totals.host,
+                } += dt;
+                keep &= dt > 0.0;
+            }
+            Event::Launch(_) => {}
+            Event::Transfer(e) => {
+                *match e.kind {
+                    TransferKind::H2D => &mut c.h2d_bytes,
+                    TransferKind::D2H => &mut c.d2h_bytes,
+                    TransferKind::P2P => &mut c.p2p_bytes,
+                } += e.bytes;
+                keep = self.level.keeps_spans();
+            }
+            Event::Comm(e) => c.dirty_chunks_sent += e.chunks,
+            Event::Loader(e) if e.reused => c.loader_reuses += 1,
+            Event::Loader(_) => c.loader_loads += 1,
+            Event::Mapper(e) => c.mapper_model_splits += u64::from(e.from_history),
+            Event::Miss(e) => {
+                c.miss_records += e.records;
+                keep = self.level.keeps_spans();
+            }
+            Event::Collective(_) => c.collective_rounds += 1,
+            Event::Overlap(_) => c.overlap_windows += 1,
+            Event::Wavefront(_) => c.wavefront_rounds += 1,
+            Event::Sanitize(_) => c.sanitize_violations += 1,
+            Event::Elided(e) => {
+                c.comm_elisions += 1;
+                c.comm_elided_bytes += e.skipped_bytes;
+            }
+            Event::Inferred(_) => c.inferred_annotations += 1,
         }
-        if self.level.keeps_summary() && dt > 0.0 {
-            self.events.push(Event::Phase(PhaseSpan {
-                launch,
-                phase,
-                start,
-                end,
-            }));
-        }
-    }
-
-    /// Record one GPU's kernel execution. Call once per launch per GPU;
-    /// the launch counter is bumped by [`Recorder::launch_begin`].
-    pub fn launch_span(&mut self, span: LaunchSpan) {
-        if self.level.keeps_summary() {
-            self.events.push(Event::Launch(span));
+        if keep {
+            self.events.push(ev);
         }
     }
 
@@ -534,111 +757,10 @@ impl Recorder {
         id
     }
 
-    /// Record a bus transfer (also feeds the byte counters).
-    pub fn transfer(&mut self, span: TransferSpan) {
-        match span.kind {
-            TransferKind::H2D => self.counters.h2d_bytes += span.bytes,
-            TransferKind::D2H => self.counters.d2h_bytes += span.bytes,
-            TransferKind::P2P => self.counters.p2p_bytes += span.bytes,
-        }
-        if self.level.keeps_spans() {
-            self.events.push(Event::Transfer(span));
-        }
-    }
-
-    /// Record a replica-sync round (also counts its dirty chunks).
-    pub fn comm_round(&mut self, round: CommRound) {
-        self.counters.dirty_chunks_sent += round.chunks;
-        if self.level.keeps_summary() {
-            self.events.push(Event::Comm(round));
-        }
-    }
-
-    /// Record a loader decision.
-    pub fn loader_decision(&mut self, d: LoaderDecision) {
-        if d.reused {
-            self.counters.loader_reuses += 1;
-        } else {
-            self.counters.loader_loads += 1;
-        }
-        if self.level.keeps_summary() {
-            self.events.push(Event::Loader(d));
-        }
-    }
-
-    /// Record a task-mapper split decision (cost-model splits are also
-    /// counted).
-    pub fn mapper_decision(&mut self, d: MapperDecision) {
-        if d.from_history {
-            self.counters.mapper_model_splits += 1;
-        }
-        if self.level.keeps_summary() {
-            self.events.push(Event::Mapper(d));
-        }
-    }
-
-    /// Record a miss replay (also counts its records).
-    pub fn miss_replay(&mut self, m: MissReplay) {
-        self.counters.miss_records += m.records;
-        if self.level.keeps_spans() {
-            self.events.push(Event::Miss(m));
-        }
-    }
-
-    /// Record one round of a topology-aware collective (also counts it).
-    pub fn collective_round(&mut self, r: CollectiveRound) {
-        self.counters.collective_rounds += 1;
-        if self.level.keeps_summary() {
-            self.events.push(Event::Collective(r));
-        }
-    }
-
-    /// Record a double-buffered halo-fill overlap window (also counts it).
-    pub fn overlap_window(&mut self, w: OverlapWindow) {
-        self.counters.overlap_windows += 1;
-        if self.level.keeps_summary() {
-            self.events.push(Event::Overlap(w));
-        }
-    }
-
     /// Count the seconds overlap saved one launch, rounded to
     /// nanoseconds (see [`Counters::overlap_hidden_ns`]).
     pub fn overlap_saved(&mut self, saved: SimTime) {
         self.counters.overlap_hidden_ns += (saved * 1e9).round() as u64;
-    }
-
-    /// Record one GPU's turn in a wavefront schedule (also counts it).
-    pub fn wavefront_round(&mut self, r: WavefrontRound) {
-        self.counters.wavefront_rounds += 1;
-        if self.level.keeps_summary() {
-            self.events.push(Event::Wavefront(r));
-        }
-    }
-
-    /// Record a runtime-sanitizer violation (also counts it).
-    pub fn sanitize(&mut self, e: SanitizeEvent) {
-        self.counters.sanitize_violations += 1;
-        if self.level.keeps_summary() {
-            self.events.push(Event::Sanitize(e));
-        }
-    }
-
-    /// Record a skipped replica sync (also counts it and its bytes).
-    pub fn comm_elided(&mut self, e: CommElided) {
-        self.counters.comm_elisions += 1;
-        self.counters.comm_elided_bytes += e.skipped_bytes;
-        if self.level.keeps_summary() {
-            self.events.push(Event::Elided(e));
-        }
-    }
-
-    /// Record an inferred-and-consumed `localaccess` annotation (also
-    /// counts it).
-    pub fn inferred_annotation(&mut self, e: InferredAnnotation) {
-        self.counters.inferred_annotations += 1;
-        if self.level.keeps_summary() {
-            self.events.push(Event::Inferred(e));
-        }
     }
 
     /// Finish recording.
@@ -657,7 +779,7 @@ impl Recorder {
 pub struct Trace {
     level: TraceLevel,
     events: Vec<Event>,
-    totals: PhaseTotals,
+    totals: TimeBreakdown,
     counters: Counters,
 }
 
@@ -673,7 +795,7 @@ impl Trace {
     }
 
     /// Phase totals derived from the event stream.
-    pub fn totals(&self) -> PhaseTotals {
+    pub fn totals(&self) -> TimeBreakdown {
         self.totals
     }
 
@@ -684,38 +806,8 @@ impl Trace {
 
     /// GPU ids that appear in any retained event, ascending.
     pub fn gpus(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = Vec::new();
-        let mut push = |g: usize| {
-            if !ids.contains(&g) {
-                ids.push(g);
-            }
-        };
-        for ev in &self.events {
-            match ev {
-                Event::Launch(e) => push(e.gpu),
-                Event::Transfer(e) => push(e.gpu()),
-                Event::Comm(e) => {
-                    push(e.src);
-                    push(e.dst);
-                }
-                Event::Loader(e) => push(e.gpu),
-                Event::Mapper(_) => {}
-                Event::Miss(e) => {
-                    push(e.src);
-                    push(e.dst);
-                }
-                Event::Collective(e) => {
-                    push(e.src);
-                    push(e.dst);
-                }
-                Event::Overlap(e) => push(e.gpu),
-                Event::Wavefront(e) => push(e.gpu),
-                Event::Sanitize(e) => push(e.gpu),
-                Event::Phase(_) | Event::Elided(_) | Event::Inferred(_) => {}
-            }
-        }
-        ids.sort_unstable();
-        ids
+        let descriptions: Vec<Description> = self.events.iter().map(Event::describe).collect();
+        gpu_ids(&descriptions)
     }
 
     /// The occupancy spans of one GPU's timeline — its kernel executions
@@ -724,19 +816,13 @@ impl Trace {
     /// serializes each GPU's link and the BSP phases are sequential.
     pub fn gpu_timeline(&self, gpu: usize) -> Vec<(SimTime, SimTime, String)> {
         let mut spans: Vec<(SimTime, SimTime, String)> = Vec::new();
-        for ev in &self.events {
-            match ev {
-                Event::Launch(e) if e.gpu == gpu => {
-                    spans.push((e.start, e.end, format!("kernel {}", e.kernel)));
+        for d in self.events.iter().map(Event::describe) {
+            if let (Track::Gpu(g), Some(end), "kernel" | "h2d" | "d2h" | "p2p") =
+                (d.track, d.end, d.cat)
+            {
+                if g == gpu {
+                    spans.push((d.start, end, d.name));
                 }
-                Event::Transfer(e) if e.gpu() == gpu => {
-                    spans.push((
-                        e.start,
-                        e.end,
-                        format!("{} {} ({})", e.kind.name(), e.array, e.why),
-                    ));
-                }
-                _ => {}
             }
         }
         spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
@@ -753,10 +839,28 @@ impl Trace {
         summary::table(self)
     }
 
-    /// Render the legacy line-per-event textual trace (see [`summary`]).
+    /// Render one line per event (see [`summary::render_text`]).
     pub fn render_text(&self) -> Vec<String> {
         summary::render_text(self)
     }
+}
+
+/// The GPUs the described events are drawn on or pair with, ascending.
+pub(crate) fn gpu_ids(descriptions: &[Description]) -> Vec<usize> {
+    let mut ids: Vec<usize> = Vec::new();
+    for d in descriptions {
+        let own = match d.track {
+            Track::Gpu(g) => Some(g),
+            Track::Host => None,
+        };
+        for g in own.into_iter().chain(d.peer) {
+            if !ids.contains(&g) {
+                ids.push(g);
+            }
+        }
+    }
+    ids.sort_unstable();
+    ids
 }
 
 #[cfg(test)]
@@ -766,8 +870,13 @@ mod tests {
     fn sample_recorder(level: TraceLevel) -> Recorder {
         let mut rec = Recorder::new(level);
         let launch = rec.launch_begin();
-        rec.phase(Some(launch), PhaseKind::Loader, 0.0, 1.0);
-        rec.transfer(TransferSpan {
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(launch),
+            phase: PhaseKind::Loader,
+            start: 0.0,
+            end: 1.0,
+        }));
+        rec.record(Event::Transfer(TransferSpan {
             kind: TransferKind::H2D,
             array: "a".into(),
             bytes: 4096,
@@ -776,26 +885,36 @@ mod tests {
             why: "window",
             start: 0.0,
             end: 1.0,
-        });
-        rec.loader_decision(LoaderDecision {
+        }));
+        rec.record(Event::Loader(LoaderDecision {
             launch,
             array: "a".into(),
             gpu: 0,
             reused: false,
             bytes_moved: 4096,
             at: 1.0,
-        });
-        rec.phase(Some(launch), PhaseKind::Kernel, 1.0, 3.0);
-        rec.launch_span(LaunchSpan {
+        }));
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(launch),
+            phase: PhaseKind::Kernel,
+            start: 1.0,
+            end: 3.0,
+        }));
+        rec.record(Event::Launch(LaunchSpan {
             launch,
             kernel: "k".into(),
             gpu: 0,
             rows: (0, 128),
             start: 1.0,
             end: 3.0,
-        });
-        rec.phase(Some(launch), PhaseKind::Comm, 3.0, 3.5);
-        rec.comm_round(CommRound {
+        }));
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(launch),
+            phase: PhaseKind::Comm,
+            start: 3.0,
+            end: 3.5,
+        }));
+        rec.record(Event::Comm(CommRound {
             launch,
             array: "a".into(),
             src: 0,
@@ -804,8 +923,13 @@ mod tests {
             bytes: 512,
             start: 3.0,
             end: 3.25,
-        });
-        rec.phase(None, PhaseKind::Host, 3.5, 4.0);
+        }));
+        rec.record(Event::Phase(PhaseSpan {
+            launch: None,
+            phase: PhaseKind::Host,
+            start: 3.5,
+            end: 4.0,
+        }));
         rec
     }
 
@@ -829,15 +953,24 @@ mod tests {
 
     #[test]
     fn level_controls_event_retention() {
-        assert!(sample_recorder(TraceLevel::Off).finish().events().is_empty());
+        assert!(sample_recorder(TraceLevel::Off)
+            .finish()
+            .events()
+            .is_empty());
         let summary = sample_recorder(TraceLevel::Summary).finish();
         assert!(summary
             .events()
             .iter()
             .all(|e| !matches!(e, Event::Transfer(_))));
-        assert!(summary.events().iter().any(|e| matches!(e, Event::Launch(_))));
+        assert!(summary
+            .events()
+            .iter()
+            .any(|e| matches!(e, Event::Launch(_))));
         let spans = sample_recorder(TraceLevel::Spans).finish();
-        assert!(spans.events().iter().any(|e| matches!(e, Event::Transfer(_))));
+        assert!(spans
+            .events()
+            .iter()
+            .any(|e| matches!(e, Event::Transfer(_))));
         assert!(spans.events().len() > summary.events().len());
     }
 
@@ -846,7 +979,7 @@ mod tests {
         let mk = |level| {
             let mut rec = Recorder::new(level);
             let launch = rec.launch_begin();
-            rec.sanitize(SanitizeEvent {
+            rec.record(Event::Sanitize(SanitizeEvent {
                 launch,
                 array: "a".into(),
                 gpu: 2,
@@ -855,7 +988,7 @@ mod tests {
                 idx: 9,
                 window: (6, 8),
                 at: 1.5,
-            });
+            }));
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
@@ -875,7 +1008,7 @@ mod tests {
         let mk = |level, from_history| {
             let mut rec = Recorder::new(level);
             let launch = rec.launch_begin();
-            rec.mapper_decision(MapperDecision {
+            rec.record(Event::Mapper(MapperDecision {
                 launch,
                 kernel: "bfs".into(),
                 ranges: vec![(0, 700), (700, 900), (900, 1000)],
@@ -883,7 +1016,7 @@ mod tests {
                 measured_s: vec![1.1e-3, 0.9e-3, 1.0e-3],
                 from_history,
                 at: 0.5,
-            });
+            }));
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
@@ -893,7 +1026,11 @@ mod tests {
         assert!(mk(TraceLevel::Off, true).events().is_empty());
         let t = mk(TraceLevel::Summary, true);
         assert!(matches!(t.events()[0], Event::Mapper(_)));
-        assert_eq!(t.gpus(), Vec::<usize>::new(), "mapper events live on the host track");
+        assert_eq!(
+            t.gpus(),
+            Vec::<usize>::new(),
+            "mapper events live on the host track"
+        );
         assert!(t.chrome_trace().contains("mapper cost-model bfs"));
         assert!(t.summary_table().contains("mapper model splits"));
         assert!(t.render_text()[0].contains("mapper cost-model"));
@@ -904,12 +1041,12 @@ mod tests {
         let mk = |level| {
             let mut rec = Recorder::new(level);
             let launch = rec.launch_begin();
-            rec.comm_elided(CommElided {
+            rec.record(Event::Elided(CommElided {
                 launch,
                 array: "t".into(),
                 skipped_bytes: 2048,
                 at: 3.0,
-            });
+            }));
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
@@ -920,7 +1057,11 @@ mod tests {
         assert!(mk(TraceLevel::Off).events().is_empty());
         let t = mk(TraceLevel::Summary);
         assert!(matches!(t.events()[0], Event::Elided(_)));
-        assert_eq!(t.gpus(), Vec::<usize>::new(), "elision events live on the host track");
+        assert_eq!(
+            t.gpus(),
+            Vec::<usize>::new(),
+            "elision events live on the host track"
+        );
         assert!(t.chrome_trace().contains("comm-elided t"));
         assert!(t.summary_table().contains("comm elisions"));
         assert!(t.render_text()[0].contains("comm-elided"));
@@ -930,12 +1071,12 @@ mod tests {
     fn inferred_annotations_count_and_export() {
         let mk = |level| {
             let mut rec = Recorder::new(level);
-            rec.inferred_annotation(InferredAnnotation {
+            rec.record(Event::Inferred(InferredAnnotation {
                 kernel: "heat".into(),
                 array: "src".into(),
                 pragma: "#pragma acc localaccess(src) stride(cols)".into(),
                 at: 0.0,
-            });
+            }));
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
@@ -954,7 +1095,7 @@ mod tests {
         let mk = |level| {
             let mut rec = Recorder::new(level);
             let launch = rec.launch_begin();
-            rec.collective_round(CollectiveRound {
+            rec.record(Event::Collective(CollectiveRound {
                 launch,
                 array: "newrank".into(),
                 level: "inter-island",
@@ -963,7 +1104,7 @@ mod tests {
                 bytes: 3200,
                 start: 4.0,
                 end: 4.5,
-            });
+            }));
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
@@ -983,14 +1124,14 @@ mod tests {
         let mk = |level| {
             let mut rec = Recorder::new(level);
             let launch = rec.launch_begin();
-            rec.overlap_window(OverlapWindow {
+            rec.record(Event::Overlap(OverlapWindow {
                 launch,
                 array: "src".into(),
                 gpu: 3,
                 bytes: 4096,
                 start: 1.0,
                 end: 1.5,
-            });
+            }));
             rec.overlap_saved(0.25);
             rec.finish()
         };
@@ -1005,7 +1146,10 @@ mod tests {
         assert_eq!(t.gpus(), vec![3]);
         assert!(t.chrome_trace().contains("overlap src g3"));
         assert!(t.summary_table().contains("overlap windows"));
-        assert!(t.render_text()[0].contains("overlap src gpu=3 4096B dur=0.500000s"));
+        assert_eq!(
+            t.render_text()[0],
+            "[1.000000s] overlap src g3 launch=0 array=src bytes=4096 dur=0.500000s"
+        );
     }
 
     #[test]
@@ -1013,7 +1157,7 @@ mod tests {
         let mk = |level| {
             let mut rec = Recorder::new(level);
             let launch = rec.launch_begin();
-            rec.wavefront_round(WavefrontRound {
+            rec.record(Event::Wavefront(WavefrontRound {
                 launch,
                 kernel: "heat".into(),
                 gpu: 1,
@@ -1021,7 +1165,7 @@ mod tests {
                 fed_bytes: 2048,
                 start: 2.0,
                 end: 3.0,
-            });
+            }));
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {

@@ -1,9 +1,11 @@
 //! Plain-text renderings of a [`Trace`]: the per-phase/per-GPU summary
-//! table used by the figures binary, and the legacy line-per-event trace.
+//! table used by the figures binary, and the line-per-event log.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::{Event, Trace, TransferKind};
+use crate::json::Value;
+use crate::{Description, Event, Trace, TransferKind};
 
 fn ms(t: f64) -> f64 {
     t * 1e3
@@ -37,7 +39,11 @@ pub fn table(trace: &Trace) -> String {
         ("GPU-GPU", totals.gpu_gpu),
         ("host", totals.host),
     ] {
-        out.push_str(&format!("  {name:<10} {:>12.3} {:>7.1}%\n", ms(t), share(t)));
+        out.push_str(&format!(
+            "  {name:<10} {:>12.3} {:>7.1}%\n",
+            ms(t),
+            share(t)
+        ));
     }
     out.push_str(&format!("  {:<10} {:>12.3}\n", "total", ms(total)));
 
@@ -106,143 +112,50 @@ pub fn table(trace: &Trace) -> String {
     out
 }
 
-/// Render the legacy one-line-per-event textual trace (what the runtime's
-/// old `Profiler::trace` strings looked like).
+/// Render one line per event from its [`Description`]: its start, name
+/// and fields, then its length unless it is an instant, e.g.
+/// `[0.000100s] sync a g0→g1 launch=0 array=a chunks=2 bytes=512 src=0 dst=1 dur=0.000020s`.
 pub fn render_text(trace: &Trace) -> Vec<String> {
-    let mut lines = Vec::new();
-    for ev in trace.events() {
-        let line = match ev {
-            Event::Phase(e) => match e.launch {
-                Some(l) => format!(
-                    "[{:.6}s] phase {} launch={l} dur={:.6}s",
-                    e.start,
-                    e.phase.name(),
-                    e.end - e.start
-                ),
-                None => format!(
-                    "[{:.6}s] phase {} dur={:.6}s",
-                    e.start,
-                    e.phase.name(),
-                    e.end - e.start
-                ),
-            },
-            Event::Launch(e) => format!(
-                "[{:.6}s] launch {} kernel={} gpu={} rows={}..{} dur={:.6}s",
-                e.start,
-                e.launch,
-                e.kernel,
-                e.gpu,
-                e.rows.0,
-                e.rows.1,
-                e.end - e.start
-            ),
-            Event::Transfer(e) => {
-                let ep = |g: &Option<usize>| match g {
-                    Some(g) => format!("gpu{g}"),
-                    None => "host".to_string(),
-                };
-                format!(
-                    "[{:.6}s] {} {} {}→{} {}B ({}) dur={:.6}s",
-                    e.start,
-                    e.kind.name(),
-                    e.array,
-                    ep(&e.src),
-                    ep(&e.dst),
-                    e.bytes,
-                    e.why,
-                    e.end - e.start
-                )
-            }
-            Event::Comm(e) => format!(
-                "[{:.6}s] sync {} gpu{}→gpu{} chunks={} {}B dur={:.6}s",
-                e.start,
-                e.array,
-                e.src,
-                e.dst,
-                e.chunks,
-                e.bytes,
-                e.end - e.start
-            ),
-            Event::Loader(e) => format!(
-                "[{:.6}s] loader {} {} gpu={} moved={}B",
-                e.at,
-                if e.reused { "reuse" } else { "load" },
-                e.array,
-                e.gpu,
-                e.bytes_moved
-            ),
-            Event::Mapper(e) => format!(
-                "[{:.6}s] mapper {} kernel={} ranges={:?}",
-                e.at,
-                if e.from_history { "cost-model" } else { "equal" },
-                e.kernel,
-                e.ranges
-            ),
-            Event::Miss(e) => format!(
-                "[{:.6}s] miss-replay {} gpu{}→gpu{} records={} {}B dur={:.6}s",
-                e.start,
-                e.array,
-                e.src,
-                e.dst,
-                e.records,
-                e.bytes,
-                e.end - e.start
-            ),
-            Event::Collective(e) => format!(
-                "[{:.6}s] collective {} {} gpu{}→gpu{} {}B dur={:.6}s",
-                e.start,
-                e.level,
-                e.array,
-                e.src,
-                e.dst,
-                e.bytes,
-                e.end - e.start
-            ),
-            Event::Overlap(e) => format!(
-                "[{:.6}s] overlap {} gpu={} {}B dur={:.6}s",
-                e.start,
-                e.array,
-                e.gpu,
-                e.bytes,
-                e.end - e.start
-            ),
-            Event::Wavefront(e) => format!(
-                "[{:.6}s] wavefront {} gpu={} round={} fed={}B dur={:.6}s",
-                e.start,
-                e.kernel,
-                e.gpu,
-                e.round,
-                e.fed_bytes,
-                e.end - e.start
-            ),
-            Event::Sanitize(e) => format!(
-                "[{:.6}s] SANITIZE {} {} gpu={} tid={} idx={} window=[{}, {})",
-                e.at, e.kind, e.array, e.gpu, e.tid, e.idx, e.window.0, e.window.1
-            ),
-            Event::Elided(e) => format!(
-                "[{:.6}s] comm-elided {} launch={} skipped={}B",
-                e.at, e.array, e.launch, e.skipped_bytes
-            ),
-            Event::Inferred(e) => format!(
-                "[{:.6}s] inferred {} kernel={} `{}`",
-                e.at, e.array, e.kernel, e.pragma
-            ),
-        };
-        lines.push(line);
-    }
-    lines
+    let line = |d: Description| {
+        let mut line = format!("[{:.6}s] {}", d.start, d.name);
+        for (key, value) in &d.fields {
+            let _ = match value {
+                Value::Str(s) => write!(line, " {key}={s}"),
+                v => write!(line, " {key}={}", v.to_string_compact()),
+            };
+        }
+        if let Some(end) = d.end {
+            let _ = write!(line, " dur={:.6}s", end - d.start);
+        }
+        line
+    };
+    trace
+        .events()
+        .iter()
+        .map(|ev| line(ev.describe()))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{PhaseKind, Recorder, TraceLevel};
+    use crate::{Event, PhaseKind, PhaseSpan, Recorder, TraceLevel};
 
     #[test]
     fn table_mentions_all_buckets() {
         let mut rec = Recorder::new(TraceLevel::Summary);
         let l = rec.launch_begin();
-        rec.phase(Some(l), PhaseKind::Kernel, 0.0, 1.0);
-        rec.phase(Some(l), PhaseKind::Comm, 1.0, 1.5);
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(l),
+            phase: PhaseKind::Kernel,
+            start: 0.0,
+            end: 1.0,
+        }));
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(l),
+            phase: PhaseKind::Comm,
+            start: 1.0,
+            end: 1.5,
+        }));
         let text = rec.finish().summary_table();
         for needle in ["KERNELS", "CPU-GPU", "GPU-GPU", "host", "kernel launches"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
@@ -253,7 +166,12 @@ mod tests {
     fn render_text_is_one_line_per_event() {
         let mut rec = Recorder::new(TraceLevel::Summary);
         let l = rec.launch_begin();
-        rec.phase(Some(l), PhaseKind::Kernel, 0.0, 1.0);
+        rec.record(Event::Phase(PhaseSpan {
+            launch: Some(l),
+            phase: PhaseKind::Kernel,
+            start: 0.0,
+            end: 1.0,
+        }));
         let t = rec.finish();
         assert_eq!(t.render_text().len(), t.events().len());
     }
