@@ -4,7 +4,7 @@
 //! `i * 1 + 0` collapses back to `i`, keeping the instrumentation cost
 //! model honest (a folded expression costs what the generated CUDA would).
 
-use crate::interp::{rmw_apply, ExecError};
+use crate::interp::eval_binary;
 use crate::{BinOp, Expr, UnOp, Value};
 
 /// Fold constants and apply simple identities throughout `e`.
@@ -50,11 +50,16 @@ fn fold_node(e: Expr) -> Expr {
 
 fn fold_binary(op: BinOp, a: Expr, b: Expr) -> Expr {
     use BinOp::*;
-    // Constant-constant folding (reusing the interpreter's arithmetic so
-    // the semantics stay identical); skip on errors (e.g. divide by zero —
-    // leave those for runtime reporting).
+    // Constant-constant folding through the interpreter's own arithmetic,
+    // so the semantics stay identical: the four arithmetic operators and
+    // `%` at every type, comparisons of two i32s only. Errors (e.g. divide
+    // by zero) are left for runtime reporting.
     if let (Expr::Imm(x), Expr::Imm(y)) = (&a, &b) {
-        if let Ok(v) = const_binary(op, *x, *y) {
+        let folds = match op {
+            Add | Sub | Mul | Div | Rem => true,
+            _ => op.is_comparison() && matches!((x, y), (Value::I32(_), Value::I32(_))),
+        };
+        if let Some(Ok(v)) = folds.then(|| eval_binary(op, *x, *y)) {
             return Expr::Imm(v);
         }
     }
@@ -80,50 +85,6 @@ fn fold_binary(op: BinOp, a: Expr, b: Expr) -> Expr {
         _ => {}
     }
     Expr::bin(op, a, b)
-}
-
-fn const_binary(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
-    // Reuse rmw for the overlapping ops; otherwise inline the same logic the
-    // interpreter uses via a tiny local evaluation.
-    match op {
-        BinOp::Add => rmw_apply(crate::RmwOp::Add, a, b),
-        BinOp::Mul => rmw_apply(crate::RmwOp::Mul, a, b),
-        BinOp::Sub => match (a, b) {
-            (Value::I32(x), Value::I32(y)) => Ok(Value::I32(x.wrapping_sub(y))),
-            (Value::F32(x), Value::F32(y)) => Ok(Value::F32(x - y)),
-            (Value::F64(x), Value::F64(y)) => Ok(Value::F64(x - y)),
-            _ => Err(ExecError::TypeError("const sub".into())),
-        },
-        BinOp::Div => match (a, b) {
-            (Value::I32(x), Value::I32(y)) if y != 0 => Ok(Value::I32(x.wrapping_div(y))),
-            (Value::F32(x), Value::F32(y)) => Ok(Value::F32(x / y)),
-            (Value::F64(x), Value::F64(y)) => Ok(Value::F64(x / y)),
-            _ => Err(ExecError::DivByZero),
-        },
-        BinOp::Rem => match (a, b) {
-            (Value::I32(x), Value::I32(y)) if y != 0 => Ok(Value::I32(x.wrapping_rem(y))),
-            _ => Err(ExecError::DivByZero),
-        },
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
-            match (a, b) {
-                (Value::I32(x), Value::I32(y)) => Ok(Value::Bool(int_cmp(op, x, y))),
-                _ => Err(ExecError::TypeError("const cmp".into())),
-            }
-        }
-        _ => Err(ExecError::TypeError("unfoldable".into())),
-    }
-}
-
-fn int_cmp(op: BinOp, x: i32, y: i32) -> bool {
-    match op {
-        BinOp::Lt => x < y,
-        BinOp::Le => x <= y,
-        BinOp::Gt => x > y,
-        BinOp::Ge => x >= y,
-        BinOp::Eq => x == y,
-        BinOp::Ne => x != y,
-        _ => unreachable!(),
-    }
 }
 
 /// Best-effort static type of an expression when derivable without context
@@ -160,6 +121,30 @@ mod tests {
         let e = Expr::bin(BinOp::Div, Expr::imm_i32(1), Expr::imm_i32(0));
         // Must not fold away — runtime reports the error.
         assert!(matches!(fold_expr(e), Expr::Binary { .. }));
+    }
+
+    #[test]
+    fn folds_arithmetic_at_every_type_and_only_i32_comparisons() {
+        let folded = |op, a, b| match fold_expr(Expr::bin(op, Expr::Imm(a), Expr::Imm(b))) {
+            Expr::Imm(v) => Some(v),
+            _ => None,
+        };
+        let inf = Value::F64(f64::INFINITY);
+        assert_eq!(folded(BinOp::Sub, Value::F32(1.5), Value::F32(0.5)), Some(Value::F32(1.0)));
+        assert_eq!(folded(BinOp::Div, Value::F64(1.0), Value::F64(0.0)), Some(inf));
+        assert_eq!(folded(BinOp::Rem, Value::I32(-7), Value::I32(3)), Some(Value::I32(-1)));
+        assert_eq!(folded(BinOp::Ge, Value::I32(2), Value::I32(2)), Some(Value::Bool(true)));
+        for (op, a, b) in [
+            (BinOp::Lt, Value::F64(1.0), Value::F64(2.0)),
+            (BinOp::Eq, Value::Bool(true), Value::Bool(true)),
+            (BinOp::And, Value::I32(6), Value::I32(3)),
+            (BinOp::Shl, Value::I32(1), Value::I32(4)),
+            (BinOp::LAnd, Value::Bool(true), Value::Bool(false)),
+            (BinOp::Rem, Value::F64(7.0), Value::F64(3.0)),
+            (BinOp::Add, Value::I32(1), Value::F64(1.0)),
+        ] {
+            assert_eq!(folded(op, a, b), None, "{op:?} {a:?} {b:?} must not fold");
+        }
     }
 
     #[test]
