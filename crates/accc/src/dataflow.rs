@@ -242,8 +242,8 @@ pub fn comm_plan(kernels: &[CompiledKernel], host: &[HostOp]) -> CommPlan {
     // Program array -> accessing (kernel, kbuf) sites.
     let mut by_array: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
     for (ki, k) in kernels.iter().enumerate() {
-        for (kbuf, &arr) in k.buf_map.iter().enumerate() {
-            by_array.entry(arr).or_default().push((ki, kbuf));
+        for (kbuf, cfg) in k.configs.iter().enumerate() {
+            by_array.entry(cfg.array).or_default().push((ki, kbuf));
         }
     }
 
@@ -411,8 +411,8 @@ mod tests {
         let y = p.array_index("y").unwrap();
         let z = p.array_index("z").unwrap();
         // y written by kernel 0 (kbuf of y in kernel 0).
-        let ky = p.kernels[0].buf_map.iter().position(|&a| a == y).unwrap();
-        let kz = p.kernels[1].buf_map.iter().position(|&a| a == z).unwrap();
+        let ky = p.kernels[0].configs.iter().position(|c| c.array == y).unwrap();
+        let kz = p.kernels[1].configs.iter().position(|c| c.array == z).unwrap();
         assert!(plan.fact(0, ky).is_some(), "{plan:?}");
         assert!(plan.fact(1, kz).is_some(), "{plan:?}");
         assert_eq!(
@@ -536,7 +536,7 @@ mod tests {
         let plan = &p.overlap_plan;
         assert_eq!(plan.n_facts(), 1, "{plan:?}");
         let a = p.array_index("a").unwrap();
-        let ka = p.kernels[0].buf_map.iter().position(|&x| x == a).unwrap();
+        let ka = p.kernels[0].configs.iter().position(|c| c.array == a).unwrap();
         let fact = plan.fact(0, ka).unwrap();
         assert!(fact.reason.contains("halo fill of `a`"), "{}", fact.reason);
     }
@@ -577,7 +577,7 @@ mod tests {
         let plan = &p.overlap_plan;
         assert_eq!(plan.n_facts(), 1, "{plan:?}");
         let y = p.array_index("y").unwrap();
-        let ky = p.kernels[0].buf_map.iter().position(|&x| x == y).unwrap();
+        let ky = p.kernels[0].configs.iter().position(|c| c.array == y).unwrap();
         let fact = plan.fact(0, ky).unwrap();
         assert!(fact.reason.contains("wavefront"), "{}", fact.reason);
         assert!(wavefront_eligible(&p.kernels[0]), "{:?}", p.kernels[0].configs);

@@ -23,7 +23,7 @@ use acc_minic::hir::{ParallelLoopNode, TypedFunction};
 
 use crate::analysis::{self, AccessMode};
 use crate::config::{ArrayConfig, ArrayLint, ElisionProof, LocalAccessParams, Placement};
-use crate::{depend, infer, lint, range, CompileError, CompileOptions, CompiledKernel, ParamSrc};
+use crate::{depend, infer, lint, range, CompileError, CompileOptions, CompiledKernel};
 
 /// The decomposed access sites of one kernel buffer, collected at most
 /// once per stride domain and read by every analysis of that buffer:
@@ -95,7 +95,7 @@ pub fn extract_kernel(
             cap = format!("{name}$cap{fid}");
         }
         params.push(ir::ScalarParam { name: cap, ty: *ty });
-        param_src.push(ParamSrc::HostLocal(ir::LocalId(fid)));
+        param_src.push(ir::LocalId(fid));
         prologue.push(ir::Stmt::Assign {
             local: ir::LocalId(local_map[&fid]),
             value: ir::Expr::Param(pid),
@@ -360,7 +360,6 @@ pub fn extract_kernel(
     Ok(CompiledKernel {
         kernel,
         configs,
-        buf_map,
         param_src,
         lo: node.lo.clone(),
         hi: node.hi.clone(),
@@ -560,7 +559,7 @@ mod tests {
         assert_eq!(k.kernel.params.len(), 1);
         assert_eq!(k.kernel.params[0].name, "a$cap");
         assert_eq!(k.kernel.bufs.len(), 2);
-        assert_eq!(k.buf_map, vec![0, 1]);
+        assert_eq!(k.configs.iter().map(|c| c.array).collect::<Vec<_>>(), vec![0, 1]);
         // No localaccess → both replicated; y written → dirty-marked.
         assert!(matches!(k.configs[1].placement, Placement::Replicated));
         let mut saw_dirty = false;
@@ -763,7 +762,7 @@ mod tests {
         let k = &p.kernels[0];
         assert_eq!(k.param_src.len(), 1);
         // `k` is host local slot 1 (after `n`).
-        assert_eq!(k.param_src[0], ParamSrc::HostLocal(ir::LocalId(1)));
+        assert_eq!(k.param_src[0], ir::LocalId(1));
     }
 
     #[test]

@@ -154,25 +154,18 @@ impl std::fmt::Display for CompileError {
 }
 impl std::error::Error for CompileError {}
 
-/// Where a kernel scalar parameter's value comes from at launch time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamSrc {
-    /// Captured from a host local (includes scalar function parameters).
-    HostLocal(ir::LocalId),
-}
-
 /// One translated parallel loop.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     /// The generated kernel.
     pub kernel: ir::Kernel,
     /// Array configuration information, one entry per kernel buffer
-    /// parameter (same order as `kernel.bufs`).
+    /// parameter (same order as `kernel.bufs`); `configs[k].array` is the
+    /// program array buffer `k` binds.
     pub configs: Vec<ArrayConfig>,
-    /// Kernel buffer parameter index → program array index.
-    pub buf_map: Vec<usize>,
-    /// Kernel scalar parameter index → host value source.
-    pub param_src: Vec<ParamSrc>,
+    /// Kernel scalar parameter index → the host local it is captured
+    /// from at launch (scalar function parameters included).
+    pub param_src: Vec<ir::LocalId>,
     /// Host-evaluated iteration bounds (inclusive `lo`, exclusive `hi`).
     pub lo: ir::Expr,
     pub hi: ir::Expr,

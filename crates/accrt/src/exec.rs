@@ -14,7 +14,7 @@
 //! once; the loader, the kernel wave, the sanitizer verdict and the comm
 //! manager are then methods that read it.
 
-use acc_compiler::{ArrayConfig, CompiledKernel, CompiledProgram, HostOp, ParamSrc, Placement};
+use acc_compiler::{ArrayConfig, CompiledKernel, CompiledProgram, HostOp, Placement};
 use acc_compiler::affine::AccessPattern;
 use acc_compiler::analysis::pattern_efficiency;
 use acc_compiler::hostgen::CompiledClause;
@@ -445,12 +445,12 @@ impl<'a> Run<'a> {
     fn launch_cpu(&mut self, kidx: usize, ck: &CompiledKernel) -> Result<(), RunError> {
         let lo = self.eval_host_i64(&ck.lo)?;
         let hi = self.eval_host_i64(&ck.hi)?;
-        let params = self.gather_params(ck)?;
+        let params = self.gather_params(ck);
         let code = self.kernel_code(kidx)?;
 
         let mut hosts: Vec<_> = self.host_arrays.iter_mut().map(Some).collect();
-        let bind = |&arr: &usize| BufSlot::whole(hosts[arr].take().expect("bound once"));
-        let mut ctx = ExecCtx::new(code.kernel, params, ck.buf_map.iter().map(bind).collect());
+        let bind = |c: &ArrayConfig| BufSlot::whole(hosts[c.array].take().expect("bound once"));
+        let mut ctx = ExecCtx::new(code.kernel, params, ck.configs.iter().map(bind).collect());
         ctx.miss_capacity = self.cfg.miss_capacity;
         code.run(&mut ctx, lo, hi)?;
         let counters = ctx.counters;
@@ -492,7 +492,7 @@ impl<'a> Run<'a> {
         } else {
             (split_tasks(lo, hi, ngpus), None)
         };
-        let params = self.gather_params(ck)?;
+        let params = self.gather_params(ck);
 
         let inputs = self.eval_plan_inputs(kidx, ck)?;
         let bus = &self.machine.bus;
@@ -818,14 +818,8 @@ impl<'a> Run<'a> {
         spec.kernel_time(&out.counters, &terms)
     }
 
-    fn gather_params(&mut self, ck: &CompiledKernel) -> Result<Vec<Value>, RunError> {
-        let mut out = Vec::with_capacity(ck.param_src.len());
-        for src in &ck.param_src {
-            match src {
-                ParamSrc::HostLocal(l) => out.push(self.locals[l.0 as usize]),
-            }
-        }
-        Ok(out)
+    fn gather_params(&self, ck: &CompiledKernel) -> Vec<Value> {
+        ck.param_src.iter().map(|l| self.locals[l.0 as usize]).collect()
     }
 
     fn apply_scalar_reductions(

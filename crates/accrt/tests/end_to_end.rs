@@ -713,7 +713,6 @@ fn untypeable_kernels_are_refused_at_admission_under_both_tiers() {
 /// kernel declares a `float` parameter runs on neither tier.
 #[test]
 fn a_launch_binding_other_types_than_declared_is_refused() {
-    use acc_compiler::ParamSrc;
     let mut prog = compile_source(SAXPY, "saxpy", &CompileOptions::proposal()).unwrap();
     let n = prog
         .locals
@@ -728,7 +727,7 @@ fn a_launch_binding_other_types_than_declared_is_refused() {
         .position(|p| p.name.starts_with("a$"))
         .unwrap();
     assert_eq!(ck.kernel.params[a].ty, acc_kernel_ir::Ty::F32);
-    ck.param_src[a] = ParamSrc::HostLocal(acc_kernel_ir::LocalId(n as u32));
+    ck.param_src[a] = acc_kernel_ir::LocalId(n as u32);
     for vm in [KernelVm::Register, KernelVm::Bytecode] {
         let cfg = ExecConfig::gpus(2).kernel_vm(vm);
         let (scalars, arrays) = (
