@@ -55,10 +55,10 @@ fn run_scatter(level: TraceLevel) -> (RunReport, Machine) {
     (r, m)
 }
 
-/// Event-derived per-phase totals equal the legacy `TimeBreakdown`
-/// (which `Profiler::from_trace` now derives from the same stream) —
-/// and, independently, re-summing the retained `Phase` spans reproduces
-/// each bucket within 1e-9.
+/// The recorder's phase totals equal the profile's `TimeBreakdown`
+/// (which `Profiler::from_trace` takes from the same stream) — and,
+/// independently, re-summing the retained `Phase` spans reproduces each
+/// bucket within 1e-9.
 #[test]
 fn phase_events_reproduce_time_breakdown() {
     let (r, _) = run_scatter(TraceLevel::Spans);

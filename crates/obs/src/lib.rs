@@ -11,7 +11,13 @@
 //! * [`Trace::chrome_trace`] — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
 //! * [`Trace::summary_table`] — a plain-text per-phase/per-GPU table;
-//! * [`Trace::render_text`] — the legacy line-per-event textual trace.
+//! * [`Trace::render_text`] — one text line per event.
+//!
+//! Each event kind is stated twice: its arm in [`Recorder::record`]
+//! (what it counts, the level that keeps it) and its arm in
+//! [`Event::describe`] (how it is drawn: name, category, track, interval,
+//! fields). The Chrome export, the text log and [`Trace::gpus`] read only
+//! the [`Description`].
 //!
 //! How much detail is retained is controlled by [`TraceLevel`]; phase
 //! totals and counters are accumulated at **every** level (including
