@@ -11,7 +11,7 @@
 //! to the format's microseconds.
 
 use crate::json::Value;
-use crate::{gpu_ids, Description, Event, Trace, Track};
+use crate::{gpu_ids, Description, Event, Trace};
 
 /// Thread id used for the host/phase track (GPUs use their own ids).
 pub const HOST_TID: usize = 1000;
@@ -24,10 +24,7 @@ fn us(t: f64) -> f64 {
 /// One trace event: an `"X"` span, or an `"i"` instant when the
 /// description has no end.
 fn trace_event(d: Description) -> Value {
-    let tid = match d.track {
-        Track::Gpu(g) => g,
-        Track::Host => HOST_TID,
-    };
+    let tid = d.track.unwrap_or(HOST_TID);
     let timing = match d.end {
         Some(end) => [
             ("ph", Value::str("X")),

@@ -367,14 +367,6 @@ pub enum Event {
     Inferred(InferredAnnotation),
 }
 
-/// The timeline an event is drawn on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Track {
-    /// The host / phases track ([`chrome::HOST_TID`] in Chrome exports).
-    Host,
-    Gpu(usize),
-}
-
 /// How one event is drawn: what the Chrome exporter, the text log and
 /// the track list read, built by [`Event::describe`].
 #[derive(Debug, Clone, PartialEq)]
@@ -382,7 +374,9 @@ pub struct Description {
     pub name: String,
     /// Chrome trace category.
     pub cat: &'static str,
-    pub track: Track,
+    /// The GPU whose track the event is drawn on; `None` is the host
+    /// track ([`chrome::HOST_TID`] in Chrome exports).
+    pub track: Option<usize>,
     /// The other GPU of a pair event (a sync, replay or merge hop drawn
     /// on its destination); it gets a track of its own.
     pub peer: Option<usize>,
@@ -397,7 +391,7 @@ impl Description {
     fn new(
         name: String,
         cat: &'static str,
-        track: Track,
+        track: Option<usize>,
         start: SimTime,
         end: Option<SimTime>,
     ) -> Self {
@@ -431,29 +425,26 @@ impl Event {
     /// The one per-kind description of how this event is drawn.
     pub fn describe(&self) -> Description {
         use json::Value;
-        use Track::{Gpu, Host};
-        let num = |x: f64| Value::Num(x);
-        let text = |s: &str| Value::str(s);
         match self {
             Event::Phase(e) => {
                 let name = match e.launch {
                     Some(l) => format!("{} (launch {l})", e.phase.name()),
                     None => e.phase.name().to_string(),
                 };
-                Description::new(name, "phase", Host, e.start, Some(e.end))
-                    .fields([("phase", text(e.phase.name()))])
+                Description::new(name, "phase", None, e.start, Some(e.end))
+                    .fields([("phase", Value::str(e.phase.name()))])
             }
             Event::Launch(e) => Description::new(
                 format!("kernel {}", e.kernel),
                 "kernel",
-                Gpu(e.gpu),
+                Some(e.gpu),
                 e.start,
                 Some(e.end),
             )
             .fields([
-                ("launch", num(e.launch as f64)),
-                ("rows_begin", num(e.rows.0 as f64)),
-                ("rows_end", num(e.rows.1 as f64)),
+                ("launch", Value::Num(e.launch as f64)),
+                ("rows_begin", Value::Num(e.rows.0 as f64)),
+                ("rows_end", Value::Num(e.rows.1 as f64)),
             ]),
             Event::Transfer(e) => {
                 let name = format!("{} {} ({})", e.kind.name(), e.array, e.why);
@@ -462,27 +453,28 @@ impl Event {
                     TransferKind::D2H => "d2h",
                     TransferKind::P2P => "p2p",
                 };
-                let endpoint =
-                    |g: Option<usize>| g.map_or(text("host"), |g| Value::str(format!("gpu{g}")));
-                Description::new(name, cat, Gpu(e.gpu()), e.start, Some(e.end)).fields([
-                    ("array", text(&e.array)),
-                    ("bytes", num(e.bytes as f64)),
+                let endpoint = |g: Option<usize>| {
+                    g.map_or(Value::str("host"), |g| Value::str(format!("gpu{g}")))
+                };
+                Description::new(name, cat, Some(e.gpu()), e.start, Some(e.end)).fields([
+                    ("array", Value::str(&e.array)),
+                    ("bytes", Value::Num(e.bytes as f64)),
                     ("src", endpoint(e.src)),
                     ("dst", endpoint(e.dst)),
-                    ("why", text(e.why)),
+                    ("why", Value::str(e.why)),
                 ])
             }
             Event::Comm(e) => {
                 let name = format!("sync {} g{}→g{}", e.array, e.src, e.dst);
-                Description::new(name, "comm", Gpu(e.dst), e.start, Some(e.end))
+                Description::new(name, "comm", Some(e.dst), e.start, Some(e.end))
                     .peer(e.src)
                     .fields([
-                        ("launch", num(e.launch as f64)),
-                        ("array", text(&e.array)),
-                        ("chunks", num(e.chunks as f64)),
-                        ("bytes", num(e.bytes as f64)),
-                        ("src", num(e.src as f64)),
-                        ("dst", num(e.dst as f64)),
+                        ("launch", Value::Num(e.launch as f64)),
+                        ("array", Value::str(&e.array)),
+                        ("chunks", Value::Num(e.chunks as f64)),
+                        ("bytes", Value::Num(e.bytes as f64)),
+                        ("src", Value::Num(e.src as f64)),
+                        ("dst", Value::Num(e.dst as f64)),
                     ])
             }
             Event::Loader(e) => {
@@ -490,15 +482,15 @@ impl Event {
                 Description::new(
                     format!("loader {verdict} {}", e.array),
                     "loader",
-                    Gpu(e.gpu),
+                    Some(e.gpu),
                     e.at,
                     None,
                 )
                 .fields([
-                    ("launch", num(e.launch as f64)),
-                    ("array", text(&e.array)),
+                    ("launch", Value::Num(e.launch as f64)),
+                    ("array", Value::str(&e.array)),
                     ("reused", Value::Bool(e.reused)),
-                    ("bytes_moved", num(e.bytes_moved as f64)),
+                    ("bytes_moved", Value::Num(e.bytes_moved as f64)),
                 ])
             }
             Event::Mapper(e) => {
@@ -507,18 +499,20 @@ impl Event {
                 } else {
                     "equal"
                 };
-                let pair = |&(a, b): &(i64, i64)| Value::Arr(vec![num(a as f64), num(b as f64)]);
-                let secs = |s: &[f64]| Value::Arr(s.iter().map(|&t| num(t)).collect());
+                let pair = |&(a, b): &(i64, i64)| {
+                    Value::Arr(vec![Value::Num(a as f64), Value::Num(b as f64)])
+                };
+                let secs = |s: &[f64]| Value::Arr(s.iter().map(|&t| Value::Num(t)).collect());
                 Description::new(
                     format!("mapper {how} {}", e.kernel),
                     "mapper",
-                    Host,
+                    None,
                     e.at,
                     None,
                 )
                 .fields([
-                    ("launch", num(e.launch as f64)),
-                    ("kernel", text(&e.kernel)),
+                    ("launch", Value::Num(e.launch as f64)),
+                    ("kernel", Value::str(&e.kernel)),
                     ("from_history", Value::Bool(e.from_history)),
                     ("ranges", Value::Arr(e.ranges.iter().map(pair).collect())),
                     ("predicted_s", secs(&e.predicted_s)),
@@ -527,73 +521,73 @@ impl Event {
             }
             Event::Miss(e) => {
                 let name = format!("miss-replay {} g{}→g{}", e.array, e.src, e.dst);
-                Description::new(name, "miss", Gpu(e.dst), e.start, Some(e.end))
+                Description::new(name, "miss", Some(e.dst), e.start, Some(e.end))
                     .peer(e.src)
                     .fields([
-                        ("launch", num(e.launch as f64)),
-                        ("array", text(&e.array)),
-                        ("records", num(e.records as f64)),
-                        ("bytes", num(e.bytes as f64)),
-                        ("src", num(e.src as f64)),
-                        ("dst", num(e.dst as f64)),
+                        ("launch", Value::Num(e.launch as f64)),
+                        ("array", Value::str(&e.array)),
+                        ("records", Value::Num(e.records as f64)),
+                        ("bytes", Value::Num(e.bytes as f64)),
+                        ("src", Value::Num(e.src as f64)),
+                        ("dst", Value::Num(e.dst as f64)),
                     ])
             }
             Event::Collective(e) => {
                 let name = format!("collective {} {} g{}→g{}", e.level, e.array, e.src, e.dst);
-                Description::new(name, "collective", Gpu(e.dst), e.start, Some(e.end))
+                Description::new(name, "collective", Some(e.dst), e.start, Some(e.end))
                     .peer(e.src)
                     .fields([
-                        ("launch", num(e.launch as f64)),
-                        ("array", text(&e.array)),
-                        ("level", text(e.level)),
-                        ("bytes", num(e.bytes as f64)),
-                        ("src", num(e.src as f64)),
-                        ("dst", num(e.dst as f64)),
+                        ("launch", Value::Num(e.launch as f64)),
+                        ("array", Value::str(&e.array)),
+                        ("level", Value::str(e.level)),
+                        ("bytes", Value::Num(e.bytes as f64)),
+                        ("src", Value::Num(e.src as f64)),
+                        ("dst", Value::Num(e.dst as f64)),
                     ])
             }
             Event::Overlap(e) => {
                 let name = format!("overlap {} g{}", e.array, e.gpu);
-                Description::new(name, "overlap", Gpu(e.gpu), e.start, Some(e.end)).fields([
-                    ("launch", num(e.launch as f64)),
-                    ("array", text(&e.array)),
-                    ("bytes", num(e.bytes as f64)),
+                Description::new(name, "overlap", Some(e.gpu), e.start, Some(e.end)).fields([
+                    ("launch", Value::Num(e.launch as f64)),
+                    ("array", Value::str(&e.array)),
+                    ("bytes", Value::Num(e.bytes as f64)),
                 ])
             }
             Event::Wavefront(e) => {
                 let name = format!("wavefront {} g{}", e.kernel, e.gpu);
-                Description::new(name, "wavefront", Gpu(e.gpu), e.start, Some(e.end)).fields([
-                    ("launch", num(e.launch as f64)),
-                    ("kernel", text(&e.kernel)),
-                    ("round", num(e.round as f64)),
-                    ("fed_bytes", num(e.fed_bytes as f64)),
+                Description::new(name, "wavefront", Some(e.gpu), e.start, Some(e.end)).fields([
+                    ("launch", Value::Num(e.launch as f64)),
+                    ("kernel", Value::str(&e.kernel)),
+                    ("round", Value::Num(e.round as f64)),
+                    ("fed_bytes", Value::Num(e.fed_bytes as f64)),
                 ])
             }
             Event::Sanitize(e) => {
                 let name = format!("SANITIZE {} {}", e.kind, e.array);
-                Description::new(name, "sanitize", Gpu(e.gpu), e.at, None).fields([
-                    ("launch", num(e.launch as f64)),
-                    ("array", text(&e.array)),
-                    ("kind", text(e.kind)),
-                    ("tid", num(e.tid as f64)),
-                    ("idx", num(e.idx as f64)),
-                    ("window_lo", num(e.window.0 as f64)),
-                    ("window_hi", num(e.window.1 as f64)),
+                Description::new(name, "sanitize", Some(e.gpu), e.at, None).fields([
+                    ("launch", Value::Num(e.launch as f64)),
+                    ("array", Value::str(&e.array)),
+                    ("kind", Value::str(e.kind)),
+                    ("tid", Value::Num(e.tid as f64)),
+                    ("idx", Value::Num(e.idx as f64)),
+                    ("window_lo", Value::Num(e.window.0 as f64)),
+                    ("window_hi", Value::Num(e.window.1 as f64)),
                 ])
             }
             Event::Elided(e) => {
-                Description::new(format!("comm-elided {}", e.array), "comm", Host, e.at, None)
+                Description::new(format!("comm-elided {}", e.array), "comm", None, e.at, None)
                     .fields([
-                        ("launch", num(e.launch as f64)),
-                        ("array", text(&e.array)),
-                        ("skipped_bytes", num(e.skipped_bytes as f64)),
+                        ("launch", Value::Num(e.launch as f64)),
+                        ("array", Value::str(&e.array)),
+                        ("skipped_bytes", Value::Num(e.skipped_bytes as f64)),
                     ])
             }
             Event::Inferred(e) => {
                 let name = format!("inferred localaccess {}", e.array);
-                Description::new(name, "infer", Host, e.at, None).fields([
-                    ("kernel", text(&e.kernel)),
-                    ("array", text(&e.array)),
-                    ("pragma", text(&e.pragma)),
+                Description::new(name, "infer", None, e.at, None).fields([
+                    ("kernel", Value::str(&e.kernel)),
+                    ("array", Value::str(&e.array)),
+                    ("pragma", Value::str(&e.pragma)),
                 ])
             }
         }
@@ -823,8 +817,7 @@ impl Trace {
     pub fn gpu_timeline(&self, gpu: usize) -> Vec<(SimTime, SimTime, String)> {
         let mut spans: Vec<(SimTime, SimTime, String)> = Vec::new();
         for d in self.events.iter().map(Event::describe) {
-            if let (Track::Gpu(g), Some(end), "kernel" | "h2d" | "d2h" | "p2p") =
-                (d.track, d.end, d.cat)
+            if let (Some(g), Some(end), "kernel" | "h2d" | "d2h" | "p2p") = (d.track, d.end, d.cat)
             {
                 if g == gpu {
                     spans.push((d.start, end, d.name));
@@ -853,19 +846,12 @@ impl Trace {
 
 /// The GPUs the described events are drawn on or pair with, ascending.
 pub(crate) fn gpu_ids(descriptions: &[Description]) -> Vec<usize> {
-    let mut ids: Vec<usize> = Vec::new();
-    for d in descriptions {
-        let own = match d.track {
-            Track::Gpu(g) => Some(g),
-            Track::Host => None,
-        };
-        for g in own.into_iter().chain(d.peer) {
-            if !ids.contains(&g) {
-                ids.push(g);
-            }
-        }
-    }
+    let mut ids: Vec<usize> = descriptions
+        .iter()
+        .flat_map(|d| d.track.into_iter().chain(d.peer))
+        .collect();
     ids.sort_unstable();
+    ids.dedup();
     ids
 }
 
