@@ -2,8 +2,9 @@
 //!
 //! The produced document follows the trace-event format's "JSON object"
 //! flavor: `{"traceEvents": [...], "displayTimeUnit": "ms"}` with `"X"`
-//! (complete) events for spans and `"M"` (metadata) events naming the
-//! tracks. Load the file in `chrome://tracing` or
+//! (complete) events for spans, `"i"` events for instants and `"M"`
+//! (metadata) events naming the tracks. Every event is drawn from its
+//! [`Description`]. Load the file in `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 //!
 //! Track layout: one process (`pid: 0`), one thread per GPU (`tid: gpu`)
@@ -11,7 +12,7 @@
 //! to the format's microseconds.
 
 use crate::json::Value;
-use crate::{gpu_ids, Description, Event, Trace};
+use crate::{gpu_ids, Description, Trace};
 
 /// Thread id used for the host/phase track (GPUs use their own ids).
 pub const HOST_TID: usize = 1000;
@@ -70,11 +71,20 @@ pub fn export(trace: &Trace) -> String {
         ),
     ]));
     events.push(thread_name(HOST_TID, "host / phases"));
-    let descriptions: Vec<Description> = trace.events().iter().map(Event::describe).collect();
-    for gpu in gpu_ids(&descriptions) {
+    let mut gpus: Vec<usize> = Vec::new();
+    let body: Vec<Value> = trace
+        .events()
+        .iter()
+        .map(|ev| {
+            let d = ev.describe();
+            gpus.extend(d.gpus());
+            trace_event(d)
+        })
+        .collect();
+    for gpu in gpu_ids(gpus) {
         events.push(thread_name(gpu, &format!("GPU {gpu}")));
     }
-    events.extend(descriptions.into_iter().map(trace_event));
+    events.extend(body);
 
     Value::obj([
         ("traceEvents", Value::Arr(events)),

@@ -413,6 +413,11 @@ impl Description {
         }
     }
 
+    /// The GPUs this event gives a track: its own and its peer's.
+    pub(crate) fn gpus(&self) -> impl Iterator<Item = usize> {
+        self.track.into_iter().chain(self.peer)
+    }
+
     fn fields<const N: usize>(self, fields: [(&'static str, json::Value); N]) -> Self {
         Description {
             fields: fields.into(),
@@ -806,8 +811,7 @@ impl Trace {
 
     /// GPU ids that appear in any retained event, ascending.
     pub fn gpus(&self) -> Vec<usize> {
-        let descriptions: Vec<Description> = self.events.iter().map(Event::describe).collect();
-        gpu_ids(&descriptions)
+        gpu_ids(self.events.iter().flat_map(|ev| ev.describe().gpus()))
     }
 
     /// The occupancy spans of one GPU's timeline — its kernel executions
@@ -844,12 +848,9 @@ impl Trace {
     }
 }
 
-/// The GPUs the described events are drawn on or pair with, ascending.
-pub(crate) fn gpu_ids(descriptions: &[Description]) -> Vec<usize> {
-    let mut ids: Vec<usize> = descriptions
-        .iter()
-        .flat_map(|d| d.track.into_iter().chain(d.peer))
-        .collect();
+/// GPU ids, ascending and without repeats.
+pub(crate) fn gpu_ids(gpus: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut ids: Vec<usize> = gpus.into_iter().collect();
     ids.sort_unstable();
     ids.dedup();
     ids
