@@ -413,16 +413,16 @@ impl Description {
         }
     }
 
-    /// The GPUs this event gives a track: its own and its peer's.
-    pub(crate) fn gpus(&self) -> impl Iterator<Item = usize> {
-        self.track.into_iter().chain(self.peer)
-    }
-
     fn fields<const N: usize>(self, fields: [(&'static str, json::Value); N]) -> Self {
         Description {
             fields: fields.into(),
             ..self
         }
+    }
+
+    /// The GPUs this event gives a track: its own and its peer's.
+    pub(crate) fn gpus(&self) -> impl Iterator<Item = usize> {
+        self.track.into_iter().chain(self.peer)
     }
 }
 
