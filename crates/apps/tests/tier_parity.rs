@@ -7,12 +7,14 @@
 //! the kernel, across every preset and every example source. The second
 //! test is the apps-level form of `kernel-ir`'s differential suites: the
 //! default configuration against `KernelVm::Bytecode` on everything a
-//! `RunReport` carries.
+//! `RunReport` carries, on at least two full lane batches of every kernel
+//! that may batch.
 
 use acc_apps::{app_inputs, App, Scale};
 use acc_compiler::{compile, compile_source, CompileOptions};
 use acc_gpusim::Machine;
 use acc_kernel_ir::regvm;
+use acc_obs::Event;
 use acc_runtime::prelude::*;
 use acc_runtime::KernelVm;
 
@@ -64,6 +66,12 @@ fn default_tier_equals_the_bytecode_on_every_app() {
     for app in App::ALL {
         let prog = compile_source(app.source(), app.function(), &CompileOptions::proposal())
             .expect("app compiles");
+        // Each kernel that may batch, and the widest per-GPU range an
+        // unsanitized launch gave it.
+        let mut widest: Vec<(&str, i64)> = (prog.kernels.iter())
+            .filter(|ck| regvm::compile(&ck.kernel).is_ok_and(|rc| rc.may_batch()))
+            .map(|ck| (ck.kernel.name.as_str(), 0))
+            .collect();
         for ngpus in 1..=3 {
             for sanitize in [SanitizeLevel::Off, SanitizeLevel::Full] {
                 let what = format!("{} on {ngpus} GPUs, {sanitize:?}", app.name());
@@ -97,7 +105,24 @@ fn default_tier_equals_the_bytecode_on_every_app() {
                     stack.trace.events(),
                     "{what}: event stream"
                 );
+                for e in reg.trace.events() {
+                    if let (Event::Launch(l), SanitizeLevel::Off) = (e, sanitize) {
+                        for (name, w) in &mut widest {
+                            if *name == l.kernel {
+                                *w = (*w).max(l.rows.1 - l.rows.0);
+                            }
+                        }
+                    }
+                }
             }
+        }
+        // The comparison reaches the lane batches: two full ones at least.
+        for (name, w) in widest {
+            let app = app.name();
+            assert!(
+                w >= 2 * regvm::LANES as i64,
+                "{app}: `{name}` spans {w} threads"
+            );
         }
     }
 }

@@ -47,20 +47,27 @@ pub struct OpCounters {
 impl OpCounters {
     /// Accumulate another counter set into this one.
     pub fn merge(&mut self, other: &OpCounters) {
-        self.int_ops += other.int_ops;
-        self.f32_ops += other.f32_ops;
-        self.f64_ops += other.f64_ops;
-        self.special_ops += other.special_ops;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.load_bytes += other.load_bytes;
-        self.store_bytes += other.store_bytes;
-        self.atomics += other.atomics;
-        self.branches += other.branches;
-        self.dirty_marks += other.dirty_marks;
-        self.miss_checks += other.miss_checks;
-        self.misses += other.misses;
-        self.threads += other.threads;
+        *self = self.zip_with(other, |a, b| a + b);
+    }
+
+    /// `f` of each field of `self` and the same field of `other`.
+    pub(crate) fn zip_with(&self, other: &OpCounters, f: impl Fn(u64, u64) -> u64) -> OpCounters {
+        OpCounters {
+            int_ops: f(self.int_ops, other.int_ops),
+            f32_ops: f(self.f32_ops, other.f32_ops),
+            f64_ops: f(self.f64_ops, other.f64_ops),
+            special_ops: f(self.special_ops, other.special_ops),
+            loads: f(self.loads, other.loads),
+            stores: f(self.stores, other.stores),
+            load_bytes: f(self.load_bytes, other.load_bytes),
+            store_bytes: f(self.store_bytes, other.store_bytes),
+            atomics: f(self.atomics, other.atomics),
+            branches: f(self.branches, other.branches),
+            dirty_marks: f(self.dirty_marks, other.dirty_marks),
+            miss_checks: f(self.miss_checks, other.miss_checks),
+            misses: f(self.misses, other.misses),
+            threads: f(self.threads, other.threads),
+        }
     }
 
     /// Total dynamic instruction estimate (everything except byte counts).

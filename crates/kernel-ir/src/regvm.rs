@@ -19,14 +19,14 @@
 //! the declared types ([`launch_types_match`]); the runtime refuses one
 //! that does not.
 //!
-//! **Frame.** One `[u64]` per launch share, laid out
-//! `[locals | tid | params | consts | temps]`, holding raw bits: `i32`
-//! zero-extended, `f32` / `f64` bit patterns, `bool` 0/1. Params and
-//! consts are written once per [`run_compiled`]; locals are zeroed (every
-//! type's zero is the zero word) and `tid` set once per thread. Every
-//! *leaf* (`Local`, `Param`, `Imm`, `ThreadIdx`) therefore already is a
-//! slot and costs no instruction. Temps are handed out by expression
-//! depth and released by the parent node.
+//! **Frame.** One `[[u64; N]]` per launch share, a row per slot and a
+//! column per lane, laid out `[locals | tid | params | consts | temps]`,
+//! holding raw bits: `i32` zero-extended, `f32` / `f64` bit patterns,
+//! `bool` 0/1. Params and consts are broadcast once per [`run_compiled`];
+//! locals are zeroed and `tid` set once per thread or batch. Every *leaf*
+//! (`Local`, `Param`, `Imm`, `ThreadIdx`) therefore already is a slot
+//! and costs no instruction. Temps are handed out by expression depth
+//! and released by the parent node.
 //!
 //! **Fused `Assign`.** The root op of an `Assign`'s value writes the
 //! local directly and carries the `Assign`'s own `int_ops` charge (the
@@ -36,14 +36,19 @@
 //! write temps, and only the root — for `Select` / `&&` / `||` the last
 //! op of the taken arm — writes the destination, after every read.
 //!
-//! **Counters.** Each op charges [`OpCounters`](crate::OpCounters)
-//! inline, in the walker's post-order, with the increment chosen at
-//! compile time from the static type. A failing run has therefore
-//! tallied exactly what the walker tallied when it stopped — by
-//! construction, with no pricing tables to keep in step. Every check of
-//! the walker stays where the walker has it: window bounds, the
+//! **Counters.** Each op charges [`OpCounters`] inline, in the walker's
+//! post-order, with the increment chosen at compile time from the static
+//! type, times the lanes that ran it. A failing run has therefore
+//! tallied exactly what the walker tallied when it stopped. Every check
+//! of the walker stays where the walker has it: window bounds, the
 //! checked-store miss path (whose `MissRecord` keeps the uncast value),
 //! dirty marks, the sanitizer audits, `DivByZero` after `special_ops`.
+//!
+//! **Lane batches.** A kernel that [may batch](RegCompiled::may_batch)
+//! runs an unsanitized launch [`LANES`] threads per dispatch, and splits
+//! into one-lane threads, in tid order, at the first op a lane could
+//! fault on, the lanes disagree on, or a batch does not run; see
+//! `docs/kernel-ir.md` for the store buffer and the counter rollback.
 
 use crate::expr::{BinOp, Builtin, Expr, UnOp};
 use crate::interp::{
@@ -52,6 +57,7 @@ use crate::interp::{
 use crate::kernel::{Kernel, ValidationError};
 use crate::stmt::{RmwOp, Stmt};
 use crate::ty::{Ty, Value};
+use crate::OpCounters;
 
 /// `frame[d] = ∘ frame[a]`, then `x` more `int_ops`: the charge of the
 /// `Assign` this op is the root of (0 for an inner node).
@@ -205,8 +211,18 @@ pub struct RegCompiled {
     /// Bit patterns of the frame's constant section, sorted.
     consts: Vec<u64>,
     nlocals: usize,
-    const0: usize,
     nslots: usize,
+    /// Whether threads may run in lane batches: no thread can observe
+    /// another inside a launch (see [`compile`]).
+    batch: bool,
+}
+
+impl RegCompiled {
+    /// Whether [`run_compiled`] may run this kernel's threads in lane
+    /// batches (it does when the launch is also unsanitized).
+    pub fn may_batch(&self) -> bool {
+        self.batch
+    }
 }
 
 #[inline]
@@ -302,11 +318,24 @@ pub fn compile(k: &Kernel) -> Result<RegCompiled, ValidationError> {
     };
     c.block(&k.body).map_err(refuse)?;
     c.emit(Op::Ret);
+    // Lanes may batch when no thread can observe another: no atomics, no
+    // scalar reductions, and no buffer both loaded and stored.
+    let mut loaded = vec![false; k.bufs.len()];
+    for op in &c.code {
+        if let Op::Load4 { buf, .. } | Op::Load8 { buf, .. } = op {
+            loaded[*buf as usize] = true;
+        }
+    }
+    let batch = c.code.iter().all(|op| match op {
+        Op::Atomic { .. } | Op::Reduce { .. } => false,
+        Op::Store { buf, .. } => !loaded[*buf as usize],
+        _ => true,
+    });
     Ok(RegCompiled {
+        batch,
         code: c.code,
         consts: c.consts,
         nlocals,
-        const0: c.const0 as usize,
         nslots: temp0 + c.max_temps,
     })
 }
@@ -711,29 +740,143 @@ pub fn launch_types_match(k: &Kernel, ctx: &ExecCtx<'_>) -> bool {
             .all(|(v, r)| v.ty() == r.ty)
 }
 
+/// Threads a batch runs in lock step: one dispatch per op for all of
+/// them. On `stencil-2gpu`, 8 lanes measured within noise of 16 and 32
+/// lanes slower (see `docs/kernel-ir.md`).
+pub const LANES: usize = 16;
+/// Stores a lane may queue before its batch splits: a 512-cell row fits,
+/// and a batch's buffer stays under 300 KB whatever a thread stores.
+const MAX_PENDING: usize = 1024;
+
+/// One batched store: each lane's element and bits, held until the lane
+/// commits.
+struct Pending<const N: usize> {
+    buf: u16,
+    dirty: bool,
+    at: [usize; N],
+    bits: [u64; N],
+}
+
+/// The lane batches' scratch, allocated once per [`run_compiled`].
+struct Batch {
+    f: Vec<[u64; LANES]>,
+    pending: Vec<Pending<LANES>>,
+    /// `per_buf_bytes` as the batch began; after a split, one lane's share
+    /// of what the batch moved.
+    bytes: Vec<(u64, u64)>,
+}
+
+/// A frame of `N` lanes with the params and consts broadcast; locals and
+/// the tid are set per thread.
+fn frame<const N: usize>(rc: &RegCompiled, ctx: &ExecCtx<'_>) -> Vec<[u64; N]> {
+    let mut f = vec![[0; N]; rc.nslots];
+    let consts = rc.consts.iter().copied();
+    let fixed = ctx.params.iter().map(|v| bits(*v)).chain(consts);
+    for (s, v) in f[rc.nlocals + 1..].iter_mut().zip(fixed) {
+        *s = [v; N];
+    }
+    f
+}
+
 /// Execute a [`compile`]d kernel over `[lo, hi)`, bit-identical to the
 /// AST walker. The caller must have checked [`launch_types_match`] for
-/// this context.
+/// this context. A kernel that may batch, run unsanitized, takes its
+/// threads [`LANES`] at a time; the tail of the range runs one-lane.
 pub fn run_compiled(
     rc: &RegCompiled,
     ctx: &mut ExecCtx<'_>,
     lo: i64,
     hi: i64,
 ) -> Result<(), ExecError> {
-    let mut frame = vec![0u64; rc.nslots];
-    let tid_slot = rc.nlocals;
-    for (s, v) in frame[tid_slot + 1..rc.const0].iter_mut().zip(&ctx.params) {
-        *s = bits(*v);
+    let mut one = frame::<1>(rc, ctx);
+    let mut tid = lo;
+    if rc.batch && ctx.sanitize.is_empty() && hi - lo >= LANES as i64 {
+        let mut b = Batch {
+            f: frame(rc, ctx),
+            pending: Vec::new(),
+            bytes: Vec::new(),
+        };
+        while hi - tid >= LANES as i64 {
+            run_batch(rc, ctx, &mut b, &mut one, tid)?;
+            tid += LANES as i64;
+        }
     }
-    frame[rc.const0..rc.const0 + rc.consts.len()].copy_from_slice(&rc.consts);
-    for tid in lo..hi {
+    for tid in tid..hi {
         debug_assert!(tid <= i32::MAX as i64);
-        frame[..tid_slot].fill(0);
-        frame[tid_slot] = puti(tid as i32);
-        run_thread(&rc.code, ctx, &mut frame, tid)?;
+        one[..rc.nlocals].fill([0]);
+        one[rc.nlocals] = [puti(tid as i32)];
+        run_lanes(&rc.code, ctx, &mut one, 0, tid, &mut Vec::new())?;
         ctx.counters.threads += 1;
     }
     Ok(())
+}
+
+/// Run threads `[tid, tid + LANES)` as one batch until it returns or
+/// splits; then each lane, in tid order, commits its stores and finishes
+/// alone from the op the batch stopped at.
+fn run_batch(
+    rc: &RegCompiled,
+    ctx: &mut ExecCtx<'_>,
+    b: &mut Batch,
+    one: &mut [[u64; 1]],
+    tid: i64,
+) -> Result<(), ExecError> {
+    b.f[..rc.nlocals].fill([0; LANES]);
+    b.f[rc.nlocals] = std::array::from_fn(|l| puti((tid + l as i64) as i32));
+    b.pending.clear();
+    let before = ctx.counters;
+    b.bytes.clone_from(&ctx.per_buf_bytes);
+    let Some(pc) = run_lanes(&rc.code, ctx, &mut b.f, 0, tid, &mut b.pending)? else {
+        for l in 0..LANES {
+            commit(ctx, &b.pending, l);
+        }
+        ctx.counters.threads += LANES as u64;
+        return Ok(());
+    };
+    // The lanes ran the same ops up to `pc`, so each moved the counters
+    // by an equal share of what the batch moved. Undo the batch and hand
+    // each lane its share as it resumes: a lane that faults leaves the
+    // later lanes unrun, charges and stores included, as on the walker.
+    let lanes = LANES as u64;
+    let share = OpCounters::zip_with(&ctx.counters, &before, |now, was| (now - was) / lanes);
+    ctx.counters = before;
+    for (now, was) in ctx.per_buf_bytes.iter_mut().zip(&mut b.bytes) {
+        let moved = ((now.0 - was.0) / lanes, (now.1 - was.1) / lanes);
+        (*now, *was) = (*was, moved);
+    }
+    for l in 0..LANES {
+        ctx.counters.merge(&share);
+        for (now, lane) in ctx.per_buf_bytes.iter_mut().zip(&b.bytes) {
+            (now.0, now.1) = (now.0 + lane.0, now.1 + lane.1);
+        }
+        commit(ctx, &b.pending, l);
+        for (s, w) in one.iter_mut().zip(&b.f) {
+            *s = [w[l]];
+        }
+        run_lanes(&rc.code, ctx, one, pc, tid + l as i64, &mut Vec::new())?;
+        ctx.counters.threads += 1;
+    }
+    Ok(())
+}
+
+/// Land lane `l`'s queued stores, in the order it made them.
+fn commit(ctx: &mut ExecCtx<'_>, pending: &[Pending<LANES>], l: usize) {
+    for p in pending {
+        put(&mut ctx.bufs[p.buf as usize], p.at[l], p.bits[l], p.dirty);
+    }
+}
+
+/// Write the low bytes of `v` to element `at`, marking it dirty for a
+/// dirty store.
+#[inline]
+fn put(slot: &mut BufSlot<'_>, at: usize, v: u64, dirty: bool) {
+    let n = slot.data.ty().size_bytes();
+    slot.data.bytes_mut()[at * n..(at + 1) * n].copy_from_slice(&v.to_le_bytes()[..n]);
+    if dirty {
+        if let Some(dm) = slot.dirty.as_deref_mut() {
+            dm.mark(at);
+        }
+    }
 }
 
 #[cold]
@@ -745,102 +888,175 @@ fn oob(buf: u16, slot: &BufSlot<'_>, gidx: i64) -> ExecError {
     }
 }
 
-/// The element of `slot` global index `gidx` names, bounds-checked.
+/// The element of `slot` each lane's global index names, or the first
+/// index outside the window.
 #[inline]
-fn element(buf: u16, slot: &BufSlot<'_>, gidx: i64) -> Result<usize, ExecError> {
-    let local = gidx - slot.window_lo;
-    if local < 0 || local as usize >= slot.data.len() {
-        return Err(oob(buf, slot, gidx));
+fn elements<const N: usize>(slot: &BufSlot<'_>, gidx: &[i64; N]) -> Result<[usize; N], i64> {
+    let mut at = [0; N];
+    for (a, &g) in at.iter_mut().zip(gidx) {
+        let local = g - slot.window_lo;
+        if local < 0 || local as usize >= slot.data.len() {
+            return Err(g);
+        }
+        *a = local as usize;
     }
-    Ok(local as usize)
+    Ok(at)
 }
 
-/// `Expr::Load` of an `N`-byte element, zero-extended into the frame.
+/// `Expr::Load` of an `M`-byte element in every lane, zero-extended into
+/// the frame; `Ok(false)` when a lane's index leaves the window of a
+/// batch, which must split.
 #[inline]
-fn load<const N: usize>(
+fn load<const M: usize, const N: usize>(
     ctx: &mut ExecCtx<'_>,
-    f: &mut [u64],
+    f: &mut [[u64; N]],
     buf: u16,
     r: R2,
     tid: i64,
-) -> Result<(), ExecError> {
-    let gidx = geti(f[r.a as usize]) as i64;
+) -> Result<bool, ExecError> {
+    let gidx = f[r.a as usize].map(|x| geti(x) as i64);
     let slot = &ctx.bufs[buf as usize];
-    let at = element(buf, slot, gidx)? * N;
-    let mut word = [0u8; 8];
-    word[..N].copy_from_slice(&slot.data.bytes()[at..at + N]);
-    f[r.d as usize] = u64::from_le_bytes(word);
-    let c = &mut ctx.counters;
-    c.loads += 1;
-    c.load_bytes += N as u64;
-    c.int_ops += 1 + r.x as u64; // index translation
-    ctx.per_buf_bytes[buf as usize].0 += N as u64;
+    let at = match elements(slot, &gidx) {
+        Ok(at) => at,
+        Err(_) if N > 1 => return Ok(false),
+        Err(g) => return Err(oob(buf, slot, g)),
+    };
+    let bytes = slot.data.bytes();
+    f[r.d as usize] = at.map(|i| {
+        let mut word = [0u8; 8];
+        word[..M].copy_from_slice(&bytes[i * M..(i + 1) * M]);
+        u64::from_le_bytes(word)
+    });
+    let (c, n) = (&mut ctx.counters, N as u64);
+    c.loads += n;
+    c.load_bytes += M as u64 * n;
+    c.int_ops += (1 + r.x as u64) * n; // index translation
+    ctx.per_buf_bytes[buf as usize].0 += M as u64 * n;
     if !ctx.sanitize.is_empty() {
-        sanitize_load(ctx, buf as u32, tid, gidx);
+        for (l, g) in gidx.into_iter().enumerate() {
+            sanitize_load(ctx, buf as u32, tid + l as i64, g);
+        }
     }
-    Ok(())
+    Ok(true)
 }
 
+/// `a cmp b` in every lane, with the comparison chosen once.
 #[inline]
-fn test<T: PartialOrd>(cmp: BinOp, a: T, b: T) -> bool {
+fn test<T: PartialOrd, const N: usize>(cmp: BinOp, a: [T; N], b: [T; N]) -> [bool; N] {
+    macro_rules! each {
+        ($op:tt) => {
+            std::array::from_fn(|l| a[l] $op b[l])
+        };
+    }
     // On floats these are C's semantics for NaN: only `!=` holds.
     match cmp {
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        BinOp::Eq => a == b,
-        _ => a != b,
+        BinOp::Lt => each!(<),
+        BinOp::Le => each!(<=),
+        BinOp::Gt => each!(>),
+        BinOp::Ge => each!(>=),
+        BinOp::Eq => each!(==),
+        _ => each!(!=),
     }
 }
 
-// Out of line on purpose: inlined into `run_compiled`'s thread loop the
-// dispatch loop spills `pc` and the frame pointer to the stack
-// (`stencil-2gpu` `wall_s` 0.074 s inlined, 0.060 s like this).
+/// Run `code` from `pc` for `N` lanes in lock step, lane `l` being thread
+/// `tid + l`; every op charges `N` times its static charge. With `N = 1`
+/// this is the one-lane path: it runs to `Ret` and faults where the
+/// walker does. A batch (`N > 1`) checks every lane before any effect of
+/// an op, and returns the op's index, unrun, when a lane could fault on
+/// it, the lanes' branches disagree, or the batch does not run it. Its
+/// stores queue in `pending`.
+// Out of line on purpose: inlined into the thread loop, the dispatch
+// loop spills `pc` and the frame pointer to the stack.
 #[inline(never)]
-fn run_thread(
+fn run_lanes<const N: usize>(
     code: &[Op],
     ctx: &mut ExecCtx<'_>,
-    f: &mut [u64],
+    f: &mut [[u64; N]],
+    mut pc: usize,
     tid: i64,
-) -> Result<(), ExecError> {
+    pending: &mut Vec<Pending<N>>,
+) -> Result<Option<usize>, ExecError> {
+    let n = N as u64;
+    // Leave the current op to the one-lane path (a no-op there).
+    macro_rules! split {
+        () => {
+            if N > 1 {
+                return Ok(Some(pc - 1));
+            }
+        };
+    }
     // `$r` is an `R3`; `$e` computes the result from operands `$p`, `$q`
     // decoded by `$get`, and `$n` is the counter the op's own charge
     // goes to.
     macro_rules! bin {
         ($r:ident, $get:expr, $put:expr, $n:ident, |$p:ident, $q:ident| $e:expr) => {{
-            let ($p, $q) = ($get(f[$r.a as usize]), $get(f[$r.b as usize]));
-            f[$r.d as usize] = $put($e);
-            ctx.counters.$n += 1;
-            ctx.counters.int_ops += $r.x as u64;
+            let (a, b) = (f[$r.a as usize], f[$r.b as usize]);
+            f[$r.d as usize] = std::array::from_fn(|l| {
+                let ($p, $q) = ($get(a[l]), $get(b[l]));
+                $put($e)
+            });
+            ctx.counters.$n += n;
+            ctx.counters.int_ops += $r.x as u64 * n;
         }};
     }
     macro_rules! un {
         ($r:ident, $n:ident, |$p:ident| $e:expr) => {{
-            let $p = f[$r.a as usize];
-            f[$r.d as usize] = $e;
-            ctx.counters.$n += 1;
-            ctx.counters.int_ops += $r.x as u64;
+            f[$r.d as usize] = f[$r.a as usize].map(|$p| $e);
+            ctx.counters.$n += n;
+            ctx.counters.int_ops += $r.x as u64 * n;
         }};
     }
     // Integer `/` and `%`: the charge precedes the fault, like the walker.
     macro_rules! div {
         ($r:ident, |$p:ident, $q:ident| $e:expr) => {{
-            ctx.counters.special_ops += 1;
-            let ($p, $q) = (geti(f[$r.a as usize]), geti(f[$r.b as usize]));
-            if $q == 0 {
+            if f[$r.b as usize].iter().any(|&q| geti(q) == 0) {
+                split!();
+                ctx.counters.special_ops += 1;
                 return Err(ExecError::DivByZero);
             }
-            f[$r.d as usize] = puti($e);
-            ctx.counters.int_ops += $r.x as u64;
+            bin!($r, geti, puti, special_ops, |$p, $q| $e)
         }};
     }
+    // A builtin per lane; `$e` is lane `$l`'s `eval_builtin`.
+    macro_rules! call {
+        ($r:ident, |$l:ident| $e:expr) => {{
+            let mut out = [0; N];
+            for ($l, o) in out.iter_mut().enumerate() {
+                match $e {
+                    Ok(v) => *o = bits(v),
+                    Err(e) => {
+                        split!();
+                        ctx.counters.special_ops += 1;
+                        return Err(e);
+                    }
+                }
+            }
+            f[$r.d as usize] = out;
+            ctx.counters.special_ops += n;
+            ctx.counters.int_ops += $r.x as u64 * n;
+        }};
+    }
+    // A comparison of operands decoded by `$get` into `$r.d` as 0/1.
+    macro_rules! cmp {
+        ($cmp:ident, $r:ident, $get:expr, $n:ident) => {{
+            let holds = test($cmp, f[$r.a as usize].map($get), f[$r.b as usize].map($get));
+            f[$r.d as usize] = holds.map(u64::from);
+            ctx.counters.$n += n;
+            ctx.counters.int_ops += $r.x as u64 * n;
+        }};
+    }
+    // Jump to `$t` where the condition `$holds` is false, charging the
+    // `$n`s; the lanes must agree.
     macro_rules! br {
-        ($cmp:ident, $a:ident, $b:ident, $t:ident, $get:expr, $n:ident, $pc:ident) => {{
-            ctx.counters.$n += 1;
-            ctx.counters.branches += 1;
-            if !test($cmp, $get(f[$a as usize]), $get(f[$b as usize])) {
-                $pc = $t as usize;
+        ($t:ident, [$($n:ident),*], $holds:expr) => {{
+            let holds: [bool; N] = $holds;
+            if holds.contains(&!holds[0]) {
+                split!();
+            }
+            $(ctx.counters.$n += n;)*
+            if !holds[0] {
+                pc = $t as usize;
             }
         }};
     }
@@ -848,7 +1064,6 @@ fn run_thread(
     let putd = f64::to_bits;
     let flag = |b: bool| b as u64;
 
-    let mut pc = 0usize;
     loop {
         let op = code[pc];
         pc += 1;
@@ -871,9 +1086,9 @@ fn run_thread(
             Op::SubD(r) => bin!(r, getd, putd, f64_ops, |p, q| p - q),
             Op::MulD(r) => bin!(r, getd, putd, f64_ops, |p, q| p * q),
             Op::DivD(r) => bin!(r, getd, putd, special_ops, |p, q| p / q),
-            Op::CmpI(cmp, r) => bin!(r, geti, flag, int_ops, |p, q| test(cmp, p, q)),
-            Op::CmpS(cmp, r) => bin!(r, gets, flag, f32_ops, |p, q| test(cmp, p, q)),
-            Op::CmpD(cmp, r) => bin!(r, getd, flag, f64_ops, |p, q| test(cmp, p, q)),
+            Op::CmpI(c, r) => cmp!(c, r, geti, int_ops),
+            Op::CmpS(c, r) => cmp!(c, r, gets, f32_ops),
+            Op::CmpD(c, r) => cmp!(c, r, getd, f64_ops),
             Op::NegI(r) => un!(r, int_ops, |p| puti(geti(p).wrapping_neg())),
             Op::NegS(r) => un!(r, f32_ops, |p| puts(-gets(p))),
             Op::NegD(r) => un!(r, f64_ops, |p| putd(-getd(p))),
@@ -881,23 +1096,31 @@ fn run_thread(
             Op::BitNot(r) => un!(r, int_ops, |p| puti(!geti(p))),
             Op::Mov(r) => {
                 f[r.d as usize] = f[r.a as usize];
-                ctx.counters.int_ops += r.x as u64;
+                ctx.counters.int_ops += r.x as u64 * n;
             }
-            Op::Truth(d) => f[d as usize] = flag(f[d as usize] != 0),
+            Op::Truth(d) => f[d as usize] = f[d as usize].map(|x| flag(x != 0)),
             Op::Cast { from, to, r } => un!(r, int_ops, |p| bits(value(from, p).cast(to))),
             Op::Call1 { f: fun, ta, r } => {
-                ctx.counters.special_ops += 1;
-                f[r.d as usize] = bits(eval_builtin(fun, &[value(ta, f[r.a as usize])])?);
-                ctx.counters.int_ops += r.x as u64;
+                let a = f[r.a as usize];
+                call!(r, |l| eval_builtin(fun, &[value(ta, a[l])]))
             }
             Op::Call2 { f: fun, ta, tb, r } => {
-                ctx.counters.special_ops += 1;
-                let args = [value(ta, f[r.a as usize]), value(tb, f[r.b as usize])];
-                f[r.d as usize] = bits(eval_builtin(fun, &args)?);
-                ctx.counters.int_ops += r.x as u64;
+                let (a, b) = (f[r.a as usize], f[r.b as usize]);
+                call!(r, |l| eval_builtin(
+                    fun,
+                    &[value(ta, a[l]), value(tb, b[l])]
+                ))
             }
-            Op::Load4 { buf, r } => load::<4>(ctx, f, buf, r, tid)?,
-            Op::Load8 { buf, r } => load::<8>(ctx, f, buf, r, tid)?,
+            Op::Load4 { buf, r } => {
+                if !load::<4, N>(ctx, f, buf, r, tid)? {
+                    split!();
+                }
+            }
+            Op::Load8 { buf, r } => {
+                if !load::<8, N>(ctx, f, buf, r, tid)? {
+                    split!();
+                }
+            }
             Op::Store {
                 buf,
                 idx,
@@ -907,14 +1130,19 @@ fn run_thread(
                 dirty,
                 checked,
             } => {
-                let gidx = geti(f[idx as usize]) as i64;
+                let gidx = f[idx as usize].map(|x| geti(x) as i64);
                 let v = f[val as usize];
                 let b = buf as usize;
+                let own = ctx.bufs[b].own;
+                let miss = checked && gidx.iter().any(|&g| g < own.0 || g >= own.1);
+                let at = elements(&ctx.bufs[b], &gidx);
+                if miss || at.is_err() || pending.len() == MAX_PENDING {
+                    split!();
+                }
                 if checked {
-                    ctx.counters.miss_checks += 1;
-                    let own = ctx.bufs[b].own;
-                    if gidx < own.0 || gidx >= own.1 {
-                        // Write miss: stage (destination, uncast value).
+                    ctx.counters.miss_checks += n;
+                    if miss {
+                        // Write miss (one lane): stage (destination, uncast value).
                         ctx.counters.misses += 1;
                         if ctx.miss_buf.len() >= ctx.miss_capacity {
                             return Err(ExecError::MissBufferOverflow {
@@ -925,33 +1153,40 @@ fn run_thread(
                         ctx.counters.store_bytes += (8 + vty.size_bytes()) as u64;
                         ctx.miss_buf.push(MissRecord {
                             buf: buf as u32,
-                            idx: gidx,
-                            value: value(vty, v),
+                            idx: gidx[0],
+                            value: value(vty, v[0]),
                         });
                         continue;
                     }
                 } else if !ctx.sanitize.is_empty() {
-                    sanitize_store(ctx, buf as u32, tid, gidx);
+                    for (l, &g) in gidx.iter().enumerate() {
+                        sanitize_store(ctx, buf as u32, tid + l as i64, g);
+                    }
                 }
-                let slot = &mut ctx.bufs[b];
-                let at = element(buf, slot, gidx)?;
+                let at = at.map_err(|g| oob(buf, &ctx.bufs[b], g))?;
                 let v = if vty == bty {
                     v
                 } else {
-                    bits(value(vty, v).cast(bty))
+                    v.map(|x| bits(value(vty, x).cast(bty)))
                 };
-                let n = bty.size_bytes();
-                slot.data.bytes_mut()[at * n..(at + 1) * n].copy_from_slice(&v.to_le_bytes()[..n]);
+                if N == 1 {
+                    put(&mut ctx.bufs[b], at[0], v[0], dirty);
+                } else {
+                    pending.push(Pending {
+                        buf,
+                        dirty,
+                        at,
+                        bits: v,
+                    });
+                }
+                let size = bty.size_bytes() as u64;
                 let c = &mut ctx.counters;
-                c.stores += 1;
-                c.store_bytes += n as u64;
-                c.int_ops += 1; // index translation
-                ctx.per_buf_bytes[b].1 += n as u64;
+                c.stores += n;
+                c.store_bytes += size * n;
+                c.int_ops += n; // index translation
+                ctx.per_buf_bytes[b].1 += size * n;
                 if dirty {
-                    if let Some(dm) = slot.dirty.as_deref_mut() {
-                        dm.mark(at);
-                    }
-                    c.dirty_marks += 1;
+                    c.dirty_marks += n;
                 }
             }
             Op::Atomic {
@@ -961,10 +1196,11 @@ fn run_thread(
                 ty,
                 op,
             } => {
-                let gidx = geti(f[idx as usize]) as i64;
+                split!();
+                let gidx = geti(f[idx as usize][0]) as i64;
                 let slot = &mut ctx.bufs[buf as usize];
-                let at = element(buf, slot, gidx)?;
-                let new = rmw_apply(op, slot.data.get(at), value(ty, f[val as usize]))?;
+                let [at] = elements(slot, &[gidx]).map_err(|g| oob(buf, slot, g))?;
+                let new = rmw_apply(op, slot.data.get(at), value(ty, f[val as usize][0]))?;
                 slot.data.set(at, new);
                 let n = ty.size_bytes() as u64;
                 let c = &mut ctx.counters;
@@ -979,8 +1215,9 @@ fn run_thread(
                 pb.1 += n;
             }
             Op::Reduce { slot, val, ty, op } => {
+                split!();
                 let p = &mut ctx.reduction_partials[slot as usize];
-                *p = rmw_apply(op, *p, value(ty, f[val as usize]))?;
+                *p = rmw_apply(op, *p, value(ty, f[val as usize][0]))?;
                 let c = &mut ctx.counters;
                 match ty {
                     Ty::F32 => c.f32_ops += 1,
@@ -989,16 +1226,20 @@ fn run_thread(
                 }
             }
             Op::Jump(t) => pc = t as usize,
-            Op::BrZero { a, t } => {
-                ctx.counters.branches += 1;
-                if f[a as usize] == 0 {
-                    pc = t as usize;
-                }
+            Op::BrZero { a, t } => br!(t, [branches], f[a as usize].map(|x| x != 0)),
+            Op::BrCmpI { cmp, a, b, t } => {
+                let (a, b) = (f[a as usize].map(geti), f[b as usize].map(geti));
+                br!(t, [int_ops, branches], test(cmp, a, b))
             }
-            Op::BrCmpI { cmp, a, b, t } => br!(cmp, a, b, t, geti, int_ops, pc),
-            Op::BrCmpS { cmp, a, b, t } => br!(cmp, a, b, t, gets, f32_ops, pc),
-            Op::BrCmpD { cmp, a, b, t } => br!(cmp, a, b, t, getd, f64_ops, pc),
-            Op::Ret => return Ok(()),
+            Op::BrCmpS { cmp, a, b, t } => {
+                let (a, b) = (f[a as usize].map(gets), f[b as usize].map(gets));
+                br!(t, [f32_ops, branches], test(cmp, a, b))
+            }
+            Op::BrCmpD { cmp, a, b, t } => {
+                let (a, b) = (f[a as usize].map(getd), f[b as usize].map(getd));
+                br!(t, [f64_ops, branches], test(cmp, a, b))
+            }
+            Op::Ret => return Ok(None),
         }
     }
 }

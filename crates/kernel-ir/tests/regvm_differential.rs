@@ -1263,6 +1263,306 @@ fn casting_stores_keep_the_uncast_value_in_miss_records() {
 }
 
 // ---------------------------------------------------------------------------
+// Lane batches. An unsanitized launch of a kernel that may batch runs
+// `regvm::LANES` threads per dispatch until their branches disagree or a
+// lane could fault, then finishes each lane alone, in tid order. Every
+// kernel here must batch and runs over three full batches and a tail, so
+// the equalities reach that path: buffers, counters, per-buffer bytes and
+// miss records at a fault as well as at the end.
+// ---------------------------------------------------------------------------
+
+const LANES: usize = regvm::LANES;
+/// Three full batches and a tail.
+const BATCHED: usize = 3 * LANES + 5;
+/// The thread in lane 5 of the second batch.
+const LANE5: usize = LANES + 5;
+
+/// Walker against register tier over threads `[0, BATCHED)`, unsanitized,
+/// for a kernel that must batch.
+fn agree_batched(k: &Kernel, bufs: &[Buffer], bind: &[Binding]) -> Outcome {
+    let rc = regvm::compile(k).unwrap_or_else(|e| panic!("{e}"));
+    assert!(rc.may_batch(), "`{}` must batch", k.name);
+    assert_regvm_agrees(k, &[], bufs, bind, &[], usize::MAX, 0, BATCHED as i64)
+}
+
+fn whole(bufs: &[Buffer]) -> Vec<Binding> {
+    bufs.iter().map(|b| Binding::whole(b.len())).collect()
+}
+
+fn when(cond: Expr, then_: Vec<Stmt>) -> Stmt {
+    Stmt::If {
+        cond,
+        then_,
+        else_: vec![],
+    }
+}
+
+#[test]
+fn a_uniform_stencil_batches_like_the_walker() {
+    // A heat2d-shaped row per thread: the cell's neighbours, branches on
+    // the column (uniform across a batch) and on the row (divergent in
+    // the first and last rows only), and a dirty f64 store per column.
+    const COLS: i32 = 6;
+    let at = |row: Expr, col: Expr| Expr::load(BufId(0), Expr::add(Expr::mul(row, imm(COLS)), col));
+    let (j, c, up, dn, lf) = (0, 1, 2, 3, 4);
+    let laplace = Expr::sub(
+        Expr::add(Expr::add(local(up), local(dn)), local(lf)),
+        Expr::mul(Expr::imm_f64(3.0), local(c)),
+    );
+    let k = kernel(
+        "stencil",
+        vec![
+            buf("a", Ty::F64, BufAccess::Read),
+            buf("b", Ty::F64, BufAccess::Write),
+        ],
+        vec![Ty::I32, Ty::F64, Ty::F64, Ty::F64, Ty::F64],
+        vec![Stmt::While {
+            cond: cmp(BinOp::Lt, local(j), imm(COLS)),
+            body: vec![
+                assign(c, at(tid(), local(j))),
+                assign(up, local(c)),
+                assign(dn, local(c)),
+                assign(lf, local(c)),
+                when(
+                    cmp(BinOp::Gt, tid(), imm(0)),
+                    vec![assign(up, at(Expr::sub(tid(), imm(1)), local(j)))],
+                ),
+                when(
+                    cmp(BinOp::Lt, tid(), imm(BATCHED as i32 - 1)),
+                    vec![assign(dn, at(Expr::add(tid(), imm(1)), local(j)))],
+                ),
+                when(
+                    cmp(BinOp::Gt, local(j), imm(0)),
+                    vec![assign(lf, at(tid(), Expr::sub(local(j), imm(1))))],
+                ),
+                Stmt::Store {
+                    buf: BufId(1),
+                    idx: Expr::add(Expr::mul(tid(), imm(COLS)), local(j)),
+                    value: Expr::add(local(c), Expr::mul(Expr::imm_f64(0.2), laplace.clone())),
+                    dirty: true,
+                    checked: false,
+                },
+                assign(j, Expr::add(local(j), imm(1))),
+            ],
+        }],
+    );
+    let n = BATCHED * COLS as usize;
+    let a: Vec<f64> = (0..n).map(|i| (i * 7 % 13) as f64 * 0.5).collect();
+    let bufs = [Buffer::from_f64(&a), Buffer::zeroed(Ty::F64, n)];
+    let mut bind = whole(&bufs);
+    bind[1].dirty = true;
+    let out = agree_batched(&k, &bufs, &bind);
+    assert!(out.result.is_ok());
+    assert_eq!(out.counters.threads, BATCHED as u64);
+    assert_eq!(out.counters.dirty_marks, n as u64);
+    assert_eq!(out.dirty_bits[1], Some(vec![true; n]));
+}
+
+#[test]
+fn a_branch_that_diverges_mid_batch_splits_like_the_walker() {
+    // Every thread stores, then branches on its data, then stores again:
+    // the first batch and the tail agree, the second diverges from lane
+    // 7 on and the third in every other lane, so those split at the
+    // branch with a store queued per lane.
+    let k = kernel(
+        "diverge",
+        vec![
+            buf("a", Ty::I32, BufAccess::Read),
+            buf("out", Ty::I32, BufAccess::Write),
+        ],
+        vec![Ty::I32],
+        vec![
+            store(1, cell(2, 0), Expr::mul(tid(), imm(3))),
+            Stmt::If {
+                cond: cmp(BinOp::Gt, Expr::load(BufId(0), tid()), imm(0)),
+                then_: vec![assign(0, Expr::add(Expr::load(BufId(0), tid()), imm(100)))],
+                else_: vec![assign(0, Expr::sub(imm(0), tid()))],
+            },
+            store(1, cell(2, 1), local(0)),
+        ],
+    );
+    let a: Vec<i32> = (0..BATCHED)
+        .map(|t| match t / LANES {
+            1 if t % LANES >= 7 => -1,
+            2 if t % 2 == 1 => -1,
+            _ => 1,
+        })
+        .collect();
+    let bufs = [Buffer::from_i32(&a), Buffer::zeroed(Ty::I32, 2 * BATCHED)];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    assert!(out.result.is_ok());
+    let cells = i32s(&out.bufs[1]);
+    assert_eq!(
+        cells[2 * (LANES + 6)..2 * (LANES + 8)],
+        [
+            18 + 3 * LANES as i32,
+            101,
+            21 + 3 * LANES as i32,
+            -(LANES as i32 + 7)
+        ]
+    );
+}
+
+/// Thread `t` stores `3t`, then computes `value` (which faults in thread
+/// `LANE5` alone), then stores it.
+fn faulting_in_lane5(name: &str, value: Expr, src: Vec<i32>) -> Outcome {
+    let k = kernel(
+        name,
+        vec![
+            buf("src", Ty::I32, BufAccess::Read),
+            buf("out", Ty::I32, BufAccess::Write),
+        ],
+        vec![Ty::I32],
+        vec![
+            store(1, tid(), Expr::mul(tid(), imm(3))),
+            assign(0, value),
+            store(1, Expr::add(tid(), imm(BATCHED as i32)), local(0)),
+        ],
+    );
+    let bufs = [Buffer::from_i32(&src), Buffer::zeroed(Ty::I32, 2 * BATCHED)];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    // Lanes 0-4 finished, lane 5 stored once, lanes 6.. never ran.
+    assert_eq!(out.counters.threads, LANE5 as u64, "{name}");
+    assert_eq!(out.counters.stores, 2 * LANE5 as u64 + 1, "{name}");
+    assert_eq!(out.per_buf_bytes[1].1, 4 * (2 * LANE5 as u64 + 1), "{name}");
+    let cells = i32s(&out.bufs[1]);
+    assert_eq!(
+        cells[LANE5 - 1..LANE5 + 2],
+        [3 * LANE5 as i32 - 3, 3 * LANE5 as i32, 0]
+    );
+    assert_ne!(cells[BATCHED + LANE5 - 1], 0, "{name}");
+    assert_eq!(cells[BATCHED + LANE5], 0, "{name}");
+    out
+}
+
+#[test]
+fn lane5_faulting_after_lanes_0_to_4_stored_settles_like_the_walker() {
+    // Out of window: `src[src[t]]` with `src[LANE5]` far outside.
+    let mut src: Vec<i32> = (0..BATCHED as i32).collect();
+    src[LANE5] = 10_000;
+    let inner = Expr::load(BufId(0), tid());
+    let out = faulting_in_lane5("window", Expr::load(BufId(0), inner), src);
+    assert!(matches!(
+        out.result,
+        Err(ExecError::OutOfBounds { idx: 10_000, .. })
+    ));
+    // Division by zero: `1000 / src[t]` with `src[LANE5] = 0`.
+    let mut src: Vec<i32> = (1..=BATCHED as i32).collect();
+    src[LANE5] = 0;
+    let quotient = Expr::bin(BinOp::Div, imm(1000), Expr::load(BufId(0), tid()));
+    let out = faulting_in_lane5("div", quotient, src);
+    assert_eq!(out.result, Err(ExecError::DivByZero));
+}
+
+#[test]
+fn the_higher_tid_wins_an_element_stored_by_several_lanes() {
+    // Four threads store to each element of the first half; in the
+    // second, a thread's two stores land on elements its neighbours
+    // store too, so the winner depends on committing whole lanes in tid
+    // order, not stores op by op.
+    let half = BATCHED as i32;
+    let k = kernel(
+        "waw",
+        vec![buf("out", Ty::I32, BufAccess::Write)],
+        vec![],
+        vec![
+            store(0, Expr::bin(BinOp::Div, tid(), imm(4)), tid()),
+            store(
+                0,
+                Expr::add(Expr::bin(BinOp::Div, tid(), imm(2)), imm(half)),
+                tid(),
+            ),
+            store(
+                0,
+                Expr::add(
+                    Expr::bin(BinOp::Div, Expr::add(tid(), imm(1)), imm(2)),
+                    imm(half),
+                ),
+                Expr::sub(imm(0), tid()),
+            ),
+        ],
+    );
+    let bufs = [Buffer::zeroed(Ty::I32, 2 * BATCHED)];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    assert!(out.result.is_ok());
+    let cells = i32s(&out.bufs[0]);
+    assert_eq!(cells[..4], [3, 7, 11, 15]);
+    // Element `half + e` is stored by threads `2e - 1` (third store), `2e`
+    // (second and third) and `2e + 1` (second): the walker ends it at
+    // `2e + 1`, where store-by-store order would end it at `-2e`.
+    assert_eq!(cells[BATCHED + 3], 7);
+}
+
+#[test]
+fn a_checked_store_missing_in_one_lane_records_misses_in_tid_order() {
+    // The store's index is data: a few threads, in two batches and the
+    // tail, land outside the owned range, so those batches split at the
+    // store and every lane stages its own record.
+    let k = kernel(
+        "miss",
+        vec![
+            buf("ix", Ty::I32, BufAccess::Read),
+            buf("out", Ty::I32, BufAccess::Write),
+        ],
+        vec![],
+        vec![Stmt::Store {
+            buf: BufId(1),
+            idx: Expr::load(BufId(0), tid()),
+            value: tid(),
+            dirty: false,
+            checked: true,
+        }],
+    );
+    let n = BATCHED as i32;
+    let mut ix: Vec<i32> = (0..n).collect();
+    let strays = [
+        (LANE5, -3),
+        (LANE5 + 2, n + 4),
+        (2 * LANES + 1, -1),
+        (BATCHED - 1, n + 9),
+    ];
+    for (t, i) in strays {
+        ix[t] = i;
+    }
+    let bufs = [Buffer::from_i32(&ix), Buffer::zeroed(Ty::I32, BATCHED)];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    assert!(out.result.is_ok());
+    let want: Vec<(i64, i32)> = strays
+        .iter()
+        .map(|&(t, i)| (i64::from(i), t as i32))
+        .collect();
+    let got: Vec<(i64, i32)> = out.misses.iter().map(|m| (m.1, m.2 .1 as i32)).collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn a_full_store_buffer_splits_the_batch() {
+    // More stores per thread than a lane may queue: each batch splits at
+    // the first store past the bound and its lanes finish alone.
+    const PER: i32 = 1100;
+    let k = kernel(
+        "many_stores",
+        vec![buf("out", Ty::I32, BufAccess::Write)],
+        vec![Ty::I32],
+        vec![Stmt::While {
+            cond: cmp(BinOp::Lt, local(0), imm(PER)),
+            body: vec![
+                store(
+                    0,
+                    Expr::add(Expr::mul(tid(), imm(PER)), local(0)),
+                    Expr::add(local(0), tid()),
+                ),
+                assign(0, Expr::add(local(0), imm(1))),
+            ],
+        }],
+    );
+    let bufs = [Buffer::zeroed(Ty::I32, BATCHED * PER as usize)];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    assert!(out.result.is_ok());
+    assert_eq!(i32s(&out.bufs[0])[PER as usize * 20 + 1099], 1119);
+}
+
+// ---------------------------------------------------------------------------
 // One negative test per rejection rule: `compile` refuses the kernel, and
 // the walker (usually) raises a `TypeError` on it — the typer refuses
 // what the reference semantics refuses.
@@ -1896,7 +2196,8 @@ fn random_world(
     (bufs, bindings, sanitize)
 }
 
-/// One random launch; returns whether the kernel took the register tier.
+/// One random launch, sanitized and again unsanitized; `None` when the
+/// kernel was refused, else whether it may run in lane batches.
 fn fuzz_case(
     prog: &[u8],
     data: &[i32],
@@ -1905,7 +2206,7 @@ fn fuzz_case(
     own_lo: usize,
     own_len: usize,
     cap: usize,
-) -> bool {
+) -> Option<bool> {
     let k = random_kernel(prog);
     let (bufs, bindings, sanitize) = random_world(data, own_lo, own_len);
     let params = [
@@ -1914,12 +2215,15 @@ fn fuzz_case(
         Value::F32(p0 as f32 * 0.5),
         Value::F64(f64::from(p1) - 0.25),
     ];
-    if let Err(e) = regvm::compile(&k) {
-        // Only an assignment's type is ever off: the deliberate slip, or
-        // a `Min` / `Max` of two ints where a float was asked for.
-        assert!(e.0.contains(" value assigned to "), "{e}");
-        return false;
-    }
+    let rc = match regvm::compile(&k) {
+        Ok(rc) => rc,
+        Err(e) => {
+            // Only an assignment's type is ever off: the deliberate slip,
+            // or a `Min` / `Max` of two ints where a float was asked for.
+            assert!(e.0.contains(" value assigned to "), "{e}");
+            return None;
+        }
+    };
     assert_regvm_agrees(
         &k,
         &params,
@@ -1930,7 +2234,9 @@ fn fuzz_case(
         0,
         RAND_N as i64,
     );
-    true
+    // Unsanitized, a kernel that may batch runs its lane batches.
+    assert_regvm_agrees(&k, &params, &bufs, &bindings, &[], cap, 0, RAND_N as i64);
+    Some(rc.may_batch())
 }
 
 proptest! {
@@ -1974,10 +2280,10 @@ proptest! {
     }
 }
 
-/// 600 deterministic random launches, with a floor on the share of
-/// kernels that compiled: were the typing rules (or the generator) to
-/// drift until most kernels were refused, the equalities above would
-/// hold vacuously.
+/// 600 deterministic random launches, with floors on the shares of
+/// kernels that compiled and that may batch: were the typing rules (or
+/// the generator) to drift until most kernels were refused, or none
+/// batched, the equalities above would hold vacuously.
 #[test]
 fn regvm_fuzz_smoke() {
     // Deterministic xorshift stream; no RNG dependency needed.
@@ -1988,7 +2294,7 @@ fn regvm_fuzz_smoke() {
         s ^= s << 17;
         s
     };
-    let (cases, mut compiled) = (600, 0);
+    let (cases, mut compiled, mut batched) = (600, 0, 0);
     for case in 0..cases {
         let prog: Vec<u8> = (0..32 + (next() % 64) as usize)
             .map(|_| next() as u8)
@@ -2005,7 +2311,9 @@ fn regvm_fuzz_smoke() {
         } else {
             usize::MAX
         };
-        compiled += usize::from(fuzz_case(&prog, &data, p0, p1, own_lo, own_len, cap));
+        let ran = fuzz_case(&prog, &data, p0, p1, own_lo, own_len, cap);
+        compiled += usize::from(ran.is_some());
+        batched += usize::from(ran == Some(true));
     }
     assert!(
         compiled * 10 >= cases * 9,
@@ -2014,5 +2322,9 @@ fn regvm_fuzz_smoke() {
     assert!(
         compiled < cases,
         "the ill-typed share of the generator is gone"
+    );
+    assert!(
+        batched * 5 >= cases,
+        "only {batched}/{cases} kernels may batch"
     );
 }
