@@ -4,11 +4,15 @@
 //! which refuses any kernel it cannot type, so this is not the hot path:
 //! it executes whole runs under `KernelVm::Bytecode`, and on hand-built
 //! IR it reproduces the walker's dynamic `TypeError`s, which only a
-//! tagged-`Value` machine can. A kernel body
-//! is compiled once into a flat instruction vector executed by a small
-//! stack machine: the instruction stream is contiguous in memory,
-//! control flow becomes jumps, and the AST walker's per-node `Result`
-//! plumbing collapses into one dispatch loop.
+//! tagged-`Value` machine can. It stays for that whole-run parity with
+//! the walker until the benchmark stops importing [`compile`] and
+//! `KernelVm`, which deleting the tier waits for (ROADMAP item 3).
+//!
+//! It is a plain stack machine: [`compile`] walks a kernel body once
+//! into a flat op vector (control flow becomes jumps; there is no
+//! peephole pass), and [`run_iteration`] runs one match arm per op.
+//! Fused ops that cut dispatch belong to the tier that runs: the
+//! register tier keeps its compare-and-branch and `Assign` fusions.
 //!
 //! The compiled path is an *implementation detail*, not a semantic one:
 //! it must produce exactly the results of the AST walker — the same
@@ -49,7 +53,7 @@ impl BoolCtx {
 
 /// One flat instruction. Operands are inline; jump targets are absolute
 /// instruction indices patched during compilation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     PushImm(Value),
     PushLocal(u32),
@@ -85,288 +89,6 @@ enum Op {
     /// Coerce the top of stack to bool (rhs of `&&` / `||`).
     ToBool,
     Halt,
-
-    // ---- fused superinstructions ------------------------------------
-    //
-    // Produced by the peephole pass in [`fuse`], never by the code
-    // generator. Each is the exact concatenation of the two ops it
-    // replaces: same counter updates, in the same order, failing with
-    // the same `ExecError` at the same point. They exist purely to cut
-    // dispatch and stack traffic on the per-iteration hot path.
-    /// `PushTid` + `ToIndex`.
-    TidIndex,
-    /// `PushLocal` + `ToIndex`.
-    LocalIndex(u32),
-    /// `PushParam` + `ToIndex`.
-    ParamIndex(u32),
-    /// `PushImm` + `ToIndex` (index coercion done at compile time; only
-    /// emitted when the immediate is a valid index).
-    ImmIndex(i64),
-    /// `TidIndex` + `BufLoad`.
-    LoadTid(u32),
-    /// `LocalIndex` + `BufLoad`.
-    LoadAtLocal { buf: u32, l: u32 },
-    /// `ParamIndex` + `BufLoad`.
-    LoadAtParam { buf: u32, p: u32 },
-    /// `ImmIndex` + `BufLoad`.
-    LoadAtImm { buf: u32, idx: i64 },
-    /// `BufLoad` + `SetLocal`.
-    LoadToLocal { buf: u32, dst: u32 },
-    /// `LoadTid` + `SetLocal`.
-    LoadTidToLocal { buf: u32, dst: u32 },
-    /// `LoadAtLocal` + `SetLocal`.
-    LoadAtLocalToLocal { buf: u32, l: u32, dst: u32 },
-    /// `PushParam` + `SetLocal`.
-    ParamToLocal { p: u32, dst: u32 },
-    /// Two consecutive `ParamToLocal`s (kernel preambles copy several
-    /// launch parameters into locals back to back).
-    Param2ToLocal { p: [u32; 2], dst: [u32; 2] },
-    /// Three consecutive `ParamToLocal`s.
-    Param3ToLocal { p: [u32; 3], dst: [u32; 3] },
-    /// `PushImm` + `SetLocal`.
-    ImmToLocal { v: Value, dst: u32 },
-    /// `PushLocal` + `SetLocal`.
-    LocalToLocal { src: u32, dst: u32 },
-    /// `PushLocal` (the rhs) + `Binary`.
-    BinOpLocal { op: BinOp, l: u32 },
-    /// `PushImm` (the rhs) + `Binary`.
-    BinOpImm { op: BinOp, v: Value },
-    /// `PushParam` (the rhs) + `Binary`.
-    BinOpParam { op: BinOp, p: u32 },
-    /// `Binary` + `BrFalse`.
-    BinBr { op: BinOp, target: u32, ctx: BoolCtx },
-    /// `BinOpLocal` + `BrFalse`.
-    BinLocalBr { op: BinOp, l: u32, target: u32, ctx: BoolCtx },
-    /// `BinOpImm` + `BrFalse`.
-    BinImmBr { op: BinOp, v: Value, target: u32, ctx: BoolCtx },
-    /// `BinOpParam` + `BrFalse`.
-    BinParamBr { op: BinOp, p: u32, target: u32, ctx: BoolCtx },
-    /// `Binary` + `ToIndex`.
-    BinToIndex { op: BinOp },
-    /// `BinOpLocal` + `ToIndex`.
-    BinLocalToIndex { op: BinOp, l: u32 },
-    /// `BinOpImm` + `ToIndex`.
-    BinImmToIndex { op: BinOp, v: Value },
-    /// `LoadAtLocal` + `BinLocalBr`: load at a local-valued index,
-    /// compare against another local, branch — the scan-reject shape of
-    /// sparse-graph kernels.
-    LoadLocalBinLocalBr {
-        buf: u32,
-        il: u32,
-        op: BinOp,
-        rl: u32,
-        target: u32,
-        ctx: BoolCtx,
-    },
-    /// `LoadAtLocal` + `BinImmBr`.
-    LoadLocalBinImmBr {
-        buf: u32,
-        il: u32,
-        op: BinOp,
-        v: Value,
-        target: u32,
-        ctx: BoolCtx,
-    },
-    /// `Binary` + `SetLocal`.
-    BinToLocal { op: BinOp, dst: u32 },
-    /// `BinOpLocal` + `SetLocal`.
-    BinLocalToLocal { op: BinOp, l: u32, dst: u32 },
-    /// `BinOpImm` + `SetLocal`.
-    BinImmToLocal { op: BinOp, v: Value, dst: u32 },
-}
-
-/// The absolute jump target carried by an op, if any.
-fn jump_target(op: &Op) -> Option<u32> {
-    match op {
-        Op::Jump(t)
-        | Op::BrFalse { target: t, .. }
-        | Op::BrShortCircuit { target: t, .. }
-        | Op::BinBr { target: t, .. }
-        | Op::BinLocalBr { target: t, .. }
-        | Op::BinImmBr { target: t, .. }
-        | Op::BinParamBr { target: t, .. }
-        | Op::LoadLocalBinLocalBr { target: t, .. }
-        | Op::LoadLocalBinImmBr { target: t, .. } => Some(*t),
-        _ => None,
-    }
-}
-
-fn jump_target_mut(op: &mut Op) -> Option<&mut u32> {
-    match op {
-        Op::Jump(t)
-        | Op::BrFalse { target: t, .. }
-        | Op::BrShortCircuit { target: t, .. }
-        | Op::BinBr { target: t, .. }
-        | Op::BinLocalBr { target: t, .. }
-        | Op::BinImmBr { target: t, .. }
-        | Op::BinParamBr { target: t, .. }
-        | Op::LoadLocalBinLocalBr { target: t, .. }
-        | Op::LoadLocalBinImmBr { target: t, .. } => Some(t),
-        _ => None,
-    }
-}
-
-/// Try to fuse two adjacent ops into one superinstruction. `None` means
-/// "leave the pair alone" — including the `PushImm`+`ToIndex` case where
-/// the immediate is not a valid index, so the runtime error path of
-/// `ToIndex` is preserved.
-fn fuse2(a: &Op, b: &Op) -> Option<Op> {
-    Some(match (a, b) {
-        (Op::PushTid, Op::ToIndex) => Op::TidIndex,
-        (Op::PushLocal(l), Op::ToIndex) => Op::LocalIndex(*l),
-        (Op::PushParam(p), Op::ToIndex) => Op::ParamIndex(*p),
-        (Op::PushImm(v), Op::ToIndex) => Op::ImmIndex(v.as_index()?),
-        (Op::TidIndex, Op::BufLoad(buf)) => Op::LoadTid(*buf),
-        (Op::LocalIndex(l), Op::BufLoad(buf)) => Op::LoadAtLocal { buf: *buf, l: *l },
-        (Op::ParamIndex(p), Op::BufLoad(buf)) => Op::LoadAtParam { buf: *buf, p: *p },
-        (Op::ImmIndex(i), Op::BufLoad(buf)) => Op::LoadAtImm { buf: *buf, idx: *i },
-        (Op::BufLoad(buf), Op::SetLocal(d)) => Op::LoadToLocal { buf: *buf, dst: *d },
-        (Op::LoadTid(buf), Op::SetLocal(d)) => Op::LoadTidToLocal { buf: *buf, dst: *d },
-        (Op::LoadAtLocal { buf, l }, Op::SetLocal(d)) => Op::LoadAtLocalToLocal {
-            buf: *buf,
-            l: *l,
-            dst: *d,
-        },
-        (Op::PushParam(p), Op::SetLocal(d)) => Op::ParamToLocal { p: *p, dst: *d },
-        (
-            Op::ParamToLocal { p: p0, dst: d0 },
-            Op::ParamToLocal { p: p1, dst: d1 },
-        ) => Op::Param2ToLocal {
-            p: [*p0, *p1],
-            dst: [*d0, *d1],
-        },
-        (
-            Op::Param2ToLocal { p, dst },
-            Op::ParamToLocal { p: p2, dst: d2 },
-        ) => Op::Param3ToLocal {
-            p: [p[0], p[1], *p2],
-            dst: [dst[0], dst[1], *d2],
-        },
-        (Op::PushImm(v), Op::SetLocal(d)) => Op::ImmToLocal { v: *v, dst: *d },
-        (Op::PushLocal(s), Op::SetLocal(d)) => Op::LocalToLocal { src: *s, dst: *d },
-        (Op::PushLocal(l), Op::Binary(op)) => Op::BinOpLocal { op: *op, l: *l },
-        (Op::PushImm(v), Op::Binary(op)) => Op::BinOpImm { op: *op, v: *v },
-        (Op::PushParam(p), Op::Binary(op)) => Op::BinOpParam { op: *op, p: *p },
-        (Op::Binary(op), Op::BrFalse { target, ctx }) => Op::BinBr {
-            op: *op,
-            target: *target,
-            ctx: *ctx,
-        },
-        (Op::BinOpLocal { op, l }, Op::BrFalse { target, ctx }) => Op::BinLocalBr {
-            op: *op,
-            l: *l,
-            target: *target,
-            ctx: *ctx,
-        },
-        (Op::BinOpImm { op, v }, Op::BrFalse { target, ctx }) => Op::BinImmBr {
-            op: *op,
-            v: *v,
-            target: *target,
-            ctx: *ctx,
-        },
-        (Op::BinOpParam { op, p }, Op::BrFalse { target, ctx }) => Op::BinParamBr {
-            op: *op,
-            p: *p,
-            target: *target,
-            ctx: *ctx,
-        },
-        (
-            Op::LoadAtLocal { buf, l },
-            Op::BinLocalBr {
-                op,
-                l: rl,
-                target,
-                ctx,
-            },
-        ) => Op::LoadLocalBinLocalBr {
-            buf: *buf,
-            il: *l,
-            op: *op,
-            rl: *rl,
-            target: *target,
-            ctx: *ctx,
-        },
-        (
-            Op::LoadAtLocal { buf, l },
-            Op::BinImmBr {
-                op,
-                v,
-                target,
-                ctx,
-            },
-        ) => Op::LoadLocalBinImmBr {
-            buf: *buf,
-            il: *l,
-            op: *op,
-            v: *v,
-            target: *target,
-            ctx: *ctx,
-        },
-        (Op::Binary(op), Op::ToIndex) => Op::BinToIndex { op: *op },
-        (Op::BinOpLocal { op, l }, Op::ToIndex) => Op::BinLocalToIndex { op: *op, l: *l },
-        (Op::BinOpImm { op, v }, Op::ToIndex) => Op::BinImmToIndex { op: *op, v: *v },
-        (Op::Binary(op), Op::SetLocal(d)) => Op::BinToLocal { op: *op, dst: *d },
-        (Op::BinOpLocal { op, l }, Op::SetLocal(d)) => Op::BinLocalToLocal {
-            op: *op,
-            l: *l,
-            dst: *d,
-        },
-        (Op::BinOpImm { op, v }, Op::SetLocal(d)) => Op::BinImmToLocal {
-            op: *op,
-            v: *v,
-            dst: *d,
-        },
-        _ => return None,
-    })
-}
-
-/// Peephole-fuse adjacent op pairs into superinstructions, repeating
-/// until a fixpoint so chains collapse (`PushTid`+`ToIndex`+`BufLoad`+
-/// `SetLocal` becomes one `LoadTidToLocal` over three passes).
-///
-/// A pair is only fused when its *second* op is not a jump target:
-/// an op reachable by jump must stay an instruction boundary. (This
-/// also guards semantic validity — e.g. a `Binary` that merges two
-/// `Select` arms is a jump target, so it never fuses with whichever
-/// push happens to sit before it.) All jump targets are remapped after
-/// each pass.
-fn fuse(mut ops: Vec<Op>) -> Vec<Op> {
-    loop {
-        let mut is_target = vec![false; ops.len() + 1];
-        for op in &ops {
-            if let Some(t) = jump_target(op) {
-                is_target[t as usize] = true;
-            }
-        }
-        let mut out: Vec<Op> = Vec::with_capacity(ops.len());
-        let mut map = vec![0u32; ops.len() + 1];
-        let mut changed = false;
-        let mut i = 0usize;
-        while i < ops.len() {
-            map[i] = out.len() as u32;
-            if i + 1 < ops.len() && !is_target[i + 1] {
-                if let Some(f) = fuse2(&ops[i], &ops[i + 1]) {
-                    map[i + 1] = out.len() as u32;
-                    out.push(f);
-                    changed = true;
-                    i += 2;
-                    continue;
-                }
-            }
-            out.push(ops[i].clone());
-            i += 1;
-        }
-        map[ops.len()] = out.len() as u32;
-        for op in &mut out {
-            if let Some(t) = jump_target_mut(op) {
-                *t = map[*t as usize];
-            }
-        }
-        ops = out;
-        if !changed {
-            return ops;
-        }
-    }
 }
 
 /// A kernel body compiled to bytecode. Build once per kernel with
@@ -385,7 +107,7 @@ pub fn compile(body: &[Stmt]) -> CompiledBody {
     };
     c.block(body);
     c.ops.push(Op::Halt);
-    CompiledBody { ops: fuse(c.ops) }
+    CompiledBody { ops: c.ops }
 }
 
 /// Patch bookkeeping for the innermost loops (`break` / `continue`).
@@ -607,56 +329,6 @@ fn oob(buf: u32, gidx: i64, window_lo: i64, len: usize) -> ExecError {
     }
 }
 
-/// The `ToIndex` coercion, shared by the fused index ops.
-#[inline(always)]
-fn index_of(v: Value) -> Result<i64, ExecError> {
-    v.as_index()
-        .ok_or_else(|| ExecError::TypeError("non-integer buffer index".into()))
-}
-
-/// The `BufLoad` body (bounds check, then counters, then the value),
-/// shared by the fused load ops. `tid` only feeds the sanitizer, which
-/// never touches counters — the VM stays bit-identical to the walker.
-#[inline(always)]
-fn load(ctx: &mut ExecCtx<'_>, buf: u32, tid: i64, gidx: i64) -> Result<Value, ExecError> {
-    let slot = &mut ctx.bufs[buf as usize];
-    let local = gidx - slot.window_lo;
-    if local < 0 || local as usize >= slot.data.len() {
-        return Err(oob(buf, gidx, slot.window_lo, slot.data.len()));
-    }
-    let v = slot.data.get(local as usize);
-    let nbytes = slot.data.ty().size_bytes() as u64;
-    let c = &mut ctx.counters;
-    c.loads += 1;
-    c.load_bytes += nbytes;
-    c.int_ops += 1; // index translation
-    ctx.per_buf_bytes[buf as usize].0 += nbytes;
-    crate::interp::sanitize_load(ctx, buf, tid, gidx);
-    Ok(v)
-}
-
-/// The `Binary` body (operand-typed counting, then evaluation), shared
-/// by the fused binary ops.
-#[inline(always)]
-fn binary(ctx: &mut ExecCtx<'_>, op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
-    if matches!(op, BinOp::Div | BinOp::Rem) {
-        ctx.counters.special_ops += 1;
-    } else {
-        count_arith(ctx, a.ty());
-    }
-    crate::interp::eval_binary(op, a, b)
-}
-
-/// The `BrFalse` condition handling (bool coercion with the context's
-/// error string, then the branch counter), shared by the fused
-/// compare-and-branch ops.
-#[inline(always)]
-fn branch_cond(ctx: &mut ExecCtx<'_>, v: Value, bc: BoolCtx) -> Result<bool, ExecError> {
-    let b = v.as_bool().ok_or_else(|| bc.err())?;
-    ctx.counters.branches += 1;
-    Ok(b)
-}
-
 /// Execute one compiled iteration (one simulated GPU thread) against a
 /// context. Counters, buffers, miss records and dirty bits mutate exactly
 /// as the AST walker would.
@@ -696,7 +368,22 @@ pub fn run_iteration(
             }
             Op::BufLoad(buf) => {
                 let gidx = istack.pop().expect("index stack underflow");
-                let v = load(ctx, *buf, tid, gidx)?;
+                let bslot = *buf as usize;
+                let slot = &mut ctx.bufs[bslot];
+                let local = gidx - slot.window_lo;
+                if local < 0 || local as usize >= slot.data.len() {
+                    return Err(oob(*buf, gidx, slot.window_lo, slot.data.len()));
+                }
+                let v = slot.data.get(local as usize);
+                let nbytes = slot.data.ty().size_bytes() as u64;
+                let c = &mut ctx.counters;
+                c.loads += 1;
+                c.load_bytes += nbytes;
+                c.int_ops += 1; // index translation
+                ctx.per_buf_bytes[bslot].0 += nbytes;
+                // `tid` only feeds the sanitizer, which never touches
+                // counters.
+                crate::interp::sanitize_load(ctx, *buf, tid, gidx);
                 stack.push(v);
             }
             Op::BufStore {
@@ -795,7 +482,12 @@ pub fn run_iteration(
             Op::Binary(op) => {
                 let b = stack.pop().expect("stack underflow");
                 let a = stack.pop().expect("stack underflow");
-                stack.push(binary(ctx, *op, a, b)?);
+                if matches!(op, BinOp::Div | BinOp::Rem) {
+                    ctx.counters.special_ops += 1;
+                } else {
+                    count_arith(ctx, a.ty());
+                }
+                stack.push(crate::interp::eval_binary(*op, a, b)?);
             }
             Op::Cast(ty) => {
                 let a = stack.pop().expect("stack underflow");
@@ -815,7 +507,9 @@ pub fn run_iteration(
             }
             Op::BrFalse { target, ctx: bc } => {
                 let v = stack.pop().expect("stack underflow");
-                if !branch_cond(ctx, v, *bc)? {
+                let b = v.as_bool().ok_or_else(|| bc.err())?;
+                ctx.counters.branches += 1;
+                if !b {
                     pc = *target as usize;
                     continue;
                 }
@@ -837,217 +531,6 @@ pub fn run_iteration(
                 stack.push(Value::Bool(b));
             }
             Op::Halt => return Ok(()),
-
-            // Fused superinstructions: each arm is the two component
-            // arms back to back, with the intermediate stack push/pop
-            // elided.
-            Op::TidIndex => {
-                debug_assert!(tid <= i32::MAX as i64);
-                istack.push(tid);
-            }
-            Op::LocalIndex(l) => {
-                let i = index_of(locals[*l as usize])?;
-                istack.push(i);
-            }
-            Op::ParamIndex(p) => {
-                let i = index_of(ctx.params[*p as usize])?;
-                istack.push(i);
-            }
-            Op::ImmIndex(i) => istack.push(*i),
-            Op::LoadTid(buf) => {
-                debug_assert!(tid <= i32::MAX as i64);
-                let v = load(ctx, *buf, tid, tid)?;
-                stack.push(v);
-            }
-            Op::LoadAtLocal { buf, l } => {
-                let gidx = index_of(locals[*l as usize])?;
-                let v = load(ctx, *buf, tid, gidx)?;
-                stack.push(v);
-            }
-            Op::LoadAtParam { buf, p } => {
-                let gidx = index_of(ctx.params[*p as usize])?;
-                let v = load(ctx, *buf, tid, gidx)?;
-                stack.push(v);
-            }
-            Op::LoadAtImm { buf, idx } => {
-                let v = load(ctx, *buf, tid, *idx)?;
-                stack.push(v);
-            }
-            Op::LoadToLocal { buf, dst } => {
-                let gidx = istack.pop().expect("index stack underflow");
-                let v = load(ctx, *buf, tid, gidx)?;
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = v;
-            }
-            Op::LoadTidToLocal { buf, dst } => {
-                debug_assert!(tid <= i32::MAX as i64);
-                let v = load(ctx, *buf, tid, tid)?;
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = v;
-            }
-            Op::LoadAtLocalToLocal { buf, l, dst } => {
-                let gidx = index_of(locals[*l as usize])?;
-                let v = load(ctx, *buf, tid, gidx)?;
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = v;
-            }
-            Op::ParamToLocal { p, dst } => {
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = ctx.params[*p as usize];
-            }
-            Op::Param2ToLocal { p, dst } => {
-                ctx.counters.int_ops += 2;
-                locals[dst[0] as usize] = ctx.params[p[0] as usize];
-                locals[dst[1] as usize] = ctx.params[p[1] as usize];
-            }
-            Op::Param3ToLocal { p, dst } => {
-                ctx.counters.int_ops += 3;
-                locals[dst[0] as usize] = ctx.params[p[0] as usize];
-                locals[dst[1] as usize] = ctx.params[p[1] as usize];
-                locals[dst[2] as usize] = ctx.params[p[2] as usize];
-            }
-            Op::ImmToLocal { v, dst } => {
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = *v;
-            }
-            Op::LocalToLocal { src, dst } => {
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = locals[*src as usize];
-            }
-            Op::BinOpLocal { op, l } => {
-                let b = locals[*l as usize];
-                let a = stack.pop().expect("stack underflow");
-                stack.push(binary(ctx, *op, a, b)?);
-            }
-            Op::BinOpImm { op, v } => {
-                let a = stack.pop().expect("stack underflow");
-                stack.push(binary(ctx, *op, a, *v)?);
-            }
-            Op::BinOpParam { op, p } => {
-                let b = ctx.params[*p as usize];
-                let a = stack.pop().expect("stack underflow");
-                stack.push(binary(ctx, *op, a, b)?);
-            }
-            Op::BinBr { op, target, ctx: bc } => {
-                let b = stack.pop().expect("stack underflow");
-                let a = stack.pop().expect("stack underflow");
-                let v = binary(ctx, *op, a, b)?;
-                if !branch_cond(ctx, v, *bc)? {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::BinLocalBr {
-                op,
-                l,
-                target,
-                ctx: bc,
-            } => {
-                let b = locals[*l as usize];
-                let a = stack.pop().expect("stack underflow");
-                let v = binary(ctx, *op, a, b)?;
-                if !branch_cond(ctx, v, *bc)? {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::BinImmBr {
-                op,
-                v,
-                target,
-                ctx: bc,
-            } => {
-                let a = stack.pop().expect("stack underflow");
-                let r = binary(ctx, *op, a, *v)?;
-                if !branch_cond(ctx, r, *bc)? {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::BinParamBr {
-                op,
-                p,
-                target,
-                ctx: bc,
-            } => {
-                let b = ctx.params[*p as usize];
-                let a = stack.pop().expect("stack underflow");
-                let v = binary(ctx, *op, a, b)?;
-                if !branch_cond(ctx, v, *bc)? {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::LoadLocalBinLocalBr {
-                buf,
-                il,
-                op,
-                rl,
-                target,
-                ctx: bc,
-            } => {
-                let gidx = index_of(locals[*il as usize])?;
-                let a = load(ctx, *buf, tid, gidx)?;
-                let b = locals[*rl as usize];
-                let v = binary(ctx, *op, a, b)?;
-                if !branch_cond(ctx, v, *bc)? {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::LoadLocalBinImmBr {
-                buf,
-                il,
-                op,
-                v,
-                target,
-                ctx: bc,
-            } => {
-                let gidx = index_of(locals[*il as usize])?;
-                let a = load(ctx, *buf, tid, gidx)?;
-                let r = binary(ctx, *op, a, *v)?;
-                if !branch_cond(ctx, r, *bc)? {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::BinToIndex { op } => {
-                let b = stack.pop().expect("stack underflow");
-                let a = stack.pop().expect("stack underflow");
-                let v = binary(ctx, *op, a, b)?;
-                istack.push(index_of(v)?);
-            }
-            Op::BinLocalToIndex { op, l } => {
-                let b = locals[*l as usize];
-                let a = stack.pop().expect("stack underflow");
-                let v = binary(ctx, *op, a, b)?;
-                istack.push(index_of(v)?);
-            }
-            Op::BinImmToIndex { op, v } => {
-                let a = stack.pop().expect("stack underflow");
-                let r = binary(ctx, *op, a, *v)?;
-                istack.push(index_of(r)?);
-            }
-            Op::BinToLocal { op, dst } => {
-                let b = stack.pop().expect("stack underflow");
-                let a = stack.pop().expect("stack underflow");
-                let v = binary(ctx, *op, a, b)?;
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = v;
-            }
-            Op::BinLocalToLocal { op, l, dst } => {
-                let b = locals[*l as usize];
-                let a = stack.pop().expect("stack underflow");
-                let v = binary(ctx, *op, a, b)?;
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = v;
-            }
-            Op::BinImmToLocal { op, v, dst } => {
-                let a = stack.pop().expect("stack underflow");
-                let r = binary(ctx, *op, a, *v)?;
-                ctx.counters.int_ops += 1;
-                locals[*dst as usize] = r;
-            }
         }
         pc += 1;
     }

@@ -1,7 +1,7 @@
-//! Differential tests: the fused bytecode fast path against the AST
-//! walker reference.
+//! Differential tests: the stack bytecode against the AST walker
+//! reference.
 //!
-//! `run_kernel_range` compiles kernel bodies to peephole-fused bytecode;
+//! `run_kernel_range` compiles kernel bodies to the plain stack bytecode;
 //! `run_kernel_range_ast` keeps the original tree walk. The timing model
 //! prices launches from the `OpCounters` these produce, so the two paths
 //! must agree on *everything* observable — buffer bytes, dirty bits,
@@ -140,9 +140,9 @@ fn param(i: u32) -> Expr {
     Expr::Param(ParamId(i))
 }
 
-/// The BFS edge-scan shape: the exact statement pattern the fused
-/// `Param3ToLocal` / `LoadTidToLocal` / `LoadLocalBinLocalBr` hot path
-/// is built for, including a dirty store and a scalar reduction.
+/// The BFS edge-scan shape: parameters copied into locals, loads at the
+/// thread index, load-compare-branches, a dirty store and a scalar
+/// reduction.
 fn bfs_like_kernel() -> Kernel {
     Kernel {
         name: "bfs_like".into(),
@@ -413,8 +413,8 @@ fn error_paths_match_walker() {
     let out = assert_paths_agree(&k, &[Value::I32(0)], &bufs, &bind, usize::MAX, 0, 4);
     assert_eq!(out.result, Err(ExecError::DivByZero));
 
-    // Non-integer buffer index: the peephole pass must leave the bad
-    // `PushImm`+`ToIndex` pair unfused so the runtime error survives.
+    // Non-integer buffer index: an immediate index is coerced by
+    // `ToIndex` at run time, so the walker's `TypeError` survives.
     let k = Kernel {
         name: "badidx".into(),
         params: vec![],

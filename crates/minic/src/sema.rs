@@ -790,7 +790,8 @@ impl<'a> FnChecker<'a> {
         }
     }
 
-    /// Handle `R op= e`, `R = R op e`, `R = e op R`, `R = min(R, e)`.
+    /// Lower an update of scalar reduction `slot`, in one of the shapes
+    /// [`reduction_contribution`] accepts.
     #[allow(clippy::too_many_arguments)]
     fn lower_scalar_reduction(
         &mut self,
@@ -803,58 +804,18 @@ impl<'a> FnChecker<'a> {
         kc: &mut KernelCtx,
     ) -> Result<Vec<ir::Stmt>, Abort> {
         let red_op = kc.reductions[slot].op;
-        let red_name = kc.reductions[slot].name.clone();
-        let mismatch = |s: &mut Self| -> Abort {
-            s.err(
-                span,
-                format!(
-                    "update of reduction variable `{red_name}` does not match its \
-                     declared `{red_op:?}` operator"
-                ),
-            )
-        };
-        let contribution: &ast::Expr = match op {
-            AssignOp::AddAssign if red_op == RmwOp::Add => rhs,
-            AssignOp::MulAssign if red_op == RmwOp::Mul => rhs,
-            AssignOp::Assign => match rhs {
-                ast::Expr::Binary {
-                    op: bop,
-                    lhs: l2,
-                    rhs: r2,
-                    ..
-                } if matches!(
-                    (bop, red_op),
-                    (BinaryOp::Add, RmwOp::Add) | (BinaryOp::Mul, RmwOp::Mul)
-                ) =>
-                {
-                    if self.expr_is_local(l2, id) {
-                        r2
-                    } else if self.expr_is_local(r2, id) {
-                        l2
-                    } else {
-                        return Err(mismatch(self));
-                    }
+        let contribution =
+            match reduction_contribution(op, rhs, red_op, |e| Ok(self.expr_is_local(e, id)))? {
+                Ok(e) => e,
+                Err(_) => {
+                    let msg = format!(
+                        "update of reduction variable `{}` does not match its \
+                         declared `{red_op:?}` operator",
+                        kc.reductions[slot].name
+                    );
+                    return Err(self.err(span, msg));
                 }
-                ast::Expr::Call { name, args, .. }
-                    if args.len() == 2
-                        && matches!(
-                            (ir::Builtin::from_name(name), red_op),
-                            (Some(ir::Builtin::Min), RmwOp::Min)
-                                | (Some(ir::Builtin::Max), RmwOp::Max)
-                        ) =>
-                {
-                    if self.expr_is_local(&args[0], id) {
-                        &args[1]
-                    } else if self.expr_is_local(&args[1], id) {
-                        &args[0]
-                    } else {
-                        return Err(mismatch(self));
-                    }
-                }
-                _ => return Err(mismatch(self)),
-            },
-            _ => return Err(mismatch(self)),
-        };
+            };
         let (value, vty) = self.lower_expr(contribution, Some(kc))?;
         Ok(vec![ir::Stmt::ReduceScalar {
             slot: slot as u32,
@@ -1311,72 +1272,28 @@ impl<'a> FnChecker<'a> {
         }
         let idx_ir = self.lower_index(idx, Some(kc))?;
 
-        // Identify the contribution expression per declared operator.
         // Structural "same element" comparison is done on the lowered IR
         // (the AST carries spans that would never compare equal).
         let target_load = ir::Expr::Load {
             buf,
             idx: Box::new(idx_ir.clone()),
         };
-        let same_elem = |s: &mut Self, e: &ast::Expr| -> Result<bool, Abort> {
-            let (lowered, _) = s.lower_expr(e, Some(kc))?;
+        let same_elem = |e: &ast::Expr| -> Result<bool, Abort> {
+            let (lowered, _) = self.lower_expr(e, Some(kc))?;
             Ok(lowered == target_load)
         };
-        let contribution: &ast::Expr = match (aop, op) {
-            (AssignOp::AddAssign, RmwOp::Add) | (AssignOp::MulAssign, RmwOp::Mul) => rhs,
-            (AssignOp::Assign, _) => match rhs.as_ref() {
-                ast::Expr::Binary {
-                    op: bop,
-                    lhs: l2,
-                    rhs: r2,
-                    ..
-                } if matches!(
-                    (bop, op),
-                    (BinaryOp::Add, RmwOp::Add) | (BinaryOp::Mul, RmwOp::Mul)
-                ) =>
-                {
-                    if same_elem(self, l2)? {
-                        r2
-                    } else if same_elem(self, r2)? {
-                        l2
-                    } else {
-                        return Err(self.err(
-                            *aspan,
-                            "reductiontoarray statement must read back the same element",
-                        ));
+        let contribution = match reduction_contribution(*aop, rhs, op, same_elem)? {
+            Ok(e) => e,
+            Err(miss) => {
+                let msg = match miss {
+                    ShapeMiss::WrongOperator => {
+                        "reductiontoarray statement does not match its declared operator"
                     }
-                }
-                ast::Expr::Call { name: cname, args, .. }
-                    if args.len() == 2
-                        && matches!(
-                            (ir::Builtin::from_name(cname), op),
-                            (Some(ir::Builtin::Min), RmwOp::Min)
-                                | (Some(ir::Builtin::Max), RmwOp::Max)
-                        ) =>
-                {
-                    if same_elem(self, &args[0])? {
-                        &args[1]
-                    } else if same_elem(self, &args[1])? {
-                        &args[0]
-                    } else {
-                        return Err(self.err(
-                            *aspan,
-                            "reductiontoarray statement must read back the same element",
-                        ));
+                    ShapeMiss::NoReadBack => {
+                        "reductiontoarray statement must read back the same element"
                     }
-                }
-                _ => {
-                    return Err(self.err(
-                        *aspan,
-                        "reductiontoarray statement does not match its declared operator",
-                    ))
-                }
-            },
-            _ => {
-                return Err(self.err(
-                    *aspan,
-                    "reductiontoarray statement does not match its declared operator",
-                ))
+                };
+                return Err(self.err(*aspan, msg));
             }
         };
         let (value, vty) = self.lower_expr(contribution, Some(kc))?;
@@ -1398,6 +1315,61 @@ impl<'a> FnChecker<'a> {
             value: cast_to(value, vty, ty),
         }])
     }
+}
+
+/// Which rule a reduction update breaks, from [`reduction_contribution`].
+enum ShapeMiss {
+    /// The assignment operator or the value's form is not one the
+    /// declared operator accepts.
+    WrongOperator,
+    /// An accepted form, but neither operand is the target.
+    NoReadBack,
+}
+
+/// The contribution `e` of an update of reduction target `t` under the
+/// declared operator `op`: `t op= e`, `t = t op e`, `t = e op t`,
+/// `t = min/max(t, e)` or `t = min/max(e, t)`. `is_target` recognises
+/// `t`; it is asked about the left operand first and the right only if
+/// the left is not `t`.
+fn reduction_contribution(
+    aop: AssignOp,
+    rhs: &ast::Expr,
+    op: RmwOp,
+    mut is_target: impl FnMut(&ast::Expr) -> Result<bool, Abort>,
+) -> Result<Result<&ast::Expr, ShapeMiss>, Abort> {
+    let (a, b): (&ast::Expr, &ast::Expr) = match (aop, rhs) {
+        (AssignOp::AddAssign, _) if op == RmwOp::Add => return Ok(Ok(rhs)),
+        (AssignOp::MulAssign, _) if op == RmwOp::Mul => return Ok(Ok(rhs)),
+        (
+            AssignOp::Assign,
+            ast::Expr::Binary {
+                op: bop, lhs, rhs, ..
+            },
+        ) if matches!(
+            (bop, op),
+            (BinaryOp::Add, RmwOp::Add) | (BinaryOp::Mul, RmwOp::Mul)
+        ) =>
+        {
+            (lhs, rhs)
+        }
+        (AssignOp::Assign, ast::Expr::Call { name, args, .. })
+            if args.len() == 2
+                && matches!(
+                    (ir::Builtin::from_name(name), op),
+                    (Some(ir::Builtin::Min), RmwOp::Min) | (Some(ir::Builtin::Max), RmwOp::Max)
+                ) =>
+        {
+            (&args[0], &args[1])
+        }
+        _ => return Ok(Err(ShapeMiss::WrongOperator)),
+    };
+    Ok(if is_target(a)? {
+        Ok(b)
+    } else if is_target(b)? {
+        Ok(a)
+    } else {
+        Err(ShapeMiss::NoReadBack)
+    })
 }
 
 /// Shallow scan for `continue` that does not descend into nested loops
@@ -1674,6 +1646,151 @@ mod tests {
              }",
             "updates `e`",
         );
+    }
+
+    /// `f` with a `reduction(op:s)` loop whose body is `update`.
+    fn scalar_reduction(op: &str, update: &str) -> String {
+        format!(
+            "void f(int n, double *x, double s) {{\n\
+             #pragma acc parallel loop reduction({op}:s)\n\
+             for (int i = 0; i < n; i++) {update};\n\
+             }}"
+        )
+    }
+
+    /// `f` with a loop whose body is `update` under `reductiontoarray(op: e[8])`.
+    fn array_reduction(op: &str, update: &str) -> String {
+        format!(
+            "void f(int n, int *m, double *e, double *v) {{\n\
+             #pragma acc parallel loop\n\
+             for (int i = 0; i < n; i++) {{\n\
+             #pragma acc reductiontoarray({op}: e[8])\n\
+             {update};\n\
+             }}\n\
+             }}"
+        )
+    }
+
+    /// The first statement of the first parallel loop's kernel body.
+    fn first_kernel_stmt(src: &str) -> Option<ir::Stmt> {
+        match &ok(src).functions[0].body[0] {
+            HostStmt::ParallelLoop(node) => node.body.first().cloned(),
+            _ => None,
+        }
+    }
+
+    /// A lowered reduction update with its operator replaced by `op`.
+    fn with_op(s: ir::Stmt, op: RmwOp) -> ir::Stmt {
+        match s {
+            ir::Stmt::ReduceScalar { slot, value, .. } => {
+                ir::Stmt::ReduceScalar { slot, op, value }
+            }
+            ir::Stmt::AtomicRmw {
+                buf, idx, value, ..
+            } => ir::Stmt::AtomicRmw {
+                buf,
+                idx,
+                op,
+                value,
+            },
+            other => other,
+        }
+    }
+
+    /// The frontend refuses `src` with exactly the one diagnostic `msg`.
+    fn err_exactly(src: &str, msg: &str) {
+        let ds = frontend(src).err().unwrap_or_default();
+        let msgs: Vec<&str> = ds.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(msgs, [msg], "{src}");
+    }
+
+    #[test]
+    fn reduction_shapes_accepted_either_way_round() {
+        let reference = first_kernel_stmt(&scalar_reduction("+", "s += x[i]"));
+        assert!(matches!(
+            reference,
+            Some(ir::Stmt::ReduceScalar {
+                slot: 0,
+                op: RmwOp::Add,
+                value: ir::Expr::Load { .. },
+            })
+        ));
+        for (op, rmw, update) in [
+            ("+", RmwOp::Add, "s = s + x[i]"),
+            ("+", RmwOp::Add, "s = x[i] + s"),
+            ("*", RmwOp::Mul, "s *= x[i]"),
+            ("*", RmwOp::Mul, "s = x[i] * s"),
+            ("min", RmwOp::Min, "s = fmin(x[i], s)"),
+            ("max", RmwOp::Max, "s = fmax(s, x[i])"),
+            ("max", RmwOp::Max, "s = fmax(x[i], s)"),
+        ] {
+            assert_eq!(
+                first_kernel_stmt(&scalar_reduction(op, update)),
+                reference.clone().map(|s| with_op(s, rmw)),
+                "{update}"
+            );
+        }
+    }
+
+    #[test]
+    fn reduction_shapes_refused() {
+        let mismatch = |op| {
+            format!("update of reduction variable `s` does not match its declared `{op}` operator")
+        };
+        for (op, rmw, update) in [
+            ("+", "Add", "s -= x[i]"),
+            ("+", "Add", "s = x[i] + x[i]"),
+            ("+", "Add", "s = s * x[i]"),
+            ("min", "Min", "s = fmax(s, x[i])"),
+            ("min", "Min", "s = fmin(x[i], x[i])"),
+        ] {
+            err_exactly(&scalar_reduction(op, update), &mismatch(rmw));
+        }
+    }
+
+    #[test]
+    fn reductiontoarray_shapes_accepted_either_way_round() {
+        let reference = first_kernel_stmt(&array_reduction("+", "e[m[i]] += v[i]"));
+        assert!(matches!(
+            reference,
+            Some(ir::Stmt::AtomicRmw {
+                idx: ir::Expr::Load { .. },
+                op: RmwOp::Add,
+                value: ir::Expr::Load { .. },
+                ..
+            })
+        ));
+        for (op, rmw, update) in [
+            ("+", RmwOp::Add, "e[m[i]] = e[m[i]] + v[i]"),
+            ("+", RmwOp::Add, "e[m[i]] = v[i] + e[m[i]]"),
+            ("*", RmwOp::Mul, "e[m[i]] *= v[i]"),
+            ("*", RmwOp::Mul, "e[m[i]] = v[i] * e[m[i]]"),
+            ("min", RmwOp::Min, "e[m[i]] = fmin(v[i], e[m[i]])"),
+            ("max", RmwOp::Max, "e[m[i]] = fmax(e[m[i]], v[i])"),
+            ("max", RmwOp::Max, "e[m[i]] = fmax(v[i], e[m[i]])"),
+        ] {
+            assert_eq!(
+                first_kernel_stmt(&array_reduction(op, update)),
+                reference.clone().map(|s| with_op(s, rmw)),
+                "{update}"
+            );
+        }
+    }
+
+    #[test]
+    fn reductiontoarray_shapes_refused() {
+        let wrong_op = "reductiontoarray statement does not match its declared operator";
+        let no_read_back = "reductiontoarray statement must read back the same element";
+        for (op, update, msg) in [
+            ("+", "e[m[i]] -= v[i]", wrong_op),
+            ("+", "e[m[i]] = e[m[i]] * v[i]", wrong_op),
+            ("min", "e[m[i]] = fmax(e[m[i]], v[i])", wrong_op),
+            ("+", "e[m[i]] = e[m[i] + 1] + v[i]", no_read_back),
+            ("*", "e[m[i]] = v[i] * e[i]", no_read_back),
+            ("min", "e[m[i]] = fmin(v[i], e[m[i] + 1])", no_read_back),
+        ] {
+            err_exactly(&array_reduction(op, update), msg);
+        }
     }
 
     #[test]
