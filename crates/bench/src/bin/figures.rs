@@ -29,6 +29,7 @@
 //! (`benchmarks/`).
 
 use acc_apps::Scale;
+use acc_bench::row::{render, section};
 use acc_bench::*;
 use acc_obs::json::Value;
 use std::fmt::Write as _;
@@ -156,74 +157,13 @@ fn run_trace_target(args: &Args) {
 /// seed, printed as tables and written as `BENCH_runtime.json`.
 fn run_bench_target(args: &Args) {
     let file = bench_runtime(args.scale, args.seed, true);
-    println!(
-        "  {:<20} {:<13} {:<15} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10} {:>8}",
-        "Machine", "App", "Version", "sim time", "kernels", "cpu-gpu", "gpu-gpu", "user MB",
-        "system MB", "correct"
+    print!(
+        "{}{}{}{}",
+        render(&file.points),
+        render(&file.schedules),
+        render(&file.comm_experiments),
+        render(&file.scaling)
     );
-    for p in &file.points {
-        println!(
-            "  {:<20} {:<13} {:<15} {:>11.6}s {:>11.6}s {:>11.6}s {:>11.6}s {:>10.2} {:>10.3} {:>8}",
-            p.machine,
-            p.app,
-            p.version,
-            p.sim_s,
-            p.kernels_s,
-            p.cpu_gpu_s,
-            p.gpu_gpu_s,
-            p.user_peak as f64 / 1e6,
-            p.system_peak as f64 / 1e6,
-            p.correct
-        );
-    }
-    println!(
-        "  {:<13} {:>5} {:>12} {:>12} {:>8}",
-        "Schedule", "GPUs", "sim time", "comm sim", "correct"
-    );
-    for p in &file.schedules {
-        println!(
-            "  {:<13} {:>5} {:>11.6}s {:>11.6}s {:>8}",
-            p.app, p.ngpus, p.sim_s, p.comm_sim_s, p.correct
-        );
-    }
-    println!(
-        "  {:<8} {:<15} {:>5} {:>12} {:>12} {:>10} {:>8} {:>8} {:>8}",
-        "App", "Mode", "GPUs", "sim time", "comm sim", "p2p MB", "elided", "matches", "correct"
-    );
-    for c in &file.comm_experiments {
-        println!(
-            "  {:<8} {:<15} {:>5} {:>11.6}s {:>11.6}s {:>10.2} {:>8} {:>8} {:>8}",
-            c.app,
-            c.mode,
-            c.ngpus,
-            c.sim_s,
-            c.comm_sim_s,
-            c.p2p_bytes as f64 / 1e6,
-            c.comm_elisions,
-            c.matches_annotated,
-            c.correct
-        );
-    }
-    println!(
-        "  {:<8} {:>5} {:<8} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>8}",
-        "App", "GPUs", "Topo", "overlap", "sim time", "comm sim", "cpu-gpu", "hidden", "p2p MB",
-        "correct"
-    );
-    for s in &file.scaling {
-        println!(
-            "  {:<8} {:>5} {:<8} {:>8} {:>11.6}s {:>11.6}s {:>11.6}s {:>11.6}s {:>10.2} {:>8}",
-            s.app,
-            s.ngpus,
-            s.topo,
-            s.overlap,
-            s.sim_s,
-            s.comm_sim_s,
-            s.cpu_gpu_s,
-            s.overlap_hidden_s,
-            s.p2p_mb,
-            s.correct
-        );
-    }
     let path = args
         .json
         .clone()
@@ -260,24 +200,7 @@ fn main() {
                 r.machine, r.cpu, r.omp_threads, r.gpus, r.gpu_mem_gb, r.h2d_gbs, r.p2p_gbs
             );
         }
-        out.push((
-            "table1",
-            Value::Arr(
-                t.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("machine", Value::str(&r.machine)),
-                            ("cpu", Value::str(&r.cpu)),
-                            ("omp_threads", Value::num(r.omp_threads as f64)),
-                            ("gpus", Value::str(&r.gpus)),
-                            ("gpu_mem_gb", Value::num(r.gpu_mem_gb)),
-                            ("h2d_gbs", Value::num(r.h2d_gbs)),
-                            ("p2p_gbs", Value::num(r.p2p_gbs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "table2" {
@@ -302,25 +225,7 @@ fn main() {
                 r.correct
             );
         }
-        out.push((
-            "table2",
-            Value::Arr(
-                t.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("app", Value::str(&r.app)),
-                            ("description", Value::str(&r.description)),
-                            ("input", Value::str(&r.input)),
-                            ("device_mb", Value::num(r.device_mb)),
-                            ("parallel_loops", Value::num(r.parallel_loops as f64)),
-                            ("kernel_execs", Value::num(r.kernel_execs as f64)),
-                            ("localaccess", Value::str(&r.localaccess)),
-                            ("correct", Value::Bool(r.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     // Figs. 7–9 share one evaluation matrix (every machine × app ×
@@ -352,22 +257,7 @@ fn main() {
                 if b.correct { "" } else { "  !! WRONG RESULT" }
             );
         }
-        out.push((
-            "fig7",
-            Value::Arr(
-                t.iter()
-                    .map(|b| {
-                        Value::obj([
-                            ("machine", Value::str(&b.machine)),
-                            ("app", Value::str(&b.app)),
-                            ("version", Value::str(&b.version)),
-                            ("relative_perf", Value::num(b.relative_perf)),
-                            ("correct", Value::Bool(b.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "fig8" {
@@ -393,23 +283,7 @@ fn main() {
                 b.kernels + b.cpu_gpu + b.gpu_gpu
             );
         }
-        out.push((
-            "fig8",
-            Value::Arr(
-                t.iter()
-                    .map(|b| {
-                        Value::obj([
-                            ("machine", Value::str(&b.machine)),
-                            ("app", Value::str(&b.app)),
-                            ("ngpus", Value::num(b.ngpus as f64)),
-                            ("kernels", Value::num(b.kernels)),
-                            ("cpu_gpu", Value::num(b.cpu_gpu)),
-                            ("gpu_gpu", Value::num(b.gpu_gpu)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "fig9" {
@@ -434,22 +308,7 @@ fn main() {
                 b.system * 100.0
             );
         }
-        out.push((
-            "fig9",
-            Value::Arr(
-                t.iter()
-                    .map(|b| {
-                        Value::obj([
-                            ("machine", Value::str(&b.machine)),
-                            ("app", Value::str(&b.app)),
-                            ("ngpus", Value::num(b.ngpus as f64)),
-                            ("user", Value::num(b.user)),
-                            ("system", Value::num(b.system)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "ablation-chunk" {
@@ -470,23 +329,7 @@ fn main() {
                 p.chunk_kb, p.gpu_gpu_time, p.total_time, p.dirty_chunks_sent, p.p2p_mb
             );
         }
-        out.push((
-            "ablation_chunk",
-            Value::Arr(
-                t.iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("workload", Value::str(&p.workload)),
-                            ("chunk_kb", Value::num(p.chunk_kb as f64)),
-                            ("gpu_gpu_time", Value::num(p.gpu_gpu_time)),
-                            ("total_time", Value::num(p.total_time)),
-                            ("dirty_chunks_sent", Value::num(p.dirty_chunks_sent as f64)),
-                            ("p2p_mb", Value::num(p.p2p_mb)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "ablation-layout" {
@@ -502,22 +345,7 @@ fn main() {
                 p.app, p.transform, p.kernels_time, p.total_time, p.correct
             );
         }
-        out.push((
-            "ablation_layout",
-            Value::Arr(
-                t.iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("app", Value::str(&p.app)),
-                            ("transform", Value::Bool(p.transform)),
-                            ("kernels_time", Value::num(p.kernels_time)),
-                            ("total_time", Value::num(p.total_time)),
-                            ("correct", Value::Bool(p.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "ablation-placement" {
@@ -534,23 +362,7 @@ fn main() {
                 p.app, p.distribution, p.h2d_mb, p.user_mem_mb, p.total_time, p.correct
             );
         }
-        out.push((
-            "ablation_placement",
-            Value::Arr(
-                t.iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("app", Value::str(&p.app)),
-                            ("distribution", Value::Bool(p.distribution)),
-                            ("h2d_mb", Value::num(p.h2d_mb)),
-                            ("total_time", Value::num(p.total_time)),
-                            ("user_mem_mb", Value::num(p.user_mem_mb)),
-                            ("correct", Value::Bool(p.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "ablation-loader-reuse" {
@@ -566,23 +378,7 @@ fn main() {
                 p.app, p.reuse, p.h2d_mb, p.cpu_gpu_time, p.total_time, p.correct
             );
         }
-        out.push((
-            "ablation_loader_reuse",
-            Value::Arr(
-                t.iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("app", Value::str(&p.app)),
-                            ("reuse", Value::Bool(p.reuse)),
-                            ("h2d_mb", Value::num(p.h2d_mb)),
-                            ("cpu_gpu_time", Value::num(p.cpu_gpu_time)),
-                            ("total_time", Value::num(p.total_time)),
-                            ("correct", Value::Bool(p.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     if all || args.target == "extension-stencil" {
@@ -611,26 +407,7 @@ fn main() {
                 if p.correct { "" } else { "  !! WRONG" }
             );
         }
-        out.push((
-            "extension_stencil",
-            Value::Arr(
-                t.iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("machine", Value::str(&p.machine)),
-                            ("ngpus", Value::num(p.ngpus as f64)),
-                            ("relative_perf_vs_1gpu", Value::num(p.relative_perf_vs_1gpu)),
-                            ("kernels_time", Value::num(p.kernels_time)),
-                            ("cpu_gpu_time", Value::num(p.cpu_gpu_time)),
-                            ("gpu_gpu_time", Value::num(p.gpu_gpu_time)),
-                            ("p2p_mb", Value::num(p.p2p_mb)),
-                            ("miss_checks", Value::num(p.miss_checks as f64)),
-                            ("correct", Value::Bool(p.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push(section(&t));
     }
 
     print!("{text}");

@@ -9,9 +9,10 @@
 //!   `seed` equal);
 //! * every row of the old artifact — matrix point, scheduler row, comm
 //!   experiment, scaling point — must still exist in the new one;
-//! * every recorded value of such a row must match to 1e-9 relative
-//!   (slack for the decimal round trip through the JSON writer only):
-//!   any drift means the runtime changed observable semantics;
+//! * every field of such a row but its text fields, which name it, and
+//!   `correct` must match to 1e-9 relative (slack for the decimal round
+//!   trip through the JSON writer only): any drift means the runtime
+//!   changed observable semantics;
 //! * every row of the new artifact must be `correct`.
 //!
 //! [`bench_diff`] returns `Err` only for malformed input — a missing
@@ -21,6 +22,7 @@
 
 use acc_obs::json::{self, Value};
 
+use crate::row::{self, section, Kind, Read, Row, Visit};
 use crate::{BenchPoint, CommPoint, ScalingPoint, SchedulePoint};
 
 /// Relative slack of the equality check — covers only decimal
@@ -40,261 +42,70 @@ pub struct BenchFile {
     pub scaling: Vec<ScalingPoint>,
 }
 
-/// One object of a section being parsed, with the path that error
-/// messages name it by.
-struct Fields<'a> {
-    obj: &'a Value,
-    path: String,
-}
-
-impl Fields<'_> {
-    fn bad<T>(&self, key: &str) -> Result<T, String> {
-        Err(format!("{}: bad `{key}`", self.path))
-    }
-
-    fn num(&self, key: &str) -> Result<f64, String> {
-        self.obj.get(key).and_then(Value::as_f64).map_or_else(|| self.bad(key), Ok)
-    }
-
-    /// A count or byte total: a non-negative whole number.
-    fn int(&self, key: &str) -> Result<u64, String> {
-        match self.num(key)? {
-            n if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
-            _ => self.bad(key),
-        }
-    }
-
-    fn text(&self, key: &str) -> Result<String, String> {
-        self.obj.get(key).and_then(Value::as_str).map_or_else(|| self.bad(key), |s| Ok(s.to_string()))
-    }
-
-    fn flag(&self, key: &str) -> Result<bool, String> {
-        match self.obj.get(key) {
-            Some(Value::Bool(b)) => Ok(*b),
-            _ => self.bad(key),
-        }
-    }
-}
-
-/// What `bench-diff` compares of one row.
-struct Pinned {
+/// A row of a pinned section.
+pub trait Keyed: Row + Default {
     /// The row's identity within its section.
-    key: String,
-    /// Every recorded value, by field name.
+    fn key(&self) -> String;
+}
+
+impl Keyed for BenchPoint {
+    fn key(&self) -> String {
+        format!("{} / {} / {}", self.machine, self.app, self.version)
+    }
+}
+
+impl Keyed for SchedulePoint {
+    fn key(&self) -> String {
+        format!("{} x{}", self.app, self.ngpus)
+    }
+}
+
+impl Keyed for CommPoint {
+    fn key(&self) -> String {
+        format!("{}/{} x{}", self.app, self.mode, self.ngpus)
+    }
+}
+
+impl Keyed for ScalingPoint {
+    fn key(&self) -> String {
+        let overlap = if self.overlap { "+overlap" } else { "" };
+        format!("{} x{} {}{overlap}", self.app, self.ngpus, self.topo)
+    }
+}
+
+/// What `bench-diff` compares of one row: every field but its text
+/// fields, which name it, and `correct`, which the new row must hold.
+#[derive(Default)]
+struct Pins {
     values: Vec<(&'static str, f64)>,
     correct: bool,
 }
 
-/// A section's row type: its JSON form both ways and its comparable view.
-trait Row: Sized {
-    const SECTION: &'static str;
-    fn to_json(&self) -> Value;
-    fn from_json(f: &Fields) -> Result<Self, String>;
-    fn pinned(&self) -> Pinned;
-}
-
-impl Row for BenchPoint {
-    const SECTION: &'static str = "points";
-
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("machine", Value::str(&self.machine)),
-            ("app", Value::str(&self.app)),
-            ("version", Value::str(&self.version)),
-            ("sim_s", Value::num(self.sim_s)),
-            ("kernels_s", Value::num(self.kernels_s)),
-            ("cpu_gpu_s", Value::num(self.cpu_gpu_s)),
-            ("gpu_gpu_s", Value::num(self.gpu_gpu_s)),
-            ("user_peak", Value::num(self.user_peak as f64)),
-            ("system_peak", Value::num(self.system_peak as f64)),
-            ("correct", Value::Bool(self.correct)),
-        ])
-    }
-
-    fn from_json(f: &Fields) -> Result<Self, String> {
-        Ok(BenchPoint {
-            machine: f.text("machine")?,
-            app: f.text("app")?,
-            version: f.text("version")?,
-            sim_s: f.num("sim_s")?,
-            kernels_s: f.num("kernels_s")?,
-            cpu_gpu_s: f.num("cpu_gpu_s")?,
-            gpu_gpu_s: f.num("gpu_gpu_s")?,
-            user_peak: f.int("user_peak")?,
-            system_peak: f.int("system_peak")?,
-            correct: f.flag("correct")?,
-        })
-    }
-
-    fn pinned(&self) -> Pinned {
-        Pinned {
-            key: format!("{} / {} / {}", self.machine, self.app, self.version),
-            values: vec![
-                ("sim_s", self.sim_s),
-                ("kernels_s", self.kernels_s),
-                ("cpu_gpu_s", self.cpu_gpu_s),
-                ("gpu_gpu_s", self.gpu_gpu_s),
-                ("user_peak", self.user_peak as f64),
-                ("system_peak", self.system_peak as f64),
-            ],
-            correct: self.correct,
+impl Visit for Pins {
+    fn field<K: Kind>(&mut self, name: &'static str, value: &mut K) {
+        match value.number() {
+            Some(n) if name == "correct" => self.correct = n == 1.0,
+            Some(n) => self.values.push((name, n)),
+            None => {}
         }
     }
 }
 
-impl Row for SchedulePoint {
-    const SECTION: &'static str = "schedules";
-
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("app", Value::str(&self.app)),
-            ("ngpus", Value::num(self.ngpus as f64)),
-            ("sim_s", Value::num(self.sim_s)),
-            ("comm_sim_s", Value::num(self.comm_sim_s)),
-            ("correct", Value::Bool(self.correct)),
-        ])
-    }
-
-    fn from_json(f: &Fields) -> Result<Self, String> {
-        Ok(SchedulePoint {
-            app: f.text("app")?,
-            ngpus: f.int("ngpus")? as usize,
-            sim_s: f.num("sim_s")?,
-            comm_sim_s: f.num("comm_sim_s")?,
-            correct: f.flag("correct")?,
-        })
-    }
-
-    fn pinned(&self) -> Pinned {
-        Pinned {
-            key: format!("{} x{}", self.app, self.ngpus),
-            values: vec![("sim_s", self.sim_s), ("comm_sim_s", self.comm_sim_s)],
-            correct: self.correct,
-        }
-    }
-}
-
-impl Row for CommPoint {
-    const SECTION: &'static str = "comm_experiments";
-
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("app", Value::str(&self.app)),
-            ("mode", Value::str(&self.mode)),
-            ("ngpus", Value::num(self.ngpus as f64)),
-            ("sim_s", Value::num(self.sim_s)),
-            ("comm_sim_s", Value::num(self.comm_sim_s)),
-            ("p2p_bytes", Value::num(self.p2p_bytes as f64)),
-            ("comm_elisions", Value::num(self.comm_elisions as f64)),
-            ("matches_annotated", Value::Bool(self.matches_annotated)),
-            ("correct", Value::Bool(self.correct)),
-        ])
-    }
-
-    fn from_json(f: &Fields) -> Result<Self, String> {
-        Ok(CommPoint {
-            app: f.text("app")?,
-            mode: f.text("mode")?,
-            ngpus: f.int("ngpus")? as usize,
-            sim_s: f.num("sim_s")?,
-            comm_sim_s: f.num("comm_sim_s")?,
-            p2p_bytes: f.int("p2p_bytes")?,
-            comm_elisions: f.int("comm_elisions")?,
-            matches_annotated: f.flag("matches_annotated")?,
-            correct: f.flag("correct")?,
-        })
-    }
-
-    /// The guard on the inference/elision wins: the simulated time and
-    /// traffic are pinned, an elision count that moves means static
-    /// facts changed, and bit-identity to the annotated baseline is a
-    /// recorded value like the others (it is legitimately `false` for
-    /// some modes, so it is not this section's `correct`).
-    fn pinned(&self) -> Pinned {
-        Pinned {
-            key: format!("{}/{} x{}", self.app, self.mode, self.ngpus),
-            values: vec![
-                ("sim_s", self.sim_s),
-                ("comm_sim_s", self.comm_sim_s),
-                ("p2p_bytes", self.p2p_bytes as f64),
-                ("comm_elisions", self.comm_elisions as f64),
-                ("matches_annotated", f64::from(self.matches_annotated)),
-            ],
-            correct: self.correct,
-        }
-    }
-}
-
-impl Row for ScalingPoint {
-    const SECTION: &'static str = "scaling";
-
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("app", Value::str(&self.app)),
-            ("ngpus", Value::num(self.ngpus as f64)),
-            ("topo", Value::str(&self.topo)),
-            ("overlap", Value::Bool(self.overlap)),
-            ("sim_s", Value::num(self.sim_s)),
-            ("comm_sim_s", Value::num(self.comm_sim_s)),
-            ("cpu_gpu_s", Value::num(self.cpu_gpu_s)),
-            ("overlap_hidden_s", Value::num(self.overlap_hidden_s)),
-            ("p2p_mb", Value::num(self.p2p_mb)),
-            ("correct", Value::Bool(self.correct)),
-        ])
-    }
-
-    fn from_json(f: &Fields) -> Result<Self, String> {
-        Ok(ScalingPoint {
-            app: f.text("app")?,
-            ngpus: f.int("ngpus")? as usize,
-            topo: f.text("topo")?,
-            overlap: f.flag("overlap")?,
-            sim_s: f.num("sim_s")?,
-            comm_sim_s: f.num("comm_sim_s")?,
-            cpu_gpu_s: f.num("cpu_gpu_s")?,
-            overlap_hidden_s: f.num("overlap_hidden_s")?,
-            p2p_mb: f.num("p2p_mb")?,
-            correct: f.flag("correct")?,
-        })
-    }
-
-    fn pinned(&self) -> Pinned {
-        Pinned {
-            key: format!(
-                "{} x{} {}{}",
-                self.app,
-                self.ngpus,
-                self.topo,
-                if self.overlap { "+overlap" } else { "" }
-            ),
-            values: vec![
-                ("sim_s", self.sim_s),
-                ("comm_sim_s", self.comm_sim_s),
-                ("cpu_gpu_s", self.cpu_gpu_s),
-                ("overlap_hidden_s", self.overlap_hidden_s),
-                ("p2p_mb", self.p2p_mb),
-            ],
-            correct: self.correct,
-        }
-    }
-}
-
-fn section_json<T: Row>(rows: &[T]) -> (&'static str, Value) {
-    (T::SECTION, Value::Arr(rows.iter().map(Row::to_json).collect()))
+fn pins<T: Row>(row: &T) -> Pins {
+    let mut p = Pins::default();
+    row.clone().fields(&mut p);
+    p
 }
 
 /// Every section is required: both committed baselines carry all four.
-fn parse_section<T: Row>(doc: &Value, which: &str) -> Result<Vec<T>, String> {
+fn parse_section<T: Keyed>(doc: &Value, which: &str) -> Result<Vec<T>, String> {
     let name = T::SECTION;
     let rows = doc
         .get(name)
         .ok_or_else(|| format!("{which}: missing section `{name}`"))?
         .as_arr()
         .ok_or_else(|| format!("{which}: `{name}` is not an array"))?;
-    rows.iter()
-        .enumerate()
-        .map(|(i, obj)| T::from_json(&Fields { obj, path: format!("{which}: {name}[{i}]") }))
-        .collect()
+    rows.iter().enumerate().map(|(i, obj)| row::read(obj, format!("{which}: {name}[{i}]"))).collect()
 }
 
 impl BenchFile {
@@ -303,10 +114,10 @@ impl BenchFile {
         Value::obj([
             ("scale", Value::str(&self.scale)),
             ("seed", Value::num(self.seed as f64)),
-            section_json(&self.points),
-            section_json(&self.schedules),
-            section_json(&self.comm_experiments),
-            section_json(&self.scaling),
+            section(&self.points),
+            section(&self.schedules),
+            section(&self.comm_experiments),
+            section(&self.scaling),
         ])
     }
 }
@@ -314,10 +125,16 @@ impl BenchFile {
 /// Parse a pinned artifact; `which` names it in error messages.
 pub fn parse_bench_file(src: &str, which: &str) -> Result<BenchFile, String> {
     let doc = json::parse(src).map_err(|e| format!("{which}: {e}"))?;
-    let head = Fields { obj: &doc, path: which.to_string() };
+    let (mut scale, mut seed) = (String::new(), 0);
+    let mut head = Read { obj: &doc, path: which.to_string(), err: None };
+    head.field("scale", &mut scale);
+    head.field("seed", &mut seed);
+    if let Some(e) = head.err {
+        return Err(e);
+    }
     Ok(BenchFile {
-        scale: head.text("scale")?,
-        seed: head.int("seed")?,
+        scale,
+        seed,
         points: parse_section(&doc, which)?,
         schedules: parse_section(&doc, which)?,
         comm_experiments: parse_section(&doc, which)?,
@@ -378,30 +195,29 @@ impl DiffReport {
 
 /// Compare one section: old rows must persist with every value in
 /// place, new rows must be correct.
-fn diff_section<T: Row>(old: &[T], new: &[T], r: &mut DiffReport) {
+fn diff_section<T: Keyed>(old: &[T], new: &[T], r: &mut DiffReport) {
     let section = T::SECTION;
-    let new: Vec<Pinned> = new.iter().map(Row::pinned).collect();
-    for np in new.iter().filter(|np| !np.correct) {
-        r.problems.push(format!("{section}: new row {} reports correct=false", np.key));
+    let new: Vec<(String, Pins)> = new.iter().map(|n| (n.key(), pins(n))).collect();
+    for (key, _) in new.iter().filter(|(_, np)| !np.correct) {
+        r.problems.push(format!("{section}: new row {key} reports correct=false"));
     }
-    for op in old.iter().map(Row::pinned) {
-        let Some(np) = new.iter().find(|np| np.key == op.key) else {
-            r.problems
-                .push(format!("{section}: row {} present in old but missing from new", op.key));
+    for row in old {
+        let (key, op) = (row.key(), pins(row));
+        let Some((_, np)) = new.iter().find(|(k, _)| *k == key) else {
+            r.problems.push(format!("{section}: row {key} present in old but missing from new"));
             continue;
         };
         let mut moved = Vec::new();
         for (&(name, o), &(_, n)) in op.values.iter().zip(&np.values) {
             if (n - o).abs() > SIM_REL_EPS * o.abs().max(n.abs()) {
                 r.problems.push(format!(
-                    "{section}: row {}: simulated `{name}` moved: {o} -> {n} (pinned exactly; \
-                     a move needs a named model or algorithm change and a regenerated baseline)",
-                    op.key
+                    "{section}: row {key}: simulated `{name}` moved: {o} -> {n} (pinned exactly; \
+                     a move needs a named model or algorithm change and a regenerated baseline)"
                 ));
                 moved.push(name);
             }
         }
-        r.lines.push(DiffLine { section, key: op.key, moved, correct: np.correct });
+        r.lines.push(DiffLine { section, key, moved, correct: np.correct });
     }
 }
 

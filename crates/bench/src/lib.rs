@@ -28,8 +28,12 @@
 //! `docs/benchmarks.md`.
 //!
 //! All entry points return plain data; the `figures` binary renders them
-//! as text tables and optionally JSON (via `acc_obs::json`).
+//! as text tables and optionally JSON (via `acc_obs::json`). Each row
+//! type lists its fields once ([`row`]): the JSON writer, the pinned
+//! artifact's reader and `bench-diff`'s comparison walk that list.
 
+#[macro_use]
+pub mod row;
 pub mod diff;
 
 use acc_apps::{run_app, App, Scale, Version};
@@ -60,7 +64,7 @@ pub fn versions_for(kind: MachineKind) -> Vec<Version> {
 }
 
 /// One Table I column.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MachineRow {
     pub machine: String,
     pub cpu: String,
@@ -70,6 +74,8 @@ pub struct MachineRow {
     pub h2d_gbs: f64,
     pub p2p_gbs: f64,
 }
+
+row!(MachineRow, "table1", machine, cpu, omp_threads, gpus, gpu_mem_gb, h2d_gbs, p2p_gbs);
 
 /// Table I: the machine settings.
 pub fn table1() -> Vec<MachineRow> {
@@ -91,7 +97,7 @@ pub fn table1() -> Vec<MachineRow> {
 }
 
 /// One Table II row.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AppRow {
     pub app: String,
     pub description: String,
@@ -106,6 +112,9 @@ pub struct AppRow {
     pub localaccess: String,
     pub correct: bool,
 }
+
+row!(AppRow, "table2", app, description, input, device_mb, parallel_loops, kernel_execs,
+    localaccess, correct);
 
 /// Table II: application characteristics, measured on single-GPU runs.
 pub fn table2(scale: Scale) -> Vec<AppRow> {
@@ -174,7 +183,7 @@ fn input_label(app: App, scale: Scale) -> String {
 /// One run of the evaluation matrix (machine × app × version): a row of
 /// the pinned artifact's `points` section and the input of Figs. 7, 8
 /// and 9. Every value is simulated, hence deterministic.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchPoint {
     /// [`MachineKind::label`].
     pub machine: String,
@@ -192,6 +201,9 @@ pub struct BenchPoint {
     pub system_peak: u64,
     pub correct: bool,
 }
+
+row!(BenchPoint, "points", machine, app, version, sim_s, kernels_s, cpu_gpu_s, gpu_gpu_s,
+    user_peak, system_peak, correct);
 
 impl BenchPoint {
     /// `n` for a `Proposal(nGPU)` row, `None` for the other versions.
@@ -243,7 +255,7 @@ pub fn run_matrix(scale: Scale, seed: u64, progress: bool) -> Vec<BenchPoint> {
 }
 
 /// One Fig. 7 bar: relative performance vs OpenMP (higher = faster).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Fig7Bar {
     pub machine: String,
     pub app: String,
@@ -251,6 +263,8 @@ pub struct Fig7Bar {
     pub relative_perf: f64,
     pub correct: bool,
 }
+
+row!(Fig7Bar, "fig7", machine, app, version, relative_perf, correct);
 
 /// Fig. 7 from a computed matrix: every version normalised to OpenMP.
 pub fn fig7_from(matrix: &[BenchPoint]) -> Vec<Fig7Bar> {
@@ -267,7 +281,7 @@ pub fn fig7_from(matrix: &[BenchPoint]) -> Vec<Fig7Bar> {
 }
 
 /// One Fig. 8 stacked bar: phase times normalised to the 1-GPU total.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Fig8Bar {
     pub machine: String,
     pub app: String,
@@ -276,6 +290,8 @@ pub struct Fig8Bar {
     pub cpu_gpu: f64,
     pub gpu_gpu: f64,
 }
+
+row!(Fig8Bar, "fig8", machine, app, ngpus, kernels, cpu_gpu, gpu_gpu);
 
 /// Fig. 8 from a computed matrix: proposal breakdown on 1..max GPUs.
 pub fn fig8_from(matrix: &[BenchPoint]) -> Vec<Fig8Bar> {
@@ -299,7 +315,7 @@ pub fn fig8_from(matrix: &[BenchPoint]) -> Vec<Fig8Bar> {
 
 /// One Fig. 9 stacked bar: summed per-GPU peak memory normalised to the
 /// 1-GPU usage.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Fig9Bar {
     pub machine: String,
     pub app: String,
@@ -307,6 +323,8 @@ pub struct Fig9Bar {
     pub user: f64,
     pub system: f64,
 }
+
+row!(Fig9Bar, "fig9", machine, app, ngpus, user, system);
 
 /// Fig. 9 from a computed matrix.
 pub fn fig9_from(matrix: &[BenchPoint]) -> Vec<Fig9Bar> {
@@ -328,7 +346,7 @@ pub fn fig9_from(matrix: &[BenchPoint]) -> Vec<Fig9Bar> {
 }
 
 /// One chunk-size ablation point.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChunkPoint {
     pub workload: String,
     pub chunk_kb: usize,
@@ -337,6 +355,9 @@ pub struct ChunkPoint {
     pub dirty_chunks_sent: u64,
     pub p2p_mb: f64,
 }
+
+row!(ChunkPoint, "ablation_chunk", workload, chunk_kb, gpu_gpu_time, total_time, dirty_chunks_sent,
+    p2p_mb);
 
 /// Synthetic replica-sync workload with *clustered* writes: each GPU's
 /// iterations scatter into a small window near its own block of a
@@ -450,7 +471,7 @@ fn run_variant(
 }
 
 /// One layout-transform ablation point.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LayoutPoint {
     pub app: String,
     pub transform: bool,
@@ -458,6 +479,8 @@ pub struct LayoutPoint {
     pub total_time: f64,
     pub correct: bool,
 }
+
+row!(LayoutPoint, "ablation_layout", app, transform, kernels_time, total_time, correct);
 
 /// §IV-B4 ablation: the 2-D layout transform on/off, for the two apps
 /// with strided `localaccess` reads.
@@ -483,7 +506,7 @@ pub fn ablation_layout(scale: Scale, seed: u64) -> Vec<LayoutPoint> {
 }
 
 /// One placement ablation point.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PlacementPoint {
     pub app: String,
     pub distribution: bool,
@@ -492,6 +515,9 @@ pub struct PlacementPoint {
     pub user_mem_mb: f64,
     pub correct: bool,
 }
+
+row!(PlacementPoint, "ablation_placement", app, distribution, h2d_mb, total_time, user_mem_mb,
+    correct);
 
 /// §IV-C ablation: distribution-based placement (the app's
 /// `localaccess` pragmas) vs replica-everything (the same source with
@@ -523,7 +549,7 @@ pub fn ablation_placement(scale: Scale, seed: u64) -> Vec<PlacementPoint> {
 }
 
 /// One loader-reuse ablation point.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReusePoint {
     pub app: String,
     pub reuse: bool,
@@ -532,6 +558,8 @@ pub struct ReusePoint {
     pub total_time: f64,
     pub correct: bool,
 }
+
+row!(ReusePoint, "ablation_loader_reuse", app, reuse, h2d_mb, cpu_gpu_time, total_time, correct);
 
 /// §IV-C ablation: the loader's reload-skipping for iterative kernels,
 /// on the two iterative apps (KMEANS relaunches 74 times, BFS ~10).
@@ -555,7 +583,7 @@ pub fn ablation_loader_reuse(scale: Scale, seed: u64) -> Vec<ReusePoint> {
 }
 
 /// One stencil-extension point (paper §VI future work).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StencilPoint {
     pub machine: String,
     pub ngpus: usize,
@@ -567,6 +595,9 @@ pub struct StencilPoint {
     pub miss_checks: u64,
     pub correct: bool,
 }
+
+row!(StencilPoint, "extension_stencil", machine, ngpus, relative_perf_vs_1gpu, kernels_time,
+    cpu_gpu_time, gpu_gpu_time, p2p_mb, miss_checks, correct);
 
 /// §VI extension experiment: the 2-D heat stencil run through the 1-D
 /// `localaccess` row distribution. Demonstrates (a) that the system runs
@@ -641,7 +672,7 @@ pub fn bench_runtime(scale: Scale, seed: u64, progress: bool) -> BenchFile {
 
 /// One row of the `bench` target's `schedules` section: the skewed
 /// power-law BFS on the node's three GPUs under one task schedule.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulePoint {
     /// `bfs-skew` (equal static division) or `bfs-skew-cm` (the
     /// cost-model mapper) on the same input.
@@ -654,6 +685,8 @@ pub struct SchedulePoint {
     pub comm_sim_s: f64,
     pub correct: bool,
 }
+
+row!(SchedulePoint, "schedules", app, ngpus, sim_s, comm_sim_s, correct);
 
 /// The skewed BFS is not part of `App::ALL` (that list reproduces the
 /// paper's Table II); these two rows exist so the artifact records the
@@ -708,7 +741,7 @@ pub fn strip_localaccess(src: &str) -> String {
 /// One comm-phase measurement of the `bench` target's
 /// `comm_experiments` section: an app × compile/run mode × machine, at
 /// the machine's full GPU count.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommPoint {
     pub app: String,
     /// `annotated` (hand pragmas, the baseline), `stripped` (pragmas
@@ -738,6 +771,9 @@ pub struct CommPoint {
     /// The app's oracle passed.
     pub correct: bool,
 }
+
+row!(CommPoint, "comm_experiments", app, mode, ngpus, sim_s, comm_sim_s, p2p_bytes, comm_elisions,
+    matches_annotated, correct);
 
 /// Measure the communication phase across the annotation/inference/
 /// elision modes. This is the artifact section behind the claim that
@@ -814,7 +850,7 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
 /// links + per-node roots + inter-node fabric), the topology-aware
 /// reduction tree and the double-buffered halo overlap reduce
 /// communication cost at 8/16/64 GPUs — `bench-diff` pins every value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalingPoint {
     pub app: String,
     pub ngpus: usize,
@@ -838,6 +874,9 @@ pub struct ScalingPoint {
     pub p2p_mb: f64,
     pub correct: bool,
 }
+
+row!(ScalingPoint, "scaling", app, ngpus, topo, overlap, sim_s, comm_sim_s, cpu_gpu_s,
+    overlap_hidden_s, p2p_mb, correct);
 
 /// The scaling section's workload configs. At 64-way row distribution
 /// the plain `small` inputs are too thin (48 heat2d rows, a 400-node
