@@ -325,8 +325,13 @@ fn main() {
             }
             let _ = writeln!(
                 text,
-                "    chunk {:>6} KB: GPU-GPU {:>9.5}s  total {:>9.4}s  chunks sent {:>8}  p2p {:>8.2} MB",
-                p.chunk_kb, p.gpu_gpu_time, p.total_time, p.dirty_chunks_sent, p.p2p_mb
+                "    chunk {:>6} KB: GPU-GPU {:>9.5}s  total {:>9.4}s  chunks sent {:>8}  p2p {:>8.2} MB{}",
+                p.chunk_kb,
+                p.gpu_gpu_time,
+                p.total_time,
+                p.dirty_chunks_sent,
+                p.p2p_mb,
+                if p.correct { "" } else { "  !! WRONG" }
             );
         }
         out.push(section(&t));

@@ -354,10 +354,13 @@ pub struct ChunkPoint {
     pub total_time: f64,
     pub dirty_chunks_sent: u64,
     pub p2p_mb: f64,
+    /// BFS: the app oracle passed; clustered: every element of `flags`
+    /// holds its host count of `idx`.
+    pub correct: bool,
 }
 
 row!(ChunkPoint, "ablation_chunk", workload, chunk_kb, gpu_gpu_time, total_time, dirty_chunks_sent,
-    p2p_mb);
+    p2p_mb, correct);
 
 /// Synthetic replica-sync workload with *clustered* writes: each GPU's
 /// iterations scatter into a small window near its own block of a
@@ -389,12 +392,13 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
 
     // Scattered: BFS on the node with all three GPUs.
     let prog = acc_apps::runner::compile_app(App::Bfs, Version::Proposal(3)).unwrap();
-    let input = acc_apps::bfs::generate(&scale.bfs(), seed);
     for &kb in &sizes {
         let mut m = Machine::supercomputer_node();
         let ec = ExecConfig::gpus(3).chunk_bytes(kb * 1024);
-        let (scalars, arrays) = acc_apps::bfs::inputs(&input);
-        let r = run_program(&mut m, &ec, &prog, scalars, arrays).expect("run");
+        let (r, correct, _) = acc_apps::runner::run_checked(App::Bfs, scale, seed, |s, a| {
+            run_program(&mut m, &ec, &prog, s, a)
+        })
+        .expect("run");
         out.push(ChunkPoint {
             workload: "bfs (scattered)".into(),
             chunk_kb: kb,
@@ -402,6 +406,7 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
             total_time: r.profile.time.parallel_region(),
             dirty_chunks_sent: r.profile.dirty_chunks_sent,
             p2p_mb: r.profile.p2p_bytes as f64 / 1e6,
+            correct,
         });
     }
 
@@ -411,18 +416,24 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
         Scale::Small => 1 << 18,
         _ => 4 << 20,
     };
-    // Each GPU's block of iterations scatters into one 16K-element window
-    // at the start of its own third of the array: per GPU only ~64 KB of
-    // the replicated array is ever dirty.
+    // Each GPU's block of iterations (the runtime's equal split) scatters
+    // into one 16K-element window at the start of its own block: per GPU
+    // only ~64 KB of the replicated array is ever dirty, and no element
+    // is written by two GPUs.
     let window = (16 * 1024usize).min(n / 4);
-    let blk = n.div_ceil(3);
-    let idx: Vec<i32> = (0..n)
-        .map(|i| {
-            let base = (i / blk) * blk;
-            let off = (i as u64).wrapping_mul(2654435761) as usize % window;
-            ((base + off) % n) as i32
+    let idx: Vec<i32> = acc_runtime::state::split_tasks(0, n as i64, 3)
+        .into_iter()
+        .flat_map(|(lo, hi)| {
+            (lo..hi).map(move |i| {
+                let off = (i as u64).wrapping_mul(2654435761) as usize % window;
+                (lo as usize + off) as i32
+            })
         })
         .collect();
+    let mut expect = vec![0i32; n];
+    for &j in &idx {
+        expect[j as usize] += 1;
+    }
     let prog = acc_compiler::compile_source(CLUSTERED_SRC, "clustered", &CompileOptions::proposal())
         .unwrap();
     for &kb in &sizes {
@@ -447,6 +458,7 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
             total_time: r.profile.time.parallel_region(),
             dirty_chunks_sent: r.profile.dirty_chunks_sent,
             p2p_mb: r.profile.p2p_bytes as f64 / 1e6,
+            correct: r.arrays[1].to_i32_vec() == expect,
         });
     }
     out

@@ -2,7 +2,9 @@
 //! fails its app oracle would price a program that does something else.
 
 use acc_apps::Scale;
-use acc_bench::{ablation_layout, ablation_loader_reuse, ablation_placement};
+use acc_bench::{
+    ablation_chunk, ablation_layout, ablation_loader_reuse, ablation_placement, extension_stencil,
+};
 
 #[test]
 fn every_ablation_row_passes_its_oracle() {
@@ -14,5 +16,11 @@ fn every_ablation_row_passes_its_oracle() {
     }
     for p in ablation_loader_reuse(Scale::Small, 42) {
         assert!(p.correct, "loader reuse: {p:?}");
+    }
+    for p in ablation_chunk(Scale::Small, 42) {
+        assert!(p.correct, "chunk: {p:?}");
+    }
+    for p in extension_stencil(Scale::Small, 42) {
+        assert!(p.correct, "stencil: {p:?}");
     }
 }
