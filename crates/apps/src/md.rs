@@ -261,6 +261,9 @@ pub fn reference(input: &MdInput) -> Vec<f64> {
     force
 }
 
+/// The largest [`max_error`] a correct run may show.
+pub const TOLERANCE: f64 = 1e-9;
+
 /// Maximum absolute element difference against the oracle.
 pub fn max_error(force: &[f64], reference: &[f64]) -> f64 {
     force

@@ -383,7 +383,7 @@ pub fn run_checked<E>(
             let expect = md::reference(&input);
             let got = report.arrays[md::FORCE_ARRAY].to_f64_vec();
             let err = md::max_error(&got, &expect);
-            let ok = err < 1e-9;
+            let ok = err < md::TOLERANCE;
             (report, ok, err)
         }
         App::Kmeans => {
@@ -443,7 +443,7 @@ pub fn run_checked<E>(
                 &report.arrays[heat2d::PLATE_ARRAY].to_f64_vec(),
                 &expect,
             );
-            let ok = err < 1e-12;
+            let ok = err < heat2d::TOLERANCE;
             (report, ok, err)
         }
         App::Pagerank => {
@@ -455,9 +455,7 @@ pub fn run_checked<E>(
                 &report.arrays[pagerank::RANK_ARRAY].to_f64_vec(),
                 &expect,
             );
-            // The gather's reduction merge reorders float sums across
-            // GPU counts.
-            let ok = err < 1e-9;
+            let ok = err < pagerank::TOLERANCE;
             (report, ok, err)
         }
         App::Heat2dHalo2 => {

@@ -94,7 +94,7 @@ fn heat2d_comm_time_shrinks_on_cluster_with_overlap_at_16_gpus() {
         let (scalars, arrays) = heat2d::inputs(&input);
         let r = run_program(machine, ecfg, &prog, scalars, arrays).unwrap();
         let err = heat2d::max_error(&r.arrays[heat2d::PLATE_ARRAY].to_f64_vec(), &expect);
-        assert!(err < 1e-12, "err={err}");
+        assert!(err < heat2d::TOLERANCE, "err={err}");
         r.profile.time.cpu_gpu + r.profile.time.gpu_gpu
     };
     let flat = comm(
@@ -126,7 +126,7 @@ fn pagerank_comm_time_shrinks_on_cluster_at_16_gpus() {
         let (scalars, arrays) = pagerank::inputs(&input);
         let r = run_program(machine, ecfg, &prog, scalars, arrays).unwrap();
         let err = pagerank::max_error(&r.arrays[pagerank::RANK_ARRAY].to_f64_vec(), &expect);
-        assert!(err < 1e-9, "err={err}");
+        assert!(err < pagerank::TOLERANCE, "err={err}");
         r.profile.time.cpu_gpu + r.profile.time.gpu_gpu
     };
     let flat = comm(
@@ -207,7 +207,7 @@ fn pagerank_sync_traffic_grows_with_the_topology_not_with_gpu_pairs() {
         )
         .unwrap();
         let err = pagerank::max_error(&r.arrays[pagerank::RANK_ARRAY].to_f64_vec(), &expect);
-        assert!(err < 1e-9, "x{ngpus}: err={err}");
+        assert!(err < pagerank::TOLERANCE, "x{ngpus}: err={err}");
         (r.profile.p2p_bytes, r.profile.time.gpu_gpu)
     };
     let (b8, t8) = comm(8);
@@ -243,7 +243,7 @@ fn scaling_smoke_full_sanitize_cluster_with_overlap_armed() {
         let (scalars, arrays) = heat2d::inputs(&input);
         let r = run_program(&mut Machine::cluster(ngpus), &ecfg, &prog, scalars, arrays).unwrap();
         let err = heat2d::max_error(&r.arrays[heat2d::PLATE_ARRAY].to_f64_vec(), &expect);
-        assert!(err < 1e-12, "heat2d x{ngpus}: err={err}");
+        assert!(err < heat2d::TOLERANCE, "heat2d x{ngpus}: err={err}");
 
         let input = pagerank::generate(&pagerank::PagerankConfig::small(), 42);
         let expect = pagerank::reference(&input);
@@ -256,7 +256,7 @@ fn scaling_smoke_full_sanitize_cluster_with_overlap_armed() {
         let (scalars, arrays) = pagerank::inputs(&input);
         let r = run_program(&mut Machine::cluster(ngpus), &ecfg, &prog, scalars, arrays).unwrap();
         let err = pagerank::max_error(&r.arrays[pagerank::RANK_ARRAY].to_f64_vec(), &expect);
-        assert!(err < 1e-9, "pagerank x{ngpus}: err={err}");
+        assert!(err < pagerank::TOLERANCE, "pagerank x{ngpus}: err={err}");
     }
 }
 

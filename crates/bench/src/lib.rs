@@ -650,7 +650,7 @@ pub fn extension_stencil(scale: Scale, seed: u64) -> Vec<StencilPoint> {
                 gpu_gpu_time: r.profile.time.gpu_gpu,
                 p2p_mb: r.profile.p2p_bytes as f64 / 1e6,
                 miss_checks: r.profile.kernel_counters.miss_checks,
-                correct: err < 1e-9,
+                correct: err < heat2d::TOLERANCE,
             });
         }
     }
@@ -963,15 +963,12 @@ pub fn bench_scaling(scale: Scale, seed: u64, progress: bool) -> Vec<ScalingPoin
                 };
                 let r = run_program(&mut m, &cfg, prog, scalars, arrays)
                     .expect("scaling bench run");
-                // The hierarchical reduction tree reassociates the
-                // pagerank merges, so its oracle gets the usual
-                // floating-point slack; heat2d's halo copies are exact.
                 let correct = if app == "heat2d" {
                     heat2d::max_error(&r.arrays[heat2d::PLATE_ARRAY].to_f64_vec(), &heat_ref)
-                        < 1e-9
+                        < heat2d::TOLERANCE
                 } else {
                     pagerank::max_error(&r.arrays[pagerank::RANK_ARRAY].to_f64_vec(), &pr_ref)
-                        < 1e-6
+                        < pagerank::TOLERANCE
                 };
                 out.push(ScalingPoint {
                     app: app.to_string(),
