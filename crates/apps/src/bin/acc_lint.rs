@@ -71,15 +71,11 @@ fn parse_args() -> Args {
             "--gpus" => args.gpus = it.next().and_then(|s| s.parse().ok()).unwrap_or(3),
             "--seed" => args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(42),
             "--scale" => {
-                args.scale = match it.next().as_deref() {
-                    Some("small") => Scale::Small,
-                    Some("scaled") => Scale::Scaled,
-                    Some("paper") => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
-                }
+                let name = it.next();
+                args.scale = name.as_deref().and_then(Scale::from_name).unwrap_or_else(|| {
+                    eprintln!("unknown scale {name:?}");
+                    std::process::exit(2);
+                })
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -340,7 +336,7 @@ fn run_static(args: &Args) -> ! {
 }
 
 fn run_audit(args: &Args, name: &str) -> ! {
-    let Some(app) = App::ALL.into_iter().find(|a| a.name() == name) else {
+    let Some(app) = App::from_name(name) else {
         eprintln!(
             "acc-lint: unknown app `{name}` (have: {})",
             App::ALL.map(|a| a.name()).join(", ")

@@ -74,6 +74,11 @@ impl App {
         }
     }
 
+    /// The app whose [`App::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<App> {
+        App::ALL.into_iter().find(|a| a.name() == name)
+    }
+
     /// The OpenACC source.
     pub fn source(self) -> &'static str {
         match self {
@@ -163,6 +168,23 @@ pub enum Scale {
     Scaled,
     /// The paper's published input sizes.
     Paper,
+}
+
+impl Scale {
+    /// The scale's name on the command line, on the `acc-serve` wire and
+    /// in the pinned artifact.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Small => "small",
+            Scale::Scaled => "scaled",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// The scale whose [`Scale::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Small, Scale::Scaled, Scale::Paper].into_iter().find(|s| s.name() == name)
+    }
 }
 
 /// The workload each application runs at a scale — the one table the

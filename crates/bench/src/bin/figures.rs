@@ -56,15 +56,11 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                args.scale = match it.next().as_deref() {
-                    Some("small") => Scale::Small,
-                    Some("scaled") => Scale::Scaled,
-                    Some("paper") => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
-                }
+                let name = it.next();
+                args.scale = name.as_deref().and_then(Scale::from_name).unwrap_or_else(|| {
+                    eprintln!("unknown scale {name:?}");
+                    std::process::exit(2);
+                })
             }
             "--json" => args.json = it.next(),
             "--seed" => args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(42),

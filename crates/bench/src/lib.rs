@@ -657,15 +657,6 @@ pub fn extension_stencil(scale: Scale, seed: u64) -> Vec<StencilPoint> {
     out
 }
 
-/// The scale's name on the command line and in the pinned artifact.
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Small => "small",
-        Scale::Scaled => "scaled",
-        Scale::Paper => "paper",
-    }
-}
-
 /// Everything the `bench` target pins, at one scale and seed: the
 /// evaluation matrix ([`run_matrix`]; the `heat2d-halo2` rows double as
 /// the wavefront's pricing pins — its carried dependence is proved
@@ -673,7 +664,7 @@ fn scale_name(scale: Scale) -> &'static str {
 /// comm experiments and the scaling section.
 pub fn bench_runtime(scale: Scale, seed: u64, progress: bool) -> BenchFile {
     BenchFile {
-        scale: scale_name(scale).to_string(),
+        scale: scale.name().to_string(),
         seed,
         points: run_matrix(scale, seed, progress),
         schedules: bench_schedules(scale, seed, progress),

@@ -62,7 +62,8 @@ impl JobRequest {
             .get("app")
             .and_then(Value::as_str)
             .ok_or_else(|| ServeError::BadRequest("missing string field \"app\"".into()))?;
-        let app = app_from_name(app_name)?;
+        let app =
+            App::from_name(app_name).ok_or_else(|| ServeError::UnknownApp(app_name.to_string()))?;
         let ngpus = match v.get("ngpus") {
             None => 1,
             Some(n) => {
@@ -83,7 +84,11 @@ impl JobRequest {
                 let s = s.as_str().ok_or_else(|| {
                     ServeError::BadRequest("\"scale\" must be a string".into())
                 })?;
-                scale_from_name(s)?
+                Scale::from_name(s).ok_or_else(|| {
+                    ServeError::BadRequest(format!(
+                        "\"scale\" must be small|scaled|paper, got {s:?}"
+                    ))
+                })?
             }
         };
         let seed = match v.get("seed") {
@@ -129,7 +134,7 @@ impl JobRequest {
             ("cmd", Value::str("run")),
             ("app", Value::str(self.app.name())),
             ("ngpus", Value::num(self.ngpus as f64)),
-            ("scale", Value::str(scale_name(self.scale))),
+            ("scale", Value::str(self.scale.name())),
             ("seed", Value::num(self.seed as f64)),
         ];
         if let Some(ms) = self.timeout_ms {
@@ -142,36 +147,6 @@ impl JobRequest {
             pairs.push(("trace", Value::Bool(true)));
         }
         Value::obj(pairs)
-    }
-}
-
-/// Decode an application name.
-pub fn app_from_name(name: &str) -> Result<App, ServeError> {
-    App::ALL
-        .iter()
-        .copied()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| ServeError::UnknownApp(name.to_string()))
-}
-
-/// Decode a scale name.
-pub fn scale_from_name(name: &str) -> Result<Scale, ServeError> {
-    match name {
-        "small" => Ok(Scale::Small),
-        "scaled" => Ok(Scale::Scaled),
-        "paper" => Ok(Scale::Paper),
-        other => Err(ServeError::BadRequest(format!(
-            "\"scale\" must be small|scaled|paper, got {other:?}"
-        ))),
-    }
-}
-
-/// The wire name of a scale.
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Small => "small",
-        Scale::Scaled => "scaled",
-        Scale::Paper => "paper",
     }
 }
 
