@@ -73,8 +73,9 @@ impl Keyed for ScalingPoint {
     }
 }
 
-/// What `bench-diff` compares of one row: every field but its text
-/// fields, which name it, and `correct`, which the new row must hold.
+/// What `bench-diff` compares of one row: every field but text and
+/// `correct`, which the new row must hold. The number fields of a key
+/// (`ngpus`, `overlap`) are compared too, and agree on every matched row.
 #[derive(Default)]
 struct Pins {
     values: Vec<(&'static str, f64)>,
