@@ -181,7 +181,7 @@ fn main() {
     if args.target == "bench-diff" {
         run_bench_diff_target(&args);
     }
-    let mut out: Vec<(&'static str, Value)> = Vec::new();
+    let mut out = Vec::new();
     let all = args.target == "all";
     let mut text = String::new();
 
@@ -413,7 +413,7 @@ fn main() {
 
     print!("{text}");
     if let Some(path) = args.json {
-        let json = Value::obj(out).to_string_pretty();
+        let json = Value::Obj(out.into_iter().collect()).to_string_pretty();
         std::fs::write(&path, json).expect("write json");
         eprintln!("wrote {path}");
     }

@@ -20,6 +20,8 @@
 //! [`DiffReport::problems`] so the CLI can print the full table before
 //! exiting non-zero.
 
+use std::collections::BTreeMap;
+
 use acc_obs::json::{self, Value};
 
 use crate::row::{self, section, Kind, Read, Row, Visit};
@@ -43,7 +45,7 @@ pub struct BenchFile {
 }
 
 /// A row of a pinned section.
-pub trait Keyed: Row + Default {
+trait Keyed: Row + Default {
     /// The row's identity within its section.
     fn key(&self) -> String;
 }
@@ -112,14 +114,14 @@ fn parse_section<T: Keyed>(doc: &Value, which: &str) -> Result<Vec<T>, String> {
 impl BenchFile {
     /// The artifact as `figures bench` writes it.
     pub fn to_json(&self) -> Value {
-        Value::obj([
-            ("scale", Value::str(&self.scale)),
-            ("seed", Value::num(self.seed as f64)),
+        Value::Obj(BTreeMap::from([
+            ("scale".to_string(), Value::str(&self.scale)),
+            ("seed".to_string(), Value::num(self.seed as f64)),
             section(&self.points),
             section(&self.schedules),
             section(&self.comm_experiments),
             section(&self.scaling),
-        ])
+        ]))
     }
 }
 

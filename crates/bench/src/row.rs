@@ -119,9 +119,10 @@ fn members<T: Row>(row: &T) -> Vec<(&'static str, Value)> {
     w.0
 }
 
-/// A section as `figures --json` and the pinned artifact write it.
-pub fn section<T: Row>(rows: &[T]) -> (&'static str, Value) {
-    (T::SECTION, Value::Arr(rows.iter().map(|r| Value::obj(members(r))).collect()))
+/// A section as `figures --json` and the pinned artifact write it: a
+/// member of the document's top-level object.
+pub fn section<T: Row>(rows: &[T]) -> (String, Value) {
+    (T::SECTION.to_string(), Value::Arr(rows.iter().map(|r| Value::obj(members(r))).collect()))
 }
 
 /// Fills fields from one JSON object; the first field that is missing
