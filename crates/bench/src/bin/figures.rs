@@ -150,7 +150,7 @@ fn run_trace_target(args: &Args) {
 }
 
 /// The `bench` target: every pinned simulated value at one scale and
-/// seed, printed as tables and written as `BENCH_runtime.json`.
+/// seed, printed section by section and written as `BENCH_runtime.json`.
 fn run_bench_target(args: &Args) {
     let file = bench_runtime(args.scale, args.seed, true);
     print!(
