@@ -43,6 +43,27 @@ struct Args {
     free: Vec<String>,
 }
 
+/// Every target but `bench-diff`, as the usage text lists them.
+const TARGETS: &str = "table1|table2|fig7|fig8|fig9|ablation-chunk|ablation-layout|\
+                       ablation-placement|ablation-loader-reuse|extension-stencil|trace|bench|all";
+
+/// Print the usage text and exit with `code`.
+fn usage(code: i32) -> ! {
+    eprintln!(
+        "usage: figures [{TARGETS}] [--scale small|scaled|paper] [--json FILE] [--seed N]\n\
+         \x20      figures bench-diff <old.json> <new.json>"
+    );
+    std::process::exit(code);
+}
+
+/// An option's value through `parse`, or the usage text and exit 2.
+fn parsed<T>(v: Option<String>, what: &str, parse: impl Fn(&str) -> Option<T>) -> T {
+    v.as_deref().and_then(parse).unwrap_or_else(|| {
+        eprintln!("bad {what} {v:?}");
+        usage(2)
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         target: "all".to_string(),
@@ -55,30 +76,19 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                let name = it.next();
-                args.scale = name.as_deref().and_then(Scale::from_name).unwrap_or_else(|| {
-                    eprintln!("unknown scale {name:?}");
-                    std::process::exit(2);
-                })
-            }
+            "--scale" => args.scale = parsed(it.next(), "scale", Scale::from_name),
             "--json" => args.json = it.next(),
-            "--seed" => args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(42),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: figures [table1|table2|fig7|fig8|fig9|ablation-chunk|\
-                     ablation-layout|ablation-placement|ablation-loader-reuse|\
-                     extension-stencil|trace|bench|all] [--scale small|scaled|paper] \
-                     [--json FILE] [--seed N]\n\
-                     \x20      figures bench-diff <old.json> <new.json>"
-                );
-                std::process::exit(0);
-            }
-            t if !have_target => {
+            "--seed" => args.seed = parsed(it.next(), "seed", |s| s.parse().ok()),
+            "--help" | "-h" => usage(0),
+            t if have_target => args.free.push(t.to_string()),
+            t if t == "bench-diff" || TARGETS.split('|').any(|x| x == t) => {
                 args.target = t.to_string();
                 have_target = true;
             }
-            t => args.free.push(t.to_string()),
+            t => {
+                eprintln!("unknown target {t:?}");
+                usage(2)
+            }
         }
     }
     args
@@ -119,11 +129,7 @@ fn run_trace_target(args: &Args) {
     use acc_gpusim::Machine;
     use acc_runtime::prelude::*;
 
-    let cfg = match args.scale {
-        Scale::Small => acc_apps::heat2d::Heat2dConfig::small(),
-        _ => acc_apps::heat2d::Heat2dConfig::scaled(),
-    };
-    let input = acc_apps::heat2d::generate(&cfg, args.seed);
+    let input = acc_apps::heat2d::generate(&args.scale.heat2d(), args.seed);
     let prog = acc_compiler::compile_source(
         acc_apps::heat2d::SOURCE,
         acc_apps::heat2d::FUNCTION,
@@ -141,11 +147,8 @@ fn run_trace_target(args: &Args) {
         }
     };
     print!("{}", r.trace.summary_table());
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "heat2d.trace.json".to_string());
-    std::fs::write(&path, r.trace.chrome_trace()).expect("write trace");
+    let path = args.json.as_deref().unwrap_or("heat2d.trace.json");
+    std::fs::write(path, r.trace.chrome_trace()).expect("write trace");
     eprintln!("wrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
 }
 
@@ -160,11 +163,8 @@ fn run_bench_target(args: &Args) {
         render(&file.comm_experiments),
         render(&file.scaling)
     );
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_runtime.json".to_string());
-    std::fs::write(&path, file.to_json().to_string_pretty()).expect("write bench json");
+    let path = args.json.as_deref().unwrap_or("BENCH_runtime.json");
+    std::fs::write(path, file.to_json().to_string_pretty()).expect("write bench json");
     eprintln!("wrote {path}");
 }
 

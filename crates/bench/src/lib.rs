@@ -618,11 +618,7 @@ row!(StencilPoint, "extension_stencil", machine, ngpus, relative_perf_vs_1gpu, k
 /// checks keep multi-GPU gains modest.
 pub fn extension_stencil(scale: Scale, seed: u64) -> Vec<StencilPoint> {
     use acc_apps::heat2d;
-    let cfg = match scale {
-        Scale::Small => heat2d::Heat2dConfig::small(),
-        _ => heat2d::Heat2dConfig::scaled(),
-    };
-    let input = heat2d::generate(&cfg, seed);
+    let input = heat2d::generate(&scale.heat2d(), seed);
     let expect = heat2d::reference(&input);
     let prog = acc_compiler::compile_source(
         heat2d::SOURCE,

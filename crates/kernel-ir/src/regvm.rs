@@ -49,6 +49,11 @@
 //! into one-lane threads, in tid order, at the first op a lane could
 //! fault on, the lanes disagree on, or a batch does not run; see
 //! `docs/kernel-ir.md` for the store buffer and the counter rollback.
+//! Lanes that disagree at an `If` whose arms hold only pure ops (no
+//! fault point, no buffer access, no branch) stay together: each arm
+//! runs in every lane, the locals it writes are put back in the lanes
+//! that did not take it, and its charge goes to those that did and to
+//! their per-lane ledger, which a later split hands back lane by lane.
 
 use crate::expr::{BinOp, Builtin, Expr, UnOp};
 use crate::interp::{
@@ -192,6 +197,20 @@ enum Op {
 }
 
 impl Op {
+    /// The slot a pure op writes: one that cannot fault, touches no
+    /// buffer and does not branch. `None` for any other op.
+    fn pure_dest(&self) -> Option<u16> {
+        use Op::*;
+        match *self {
+            AddI(r) | SubI(r) | MulI(r) | AndI(r) | OrI(r) | XorI(r) | ShlI(r) => Some(r.d),
+            ShrI(r) | AddS(r) | SubS(r) | MulS(r) | DivS(r) | AddD(r) | SubD(r) => Some(r.d),
+            MulD(r) | DivD(r) | CmpI(_, r) | CmpS(_, r) | CmpD(_, r) => Some(r.d),
+            NegI(r) | NegS(r) | NegD(r) | Not(r) | BitNot(r) | Mov(r) | Cast { r, .. } => Some(r.d),
+            Truth(d) => Some(d),
+            _ => None,
+        }
+    }
+
     fn target_mut(&mut self) -> Option<&mut u32> {
         match self {
             Op::Jump(t)
@@ -204,10 +223,26 @@ impl Op {
     }
 }
 
+/// An `If` whose arms a batch runs masked rather than splitting on.
+#[derive(Debug, Clone)]
+struct Mask {
+    /// The `If`'s branch.
+    br: u32,
+    /// The then-arm's and the else-arm's ops, each followed by `Ret`;
+    /// `None` for an empty arm.
+    arms: [Option<Vec<Op>>; 2],
+    /// The locals either arm writes (its temps die with the `If`).
+    writes: Vec<u16>,
+    /// The first op after the `If`.
+    join: u32,
+}
+
 /// A kernel compiled for the register tier.
 #[derive(Debug, Clone)]
 pub struct RegCompiled {
     code: Vec<Op>,
+    /// The maskable `If`s, by branch.
+    masks: Vec<Mask>,
     /// Bit patterns of the frame's constant section, sorted.
     consts: Vec<u64>,
     nlocals: usize,
@@ -280,6 +315,7 @@ struct Compiler<'k> {
     temps: usize,
     max_temps: usize,
     loops: Vec<LoopFrame>,
+    masks: Vec<Mask>,
 }
 
 /// Compile a kernel for the register tier, or refuse it when it fails
@@ -315,6 +351,7 @@ pub fn compile(k: &Kernel) -> Result<RegCompiled, ValidationError> {
         temps: 0,
         max_temps: 0,
         loops: Vec::new(),
+        masks: Vec::new(),
     };
     c.block(&k.body).map_err(refuse)?;
     c.emit(Op::Ret);
@@ -331,8 +368,11 @@ pub fn compile(k: &Kernel) -> Result<RegCompiled, ValidationError> {
         Op::Store { buf, .. } => !loaded[*buf as usize],
         _ => true,
     });
+    // Maskable arms hold no branch, so their `If`s do not nest and are
+    // recorded in branch order.
     Ok(RegCompiled {
         batch,
+        masks: c.masks,
         code: c.code,
         consts: c.consts,
         nlocals,
@@ -598,6 +638,32 @@ impl Compiler<'_> {
         Ok(at)
     }
 
+    /// Record the `If` branching at `br` as maskable when every op of its
+    /// `arms` (ranges of the code) is pure.
+    fn mask(&mut self, br: usize, arms: [std::ops::Range<usize>; 2]) {
+        let mut writes = Vec::new();
+        for op in arms.iter().flat_map(|a| &self.code[a.clone()]) {
+            match op.pure_dest() {
+                Some(d) if usize::from(d) < self.k.locals.len() => writes.push(d),
+                Some(_) => {}
+                None => return,
+            }
+        }
+        writes.sort_unstable();
+        writes.dedup();
+        let code = &self.code;
+        let arm = |a: std::ops::Range<usize>| {
+            (!a.is_empty()).then(|| code[a].iter().copied().chain([Op::Ret]).collect())
+        };
+        let (br, join, arms) = (br as u32, code.len() as u32, arms.map(arm));
+        self.masks.push(Mask {
+            br,
+            arms,
+            writes,
+            join,
+        });
+    }
+
     fn block(&mut self, stmts: &[Stmt]) -> Typed<()> {
         stmts.iter().try_for_each(|s| self.stmt(s))
     }
@@ -667,6 +733,7 @@ impl Compiler<'_> {
             Stmt::If { cond, then_, else_ } => {
                 let cond_false = self.branch_if_false(cond)?;
                 self.block(then_)?;
+                let mut arms = [cond_false + 1..self.code.len(), 0..0];
                 if else_.is_empty() {
                     self.patch(cond_false);
                 } else {
@@ -674,7 +741,9 @@ impl Compiler<'_> {
                     self.patch(cond_false);
                     self.block(else_)?;
                     self.patch(done);
+                    arms = [cond_false + 1..done, done + 1..self.code.len()];
                 }
+                self.mask(cond_false, arms);
             }
             Stmt::While { cond, body } => {
                 let head = self.code.len() as u32;
@@ -741,8 +810,8 @@ pub fn launch_types_match(k: &Kernel, ctx: &ExecCtx<'_>) -> bool {
 }
 
 /// Threads a batch runs in lock step: one dispatch per op for all of
-/// them. On `stencil-2gpu`, 8 lanes measured within noise of 16 and 32
-/// lanes slower (see `docs/kernel-ir.md`).
+/// them. 8 lanes measured slower than 16 on `kmeans-2gpu` and
+/// `stencil-2gpu`, and 32 slower on the latter (see `docs/kernel-ir.md`).
 pub const LANES: usize = 16;
 /// Stores a lane may queue before its batch splits: a 512-cell row fits,
 /// and a batch's buffer stays under 300 KB whatever a thread stores.
@@ -757,10 +826,32 @@ struct Pending<const N: usize> {
     bits: [u64; N],
 }
 
+/// What [`run_lanes`] keeps for `N` lanes besides their frame.
+struct Lanes<const N: usize> {
+    /// Queued stores.
+    pending: Vec<Pending<N>>,
+    /// What masked arms charged each lane alone, valid while `masked`.
+    ledger: [OpCounters; N],
+    masked: bool,
+    /// The slots a masked arm writes, as they were before it ran.
+    keep: Vec<[u64; N]>,
+}
+
+impl<const N: usize> Lanes<N> {
+    fn new() -> Self {
+        Lanes {
+            pending: Vec::new(),
+            ledger: [OpCounters::default(); N],
+            masked: false,
+            keep: Vec::new(),
+        }
+    }
+}
+
 /// The lane batches' scratch, allocated once per [`run_compiled`].
 struct Batch {
     f: Vec<[u64; LANES]>,
-    pending: Vec<Pending<LANES>>,
+    lanes: Lanes<LANES>,
     /// `per_buf_bytes` as the batch began; after a split, one lane's share
     /// of what the batch moved.
     bytes: Vec<(u64, u64)>,
@@ -793,7 +884,7 @@ pub fn run_compiled(
     if rc.batch && ctx.sanitize.is_empty() && hi - lo >= LANES as i64 {
         let mut b = Batch {
             f: frame(rc, ctx),
-            pending: Vec::new(),
+            lanes: Lanes::new(),
             bytes: Vec::new(),
         };
         while hi - tid >= LANES as i64 {
@@ -801,11 +892,12 @@ pub fn run_compiled(
             tid += LANES as i64;
         }
     }
+    let mut solo = Lanes::new();
     for tid in tid..hi {
         debug_assert!(tid <= i32::MAX as i64);
         one[..rc.nlocals].fill([0]);
         one[rc.nlocals] = [puti(tid as i32)];
-        run_lanes(&rc.code, ctx, &mut one, 0, tid, &mut Vec::new())?;
+        run_lanes(&rc.code, &[], ctx, &mut one, 0, tid, &mut solo)?;
         ctx.counters.threads += 1;
     }
     Ok(())
@@ -823,37 +915,46 @@ fn run_batch(
 ) -> Result<(), ExecError> {
     b.f[..rc.nlocals].fill([0; LANES]);
     b.f[rc.nlocals] = std::array::from_fn(|l| puti((tid + l as i64) as i32));
-    b.pending.clear();
+    b.lanes.pending.clear();
+    if std::mem::take(&mut b.lanes.masked) {
+        b.lanes.ledger = [OpCounters::default(); LANES];
+    }
     let before = ctx.counters;
     b.bytes.clone_from(&ctx.per_buf_bytes);
-    let Some(pc) = run_lanes(&rc.code, ctx, &mut b.f, 0, tid, &mut b.pending)? else {
+    let Some(pc) = run_lanes(&rc.code, &rc.masks, ctx, &mut b.f, 0, tid, &mut b.lanes)? else {
         for l in 0..LANES {
-            commit(ctx, &b.pending, l);
+            commit(ctx, &b.lanes.pending, l);
         }
         ctx.counters.threads += LANES as u64;
         return Ok(());
     };
-    // The lanes ran the same ops up to `pc`, so each moved the counters
-    // by an equal share of what the batch moved. Undo the batch and hand
-    // each lane its share as it resumes: a lane that faults leaves the
-    // later lanes unrun, charges and stores included, as on the walker.
+    // Up to `pc` the lanes ran the same ops but for masked arms, so each
+    // moved the counters by an equal share of what the batch moved besides
+    // its ledger. Undo the batch and hand each lane its share and ledger
+    // as it resumes: a lane that faults leaves the later lanes unrun,
+    // charges and stores included, as on the walker.
     let lanes = LANES as u64;
-    let share = OpCounters::zip_with(&ctx.counters, &before, |now, was| (now - was) / lanes);
+    let mut alone = OpCounters::default();
+    b.lanes.ledger.iter().for_each(|c| alone.merge(c));
+    let moved = OpCounters::zip_with(&ctx.counters, &before, |now, was| now - was);
+    let share = moved.zip_with(&alone, |moved, alone| (moved - alone) / lanes);
     ctx.counters = before;
     for (now, was) in ctx.per_buf_bytes.iter_mut().zip(&mut b.bytes) {
         let moved = ((now.0 - was.0) / lanes, (now.1 - was.1) / lanes);
         (*now, *was) = (*was, moved);
     }
+    let solo = &mut Lanes::new();
     for l in 0..LANES {
         ctx.counters.merge(&share);
+        ctx.counters.merge(&b.lanes.ledger[l]);
         for (now, lane) in ctx.per_buf_bytes.iter_mut().zip(&b.bytes) {
             (now.0, now.1) = (now.0 + lane.0, now.1 + lane.1);
         }
-        commit(ctx, &b.pending, l);
+        commit(ctx, &b.lanes.pending, l);
         for (s, w) in one.iter_mut().zip(&b.f) {
             *s = [w[l]];
         }
-        run_lanes(&rc.code, ctx, one, pc, tid + l as i64, &mut Vec::new())?;
+        run_lanes(&rc.code, &[], ctx, one, pc, tid + l as i64, solo)?;
         ctx.counters.threads += 1;
     }
     Ok(())
@@ -964,18 +1065,19 @@ fn test<T: PartialOrd, const N: usize>(cmp: BinOp, a: [T; N], b: [T; N]) -> [boo
 /// this is the one-lane path: it runs to `Ret` and faults where the
 /// walker does. A batch (`N > 1`) checks every lane before any effect of
 /// an op, and returns the op's index, unrun, when a lane could fault on
-/// it, the lanes' branches disagree, or the batch does not run it. Its
-/// stores queue in `pending`.
+/// it, the lanes' branches disagree outside the `masks`, or the batch
+/// does not run it. Its stores queue in `lanes`.
 // Out of line on purpose: inlined into the thread loop, the dispatch
 // loop spills `pc` and the frame pointer to the stack.
 #[inline(never)]
 fn run_lanes<const N: usize>(
     code: &[Op],
+    masks: &[Mask],
     ctx: &mut ExecCtx<'_>,
     f: &mut [[u64; N]],
     mut pc: usize,
     tid: i64,
-    pending: &mut Vec<Pending<N>>,
+    lanes: &mut Lanes<N>,
 ) -> Result<Option<usize>, ExecError> {
     let n = N as u64;
     // Leave the current op to the one-lane path (a no-op there).
@@ -1047,12 +1149,19 @@ fn run_lanes<const N: usize>(
         }};
     }
     // Jump to `$t` where the condition `$holds` is false, charging the
-    // `$n`s; the lanes must agree.
+    // `$n`s; lanes that disagree run a maskable `If`'s arms masked.
     macro_rules! br {
         ($t:ident, [$($n:ident),*], $holds:expr) => {{
             let holds: [bool; N] = $holds;
             if holds.contains(&!holds[0]) {
-                split!();
+                let m = masks.binary_search_by_key(&(pc as u32 - 1), |m| m.br);
+                let Ok(m) = m.map(|m| &masks[m]) else {
+                    return Ok(Some(pc - 1));
+                };
+                $(ctx.counters.$n += n;)*
+                masked(ctx, f, m, holds, tid, lanes)?;
+                pc = m.join as usize;
+                continue;
             }
             $(ctx.counters.$n += n;)*
             if !holds[0] {
@@ -1136,7 +1245,7 @@ fn run_lanes<const N: usize>(
                 let own = ctx.bufs[b].own;
                 let miss = checked && gidx.iter().any(|&g| g < own.0 || g >= own.1);
                 let at = elements(&ctx.bufs[b], &gidx);
-                if miss || at.is_err() || pending.len() == MAX_PENDING {
+                if miss || at.is_err() || lanes.pending.len() == MAX_PENDING {
                     split!();
                 }
                 if checked {
@@ -1172,7 +1281,7 @@ fn run_lanes<const N: usize>(
                 if N == 1 {
                     put(&mut ctx.bufs[b], at[0], v[0], dirty);
                 } else {
-                    pending.push(Pending {
+                    lanes.pending.push(Pending {
                         buf,
                         dirty,
                         at,
@@ -1242,6 +1351,41 @@ fn run_lanes<const N: usize>(
             Op::Ret => return Ok(None),
         }
     }
+}
+
+/// Run the arms of the maskable `If` `m` in all `N` lanes, the then-arm
+/// for the lanes where `then` holds and the else-arm for the others. Each
+/// arm's writes are put back in the lanes that did not take it, and its
+/// charge goes to the lanes that did, in the batch's counters and in
+/// their ledger.
+#[inline(never)]
+fn masked<const N: usize>(
+    ctx: &mut ExecCtx<'_>,
+    f: &mut [[u64; N]],
+    m: &Mask,
+    then: [bool; N],
+    tid: i64,
+    lanes: &mut Lanes<N>,
+) -> Result<(), ExecError> {
+    lanes.masked = true;
+    for (arm, took) in m.arms.iter().zip([then, then.map(|t| !t)]) {
+        let Some(arm) = arm else { continue };
+        lanes.keep.clear();
+        lanes.keep.extend(m.writes.iter().map(|&s| f[s as usize]));
+        let before = ctx.counters;
+        run_lanes(arm, &[], ctx, f, 0, tid, lanes)?;
+        let each = OpCounters::zip_with(&ctx.counters, &before, |now, was| (now - was) / N as u64);
+        ctx.counters = before;
+        for (ledger, _) in lanes.ledger.iter_mut().zip(took).filter(|t| t.1) {
+            ctx.counters.merge(&each);
+            ledger.merge(&each);
+        }
+        for (&s, kept) in m.writes.iter().zip(&lanes.keep) {
+            let row = &mut f[s as usize];
+            *row = std::array::from_fn(|l| if took[l] { row[l] } else { kept[l] });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1323,6 +1467,96 @@ mod tests {
         assert_eq!(rc.code.len(), 7, "{:?}", rc.code);
         let a: Vec<i32> = (0..16).collect();
         assert_eq!(run(&k, &a, None), run(&k, &a, Some(&rc)));
+        Ok(())
+    }
+
+    #[test]
+    fn disagreeing_arg_min_lanes_reach_ret_as_one_batch() -> Result<(), ValidationError> {
+        // The nearest of 4 points 0, 10, 20, 30 to `a[tid]`:
+        // bestd = 1 << 30; while (c < 4) { d = (a[tid] - 10c)^2;
+        //   if (d < bestd) { bestd = d; best = c; } c = c + 1; } out[tid] = best;
+        let (best, bestd, c, d) = (LocalId(0), LocalId(1), LocalId(2), LocalId(3));
+        let gap = || {
+            Expr::sub(
+                Expr::load(BufId(0), Expr::ThreadIdx),
+                Expr::mul(Expr::Local(c), Expr::imm_i32(10)),
+            )
+        };
+        let arg_min = |then_: Vec<Stmt>| Kernel {
+            name: "arg_min".into(),
+            params: vec![],
+            bufs: i32_bufs(),
+            locals: vec![Ty::I32; 4],
+            reductions: vec![],
+            body: vec![
+                Stmt::Assign {
+                    local: bestd,
+                    value: Expr::imm_i32(1 << 30),
+                },
+                Stmt::While {
+                    cond: Expr::bin(BinOp::Lt, Expr::Local(c), Expr::imm_i32(4)),
+                    body: vec![
+                        Stmt::Assign {
+                            local: d,
+                            value: Expr::mul(gap(), gap()),
+                        },
+                        Stmt::If {
+                            cond: Expr::bin(BinOp::Lt, Expr::Local(d), Expr::Local(bestd)),
+                            then_,
+                            else_: vec![],
+                        },
+                        Stmt::Assign {
+                            local: c,
+                            value: Expr::add(Expr::Local(c), Expr::imm_i32(1)),
+                        },
+                    ],
+                },
+                Stmt::Store {
+                    buf: BufId(1),
+                    idx: Expr::ThreadIdx,
+                    value: Expr::Local(best),
+                    dirty: false,
+                    checked: false,
+                },
+            ],
+        };
+        let k = arg_min(vec![
+            Stmt::Assign {
+                local: bestd,
+                value: Expr::Local(d),
+            },
+            Stmt::Assign {
+                local: best,
+                value: Expr::Local(c),
+            },
+        ]);
+        let rc = compile(&k)?;
+        assert_eq!(rc.masks.len(), 1);
+        assert_eq!(rc.masks[0].writes, [0, 1]);
+        // Lane `l` lies at 10 * (l % 4) + 1: the lanes disagree at c >= 1.
+        let a: Vec<i32> = (0..LANES as i32).map(|l| 10 * (l % 4) + 1).collect();
+        let (mut a_buf, mut out) = (Buffer::from_i32(&a), Buffer::zeroed(Ty::I32, LANES));
+        let bufs = vec![BufSlot::whole(&mut a_buf), BufSlot::whole(&mut out)];
+        let mut ctx = ExecCtx::new(&k, vec![], bufs);
+        let mut f = frame::<LANES>(&rc, &ctx);
+        f[rc.nlocals] = std::array::from_fn(|l| puti(l as i32));
+        let mut lanes = Lanes::new();
+        let stopped = run_lanes(&rc.code, &rc.masks, &mut ctx, &mut f, 0, 0, &mut lanes);
+        assert_eq!(stopped, Ok(None), "the batch must not split");
+        for l in 0..LANES {
+            commit(&mut ctx, &lanes.pending, l);
+        }
+        ctx.counters.threads += LANES as u64;
+        let c = ctx.counters;
+        drop(ctx);
+        assert_eq!(run(&k, &a, None), (Ok(()), out.to_i32_vec(), c));
+        // An arm that loads is not maskable.
+        let load = Expr::load(BufId(0), Expr::ThreadIdx);
+        let k = arg_min(vec![Stmt::Assign {
+            local: best,
+            value: load,
+        }]);
+        assert!(compile(&k)?.masks.is_empty());
         Ok(())
     }
 

@@ -1562,6 +1562,244 @@ fn a_full_store_buffer_splits_the_batch() {
     assert_eq!(i32s(&out.bufs[0])[PER as usize * 20 + 1099], 1119);
 }
 
+// Masked arms: lanes that disagree at an `If` whose arms hold only pure
+// ops run both arms and keep each lane's own result; any other `If` splits.
+
+fn rem(a: Expr, b: i32) -> Expr {
+    Expr::bin(BinOp::Rem, a, imm(b))
+}
+
+#[test]
+fn a_kmeans_arg_min_diverging_in_every_batch_matches_the_walker() {
+    // `kmeans_k0`'s shape: the nearest of K centroids to a 2-feature f32
+    // point. Thread `t`'s point lies near centroid `t % K`, so at every
+    // cluster past the first the lanes of every batch disagree on
+    // `d < bestd`.
+    const K: i32 = 4;
+    const D: i32 = 2;
+    let (best, bestd, c, d, f, diff) = (0, 1, 2, 3, 4, 5);
+    let k = kernel(
+        "arg_min",
+        vec![
+            buf("points", Ty::F32, BufAccess::Read),
+            buf("centroids", Ty::F32, BufAccess::Read),
+            buf("membership", Ty::I32, BufAccess::Write),
+        ],
+        vec![Ty::I32, Ty::F32, Ty::I32, Ty::F32, Ty::I32, Ty::F32],
+        vec![
+            assign(bestd, Expr::Imm(Value::F32(3.0e38))),
+            Stmt::While {
+                cond: cmp(BinOp::Lt, local(c), imm(K)),
+                body: vec![
+                    assign(d, Expr::Imm(Value::F32(0.0))),
+                    assign(f, imm(0)),
+                    Stmt::While {
+                        cond: cmp(BinOp::Lt, local(f), imm(D)),
+                        body: vec![
+                            assign(
+                                diff,
+                                Expr::sub(
+                                    Expr::load(
+                                        BufId(0),
+                                        Expr::add(Expr::mul(tid(), imm(D)), local(f)),
+                                    ),
+                                    Expr::load(
+                                        BufId(1),
+                                        Expr::add(Expr::mul(local(c), imm(D)), local(f)),
+                                    ),
+                                ),
+                            ),
+                            assign(d, Expr::add(local(d), Expr::mul(local(diff), local(diff)))),
+                            assign(f, Expr::add(local(f), imm(1))),
+                        ],
+                    },
+                    when(
+                        cmp(BinOp::Lt, local(d), local(bestd)),
+                        vec![assign(bestd, local(d)), assign(best, local(c))],
+                    ),
+                    assign(c, Expr::add(local(c), imm(1))),
+                ],
+            },
+            store(2, tid(), local(best)),
+        ],
+    );
+    let points: Vec<f32> = (0..BATCHED * D as usize)
+        .map(|i| (10 * ((i / D as usize) % K as usize)) as f32 + 0.25 * (i % 3) as f32)
+        .collect();
+    let centroids: Vec<f32> = (0..K * D).map(|i| (10 * (i / D)) as f32).collect();
+    let bufs = [
+        Buffer::from_f32(&points),
+        Buffer::from_f32(&centroids),
+        Buffer::zeroed(Ty::I32, BATCHED),
+    ];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    assert!(out.result.is_ok());
+    let want: Vec<i32> = (0..BATCHED as i32).map(|t| t % K).collect();
+    assert_eq!(i32s(&out.bufs[2]), want);
+    assert_eq!(
+        out.counters.branches,
+        BATCHED as u64 * (K as u64 * (D as u64 + 3) + 1)
+    );
+}
+
+#[test]
+fn if_else_arms_writing_one_local_match_the_walker() {
+    // Both arms write `x` and `y`; only the then-arm writes `z` (an f64),
+    // so the else lanes must keep the `z` they had before the `If`.
+    let (v, x, y, z) = (0, 1, 2, 3);
+    let k = kernel(
+        "both_arms",
+        vec![
+            buf("a", Ty::I32, BufAccess::Read),
+            buf("out", Ty::I32, BufAccess::Write),
+            buf("zs", Ty::F64, BufAccess::Write),
+        ],
+        vec![Ty::I32, Ty::I32, Ty::I32, Ty::F64],
+        vec![
+            assign(v, Expr::load(BufId(0), tid())),
+            assign(z, cast(Ty::F64, tid())),
+            Stmt::If {
+                cond: cmp(BinOp::Eq, rem(local(v), 3), imm(0)),
+                then_: vec![
+                    assign(x, Expr::mul(local(v), imm(2))),
+                    assign(y, Expr::add(local(x), imm(1))),
+                    assign(z, Expr::mul(local(z), Expr::imm_f64(0.5))),
+                ],
+                else_: vec![
+                    assign(x, Expr::sub(imm(0), local(v))),
+                    assign(y, Expr::add(local(x), imm(20))),
+                ],
+            },
+            store(1, cell(2, 0), local(x)),
+            store(1, cell(2, 1), local(y)),
+            Stmt::Store {
+                buf: BufId(2),
+                idx: tid(),
+                value: local(z),
+                dirty: false,
+                checked: false,
+            },
+        ],
+    );
+    let a: Vec<i32> = (0..BATCHED as i32).map(|t| t * 7 % 11).collect();
+    let bufs = [
+        Buffer::from_i32(&a),
+        Buffer::zeroed(Ty::I32, 2 * BATCHED),
+        Buffer::zeroed(Ty::F64, BATCHED),
+    ];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    assert!(out.result.is_ok());
+    let cells = i32s(&out.bufs[1]);
+    for (t, &v) in a.iter().enumerate() {
+        let (x, y) = if v % 3 == 0 {
+            (2 * v, 2 * v + 1)
+        } else {
+            (-v, 20 - v)
+        };
+        assert_eq!(cells[2 * t..2 * t + 2], [x, y], "thread {t}");
+    }
+}
+
+#[test]
+fn lane5_faulting_after_a_masked_arm_settles_like_the_walker() {
+    // Lanes 0-2 of each batch take an arm that charges int, f64 and cast
+    // ops; then `1000 / src[t]` faults in thread `LANE5` alone. The lanes
+    // before it must have been charged exactly their own arms.
+    let (x, g, q) = (0, 1, 2);
+    let k = kernel(
+        "masked_then_fault",
+        vec![
+            buf("src", Ty::I32, BufAccess::Read),
+            buf("out", Ty::I32, BufAccess::Write),
+        ],
+        vec![Ty::I32, Ty::F64, Ty::I32],
+        vec![
+            store(1, tid(), Expr::mul(tid(), imm(3))),
+            when(
+                cmp(BinOp::Lt, rem(tid(), LANES as i32), imm(3)),
+                vec![
+                    assign(x, Expr::add(Expr::mul(tid(), imm(7)), imm(1))),
+                    assign(g, Expr::mul(cast(Ty::F64, local(x)), Expr::imm_f64(0.5))),
+                    assign(x, Expr::add(local(x), cast(Ty::I32, local(g)))),
+                ],
+            ),
+            assign(
+                q,
+                Expr::bin(BinOp::Div, imm(1000), Expr::load(BufId(0), tid())),
+            ),
+            store(
+                1,
+                Expr::add(tid(), imm(BATCHED as i32)),
+                Expr::add(local(x), local(q)),
+            ),
+        ],
+    );
+    let mut src: Vec<i32> = (1..=BATCHED as i32).collect();
+    src[LANE5] = 0;
+    let bufs = [Buffer::from_i32(&src), Buffer::zeroed(Ty::I32, 2 * BATCHED)];
+    let out = agree_batched(&k, &bufs, &whole(&bufs));
+    assert_eq!(out.result, Err(ExecError::DivByZero));
+    assert_eq!(out.counters.threads, LANE5 as u64);
+    // Two batches' lanes 0-2 took the arm before the fault: 6 of them.
+    assert_eq!(out.counters.f64_ops, 6);
+    // Thread `LANES + 1` took the arm; thread `LANES + 3` did not.
+    let (t, cells) = (LANES as i32 + 1, i32s(&out.bufs[1]));
+    let x = 7 * t + 1;
+    assert_eq!(cells[BATCHED + LANES + 1], x + x / 2 + 1000 / (t + 1));
+    assert_eq!(cells[BATCHED + LANES + 3], 1000 / (t + 3));
+    assert_eq!(cells[BATCHED + LANE5], 0);
+}
+
+#[test]
+fn arms_that_could_fault_touch_memory_or_branch_split_like_the_walker() {
+    // Each kernel diverges on `t % 3 == 0` into an arm the batch may not
+    // run masked: a load, a store, an integer `/`, and an `If` nested in
+    // another (the inner one alone is maskable).
+    let diverge = || cmp(BinOp::Eq, rem(tid(), 3), imm(0));
+    let x = || local(0);
+    let arms: [(&str, Vec<Stmt>); 4] = [
+        ("load_arm", vec![assign(0, Expr::load(BufId(0), tid()))]),
+        (
+            "store_arm",
+            vec![store(1, cell(2, 1), tid()), assign(0, imm(5))],
+        ),
+        (
+            "div_arm",
+            vec![assign(
+                0,
+                Expr::bin(BinOp::Div, imm(1000), Expr::add(rem(tid(), 7), imm(1))),
+            )],
+        ),
+        (
+            "nested_arm",
+            vec![Stmt::If {
+                cond: cmp(BinOp::Eq, rem(tid(), 2), imm(0)),
+                then_: vec![assign(0, imm(1))],
+                else_: vec![assign(0, imm(2))],
+            }],
+        ),
+    ];
+    for (name, then_) in arms {
+        let k = kernel(
+            name,
+            vec![
+                buf("a", Ty::I32, BufAccess::Read),
+                buf("out", Ty::I32, BufAccess::Write),
+            ],
+            vec![Ty::I32],
+            vec![
+                when(cmp(BinOp::Ge, tid(), imm(0)), vec![when(diverge(), then_)]),
+                store(1, cell(2, 0), Expr::add(x(), imm(100))),
+            ],
+        );
+        let a: Vec<i32> = (0..BATCHED as i32).map(|t| t * 5 - 40).collect();
+        let bufs = [Buffer::from_i32(&a), Buffer::zeroed(Ty::I32, 2 * BATCHED)];
+        let out = agree_batched(&k, &bufs, &whole(&bufs));
+        assert!(out.result.is_ok(), "{name}");
+        assert_eq!(out.counters.threads, BATCHED as u64, "{name}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // One negative test per rejection rule: `compile` refuses the kernel, and
 // the walker (usually) raises a `TypeError` on it — the typer refuses
