@@ -42,8 +42,8 @@ use acc_kernel_ir as ir;
 
 use crate::config::Placement;
 use crate::depend::value_uniform;
-use crate::hostgen::{clause_arrays, HostOp};
-use crate::CompiledKernel;
+use crate::hostgen::clause_arrays;
+use crate::{CompiledKernel, HostOp};
 
 /// The static proof that one launch's replica sync for one buffer may
 /// be skipped.
@@ -324,7 +324,7 @@ fn host_assigned_locals(host: &[HostOp], kernels: &[CompiledKernel]) -> BTreeSet
                     walk(then_, out);
                     walk(else_, out);
                 }
-                HostOp::While { body, .. } | HostOp::Region { body, .. } => walk(body, out),
+                HostOp::While { body, .. } | HostOp::DataRegion { body, .. } => walk(body, out),
                 _ => {}
             }
         }
@@ -349,13 +349,14 @@ impl HostWalk {
     fn walk(&mut self, ops: &[HostOp]) {
         for op in ops {
             match op {
-                HostOp::Region { clauses, body } => {
+                HostOp::DataRegion { clauses, body } => {
                     self.present.push(clause_arrays(clauses).collect());
                     self.walk(body);
                     self.present.pop();
                 }
-                HostOp::Update { to_device, .. } => {
-                    self.update_device.extend(to_device.iter().map(|s| s.array));
+                HostOp::Update { device, .. } => {
+                    self.update_device
+                        .extend(device.iter().map(|s| s.buf.0 as usize));
                 }
                 HostOp::Plain(stmt) => {
                     stmt.visit(&mut |s| {
@@ -372,7 +373,7 @@ impl HostWalk {
                     self.walk(else_);
                 }
                 HostOp::While { body, .. } => self.walk(body),
-                HostOp::Launch { .. } | HostOp::Return => {}
+                HostOp::ParallelLoop(_) | HostOp::Return => {}
             }
         }
     }

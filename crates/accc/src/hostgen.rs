@@ -4,108 +4,46 @@
 //! the kernel function \[and\] generates the CUDA host code which includes
 //! the control codes to initialize the devices, to call the kernel
 //! functions, and to control the data movement among the distributed
-//! memories" (§IV-B). Here the host program is a small op tree the
-//! `acc-runtime` executor walks; data movement is delegated to the runtime
-//! (§IV-B1) through the `Region` and `Update` ops. Regions are structured:
-//! every launch sits inside regions covering each array it uses, because
-//! hostgen wraps it in an innermost region for the arrays no enclosing
-//! one covers (OpenACC's implicit per-launch `copy`).
+//! memories" (§IV-B). There is one host tree: the frontend's
+//! [`HostStmt`], which the `acc-runtime` executor walks once each parallel
+//! loop is replaced by the index of its kernel ([`HostOp`] is
+//! `HostStmt<usize>`). Data movement is delegated to the runtime (§IV-B1)
+//! through the `DataRegion` and `Update` statements. Regions are
+//! structured: every launch sits inside regions covering each array it
+//! uses, because hostgen wraps it in an innermost region for the arrays no
+//! enclosing one covers (OpenACC's implicit per-launch `copy`).
 
 use acc_kernel_ir as ir;
 use acc_minic::directive::DataClauseKind;
 use acc_minic::hir::{HostStmt, TypedDataClause, TypedFunction, TypedSection};
 
 use crate::extract::extract_kernel;
-use crate::{depend, CompileError, CompileOptions, CompiledKernel};
-
-/// A resolved array (sub)section in a host op. Ranges are host-evaluated
-/// `(start, len)` expressions; `None` = whole array.
-#[derive(Debug, Clone)]
-pub struct Section {
-    pub array: usize,
-    pub range: Option<(ir::Expr, ir::Expr)>,
-}
-
-/// A compiled data clause.
-#[derive(Debug, Clone)]
-pub struct CompiledClause {
-    pub kind: DataClauseKind,
-    pub sections: Vec<Section>,
-}
-
-/// One host operation.
-#[derive(Debug, Clone)]
-pub enum HostOp {
-    /// Plain scalar/array statement executed on the (simulated) CPU.
-    Plain(ir::Stmt),
-    If {
-        cond: ir::Expr,
-        then_: Vec<HostOp>,
-        else_: Vec<HostOp>,
-    },
-    While {
-        cond: ir::Expr,
-        body: Vec<HostOp>,
-    },
-    /// A data region: the runtime enters it per the clauses, runs the
-    /// body, and exits it (copy-out and free) on every flow out of the
-    /// body — fall-through, `break`, `continue` and `return` alike.
-    Region {
-        clauses: Vec<CompiledClause>,
-        body: Vec<HostOp>,
-    },
-    /// Launch compiled kernel `kernels[idx]` as one BSP superstep.
-    Launch { kernel: usize },
-    /// `#pragma acc update`.
-    Update {
-        to_host: Vec<Section>,
-        to_device: Vec<Section>,
-    },
-    /// Stop executing the host program.
-    Return,
-}
-
-fn lower_sections(secs: &[TypedSection]) -> Vec<Section> {
-    secs.iter()
-        .map(|s| Section {
-            array: s.buf.0 as usize,
-            range: s.range.clone(),
-        })
-        .collect()
-}
-
-fn lower_clauses(clauses: &[TypedDataClause]) -> Vec<CompiledClause> {
-    clauses
-        .iter()
-        .map(|c| CompiledClause {
-            kind: c.kind,
-            sections: lower_sections(&c.sections),
-        })
-        .collect()
-}
+use crate::{depend, CompileError, CompileOptions, CompiledKernel, HostOp};
 
 /// The program arrays `clauses` name, one per section.
-pub(crate) fn clause_arrays(clauses: &[CompiledClause]) -> impl Iterator<Item = usize> + '_ {
-    clauses.iter().flat_map(|c| c.sections.iter().map(|s| s.array))
+pub(crate) fn clause_arrays(clauses: &[TypedDataClause]) -> impl Iterator<Item = usize> + '_ {
+    clauses
+        .iter()
+        .flat_map(|c| c.sections.iter().map(|s| s.buf.0 as usize))
 }
 
 /// OpenACC's implicit per-launch region: the arrays of `ck` that no
 /// enclosing region covers, `copy` if the kernel writes them and
 /// `copyin` otherwise (a whole-array flush at exit only when written).
-fn implicit_clauses(ck: &CompiledKernel, present: &[usize]) -> Vec<CompiledClause> {
-    let uncovered = |writes: bool| -> Vec<Section> {
+fn implicit_clauses(ck: &CompiledKernel, present: &[usize]) -> Vec<TypedDataClause> {
+    let uncovered = |writes: bool| -> Vec<TypedSection> {
         ck.configs
             .iter()
             .filter(|c| c.mode.writes() == writes && !present.contains(&c.array))
-            .map(|c| Section {
-                array: c.array,
+            .map(|c| TypedSection {
+                buf: ir::BufId(c.array as u32),
                 range: None,
             })
             .collect()
     };
     [(DataClauseKind::Copy, true), (DataClauseKind::CopyIn, false)]
         .into_iter()
-        .map(|(kind, writes)| CompiledClause {
+        .map(|(kind, writes)| TypedDataClause {
             kind,
             sections: uncovered(writes),
         })
@@ -114,7 +52,7 @@ fn implicit_clauses(ck: &CompiledKernel, present: &[usize]) -> Vec<CompiledClaus
 }
 
 /// Lower a function's host body, extracting kernels as they are found
-/// (`HostOp::Launch` indexes the returned kernel list).
+/// (`HostOp::ParallelLoop` indexes the returned kernel list).
 pub fn lower_host(
     f: &TypedFunction,
     options: &CompileOptions,
@@ -142,65 +80,53 @@ struct Lowering<'a> {
 
 impl Lowering<'_> {
     fn lower_block(&mut self, body: &[HostStmt]) -> Result<Vec<HostOp>, CompileError> {
-        let mut out = Vec::new();
-        for s in body {
-            match s {
-                HostStmt::Plain(st) => out.push(HostOp::Plain(st.clone())),
-                HostStmt::If {
-                    cond,
-                    then_,
-                    else_,
-                } => {
-                    let then_ = self.lower_block(then_)?;
-                    let else_ = self.lower_block(else_)?;
-                    out.push(HostOp::If {
-                        cond: cond.clone(),
-                        then_,
-                        else_,
-                    });
-                }
-                HostStmt::While { cond, body } => {
-                    let body = self.lower_block(body)?;
-                    out.push(HostOp::While {
-                        cond: cond.clone(),
-                        body,
-                    });
-                }
-                HostStmt::DataRegion { clauses, body } => {
-                    let clauses = lower_clauses(clauses);
-                    let body = self.covered(&clauses, |l| l.lower_block(body))?;
-                    out.push(HostOp::Region { clauses, body });
-                }
-                HostStmt::ParallelLoop(node) => {
-                    let ck = extract_kernel(node, self.f, self.options, &self.written)?;
-                    let clauses = lower_clauses(&node.data_clauses);
-                    let implicit = self.covered(&clauses, |l| implicit_clauses(&ck, &l.present));
-                    let mut op = HostOp::Launch {
-                        kernel: self.kernels.len(),
-                    };
-                    self.kernels.push(ck);
-                    for clauses in [implicit, clauses] {
-                        if !clauses.is_empty() {
-                            op = HostOp::Region {
-                                clauses,
-                                body: vec![op],
-                            };
-                        }
+        body.iter().map(|s| self.lower_stmt(s)).collect()
+    }
+
+    /// `s` with each parallel loop in it replaced by its kernel's index,
+    /// inside the loop's directive and implicit regions.
+    fn lower_stmt(&mut self, s: &HostStmt) -> Result<HostOp, CompileError> {
+        Ok(match s {
+            HostStmt::Plain(st) => HostOp::Plain(st.clone()),
+            HostStmt::If { cond, then_, else_ } => HostOp::If {
+                cond: cond.clone(),
+                then_: self.lower_block(then_)?,
+                else_: self.lower_block(else_)?,
+            },
+            HostStmt::While { cond, body } => HostOp::While {
+                cond: cond.clone(),
+                body: self.lower_block(body)?,
+            },
+            HostStmt::DataRegion { clauses, body } => HostOp::DataRegion {
+                clauses: clauses.clone(),
+                body: self.covered(clauses, |l| l.lower_block(body))?,
+            },
+            HostStmt::ParallelLoop(node) => {
+                let ck = extract_kernel(node, self.f, self.options, &self.written)?;
+                let clauses = &node.data_clauses;
+                let implicit = self.covered(clauses, |l| implicit_clauses(&ck, &l.present));
+                let mut op = HostOp::ParallelLoop(self.kernels.len());
+                self.kernels.push(ck);
+                for clauses in [implicit, clauses.clone()] {
+                    if !clauses.is_empty() {
+                        op = HostOp::DataRegion {
+                            clauses,
+                            body: vec![op],
+                        };
                     }
-                    out.push(op);
                 }
-                HostStmt::Update { host, device } => out.push(HostOp::Update {
-                    to_host: lower_sections(host),
-                    to_device: lower_sections(device),
-                }),
-                HostStmt::Return => out.push(HostOp::Return),
+                op
             }
-        }
-        Ok(out)
+            HostStmt::Update { host, device } => HostOp::Update {
+                host: host.clone(),
+                device: device.clone(),
+            },
+            HostStmt::Return => HostOp::Return,
+        })
     }
 
     /// Run `f` with the arrays of `clauses` marked present.
-    fn covered<T>(&mut self, clauses: &[CompiledClause], f: impl FnOnce(&mut Self) -> T) -> T {
+    fn covered<T>(&mut self, clauses: &[TypedDataClause], f: impl FnOnce(&mut Self) -> T) -> T {
         let depth = self.present.len();
         self.present.extend(clause_arrays(clauses));
         let out = f(self);
@@ -218,14 +144,17 @@ mod tests {
         compile_source(src, "f", &CompileOptions::proposal()).unwrap()
     }
 
-    /// `(kind, arrays)` of each clause of a `Region` op.
+    /// `(kind, arrays)` of each clause of a `DataRegion` op.
     fn clauses_of(op: &HostOp) -> (Vec<(DataClauseKind, Vec<usize>)>, &[HostOp]) {
-        let HostOp::Region { clauses, body } = op else {
+        let HostOp::DataRegion { clauses, body } = op else {
             panic!("not a region: {op:?}")
         };
         let clauses = clauses
             .iter()
-            .map(|c| (c.kind, c.sections.iter().map(|s| s.array).collect()))
+            .map(|c| {
+                let arrays = c.sections.iter().map(|s| s.buf.0 as usize).collect();
+                (c.kind, arrays)
+            })
             .collect();
         (clauses, body)
     }
@@ -244,7 +173,7 @@ mod tests {
         assert_eq!(p.host.len(), 1);
         let (clauses, body) = clauses_of(&p.host[0]);
         assert_eq!(clauses, vec![(DataClauseKind::Copy, vec![0])]);
-        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
+        assert!(matches!(body, [HostOp::ParallelLoop(0)]));
     }
 
     #[test]
@@ -258,7 +187,7 @@ mod tests {
         assert_eq!(p.host.len(), 1);
         let (clauses, body) = clauses_of(&p.host[0]);
         assert_eq!(clauses, vec![(DataClauseKind::Copy, vec![0])]);
-        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
+        assert!(matches!(body, [HostOp::ParallelLoop(0)]));
     }
 
     #[test]
@@ -281,7 +210,7 @@ mod tests {
             inner,
             vec![(DataClauseKind::Copy, vec![1]), (DataClauseKind::CopyIn, vec![2])]
         );
-        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
+        assert!(matches!(body, [HostOp::ParallelLoop(0)]));
     }
 
     #[test]
@@ -296,7 +225,7 @@ mod tests {
         assert_eq!(outer, vec![(DataClauseKind::CopyIn, vec![0])]);
         let (inner, body) = clauses_of(&body[0]);
         assert_eq!(inner, vec![(DataClauseKind::Copy, vec![1])]);
-        assert!(matches!(body, [HostOp::Launch { kernel: 0 }]));
+        assert!(matches!(body, [HostOp::ParallelLoop(0)]));
     }
 
     #[test]
@@ -319,7 +248,7 @@ mod tests {
         let HostOp::While { body, .. } = &region[1] else {
             panic!("{:?}", p.host)
         };
-        assert!(body.iter().any(|op| matches!(op, HostOp::Launch { .. })));
+        assert!(body.iter().any(|op| matches!(op, HostOp::ParallelLoop(_))));
     }
 
     #[test]
@@ -338,6 +267,79 @@ mod tests {
         assert_eq!(p.n_parallel_loops(), 2);
     }
 
+    /// A one-line outline of a host tree: `launch` renders each parallel
+    /// loop, plain statements show as `plain`, sections as array indices.
+    fn outline<L>(body: &[HostStmt<L>], launch: &dyn Fn(&L) -> String) -> String {
+        let arrays = |secs: &[TypedSection]| {
+            let ids: Vec<String> = secs.iter().map(|s| s.buf.0.to_string()).collect();
+            ids.join(",")
+        };
+        let items: Vec<String> = body
+            .iter()
+            .map(|s| match s {
+                HostStmt::Plain(_) => "plain".to_string(),
+                HostStmt::If { then_, else_, .. } => {
+                    let (then_, else_) = (outline(then_, launch), outline(else_, launch));
+                    format!("if{{{then_}}}else{{{else_}}}")
+                }
+                HostStmt::While { body, .. } => format!("while{{{}}}", outline(body, launch)),
+                HostStmt::DataRegion { clauses, body } => {
+                    let clauses: Vec<String> = clauses
+                        .iter()
+                        .map(|c| format!("{:?} {}", c.kind, arrays(&c.sections)))
+                        .collect();
+                    let (clauses, body) = (clauses.join("; "), outline(body, launch));
+                    format!("region[{clauses}]{{{body}}}")
+                }
+                HostStmt::ParallelLoop(l) => launch(l),
+                HostStmt::Update { host, device } => {
+                    format!("update[{}; {}]", arrays(host), arrays(device))
+                }
+                HostStmt::Return => "return".to_string(),
+            })
+            .collect();
+        items.join(" ")
+    }
+
+    #[test]
+    fn translated_tree_is_the_frontends_with_loops_replaced() {
+        // A launch in each arm of a host `if`, an `update` inside a
+        // `while` and an early `return`: hostgen keeps every node and
+        // swaps each loop for its kernel index in its implicit region.
+        let src = "void f(int n, int k, double *x, double *y) {\n\
+                   if (k > 0) {\n\
+                   #pragma acc parallel loop\n\
+                   for (int i = 0; i < n; i++) x[i] = 1.0;\n\
+                   } else {\n\
+                   #pragma acc parallel loop\n\
+                   for (int i = 0; i < n; i++) y[i] = 2.0;\n\
+                   }\n\
+                   int t = 0;\n\
+                   while (t < k) {\n\
+                   #pragma acc update host(x[0:n]) device(y[0:n])\n\
+                   t = t + 1;\n\
+                   }\n\
+                   if (t > 3) { return; }\n\
+                   t = 0;\n\
+                   }";
+        let hir = acc_minic::frontend(src)
+            .map(|t| outline(&t.functions[0].body, &|l| format!("loop {}", l.name)));
+        assert_eq!(
+            hir.ok().as_deref(),
+            Some(
+                "if{loop f_k0}else{loop f_k1} plain while{update[0; 1] plain} \
+                 if{return}else{} plain"
+            )
+        );
+        let p = compile(src);
+        let host = outline(&p.host, &|k| format!("launch {k}"));
+        assert_eq!(
+            host,
+            "if{region[Copy 0]{launch 0}}else{region[Copy 1]{launch 1}} plain \
+             while{update[0; 1] plain} if{return}else{} plain"
+        );
+    }
+
     #[test]
     fn update_lowered() {
         let p = compile(
@@ -345,11 +347,11 @@ mod tests {
              #pragma acc update host(x[0:n])\n\
              }",
         );
-        let HostOp::Update { to_host, to_device } = &p.host[0] else {
+        let HostOp::Update { host, device } = &p.host[0] else {
             panic!()
         };
-        assert_eq!(to_host.len(), 1);
-        assert!(to_device.is_empty());
-        assert_eq!(to_host[0].array, 0);
+        assert_eq!(host.len(), 1);
+        assert!(device.is_empty());
+        assert_eq!(host[0].buf.0 as usize, 0);
     }
 }

@@ -15,10 +15,11 @@
 //!    worst read and write coalescing class the runtime prices memory
 //!    traffic with (reads count as coalesced once the 2-D layout
 //!    transform of §IV-B4 applies);
-//! 3. the host program ([`HostOp`] tree): the original sequential control
-//!    flow with parallel loops replaced by launch operations and data
-//!    directives replaced by runtime calls — "the translator just inserts
-//!    the statements to call the runtime functions" (§IV-B1).
+//! 3. the host program ([`HostOp`] tree): there is one host tree, the
+//!    frontend's `hir::HostStmt`, with each parallel loop replaced by the
+//!    index of its kernel; its data regions and updates are runtime calls
+//!    — "the translator just inserts the statements to call the runtime
+//!    functions" (§IV-B1).
 //!
 //! The runtime in `acc-runtime` executes the host program against the
 //! simulated machine of `acc-gpusim`.
@@ -43,7 +44,6 @@ pub use config::{
 };
 pub use dataflow::{wavefront_eligible, CommPlan, ElideFact, OverlapFact, OverlapPlan};
 pub use depend::{BufDepend, DependVerdict, Direction, DisjointProof, Distance};
-pub use hostgen::HostOp;
 pub use infer::{render_annotation, render_reduction};
 pub use lint::{lint_function, lint_program, lint_source, lint_source_with};
 
@@ -176,6 +176,11 @@ pub struct CompiledKernel {
     pub span: acc_minic::diag::Span,
 }
 
+/// The translated host program: the frontend's host tree with each
+/// parallel loop replaced by the index of its kernel in
+/// [`CompiledProgram::kernels`].
+pub type HostOp = hir::HostStmt<usize>;
+
 /// A fully translated function: kernels + host program.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
@@ -194,8 +199,8 @@ pub struct CompiledProgram {
     /// syncs.
     pub comm_plan: CommPlan,
     /// Per-launch halo-overlap safety facts ([`dataflow::overlap_plan`]).
-    /// The runtime consults it (when its `overlap` knob is on and
-    /// sanitize is not `Full`) to price double-buffered halo fills
+    /// The runtime consults it (for a distributed array, when its
+    /// `overlap` knob is on) to price double-buffered halo fills
     /// concurrently with the same wave's compute.
     pub overlap_plan: OverlapPlan,
     /// Program array indices whose elementwise monotonicity (values

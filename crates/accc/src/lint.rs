@@ -59,10 +59,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use acc_kernel_ir as ir;
 use acc_minic::diag::Diagnostic;
 use acc_minic::directive::DataClauseKind;
-use acc_minic::hir;
+use acc_minic::hir::{self, TypedDataClause};
 
 use crate::affine::{classify, AccessPattern};
-use crate::hostgen::{clause_arrays, CompiledClause};
+use crate::hostgen::clause_arrays;
 use crate::{CompileOptions, CompiledProgram, DependVerdict, HostOp, Placement};
 
 /// Count the store-hazard sites for one buffer of a (remapped) kernel
@@ -164,7 +164,7 @@ struct HostLint<'a> {
     /// Clauses of the open data regions, innermost last. Their arrays are
     /// device-present (a nested `copy` clause on a present array is a
     /// no-op, so it does not flush at the inner exit).
-    regions: Vec<&'a [CompiledClause]>,
+    regions: Vec<&'a [TypedDataClause]>,
     /// Device-written arrays whose host copy is stale, with the index of
     /// the writing kernel.
     stale: BTreeMap<usize, usize>,
@@ -210,7 +210,7 @@ impl<'a> HostLint<'a> {
                 // The loop may have run zero times.
                 self.stale.extend(entry);
             }
-            HostOp::Region { clauses, body } => {
+            HostOp::DataRegion { clauses, body } => {
                 self.regions.push(clauses);
                 self.walk_block(body);
                 self.regions.pop();
@@ -219,17 +219,18 @@ impl<'a> HostLint<'a> {
                 for c in clauses {
                     if matches!(c.kind, DataClauseKind::Copy | DataClauseKind::CopyOut) {
                         for sec in &c.sections {
-                            if !self.present(sec.array) {
-                                self.stale.remove(&sec.array);
+                            let array = sec.buf.0 as usize;
+                            if !self.present(array) {
+                                self.stale.remove(&array);
                             }
                         }
                     }
                 }
             }
-            HostOp::Launch { kernel } => self.visit_kernel(*kernel),
-            HostOp::Update { to_host, .. } => {
-                for sec in to_host {
-                    self.stale.remove(&sec.array);
+            HostOp::ParallelLoop(kernel) => self.visit_kernel(*kernel),
+            HostOp::Update { host, .. } => {
+                for sec in host {
+                    self.stale.remove(&(sec.buf.0 as usize));
                 }
             }
             HostOp::Return => {}

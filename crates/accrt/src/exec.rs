@@ -1,9 +1,10 @@
-//! The host-program executor: walks the translated [`HostOp`] tree,
-//! interprets sequential host code, and orchestrates BSP kernel launches
-//! (loader phase → parallel kernel phase → communication phase → barrier,
-//! paper §III-A Fig. 3).
+//! The host-program executor: walks the translated [`HostOp`] tree — the
+//! frontend's host tree with each parallel loop replaced by its kernel
+//! index — interprets sequential host code, and orchestrates BSP kernel
+//! launches (loader phase → parallel kernel phase → communication phase
+//! → barrier, paper §III-A Fig. 3).
 //!
-//! Data regions are structured: `HostOp::Region` enters per its clauses,
+//! Data regions are structured: `HostOp::DataRegion` enters per its clauses,
 //! runs its body and exits — copy-out, then free at depth zero — on every
 //! flow out of the body (`break`, `continue` and `return` included). The
 //! translator already wrapped each launch in the implicit region for its
@@ -17,9 +18,9 @@
 use acc_compiler::{ArrayConfig, CompiledKernel, CompiledProgram, HostOp, Placement};
 use acc_compiler::affine::AccessPattern;
 use acc_compiler::analysis::pattern_efficiency;
-use acc_compiler::hostgen::CompiledClause;
 use acc_gpusim::{Endpoint, Gpu, Machine};
 use acc_kernel_ir as ir;
+use acc_minic::hir::{TypedDataClause, TypedSection};
 use acc_obs::{
     Event, InferredAnnotation, LaunchSpan, MapperDecision, PhaseKind, PhaseSpan, Recorder,
     SanitizeEvent, WavefrontRound,
@@ -309,7 +310,7 @@ impl<'a> Run<'a> {
                         Flow::Return => return Ok(Flow::Return),
                     }
                 },
-                HostOp::Region { clauses, body } => {
+                HostOp::DataRegion { clauses, body } => {
                     let exits = self.data_enter(clauses)?;
                     // Every flow out of the body exits the region; an
                     // error propagates without one.
@@ -319,11 +320,8 @@ impl<'a> Run<'a> {
                         return Ok(f);
                     }
                 }
-                HostOp::Launch { kernel } => self.launch(*kernel)?,
-                HostOp::Update {
-                    to_host,
-                    to_device,
-                } => self.update(to_host, to_device)?,
+                HostOp::ParallelLoop(kernel) => self.launch(*kernel)?,
+                HostOp::Update { host, device } => self.update(host, device)?,
                 HostOp::Return => return Ok(Flow::Return),
             }
         }
@@ -337,7 +335,7 @@ impl<'a> Run<'a> {
     /// section: `(array, copy-out range)` — `copy`/`copyout` sections
     /// flush their range back to the host at exit, the others only
     /// balance the depth.
-    fn data_enter(&mut self, clauses: &[CompiledClause]) -> Result<Vec<Exit>, RunError> {
+    fn data_enter(&mut self, clauses: &[TypedDataClause]) -> Result<Vec<Exit>, RunError> {
         let mut exits = Vec::new();
         if self.cfg.mode == ExecMode::CpuParallel {
             return Ok(exits);
@@ -345,18 +343,16 @@ impl<'a> Run<'a> {
         use acc_minic::directive::DataClauseKind as K;
         for c in clauses {
             for s in &c.sections {
-                let range = self.resolve_section(s)?;
-                let st = &mut self.arrays[s.array];
+                let (arr, range) = self.resolve_section(s)?;
+                let st = &mut self.arrays[arr];
                 if c.kind == K::Present && st.region_depth == 0 {
-                    return Err(RunError::NotPresent(
-                        self.prog.array_params[s.array].0.clone(),
-                    ));
+                    return Err(RunError::NotPresent(self.prog.array_params[arr].0.clone()));
                 }
                 if st.region_depth == 0 {
                     st.init_from_host = matches!(c.kind, K::Copy | K::CopyIn | K::Present);
                 }
                 st.region_depth += 1;
-                exits.push((s.array, matches!(c.kind, K::Copy | K::CopyOut).then_some(range)));
+                exits.push((arr, matches!(c.kind, K::Copy | K::CopyOut).then_some(range)));
             }
         }
         Ok(exits)
@@ -384,42 +380,35 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    fn update(
-        &mut self,
-        to_host: &[acc_compiler::hostgen::Section],
-        to_device: &[acc_compiler::hostgen::Section],
-    ) -> Result<(), RunError> {
+    fn update(&mut self, host: &[TypedSection], device: &[TypedSection]) -> Result<(), RunError> {
         if self.cfg.mode == ExecMode::CpuParallel {
             return Ok(());
         }
         let t0 = self.now;
         let mut end = t0;
-        for s in to_host {
-            let (lo, hi) = self.resolve_section(s)?;
-            let e = self.flush_to_host(s.array, lo, hi, t0)?;
-            end = end.max(e);
+        for s in host {
+            let (arr, (lo, hi)) = self.resolve_section(s)?;
+            end = end.max(self.flush_to_host(arr, lo, hi, t0)?);
         }
-        for s in to_device {
-            let (lo, hi) = self.resolve_section(s)?;
-            let e = self.push_to_device(s.array, lo, hi, t0)?;
-            end = end.max(e);
+        for s in device {
+            let (arr, (lo, hi)) = self.resolve_section(s)?;
+            end = end.max(self.push_to_device(arr, lo, hi, t0)?);
         }
         self.advance(PhaseKind::Data, end);
         Ok(())
     }
 
-    fn resolve_section(
-        &mut self,
-        s: &acc_compiler::hostgen::Section,
-    ) -> Result<(i64, i64), RunError> {
-        match &s.range {
-            None => Ok((0, self.arrays[s.array].len as i64)),
+    /// `s`'s program array and its `[lo, hi)` element range.
+    fn resolve_section(&mut self, s: &TypedSection) -> Result<(usize, (i64, i64)), RunError> {
+        let arr = s.buf.0 as usize;
+        let range = match &s.range {
+            None => (0, self.arrays[arr].len as i64),
             Some((a, b)) => {
                 let lo = self.eval_host_i64(a)?;
-                let len = self.eval_host_i64(b)?;
-                Ok((lo, lo + len))
+                (lo, lo + self.eval_host_i64(b)?)
             }
-        }
+        };
+        Ok((arr, range))
     }
 
     // ---------------- kernel launch ----------------

@@ -8,7 +8,7 @@
 //! these sets after every kernel wave. `update` directives and region-exit
 //! copy-outs move data between the two logical copies explicitly.
 //!
-//! Regions are structured `HostOp::Region`s of the translated host
+//! Regions are structured `HostOp::DataRegion`s of the translated host
 //! program, and every launch sits inside regions covering each array it
 //! uses (the translator adds the implicit per-launch one), so an array's
 //! state only counts how deep it is nested; each open region's copy-out

@@ -204,8 +204,8 @@ const LINT_UNIT_SOURCES: &[(&str, &str)] = &[
 /// `region[copyin pos,neigh; copyout force]{launch 0}`.
 fn outline(prog: &CompiledProgram, ops: &[HostOp]) -> String {
     let name = |a: usize| prog.array_params[a].0.as_str();
-    let names = |secs: &[acc_compiler::hostgen::Section]| {
-        secs.iter().map(|s| name(s.array)).collect::<Vec<_>>().join(",")
+    let names = |secs: &[acc_minic::hir::TypedSection]| {
+        secs.iter().map(|s| name(s.buf.0 as usize)).collect::<Vec<_>>().join(",")
     };
     let items: Vec<String> = ops
         .iter()
@@ -220,16 +220,16 @@ fn outline(prog: &CompiledProgram, ops: &[HostOp]) -> String {
                 outline(prog, else_)
             )),
             HostOp::While { body, .. } => Some(format!("while{{{}}}", outline(prog, body))),
-            HostOp::Region { clauses, body } => {
+            HostOp::DataRegion { clauses, body } => {
                 let clauses: Vec<String> = clauses
                     .iter()
                     .map(|c| format!("{:?}", c.kind).to_lowercase() + " " + &names(&c.sections))
                     .collect();
                 Some(format!("region[{}]{{{}}}", clauses.join("; "), outline(prog, body)))
             }
-            HostOp::Launch { kernel } => Some(format!("launch {kernel}")),
-            HostOp::Update { to_host, to_device } => {
-                let sides: Vec<String> = [("host", to_host), ("device", to_device)]
+            HostOp::ParallelLoop(kernel) => Some(format!("launch {kernel}")),
+            HostOp::Update { host, device } => {
+                let sides: Vec<String> = [("host", host), ("device", device)]
                     .into_iter()
                     .filter(|(_, secs)| !secs.is_empty())
                     .map(|(side, secs)| format!("{side} {}", names(secs)))

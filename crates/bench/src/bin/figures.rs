@@ -77,7 +77,7 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => args.scale = parsed(it.next(), "scale", Scale::from_name),
-            "--json" => args.json = it.next(),
+            "--json" => args.json = Some(parsed(it.next(), "json path", |s| Some(s.to_string()))),
             "--seed" => args.seed = parsed(it.next(), "seed", |s| s.parse().ok()),
             "--help" | "-h" => usage(0),
             t if have_target => args.free.push(t.to_string()),

@@ -1,6 +1,7 @@
 //! The `figures` command line refuses what it cannot run: an unknown
-//! target or a seed that is not a number exits 2 with the usage text,
-//! instead of printing nothing or running another seed.
+//! target, a seed that is not a number or a `--json` without a path
+//! exits 2 with the usage text, instead of printing nothing, running
+//! another seed or writing no file.
 
 use std::process::{Command, Output};
 
@@ -33,6 +34,12 @@ fn a_seed_that_is_not_a_number_exits_2_with_the_usage_text() {
 #[test]
 fn an_unknown_scale_exits_2_with_the_usage_text() {
     assert_refused(&["table1", "--scale", "huge"]);
+}
+
+#[test]
+fn a_json_flag_without_a_path_exits_2_with_the_usage_text() {
+    assert_refused(&["table1", "--scale", "small", "--json"]);
+    assert_refused(&["table1", "--json"]);
 }
 
 #[test]

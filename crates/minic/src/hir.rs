@@ -48,27 +48,29 @@ pub struct TypedFunction {
     pub span: Span,
 }
 
-/// A host-side statement.
+/// A host-side statement. `L` stands for a parallel loop: the frontend
+/// keeps the loop itself; the translator's host program keeps the index
+/// of the kernel it became.
 #[derive(Debug, Clone)]
-pub enum HostStmt {
+pub enum HostStmt<L = Box<ParallelLoopNode>> {
     /// Plain scalar/array code with no OpenACC constructs inside.
     Plain(ir::Stmt),
     /// Host `if` that may contain OpenACC constructs in its branches.
     If {
         cond: ir::Expr,
-        then_: Vec<HostStmt>,
-        else_: Vec<HostStmt>,
+        then_: Vec<Self>,
+        else_: Vec<Self>,
     },
     /// Host `while` (or desugared `for`) that may contain OpenACC
     /// constructs in its body.
-    While { cond: ir::Expr, body: Vec<HostStmt> },
+    While { cond: ir::Expr, body: Vec<Self> },
     /// `#pragma acc data ...` region.
     DataRegion {
         clauses: Vec<TypedDataClause>,
-        body: Vec<HostStmt>,
+        body: Vec<Self>,
     },
     /// A combined parallel/kernels loop.
-    ParallelLoop(Box<ParallelLoopNode>),
+    ParallelLoop(L),
     /// `#pragma acc update`.
     Update {
         host: Vec<TypedSection>,

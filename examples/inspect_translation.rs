@@ -97,7 +97,7 @@ fn print_ops(prog: &CompiledProgram, ops: &[HostOp], depth: usize) {
                 print_ops(prog, body, depth + 1);
                 println!("{pad}}}");
             }
-            HostOp::Region { clauses, body } => {
+            HostOp::DataRegion { clauses, body } => {
                 // e.g. `data copyin(pos, neigh) copy(force) {`
                 let clauses: Vec<String> = clauses
                     .iter()
@@ -105,7 +105,7 @@ fn print_ops(prog: &CompiledProgram, ops: &[HostOp], depth: usize) {
                         let arrays: Vec<&str> = c
                             .sections
                             .iter()
-                            .map(|s| prog.array_params[s.array].0.as_str())
+                            .map(|s| prog.array_params[s.buf.0 as usize].0.as_str())
                             .collect();
                         format!("{}({})", format!("{:?}", c.kind).to_lowercase(), arrays.join(", "))
                     })
@@ -114,12 +114,10 @@ fn print_ops(prog: &CompiledProgram, ops: &[HostOp], depth: usize) {
                 print_ops(prog, body, depth + 1);
                 println!("{pad}}}");
             }
-            HostOp::Launch { kernel } => println!("{pad}LAUNCH kernel {kernel}"),
-            HostOp::Update { to_host, to_device } => println!(
-                "{pad}update host({}) device({})",
-                to_host.len(),
-                to_device.len()
-            ),
+            HostOp::ParallelLoop(kernel) => println!("{pad}LAUNCH kernel {kernel}"),
+            HostOp::Update { host, device } => {
+                println!("{pad}update host({}) device({})", host.len(), device.len())
+            }
             HostOp::Return => println!("{pad}return"),
         }
     }
